@@ -57,12 +57,16 @@
 //! [`refine_with_constants`] additionally lets the template compiler
 //! consume the certified stuck-at facts: constants are substituted into
 //! every cone (folding logic away), constraints that fold to `true` are
-//! stripped, and the AIG is rebuilt cone-first — a cone-of-influence
-//! refinement with a node remap. The refined system is only sound for
-//! engines that assert the invariant on every frame they instantiate,
-//! which is exactly the contract `engines::Blasted` enforces.
+//! stripped, the AIG is rebuilt cone-first, and every latch the bads
+//! and constraints cannot observe gets a free next state — a
+//! cone-of-influence cut that only ever adds behaviours. The refined
+//! system is only sound for engines that assert the invariant on every
+//! frame they instantiate and read counterexample states off the
+//! original netlist by simulation, which is exactly the contract
+//! `engines::Blasted` enforces.
 
-use crate::seq::AigSystem;
+use crate::graph::{Aig, AigLit};
+use crate::seq::{AigSystem, Latch};
 use crate::sim::{Tern, TernarySim};
 use crate::template::TransitionTemplate;
 use satb::{Lit, Part, SolveResult, Solver};
@@ -514,8 +518,9 @@ pub fn analyze(
     }
 }
 
-/// Rebuilds `sys` with certified stuck-at-constant latches substituted
-/// into every cone: a cone-of-influence refinement with a node remap.
+/// Rebuilds `sys` into the netlist the engines solve on: certified
+/// stuck-at-constant latches substituted into every cone, then cut to
+/// the property's sequential cone of influence.
 ///
 /// * Every CI keeps its ordinal (the blaster's input/latch ordering is
 ///   load-bearing for traces and frame variables), and every latch
@@ -530,10 +535,20 @@ pub fn analyze(
 ///   `false` are kept, preserving vacuous-safety semantics. Bad cones
 ///   are kept positionally even when they fold, so trace bad-indices
 ///   stay valid.
+/// * After the substitution, every latch outside the cone of influence
+///   of the bads and constraints ([`AigSystem::latch_coi`] of the
+///   rebuilt graph, constant latches included) gets a **free** next
+///   state: a fresh CI, appended after the original ordinals, that is
+///   neither an input nor a latch output. Its logic is dropped, and
+///   [`TransitionTemplate::compile`] turns the CI into an unconstrained
+///   variable per frame.
 ///
-/// The result is **only** equivalent to `sys` on states satisfying the
-/// constant facts; consumers must assert the invariant on every frame
-/// they instantiate from it.
+/// On states satisfying the constant facts, the result has every
+/// transition of `sys` and then some: the cone latches, bads and
+/// constraints step exactly as in `sys`, the freed latches take any
+/// value. Consumers must therefore assert the invariant on every frame
+/// they instantiate, and read counterexample states off `sys` by
+/// simulation, never off a model of the result.
 pub fn refine_with_constants(sys: &AigSystem, constants: &[(usize, bool)]) -> AigSystem {
     let mut const_of_ci: Vec<Option<bool>> = vec![None; sys.aig.num_cis()];
     for &(latch, v) in constants {
@@ -541,81 +556,79 @@ pub fn refine_with_constants(sys: &AigSystem, constants: &[(usize, bool)]) -> Ai
             const_of_ci[ci] = Some(v);
         }
     }
+    let substituted = rebuild(sys, &const_of_ci, &vec![true; sys.latches.len()]);
+    let coi = substituted.latch_coi();
+    if coi.iter().all(|&c| c) {
+        return substituted;
+    }
+    rebuild(&substituted, &vec![None; sys.aig.num_cis()], &coi)
+}
 
-    let mut aig = crate::graph::Aig::new();
-    // CIs first, in ordinal order, so every ordinal is preserved.
-    let new_ci: Vec<crate::graph::AigLit> = (0..sys.aig.num_cis()).map(|_| aig.new_ci()).collect();
-
-    // Map the cones of interest node-by-node in topological order.
-    let mut roots: Vec<crate::graph::AigLit> = sys.latches.iter().map(|l| l.next).collect();
-    roots.extend(&sys.constraints);
-    roots.extend(&sys.bads);
-    let mut map: std::collections::HashMap<u32, crate::graph::AigLit> =
-        std::collections::HashMap::new();
-    map.insert(0, crate::graph::AigLit::FALSE);
-    let map_lit = |map: &std::collections::HashMap<u32, crate::graph::AigLit>,
-                   sys: &AigSystem,
-                   new_ci: &[crate::graph::AigLit],
-                   const_of_ci: &[Option<bool>],
-                   l: crate::graph::AigLit| {
-        let base = if let Some(ci) = sys
-            .aig
-            .ci_index(crate::graph::AigLit::from_code((l.node() as usize) << 1))
-        {
-            match const_of_ci[ci] {
-                Some(v) => crate::graph::AigLit::constant(v),
-                None => new_ci[ci],
-            }
-        } else {
-            map[&l.node()]
-        };
+/// Copies the cones of `sys` into a fresh AIG, CIs first in ordinal
+/// order: CI `c` becomes the constant `const_of_ci[c]` wherever that is
+/// set, latch `i` keeps its next-state cone when `keep_next[i]` and gets
+/// a fresh, free CI otherwise.
+fn rebuild(sys: &AigSystem, const_of_ci: &[Option<bool>], keep_next: &[bool]) -> AigSystem {
+    let mut aig = Aig::new();
+    let new_ci: Vec<AigLit> = (0..sys.aig.num_cis()).map(|_| aig.new_ci()).collect();
+    let ci_of = |l: AigLit| new_ci[sys.aig.ci_index(l).expect("inputs and latches are CIs")];
+    let mut map: Vec<AigLit> = vec![AigLit::FALSE; sys.aig.num_nodes()];
+    for (ci, old) in sys.aig.ci_lits().into_iter().enumerate() {
+        map[old.node() as usize] = const_of_ci[ci].map_or(new_ci[ci], AigLit::constant);
+    }
+    let remap = |map: &[AigLit], l: AigLit| {
+        let base = map[l.node() as usize];
         if l.is_compl() {
             !base
         } else {
             base
         }
     };
-    for node in sys.aig.cone(&roots) {
-        let (a, b) = sys.aig.and_fanins_of_node(node).expect("cone yields ANDs");
-        let na = map_lit(&map, sys, &new_ci, &const_of_ci, a);
-        let nb = map_lit(&map, sys, &new_ci, &const_of_ci, b);
-        let nl = aig.and(na, nb);
-        map.insert(node, nl);
-    }
-    let remap = |l: crate::graph::AigLit| map_lit(&map, sys, &new_ci, &const_of_ci, l);
 
-    let latches: Vec<crate::seq::Latch> = sys
+    // Map the cones of interest node-by-node in topological order.
+    let mut roots: Vec<AigLit> = sys
         .latches
         .iter()
-        .map(|l| crate::seq::Latch {
-            output: new_ci[sys.aig.ci_index(l.output).expect("latch output is a CI")],
-            next: remap(l.next),
+        .zip(keep_next)
+        .filter(|&(_, &keep)| keep)
+        .map(|(l, _)| l.next)
+        .collect();
+    roots.extend(&sys.constraints);
+    roots.extend(&sys.bads);
+    for node in sys.aig.cone(&roots) {
+        let (a, b) = sys.aig.and_fanins_of_node(node).expect("cone yields ANDs");
+        map[node as usize] = aig.and(remap(&map, a), remap(&map, b));
+    }
+
+    let latches: Vec<Latch> = sys
+        .latches
+        .iter()
+        .zip(keep_next)
+        .map(|(l, &keep)| Latch {
+            output: ci_of(l.output),
+            next: if keep {
+                remap(&map, l.next)
+            } else {
+                aig.new_ci()
+            },
             init: l.init,
             name: l.name.clone(),
         })
         .collect();
-    let inputs: Vec<crate::graph::AigLit> = sys
-        .inputs
-        .iter()
-        .map(|&l| new_ci[sys.aig.ci_index(l).expect("input is a CI")])
-        .collect();
-    let constraints: Vec<crate::graph::AigLit> = sys
-        .constraints
-        .iter()
-        .map(|&c| remap(c))
-        .filter(|&c| c != crate::graph::AigLit::TRUE)
-        .collect();
-    let bads: Vec<crate::graph::AigLit> = sys.bads.iter().map(|&b| remap(b)).collect();
-
     AigSystem {
-        aig,
-        inputs,
+        inputs: sys.inputs.iter().map(|&l| ci_of(l)).collect(),
         input_names: sys.input_names.clone(),
         latches,
-        constraints,
-        bads,
+        constraints: sys
+            .constraints
+            .iter()
+            .map(|&c| remap(&map, c))
+            .filter(|&c| c != AigLit::TRUE)
+            .collect(),
+        bads: sys.bads.iter().map(|&b| remap(&map, b)).collect(),
         bad_names: sys.bad_names.clone(),
         name: sys.name.clone(),
+        aig,
     }
 }
 
@@ -747,11 +760,43 @@ mod tests {
         stop.store(false, Ordering::Relaxed);
     }
 
+    /// Whether latch `i`'s next state is a free CI: neither an input nor
+    /// a latch output.
+    fn is_freed(sys: &AigSystem, i: usize) -> bool {
+        let next = sys.latches[i].next;
+        sys.aig.ci_index(next).is_some()
+            && !sys.inputs.contains(&next)
+            && sys.latches.iter().all(|l| l.output != next)
+    }
+
+    /// Runs `sys` and `refined` in lockstep from reset under random
+    /// inputs and checks that the latches in `refined`'s cone of
+    /// influence and the bad outputs agree on every step. Returns how
+    /// many latches were checked.
+    fn lockstep_on_cone(sys: &AigSystem, refined: &AigSystem) -> usize {
+        let coi = refined.latch_coi();
+        let mut state = sys.initial_state();
+        let mut rng = XorShift::new(7);
+        for _ in 0..64 {
+            let inputs: Vec<bool> = sys.inputs.iter().map(|_| rng.next_bool()).collect();
+            assert_eq!(
+                sys.bads_in(&state, &inputs),
+                refined.bads_in(&state, &inputs)
+            );
+            let a = sys.step(&state, &inputs);
+            let b = refined.step(&state, &inputs);
+            for i in (0..a.len()).filter(|&i| coi[i]) {
+                assert_eq!(a[i], b[i], "cone latch {i} diverges on an invariant state");
+            }
+            state = a;
+        }
+        coi.iter().filter(|&&c| c).count()
+    }
+
     #[test]
     fn refinement_preserves_ci_ordinals_and_strips_folded_constraints() {
         let sys = shaped_system();
         let refined = refine_with_constants(&sys, &[(0, false)]);
-        assert_eq!(refined.aig.num_cis(), sys.aig.num_cis());
         for (a, b) in sys.latches.iter().zip(&refined.latches) {
             assert_eq!(
                 sys.aig.ci_index(a.output),
@@ -759,18 +804,45 @@ mod tests {
                 "latch CI ordinals must be preserved"
             );
         }
-        // The bad cone and(l0, l1) folds to FALSE under l0 = 0.
-        assert_eq!(refined.bads[0], crate::graph::AigLit::FALSE);
-        // Refinement under the invariant preserves the step function on
-        // invariant states: simulate both systems in lockstep.
-        let mut state = vec![false, false, false];
-        let mut rng = XorShift::new(7);
-        for _ in 0..64 {
-            let inputs = vec![rng.next_bool()];
-            let a = sys.step(&state, &inputs);
-            let b = refined.step(&state, &inputs);
-            assert_eq!(a, b, "step mismatch on invariant state");
-            state = a;
-        }
+        // The bad cone and(l0, l1) folds to FALSE under l0 = 0, so no
+        // latch is observable any more: every one is freed, each with a
+        // fresh CI appended after the original ordinals.
+        assert_eq!(refined.bads[0], AigLit::FALSE);
+        assert_eq!(refined.aig.num_cis(), sys.aig.num_cis() + sys.latches.len());
+        assert!((0..sys.latches.len()).all(|i| is_freed(&refined, i)));
+        assert_eq!(lockstep_on_cone(&sys, &refined), 0);
+    }
+
+    #[test]
+    fn cone_cut_frees_exactly_the_unobserved_latches() {
+        // Without constants, bad = l0 & l1 reads latches 0 and 1 (each
+        // feeding itself); latch 2 is outside the cone.
+        let sys = shaped_system();
+        assert_eq!(sys.latch_coi(), vec![true, true, false]);
+        let refined = refine_with_constants(&sys, &[]);
+        assert_eq!(refined.aig.num_cis(), sys.aig.num_cis() + 1);
+        assert!(!is_freed(&refined, 0) && !is_freed(&refined, 1));
+        assert!(is_freed(&refined, 2));
+        assert_eq!(lockstep_on_cone(&sys, &refined), 2);
+        // Nothing outside the cone is left in the netlist: l3's xor is
+        // gone.
+        assert_eq!(refined.aig.num_ands(), sys.aig.num_ands() - 3);
+    }
+
+    #[test]
+    fn constants_fold_before_the_cut_and_cone_latches_keep_their_step() {
+        // bad = (l0 & l3) | l1 reads every latch, but under the
+        // certified l0 = 0 it reads l1 alone: l0 and l3 are freed, l1
+        // keeps its next state and steps as in the netlist.
+        let mut sys = shaped_system();
+        let [l0, l1, l3] = [0, 1, 2].map(|i| sys.latches[i].output);
+        let gated = sys.aig.and(l0, l3);
+        sys.bads = vec![sys.aig.or(gated, l1)];
+        assert_eq!(sys.latch_coi(), vec![true, true, true]);
+        let refined = refine_with_constants(&sys, &[(0, false)]);
+        assert_eq!(refined.bads[0], refined.latches[1].output);
+        assert!(is_freed(&refined, 0) && is_freed(&refined, 2));
+        assert!(!is_freed(&refined, 1));
+        assert_eq!(lockstep_on_cone(&sys, &refined), 1);
     }
 }

@@ -526,8 +526,12 @@ fn shifter(g: &mut Aig, a: &[AigLit], sh: &[AigLit], kind: ShiftKind) -> Vec<Aig
         overflow = g.or(overflow, b);
     }
     if !w.is_power_of_two() {
-        // Compare the low `stages` bits against w.
-        let low: Vec<AigLit> = sh.iter().copied().take(stages).collect();
+        // Compare the low `stages` bits against w, zero-extending an
+        // amount narrower than that: `less_than` reads only as many
+        // bits as its left operand has.
+        let low: Vec<AigLit> = (0..stages)
+            .map(|i| sh.get(i).copied().unwrap_or(AigLit::FALSE))
+            .collect();
         let wconst: Vec<AigLit> = (0..stages)
             .map(|i| AigLit::constant((w >> i) & 1 == 1))
             .collect();
@@ -628,11 +632,25 @@ mod tests {
             exprs.push(se);
             let cond = p.redor(ye);
             exprs.push(p.ite(cond, xe, ye));
+            // Shifts by amounts of every width up to ⌈log2 w⌉, the width
+            // of the shifter's out-of-range comparison.
+            let amount_bits = (64 - (u64::from(w) - 1).leading_zeros()).max(1);
+            let amounts: Vec<VarId> = (1..=amount_bits)
+                .map(|aw| p.new_var(format!("s{aw}"), Sort::Bv(aw)))
+                .collect();
+            for &s in &amounts {
+                let amount = p.var(s);
+                exprs.push(p.shl(xe, amount));
+                exprs.push(p.lshr(xe, amount));
+                exprs.push(p.ashr(xe, amount));
+            }
 
             let mut blaster = Blaster::new(&p);
-            // Fix the CI order: x bits first, then y bits.
-            blaster.fresh_var(x);
-            blaster.fresh_var(y);
+            // Fix the CI order: x bits first, then y bits, then the
+            // amounts, narrowest first.
+            for v in [x, y].iter().chain(&amounts) {
+                blaster.fresh_var(*v);
+            }
             let blasted: Vec<(ExprId, Vec<AigLit>)> = exprs
                 .iter()
                 .map(|&e| (e, blaster.blast(e).bits().to_vec()))
@@ -645,7 +663,10 @@ mod tests {
                 } else {
                     rng.gen::<u64>() & rtlir::value::mask(w)
                 };
-                // CI order: x bits then y bits (first use order).
+                let amount_vals: Vec<u64> = (1..=amount_bits)
+                    .map(|aw| rng.gen::<u64>() & rtlir::value::mask(aw))
+                    .collect();
+                // CI order: x bits, y bits, amount bits (first use order).
                 let mut cis: Vec<bool> = Vec::new();
                 for i in 0..w {
                     cis.push((xv >> i) & 1 == 1);
@@ -653,11 +674,17 @@ mod tests {
                 for i in 0..w {
                     cis.push((yv >> i) & 1 == 1);
                 }
+                for (aw, &sv) in (1..=amount_bits).zip(&amount_vals) {
+                    cis.extend((0..aw).map(|i| (sv >> i) & 1 == 1));
+                }
                 let env = |v: VarId| {
                     if v == x {
                         Value::bv(w, xv)
-                    } else {
+                    } else if v == y {
                         Value::bv(w, yv)
+                    } else {
+                        let k = amounts.iter().position(|&s| s == v).expect("amount var");
+                        Value::bv(k as u32 + 1, amount_vals[k])
                     }
                 };
                 for (e, bits) in &blasted {

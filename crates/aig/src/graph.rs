@@ -49,6 +49,11 @@ impl AigLit {
     pub fn from_code(code: usize) -> AigLit {
         AigLit(code as u32)
     }
+    /// The literal's value in a per-node buffer filled by
+    /// [`Aig::eval_nodes`].
+    pub(crate) fn value_in(self, node_values: &[bool]) -> bool {
+        node_values[self.node() as usize] != self.is_compl()
+    }
 }
 
 impl std::ops::Not for AigLit {
@@ -226,52 +231,33 @@ impl Aig {
     }
 
     /// Evaluates a literal given values for all CIs (indexed by CI
-    /// ordinal). Used by tests and trace replay; the three-valued
-    /// variant PDR uses for cube generalization lives in
+    /// ordinal), with one pass over every node in index order. The
+    /// three-valued variant PDR uses for cube generalization lives in
     /// [`crate::sim::TernarySim`].
     pub fn eval(&self, root: AigLit, ci_values: &[bool]) -> bool {
-        let mut vals: Vec<Option<bool>> = vec![None; self.nodes.len()];
-        self.eval_cached(root, ci_values, &mut vals)
-    }
-
-    /// Like [`eval`](Aig::eval) but reuses a caller-provided cache
-    /// (`None`-initialized, one slot per node) across multiple roots.
-    pub fn eval_cached(&self, root: AigLit, ci_values: &[bool], vals: &mut [Option<bool>]) -> bool {
-        let mut stack = vec![root.node()];
-        while let Some(n) = stack.pop() {
-            if vals[n as usize].is_some() {
-                continue;
-            }
-            match self.nodes[n as usize] {
-                NodeKind::Const => {
-                    vals[n as usize] = Some(false);
-                }
-                NodeKind::Ci(i) => {
-                    vals[n as usize] = Some(ci_values[i as usize]);
-                }
-                NodeKind::And(a, b) => {
-                    let (va, vb) = (vals[a.node() as usize], vals[b.node() as usize]);
-                    match (va, vb) {
-                        (Some(x), Some(y)) => {
-                            let xa = x != a.is_compl();
-                            let xb = y != b.is_compl();
-                            vals[n as usize] = Some(xa && xb);
-                        }
-                        _ => {
-                            stack.push(n);
-                            if va.is_none() {
-                                stack.push(a.node());
-                            }
-                            if vb.is_none() {
-                                stack.push(b.node());
-                            }
-                        }
-                    }
-                }
+        let mut vals = vec![false; self.nodes.len()];
+        for (n, kind) in self.nodes.iter().enumerate() {
+            if let NodeKind::Ci(i) = *kind {
+                vals[n] = ci_values[i as usize];
             }
         }
-        let v = vals[root.node() as usize].expect("evaluated");
-        v != root.is_compl()
+        self.eval_nodes(&mut vals);
+        root.value_in(&vals)
+    }
+
+    /// Evaluates every AND node once, in index order, into
+    /// `node_values` (one slot per node). The caller presets the CI
+    /// slots and leaves slot 0, the constant node, `false`; read
+    /// results back with [`AigLit::value_in`]. Index order is
+    /// topological by construction — [`and`](Aig::and) only references
+    /// nodes that already exist — so one linear pass evaluates every
+    /// root at once, with no per-root walk or cache.
+    pub(crate) fn eval_nodes(&self, node_values: &mut [bool]) {
+        for (n, kind) in self.nodes.iter().enumerate() {
+            if let NodeKind::And(a, b) = *kind {
+                node_values[n] = a.value_in(node_values) && b.value_in(node_values);
+            }
+        }
     }
 
     /// The nodes in the transitive fanin cone of `roots` (AND nodes

@@ -61,51 +61,74 @@ impl AigSystem {
             .collect()
     }
 
-    /// Builds the CI value vector for evaluation from a state vector
-    /// and primary-input values.
-    fn ci_values(&self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-        let mut cis = vec![false; self.aig.num_cis()];
+    /// Every node's value under a state vector and primary-input values
+    /// (missing input bits and free CIs read `false`): one pass over
+    /// the AIG ([`Aig::eval_nodes`]).
+    fn node_values(&self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
+        let mut vals = vec![false; self.aig.num_nodes()];
         for (i, &l) in self.inputs.iter().enumerate() {
-            let ci = self.aig.ci_index(l).expect("input is a CI");
-            cis[ci] = inputs.get(i).copied().unwrap_or(false);
+            vals[l.node() as usize] = inputs.get(i).copied().unwrap_or(false);
         }
-        for (i, latch) in self.latches.iter().enumerate() {
-            let ci = self
-                .aig
-                .ci_index(latch.output)
-                .expect("latch output is a CI");
-            cis[ci] = state[i];
+        for (latch, &v) in self.latches.iter().zip(state) {
+            vals[latch.output.node() as usize] = v;
         }
-        cis
+        self.aig.eval_nodes(&mut vals);
+        vals
     }
 
     /// Evaluates the bad outputs in a given state with given inputs.
     pub fn bads_in(&self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-        let cis = self.ci_values(state, inputs);
-        let mut cache = vec![None; self.aig.num_nodes()];
-        self.bads
-            .iter()
-            .map(|&b| self.aig.eval_cached(b, &cis, &mut cache))
-            .collect()
+        let vals = self.node_values(state, inputs);
+        self.bads.iter().map(|b| b.value_in(&vals)).collect()
     }
 
     /// Evaluates the constraints in a given state with given inputs.
     pub fn constraints_in(&self, state: &[bool], inputs: &[bool]) -> bool {
-        let cis = self.ci_values(state, inputs);
-        let mut cache = vec![None; self.aig.num_nodes()];
-        self.constraints
-            .iter()
-            .all(|&c| self.aig.eval_cached(c, &cis, &mut cache))
+        let vals = self.node_values(state, inputs);
+        self.constraints.iter().all(|c| c.value_in(&vals))
     }
 
     /// Computes the successor state.
     pub fn step(&self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-        let cis = self.ci_values(state, inputs);
-        let mut cache = vec![None; self.aig.num_nodes()];
+        let vals = self.node_values(state, inputs);
         self.latches
             .iter()
-            .map(|l| self.aig.eval_cached(l.next, &cis, &mut cache))
+            .map(|l| l.next.value_in(&vals))
             .collect()
+    }
+
+    /// Which latches lie in the sequential cone of influence of the bad
+    /// outputs and constraints: the latches those cones read, directly
+    /// or through the next-state functions of other latches in the
+    /// cone. No bad output or constraint can observe a latch outside
+    /// it. The cone is structural: a latch read only through logic that
+    /// a constant would fold away still counts (see
+    /// [`crate::refine_with_constants`], which cuts after folding).
+    pub fn latch_coi(&self) -> Vec<bool> {
+        let mut latch_of: Vec<Option<usize>> = vec![None; self.aig.num_nodes()];
+        for (i, latch) in self.latches.iter().enumerate() {
+            latch_of[latch.output.node() as usize] = Some(i);
+        }
+        let mut in_coi = vec![false; self.latches.len()];
+        let mut seen = vec![false; self.aig.num_nodes()];
+        let mut stack: Vec<u32> = self
+            .bads
+            .iter()
+            .chain(&self.constraints)
+            .map(|l| l.node())
+            .collect();
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut seen[n as usize], true) {
+                continue;
+            }
+            if let Some((a, b)) = self.aig.and_fanins_of_node(n) {
+                stack.extend([a.node(), b.node()]);
+            } else if let Some(i) = latch_of[n as usize] {
+                in_coi[i] = true;
+                stack.push(self.latches[i].next.node());
+            }
+        }
+        in_coi
     }
 }
 
@@ -380,6 +403,61 @@ mod tests {
                 }
             }
             assert_eq!(sum_bits, sum_word, "sum diverges");
+        }
+    }
+
+    /// Reference value of one literal: a memoized recursive walk of its
+    /// fanin cone, sharing no code with the one-pass simulation.
+    fn walk(aig: &crate::Aig, l: AigLit, cis: &[bool], memo: &mut [Option<bool>]) -> bool {
+        let n = l.node() as usize;
+        let v = match memo[n] {
+            Some(v) => v,
+            None => {
+                let v = match (aig.ci_index(l), aig.and_fanins_of_node(l.node())) {
+                    (Some(ci), _) => cis[ci],
+                    (None, Some((a, b))) => walk(aig, a, cis, memo) && walk(aig, b, cis, memo),
+                    (None, None) => false,
+                };
+                memo[n] = Some(v);
+                v
+            }
+        };
+        v != l.is_compl()
+    }
+
+    /// The one-pass simulation behind `step`, `bads_in` and
+    /// `constraints_in` agrees with evaluating every root on its own.
+    #[test]
+    fn one_pass_simulation_matches_per_root_eval() {
+        let cfg = crate::testutil::RandomSystemConfig {
+            max_constraints: 2,
+            ..Default::default()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..100 {
+            let sys = crate::testutil::random_system(&mut rng, &cfg);
+            for _ in 0..8 {
+                let state: Vec<bool> = sys.latches.iter().map(|_| rng.gen_bool(0.5)).collect();
+                let inputs: Vec<bool> = sys.inputs.iter().map(|_| rng.gen_bool(0.5)).collect();
+                let mut cis = vec![false; sys.aig.num_cis()];
+                for (&l, &v) in sys.inputs.iter().zip(&inputs) {
+                    cis[sys.aig.ci_index(l).unwrap()] = v;
+                }
+                for (l, &v) in sys.latches.iter().zip(&state) {
+                    cis[sys.aig.ci_index(l.output).unwrap()] = v;
+                }
+                let eval = |l: &AigLit| {
+                    let reference = walk(&sys.aig, *l, &cis, &mut vec![None; sys.aig.num_nodes()]);
+                    assert_eq!(sys.aig.eval(*l, &cis), reference, "Aig::eval of {l}");
+                    reference
+                };
+                let next: Vec<bool> = sys.latches.iter().map(|l| eval(&l.next)).collect();
+                assert_eq!(sys.step(&state, &inputs), next);
+                let bads: Vec<bool> = sys.bads.iter().map(eval).collect();
+                assert_eq!(sys.bads_in(&state, &inputs), bads);
+                let ok = sys.constraints.iter().all(eval);
+                assert_eq!(sys.constraints_in(&state, &inputs), ok);
+            }
         }
     }
 

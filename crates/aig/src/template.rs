@@ -294,7 +294,9 @@ impl Builder {
             Some(b) => b,
             None => {
                 // A CI that is neither a registered input nor a latch
-                // output: a free input. It gets a free (internal-range)
+                // output: a free input, such as the next state
+                // `refine_with_constants` gives a latch outside the
+                // cone of influence. It gets a free (internal-range)
                 // template variable, so every instantiation mints a
                 // fresh unconstrained solver variable for it — the
                 // same semantics the per-frame `FrameEncoder` had.
@@ -489,6 +491,29 @@ impl TransitionTemplate {
     /// The union cone of every bad output, any-bad variable included.
     pub fn any_bad_cone(&self) -> &[Var] {
         &self.any_bad_cone
+    }
+
+    /// Which latches the bad outputs and constraints can observe,
+    /// directly or through the next-state cones of other such latches:
+    /// [`AigSystem::latch_coi`] of the compiled system, read off the
+    /// cone maps (so it survives [`preprocess`], which keeps every
+    /// latch-current variable). On a template compiled from
+    /// [`refine_with_constants`](crate::refine_with_constants) these are
+    /// exactly the latches whose next state is not free.
+    ///
+    /// [`preprocess`]: TransitionTemplate::preprocess
+    pub fn latch_coi(&self) -> Vec<bool> {
+        let mut in_coi = vec![false; self.num_latches];
+        let mut pending: Vec<&[Var]> = vec![&self.any_bad_cone, &self.constraint_cone];
+        while let Some(cone) = pending.pop() {
+            for v in cone {
+                let i = v.index();
+                if i < self.num_latches && !std::mem::replace(&mut in_coi[i], true) {
+                    pending.push(self.latch_next_cone(i));
+                }
+            }
+        }
+        in_coi
     }
 
     fn cone(&self, entry: usize) -> &[Var] {
@@ -1644,6 +1669,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The cone of influence read off the cone maps is the netlist's,
+    /// before and after preprocessing, and on the cut netlist of
+    /// `refine_with_constants` it is the set of latches that keep their
+    /// next state.
+    #[test]
+    fn latch_coi_matches_the_netlist() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut partial = 0;
+        for round in 0..100 {
+            let sys = random_system(&mut rng);
+            let coi = sys.latch_coi();
+            partial += usize::from(coi.contains(&false));
+            let tpl = TransitionTemplate::compile(&sys);
+            assert_eq!(tpl.latch_coi(), coi, "round {round}");
+            assert_eq!(tpl.preprocess().template.latch_coi(), coi, "round {round}");
+            let cut = crate::refine_with_constants(&sys, &[]);
+            assert_eq!(
+                TransitionTemplate::compile(&cut).latch_coi(),
+                coi,
+                "round {round}"
+            );
+        }
+        assert!(partial >= 10, "only {partial} netlists leave a latch out");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! SAT solver, and the bad-state output is assumed at each depth.
 
 use crate::certify::{clause_on, LatchClause};
-use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
+use crate::result::{
+    model_values, Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict,
+};
 use aig::{AigSystem, FrameVars, TransitionTemplate};
 use rtlir::TransitionSystem;
 use satb::{Lit, Part, SolveResult, Solver};
@@ -122,10 +124,11 @@ impl<'s> FrameChain<'s> {
         self.frames[k].bads[bad_index]
     }
 
-    /// Adds a pairwise-distinctness clause between the states of frames
-    /// `i` and `j` (the simple-path constraint of k-induction), scoped
-    /// to the activation group `act` and drawing its xor difference
-    /// variables from `pool` (recording them in `used`).
+    /// Adds a distinctness clause between the states of frames `i` and
+    /// `j` over the given `latches` (the simple-path constraint of
+    /// k-induction), scoped to the activation group `act` and drawing
+    /// its xor difference variables from `pool` (recording them in
+    /// `used`).
     ///
     /// The clauses only need the forward half of the xor definition
     /// (`d → a ≠ c`): the disjunction of the `d`s forces some bit to
@@ -139,13 +142,14 @@ impl<'s> FrameChain<'s> {
         &mut self,
         i: usize,
         j: usize,
+        latches: &[usize],
         act: Lit,
         pool: &mut ScratchPool,
         used: &mut Vec<satb::Var>,
     ) {
         self.ensure(i.max(j));
-        let mut diff_lits = Vec::with_capacity(self.sys.latches.len());
-        for b in 0..self.sys.latches.len() {
+        let mut diff_lits = Vec::with_capacity(latches.len());
+        for &b in latches {
             let (a, c) = (self.frames[i].latch_cur[b], self.frames[j].latch_cur[b]);
             let dv = pool.get(&mut self.solver);
             used.push(dv);
@@ -158,30 +162,18 @@ impl<'s> FrameChain<'s> {
     }
 
     /// Extracts a counterexample trace of length `k` from the current
-    /// model. `bad_index` should be determined by the caller (e.g. by
-    /// probing individual bad literals).
-    pub(crate) fn extract_trace(&mut self, k: usize, bad_index: usize) -> Trace {
-        let mut states = Vec::with_capacity(k + 1);
-        let mut inputs = Vec::with_capacity(k + 1);
-        for f in 0..=k {
-            let st: Vec<bool> = self.frames[f]
-                .latch_cur
-                .iter()
-                .map(|&l| self.solver.value(l).unwrap_or(false))
-                .collect();
-            states.push(st);
-            let inp: Vec<bool> = self.frames[f]
-                .inputs
-                .iter()
-                .map(|&l| self.solver.value(l).unwrap_or(false))
-                .collect();
-            inputs.push(inp);
-        }
-        Trace {
-            states,
-            inputs,
-            bad_index,
-        }
+    /// model: its frame-0 state and the inputs of frames `0..=k`, with
+    /// every later state simulated on the netlist ([`Trace::simulate`];
+    /// the model's values for latches a cone-cut template frees mean
+    /// nothing). `bad_index` should be determined by the caller (e.g.
+    /// by probing individual bad literals).
+    pub(crate) fn extract_trace(&self, k: usize, bad_index: usize) -> Trace {
+        let inputs = self.frames[..=k]
+            .iter()
+            .map(|f| model_values(&self.solver, &f.inputs))
+            .collect();
+        let init = model_values(&self.solver, &self.frames[0].latch_cur);
+        Trace::simulate(self.sys, init, inputs, bad_index)
     }
 
     /// Picks the bad property that fired at frame `k` in the current

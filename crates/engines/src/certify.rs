@@ -58,11 +58,14 @@
 //! For [`Certificate::KInductive`] with bound `k` the obligations
 //! are: no counterexample of length `0..=k` from the initial states
 //! (base, one incremental chain), and no path of `k+1` free states
-//! with the first `k` good, the last bad — pairwise distinct when
+//! with the first `k` good, the last bad — pairwise distinct on the
+//! latches of the cone of influence ([`AigSystem::latch_coi`]) when
 //! `simple_path` is set (step). Soundness is the standard
 //! shortest-counterexample argument: a minimal-length initialized
-//! path to a bad state has pairwise-distinct, internally-good states,
-//! so its length-`k` suffix would satisfy the step premise. When the
+//! path to a bad state has internally-good states that are pairwise
+//! distinct on the cone (bads and constraints read no other latch, so
+//! a repeat on the cone could be cut out of the path), and its
+//! length-`k` suffix would satisfy the step premise. When the
 //! engine ran under a static strengthening invariant (see
 //! [`certify_invariant`]), the certificate carries those clauses: the
 //! checker first discharges their initiation and consecution against
@@ -137,8 +140,9 @@ pub enum Certificate {
     KInductive {
         /// The induction depth the engine proved at.
         k: u32,
-        /// Whether the step obligation may assume pairwise-distinct
-        /// states (required for completeness on lasso-shaped designs).
+        /// Whether the step obligation may assume states pairwise
+        /// distinct on the cone of influence (required for completeness
+        /// on lasso-shaped designs).
         simple_path: bool,
         /// Static strengthening clauses the engine assumed on every
         /// frame. The checker re-certifies them (initiation +
@@ -608,11 +612,15 @@ fn check_kinductive(
         s.add_clause(&[!f.any_bad]);
     }
     if simple_path {
+        // Distinct over the cone of influence: bads and constraints read
+        // no other latch, so a shortest counterexample is simple over it.
+        let coi = sys.latch_coi();
         for i in 0..k {
             for j in (i + 1)..=k {
                 // d_l → (state_i[l] ≠ state_j[l]); some d_l must hold.
                 let mut differs: Vec<Lit> = Vec::with_capacity(sys.latches.len());
-                for (&a, &b) in frames[i].latch_cur.iter().zip(&frames[j].latch_cur) {
+                let pairs = frames[i].latch_cur.iter().zip(&frames[j].latch_cur);
+                for (_, (&a, &b)) in coi.iter().zip(pairs).filter(|&(&c, _)| c) {
                     let d = Lit::pos(s.new_var());
                     s.add_clause(&[!d, a, b]);
                     s.add_clause(&[!d, !a, !b]);
@@ -791,6 +799,36 @@ mod tests {
             .as_deref()
             .unwrap_or("")
             .contains("invariant consecution"));
+    }
+
+    /// Simple-path distinctness ranges over the cone of influence only,
+    /// so latches outside it must never help a false claim through: a
+    /// counter that hits its bug at cycle 6, beside an unobserved
+    /// free-running counter, refutes every k-inductive claim — by the
+    /// step below the bug's depth and by the base from it on.
+    #[test]
+    fn cone_distinctness_rejects_every_claim_on_a_buggy_design() {
+        let mut ts = crate::bmc::tests::counter_ts(6, 8);
+        let t = ts.add_state("unobserved", Sort::Bv(3));
+        let p = ts.pool_mut();
+        let tv = p.var(t);
+        let one = p.constv(3, 1);
+        let next = p.add(tv, one);
+        ts.set_next(t, next);
+        let sys = aig::blast_system(&ts);
+        assert_eq!(sys.latch_coi().iter().filter(|&&c| !c).count(), 3);
+        for k in 0..=8 {
+            let cert = Certificate::KInductive {
+                k,
+                simple_path: true,
+                invariant: vec![],
+            };
+            let rep = certify(&sys, &outcome_with(&sys, Verdict::Safe, Some(cert)));
+            let why = rep.failure.unwrap_or_default();
+            assert!(!rep.ok, "k = {k}: a false claim passed");
+            let stage = if k < 6 { "step" } else { "base" };
+            assert!(why.contains(stage), "k = {k}: {why}");
+        }
     }
 
     #[test]

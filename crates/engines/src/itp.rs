@@ -16,7 +16,9 @@
 
 use crate::certify::{clause_on, LatchClause};
 use crate::parallel::{LemmaGate, LemmaReceiver};
-use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
+use crate::result::{
+    model_values, Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict,
+};
 use aig::{Aig, AigLit, AigSystem, FrameEncoder, FrameVars, TransitionTemplate};
 use rtlir::TransitionSystem;
 use satb::{interp::ItpNode, Lit, Part, SolveResult, Solver};
@@ -164,26 +166,17 @@ impl Interpolation {
                 return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started);
             }
             if r0 == SolveResult::Sat {
-                let state: Vec<bool> = f0
-                    .latch_cur
-                    .iter()
-                    .map(|&l| solver.value(l).unwrap_or(false))
-                    .collect();
-                let inputs: Vec<bool> = f0
-                    .inputs
-                    .iter()
-                    .map(|&l| solver.value(l).unwrap_or(false))
-                    .collect();
                 let bad_index = f0
                     .bads
                     .iter()
                     .position(|&l| solver.value(l) == Some(true))
                     .unwrap_or(0);
-                let trace = Trace {
-                    states: vec![state],
-                    inputs: vec![inputs],
+                let trace = Trace::simulate(
+                    sys,
+                    model_values(&solver, &f0.latch_cur),
+                    vec![model_values(&solver, &f0.inputs)],
                     bad_index,
-                };
+                );
                 return CheckOutcome::finish(Verdict::Unsafe(trace), stats, started);
             }
         }
@@ -410,41 +403,29 @@ impl Interpolation {
             }
             SolveResult::Sat => {
                 // Extract the counterexample path: frames 0..=j where j
-                // is the first frame whose bad literal is true.
+                // is the first frame whose bad literal is true. Only the
+                // frame-0 state and the inputs come from the model; the
+                // states are simulated (see `Trace::simulate`).
                 let j = bad_lits
                     .iter()
                     .position(|&b| solver.value(b) == Some(true))
                     .map_or(k as usize, |p| p + 1);
-                let mut states = Vec::with_capacity(j + 1);
-                let mut inputs = Vec::with_capacity(j + 1);
-                for f in 0..=j {
-                    let (latch_lits, input_lits) = if f == 0 {
-                        (&a0.latch_cur, &a0.inputs)
-                    } else {
-                        (&frames[f - 1].latch_cur, &frames[f - 1].inputs)
-                    };
-                    let st: Vec<bool> = latch_lits
-                        .iter()
-                        .map(|&l| solver.value(l).unwrap_or(false))
-                        .collect();
-                    states.push(st);
-                    let inp: Vec<bool> = input_lits
-                        .iter()
-                        .map(|&l| solver.value(l).unwrap_or(false))
-                        .collect();
-                    inputs.push(inp);
-                }
+                let inputs = std::iter::once(&a0.inputs)
+                    .chain(frames[..j].iter().map(|f| &f.inputs))
+                    .map(|lits| model_values(&solver, lits))
+                    .collect();
                 // Identify the fired bad property at frame j.
                 let bad_index = frames[j - 1]
                     .bads
                     .iter()
                     .position(|&l| solver.value(l) == Some(true))
                     .unwrap_or(0);
-                QueryResult::Sat(Trace {
-                    states,
+                QueryResult::Sat(Trace::simulate(
+                    sys,
+                    model_values(&solver, &a0.latch_cur),
                     inputs,
                     bad_index,
-                })
+                ))
             }
         }
     }

@@ -89,6 +89,12 @@ impl KInduction {
         // re-encoded and learned clauses persist across iterations.
         let mut pool = crate::bmc::ScratchPool::default();
         let mut sp_acts: Vec<satb::Lit> = Vec::new();
+        // Distinctness ranges over the netlist's cone of influence
+        // only, the same set `certify` re-checks: bads and constraints
+        // read nothing else, so a shortest counterexample is simple over
+        // it. Latches outside it are free on a cone-cut template and
+        // would keep paths distinct for 2^(their number) times longer.
+        let distinct_over = coi_latches(sys);
         // Step-solve decision domain, grown monotonically with the
         // chain: each new frame contributes its base and cones (the
         // chain binding makes earlier frames' cones part of the fanin
@@ -161,7 +167,14 @@ impl KInduction {
                 let act = step.solver.new_activation();
                 let mut used: Vec<satb::Var> = Vec::new();
                 for i in 0..k as usize {
-                    step.assert_distinct_scoped(i, k as usize, act, &mut pool, &mut used);
+                    step.assert_distinct_scoped(
+                        i,
+                        k as usize,
+                        &distinct_over,
+                        act,
+                        &mut pool,
+                        &mut used,
+                    );
                 }
                 step_dom.insert(act.var());
                 step_dom.extend(used.iter().copied());
@@ -214,6 +227,13 @@ impl KInduction {
         stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
         CheckOutcome::finish(Verdict::Unknown(Unknown::BoundReached), stats, started)
     }
+}
+
+/// The latches of `sys`'s cone of influence ([`AigSystem::latch_coi`]),
+/// by index: the set the simple-path constraint ranges over.
+pub(crate) fn coi_latches(sys: &AigSystem) -> Vec<usize> {
+    let coi = sys.latch_coi();
+    (0..coi.len()).filter(|&i| coi[i]).collect()
 }
 
 impl Checker for KInduction {
@@ -340,6 +360,42 @@ pub(crate) mod tests {
         assert_eq!(out2.outcome, Verdict::Unknown(Unknown::BoundReached));
     }
 
+    /// Unobserved, uninitialized, frozen latches are no constants, so
+    /// the cone cut frees them. Simple-path constraints over them would
+    /// keep step paths distinct for 2^(their bits) times longer; over
+    /// the cone of influence the trap proves on the cut template at the
+    /// depth it needs alone, and the witness re-checks against the whole
+    /// netlist. (No strengthening here: mining would prove the trap's
+    /// guard constant and make the property 0-inductive.)
+    #[test]
+    fn unobserved_frozen_latches_keep_the_simple_path_depth() {
+        let mut ts = trap_ts();
+        for i in 0..4 {
+            let cfg = ts.add_state(format!("cfg{i}"), Sort::Bv(4));
+            let v = ts.pool_mut().var(cfg);
+            ts.set_next(cfg, v);
+        }
+        let sys = aig::blast_system(&ts);
+        let refined = aig::refine_with_constants(&sys, &[]);
+        assert_eq!(
+            refined.aig.num_cis() - sys.aig.num_cis(),
+            16,
+            "every config bit is freed"
+        );
+        let cut = TransitionTemplate::compile(&refined).preprocess().template;
+        let engine = KInduction::new(Budget {
+            timeout: Some(std::time::Duration::from_secs(20)),
+            ..Budget::default()
+        });
+        let alone = engine.check(&trap_ts());
+        let beside = engine.run(&sys, &cut, &[]);
+        assert_eq!(alone.outcome, Verdict::Safe);
+        assert_eq!(beside.outcome, Verdict::Safe);
+        assert_eq!(beside.stats.depth, alone.stats.depth);
+        let rep = crate::certify::certify(&sys, &beside);
+        assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
+    }
+
     /// The ROADMAP follow-up landed in this PR: per-iteration
     /// simple-path groups recycle both the activation variable and the
     /// xor difference variables, so re-encoding the same pairs twice
@@ -351,6 +407,7 @@ pub(crate) mod tests {
         let tpl = aig::TransitionTemplate::compile(&sys).preprocess().template;
         let mut step = crate::bmc::FrameChain::new(&sys, &tpl, &[], false);
         let mut pool = crate::bmc::ScratchPool::default();
+        let latches = coi_latches(&sys);
         let _ = step.any_bad(3);
         let mut vars_after: Vec<usize> = Vec::new();
         for round in 0..3 {
@@ -358,7 +415,7 @@ pub(crate) mod tests {
             let mut used = Vec::new();
             for j in 1..=3usize {
                 for i in 0..j {
-                    step.assert_distinct_scoped(i, j, act, &mut pool, &mut used);
+                    step.assert_distinct_scoped(i, j, &latches, act, &mut pool, &mut used);
                 }
             }
             let bad = step.any_bad(3);
@@ -384,14 +441,16 @@ pub(crate) mod tests {
         let tpl = aig::TransitionTemplate::compile(&sys).preprocess().template;
         let mut step = crate::bmc::FrameChain::new(&sys, &tpl, &[], false);
         let mut pool = crate::bmc::ScratchPool::default();
+        let latches = coi_latches(&sys);
         let nl = sys.latches.len();
+        assert_eq!(latches.len(), nl, "the bad reads every latch");
         for k in 1..=4usize {
             let _ = step.any_bad(k);
             let before = step.solver.num_vars();
             let act = step.solver.new_activation();
             let mut used = Vec::new();
             for i in 0..k {
-                step.assert_distinct_scoped(i, k, act, &mut pool, &mut used);
+                step.assert_distinct_scoped(i, k, &latches, act, &mut pool, &mut used);
             }
             assert_eq!(
                 step.solver.num_vars() - before,

@@ -39,6 +39,29 @@
 //! that panics is isolated with `catch_unwind` and surfaced as
 //! [`Unknown::Crashed`] instead of silently vanishing from the race.
 //!
+//! The engines themselves solve on a smaller netlist than the one they
+//! are checked against: [`Blasted::of`] cuts the template to the
+//! property's cone of influence, giving every latch no bad output or
+//! constraint can observe a free next state. That image
+//! *over-approximates* the design — every transition of the real
+//! netlist is one of its transitions, with the freed latches taking
+//! the real values — so a clause set, interpolant or k-inductive pair
+//! proven on it is inductive for the real netlist too, and the raw
+//! re-check passes. This is also why the cut frees latches instead of
+//! tying them to a constant or to themselves, which would drop real
+//! behaviours. k-induction's simple-path constraint ranges over the
+//! latches of the real netlist's cone of influence
+//! ([`aig::AigSystem::latch_coi`]), in the engine and in the re-check
+//! alike: a shortest counterexample is simple over that cone, and
+//! freed latches outside it, free in every step frame, would keep
+//! paths distinct for as long as they have values to take.
+//! Counterexamples go the other way: the cone latches step exactly as
+//! in the real netlist, so engines read only the reset state and the
+//! inputs off a model and simulate the states on [`Blasted::sys`]. PDR
+//! keeps its proof-obligation cubes inside the cone for the same
+//! reason: a predecessor query cannot drive a freed latch, so a cube
+//! literal on one would let the obligation chain come apart.
+//!
 //! One trust step remains after that: the checker's *own* solver
 //! answering UNSAT on each obligation. **Paranoid mode** removes it —
 //! [`certify::certify_with_mode`] (and
@@ -72,7 +95,8 @@
 //! pruned unrollings, interpolation and PDR gain strengthened frames
 //! (PDR additionally seeds its exported fixpoint with the clauses so
 //! certificates stay closed), and the template itself is refined with
-//! the proven constant latches before CNF preprocessing. A cancelled
+//! the proven constant latches, and cut to the cone of influence, before
+//! CNF preprocessing. A cancelled
 //! analysis degrades to an empty invariant — never a half-filtered
 //! one — so the pipeline is safe under fault injection; the
 //! `invperf` bench binary tracks the end-to-end effect per benchmark.
@@ -131,6 +155,8 @@ pub mod bmc;
 pub mod certify;
 #[cfg(test)]
 mod chaos_tests;
+#[cfg(test)]
+mod cone_tests;
 pub mod itp;
 pub mod kind;
 pub mod parallel;

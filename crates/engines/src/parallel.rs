@@ -493,7 +493,10 @@ impl ParallelPdr {
                 match rx.recv_timeout(Duration::from_millis(5)) {
                     Ok((_w, out)) => {
                         done += 1;
-                        fold_stats(&mut stats, &out.stats);
+                        // Workers' solvers coexist, so arena peaks sum
+                        // like every other counter; depth is the deepest.
+                        stats.depth = stats.depth.max(out.stats.depth);
+                        stats += &out.stats;
                         let definite = matches!(out.outcome, Verdict::Safe | Verdict::Unsafe(_));
                         if definite && winner.is_none() {
                             race.store(true, Ordering::Relaxed);
@@ -538,31 +541,6 @@ impl ParallelPdr {
         });
         (outcome, store)
     }
-}
-
-/// Sums worker statistics into the pool totals (depth is maximized,
-/// everything else accumulates; arena peaks sum because the workers'
-/// solvers coexist).
-fn fold_stats(total: &mut EngineStats, s: &EngineStats) {
-    total.depth = total.depth.max(s.depth);
-    total.sat_queries += s.sat_queries;
-    total.conflicts += s.conflicts;
-    total.decisions += s.decisions;
-    total.propagations += s.propagations;
-    total.domain_decisions += s.domain_decisions;
-    total.domain_skipped += s.domain_skipped;
-    total.chrono_backtracks += s.chrono_backtracks;
-    total.inproc_subsumed += s.inproc_subsumed;
-    total.reduces += s.reduces;
-    total.deleted += s.deleted;
-    total.arena_bytes += s.arena_bytes;
-    total.arena_peak_bytes += s.arena_peak_bytes;
-    total.act_recycled += s.act_recycled;
-    total.ternary_drops += s.ternary_drops;
-    total.lifted_lits += s.lifted_lits;
-    total.lemmas_exported += s.lemmas_exported;
-    total.lemmas_imported += s.lemmas_imported;
-    total.sync_rounds += s.sync_rounds;
 }
 
 impl Checker for ParallelPdr {

@@ -63,7 +63,9 @@
 
 use crate::certify::{clause_on, LatchClause};
 use crate::parallel::{LemmaPublisher, SharedFrames, SHARDS};
-use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
+use crate::result::{
+    model_values, Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict,
+};
 use aig::sim::{Tern, TernarySim};
 use aig::{AigLit, AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
@@ -300,6 +302,11 @@ pub(crate) struct PdrRun<'s> {
     latch_lits: Vec<Lit>,
     /// Next-state literal per latch.
     next_lits: Vec<Lit>,
+    /// The latches the template's bads and constraints observe
+    /// ([`TransitionTemplate::latch_coi`]), the only ones obligation
+    /// cubes range over: a cone-cut template leaves the next state of
+    /// every other latch free.
+    cone: Vec<bool>,
     input_lits: Vec<Lit>,
     bad_lits: Vec<Lit>,
     bad_lit: Lit,
@@ -411,6 +418,7 @@ impl<'s> PdrRun<'s> {
             solver,
             latch_lits: vars.latch_cur,
             next_lits: vars.latch_next,
+            cone: tpl.latch_coi(),
             input_lits: vars.inputs,
             bad_lits: vars.bads,
             bad_lit: vars.any_bad,
@@ -499,17 +507,11 @@ impl<'s> PdrRun<'s> {
     }
 
     fn model_state(&self) -> Vec<bool> {
-        self.latch_lits
-            .iter()
-            .map(|&l| self.solver.value(l).unwrap_or(false))
-            .collect()
+        model_values(&self.solver, &self.latch_lits)
     }
 
     fn model_inputs(&self) -> Vec<bool> {
-        self.input_lits
-            .iter()
-            .map(|&l| self.solver.value(l).unwrap_or(false))
-            .collect()
+        model_values(&self.solver, &self.input_lits)
     }
 
     /// Index of the bad output that fired in the current model.
@@ -709,14 +711,25 @@ impl<'s> PdrRun<'s> {
     /// latch whose removal keeps every `targets` output at its required
     /// value (and the cube disjoint from the initial states). Returns
     /// the widened cube; `self.targets` holds the outputs to preserve.
+    ///
+    /// The cube keeps latches in `self.cone` only. A cone-cut template
+    /// leaves every other latch's next state free, so no predecessor
+    /// query could drive a state into a literal on one. Dropping them
+    /// is sound for every reachable state: once the certified constants
+    /// hold, the targets read the cone alone. The cube may then meet
+    /// the initial states, which the caller reports as a
+    /// counterexample.
     fn ternary_generalize(&mut self, state: &[bool], inputs: &[bool]) -> Cube {
-        if !self.div.ternary {
-            // Diversified workers may disable widening; the full model
-            // state is the (trivially sound) cube, and SAT-core lifting
-            // still generalizes it afterwards.
-            return Self::state_to_cube(state);
-        }
         let n = state.len();
+        if !self.div.ternary {
+            // Diversified workers may disable widening; the model
+            // state's cone part is the (sound) cube, and SAT-core
+            // lifting still generalizes it afterwards.
+            return (0..n)
+                .filter(|&i| self.cone[i])
+                .map(|i| (i, state[i]))
+                .collect();
+        }
         for (i, &b) in state.iter().enumerate() {
             self.state_t[i] = Tern::from_bool(b);
         }
@@ -724,12 +737,13 @@ impl<'s> PdrRun<'s> {
         // the last one can never be dropped.
         let mut distinguishing = (0..n)
             .filter(|&i| {
-                self.sys.latches[i]
-                    .init
-                    .is_some_and(|init| init != state[i])
+                self.cone[i]
+                    && self.sys.latches[i]
+                        .init
+                        .is_some_and(|init| init != state[i])
             })
             .count();
-        for i in 0..n {
+        for i in (0..n).filter(|&i| self.cone[i]) {
             // A wide state vector means many ternary trials; bail out
             // mid-widening when the budget expires (keeping the
             // remaining literals definite is always sound — the cube
@@ -760,9 +774,26 @@ impl<'s> PdrRun<'s> {
             }
         }
         (0..n)
-            .filter(|&i| self.state_t[i] != Tern::X)
+            .filter(|&i| self.cone[i] && self.state_t[i] != Tern::X)
             .map(|i| (i, state[i]))
             .collect()
+    }
+
+    /// An initial state inside `cube`, which must meet the initial
+    /// states: the cube's literals, every other latch at its reset
+    /// value, uninitialized latches as in `fill`.
+    fn initial_state_in(&self, cube: &Cube, fill: &[bool]) -> Vec<bool> {
+        let mut state: Vec<bool> = self
+            .sys
+            .latches
+            .iter()
+            .zip(fill)
+            .map(|(l, &v)| l.init.unwrap_or(v))
+            .collect();
+        for &(i, v) in cube {
+            state[i] = v;
+        }
+        state
     }
 
     /// Sets up `self.targets` for widening a predecessor of `cube`:
@@ -1081,11 +1112,14 @@ impl<'s> PdrRun<'s> {
         }
     }
 
-    /// Rebuilds a concrete counterexample by simulation: from the
-    /// initial-state predecessor, each obligation's recorded inputs
-    /// drive any state of its cube into the next cube (the ternary
-    /// guarantee), so stepping the netlist reproduces a replayable
-    /// trace even though cubes cover many states.
+    /// Rebuilds a concrete counterexample by simulation from the
+    /// initial-state predecessor under each obligation's recorded
+    /// inputs ([`Trace::simulate`]). Obligation cubes range over the
+    /// cone only, and the recorded inputs drive every reachable state
+    /// of a cube into the next cube (the ternary and lifting
+    /// guarantees), so each simulated state lands in its obligation's
+    /// cube and the last one fires the bad, even though cubes cover
+    /// many states.
     fn reconstruct_trace(
         &self,
         arena: &[Obligation],
@@ -1093,32 +1127,23 @@ impl<'s> PdrRun<'s> {
         init_state: Vec<bool>,
         init_inputs: Vec<bool>,
     ) -> Trace {
-        let mut state = self.sys.step(&init_state, &init_inputs);
-        let mut states = vec![init_state];
+        let chain: Vec<&Obligation> =
+            std::iter::successors(Some(&arena[leaf]), |ob| ob.parent.map(|p| &arena[p])).collect();
         let mut inputs = vec![init_inputs];
-        let mut cur = Some(leaf);
-        let mut bad_index = 0;
-        while let Some(i) = cur {
-            let ob = &arena[i];
-            debug_assert!(
-                ob.cube.iter().all(|&(i, v)| state[i] == v),
-                "simulated state must land in the obligation cube"
-            );
-            states.push(state.clone());
-            if ob.parent.is_some() {
-                inputs.push(ob.inputs_to_parent.clone());
-                state = self.sys.step(&state, &ob.inputs_to_parent);
-            } else {
-                inputs.push(ob.bad_inputs.clone());
-                bad_index = ob.bad_index;
-            }
-            cur = ob.parent;
-        }
-        Trace {
-            states,
-            inputs,
-            bad_index,
-        }
+        inputs.extend(chain.iter().map(|ob| match ob.parent {
+            Some(_) => ob.inputs_to_parent.clone(),
+            None => ob.bad_inputs.clone(),
+        }));
+        let bad_index = chain.last().map_or(0, |root| root.bad_index);
+        let trace = Trace::simulate(self.sys, init_state, inputs, bad_index);
+        debug_assert!(
+            chain
+                .iter()
+                .zip(&trace.states[1..])
+                .all(|(ob, state)| ob.cube.iter().all(|&(i, v)| state[i] == v)),
+            "simulated state must land in the obligation cube"
+        );
+        trace
     }
 
     /// Blocks all bad states reachable within `level` frames.
@@ -1169,6 +1194,18 @@ impl<'s> PdrRun<'s> {
                     self.pred_targets(&cube);
                     let pred_cube = self.ternary_generalize(&pred_state, &pred_inputs);
                     let pred_cube = self.lift_cube(pred_cube, &pred_inputs, Some(&cube), 0);
+                    if self.cube_intersects_init(&pred_cube) {
+                        // Only possible once the cube dropped latches
+                        // outside the cone: every reachable state of it
+                        // steps into `cube`, an initial one included.
+                        let init = self.initial_state_in(&pred_cube, &pred_state);
+                        return BlockResult::Cex(self.reconstruct_trace(
+                            &arena,
+                            entry.arena_index,
+                            init,
+                            pred_inputs,
+                        ));
+                    }
                     let pred = Obligation {
                         level: level as u32 - 1,
                         cube: pred_cube,
@@ -1302,11 +1339,12 @@ impl<'s> PdrRun<'s> {
         }
         match self.solve_prepared() {
             SolveResult::Sat => {
-                let trace = Trace {
-                    states: vec![self.model_state()],
-                    inputs: vec![self.model_inputs()],
-                    bad_index: self.fired_bad(),
-                };
+                let trace = Trace::simulate(
+                    self.sys,
+                    self.model_state(),
+                    vec![self.model_inputs()],
+                    self.fired_bad(),
+                );
                 return self.outcome(Verdict::Unsafe(trace), started);
             }
             SolveResult::Unknown(why) => {
@@ -1346,16 +1384,19 @@ impl<'s> PdrRun<'s> {
                     if self.cube_intersects_init(&cube) {
                         // Bad state inside init was excluded at level 0
                         // unless it needs inputs; treat as cex directly.
-                        let trace = Trace {
-                            states: vec![state],
-                            inputs: vec![bad_inputs],
-                            bad_index,
-                        };
+                        let trace = Trace::simulate(self.sys, state, vec![bad_inputs], bad_index);
                         return self.outcome(Verdict::Unsafe(trace), started);
                     }
                     self.bad_targets(bad_index);
                     let cube = self.ternary_generalize(&state, &bad_inputs);
                     let cube = self.lift_cube(cube, &bad_inputs, None, bad_index);
+                    if self.cube_intersects_init(&cube) {
+                        // As for predecessors in `block_obligations`:
+                        // every reachable state of the cube fires the bad.
+                        let init = self.initial_state_in(&cube, &state);
+                        let trace = Trace::simulate(self.sys, init, vec![bad_inputs], bad_index);
+                        return self.outcome(Verdict::Unsafe(trace), started);
+                    }
                     let root = Obligation {
                         level: max_level as u32,
                         cube,
@@ -1534,11 +1575,13 @@ mod tests {
         );
     }
 
-    /// Ternary widening must fire when the design carries state the
-    /// bad cone does not depend on — the latches of a shadow register
-    /// are X-able in every obligation — and never change the verdict.
-    #[test]
-    fn ternary_generalization_widens_obligations() {
+    /// An 8-bit counter that is bad at 9, beside a shadow register
+    /// that free-runs on an input. The property reads the shadow only
+    /// where the counter already decides it (`count == 9 ∧ (count == 9
+    /// ∨ shadow == 0)`), so the shadow lies in the cone of influence
+    /// yet matters to no obligation: generalization, not the cone, has
+    /// to shed it.
+    fn counter_with_gated_shadow() -> TransitionSystem {
         let mut ts = TransitionSystem::new("counter-with-shadow");
         let data = ts.add_input("data", Sort::Bv(8));
         let c = ts.add_state("count", Sort::Bv(8));
@@ -1552,20 +1595,34 @@ mod tests {
         let inc = p.add(cv, one);
         let zero = p.constv(8, 0);
         let nine = p.constv(8, 9);
-        let bad = p.eq(cv, nine);
-        // The shadow register free-runs on the input and never feeds
-        // the property.
+        let at_nine = p.eq(cv, nine);
+        let quiet = p.eq(sv, zero);
+        let either = p.or(at_nine, quiet);
+        let bad = p.and(at_nine, either);
         let s_next = p.add(sv, dv);
         ts.set_init(c, zero);
         ts.set_init(shadow, zero);
         ts.set_next(c, inc);
         ts.set_next(shadow, s_next);
         ts.add_bad(bad, "count is 9");
+        ts
+    }
+
+    /// Ternary widening must fire when the design carries state no
+    /// obligation depends on — the latches of the gated shadow register
+    /// are X-able in every obligation — and never change the verdict.
+    #[test]
+    fn ternary_generalization_widens_obligations() {
+        let ts = counter_with_gated_shadow();
+        let sys = aig::blast_system(&ts);
+        assert!(
+            sys.latch_coi().iter().all(|&c| c),
+            "the shadow is in the cone"
+        );
         let out = Pdr::default().check(&ts);
         match &out.outcome {
             Verdict::Unsafe(trace) => {
                 assert_eq!(trace.length(), 9);
-                let sys = aig::blast_system(&ts);
                 assert!(trace.replays_on(&sys), "widened-cube trace must replay");
             }
             other => panic!("expected Unsafe, got {other:?}"),
@@ -1763,33 +1820,13 @@ mod tests {
         }
     }
 
-    /// Input-based SAT-core lifting must drop cone-unrelated latches
-    /// even with ternary widening disabled (the diversified profile of
-    /// worker 2): the shadow register never feeds the property, so the
-    /// lift query's conflict cannot involve its bits and the failed
-    /// core sheds them.
+    /// Input-based SAT-core lifting must drop irrelevant latches even
+    /// with ternary widening disabled (the diversified profile of
+    /// worker 2): the counter alone decides every lift query, so the
+    /// failed core sheds the gated shadow's bits.
     #[test]
     fn lifting_drops_cone_unrelated_latches() {
-        let mut ts = TransitionSystem::new("counter-with-shadow");
-        let data = ts.add_input("data", Sort::Bv(8));
-        let c = ts.add_state("count", Sort::Bv(8));
-        let shadow = ts.add_state("shadow", Sort::Bv(8));
-        let (dv, cv, sv) = {
-            let p = ts.pool_mut();
-            (p.var(data), p.var(c), p.var(shadow))
-        };
-        let p = ts.pool_mut();
-        let one = p.constv(8, 1);
-        let inc = p.add(cv, one);
-        let zero = p.constv(8, 0);
-        let nine = p.constv(8, 9);
-        let bad = p.eq(cv, nine);
-        let s_next = p.add(sv, dv);
-        ts.set_init(c, zero);
-        ts.set_init(shadow, zero);
-        ts.set_next(c, inc);
-        ts.set_next(shadow, s_next);
-        ts.add_bad(bad, "count is 9");
+        let ts = counter_with_gated_shadow();
         let sys = aig::blast_system(&ts);
         let tpl = TransitionTemplate::compile(&sys);
         let mut run = PdrRun::new(

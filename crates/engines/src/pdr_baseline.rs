@@ -15,7 +15,9 @@
 //! random sequential AIGs; nothing else should use this engine.
 
 use crate::certify::{clause_on, LatchClause};
-use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
+use crate::result::{
+    model_values, Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict,
+};
 use aig::{AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
 use satb::{Lit, Part, SolveResult, Solver};
@@ -96,17 +98,12 @@ impl FrameSolver {
         self.solver.add_clauses(clauses.iter().map(Vec::as_slice));
     }
 
-    fn model_state(&self, n: usize) -> Vec<bool> {
-        (0..n)
-            .map(|i| self.solver.value(self.latch_lits[i]).unwrap_or(false))
-            .collect()
+    fn model_state(&self) -> Vec<bool> {
+        model_values(&self.solver, &self.latch_lits)
     }
 
     fn model_inputs(&self) -> Vec<bool> {
-        self.input_lits
-            .iter()
-            .map(|&l| self.solver.value(l).unwrap_or(false))
-            .collect()
+        model_values(&self.solver, &self.input_lits)
     }
 
     /// Index of the bad output that fired in the current model.
@@ -118,15 +115,14 @@ impl FrameSolver {
     }
 }
 
-/// A proof obligation: the full state `state` (with blocking cube
-/// `cube`) must be excluded from frame `level`, or a counterexample
-/// exists. `parent` points into the obligation arena for trace
-/// reconstruction; `inputs_to_parent` drives `state` into the parent.
+/// A proof obligation: the full model state `cube` must be excluded
+/// from frame `level`, or a counterexample exists. `parent` points into
+/// the obligation arena for trace reconstruction; `inputs_to_parent`
+/// drives `cube` into the parent.
 #[derive(Clone, Debug)]
 struct Obligation {
     level: u32,
     cube: Cube,
-    state: Vec<bool>,
     parent: Option<usize>,
     inputs_to_parent: Vec<bool>,
     /// Inputs under which the *bad output itself* fires (only for the
@@ -273,7 +269,7 @@ impl<'s> PdrRun<'s> {
         let result = fs.solver.solve_limited(&assumptions, limits);
         match result {
             SolveResult::Sat => {
-                let state = fs.model_state(self.sys.latches.len());
+                let state = fs.model_state();
                 let inputs = fs.model_inputs();
                 fs.solver.add_clause(&[!act]);
                 RelQuery::Pred((state, inputs))
@@ -350,6 +346,10 @@ impl<'s> PdrRun<'s> {
         Ok(cube)
     }
 
+    /// Rebuilds the counterexample by simulation from `init_state`
+    /// under the obligations' recorded inputs ([`Trace::simulate`]):
+    /// the obligation states are model states, exact only on the latches
+    /// in the property's cone of influence.
     fn reconstruct_trace(
         &self,
         arena: &[Obligation],
@@ -357,30 +357,20 @@ impl<'s> PdrRun<'s> {
         init_state: Vec<bool>,
         init_inputs: Vec<bool>,
     ) -> Trace {
-        // Path: init_state --init_inputs--> arena[leaf].state --...--> bad.
-        let mut states = vec![init_state];
         let mut inputs = vec![init_inputs];
         let mut cur = Some(leaf);
-        let mut bad_inputs = Vec::new();
         let mut bad_index = 0;
         while let Some(i) = cur {
             let ob = &arena[i];
-            states.push(ob.state.clone());
             if ob.parent.is_some() {
                 inputs.push(ob.inputs_to_parent.clone());
             } else {
                 inputs.push(ob.bad_inputs.clone());
                 bad_index = ob.bad_index;
             }
-            bad_inputs = ob.bad_inputs.clone();
             cur = ob.parent;
         }
-        let _ = bad_inputs;
-        Trace {
-            states,
-            inputs,
-            bad_index,
-        }
+        Trace::simulate(self.sys, init_state, inputs, bad_index)
     }
 
     /// Blocks all bad states reachable within `level` frames.
@@ -420,11 +410,9 @@ impl<'s> PdrRun<'s> {
                             pred_inputs,
                         ));
                     }
-                    let pred_cube = Self::state_to_cube(&pred_state);
                     let pred = Obligation {
                         level: level as u32 - 1,
-                        cube: pred_cube,
-                        state: pred_state,
+                        cube: Self::state_to_cube(&pred_state),
                         parent: Some(entry.arena_index),
                         inputs_to_parent: pred_inputs,
                         bad_inputs: Vec::new(),
@@ -597,14 +585,12 @@ impl PerFramePdr {
         let limits = run.budget.sat_limits(started);
         match run.solvers[0].solver.solve_limited(&[bad0], limits) {
             SolveResult::Sat => {
-                let state = run.solvers[0].model_state(sys.latches.len());
-                let inputs = run.solvers[0].model_inputs();
-                let bad_index = run.solvers[0].fired_bad();
-                let trace = Trace {
-                    states: vec![state],
-                    inputs: vec![inputs],
-                    bad_index,
-                };
+                let trace = Trace::simulate(
+                    sys,
+                    run.solvers[0].model_state(),
+                    vec![run.solvers[0].model_inputs()],
+                    run.solvers[0].fired_bad(),
+                );
                 return run.outcome(Verdict::Unsafe(trace), started);
             }
             SolveResult::Unknown(why) => return run.outcome(Verdict::Unknown(why.into()), started),
@@ -628,24 +614,19 @@ impl PerFramePdr {
             let limits = run.budget.sat_limits(started);
             match run.solvers[max_level].solver.solve_limited(&[bad], limits) {
                 SolveResult::Sat => {
-                    let state = run.solvers[max_level].model_state(sys.latches.len());
+                    let state = run.solvers[max_level].model_state();
                     let bad_inputs = run.solvers[max_level].model_inputs();
                     let bad_index = run.solvers[max_level].fired_bad();
                     let cube = PdrRun::state_to_cube(&state);
                     if run.cube_intersects_init(&cube) {
                         // Bad state inside init was excluded at level 0
                         // unless it needs inputs; treat as cex directly.
-                        let trace = Trace {
-                            states: vec![state],
-                            inputs: vec![bad_inputs],
-                            bad_index,
-                        };
+                        let trace = Trace::simulate(sys, state, vec![bad_inputs], bad_index);
                         return run.outcome(Verdict::Unsafe(trace), started);
                     }
                     let root = Obligation {
                         level: max_level as u32,
                         cube,
-                        state,
                         parent: None,
                         inputs_to_parent: Vec::new(),
                         bad_inputs,

@@ -89,9 +89,8 @@ pub struct PortfolioOutcome {
     /// The winning definite verdict, or the merged `Unknown` when no
     /// member answered.
     pub verdict: Verdict,
-    /// Aggregated statistics: the winner's depth, and queries /
-    /// conflicts / reduction counters / arena bytes summed over every
-    /// member.
+    /// Aggregated statistics: the winner's depth, and every counter
+    /// summed over the members.
     pub stats: EngineStats,
     /// Name of the member that answered first, if any.
     pub winner: Option<&'static str>,
@@ -486,20 +485,7 @@ impl Portfolio {
         let mut engines = Vec::with_capacity(self.engines.len());
         for (((name, _), out), cert) in self.engines.iter().zip(outcomes).zip(certifications) {
             let out = out.expect("every portfolio worker reports");
-            stats.sat_queries += out.stats.sat_queries;
-            stats.conflicts += out.stats.conflicts;
-            stats.reduces += out.stats.reduces;
-            stats.deleted += out.stats.deleted;
-            stats.arena_bytes += out.stats.arena_bytes;
-            stats.arena_peak_bytes += out.stats.arena_peak_bytes;
-            stats.act_recycled += out.stats.act_recycled;
-            stats.proof_bytes += out.stats.proof_bytes;
-            stats.proof_chains += out.stats.proof_chains;
-            stats.ternary_drops += out.stats.ternary_drops;
-            stats.lifted_lits += out.stats.lifted_lits;
-            stats.lemmas_exported += out.stats.lemmas_exported;
-            stats.lemmas_imported += out.stats.lemmas_imported;
-            stats.sync_rounds += out.stats.sync_rounds;
+            stats += &out.stats;
             engines.push(EngineReport {
                 name,
                 outcome: out,
@@ -928,6 +914,54 @@ mod tests {
         let safe = crate::kind::tests::trap_ts();
         let p = Portfolio::with_default_engines(Budget::default());
         assert_eq!(p.check(&safe).outcome, Verdict::Safe);
+    }
+
+    #[test]
+    fn outcome_stats_sum_every_counter_over_the_members() {
+        // An input-driven bug: whichever seat wins, its model has to
+        // decide input values, so the decision counter cannot be zero.
+        use rtlir::Sort;
+        let mut ts = TransitionSystem::new("acc");
+        let i = ts.add_input("in", Sort::Bv(4));
+        let s = ts.add_state("acc", Sort::Bv(4));
+        let p = ts.pool_mut();
+        let (iv, sv) = (p.var(i), p.var(s));
+        let next = p.add(sv, iv);
+        let (zero, ten) = (p.constv(4, 0), p.constv(4, 10));
+        let bad = p.ugt(sv, ten);
+        ts.set_init(s, zero);
+        ts.set_next(s, next);
+        ts.add_bad(bad, "acc > 10");
+        let report = Portfolio::with_default_engines(Budget::default()).check_detailed(&ts);
+        assert!(report.verdict.is_unsafe());
+        type Counter = fn(&EngineStats) -> u64;
+        let counters: [(&str, Counter); 20] = [
+            ("sat_queries", |s| s.sat_queries),
+            ("conflicts", |s| s.conflicts),
+            ("decisions", |s| s.decisions),
+            ("propagations", |s| s.propagations),
+            ("domain_decisions", |s| s.domain_decisions),
+            ("domain_skipped", |s| s.domain_skipped),
+            ("chrono_backtracks", |s| s.chrono_backtracks),
+            ("inproc_subsumed", |s| s.inproc_subsumed),
+            ("reduces", |s| s.reduces),
+            ("deleted", |s| s.deleted),
+            ("arena_bytes", |s| s.arena_bytes),
+            ("arena_peak_bytes", |s| s.arena_peak_bytes),
+            ("act_recycled", |s| s.act_recycled),
+            ("proof_bytes", |s| s.proof_bytes),
+            ("proof_chains", |s| s.proof_chains),
+            ("ternary_drops", |s| s.ternary_drops),
+            ("lifted_lits", |s| s.lifted_lits),
+            ("lemmas_exported", |s| s.lemmas_exported),
+            ("lemmas_imported", |s| s.lemmas_imported),
+            ("sync_rounds", |s| s.sync_rounds),
+        ];
+        for (name, get) in counters {
+            let members: u64 = report.engines.iter().map(|e| get(&e.outcome.stats)).sum();
+            assert_eq!(get(&report.stats), members, "{name}");
+        }
+        assert!(report.stats.decisions > 0, "the run must make decisions");
     }
 
     #[test]

@@ -67,6 +67,12 @@ impl From<satb::Interrupt> for Unknown {
 /// primary-input assignment applied in cycle `i`; the final state
 /// satisfies the violated bad property. Bit order matches
 /// [`aig::AigSystem`]'s latch/input order for the checked design.
+///
+/// Engines take only the reset state and the inputs from a SAT model and
+/// compute every later state by simulating the full netlist
+/// ([`Blasted::sys`]): the template they solve on leaves latches outside
+/// the property's cone of influence free, so a model's values for those
+/// latches mean nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Latch values per cycle (length = cycles + 1).
@@ -80,6 +86,29 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// Builds a trace by simulating `sys`: `states[0]` is `init`, and
+    /// each later state is [`aig::AigSystem::step`] of its predecessor
+    /// under that cycle's inputs. `inputs` holds one vector per cycle,
+    /// the last one for the cycle in which bad `bad_index` fires.
+    pub(crate) fn simulate(
+        sys: &aig::AigSystem,
+        init: Vec<bool>,
+        inputs: Vec<Vec<bool>>,
+        bad_index: usize,
+    ) -> Trace {
+        let mut states = Vec::with_capacity(inputs.len().max(1));
+        states.push(init);
+        for inp in inputs.iter().take(inputs.len().saturating_sub(1)) {
+            let next = sys.step(states.last().expect("reset state"), inp);
+            states.push(next);
+        }
+        Trace {
+            states,
+            inputs,
+            bad_index,
+        }
+    }
+
     /// Number of clock cycles from reset to the violation.
     pub fn length(&self) -> usize {
         self.states.len().saturating_sub(1)
@@ -116,6 +145,13 @@ impl Trace {
         }
         false
     }
+}
+
+/// A SAT model's values of `lits` (unassigned reads `false`).
+pub(crate) fn model_values(solver: &satb::Solver, lits: &[satb::Lit]) -> Vec<bool> {
+    lits.iter()
+        .map(|&l| solver.value(l).unwrap_or(false))
+        .collect()
 }
 
 /// The answer of a verification engine.
@@ -273,6 +309,34 @@ impl EngineStats {
     }
 }
 
+impl std::ops::AddAssign<&EngineStats> for EngineStats {
+    /// Sums every counter of several runs (portfolio seats, parallel
+    /// workers). `depth`, `time` and the encoding facts stamped from
+    /// [`Blasted`] are not counters: each caller sets them itself.
+    fn add_assign(&mut self, s: &EngineStats) {
+        self.sat_queries += s.sat_queries;
+        self.conflicts += s.conflicts;
+        self.decisions += s.decisions;
+        self.propagations += s.propagations;
+        self.domain_decisions += s.domain_decisions;
+        self.domain_skipped += s.domain_skipped;
+        self.chrono_backtracks += s.chrono_backtracks;
+        self.inproc_subsumed += s.inproc_subsumed;
+        self.reduces += s.reduces;
+        self.deleted += s.deleted;
+        self.arena_bytes += s.arena_bytes;
+        self.arena_peak_bytes += s.arena_peak_bytes;
+        self.act_recycled += s.act_recycled;
+        self.proof_bytes += s.proof_bytes;
+        self.proof_chains += s.proof_chains;
+        self.ternary_drops += s.ternary_drops;
+        self.lifted_lits += s.lifted_lits;
+        self.lemmas_exported += s.lemmas_exported;
+        self.lemmas_imported += s.lemmas_imported;
+        self.sync_rounds += s.sync_rounds;
+    }
+}
+
 /// Verdict plus statistics and, for Safe answers, an optional witness.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
@@ -415,33 +479,49 @@ impl Budget {
 /// Every frame any member instantiates then inherits the simplified
 /// image for free.
 ///
-/// # The static-strengthening contract
+/// # The engine-image contract
 ///
 /// [`of`](Blasted::of) runs [`aig::analyze`] on the raw netlist and
 /// keeps the mined invariant **only** after
 /// [`crate::certify::certify_invariant`] re-checked it against the
 /// raw, un-preprocessed template — an uncertified invariant is
-/// discarded, never threaded anywhere. The certified stuck-at-constant
-/// facts are then folded into the template via
-/// [`aig::refine_with_constants`], so the compiled image engines
-/// instantiate is a cone-of-influence refinement that is only
-/// equivalent to `sys` **on invariant states**. The contract for every
-/// consumer of [`template`](Blasted::template): assert
-/// [`invariant`](Blasted::invariant)'s clauses on the current-state
-/// literals of **every** frame instantiated from it. Initialized
-/// frames satisfy them automatically (certified-inductive clauses hold
-/// in every reachable state), but free-state frames — k-induction
-/// steps, interpolation B-frames, PDR frames — are unsound on the
-/// refined image without them. `sys` itself stays the **original**
-/// netlist: traces replay on it and certificates are re-checked
-/// against its raw template.
+/// discarded, never threaded anywhere. The template is compiled from
+/// [`aig::refine_with_constants`]: the certified constants are folded
+/// into every cone, and every latch that no bad output or constraint
+/// can observe (the cone of influence of the folded netlist) gets a
+/// **free** next state, so its logic never reaches a solver. When that
+/// changes nothing — no constant, no latch outside the cone — the
+/// template is the raw one.
+///
+/// The compiled image engines instantiate therefore matches `sys` only
+/// **on invariant states**, and there only on the latches in the cone
+/// ([`aig::TransitionTemplate::latch_coi`]); the freed latches take any
+/// value. Every consumer of [`template`](Blasted::template) must:
+///
+/// * assert [`invariant`](Blasted::invariant)'s clauses on the
+///   current-state literals of **every** frame instantiated from it.
+///   Initialized frames satisfy them automatically (certified-inductive
+///   clauses hold in every reachable state), but free-state frames —
+///   k-induction steps, interpolation B-frames, PDR frames — are
+///   unsound on the refined image without them;
+/// * take trace states from simulation of `sys`, never from a model:
+///   read the reset state and the inputs off the model and step `sys`
+///   (the model's values for freed latches mean nothing);
+/// * never ask a query to reach a value of a freed latch: its
+///   next-state literal is unconstrained, so the answer would say
+///   nothing about `sys` (PDR keeps its obligation cubes in the cone).
+///
+/// Because freeing a next state only adds behaviours, every inductive
+/// invariant or k-inductive pair proven on the image also holds for
+/// `sys`. `sys` itself stays the **original** netlist: traces replay on
+/// it and certificates are re-checked against its raw template.
 #[derive(Clone)]
 pub struct Blasted {
-    /// The bit-level netlist (always the original, un-refined system).
+    /// The bit-level netlist (always the original, whole system).
     pub sys: Arc<aig::AigSystem>,
     /// The frame-instantiable CNF image of its transition relation
-    /// (invariant-refined and preprocessed for [`of`](Blasted::of),
-    /// preprocessed only for
+    /// (invariant-refined, cone-cut and preprocessed for
+    /// [`of`](Blasted::of), preprocessed only for
     /// [`of_unstrengthened`](Blasted::of_unstrengthened), raw for
     /// [`of_raw`](Blasted::of_raw)).
     pub template: Arc<aig::TransitionTemplate>,
@@ -463,10 +543,16 @@ pub struct Blasted {
 
 impl Blasted {
     /// Blasts `ts`, mines + certifies a static invariant, folds its
-    /// constant facts into the template and runs CNF preprocessing
-    /// over the refined clause image.
+    /// constant facts into the template, cuts the template to the
+    /// property's cone of influence and runs CNF preprocessing over the
+    /// result.
     pub fn of(ts: &TransitionSystem) -> Blasted {
-        let sys = Arc::new(aig::blast_system(ts));
+        Blasted::of_netlist(aig::blast_system(ts))
+    }
+
+    /// [`of`](Blasted::of) after the blast.
+    pub(crate) fn of_netlist(sys: aig::AigSystem) -> Blasted {
+        let sys = Arc::new(sys);
         let raw = aig::TransitionTemplate::compile(&sys);
         let mut invariant = aig::analyze(
             &sys,
@@ -487,10 +573,12 @@ impl Blasted {
                 };
             }
         }
-        let pre = if invariant.constants.is_empty() {
+        // Without constants and with no latch freed (no CI added), the
+        // refined netlist is the raw one rebuilt: keep the raw template.
+        let refined = aig::refine_with_constants(&sys, &invariant.constants);
+        let pre = if invariant.constants.is_empty() && refined.aig.num_cis() == sys.aig.num_cis() {
             raw.preprocess()
         } else {
-            let refined = aig::refine_with_constants(&sys, &invariant.constants);
             aig::TransitionTemplate::compile(&refined).preprocess()
         };
         Blasted {
