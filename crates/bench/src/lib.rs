@@ -4,8 +4,7 @@
 //! wrong).
 //!
 //! The binaries `fig3_kinduction`, `fig4_interpolation`, `fig5_hybrid`
-//! and `sec3c_equivalence` regenerate the corresponding figure/claim;
-//! see `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
+//! and `sec3c_equivalence` regenerate the corresponding figure/claim.
 
 #![forbid(unsafe_code)]
 

@@ -28,10 +28,6 @@ pub(crate) struct FrameChain<'s> {
     sys: &'s AigSystem,
     tpl: &'s TransitionTemplate,
     inv: &'s [LatchClause],
-    /// Lemmas admitted after construction (broadcast PDR clauses that
-    /// passed the consumer's [`crate::parallel::LemmaGate`]): asserted
-    /// on every materialized frame exactly like `inv`.
-    extra: Vec<LatchClause>,
     pub(crate) solver: Solver,
     frames: Vec<FrameVars>,
 }
@@ -55,7 +51,6 @@ impl<'s> FrameChain<'s> {
             sys,
             tpl,
             inv,
-            extra: Vec::new(),
             solver,
             frames: vec![f0],
         }
@@ -73,24 +68,11 @@ impl<'s> FrameChain<'s> {
             let next = self
                 .tpl
                 .instantiate_bound(&mut self.solver, Part::A, 0, &bind);
-            for clause in self.inv.iter().chain(&self.extra) {
+            for clause in self.inv {
                 self.solver.add_clause(&clause_on(clause, &next.latch_cur));
             }
             self.frames.push(next);
         }
-    }
-
-    /// Asserts an admitted lemma on every materialized frame and
-    /// remembers it for frames materialized later. The caller is
-    /// responsible for validity on every chain frame — for an
-    /// uninitialized chain that means inductiveness relative to what
-    /// the chain already asserts, which is exactly what the
-    /// [`crate::parallel::LemmaGate`] admission check establishes.
-    pub(crate) fn add_lemma(&mut self, clause: &LatchClause) {
-        for f in &self.frames {
-            self.solver.add_clause(&clause_on(clause, &f.latch_cur));
-        }
-        self.extra.push(clause.clone());
     }
 
     /// SAT literal for "some bad property fires at frame `k`".

@@ -9,7 +9,7 @@ use crate::bmc::Bmc;
 use crate::certify::{certify_with, LatchClause};
 use crate::itp::Interpolation;
 use crate::kind::KInduction;
-use crate::pdr::{Diversity, Pdr, PdrRun};
+use crate::pdr::Pdr;
 use crate::pdr_baseline::PerFramePdr;
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, Verdict};
 use aig::{AigLit, AigSystem, Latch, TransitionTemplate};
@@ -143,8 +143,8 @@ fn shadowed_counter() -> TransitionSystem {
 /// Lifting a cube through the invariant may keep a freed shadow bit in
 /// place of the counter bit it equals; an obligation on that bit would
 /// target a free next-state literal, which any predecessor satisfies.
-/// Every PDR profile, ternary widening off included, must therefore
-/// keep its obligations in the cone and return a trace that replays.
+/// PDR must therefore keep its obligations in the cone and return a
+/// trace that replays.
 #[test]
 fn pdr_obligations_stay_in_the_cone() {
     let ts = shadowed_counter();
@@ -158,26 +158,17 @@ fn pdr_obligations_stay_in_the_cone() {
         blasted.invariant.clauses.iter().any(|c| c.len() == 2),
         "mining relates the shadow to the counter"
     );
-    for w in 0..4 {
-        let mut run = PdrRun::new(
-            &blasted.sys,
-            &blasted.template,
-            &blasted.invariant.clauses,
-            Budget::default(),
-        );
-        run.set_diversity(Diversity::for_worker(w));
-        match run.solve().outcome {
-            Verdict::Unsafe(trace) => {
-                assert!(trace.replays_on(&blasted.sys), "profile {w}: replay");
-            }
-            other => panic!("profile {w}: expected the count-9 bug, got {other}"),
+    match Pdr::default().check_blasted(&ts, &blasted).outcome {
+        Verdict::Unsafe(trace) => {
+            assert!(trace.replays_on(&blasted.sys), "replay");
         }
+        other => panic!("expected the count-9 bug, got {other}"),
     }
 }
 
 /// A counter whose sticky error flag fires at cycle `bug`, optionally
 /// beside a 16-bit `acc <= acc * dat + dat` the property never reads.
-fn deep_bug(bug: u64, with_acc: bool) -> TransitionSystem {
+pub(crate) fn deep_bug(bug: u64, with_acc: bool) -> TransitionSystem {
     let mut ts = TransitionSystem::new("deep-bug");
     let pos = ts.add_state("pos", Sort::Bv(10));
     let err = ts.add_state("err", Sort::BOOL);

@@ -10,7 +10,6 @@
 //! | EBMC k-induction    | [`word::WordKInduction`] |
 //! | ABC interpolation   | [`itp::Interpolation`] |
 //! | ABC `pdr`           | [`pdr::Pdr`]           |
-//! | (multi-core `pdr`)  | [`parallel::ParallelPdr`] |
 //! | (bug finding base)  | [`bmc::Bmc`]           |
 //! | hybrid (Figure 5)   | [`portfolio::Portfolio`] |
 //!
@@ -112,14 +111,11 @@
 //! [`satb::Solver::solve_with_domain`], which keeps VSIDS decisions
 //! inside the cone (see the [`satb::domain`] soundness contract). PDR
 //! scopes every relative-induction, lifting and bad-state query to the
-//! obligation cube's cones; the [`parallel`] lemma gate scopes its
-//! consecution checks to the candidate clause's cones; k-induction
-//! threads a chain-wide domain through its step solves (frame binding
-//! makes the closure span the whole chain, so the win there is
-//! structural uniformity, not pruning). The query solver pairs the
-//! domains with chronological backtracking
-//! ([`satb::Solver::set_chrono`]), both A/B-able per worker profile
-//! and measured end to end by the `qperf` bench binary.
+//! obligation cube's cones; k-induction threads a chain-wide domain
+//! through its step solves (frame binding makes the closure span the
+//! whole chain, so the win there is structural uniformity, not
+//! pruning). PDR's query solver pairs the domains with chronological
+//! backtracking ([`satb::Solver::set_chrono`]).
 //!
 //! # Example
 //!
@@ -159,7 +155,6 @@ mod chaos_tests;
 mod cone_tests;
 pub mod itp;
 pub mod kind;
-pub mod parallel;
 pub mod pdr;
 pub mod pdr_baseline;
 pub mod portfolio;
@@ -169,6 +164,5 @@ pub mod result;
 pub mod word;
 
 pub use certify::{Certificate, CertifyReport, ClausalInvariant, FormulaInvariant};
-pub use parallel::{LemmaBus, ParallelPdr, SharedFrames};
 pub use portfolio::{Portfolio, PortfolioOutcome};
 pub use result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};

@@ -62,7 +62,6 @@
 //! ternary guarantee makes valid for every state in each cube.
 
 use crate::certify::{clause_on, LatchClause};
-use crate::parallel::{LemmaPublisher, SharedFrames, SHARDS};
 use crate::result::{
     model_values, Blasted, Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict,
 };
@@ -71,12 +70,11 @@ use aig::{AigLit, AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
 use satb::{Domain, Lit, Part, SolveResult, Solver, Var};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A cube: a partial assignment to latches, as (latch index, value)
 /// pairs sorted by index.
-pub(crate) type Cube = Vec<(usize, bool)>;
+type Cube = Vec<(usize, bool)>;
 
 /// Chronological-backtracking threshold (conflicts whose asserting
 /// level is more than this far below the conflict level step back one
@@ -90,10 +88,10 @@ const MAX_CTGS: usize = 3;
 /// A SAT predecessor: (latch state, input vector) driving into a cube.
 type Predecessor = (Vec<bool>, Vec<bool>);
 
-/// SplitMix64 finalizer: a cheap, stateless per-latch jitter for
-/// seeded shrink-order diversification.
-fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// SplitMix64 finalizer: a cheap, stateless per-latch hash that breaks
+/// activity ties in the shrink order.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -101,7 +99,7 @@ fn mix(seed: u64, x: u64) -> u64 {
 
 /// Whether every literal of `small` occurs in `big` (both sorted by
 /// latch index): the blocking clause of `small` implies `big`'s.
-pub(crate) fn subsumes(small: &Cube, big: &Cube) -> bool {
+fn subsumes(small: &Cube, big: &Cube) -> bool {
     if small.len() > big.len() {
         return false;
     }
@@ -167,128 +165,24 @@ impl PartialOrd for QueueEntry {
 }
 
 /// IC3/PDR engine.
-#[derive(Clone, Debug)]
+///
+/// Every run makes the same search: cone-restricted query domains with
+/// chronological backtracking, ternary widening and SAT-core lifting of
+/// predecessors, activity-ordered cube shrinking with ctg-down.
+#[derive(Clone, Debug, Default)]
 pub struct Pdr {
     /// Resource limits (`max_depth` bounds the number of frames).
     pub budget: Budget,
-    /// Optional cross-seat lemma broadcast: frontier blocking clauses
-    /// are published for k-induction / interpolation consumers (see
-    /// [`crate::parallel`]).
-    pub bus: Option<LemmaPublisher>,
-    /// Cone-restricted query decision domains (on by default; the
-    /// `qperf` benchmark A/Bs this switch).
-    pub domains: bool,
-    /// Chronological backtracking in the query solver (on by default).
-    pub chrono: bool,
-}
-
-impl Default for Pdr {
-    fn default() -> Pdr {
-        Pdr {
-            budget: Budget::default(),
-            bus: None,
-            domains: true,
-            chrono: true,
-        }
-    }
 }
 
 impl Pdr {
     /// Creates a PDR engine with the given budget.
     pub fn new(budget: Budget) -> Pdr {
-        Pdr {
-            budget,
-            ..Pdr::default()
-        }
-    }
-
-    /// Attaches a cross-seat lemma publisher.
-    #[must_use]
-    pub fn with_bus(mut self, bus: LemmaPublisher) -> Pdr {
-        self.bus = Some(bus);
-        self
+        Pdr { budget }
     }
 }
 
-/// Per-worker generalization diversification (rIC3-style): parallel
-/// PDR gains from workers that explore *different* generalizations of
-/// the same obligations, so each worker gets a seed (jittering shrink
-/// order) and an on/off profile over the three generalization passes.
-/// The default is the full tuned profile — solo PDR runs with
-/// everything enabled.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Diversity {
-    /// Jitter seed for shrink ordering tie-breaks.
-    pub(crate) seed: u64,
-    /// Ternary-simulation cube widening on SAT answers.
-    pub(crate) ternary: bool,
-    /// Input-based SAT-core predecessor lifting.
-    pub(crate) lift: bool,
-    /// Activity-ordered literal dropping in cube shrink.
-    pub(crate) activity: bool,
-    /// Cone-restricted decision domains on every SAT query.
-    pub(crate) domain: bool,
-    /// Chronological backtracking in the query solver.
-    pub(crate) chrono: bool,
-    /// Blocking counterexamples-to-generalization during shrink.
-    pub(crate) ctg: bool,
-}
-
-impl Default for Diversity {
-    fn default() -> Diversity {
-        Diversity {
-            seed: 0,
-            ternary: true,
-            lift: true,
-            activity: true,
-            domain: true,
-            chrono: true,
-            ctg: true,
-        }
-    }
-}
-
-impl Diversity {
-    /// The profile of worker `w`: worker 0 is the tuned default (so a
-    /// one-worker pool behaves exactly like solo PDR); each sibling
-    /// disables one generalization dimension plus one solver-side
-    /// heuristic, and seeds keep differing past four workers.
-    pub(crate) fn for_worker(w: usize) -> Diversity {
-        let base = Diversity {
-            seed: w as u64,
-            ..Diversity::default()
-        };
-        match w % 4 {
-            1 => Diversity {
-                lift: false,
-                chrono: false,
-                ..base
-            },
-            2 => Diversity {
-                ternary: false,
-                domain: false,
-                ..base
-            },
-            3 => Diversity {
-                activity: false,
-                ctg: false,
-                ..base
-            },
-            _ => base,
-        }
-    }
-}
-
-/// A worker's view of the shared frame store: the store handle, the
-/// worker's identity (its own entries are skipped on sync) and one
-/// read cursor per shard.
-struct SharedCtx {
-    store: Arc<SharedFrames>,
-    worker: usize,
-    cursors: [usize; SHARDS],
-}
-
-pub(crate) struct PdrRun<'s> {
+struct PdrRun<'s> {
     sys: &'s AigSystem,
     /// Certified static invariant, asserted unguarded on the latch
     /// current-state literals (valid in every frame context, F∞
@@ -324,7 +218,7 @@ pub(crate) struct PdrRun<'s> {
     /// Scratch assumption vector (frame tail + query literals).
     assumptions: Vec<Lit>,
     /// Reusable per-query decision domain (cleared and refilled before
-    /// each solve when `div.domain` is on).
+    /// each solve).
     dom: Domain,
     /// Solver variables every query domain starts from: latch
     /// current-state, primary inputs, and the constraint cone — the
@@ -340,22 +234,11 @@ pub(crate) struct PdrRun<'s> {
     targets: Vec<(AigLit, bool)>,
     stats: EngineStats,
     seq: u64,
-    /// Generalization profile (diversified per worker in parallel
-    /// runs; the tuned default otherwise).
-    div: Diversity,
     /// Per-latch activity for shrink ordering: bumped when a latch
     /// appears in a freshly blocked cube, decayed multiplicatively.
     activity: Vec<f64>,
     /// Current activity bump increment (MiniSat-style rescaling).
     act_inc: f64,
-    /// Shared frame store of a parallel run (`None` when solo).
-    shared: Option<SharedCtx>,
-    /// Cross-seat lemma broadcast (`None` when not wired).
-    bus: Option<LemmaPublisher>,
-    /// The current frontier frame. Clauses stored here survived every
-    /// propagation so far — the best broadcast candidates (consumers
-    /// re-verify inductiveness on their side regardless).
-    max_level: usize,
 }
 
 enum BlockResult {
@@ -375,7 +258,7 @@ enum RelQuery {
 }
 
 impl<'s> PdrRun<'s> {
-    pub(crate) fn new(
+    fn new(
         sys: &'s AigSystem,
         tpl: &TransitionTemplate,
         inv: &'s [LatchClause],
@@ -434,12 +317,8 @@ impl<'s> PdrRun<'s> {
             targets: Vec::new(),
             stats: EngineStats::default(),
             seq: 0,
-            div: Diversity::default(),
             activity: vec![0.0; sys.latches.len()],
             act_inc: 1.0,
-            shared: None,
-            bus: None,
-            max_level: 1,
         };
         run.ensure_act(0);
         // Initial-state units, guarded by the frame-0 activation
@@ -455,31 +334,9 @@ impl<'s> PdrRun<'s> {
         run
     }
 
-    /// Sets the generalization profile (parallel workers diversify).
-    pub(crate) fn set_diversity(&mut self, div: Diversity) {
-        self.div = div;
-        self.solver
-            .set_chrono(div.chrono.then_some(CHRONO_THRESHOLD));
-    }
-
-    /// Joins a shared frame store as worker `worker`.
-    pub(crate) fn attach_shared(&mut self, store: Arc<SharedFrames>, worker: usize) {
-        self.shared = Some(SharedCtx {
-            store,
-            worker,
-            cursors: [0; SHARDS],
-        });
-    }
-
-    /// Wires the cross-seat lemma broadcast.
-    pub(crate) fn attach_bus(&mut self, bus: LemmaPublisher) {
-        self.bus = Some(bus);
-    }
-
     /// Creates frame activation groups up to `level`. Frames are
     /// proper activation groups ([`satb::Solver::new_activation`]) so
-    /// stored clauses — including foreign cubes synced from the shared
-    /// store — ride the same registered-guard machinery as query
+    /// stored clauses ride the same registered-guard machinery as query
     /// clauses; frame groups are simply never released.
     fn ensure_act(&mut self, level: usize) {
         while self.acts.len() <= level {
@@ -557,17 +414,12 @@ impl<'s> PdrRun<'s> {
         self.dom.extend(self.bad_cone.iter().copied());
     }
 
-    /// Runs the prepared query (`self.assumptions`), cone-restricted
-    /// when the profile enables domains — in which case the caller
-    /// must have filled `self.dom` first.
+    /// Runs the prepared query (`self.assumptions`), restricted to the
+    /// decision domain the caller filled into `self.dom`.
     fn solve_prepared(&mut self) -> SolveResult {
         let limits = self.budget.sat_limits(self.started);
-        if self.div.domain {
-            self.solver
-                .solve_with_domain(&self.assumptions, limits, &self.dom)
-        } else {
-            self.solver.solve_limited(&self.assumptions, limits)
-        }
+        self.solver
+            .solve_with_domain(&self.assumptions, limits, &self.dom)
     }
 
     /// Stores a blocked cube at `level`: one guarded solver clause
@@ -575,8 +427,7 @@ impl<'s> PdrRun<'s> {
     /// are sorted over distinct latches by construction), plus registry
     /// upkeep — any stored cube subsumed by the new one (at a level the
     /// new clause covers) is pruned so the syntactic blocked-check
-    /// stays small. Publishes the cube to the shared store / lemma bus
-    /// when the run is wired into a parallel pool or portfolio.
+    /// stays small.
     fn add_blocked(&mut self, cube: Cube, level: usize) {
         while self.frames.len() <= level {
             self.frames.push(Vec::new());
@@ -593,38 +444,11 @@ impl<'s> PdrRun<'s> {
             .collect();
         self.solver
             .add_clause_activated_prenormalized(self.acts[level], &clause);
-        if self.div.activity {
-            self.bump_activity(&cube);
-        }
-        self.publish(&cube, level);
+        self.bump_activity(&cube);
         for j in 1..=level {
             self.frames[j].retain(|d| !subsumes(&cube, d));
         }
         self.frames[level].push(cube);
-    }
-
-    /// Shares a freshly blocked cube: into the shared frame store (any
-    /// level; the store subsumption-checks on insert) and, for frontier
-    /// clauses, onto the cross-seat lemma bus. Re-published imports are
-    /// deduplicated by the store's subsumption check, so the counter
-    /// only grows for genuinely new knowledge.
-    fn publish(&mut self, cube: &Cube, level: usize) {
-        let mut exported = false;
-        if let Some(ctx) = &self.shared {
-            if ctx.store.publish(level, cube.clone(), ctx.worker) {
-                exported = true;
-            }
-        }
-        if level >= self.max_level {
-            if let Some(bus) = &self.bus {
-                let clause: LatchClause = cube.iter().map(|&(i, v)| (i, !v)).collect();
-                bus.publish(&clause);
-                exported = true;
-            }
-        }
-        if exported {
-            self.stats.lemmas_exported += 1;
-        }
     }
 
     /// Bumps the shrink-ordering activity of every latch in a freshly
@@ -642,60 +466,6 @@ impl<'s> PdrRun<'s> {
             }
             self.act_inc *= 1e-100;
         }
-    }
-
-    /// Imports peers' cubes published to the shared store since the
-    /// last sync (called at the solve-loop head and before each
-    /// obligation burst). Every foreign cube is **re-verified** by a
-    /// local relative-induction query before it is stored: the peer
-    /// proved it relative to *its* frames, which this worker may not
-    /// have imported (and the level may be clamped to our frontier), so
-    /// storing unverified would break the per-cube invariant the
-    /// fixpoint certificate rests on. Verified cubes enter through
-    /// [`add_blocked`](Self::add_blocked) — often further generalized by
-    /// the query's failed-assumption core — and non-inductive ones are
-    /// simply skipped (their information returns on a later sync once
-    /// the supporting clauses arrive).
-    fn sync_shared(&mut self) -> Option<Unknown> {
-        let Some(ctx) = &mut self.shared else {
-            return None;
-        };
-        let store = Arc::clone(&ctx.store);
-        let worker = ctx.worker;
-        let mut fresh: Vec<(usize, Cube)> = Vec::new();
-        store.collect_foreign(worker, &mut ctx.cursors, &mut fresh);
-        if fresh.is_empty() {
-            return None;
-        }
-        self.stats.sync_rounds += 1;
-        for (level, cube) in fresh {
-            if let Some(u) = self.budget.interruption(self.started) {
-                return Some(u);
-            }
-            // Clamping to our frontier is sound: a cube valid in frames
-            // `1..=L` is valid in any prefix of them.
-            let level = level.min(self.max_level);
-            if level == 0 || self.cube_intersects_init(&cube) {
-                continue;
-            }
-            if self.cube_is_blocked(&cube, level) {
-                continue;
-            }
-            match self.query_relative(&cube, level) {
-                RelQuery::Blocked(core) => {
-                    let core = if self.cube_intersects_init(&core) {
-                        cube
-                    } else {
-                        core
-                    };
-                    self.add_blocked(core, level);
-                    self.stats.lemmas_imported += 1;
-                }
-                RelQuery::Pred(_) => {}
-                RelQuery::Stopped(u) => return Some(u),
-            }
-        }
-        None
     }
 
     /// Syntactic blocked-check: some stored cube at `>= level` subsumes
@@ -721,15 +491,6 @@ impl<'s> PdrRun<'s> {
     /// counterexample.
     fn ternary_generalize(&mut self, state: &[bool], inputs: &[bool]) -> Cube {
         let n = state.len();
-        if !self.div.ternary {
-            // Diversified workers may disable widening; the model
-            // state's cone part is the (sound) cube, and SAT-core
-            // lifting still generalizes it afterwards.
-            return (0..n)
-                .filter(|&i| self.cone[i])
-                .map(|i| (i, state[i]))
-                .collect();
-        }
         for (i, &b) in state.iter().enumerate() {
             self.state_t[i] = Tern::from_bool(b);
         }
@@ -842,9 +603,7 @@ impl<'s> PdrRun<'s> {
             });
         }
         self.stats.sat_queries += 1;
-        if self.div.domain {
-            self.fill_query_domain(cube);
-        }
+        self.fill_query_domain(cube);
         let result = self.solve_prepared();
         match result {
             SolveResult::Sat => {
@@ -913,7 +672,7 @@ impl<'s> PdrRun<'s> {
         parent: Option<&Cube>,
         bad_index: usize,
     ) -> Cube {
-        if !self.div.lift || cube.len() <= 1 {
+        if cube.len() <= 1 {
             return cube;
         }
         self.assumptions.clear();
@@ -954,23 +713,21 @@ impl<'s> PdrRun<'s> {
             });
         }
         self.stats.sat_queries += 1;
-        if self.div.domain {
-            // Lift queries carry no frame tail; the domain is the base
-            // vocabulary, the assumption variables, and the target's
-            // cone (the parent's next-state cones, or the bad cone for
-            // root obligations). Only the UNSAT side is ever used, so a
-            // domain-Sat merely skips the lift — sound either way.
-            self.dom.clear();
-            self.dom.extend(self.base_dom.iter().copied());
-            self.dom.extend(self.assumptions.iter().map(|l| l.var()));
-            match parent {
-                Some(p) => {
-                    for &(i, _) in p {
-                        self.dom.extend(self.next_cones[i].iter().copied());
-                    }
+        // Lift queries carry no frame tail; the domain is the base
+        // vocabulary, the assumption variables, and the target's cone
+        // (the parent's next-state cones, or the bad cone for root
+        // obligations). Only the UNSAT side is ever used, so a
+        // domain-Sat merely skips the lift — sound either way.
+        self.dom.clear();
+        self.dom.extend(self.base_dom.iter().copied());
+        self.dom.extend(self.assumptions.iter().map(|l| l.var()));
+        match parent {
+            Some(p) => {
+                for &(i, _) in p {
+                    self.dom.extend(self.next_cones[i].iter().copied());
                 }
-                None => self.dom.extend(self.bad_cone.iter().copied()),
             }
+            None => self.dom.extend(self.bad_cone.iter().copied()),
         }
         let result = self.solve_prepared();
         let mut lifted: Option<Cube> = None;
@@ -1030,27 +787,20 @@ impl<'s> PdrRun<'s> {
     /// least-active first (rIC3 `activity.rs` style): latches that
     /// rarely appear in blocked cubes are the likeliest to be
     /// droppable, so trying them first reaches the final cube in fewer
-    /// failed queries; the worker seed jitters ties (and the whole
-    /// order when activity is disabled) for generalization diversity.
+    /// failed queries; a fixed per-latch hash breaks ties.
     fn shrink(&mut self, mut cube: Cube, level: usize) -> Result<Cube, Unknown> {
         loop {
             if cube.len() <= 1 {
                 return Ok(cube);
             }
             let mut order: Vec<usize> = (0..cube.len()).collect();
-            if self.div.activity {
-                let activity = &self.activity;
-                let seed = self.div.seed;
-                order.sort_by(|&a, &b| {
-                    let (la, lb) = (cube[a].0, cube[b].0);
-                    activity[la]
-                        .total_cmp(&activity[lb])
-                        .then_with(|| mix(seed, la as u64).cmp(&mix(seed, lb as u64)))
-                });
-            } else if self.div.seed != 0 {
-                let seed = self.div.seed;
-                order.sort_by_key(|&p| mix(seed, cube[p].0 as u64));
-            }
+            let activity = &self.activity;
+            order.sort_by(|&a, &b| {
+                let (la, lb) = (cube[a].0, cube[b].0);
+                activity[la]
+                    .total_cmp(&activity[lb])
+                    .then_with(|| mix(la as u64).cmp(&mix(lb as u64)))
+            });
             let mut progressed = false;
             'drops: for &pos in &order {
                 let mut candidate = cube.clone();
@@ -1081,7 +831,7 @@ impl<'s> PdrRun<'s> {
                             break 'drops;
                         }
                         RelQuery::Pred((state, _inputs)) => {
-                            if !self.div.ctg || level <= 1 || ctgs >= MAX_CTGS {
+                            if level <= 1 || ctgs >= MAX_CTGS {
                                 break;
                             }
                             ctgs += 1;
@@ -1148,9 +898,6 @@ impl<'s> PdrRun<'s> {
 
     /// Blocks all bad states reachable within `level` frames.
     fn block_obligations(&mut self, root: Obligation, max_level: usize) -> BlockResult {
-        if let Some(u) = self.sync_shared() {
-            return BlockResult::Stopped(u);
-        }
         let mut arena: Vec<Obligation> = vec![root];
         let mut queue: BinaryHeap<QueueEntry> = BinaryHeap::new();
         queue.push(QueueEntry {
@@ -1327,16 +1074,14 @@ impl<'s> PdrRun<'s> {
     }
 
     /// The top-level PDR loop.
-    pub(crate) fn solve(&mut self) -> CheckOutcome {
+    fn solve(&mut self) -> CheckOutcome {
         let started = self.started;
 
         // Level 0: Init ∧ Bad?
         self.stats.sat_queries += 1;
         self.push_frame_tail(0);
         self.assumptions.push(self.bad_lit);
-        if self.div.domain {
-            self.fill_bad_domain();
-        }
+        self.fill_bad_domain();
         match self.solve_prepared() {
             SolveResult::Sat => {
                 let trace = Trace::simulate(
@@ -1362,19 +1107,13 @@ impl<'s> PdrRun<'s> {
                 return self.outcome(Verdict::Unknown(Unknown::BoundReached), started);
             }
             self.stats.depth = max_level as u32;
-            self.max_level = max_level;
             self.ensure_act(max_level);
-            if let Some(u) = self.sync_shared() {
-                return self.outcome(Verdict::Unknown(u), started);
-            }
 
             // Find a bad state in F_max.
             self.stats.sat_queries += 1;
             self.push_frame_tail(max_level);
             self.assumptions.push(self.bad_lit);
-            if self.div.domain {
-                self.fill_bad_domain();
-            }
+            self.fill_bad_domain();
             match self.solve_prepared() {
                 SolveResult::Sat => {
                     let state = self.model_state();
@@ -1418,7 +1157,6 @@ impl<'s> PdrRun<'s> {
                 SolveResult::Unsat => {
                     // Frame clear: extend and propagate.
                     max_level += 1;
-                    self.max_level = max_level;
                     self.ensure_act(max_level);
                     match self.propagate(max_level) {
                         Ok(Some(level)) => {
@@ -1464,16 +1202,7 @@ impl Pdr {
         tpl: &TransitionTemplate,
         inv: &[LatchClause],
     ) -> CheckOutcome {
-        let mut run = PdrRun::new(sys, tpl, inv, self.budget.clone());
-        run.set_diversity(Diversity {
-            domain: self.domains,
-            chrono: self.chrono,
-            ..Diversity::default()
-        });
-        if let Some(bus) = &self.bus {
-            run.attach_bus(bus.clone());
-        }
-        run.solve()
+        PdrRun::new(sys, tpl, inv, self.budget.clone()).solve()
     }
 }
 
@@ -1820,29 +1549,51 @@ mod tests {
         }
     }
 
-    /// Input-based SAT-core lifting must drop irrelevant latches even
-    /// with ternary widening disabled (the diversified profile of
-    /// worker 2): the counter alone decides every lift query, so the
-    /// failed core sheds the gated shadow's bits.
+    /// A 4-bit counter that is bad at 9, then a 1-bit `flag` that takes
+    /// a free input every cycle. The property reads the flag on both
+    /// sides, `(count == 9 ∧ flag) ∨ (count == 9 ∧ ¬flag)`, so ternary
+    /// simulation with the flag at X leaves the bad at X and cannot
+    /// widen it away.
+    fn counter_with_tautological_flag() -> TransitionSystem {
+        let mut ts = TransitionSystem::new("counter-with-flag");
+        let kick = ts.add_input("kick", Sort::BOOL);
+        let c = ts.add_state("count", Sort::Bv(4));
+        let flag = ts.add_state("flag", Sort::BOOL);
+        let (kv, cv, fv) = {
+            let p = ts.pool_mut();
+            (p.var(kick), p.var(c), p.var(flag))
+        };
+        let p = ts.pool_mut();
+        let one = p.constv(4, 1);
+        let inc = p.add(cv, one);
+        let zero = p.constv(4, 0);
+        let nine = p.constv(4, 9);
+        let at_nine = p.eq(cv, nine);
+        let nf = p.not(fv);
+        let with_flag = p.and(at_nine, fv);
+        let without_flag = p.and(at_nine, nf);
+        let bad = p.or(with_flag, without_flag);
+        let off = p.constv(1, 0);
+        ts.set_init(c, zero);
+        ts.set_init(flag, off);
+        ts.set_next(c, inc);
+        ts.set_next(flag, kv);
+        ts.add_bad(bad, "count is 9");
+        ts
+    }
+
+    /// Input-based SAT-core lifting drops latches that ternary widening
+    /// keeps: the counter alone decides every lift query, so the failed
+    /// core sheds the flag that three-valued simulation cannot.
     #[test]
     fn lifting_drops_cone_unrelated_latches() {
-        let ts = counter_with_gated_shadow();
+        let ts = counter_with_tautological_flag();
         let sys = aig::blast_system(&ts);
-        let tpl = TransitionTemplate::compile(&sys);
-        let mut run = PdrRun::new(
-            &sys,
-            &tpl,
-            &[],
-            Budget {
-                timeout: None,
-                ..Budget::default()
-            },
+        assert!(
+            sys.latch_coi().iter().all(|&c| c),
+            "the flag is in the cone"
         );
-        run.set_diversity(Diversity {
-            ternary: false,
-            ..Diversity::default()
-        });
-        let out = run.solve();
+        let out = Pdr::default().check(&ts);
         match &out.outcome {
             Verdict::Unsafe(trace) => {
                 assert_eq!(trace.length(), 9);
@@ -1850,139 +1601,10 @@ mod tests {
             }
             other => panic!("expected Unsafe, got {other:?}"),
         }
-        assert_eq!(out.stats.ternary_drops, 0, "ternary is off in this profile");
         assert!(
             out.stats.lifted_lits > 0,
-            "the SAT core must shed shadow latches: {:?}",
+            "the SAT core must shed the flag: {:?}",
             out.stats
         );
-    }
-
-    /// Every diversified worker profile is a complete, sound PDR: all
-    /// four profiles agree with the default on random sequential AIGs,
-    /// and their traces replay.
-    #[test]
-    fn diversity_profiles_agree_on_random_systems() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let budget = Budget {
-            timeout: None,
-            max_depth: 64,
-            ..Budget::default()
-        };
-        let mut rng = StdRng::seed_from_u64(0xD1F7);
-        for round in 0..10 {
-            let sys = random_system(&mut rng);
-            let tpl = TransitionTemplate::compile(&sys);
-            let base = Pdr::new(budget.clone()).run(&sys, &tpl, &[]);
-            for w in 0..4usize {
-                let mut run = PdrRun::new(&sys, &tpl, &[], budget.clone());
-                run.set_diversity(Diversity::for_worker(w));
-                let out = run.solve();
-                match (&base.outcome, &out.outcome) {
-                    (Verdict::Safe, Verdict::Safe) => {}
-                    (Verdict::Unsafe(_), Verdict::Unsafe(t)) => {
-                        assert!(t.replays_on(&sys), "round {round} profile {w}: replay");
-                    }
-                    (Verdict::Unknown(_), Verdict::Unknown(_)) => {}
-                    other => panic!("round {round} profile {w}: diverge: {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// Foreign-cube import soundness: a second run syncing another
-    /// worker's published cubes re-verifies each one locally, so every
-    /// cube it ends up storing — local or imported — is init-disjoint
-    /// and relatively inductive against an independent solver, exactly
-    /// as for a solo run.
-    #[test]
-    fn imported_foreign_cubes_are_reverified_locally() {
-        let ts = crate::bmc::tests::counter_ts(9, 8);
-        let sys = aig::blast_system(&ts);
-        let tpl = TransitionTemplate::compile(&sys);
-        let budget = Budget {
-            timeout: None,
-            ..Budget::default()
-        };
-        let store = Arc::new(crate::parallel::SharedFrames::new());
-        // Worker 0 fills the store.
-        let mut run_a = PdrRun::new(&sys, &tpl, &[], budget.clone());
-        run_a.attach_shared(Arc::clone(&store), 0);
-        let out_a = run_a.solve();
-        assert!(out_a.outcome.is_unsafe());
-        assert!(
-            out_a.stats.lemmas_exported > 0,
-            "worker 0 must publish cubes: {:?}",
-            out_a.stats
-        );
-        // Worker 1 (a different generalization profile) syncs them in.
-        let mut run_b = PdrRun::new(&sys, &tpl, &[], budget);
-        run_b.set_diversity(Diversity::for_worker(1));
-        run_b.attach_shared(Arc::clone(&store), 1);
-        let out_b = run_b.solve();
-        assert!(out_b.outcome.is_unsafe());
-        assert!(
-            out_b.stats.lemmas_imported > 0 && out_b.stats.sync_rounds > 0,
-            "worker 1 must import foreign cubes: {:?}",
-            out_b.stats
-        );
-        // The solo-run soundness check, verbatim, over the importing
-        // run's final frames.
-        let frames = run_b.frames.clone();
-        for (level, cubes) in frames.iter().enumerate().skip(1) {
-            for cube in cubes {
-                assert!(
-                    !run_b.cube_intersects_init(cube),
-                    "stored cube intersects init: {cube:?}"
-                );
-                let mut s = Solver::new();
-                let vars = tpl.instantiate(&mut s, Part::A, 0);
-                if level == 1 {
-                    vars.assert_init(&sys, &mut s);
-                }
-                for cs in frames.iter().skip(level - 1).filter(|_| level > 1) {
-                    for c in cs {
-                        let cl: Vec<Lit> = c
-                            .iter()
-                            .map(|&(i, v)| {
-                                if v {
-                                    !vars.latch_cur[i]
-                                } else {
-                                    vars.latch_cur[i]
-                                }
-                            })
-                            .collect();
-                        s.add_clause(&cl);
-                    }
-                }
-                let not_cube: Vec<Lit> = cube
-                    .iter()
-                    .map(|&(i, v)| {
-                        if v {
-                            !vars.latch_cur[i]
-                        } else {
-                            vars.latch_cur[i]
-                        }
-                    })
-                    .collect();
-                s.add_clause(&not_cube);
-                let assumptions: Vec<Lit> = cube
-                    .iter()
-                    .map(|&(i, v)| {
-                        if v {
-                            vars.latch_next[i]
-                        } else {
-                            !vars.latch_next[i]
-                        }
-                    })
-                    .collect();
-                assert_eq!(
-                    s.solve_with(&assumptions),
-                    SolveResult::Unsat,
-                    "imported/stored cube at level {level} not relatively inductive: {cube:?}"
-                );
-            }
-        }
     }
 }

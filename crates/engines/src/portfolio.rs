@@ -56,7 +56,6 @@ use crate::bmc::Bmc;
 use crate::certify::{self, Certificate, CertifyReport};
 use crate::itp::Interpolation;
 use crate::kind::KInduction;
-use crate::parallel::{LemmaBus, ParallelPdr};
 use crate::pdr::Pdr;
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Unknown, Verdict};
 use rtlir::TransitionSystem;
@@ -194,15 +193,6 @@ impl PortfolioOutcome {
                 e.outcome.stats.time.as_secs_f64(),
                 cert,
             );
-            let s = &e.outcome.stats;
-            if s.lemmas_exported + s.lemmas_imported + s.sync_rounds > 0 {
-                let _ = writeln!(
-                    out,
-                    "             lemma exchange: exported {} imported {} \
-                     sync rounds {} lifted lits {}",
-                    s.lemmas_exported, s.lemmas_imported, s.sync_rounds, s.lifted_lits,
-                );
-            }
         }
         out
     }
@@ -226,13 +216,6 @@ pub struct Portfolio {
     /// the run and forwarded to the members.
     external: Option<Arc<AtomicBool>>,
     engines: Vec<(&'static str, Box<dyn Checker + Send + Sync>)>,
-    /// The cross-seat lemma broadcast wired by
-    /// [`with_default_engines`](Portfolio::with_default_engines):
-    /// PDR publishes frontier clauses, k-induction and interpolation
-    /// consume them through admission gates. Cleared at the start of
-    /// every run so a reused portfolio never replays stale lemmas
-    /// (the gates re-validate per design regardless).
-    bus: Option<LemmaBus>,
     /// Witness re-checks run in paranoid mode: every certification
     /// obligation solver logs a resolution proof that is replayed by
     /// the independent checker in [`satb::proofcheck`] before the
@@ -257,7 +240,6 @@ impl Portfolio {
             external,
             budget,
             engines: Vec::new(),
-            bus: None,
             paranoid: false,
         }
     }
@@ -278,34 +260,15 @@ impl Portfolio {
     }
 
     /// The paper's hybrid line-up: BMC, k-induction, interpolation and
-    /// PDR, all under `budget` and the shared cancellation flag — plus
-    /// the lemma broadcast: PDR's frontier clauses feed the
-    /// k-induction step premise and interpolation's frames through
-    /// per-consumer admission gates (see [`crate::parallel`]).
+    /// PDR, independent seats under `budget` and the shared
+    /// cancellation flag.
     pub fn with_default_engines(budget: Budget) -> Portfolio {
         let mut p = Portfolio::new(budget);
-        let bus = LemmaBus::new();
         let b = p.engine_budget();
         p.push(Bmc::new(b.clone()));
-        p.push(KInduction::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(Interpolation::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(Pdr::new(b).with_bus(bus.publisher()));
-        p.bus = Some(bus);
-        p
-    }
-
-    /// The hybrid line-up with the PDR seat replaced by a
-    /// [`ParallelPdr`] pool of `workers` diversified workers (worker 0
-    /// publishes to the lemma broadcast).
-    pub fn with_parallel_engines(budget: Budget, workers: usize) -> Portfolio {
-        let mut p = Portfolio::new(budget);
-        let bus = LemmaBus::new();
-        let b = p.engine_budget();
-        p.push(Bmc::new(b.clone()));
-        p.push(KInduction::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(Interpolation::new(b.clone()).with_lemmas(bus.subscribe()));
-        p.push(ParallelPdr::new(b, workers).with_bus(bus.publisher()));
-        p.bus = Some(bus);
+        p.push(KInduction::new(b.clone()));
+        p.push(Interpolation::new(b.clone()));
+        p.push(Pdr::new(b));
         p
     }
 
@@ -334,13 +297,20 @@ impl Portfolio {
     /// exactly **once**, here; every member receives the shared
     /// [`Blasted`] through [`Checker::check_blasted`] instead of
     /// re-encoding the system from scratch.
+    ///
+    /// The reported [`EngineStats::time`] counts from entry, so it
+    /// covers building the shared blast as well as the race.
     pub fn check_detailed(&self, ts: &TransitionSystem) -> PortfolioOutcome {
+        let started = Instant::now();
         let blasted = Blasted::of(ts);
-        self.check_detailed_blasted(ts, &blasted)
+        let mut out = self.check_detailed_blasted(ts, &blasted);
+        out.stats.time = started.elapsed();
+        out
     }
 
     /// Like [`check_detailed`](Portfolio::check_detailed) with a
-    /// caller-provided shared blast (e.g. reused across several runs).
+    /// caller-provided shared blast (e.g. reused across several runs);
+    /// the reported time covers the race alone.
     pub fn check_detailed_blasted(
         &self,
         ts: &TransitionSystem,
@@ -348,9 +318,6 @@ impl Portfolio {
     ) -> PortfolioOutcome {
         let started = Instant::now();
         self.stop.store(false, Ordering::Relaxed);
-        if let Some(bus) = &self.bus {
-            bus.clear();
-        }
         if self.engines.is_empty() {
             return PortfolioOutcome {
                 verdict: Verdict::Unknown(Unknown::Inconclusive("empty portfolio".into())),
@@ -585,6 +552,7 @@ impl Checker for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use std::time::Duration;
 
     fn unlimited(max_depth: u32) -> Budget {
@@ -634,7 +602,6 @@ mod tests {
                 ..b.clone()
             },
             simple_path: false,
-            ..KInduction::default()
         });
         p.push(Interpolation::new(b.clone()));
         p.push(Pdr::new(b));
@@ -665,7 +632,6 @@ mod tests {
         p.push(KInduction {
             budget: Budget { max_depth: 30, ..b },
             simple_path: false,
-            ..KInduction::default()
         });
         let report = p.check_detailed_blasted(&ts, &blasted);
         assert_eq!(report.verdict, Verdict::Safe);
@@ -777,9 +743,10 @@ mod tests {
         );
     }
 
-    /// A member that records which entry point the portfolio used.
+    /// A member that records when the portfolio offered it the shared
+    /// blast.
     struct BlastProbe {
-        shared: Arc<AtomicBool>,
+        offered: Arc<Mutex<Option<Instant>>>,
     }
 
     impl Checker for BlastProbe {
@@ -794,7 +761,7 @@ mod tests {
             }
         }
         fn check_blasted(&self, ts: &TransitionSystem, _blasted: &Blasted) -> CheckOutcome {
-            self.shared.store(true, Ordering::Relaxed);
+            *self.offered.lock().expect("probe lock") = Some(Instant::now());
             self.check(ts)
         }
     }
@@ -805,12 +772,12 @@ mod tests {
     #[test]
     fn portfolio_blasts_once_and_shares_it() {
         let ts = crate::bmc::tests::counter_ts(2, 8);
-        let shared = Arc::new(AtomicBool::new(false));
+        let offered = Arc::new(Mutex::new(None));
         let mut p = Portfolio::new(unlimited(4000));
         let b = p.engine_budget();
         p.push(Bmc::new(b));
         p.push(BlastProbe {
-            shared: shared.clone(),
+            offered: offered.clone(),
         });
         let before = aig::seq::blast_count();
         let report = p.check_detailed(&ts);
@@ -821,8 +788,32 @@ mod tests {
         );
         assert!(report.verdict.is_unsafe());
         assert!(
-            shared.load(Ordering::Relaxed),
+            offered.lock().expect("probe lock").is_some(),
             "members must be offered the shared blast"
+        );
+    }
+
+    /// The reported time of `check_detailed` covers the shared blast:
+    /// it is at least the time from the call to the moment a member
+    /// starts. Blasting, mining and certifying beside a 16-bit
+    /// multiply-accumulator takes milliseconds, far longer than the
+    /// probe's race.
+    #[test]
+    fn reported_time_covers_the_shared_blast() {
+        let ts = crate::cone_tests::deep_bug(20, true);
+        let offered = Arc::new(Mutex::new(None));
+        let mut p = Portfolio::new(unlimited(4000));
+        p.push(BlastProbe {
+            offered: offered.clone(),
+        });
+        let called = Instant::now();
+        let report = p.check_detailed(&ts);
+        let member_started = offered.lock().expect("probe lock").expect("probe ran");
+        assert!(
+            report.stats.time >= member_started - called,
+            "reported {:?}, but the member started {:?} after the call",
+            report.stats.time,
+            member_started - called
         );
     }
 
@@ -935,7 +926,7 @@ mod tests {
         let report = Portfolio::with_default_engines(Budget::default()).check_detailed(&ts);
         assert!(report.verdict.is_unsafe());
         type Counter = fn(&EngineStats) -> u64;
-        let counters: [(&str, Counter); 20] = [
+        let counters: [(&str, Counter); 17] = [
             ("sat_queries", |s| s.sat_queries),
             ("conflicts", |s| s.conflicts),
             ("decisions", |s| s.decisions),
@@ -953,9 +944,6 @@ mod tests {
             ("proof_chains", |s| s.proof_chains),
             ("ternary_drops", |s| s.ternary_drops),
             ("lifted_lits", |s| s.lifted_lits),
-            ("lemmas_exported", |s| s.lemmas_exported),
-            ("lemmas_imported", |s| s.lemmas_imported),
-            ("sync_rounds", |s| s.sync_rounds),
         ];
         for (name, get) in counters {
             let members: u64 = report.engines.iter().map(|e| get(&e.outcome.stats)).sum();
@@ -1094,6 +1082,73 @@ mod tests {
             "summary must report the proof replay:\n{}",
             report.summary()
         );
+    }
+
+    /// A trace that fires the bad only by breaking an `assume` is no
+    /// counterexample: one latch `seen <= seen | kick` under `assume
+    /// !kick`, bad when `seen` is set, is safe.
+    #[test]
+    fn trace_breaking_an_assume_is_demoted() {
+        use rtlir::Sort;
+        let mut ts = TransitionSystem::new("assumed-quiet");
+        let kick = ts.add_input("kick", Sort::BOOL);
+        let seen = ts.add_state("seen", Sort::BOOL);
+        let p = ts.pool_mut();
+        let (kv, sv) = (p.var(kick), p.var(seen));
+        let next = p.or(sv, kv);
+        let quiet = p.not(kv);
+        let off = p.constv(1, 0);
+        ts.set_init(seen, off);
+        ts.set_next(seen, next);
+        ts.add_constraint(quiet);
+        ts.add_bad(sv, "seen");
+        let mut p = Portfolio::new(unlimited(4000));
+        let b = p.engine_budget();
+        p.push(Liar {
+            verdict: Verdict::Unsafe(crate::result::Trace {
+                states: vec![vec![false], vec![true]],
+                inputs: vec![vec![true], vec![false]],
+                bad_index: 0,
+            }),
+            certificate: None,
+        });
+        p.push(Pdr::new(b));
+        let report = p.check_detailed(&ts);
+        assert_eq!(report.verdict, Verdict::Safe, "{}", report.summary());
+        assert!(report.certified);
+        let liar = report.engines.iter().find(|e| e.name == "liar").unwrap();
+        assert!(matches!(
+            liar.outcome.outcome,
+            Verdict::Unknown(Unknown::CertificateFailed(_))
+        ));
+    }
+
+    /// A trace whose state vectors are narrower than the netlist is
+    /// demoted like any other bad witness instead of crashing the
+    /// dispatcher.
+    #[test]
+    fn malformed_trace_is_demoted_not_a_crash() {
+        let ts = crate::bmc::tests::counter_ts(6, 8);
+        let mut p = Portfolio::new(unlimited(4000));
+        let b = p.engine_budget();
+        p.push(Liar {
+            verdict: Verdict::Unsafe(crate::result::Trace {
+                states: vec![vec![]],
+                inputs: vec![vec![]],
+                bad_index: 0,
+            }),
+            certificate: None,
+        });
+        p.push(Bmc::new(b));
+        let report = p.check_detailed(&ts);
+        assert!(report.verdict.is_unsafe(), "got {:?}", report.verdict);
+        assert_eq!(report.winner, Some("bmc"));
+        assert!(report.certified);
+        let liar = report.engines.iter().find(|e| e.name == "liar").unwrap();
+        assert!(matches!(
+            liar.outcome.outcome,
+            Verdict::Unknown(Unknown::CertificateFailed(_))
+        ));
     }
 
     #[test]

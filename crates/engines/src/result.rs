@@ -115,11 +115,19 @@ impl Trace {
     }
 
     /// Replays the trace on the bit-level netlist and checks that it
-    /// ends in the reported bad state. Returns `false` for traces that
-    /// do not actually witness a violation — engines are tested with
-    /// this, closing the loop on counterexample soundness.
+    /// ends in the reported bad state, with every environment
+    /// constraint holding in every cycle. Returns `false` for traces
+    /// that do not actually witness a violation, malformed ones
+    /// included — engines are tested with this, closing the loop on
+    /// counterexample soundness.
     pub fn replays_on(&self, sys: &aig::AigSystem) -> bool {
-        if self.states.is_empty() {
+        // Later states must equal simulated ones, which have the right
+        // width, so only the reset state's width needs checking.
+        if self
+            .states
+            .first()
+            .is_none_or(|s| s.len() != sys.latches.len())
+        {
             return false;
         }
         // Initial state must agree with initialized latches.
@@ -135,6 +143,9 @@ impl Trace {
             let empty = Vec::new();
             let inp = self.inputs.get(c).unwrap_or(&empty);
             if state != self.states[c] {
+                return false;
+            }
+            if !sys.constraints.is_empty() && !sys.constraints_in(&state, inp) {
                 return false;
             }
             if c + 1 == self.states.len() {
@@ -238,16 +249,6 @@ pub struct EngineStats {
     /// Cube literals dropped by input-based predecessor lifting (the
     /// UNSAT-core pass stacked on top of ternary widening).
     pub lifted_lits: u64,
-    /// Lemmas this engine published to peers: blocked cubes accepted by
-    /// the parallel-PDR shared frame store, plus frontier clauses put
-    /// on the cross-seat [`crate::parallel::LemmaBus`].
-    pub lemmas_exported: u64,
-    /// Foreign lemmas this engine adopted: peer cubes a PDR worker
-    /// re-verified and stored, or bus clauses a consumer's admission
-    /// gate proved inductive and asserted.
-    pub lemmas_imported: u64,
-    /// Synchronization rounds against the shared store / lemma bus.
-    pub sync_rounds: u64,
     /// Counters of the shared template's CNF preprocessing run (stamped
     /// from [`Blasted`] by `check_blasted`; all zero when the engine
     /// blasted for itself or ran on a raw template).
@@ -310,9 +311,9 @@ impl EngineStats {
 }
 
 impl std::ops::AddAssign<&EngineStats> for EngineStats {
-    /// Sums every counter of several runs (portfolio seats, parallel
-    /// workers). `depth`, `time` and the encoding facts stamped from
-    /// [`Blasted`] are not counters: each caller sets them itself.
+    /// Sums every counter of several runs (portfolio seats). `depth`,
+    /// `time` and the encoding facts stamped from [`Blasted`] are not
+    /// counters: each caller sets them itself.
     fn add_assign(&mut self, s: &EngineStats) {
         self.sat_queries += s.sat_queries;
         self.conflicts += s.conflicts;
@@ -331,9 +332,6 @@ impl std::ops::AddAssign<&EngineStats> for EngineStats {
         self.proof_chains += s.proof_chains;
         self.ternary_drops += s.ternary_drops;
         self.lifted_lits += s.lifted_lits;
-        self.lemmas_exported += s.lemmas_exported;
-        self.lemmas_imported += s.lemmas_imported;
-        self.sync_rounds += s.sync_rounds;
     }
 }
 

@@ -3,7 +3,7 @@
 //! This crate is the shared substrate of the workspace: a hash-consed,
 //! word-level expression language (bit-vectors up to 64 bits plus
 //! single-dimensional arrays for memories), a BTOR-style
-//! [`TransitionSystem`], a reference [`eval`](crate::eval) semantics and a
+//! [`TransitionSystem`], a reference [`eval`](mod@crate::eval) semantics and a
 //! cycle-accurate [`Simulator`].
 //!
 //! Every other component — the Verilog synthesizer, the software-netlist

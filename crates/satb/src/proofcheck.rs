@@ -7,9 +7,9 @@
 //! * [`ProofClause::Original`] — added by the caller with a [`Part`]
 //!   label (interpolation partition) and its literal list, or
 //! * [`ProofClause::Derived`] — defined by a resolution chain: a
-//!   `start` clause id plus an ordered list of [`ResStep`]s, each
-//!   naming a pivot variable and the antecedent clause resolved
-//!   against.
+//!   `start` clause id plus an ordered list of
+//!   [`ResStep`](crate::proof::ResStep)s, each naming a pivot variable
+//!   and the antecedent clause resolved against.
 //!
 //! On UNSAT the proof additionally stores one final chain deriving the
 //! empty clause ([`Proof::empty_clause`]). Clause ids are never

@@ -900,9 +900,9 @@ impl Solver {
 
     /// [`add_clause_activated`](Solver::add_clause_activated) for
     /// clauses the caller guarantees are already normalized (pairwise
-    /// distinct variables, no tautology) — the cheap cube-import path
-    /// for parallel PDR, where foreign blocking clauses arrive sorted
-    /// by latch index and the guard variable is fresh by construction.
+    /// distinct variables, no tautology) — the cheap path for PDR's
+    /// blocking clauses, which are sorted by latch index and guarded by
+    /// a frame activation variable that occurs in no literal.
     /// Skips the sort/dedup scan of the general path; the stored clause
     /// is still `lits ∨ ¬act` and registered under the group.
     ///

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so this crate
 //! implements the subset of the proptest API the workspace's property
-//! tests use: the [`Strategy`] trait with `prop_map` / `prop_recursive`
+//! tests use: the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_recursive`
 //! / `boxed`, range and tuple strategies, `prop_oneof!`,
 //! `prop::collection::vec`, and the `proptest!` / `prop_assert!` /
 //! `prop_assert_eq!` macros. Each `proptest!` test runs a fixed number
