@@ -8,8 +8,9 @@
 //! Usage: `portfolio [--timeout SECS] [benchmark]`
 //!
 //! Exits nonzero when nothing was solved (or the filter matched no
-//! benchmark), and with code 2 on an engine disagreement, so CI smoke
-//! runs fail on more than just panics.
+//! benchmark), with code 2 on an engine disagreement, and with code 3
+//! when a seat's witness failed its check or a seat crashed, so CI
+//! smoke runs fail on more than just panics.
 
 use engines::Verdict;
 
@@ -26,6 +27,7 @@ fn main() {
     );
     let mut solved = 0usize;
     let mut disagreed = false;
+    let mut faulted = false;
     for b in &benchmarks {
         let ts = match b.compile() {
             Ok(ts) => ts,
@@ -65,6 +67,13 @@ fn main() {
                 e.outcome.stats.sat_queries,
                 e.outcome.stats.conflicts,
             );
+            if let Verdict::Unknown(
+                u @ (engines::Unknown::CertificateFailed(_) | engines::Unknown::Crashed(_)),
+            ) = &e.outcome.outcome
+            {
+                println!("!! seat {} on {}: {u}", e.name, b.name);
+                faulted = true;
+            }
         }
         if report.disagreement {
             println!("!! engines disagreed on {} — soundness alarm", b.name);
@@ -74,6 +83,9 @@ fn main() {
     println!("solved {solved}/{}", benchmarks.len());
     if disagreed {
         std::process::exit(2);
+    }
+    if faulted {
+        std::process::exit(3);
     }
     if solved == 0 {
         std::process::exit(1);

@@ -21,16 +21,19 @@
 //!   conjunction of clauses over latch variables, each clause a
 //!   disjunction of `(latch index, polarity)` literals. PDR exports
 //!   the clauses of its fixpoint frame `F_i = F_{i+1}` (all cubes
-//!   stored at levels `>= i`, negated).
-//! * [`Certificate::Formula`] — an inductive invariant as an AIG
-//!   formula: a private [`aig::Aig`] (node ids aligned with the
-//!   checked system, so latch-output CIs address the state bits) plus
-//!   the root literal. The interpolation engine exports its fixpoint
-//!   `r_acc = init ∨ itp_1 ∨ … ∨ itp_n`.
+//!   stored at levels `>= i`, negated), static strengthening included.
+//! * [`Certificate::Formula`] — an AIG formula, inductive relative to
+//!   the strengthening clauses it names: a private [`aig::Aig`] (node
+//!   ids aligned with the checked system, so latch-output CIs address
+//!   the state bits), the root literal, and the clauses. The
+//!   interpolation engine exports its fixpoint `r_acc = init ∨ itp_1 ∨
+//!   … ∨ itp_n` with the static invariant `Inv` it assumed on every
+//!   frame; the invariant proper is `r_acc ∧ Inv`.
 //! * [`Certificate::KInductive`] — the strengthening is *temporal*
 //!   rather than a state predicate: the property is `k`-inductive
-//!   (optionally under simple-path constraints). The checker re-runs
-//!   the full base and step obligations from scratch.
+//!   (optionally under simple-path constraints, and under the
+//!   strengthening clauses it names). The checker re-runs the full base
+//!   and step obligations from scratch.
 //!
 //! An Unsafe answer needs no separate certificate: the
 //! [`Trace`](crate::Trace) inside the verdict **is** the witness, and
@@ -39,10 +42,11 @@
 //!
 //! # Check obligations
 //!
-//! For an invariant certificate `Inv` the checker discharges, clause
-//! at a time, the three standard obligations against the raw template
-//! (constraints are asserted in every instantiated frame, so the
-//! constrained-transition semantics of the engines carries over):
+//! For a clause set `Inv` (a clausal certificate, or the strengthening
+//! a certificate names) the checker discharges, clause at a time, the
+//! standard obligations against the raw template (constraints are
+//! asserted in every instantiated frame, so the constrained-transition
+//! semantics of the engines carries over):
 //!
 //! 1. **Initiation** — `Init ⇒ Inv`: for every clause `c`,
 //!    `Init ∧ ¬c` is UNSAT. Checked on a solver *without* the other
@@ -51,9 +55,17 @@
 //! 2. **Consecution** — `Inv ∧ T ⇒ Inv′`: with all clauses asserted
 //!    on the current-state side of one raw frame, for every clause
 //!    `c`, `Inv ∧ T ∧ ¬c′` is UNSAT.
-//! 3. **Safety** — `Inv ⇒ ¬Bad`: `Inv ∧ T ∧ any_bad` is UNSAT (the
-//!    frame's bad outputs are evaluated under the same constraint
-//!    semantics the engines used).
+//! 3. **Safety** (clausal certificates only) — `Inv ⇒ ¬Bad`:
+//!    `Inv ∧ T ∧ any_bad` is UNSAT (the frame's bad outputs are
+//!    evaluated under the same constraint semantics the engines used).
+//!    A strengthening makes no claim about the bad outputs.
+//!
+//! A formula certificate with root `r` and strengthening `Inv` first
+//! has `Inv` admitted by 1–2, then discharges, on one raw frame with
+//! `Inv` asserted on the current-state side, `Init ⇒ r`,
+//! `Inv ∧ r ∧ T ⇒ r′` and `Inv ∧ r ⇒ ¬Bad`: `r ∧ Inv` is then an
+//! inductive invariant, since `Inv′` follows from `Inv`'s own
+//! consecution.
 //!
 //! For [`Certificate::KInductive`] with bound `k` the obligations
 //! are: no counterexample of length `0..=k` from the initial states
@@ -68,11 +80,10 @@
 //! length-`k` suffix would satisfy the step premise. When the
 //! engine ran under a static strengthening invariant (see
 //! [`certify_invariant`]), the certificate carries those clauses: the
-//! checker first discharges their initiation and consecution against
-//! the raw template, then asserts them on every base and step frame —
-//! sound because every state of a shortest counterexample is
-//! reachable, and certified-inductive clauses hold in every reachable
-//! state.
+//! checker first admits them by 1–2, then asserts them on every base
+//! and step frame — sound because every state of a shortest
+//! counterexample is reachable, and certified-inductive clauses hold in
+//! every reachable state.
 //!
 //! A passing check proves the *answer*, not the engine: whatever
 //! formula the obligations were discharged for is a genuine inductive
@@ -81,24 +92,64 @@
 //! proves the answer wrong — it only withdraws the evidence, which is
 //! why the portfolio demotes a failed certificate to
 //! [`Unknown::CertificateFailed`](crate::Unknown::CertificateFailed)
-//! instead of flipping the verdict.
+//! instead of flipping the verdict. A certificate that is malformed —
+//! a clause naming a latch the design lacks, a formula root outside
+//! its AIG — fails its check the same way.
+//!
+//! # Known clauses
+//!
+//! A [`Certifier`] checks witnesses for one design, and one portfolio
+//! race shares one certifier across its seats. It remembers every
+//! latch clause it has proven to hold in all reachable states:
+//!
+//! * the clauses of a strengthening it admitted (initiation and
+//!   consecution passed), whichever certificate named it;
+//! * the clauses of a [`Certificate::Clausal`] witness that passed
+//!   every obligation, safety included.
+//!
+//! A later clause set skips initiation and consecution for its known
+//! clauses, which stay asserted as premises on every frame its
+//! obligations instantiate; its other clauses are checked relative to
+//! them. So the static invariant that PDR's clauses, k-induction's
+//! strengthening and interpolation's formula all carry is proven once
+//! per race instead of once per seat.
+//!
+//! This is sound. Every known clause holds in all reachable states,
+//! because it belongs to an initiated set that this certifier proved
+//! inductive (relative to the clauses it knew then, which hold in all
+//! reachable states by the same argument) against the raw template,
+//! with fresh solvers, in its own trust mode: a paranoid certifier
+//! learns only from replayed proofs. Induction along a path from the
+//! initial states meets only reachable states, so a witness that is
+//! initiated and inductive relative to known clauses is sound, and its
+//! clauses hold in all reachable states in turn. The known set grows
+//! only from checks that passed in full; a failing check teaches the
+//! certifier nothing. No clause is known on anyone else's word: a
+//! strengthening that [`Blasted::of`](crate::Blasted::of) certified is
+//! proven again by the first witness that names it.
+//!
+//! A fresh certifier knows nothing, so [`certify`], [`certify_with`],
+//! [`certify_with_mode`] and [`certify_invariant`] — one-shot
+//! certifiers — discharge every obligation of their witness.
 //!
 //! # Paranoid mode
 //!
 //! The obligations above still trust the *checker's own* solver to
-//! answer UNSAT correctly. [`certify_with_mode`] with `paranoid =
-//! true` removes that last trust step: every obligation solver runs
-//! with resolution-proof logging, and after its obligations are
-//! discharged the recorded proof is replayed from scratch by the
-//! independent static analyzer in [`satb::proofcheck`] (antecedent
-//! existence, pivot polarity, learnt-clause cross-check against the
-//! live clause database). A refutation that fails the replay fails
-//! the certificate — [`CertifyReport::proof_chains`] counts the
-//! machine-checked chains backing a paranoid pass.
+//! answer UNSAT correctly. A [`Certifier`] built with `paranoid =
+//! true` (or [`certify_with_mode`]) removes that last trust step: every
+//! obligation solver runs with resolution-proof logging, and after its
+//! obligations are discharged the recorded proof is replayed from
+//! scratch by the independent static analyzer in [`satb::proofcheck`]
+//! (antecedent existence, pivot polarity, learnt-clause cross-check
+//! against the live clause database). A refutation that fails the
+//! replay fails the certificate — [`CertifyReport::proof_chains`]
+//! counts the machine-checked chains backing a paranoid pass.
 
 use crate::result::{CheckOutcome, Verdict};
 use aig::{Aig, AigLit, AigSystem, FrameEncoder, TransitionTemplate};
 use satb::{Lit, Part, SolveResult, Solver};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -114,15 +165,22 @@ pub struct ClausalInvariant {
     pub clauses: Vec<LatchClause>,
 }
 
-/// An inductive invariant as an AIG formula (interpolation's fixpoint).
+/// An AIG formula that is inductive relative to the strengthening
+/// clauses it names (interpolation's fixpoint). The invariant is
+/// `root ∧ invariant`.
 #[derive(Clone, Debug)]
 pub struct FormulaInvariant {
     /// Private combinational logic; latch-output CI literals of the
     /// certified system are valid in it (node ids are preserved by
     /// the engine's scratch clone).
     pub aig: Aig,
-    /// Root literal: the invariant predicate over the latch CIs.
+    /// Root literal: the predicate over the latch CIs, inductive
+    /// relative to [`invariant`](FormulaInvariant::invariant).
     pub root: AigLit,
+    /// Static strengthening clauses the engine assumed on every frame.
+    /// The checker admits them (initiation + consecution) and then
+    /// asserts them as premises of the formula's own obligations.
+    pub invariant: Vec<LatchClause>,
 }
 
 /// A Safe-verdict witness, re-checkable by [`certify`]. See the
@@ -132,7 +190,8 @@ pub enum Certificate {
     /// Clauses over latch variables whose conjunction is a 1-step
     /// inductive invariant.
     Clausal(ClausalInvariant),
-    /// An AIG-formula 1-step inductive invariant.
+    /// An AIG formula that is 1-step inductive relative to the
+    /// strengthening clauses it carries.
     Formula(FormulaInvariant),
     /// The property is `k`-inductive (under simple-path constraints
     /// when `simple_path` is set, and under the carried strengthening
@@ -145,19 +204,22 @@ pub enum Certificate {
         /// on lasso-shaped designs).
         simple_path: bool,
         /// Static strengthening clauses the engine assumed on every
-        /// frame. The checker re-certifies them (initiation +
-        /// consecution) before admitting them into the obligations.
+        /// frame. The checker admits them (initiation + consecution)
+        /// before asserting them in the base and step obligations.
         invariant: Vec<LatchClause>,
     },
 }
 
 impl fmt::Display for Certificate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let strengthening = match self {
             Certificate::Clausal(inv) => {
-                write!(f, "inductive invariant ({} clauses)", inv.clauses.len())
+                return write!(f, "inductive invariant ({} clauses)", inv.clauses.len());
             }
-            Certificate::Formula(_) => write!(f, "inductive invariant (formula)"),
+            Certificate::Formula(inv) => {
+                write!(f, "inductive invariant (formula)")?;
+                &inv.invariant
+            }
             Certificate::KInductive {
                 k,
                 simple_path,
@@ -168,12 +230,13 @@ impl fmt::Display for Certificate {
                     "{k}-inductive{}",
                     if *simple_path { " (simple-path)" } else { "" }
                 )?;
-                if !invariant.is_empty() {
-                    write!(f, " + {} strengthening clauses", invariant.len())?;
-                }
-                Ok(())
+                invariant
             }
+        };
+        if !strengthening.is_empty() {
+            write!(f, " + {} strengthening clauses", strengthening.len())?;
         }
+        Ok(())
     }
 }
 
@@ -188,36 +251,29 @@ pub struct CertifyReport {
     /// one — those are *accepted*, but not *certified*).
     pub witnessed: bool,
     /// Number of obligations discharged (clause checks, base/step
-    /// solves, or 1 for a trace replay).
+    /// solves, or 1 for a trace replay). Known clauses discharge none.
     pub obligations: usize,
     /// Why the check failed, when it did.
     pub failure: Option<String>,
     /// Resolution chains replayed by the independent proof checker
-    /// (non-zero only under [`certify_with_mode`]'s paranoid mode).
+    /// (non-zero only in paranoid mode).
     pub proof_chains: u64,
     /// Wall-clock time spent checking.
     pub time: Duration,
 }
 
 impl CertifyReport {
-    fn passed(witnessed: bool, obligations: usize, started: Instant) -> CertifyReport {
+    fn new(witnessed: bool, result: CheckResult, par: &Paranoia, started: Instant) -> Self {
+        let (obligations, failure) = match result {
+            Ok(n) => (n, None),
+            Err((n, why)) => (n, Some(why)),
+        };
         CertifyReport {
-            ok: true,
+            ok: failure.is_none(),
             witnessed,
             obligations,
-            failure: None,
-            proof_chains: 0,
-            time: started.elapsed(),
-        }
-    }
-
-    fn failed(obligations: usize, why: String, started: Instant) -> CertifyReport {
-        CertifyReport {
-            ok: false,
-            witnessed: true,
-            obligations,
-            failure: Some(why),
-            proof_chains: 0,
+            failure,
+            proof_chains: par.chains,
             time: started.elapsed(),
         }
     }
@@ -227,15 +283,14 @@ impl CertifyReport {
 /// transition template. See the [module docs](self) for what is
 /// checked per verdict kind.
 pub fn certify(sys: &AigSystem, outcome: &CheckOutcome) -> CertifyReport {
-    let tpl = TransitionTemplate::compile(sys);
-    certify_with(sys, &tpl, outcome)
+    Certifier::new(sys, false).check(outcome)
 }
 
 /// Like [`certify`], but reusing an already-compiled **raw** template
-/// (callers certifying several outcomes against the same design, e.g.
-/// the portfolio). Passing a preprocessed template would defeat the
-/// independence of the check — always hand in
-/// [`aig::TransitionTemplate::compile`] output.
+/// (callers certifying several outcomes against the same design).
+/// Passing a preprocessed template would defeat the independence of
+/// the check — always hand in [`aig::TransitionTemplate::compile`]
+/// output.
 pub fn certify_with(
     sys: &AigSystem,
     raw_tpl: &TransitionTemplate,
@@ -256,39 +311,7 @@ pub fn certify_with_mode(
     outcome: &CheckOutcome,
     paranoid: bool,
 ) -> CertifyReport {
-    let started = Instant::now();
-    let mut par = Paranoia::new(paranoid);
-    let mut rep = match &outcome.outcome {
-        Verdict::Unknown(_) => CertifyReport::passed(false, 0, started),
-        Verdict::Unsafe(trace) => {
-            if trace.replays_on(sys) {
-                CertifyReport::passed(true, 1, started)
-            } else {
-                CertifyReport::failed(1, "trace does not replay to a fired bad".into(), started)
-            }
-        }
-        Verdict::Safe => match &outcome.certificate {
-            None => CertifyReport::passed(false, 0, started),
-            Some(Certificate::Clausal(inv)) => match check_clausal(sys, raw_tpl, inv, &mut par) {
-                Ok(n) => CertifyReport::passed(true, n, started),
-                Err((n, why)) => CertifyReport::failed(n, why, started),
-            },
-            Some(Certificate::Formula(inv)) => match check_formula(sys, raw_tpl, inv, &mut par) {
-                Ok(n) => CertifyReport::passed(true, n, started),
-                Err((n, why)) => CertifyReport::failed(n, why, started),
-            },
-            Some(Certificate::KInductive {
-                k,
-                simple_path,
-                invariant,
-            }) => match check_kinductive(sys, raw_tpl, *k, *simple_path, invariant, &mut par) {
-                Ok(n) => CertifyReport::passed(true, n, started),
-                Err((n, why)) => CertifyReport::failed(n, why, started),
-            },
-        },
-    };
-    rep.proof_chains = par.chains;
-    rep
+    Certifier::with_template(sys, raw_tpl, paranoid).check(outcome)
 }
 
 /// Certifies a mined strengthening invariant (e.g. the output of
@@ -317,12 +340,356 @@ pub fn certify_invariant_with_mode(
 ) -> CertifyReport {
     let started = Instant::now();
     let mut par = Paranoia::new(paranoid);
-    let mut rep = match check_invariant_clauses(sys, raw_tpl, clauses, &mut par) {
-        Ok(n) => CertifyReport::passed(!clauses.is_empty(), n, started),
-        Err((n, why)) => CertifyReport::failed(n, why, started),
-    };
-    rep.proof_chains = par.chains;
-    rep
+    let result = Certifier::with_template(sys, raw_tpl, paranoid).check_clauses(
+        clauses,
+        Claim::Strengthening,
+        &mut par,
+    );
+    CertifyReport::new(!clauses.is_empty(), result, &par, started)
+}
+
+/// The witness checker of one design, in one trust mode, remembering
+/// the clauses it has proven (see the [module docs](self#known-clauses)).
+/// A portfolio race builds one on its first definite verdict and checks
+/// every seat's witness with it.
+pub struct Certifier<'a> {
+    sys: &'a AigSystem,
+    /// The raw, un-preprocessed template every obligation runs on.
+    tpl: Cow<'a, TransitionTemplate>,
+    paranoid: bool,
+    /// Every latch clause proven to hold in all reachable states, in
+    /// canonical form (see [`canonical`]).
+    known: HashSet<LatchClause>,
+}
+
+impl<'a> Certifier<'a> {
+    /// A certifier for `sys` that compiles its own raw template. With
+    /// `paranoid` set, every obligation's proof is replayed (see the
+    /// [module docs](self#paranoid-mode)).
+    pub fn new(sys: &'a AigSystem, paranoid: bool) -> Certifier<'a> {
+        Certifier {
+            sys,
+            tpl: Cow::Owned(TransitionTemplate::compile(sys)),
+            paranoid,
+            known: HashSet::new(),
+        }
+    }
+
+    /// A certifier for `sys` that borrows an already-compiled **raw**
+    /// template ([`aig::TransitionTemplate::compile`] output; a
+    /// preprocessed one would defeat the independence of the check).
+    pub fn with_template(
+        sys: &'a AigSystem,
+        raw_tpl: &'a TransitionTemplate,
+        paranoid: bool,
+    ) -> Certifier<'a> {
+        Certifier {
+            sys,
+            tpl: Cow::Borrowed(raw_tpl),
+            paranoid,
+            known: HashSet::new(),
+        }
+    }
+
+    /// Re-checks an outcome's witness, relative to the clauses this
+    /// certifier already knows, and learns the clauses it proves. See
+    /// the [module docs](self) for what is checked per verdict kind.
+    pub fn check(&mut self, outcome: &CheckOutcome) -> CertifyReport {
+        let started = Instant::now();
+        let mut par = Paranoia::new(self.paranoid);
+        let result = match &outcome.outcome {
+            Verdict::Unknown(_) => None,
+            Verdict::Unsafe(trace) => Some(if trace.replays_on(self.sys) {
+                Ok(1)
+            } else {
+                Err((1, "trace does not replay to a fired bad".into()))
+            }),
+            Verdict::Safe => outcome.certificate.as_ref().map(|cert| match cert {
+                Certificate::Clausal(inv) => {
+                    self.check_clauses(&inv.clauses, Claim::Invariant, &mut par)
+                }
+                Certificate::Formula(inv) => self.check_formula(inv, &mut par),
+                Certificate::KInductive {
+                    k,
+                    simple_path,
+                    invariant,
+                } => self.check_kinductive(*k, *simple_path, invariant, &mut par),
+            }),
+        };
+        CertifyReport::new(result.is_some(), result.unwrap_or(Ok(0)), &par, started)
+    }
+
+    /// Initiation and consecution for every clause of `clauses` not yet
+    /// known, with the whole set asserted on the current-state side of
+    /// one raw frame, plus safety on that frame for a
+    /// [`Claim::Invariant`]. On a full pass the set becomes known.
+    fn check_clauses(
+        &mut self,
+        clauses: &[LatchClause],
+        claim: Claim,
+        par: &mut Paranoia,
+    ) -> CheckResult {
+        let what = claim.prefix();
+        let n = self.sys.latches.len();
+        for (ci, clause) in clauses.iter().enumerate() {
+            if let Some(&(i, _)) = clause.iter().find(|&&(i, _)| i >= n) {
+                return Err((0, format!("{what}clause #{ci} names latch {i} of {n}")));
+            }
+            if clause.is_empty() {
+                return Err((0, format!("{what}clause #{ci} is empty (false)")));
+            }
+        }
+        let fresh: Vec<usize> = (0..clauses.len())
+            .filter(|&ci| !self.known.contains(&canonical(&clauses[ci])))
+            .collect();
+        let safety = claim == Claim::Invariant;
+        if fresh.is_empty() && !safety {
+            return Ok(0);
+        }
+        let mut done = 0usize;
+
+        // Initiation, on a solver holding nothing but the reset values:
+        // each clause must be checked without the others, or a clause the
+        // initial states escape could hide behind one they satisfy.
+        if !fresh.is_empty() {
+            let mut init = par.solver();
+            let vars: Vec<Lit> = (0..n).map(|_| Lit::pos(init.new_var())).collect();
+            for (latch, &l) in self.sys.latches.iter().zip(&vars) {
+                if let Some(iv) = latch.init {
+                    init.add_clause(&[if iv { l } else { !l }]);
+                }
+            }
+            for &ci in &fresh {
+                match init.solve_with(&negated_clause_on(&clauses[ci], &vars)) {
+                    SolveResult::Unsat => done += 1,
+                    _ => {
+                        return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}")))
+                    }
+                }
+            }
+            par.audit(&init).map_err(|why| (done, why))?;
+        }
+
+        // Consecution (and safety) share one raw frame with the whole
+        // set, known clauses included, asserted on the current-state side.
+        let mut s = par.solver();
+        let frame = self.tpl.instantiate(&mut s, Part::A, 0);
+        for clause in clauses {
+            s.add_clause(&clause_on(clause, &frame.latch_cur));
+        }
+        for &ci in &fresh {
+            match s.solve_with(&negated_clause_on(&clauses[ci], &frame.latch_next)) {
+                SolveResult::Unsat => done += 1,
+                _ => {
+                    return Err((
+                        done,
+                        format!("{what}consecution fails: Inv ∧ T ⇏ clause #{ci}′"),
+                    ))
+                }
+            }
+        }
+        if safety {
+            match s.solve_with(&[frame.any_bad]) {
+                SolveResult::Unsat => done += 1,
+                _ => return Err((done, "safety fails: Inv admits a bad state".into())),
+            }
+        }
+        par.audit(&s).map_err(|why| (done, why))?;
+        self.known
+            .extend(fresh.iter().map(|&ci| canonical(&clauses[ci])));
+        Ok(done)
+    }
+
+    fn check_formula(&mut self, inv: &FormulaInvariant, par: &mut Paranoia) -> CheckResult {
+        let nodes = inv.aig.num_nodes();
+        if inv.root.node() as usize >= nodes {
+            return Err((
+                0,
+                format!(
+                    "formula root is node {} of an AIG of {nodes} nodes",
+                    inv.root.node()
+                ),
+            ));
+        }
+        let mut done = self.check_clauses(&inv.invariant, Claim::Strengthening, par)?;
+
+        let mut s = par.solver();
+        let frame = self.tpl.instantiate(&mut s, Part::A, 0);
+        for clause in &inv.invariant {
+            s.add_clause(&clause_on(clause, &frame.latch_cur));
+        }
+        // Two encoders over the certificate's private AIG: one maps the
+        // latch-output CIs onto the frame's current-state literals, the
+        // other onto its next-state literals, yielding r and r′ over
+        // the same raw transition frame.
+        let mut enc_cur = FrameEncoder::new();
+        let mut enc_next = FrameEncoder::new();
+        for (latch, (&c, &nx)) in self
+            .sys
+            .latches
+            .iter()
+            .zip(frame.latch_cur.iter().zip(&frame.latch_next))
+        {
+            enc_cur.bind(latch.output, c);
+            enc_next.bind(latch.output, nx);
+        }
+        let r_cur = enc_cur.encode(&inv.aig, &mut s, inv.root, Part::A);
+        let r_next = enc_next.encode(&inv.aig, &mut s, inv.root, Part::A);
+
+        // Initiation: reset values as assumptions (not units — the same
+        // solver must later check consecution from arbitrary r states).
+        // The reset states satisfy the admitted strengthening, so
+        // asserting it hides none of them.
+        let mut assumptions: Vec<Lit> = Vec::new();
+        for (latch, &l) in self.sys.latches.iter().zip(&frame.latch_cur) {
+            if let Some(iv) = latch.init {
+                assumptions.push(if iv { l } else { !l });
+            }
+        }
+        assumptions.push(!r_cur);
+        match s.solve_with(&assumptions) {
+            SolveResult::Unsat => done += 1,
+            _ => return Err((done, "initiation fails: init ⊄ r".into())),
+        }
+        match s.solve_with(&[r_cur, !r_next]) {
+            SolveResult::Unsat => done += 1,
+            _ => return Err((done, "consecution fails: Inv ∧ r ∧ T ⇏ r′".into())),
+        }
+        match s.solve_with(&[r_cur, frame.any_bad]) {
+            SolveResult::Unsat => done += 1,
+            _ => return Err((done, "safety fails: Inv ∧ r admits a bad state".into())),
+        }
+        par.audit(&s).map_err(|why| (done, why))?;
+        Ok(done)
+    }
+
+    fn check_kinductive(
+        &mut self,
+        k: u32,
+        simple_path: bool,
+        inv: &[LatchClause],
+        par: &mut Paranoia,
+    ) -> CheckResult {
+        // The strengthening clauses must themselves be inductive before
+        // they may constrain any frame below.
+        let mut done = self.check_clauses(inv, Claim::Strengthening, par)?;
+        let (sys, tpl, k) = (self.sys, &*self.tpl, k as usize);
+
+        // Base: no counterexample of length 0..=k from the initial states.
+        // The invariant holds in every reachable state (just certified),
+        // so asserting it on initialized frames cannot hide a real bug.
+        {
+            let mut s = par.solver();
+            let mut prev = tpl.instantiate(&mut s, Part::A, 0);
+            prev.assert_init(sys, &mut s);
+            for depth in 0..=k {
+                if depth > 0 {
+                    prev = tpl.instantiate_bound(
+                        &mut s,
+                        Part::A,
+                        depth as u32,
+                        &prev.latch_next.clone(),
+                    );
+                }
+                for clause in inv {
+                    s.add_clause(&clause_on(clause, &prev.latch_cur));
+                }
+                match s.solve_with(&[prev.any_bad]) {
+                    SolveResult::Unsat => {
+                        s.add_clause(&[!prev.any_bad]);
+                        done += 1;
+                    }
+                    _ => return Err((done, format!("base fails: bad reachable at depth {depth}"))),
+                }
+            }
+            par.audit(&s).map_err(|why| (done, why))?;
+        }
+
+        // Step: no free path of k+1 states with the first k good and the
+        // last bad (pairwise distinct when the engine relied on it, inside
+        // the invariant when the engine assumed it — sound because every
+        // state of a shortest counterexample's suffix is reachable).
+        let mut s = par.solver();
+        let mut frames = vec![tpl.instantiate(&mut s, Part::A, 0)];
+        for j in 1..=k {
+            let cur = frames[j - 1].latch_next.clone();
+            frames.push(tpl.instantiate_bound(&mut s, Part::A, j as u32, &cur));
+        }
+        for f in &frames {
+            for clause in inv {
+                s.add_clause(&clause_on(clause, &f.latch_cur));
+            }
+        }
+        for f in frames.iter().take(k) {
+            s.add_clause(&[!f.any_bad]);
+        }
+        if simple_path {
+            // Distinct over the cone of influence: bads and constraints read
+            // no other latch, so a shortest counterexample is simple over it.
+            let coi = sys.latch_coi();
+            for i in 0..k {
+                for j in (i + 1)..=k {
+                    // d_l → (state_i[l] ≠ state_j[l]); some d_l must hold.
+                    let mut differs: Vec<Lit> = Vec::with_capacity(sys.latches.len());
+                    let pairs = frames[i].latch_cur.iter().zip(&frames[j].latch_cur);
+                    for (_, (&a, &b)) in coi.iter().zip(pairs).filter(|&(&c, _)| c) {
+                        let d = Lit::pos(s.new_var());
+                        s.add_clause(&[!d, a, b]);
+                        s.add_clause(&[!d, !a, !b]);
+                        differs.push(d);
+                    }
+                    s.add_clause(&differs);
+                }
+            }
+        }
+        match s.solve_with(&[frames[k].any_bad]) {
+            SolveResult::Unsat => done += 1,
+            _ => {
+                return Err((
+                    done,
+                    format!(
+                        "step fails: property is not {k}-inductive{}",
+                        if simple_path {
+                            " under simple-path"
+                        } else {
+                            ""
+                        }
+                    ),
+                ))
+            }
+        }
+        par.audit(&s).map_err(|why| (done, why))?;
+        Ok(done)
+    }
+}
+
+/// What a checked clause set claims: a whole inductive invariant that
+/// excludes the bad states (a clausal certificate), or a strengthening
+/// that only constrains the reachable states.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    Invariant,
+    Strengthening,
+}
+
+impl Claim {
+    /// Prefix of the claim's failure messages.
+    fn prefix(self) -> &'static str {
+        match self {
+            Claim::Invariant => "",
+            Claim::Strengthening => "invariant ",
+        }
+    }
+}
+
+/// A clause with its literals sorted and deduplicated: the form in
+/// which a [`Certifier`] remembers it, so the same clause written in
+/// another literal order is still recognised.
+fn canonical(clause: &LatchClause) -> LatchClause {
+    let mut c = clause.clone();
+    c.sort_unstable();
+    c.dedup();
+    c
 }
 
 /// Paranoid-mode state threaded through the obligation checkers: when
@@ -384,276 +751,10 @@ fn negated_clause_on(clause: &LatchClause, latch_lits: &[Lit]) -> Vec<Lit> {
 
 type CheckResult = Result<usize, (usize, String)>;
 
-fn check_clausal(
-    sys: &AigSystem,
-    tpl: &TransitionTemplate,
-    inv: &ClausalInvariant,
-    par: &mut Paranoia,
-) -> CheckResult {
-    let n = sys.latches.len();
-    let mut done = 0usize;
-    for (ci, clause) in inv.clauses.iter().enumerate() {
-        if let Some(&(i, _)) = clause.iter().find(|&&(i, _)| i >= n) {
-            return Err((done, format!("clause #{ci} names latch {i} of {n}")));
-        }
-    }
-
-    // Initiation, on a solver holding nothing but the reset values:
-    // each clause must be checked without the others, or a clause the
-    // initial states escape could hide behind one they satisfy.
-    let mut init = par.solver();
-    let vars: Vec<Lit> = (0..n).map(|_| Lit::pos(init.new_var())).collect();
-    for (latch, &l) in sys.latches.iter().zip(&vars) {
-        if let Some(iv) = latch.init {
-            init.add_clause(&[if iv { l } else { !l }]);
-        }
-    }
-    for (ci, clause) in inv.clauses.iter().enumerate() {
-        match init.solve_with(&negated_clause_on(clause, &vars)) {
-            SolveResult::Unsat => done += 1,
-            _ => return Err((done, format!("initiation fails: init ⊄ clause #{ci}"))),
-        }
-    }
-    par.audit(&init).map_err(|why| (done, why))?;
-
-    // Consecution and safety share one raw frame with the whole
-    // invariant asserted on the current-state side.
-    let mut s = par.solver();
-    let frame = tpl.instantiate(&mut s, Part::A, 0);
-    for clause in &inv.clauses {
-        s.add_clause(&clause_on(clause, &frame.latch_cur));
-    }
-    for (ci, clause) in inv.clauses.iter().enumerate() {
-        match s.solve_with(&negated_clause_on(clause, &frame.latch_next)) {
-            SolveResult::Unsat => done += 1,
-            _ => return Err((done, format!("consecution fails: Inv ∧ T ⇏ clause #{ci}′"))),
-        }
-    }
-    match s.solve_with(&[frame.any_bad]) {
-        SolveResult::Unsat => done += 1,
-        _ => return Err((done, "safety fails: Inv admits a bad state".into())),
-    }
-    par.audit(&s).map_err(|why| (done, why))?;
-    Ok(done)
-}
-
-fn check_formula(
-    sys: &AigSystem,
-    tpl: &TransitionTemplate,
-    inv: &FormulaInvariant,
-    par: &mut Paranoia,
-) -> CheckResult {
-    let mut s = par.solver();
-    let frame = tpl.instantiate(&mut s, Part::A, 0);
-    // Two encoders over the certificate's private AIG: one maps the
-    // latch-output CIs onto the frame's current-state literals, the
-    // other onto its next-state literals, yielding Inv and Inv′ over
-    // the same raw transition frame.
-    let mut enc_cur = FrameEncoder::new();
-    let mut enc_next = FrameEncoder::new();
-    for (latch, (&c, &nx)) in sys
-        .latches
-        .iter()
-        .zip(frame.latch_cur.iter().zip(&frame.latch_next))
-    {
-        enc_cur.bind(latch.output, c);
-        enc_next.bind(latch.output, nx);
-    }
-    let inv_cur = enc_cur.encode(&inv.aig, &mut s, inv.root, Part::A);
-    let inv_next = enc_next.encode(&inv.aig, &mut s, inv.root, Part::A);
-
-    // Initiation: reset values as assumptions (not units — the same
-    // solver must later check consecution from arbitrary Inv states).
-    let mut assumptions: Vec<Lit> = Vec::new();
-    for (latch, &l) in sys.latches.iter().zip(&frame.latch_cur) {
-        if let Some(iv) = latch.init {
-            assumptions.push(if iv { l } else { !l });
-        }
-    }
-    assumptions.push(!inv_cur);
-    let mut done = 0usize;
-    match s.solve_with(&assumptions) {
-        SolveResult::Unsat => done += 1,
-        _ => return Err((done, "initiation fails: init ⊄ Inv".into())),
-    }
-    match s.solve_with(&[inv_cur, !inv_next]) {
-        SolveResult::Unsat => done += 1,
-        _ => return Err((done, "consecution fails: Inv ∧ T ⇏ Inv′".into())),
-    }
-    match s.solve_with(&[inv_cur, frame.any_bad]) {
-        SolveResult::Unsat => done += 1,
-        _ => return Err((done, "safety fails: Inv admits a bad state".into())),
-    }
-    par.audit(&s).map_err(|why| (done, why))?;
-    Ok(done)
-}
-
-/// Initiation + consecution for a set of strengthening clauses (no
-/// safety — see [`certify_invariant`]).
-fn check_invariant_clauses(
-    sys: &AigSystem,
-    tpl: &TransitionTemplate,
-    clauses: &[LatchClause],
-    par: &mut Paranoia,
-) -> CheckResult {
-    let n = sys.latches.len();
-    let mut done = 0usize;
-    for (ci, clause) in clauses.iter().enumerate() {
-        if let Some(&(i, _)) = clause.iter().find(|&&(i, _)| i >= n) {
-            return Err((
-                done,
-                format!("invariant clause #{ci} names latch {i} of {n}"),
-            ));
-        }
-        if clause.is_empty() {
-            return Err((done, format!("invariant clause #{ci} is empty (false)")));
-        }
-    }
-
-    // Initiation, each clause on its own (reset units only).
-    let mut init = par.solver();
-    let vars: Vec<Lit> = (0..n).map(|_| Lit::pos(init.new_var())).collect();
-    for (latch, &l) in sys.latches.iter().zip(&vars) {
-        if let Some(iv) = latch.init {
-            init.add_clause(&[if iv { l } else { !l }]);
-        }
-    }
-    for (ci, clause) in clauses.iter().enumerate() {
-        match init.solve_with(&negated_clause_on(clause, &vars)) {
-            SolveResult::Unsat => done += 1,
-            _ => {
-                return Err((
-                    done,
-                    format!("invariant initiation fails: init ⊄ clause #{ci}"),
-                ))
-            }
-        }
-    }
-    par.audit(&init).map_err(|why| (done, why))?;
-
-    // Consecution: the whole set asserted on the current-state side of
-    // one raw frame, every clause refuted on the next-state side.
-    let mut s = par.solver();
-    let frame = tpl.instantiate(&mut s, Part::A, 0);
-    for clause in clauses {
-        s.add_clause(&clause_on(clause, &frame.latch_cur));
-    }
-    for (ci, clause) in clauses.iter().enumerate() {
-        match s.solve_with(&negated_clause_on(clause, &frame.latch_next)) {
-            SolveResult::Unsat => done += 1,
-            _ => {
-                return Err((
-                    done,
-                    format!("invariant consecution fails: Inv ∧ T ⇏ clause #{ci}′"),
-                ))
-            }
-        }
-    }
-    par.audit(&s).map_err(|why| (done, why))?;
-    Ok(done)
-}
-
-fn check_kinductive(
-    sys: &AigSystem,
-    tpl: &TransitionTemplate,
-    k: u32,
-    simple_path: bool,
-    inv: &[LatchClause],
-    par: &mut Paranoia,
-) -> CheckResult {
-    let k = k as usize;
-
-    // The strengthening clauses must themselves be inductive before
-    // they may constrain any frame below.
-    let mut done = check_invariant_clauses(sys, tpl, inv, par)?;
-
-    // Base: no counterexample of length 0..=k from the initial states.
-    // The invariant holds in every reachable state (just certified),
-    // so asserting it on initialized frames cannot hide a real bug.
-    {
-        let mut s = par.solver();
-        let mut prev = tpl.instantiate(&mut s, Part::A, 0);
-        prev.assert_init(sys, &mut s);
-        for depth in 0..=k {
-            if depth > 0 {
-                prev =
-                    tpl.instantiate_bound(&mut s, Part::A, depth as u32, &prev.latch_next.clone());
-            }
-            for clause in inv {
-                s.add_clause(&clause_on(clause, &prev.latch_cur));
-            }
-            match s.solve_with(&[prev.any_bad]) {
-                SolveResult::Unsat => {
-                    s.add_clause(&[!prev.any_bad]);
-                    done += 1;
-                }
-                _ => return Err((done, format!("base fails: bad reachable at depth {depth}"))),
-            }
-        }
-        par.audit(&s).map_err(|why| (done, why))?;
-    }
-
-    // Step: no free path of k+1 states with the first k good and the
-    // last bad (pairwise distinct when the engine relied on it, inside
-    // the invariant when the engine assumed it — sound because every
-    // state of a shortest counterexample's suffix is reachable).
-    let mut s = par.solver();
-    let mut frames = vec![tpl.instantiate(&mut s, Part::A, 0)];
-    for j in 1..=k {
-        let cur = frames[j - 1].latch_next.clone();
-        frames.push(tpl.instantiate_bound(&mut s, Part::A, j as u32, &cur));
-    }
-    for f in &frames {
-        for clause in inv {
-            s.add_clause(&clause_on(clause, &f.latch_cur));
-        }
-    }
-    for f in frames.iter().take(k) {
-        s.add_clause(&[!f.any_bad]);
-    }
-    if simple_path {
-        // Distinct over the cone of influence: bads and constraints read
-        // no other latch, so a shortest counterexample is simple over it.
-        let coi = sys.latch_coi();
-        for i in 0..k {
-            for j in (i + 1)..=k {
-                // d_l → (state_i[l] ≠ state_j[l]); some d_l must hold.
-                let mut differs: Vec<Lit> = Vec::with_capacity(sys.latches.len());
-                let pairs = frames[i].latch_cur.iter().zip(&frames[j].latch_cur);
-                for (_, (&a, &b)) in coi.iter().zip(pairs).filter(|&(&c, _)| c) {
-                    let d = Lit::pos(s.new_var());
-                    s.add_clause(&[!d, a, b]);
-                    s.add_clause(&[!d, !a, !b]);
-                    differs.push(d);
-                }
-                s.add_clause(&differs);
-            }
-        }
-    }
-    match s.solve_with(&[frames[k].any_bad]) {
-        SolveResult::Unsat => done += 1,
-        _ => {
-            return Err((
-                done,
-                format!(
-                    "step fails: property is not {k}-inductive{}",
-                    if simple_path {
-                        " under simple-path"
-                    } else {
-                        ""
-                    }
-                ),
-            ))
-        }
-    }
-    par.audit(&s).map_err(|why| (done, why))?;
-    Ok(done)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::{Budget, Trace, Unknown};
+    use crate::result::{Blasted, Budget, Trace, Unknown};
     use crate::{Checker, EngineStats};
     use rtlir::{Sort, TransitionSystem};
     use std::time::Instant;
@@ -899,6 +1000,7 @@ mod tests {
         let inv = FormulaInvariant {
             aig: g,
             root: !over,
+            invariant: vec![],
         };
         let out = outcome_with(&sys, Verdict::Safe, Some(Certificate::Formula(inv.clone())));
         let rep = certify(&sys, &out);
@@ -906,10 +1008,215 @@ mod tests {
 
         // The complement predicate is no invariant at all.
         let broken = FormulaInvariant {
-            aig: inv.aig.clone(),
             root: !inv.root,
+            ..inv.clone()
         };
         let out = outcome_with(&sys, Verdict::Safe, Some(Certificate::Formula(broken)));
         assert!(!certify(&sys, &out).ok);
+    }
+
+    /// Two copies of a 4-stage, 4-bit datapath written in equivalent
+    /// forms (`a * 5` against `5 * a`, `a + (a << 1)` against
+    /// `(a << 1) + a`), with the property `r4 == s4`: safe, and
+    /// inductive only under the mined stage equivalences, which every
+    /// engine's certificate then carries.
+    fn shadow_pair() -> TransitionSystem {
+        let mut ts = TransitionSystem::new("shadow");
+        let din = ts.add_input("din", Sort::Bv(4));
+        let mut prev = (din, din);
+        for stage in 1..=4 {
+            let r = ts.add_state(format!("r{stage}"), Sort::Bv(4));
+            let s = ts.add_state(format!("s{stage}"), Sort::Bv(4));
+            let p = ts.pool_mut();
+            let (a, b) = (p.var(prev.0), p.var(prev.1));
+            let (r_next, s_next) = if stage % 2 == 1 {
+                let five = p.constv(4, 5);
+                (p.mul(a, five), p.mul(five, b))
+            } else {
+                let one = p.constv(4, 1);
+                let (a2, b2) = (p.shl(a, one), p.shl(b, one));
+                (p.add(a, a2), p.add(b2, b))
+            };
+            let zero = p.constv(4, 0);
+            ts.set_init(r, zero);
+            ts.set_init(s, zero);
+            ts.set_next(r, r_next);
+            ts.set_next(s, s_next);
+            prev = (r, s);
+        }
+        let p = ts.pool_mut();
+        let (r4, s4) = (p.var(prev.0), p.var(prev.1));
+        let bad = p.ne(r4, s4);
+        ts.add_bad(bad, "r4 != s4");
+        ts
+    }
+
+    /// The Safe outcomes of PDR, k-induction and interpolation on one
+    /// shared blast, in that order.
+    fn safe_outcomes(ts: &TransitionSystem, blasted: &Blasted) -> [CheckOutcome; 3] {
+        let b = Budget::default();
+        let outs = [
+            crate::pdr::Pdr::new(b.clone()).check_blasted(ts, blasted),
+            crate::kind::KInduction::new(b.clone()).check_blasted(ts, blasted),
+            crate::itp::Interpolation::new(b).check_blasted(ts, blasted),
+        ];
+        for out in &outs {
+            assert_eq!(out.outcome, Verdict::Safe);
+        }
+        outs
+    }
+
+    /// The clause `r1[0] = 0`: true in the reset state, but the first
+    /// stage loads `din * 5`, whose low bit is the free `din[0]`, so it
+    /// is not inductive, not even relative to the mined equivalences.
+    fn forged_clause(sys: &AigSystem) -> LatchClause {
+        let r1_0 = sys
+            .latches
+            .iter()
+            .position(|l| l.name == "r1[0]")
+            .expect("latch r1[0]");
+        vec![(r1_0, false)]
+    }
+
+    #[test]
+    fn one_certifier_admits_the_strengthening_once() {
+        let ts = shadow_pair();
+        let blasted = Blasted::of(&ts);
+        let inv = blasted.invariant.clauses.len();
+        assert!(inv > 0, "the stage equivalences are mined");
+        let outs = safe_outcomes(&ts, &blasted);
+        let Some(Certificate::KInductive { k, .. }) = outs[1].certificate else {
+            panic!("k-induction returns a k-inductive certificate");
+        };
+        let k = k as usize;
+
+        let mut certifier = Certifier::new(&blasted.sys, false);
+        let reports: Vec<CertifyReport> = outs.iter().map(|o| certifier.check(o)).collect();
+        for rep in &reports {
+            assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
+        }
+        // PDR's clauses admit the strengthening; k-induction then pays
+        // only its base (k + 1 depths) and step, interpolation only its
+        // formula's initiation, consecution and safety.
+        assert!(reports[0].obligations >= 2 * inv, "{reports:?}");
+        assert_eq!(reports[1].obligations, k + 2);
+        assert_eq!(reports[2].obligations, 3);
+        let shown = outs[2].certificate.as_ref().map(ToString::to_string);
+        assert_eq!(
+            shown.as_deref(),
+            Some(format!("inductive invariant (formula) + {inv} strengthening clauses").as_str())
+        );
+
+        // One-shot certifiers prove the strengthening every time.
+        assert_eq!(certify(&blasted.sys, &outs[1]).obligations, 2 * inv + k + 2);
+        assert_eq!(certify(&blasted.sys, &outs[2]).obligations, 2 * inv + 3);
+    }
+
+    #[test]
+    fn known_clauses_carry_no_forged_clause_through() {
+        let ts = shadow_pair();
+        let blasted = Blasted::of(&ts);
+        let sys = &blasted.sys;
+        let outs = safe_outcomes(&ts, &blasted);
+        let mut certifier = Certifier::new(sys, false);
+        assert!(
+            certifier.check(&outs[0]).ok,
+            "PDR's witness admits the invariant"
+        );
+
+        let mut forged = blasted.invariant.clauses.clone();
+        forged.push(forged_clause(sys));
+        let Some(Certificate::KInductive { k, simple_path, .. }) = outs[1].certificate else {
+            panic!("k-induction returns a k-inductive certificate");
+        };
+        let Some(Certificate::Formula(formula)) = &outs[2].certificate else {
+            panic!("interpolation returns a formula certificate");
+        };
+        let forgeries = [
+            Certificate::KInductive {
+                k,
+                simple_path,
+                invariant: forged.clone(),
+            },
+            Certificate::Formula(FormulaInvariant {
+                invariant: forged,
+                ..formula.clone()
+            }),
+        ];
+        for cert in forgeries {
+            let rep = certifier.check(&outcome_with(sys, Verdict::Safe, Some(cert)));
+            assert!(!rep.ok, "a forged strengthening passed");
+            let why = rep.failure.unwrap_or_default();
+            assert!(why.contains("invariant consecution"), "{why}");
+        }
+        // The honest witnesses still check on the same certifier.
+        assert!(certifier.check(&outs[1]).ok && certifier.check(&outs[2]).ok);
+    }
+
+    #[test]
+    fn a_failed_witness_teaches_the_certifier_nothing() {
+        let ts = shadow_pair();
+        let blasted = Blasted::of(&ts);
+        let sys = &blasted.sys;
+        let mut clauses = blasted.invariant.clauses.clone();
+        clauses.push(forged_clause(sys));
+        let mut certifier = Certifier::new(sys, false);
+
+        let clausal = Certificate::Clausal(ClausalInvariant {
+            clauses: clauses.clone(),
+        });
+        let rep = certifier.check(&outcome_with(sys, Verdict::Safe, Some(clausal)));
+        assert!(!rep.ok);
+        assert!(rep.failure.unwrap_or_default().contains("consecution"));
+        assert!(certifier.known.is_empty(), "a failed check adds no clause");
+
+        let kind = Certificate::KInductive {
+            k: 0,
+            simple_path: false,
+            invariant: clauses,
+        };
+        let rep = certifier.check(&outcome_with(sys, Verdict::Safe, Some(kind)));
+        assert!(!rep.ok, "the failed clauses must still be proven");
+        assert!(rep
+            .failure
+            .unwrap_or_default()
+            .contains("invariant consecution"));
+    }
+
+    #[test]
+    fn paranoid_certifier_replays_the_admission_and_agrees() {
+        let ts = shadow_pair();
+        let blasted = Blasted::of(&ts);
+        let sys = &blasted.sys;
+        let outs = safe_outcomes(&ts, &blasted);
+        let mut forged = blasted.invariant.clauses.clone();
+        forged.push(forged_clause(sys));
+        let forgery = outcome_with(
+            sys,
+            Verdict::Safe,
+            Some(Certificate::KInductive {
+                k: 0,
+                simple_path: false,
+                invariant: forged,
+            }),
+        );
+
+        let mut plain = Certifier::new(sys, false);
+        let mut paranoid = Certifier::new(sys, true);
+        for (i, out) in outs.iter().chain([&forgery]).enumerate() {
+            let (a, b) = (plain.check(out), paranoid.check(out));
+            assert_eq!(
+                (a.ok, a.witnessed, a.obligations),
+                (b.ok, b.witnessed, b.obligations),
+                "outcome #{i}: {:?} vs {:?}",
+                a.failure,
+                b.failure
+            );
+            assert_eq!(a.ok, i < outs.len(), "outcome #{i}: only the forgery fails");
+            assert_eq!(a.proof_chains, 0, "plain mode replays nothing");
+            if i == 0 {
+                assert!(b.proof_chains > 0, "the admission's proof is replayed");
+            }
+        }
     }
 }

@@ -79,23 +79,6 @@ fn init_predicate(sys: &AigSystem, aig: &mut Aig) -> AigLit {
     aig.and_all(&lits)
 }
 
-/// The static invariant as an AIG predicate over the latch-output CIs
-/// (conjunction of clause disjunctions), built in the scratch AIG.
-fn invariant_predicate(sys: &AigSystem, inv: &[LatchClause], aig: &mut Aig) -> AigLit {
-    let clause_lits: Vec<AigLit> = inv
-        .iter()
-        .map(|clause| {
-            let mut acc = AigLit::FALSE;
-            for &(i, v) in clause {
-                let l = sys.latches[i].output;
-                acc = aig.or(acc, if v { l } else { !l });
-            }
-            acc
-        })
-        .collect();
-    aig.and_all(&clause_lits)
-}
-
 impl Checker for Interpolation {
     fn name(&self) -> &'static str {
         "abc-itp"
@@ -132,7 +115,6 @@ impl Interpolation {
         // members).
         let mut aig = sys.aig.clone();
         let init_pred = init_predicate(sys, &mut aig);
-        let inv_pred = invariant_predicate(sys, inv, &mut aig);
 
         // Depth-0 check: Init ∧ Bad, one template frame with the reset
         // values asserted.
@@ -222,25 +204,24 @@ impl Interpolation {
                         stats.absorb_solver(&solver.stats());
                         match fr {
                             SolveResult::Unsat => {
-                                // `r_acc ∧ Inv` is the fixpoint: init ⇒
-                                // r_acc by construction and init ⇒ Inv
-                                // (certified); the post-image of the
-                                // conjunction is inside the latest
-                                // interpolant (the A side asserted Inv
-                                // on frame 0), which just proved itp ⇒
-                                // r_acc, and inside Inv by its own
-                                // consecution; and the B-side of every
-                                // query carried Inv-constrained bad at
-                                // frame 1. So the conjunction is a
-                                // genuine 1-step inductive invariant,
-                                // exported as the Safe witness over the
-                                // scratch AIG (node ids align with
-                                // `sys`).
-                                let root = aig.and(r_acc, inv_pred);
+                                // `r_acc` is inductive relative to Inv:
+                                // init ⇒ r_acc by construction; the
+                                // post-image of `r_acc ∧ Inv` is inside
+                                // the latest interpolant (the A side
+                                // asserted Inv on frame 0), which just
+                                // proved itp ⇒ r_acc; and the B-side of
+                                // every query carried Inv-constrained
+                                // bad at frame 1. With Inv's own
+                                // consecution, `r_acc ∧ Inv` is a 1-step
+                                // inductive invariant, exported as the
+                                // Safe witness over the scratch AIG
+                                // (node ids align with `sys`) together
+                                // with the Inv it relies on.
                                 let cert = crate::certify::Certificate::Formula(
                                     crate::certify::FormulaInvariant {
                                         aig: aig.clone(),
-                                        root,
+                                        root: r_acc,
+                                        invariant: inv.to_vec(),
                                     },
                                 );
                                 return CheckOutcome::finish(Verdict::Safe, stats, started)

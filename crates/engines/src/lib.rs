@@ -91,14 +91,24 @@
 //! safety obligation) before anything trusts it, and travels with the
 //! blast as [`Blasted::invariant`]. Every engine then asserts the
 //! clauses on each frame it instantiates: BMC and k-induction gain
-//! pruned unrollings, interpolation and PDR gain strengthened frames
-//! (PDR additionally seeds its exported fixpoint with the clauses so
-//! certificates stay closed), and the template itself is refined with
-//! the proven constant latches, and cut to the cone of influence, before
-//! CNF preprocessing. A cancelled
-//! analysis degrades to an empty invariant — never a half-filtered
-//! one — so the pipeline is safe under fault injection; the
-//! `invperf` bench binary tracks the end-to-end effect per benchmark.
+//! pruned unrollings, interpolation and PDR gain strengthened frames,
+//! and the template itself is refined with the proven constant latches,
+//! and cut to the cone of influence, before CNF preprocessing.
+//!
+//! Every Safe certificate names the strengthening it relies on: PDR's
+//! exported fixpoint contains the clauses, and k-induction's and
+//! interpolation's certificates carry them beside their own claim. A
+//! portfolio race checks every witness with one
+//! [`certify::Certifier`], which proves the clauses with the first
+//! witness that names them and checks later witnesses relative to them
+//! (see [known clauses](certify#known-clauses)), so the strengthening
+//! is proven once per race rather than once per seat. The certifier
+//! takes nothing on trust from [`Blasted::of`]'s own certification.
+//!
+//! A cancelled analysis degrades to an empty invariant — never a
+//! half-filtered one — so the pipeline is safe under fault injection;
+//! the `invperf` bench binary tracks the end-to-end effect per
+//! benchmark.
 //!
 //! # Query scoping
 //!

@@ -18,7 +18,10 @@
 //!
 //! The race is *certifying* (see [`crate::certify`]): a definite
 //! verdict only wins after its witness re-checks against the raw
-//! transition template with an independent solver. A member whose
+//! transition template with an independent solver. One [`Certifier`]
+//! checks every seat's witness, so the static strengthening the seats'
+//! certificates share is proven once per race (see
+//! [known clauses](crate::certify#known-clauses)). A member whose
 //! witness fails is demoted to [`Unknown::CertificateFailed`] and the
 //! race goes on with the remaining seats; contradicting definite
 //! verdicts are resolved by trusting the side whose witness checked,
@@ -53,7 +56,7 @@
 //! ```
 
 use crate::bmc::Bmc;
-use crate::certify::{self, Certificate, CertifyReport};
+use crate::certify::{Certificate, Certifier, CertifyReport};
 use crate::itp::Interpolation;
 use crate::kind::KInduction;
 use crate::pdr::Pdr;
@@ -219,7 +222,7 @@ pub struct Portfolio {
     /// Witness re-checks run in paranoid mode: every certification
     /// obligation solver logs a resolution proof that is replayed by
     /// the independent checker in [`satb::proofcheck`] before the
-    /// verdict is trusted (see [`certify::certify_with_mode`]).
+    /// verdict is trusted (see [`Certifier::new`]).
     paranoid: bool,
 }
 
@@ -341,9 +344,10 @@ impl Portfolio {
         let mut winner_idx: Option<usize> = None;
         let mut winner_witnessed = false;
         let mut disagreement = false;
-        // The checker's template: compiled raw (no preprocessing) and
-        // lazily, only when a definite verdict actually arrives.
-        let mut raw_tpl: Option<aig::TransitionTemplate> = None;
+        // The race's witness checker: built (its raw template compiled)
+        // only when a definite verdict actually arrives, then shared by
+        // every later one.
+        let mut certifier: Option<Certifier> = None;
 
         let (tx, rx) = mpsc::channel::<(usize, CheckOutcome)>();
         thread::scope(|scope| {
@@ -399,9 +403,9 @@ impl Portfolio {
                     // only called for answers whose witness survives
                     // the independent re-check (members without a
                     // witness are accepted uncertified).
-                    let tpl = raw_tpl
-                        .get_or_insert_with(|| aig::TransitionTemplate::compile(&blasted.sys));
-                    let report = certify::certify_with_mode(&blasted.sys, tpl, &out, self.paranoid);
+                    let report = certifier
+                        .get_or_insert_with(|| Certifier::new(&blasted.sys, self.paranoid))
+                        .check(&out);
                     if !report.ok {
                         // Demote: withdraw the verdict, keep racing on
                         // the remaining seats.
@@ -1038,7 +1042,7 @@ mod tests {
         let b = p.engine_budget();
         p.push(Liar {
             verdict: Verdict::Safe,
-            certificate: Some(Certificate::Clausal(certify::ClausalInvariant {
+            certificate: Some(Certificate::Clausal(crate::certify::ClausalInvariant {
                 clauses: Vec::new(),
             })),
         });
@@ -1138,6 +1142,34 @@ mod tests {
                 bad_index: 0,
             }),
             certificate: None,
+        });
+        p.push(Bmc::new(b));
+        let report = p.check_detailed(&ts);
+        assert!(report.verdict.is_unsafe(), "got {:?}", report.verdict);
+        assert_eq!(report.winner, Some("bmc"));
+        assert!(report.certified);
+        let liar = report.engines.iter().find(|e| e.name == "liar").unwrap();
+        assert!(matches!(
+            liar.outcome.outcome,
+            Verdict::Unknown(Unknown::CertificateFailed(_))
+        ));
+    }
+
+    /// A formula certificate whose root lies outside its AIG is
+    /// demoted like any other bad witness instead of crashing the
+    /// dispatcher.
+    #[test]
+    fn malformed_formula_is_demoted_not_a_crash() {
+        let ts = crate::bmc::tests::counter_ts(6, 8);
+        let mut p = Portfolio::new(unlimited(4000));
+        let b = p.engine_budget();
+        p.push(Liar {
+            verdict: Verdict::Safe,
+            certificate: Some(Certificate::Formula(crate::certify::FormulaInvariant {
+                aig: aig::Aig::new(),
+                root: aig::AigLit::from_code(2000),
+                invariant: Vec::new(),
+            })),
         });
         p.push(Bmc::new(b));
         let report = p.check_detailed(&ts);
