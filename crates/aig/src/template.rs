@@ -105,7 +105,7 @@
 
 use crate::graph::AigLit;
 use crate::seq::AigSystem;
-use satb::preproc::{PreprocConfig, PreprocStats, Preprocessor, ReconStack};
+use satb::preproc::{PreprocStats, Preprocessor, ReconStack};
 use satb::{Domain, Lit, Part, Solver, Var};
 
 /// The solver literals of one materialized time frame.
@@ -548,7 +548,7 @@ impl TransitionTemplate {
     }
 
     /// Runs SatELite-style CNF preprocessing ([`satb::preproc`]) once
-    /// over the compiled clause image, with the default configuration.
+    /// over the compiled clause image.
     /// Every frame instantiated from the returned template — in every
     /// engine, every portfolio seat — inherits the simplification for
     /// free: the cost is paid once per design, the savings once per
@@ -581,12 +581,6 @@ impl TransitionTemplate {
     /// contradictory environment constraints), the raw template is
     /// returned unchanged — every frame is unsatisfiable either way.
     pub fn preprocess(&self) -> PreprocessedTemplate {
-        self.preprocess_with(&PreprocConfig::default())
-    }
-
-    /// [`preprocess`](TransitionTemplate::preprocess) with an explicit
-    /// configuration.
-    pub fn preprocess_with(&self, cfg: &PreprocConfig) -> PreprocessedTemplate {
         let num_frozen = self.num_latches + self.input_lits.len();
         let mut pre = Preprocessor::new(self.num_vars);
         for v in 0..num_frozen {
@@ -597,12 +591,12 @@ impl TransitionTemplate {
         }
         let mut start = 0usize;
         for &end in &self.ends {
-            pre.add_clause(&self.lits[start..end as usize], Part::A, 0);
+            pre.add_clause(&self.lits[start..end as usize]);
             start = end as usize;
         }
         start = 0;
         for &end in &self.latchy_ends {
-            pre.add_clause(&self.latchy_lits[start..end as usize], Part::A, 0);
+            pre.add_clause(&self.latchy_lits[start..end as usize]);
             start = end as usize;
         }
         // The constraints are asserted as units on every materialized
@@ -611,9 +605,9 @@ impl TransitionTemplate {
         units.sort_unstable();
         units.dedup();
         for &c in &units {
-            pre.add_clause(&[c], Part::A, 0);
+            pre.add_clause(&[c]);
         }
-        let res = pre.run(cfg);
+        let res = pre.run();
         if res.unsat {
             // Contradictory constraints: frames are unsatisfiable with
             // or without simplification; keep the raw image. The
@@ -638,7 +632,7 @@ impl TransitionTemplate {
         // dropped entirely.
         let mut used = vec![false; self.num_vars];
         for c in &res.clauses {
-            for l in &c.lits {
+            for l in c {
                 used[l.var().index()] = true;
             }
         }
@@ -668,10 +662,10 @@ impl TransitionTemplate {
         for c in &res.clauses {
             // Constraint units are re-asserted by every instantiation;
             // keep the image free of the duplicate.
-            if c.lits.len() == 1 && units.binary_search(&c.lits[0]).is_ok() {
+            if c.len() == 1 && units.binary_search(&c[0]).is_ok() {
                 continue;
             }
-            let mapped: Vec<Lit> = c.lits.iter().map(|&l| map_lit(l)).collect();
+            let mapped: Vec<Lit> = c.iter().map(|&l| map_lit(l)).collect();
             let latch_vars = mapped
                 .iter()
                 .filter(|l| l.var().index() < self.num_latches)

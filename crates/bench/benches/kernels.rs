@@ -1,9 +1,34 @@
 //! Criterion micro-benchmarks on the verification kernels: the SAT
 //! solver, bit-blasting, CNF encoding and the Verilog frontend.
 
-use bench::pigeonhole_cnf;
 use criterion::{criterion_group, criterion_main, Criterion};
-use satb::Solver;
+use satb::{Lit, Solver, Var};
+
+/// Pigeonhole-principle CNF `PHP(holes+1, holes)` — always UNSAT,
+/// forces real clause learning.
+fn pigeonhole_cnf(holes: usize) -> (usize, Vec<Vec<Lit>>) {
+    let pigeons = holes + 1;
+    let var = |p: usize, h: usize| p * holes + h;
+    let mut clauses = Vec::new();
+    for p in 0..pigeons {
+        clauses.push(
+            (0..holes)
+                .map(|h| Lit::pos(Var::from_index(var(p, h))))
+                .collect(),
+        );
+    }
+    for h in 0..holes {
+        for p1 in 0..pigeons {
+            for p2 in (p1 + 1)..pigeons {
+                clauses.push(vec![
+                    Lit::neg(Var::from_index(var(p1, h))),
+                    Lit::neg(Var::from_index(var(p2, h))),
+                ]);
+            }
+        }
+    }
+    (pigeons * holes, clauses)
+}
 
 fn bench_sat(c: &mut Criterion) {
     let (nvars, cnf) = pigeonhole_cnf(7);
@@ -17,21 +42,6 @@ fn bench_sat(c: &mut Criterion) {
                 s.add_clause(cl);
             }
             assert_eq!(s.solve(), satb::SolveResult::Unsat);
-        });
-    });
-    // The boxed-clause baseline on the same instance: the ratio of
-    // these two numbers is the arena speedup (see also the `satperf`
-    // binary for machine-readable output).
-    c.bench_function("sat/pigeonhole-7-boxed-baseline", |b| {
-        b.iter(|| {
-            let mut s = bench::baseline::BoxedSolver::new();
-            for _ in 0..nvars {
-                s.new_var();
-            }
-            for cl in &cnf {
-                s.add_clause(cl);
-            }
-            assert_eq!(s.solve(u64::MAX), bench::baseline::BoxedResult::Unsat);
         });
     });
 }

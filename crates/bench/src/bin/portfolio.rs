@@ -16,10 +16,6 @@ use engines::Verdict;
 
 fn main() {
     let (timeout, benchmarks) = bench::parse_args(15);
-    if benchmarks.is_empty() {
-        eprintln!("no benchmark matched the filter");
-        std::process::exit(1);
-    }
     println!("== Portfolio (hybrid) mode, timeout {timeout}s ==");
     println!(
         "{:<14}{:>10}{:>12}{:>10}{:>10}{:>12}{:>12}",

@@ -4,45 +4,18 @@
 //! wrong).
 //!
 //! The binaries `fig3_kinduction`, `fig4_interpolation`, `fig5_hybrid`
-//! and `sec3c_equivalence` regenerate the corresponding figure/claim.
+//! and `sec3c_equivalence` regenerate the corresponding figure/claim,
+//! `portfolio` races the hybrid portfolio, and `gates` runs the
+//! correctness checks over the bundled designs (ground truth, paranoid
+//! witness certification, fault injection, proof replay). Timing is
+//! the end-to-end benchmark's job (`perfbench/`).
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-
 use bmarks::{Benchmark, Expected};
 use engines::{Budget, CheckOutcome, Checker, Unknown, Verdict};
-use satb::{Lit, Var};
 use std::time::Duration;
 use swan::Analyzer;
-
-/// Pigeonhole-principle CNF `PHP(holes+1, holes)` — always UNSAT,
-/// forces real clause learning. The single generator shared by the
-/// criterion kernels and the `satperf` binary, so the arena-vs-boxed
-/// comparison always measures the same instance.
-pub fn pigeonhole_cnf(holes: usize) -> (usize, Vec<Vec<Lit>>) {
-    let pigeons = holes + 1;
-    let var = |p: usize, h: usize| p * holes + h;
-    let mut clauses = Vec::new();
-    for p in 0..pigeons {
-        clauses.push(
-            (0..holes)
-                .map(|h| Lit::pos(Var::from_index(var(p, h))))
-                .collect(),
-        );
-    }
-    for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in (p1 + 1)..pigeons {
-                clauses.push(vec![
-                    Lit::neg(Var::from_index(var(p1, h))),
-                    Lit::neg(Var::from_index(var(p2, h))),
-                ]);
-            }
-        }
-    }
-    (pigeons * holes, clauses)
-}
 
 /// How a run is classified, mirroring the paper's figure annotations.
 #[derive(Clone, Debug, PartialEq)]
@@ -263,33 +236,42 @@ pub fn run_figure(
     matrix
 }
 
-/// Parses `--timeout N` and an optional benchmark-name filter from CLI
-/// arguments.
+/// Parses `--timeout N` and an optional benchmark-name filter from the
+/// command line. Malformed arguments print the problem and exit with
+/// code 1: a `--timeout` without a whole number of seconds, or a
+/// filter that names no bundled benchmark (a typo must not turn a run
+/// into one that checks nothing).
 pub fn parse_args(default_timeout: u64) -> (u64, Vec<Benchmark>) {
-    let args: Vec<String> = std::env::args().collect();
+    parse_arg_list(std::env::args().skip(1), default_timeout).unwrap_or_else(|why| {
+        eprintln!("{why}");
+        std::process::exit(1);
+    })
+}
+
+/// [`parse_args`] over an explicit argument list (program name
+/// excluded).
+fn parse_arg_list(
+    args: impl IntoIterator<Item = String>,
+    default_timeout: u64,
+) -> Result<(u64, Vec<Benchmark>), String> {
     let mut timeout = default_timeout;
     let mut filter: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeout" => {
-                timeout = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(default_timeout);
-                i += 2;
-            }
-            other => {
-                filter = Some(other.to_string());
-                i += 1;
-            }
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--timeout" {
+            let secs = args.next().ok_or("--timeout needs whole seconds")?;
+            timeout = secs
+                .parse()
+                .map_err(|_| format!("--timeout needs whole seconds, got `{secs}`"))?;
+        } else {
+            filter = Some(arg);
         }
     }
     let benchmarks = match filter {
-        Some(f) => bmarks::by_name(&f).into_iter().collect(),
+        Some(f) => vec![bmarks::by_name(&f).ok_or(format!("no bundled benchmark is named `{f}`"))?],
         None => bmarks::all(),
     };
-    (timeout, benchmarks)
+    Ok((timeout, benchmarks))
 }
 
 #[cfg(test)]
@@ -307,6 +289,25 @@ mod tests {
     fn classification_labels() {
         assert_eq!(Classification::Timeout.label(), "TO");
         assert!(Classification::Solved(1.5).label().contains("1.50"));
+    }
+
+    fn parse(args: &[&str]) -> Result<(u64, Vec<Benchmark>), String> {
+        parse_arg_list(args.iter().map(ToString::to_string), 6)
+    }
+
+    #[test]
+    fn arguments_name_a_benchmark_or_fail() {
+        let (timeout, all) = parse(&[]).expect("no arguments");
+        assert_eq!((timeout, all.len()), (6, 12));
+        let (timeout, one) = parse(&["--timeout", "9", "vending"]).expect("case-insensitive name");
+        assert_eq!(timeout, 9);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].name, "Vending");
+        let typo = parse(&["Vendng"]).expect_err("a misspelled name checks nothing");
+        assert!(typo.contains("Vendng"), "{typo}");
+        let secs = parse(&["--timeout", "abc"]).expect_err("non-numeric timeout");
+        assert!(secs.contains("abc"), "{secs}");
+        assert!(parse(&["--timeout"]).is_err(), "timeout without a value");
     }
 
     #[test]

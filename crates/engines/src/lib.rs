@@ -72,12 +72,7 @@
 //! recorded derivation. A refutation whose proof fails the replay
 //! demotes the member exactly like a bad witness, and
 //! [`CertifyReport::proof_chains`] counts the machine-checked chains
-//! backing a paranoid pass. The `proofperf` bench binary tracks proof
-//! size and check time per design and additionally exercises
-//! proof-logged **in-solver preprocessing** (subsumption,
-//! strengthening and variable elimination now record derived chains
-//! and deletions, so interpolation and proof checking survive
-//! [`satb::Solver::preprocess`]).
+//! backing a paranoid pass.
 //!
 //! # Static strengthening
 //!
@@ -106,9 +101,7 @@
 //! takes nothing on trust from [`Blasted::of`]'s own certification.
 //!
 //! A cancelled analysis degrades to an empty invariant — never a
-//! half-filtered one — so the pipeline is safe under fault injection;
-//! the `invperf` bench binary tracks the end-to-end effect per
-//! benchmark.
+//! half-filtered one — so the pipeline is safe under fault injection.
 //!
 //! # Query scoping
 //!

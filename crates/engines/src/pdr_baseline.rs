@@ -1,5 +1,5 @@
-//! The historical one-solver-per-frame PDR, kept as a measurement
-//! baseline.
+//! The historical one-solver-per-frame PDR, kept as the reference the
+//! PDR tests compare against.
 //!
 //! This is the pre-single-solver architecture of [`crate::pdr`]: every
 //! frame owns a private [`satb::Solver`] loaded with its own copy of
@@ -10,9 +10,12 @@
 //! O(frames × template) arena memory — exactly what the
 //! activation-literal engine in [`crate::pdr`] eliminates.
 //!
-//! The `pdrperf` bench bin races the two architectures over
-//! `benchmarks/*.v`, and property tests cross-check their verdicts on
-//! random sequential AIGs; nothing else should use this engine.
+//! Property tests cross-check the two engines' verdicts on random
+//! sequential AIGs, and the chaos, cone and certification tests run
+//! this one beside [`crate::pdr`]. The `gates` bench binary checks the
+//! memory claim on the bundled designs: wherever this engine got past
+//! frame 0, the single-solver engine's peak arena must be strictly
+//! smaller. Nothing else should use this engine.
 
 use crate::certify::{clause_on, LatchClause};
 use crate::result::{
@@ -701,7 +704,7 @@ mod tests {
     }
 
     /// The baseline stays a working engine: it is the reference side of
-    /// the `pdrperf` comparison and the verdict cross-check tests.
+    /// the verdict cross-check tests and of the `gates` arena check.
     #[test]
     fn baseline_still_verifies() {
         let ts = crate::kind::tests::trap_ts();

@@ -597,7 +597,15 @@ mod tests {
         // the divergence — see the companion test for what the mined
         // static invariant changes.
         let ts = crate::kind::tests::trap_ts();
-        let blasted = Blasted::of_unstrengthened(&ts);
+        let sys = aig::blast_system(&ts);
+        let pre = aig::TransitionTemplate::compile(&sys).preprocess();
+        let blasted = Blasted {
+            sys: Arc::new(sys),
+            template: Arc::new(pre.template),
+            preproc_stats: pre.stats,
+            invariant: Arc::new(aig::StaticInvariant::default()),
+            invariant_certified: true,
+        };
         let mut p = Portfolio::new(unlimited(4000));
         let b = p.engine_budget();
         p.push(KInduction {

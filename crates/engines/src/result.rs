@@ -517,20 +517,15 @@ impl Budget {
 pub struct Blasted {
     /// The bit-level netlist (always the original, whole system).
     pub sys: Arc<aig::AigSystem>,
-    /// The frame-instantiable CNF image of its transition relation
-    /// (invariant-refined, cone-cut and preprocessed for
-    /// [`of`](Blasted::of), preprocessed only for
-    /// [`of_unstrengthened`](Blasted::of_unstrengthened), raw for
-    /// [`of_raw`](Blasted::of_raw)).
+    /// The frame-instantiable CNF image of its transition relation:
+    /// invariant-refined, cone-cut and preprocessed.
     pub template: Arc<aig::TransitionTemplate>,
-    /// Counters of the preprocessing run (all zero for
-    /// [`of_raw`](Blasted::of_raw)).
+    /// Counters of the preprocessing run.
     pub preproc_stats: satb::PreprocStats,
     /// The certified static invariant mined from the netlist (empty
-    /// for [`of_unstrengthened`](Blasted::of_unstrengthened) /
-    /// [`of_raw`](Blasted::of_raw), or when mining found nothing,
-    /// was cancelled, or failed certification). Every clause here
-    /// passed `certify_invariant` against the raw template.
+    /// when mining found nothing, was cancelled, or failed
+    /// certification). Every clause here passed `certify_invariant`
+    /// against the raw template.
     pub invariant: Arc<aig::StaticInvariant>,
     /// Whether the mined invariant passed certification (`true` when
     /// there was nothing to certify). A `false` here means strength
@@ -585,36 +580,6 @@ impl Blasted {
             preproc_stats: pre.stats,
             invariant: Arc::new(invariant),
             invariant_certified,
-        }
-    }
-
-    /// Like [`of`](Blasted::of) but without the static-analysis pass —
-    /// the A-side of strengthened-vs-unstrengthened comparisons
-    /// (`invperf`) and the pre-ISSUE-7 behaviour.
-    pub fn of_unstrengthened(ts: &TransitionSystem) -> Blasted {
-        let sys = Arc::new(aig::blast_system(ts));
-        let pre = aig::TransitionTemplate::compile(&sys).preprocess();
-        Blasted {
-            sys,
-            template: Arc::new(pre.template),
-            preproc_stats: pre.stats,
-            invariant: Arc::new(aig::StaticInvariant::default()),
-            invariant_certified: true,
-        }
-    }
-
-    /// Like [`of`](Blasted::of) but without preprocessing or
-    /// strengthening — the A-side of preprocessed-vs-raw comparisons
-    /// (`preperf`) and a debugging escape hatch.
-    pub fn of_raw(ts: &TransitionSystem) -> Blasted {
-        let sys = Arc::new(aig::blast_system(ts));
-        let template = Arc::new(aig::TransitionTemplate::compile(&sys));
-        Blasted {
-            sys,
-            template,
-            preproc_stats: satb::PreprocStats::default(),
-            invariant: Arc::new(aig::StaticInvariant::default()),
-            invariant_certified: true,
         }
     }
 

@@ -23,16 +23,13 @@
 //!   cancellation path for robustness testing;
 //! * SatELite-style **CNF preprocessing** ([`preproc`]) — subsumption,
 //!   self-subsuming resolution and bounded variable elimination with a
-//!   freeze-set API, partition-aware resolution restrictions and model
-//!   reconstruction — available standalone (the `aig` transition
-//!   template simplifies its clause image once per design) and
-//!   in-solver via [`Solver::preprocess`], plus **lightweight
-//!   inprocessing** between solve calls (backward subsumption of the
-//!   original image by learned clauses, [`Stats::inproc_subsumed`]).
-//!   Preprocessing is **proof-aware**: under proof logging every
-//!   strengthening step and kept resolvent is recorded as a derived
-//!   chain and every removal as a deletion, so interpolation works on
-//!   the simplified formula;
+//!   freeze-set API and model reconstruction. Its one caller is the
+//!   `aig` transition template, which simplifies its clause image once
+//!   per design, before any frame is instantiated and labelled with an
+//!   interpolation partition, so resolution there never has partitions
+//!   to respect. The solver itself adds **lightweight inprocessing**
+//!   between solve calls (backward subsumption of the original image
+//!   by learned clauses, [`Stats::inproc_subsumed`]);
 //! * an independent **resolution-proof checker** ([`proofcheck`]):
 //!   replays every recorded chain from scratch (antecedent existence,
 //!   pivot polarity, learnt-clause cross-check, the final
@@ -95,9 +92,7 @@ pub use cdb::{CRef, ClauseDb};
 pub use domain::Domain;
 pub use interp::Interpolant;
 pub use lit::{Lit, Var};
-pub use preproc::{
-    PreprocConfig, PreprocProof, PreprocResult, PreprocStats, Preprocessor, ReconStack,
-};
+pub use preproc::{PreprocResult, PreprocStats, Preprocessor, ReconStack};
 pub use proof::{ClauseId, Part, Proof};
 pub use proofcheck::{FailureKind, ProofChecker, ProofFailure, ProofReport};
 pub use solver::{

@@ -24,14 +24,18 @@
 //!   [`ReconStack`] so models of the simplified formula can be
 //!   extended back over the eliminated variables.
 //!
-//! # Soundness invariants (freeze / Part / reconstruction)
+//! Its one caller is the transition template
+//! (`aig::TransitionTemplate::preprocess`), which simplifies its clause
+//! image once per design, before any solver sees it.
+//!
+//! # Soundness invariants (freeze / reconstruction)
 //!
 //! The simplified set is **equisatisfiable with the original and
 //! equivalent over the non-eliminated variables**: for every
 //! assignment of the surviving variables, the original formula is
 //! satisfiable iff the simplified one is (variable elimination is
 //! existential projection; subsumption and strengthening preserve
-//! equivalence outright). Three invariants make this usable:
+//! equivalence outright). Two invariants make this usable:
 //!
 //! 1. **Freeze set.** Every variable the consumer will read from a
 //!    model, assume, bind, or mention in later-added clauses must be
@@ -40,83 +44,33 @@
 //!    which is an equivalence-preserving deletion). Activation-style
 //!    guard variables are assumption interface by definition and must
 //!    always be frozen.
-//! 2. **Parts and tags.** Resolution never crosses an interpolation
-//!    partition: strengthening requires the two clauses to carry the
-//!    same [`Part`] and tag, and a variable occurring in clauses of
-//!    differing part/tag is never eliminated. Every derived clause
-//!    therefore belongs wholly to one part, so an A/B labelling of the
-//!    simplified set still yields valid Craig interpolants (deleting a
-//!    subsumed clause is sound across parts: removing clauses from a
-//!    partition only weakens it, and the interpolant of the weakened
-//!    pair still separates the original one).
-//! 3. **Reconstruction.** A model of the simplified formula is
+//! 2. **Reconstruction.** A model of the simplified formula is
 //!    extended to the eliminated variables by replaying the
 //!    [`ReconStack`] in reverse elimination order
 //!    ([`ReconStack::extend`]); each eliminated variable is set to
 //!    satisfy its saved clauses, which is always possible because the
 //!    model satisfies every resolvent.
 //!
+//! Resolution here ignores interpolation partitions, and may: the
+//! template's clauses all describe one time frame, and instantiation
+//! labels each frame's copy of the simplified image with a single
+//! [`Part`](crate::Part). Every derived clause therefore lands in one
+//! partition, exactly like the clauses it was derived from.
+//!
 //! The empty clause may be derived (`[PreprocResult::unsat]`), in which
 //! case the clause set is unsatisfiable outright.
-//!
-//! # Proof logging
-//!
-//! Preprocessing is resolution: every strengthening step and every
-//! BVE resolvent is one (chain of) resolution(s) over input clauses,
-//! and subsumption/elimination only *delete* clauses. When the caller
-//! identifies each input clause with its proof [`ClauseId`]
-//! ([`Preprocessor::add_clause_logged`]), the run records a
-//! [`PreprocProof`] journal — a `Derive` event per strengthening step
-//! and kept resolvent, a `Delete` event per removed clause — which
-//! [`PreprocProof::replay`] appends to a [`Proof`] as ordinary
-//! [`ProofClause::Derived`](crate::proof::ProofClause::Derived)
-//! chains. This is what lets [`Solver::preprocess`](crate::Solver::preprocess)
-//! run under proof logging: the simplified image's clauses all carry
-//! derivations rooted in the original clauses, so interpolation and
-//! the independent checker ([`crate::proofcheck`]) work across
-//! preprocessing unchanged.
 
 use crate::lit::{Lit, Var};
-use crate::proof::{ClauseId, Part, Proof, ResStep};
 
-/// A clause of the simplified output, with its partition labels.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PreprocClause {
-    /// Sorted, duplicate-free literals.
-    pub lits: Vec<Lit>,
-    /// Interpolation partition the clause belongs to.
-    pub part: Part,
-    /// Caller tag (sequence-interpolant re-partitioning key).
-    pub tag: u32,
-}
-
-/// Tuning knobs for one preprocessing run.
-#[derive(Clone, Copy, Debug)]
-pub struct PreprocConfig {
-    /// Master switch for bounded variable elimination (subsumption and
-    /// strengthening always run).
-    pub var_elim: bool,
-    /// Variables occurring more often than this in either polarity are
-    /// never eliminated (the SatELite "don't touch hubs" heuristic).
-    pub max_occ: usize,
-    /// Extra clauses an elimination may add beyond the number it
-    /// removes (SatELite uses 0: never grow).
-    pub max_growth: isize,
-    /// Abort an elimination if any resolvent would exceed this many
-    /// literals.
-    pub max_resolvent_len: usize,
-}
-
-impl Default for PreprocConfig {
-    fn default() -> PreprocConfig {
-        PreprocConfig {
-            var_elim: true,
-            max_occ: 30,
-            max_growth: 0,
-            max_resolvent_len: 24,
-        }
-    }
-}
+/// Variables occurring more often than this in either polarity are
+/// never eliminated (the SatELite "don't touch hubs" heuristic).
+const MAX_OCC: usize = 30;
+/// Extra clauses an elimination may add beyond the number it removes
+/// (SatELite uses 0: never grow).
+const MAX_GROWTH: isize = 0;
+/// An elimination is abandoned if any resolvent would exceed this many
+/// literals.
+const MAX_RESOLVENT_LEN: usize = 24;
 
 /// Counters of one preprocessing run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -184,7 +138,7 @@ impl ReconStack {
 #[derive(Clone, Debug)]
 pub struct PreprocResult {
     /// The simplified clause set (sorted, duplicate-free literals).
-    pub clauses: Vec<PreprocClause>,
+    pub clauses: Vec<Vec<Lit>>,
     /// What the run did.
     pub stats: PreprocStats,
     /// Saved clauses for model reconstruction.
@@ -193,118 +147,11 @@ pub struct PreprocResult {
     pub eliminated: Vec<bool>,
     /// The empty clause was derived: the input set is unsatisfiable.
     pub unsat: bool,
-    /// Derivation journal (only when the clauses were added with
-    /// [`Preprocessor::add_clause_logged`]); replay it into a
-    /// [`Proof`] with [`PreprocProof::replay`].
-    pub provenance: Option<PreprocProof>,
-}
-
-/// Provenance of one clause during preprocessing: an input clause
-/// (identified by the proof id the caller supplied) or the result of
-/// the `k`-th derivation the run performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PRef {
-    /// An input clause, by its id in the caller's [`Proof`].
-    Input(ClauseId),
-    /// The `k`-th clause derived during this run.
-    Derived(usize),
-}
-
-/// One entry of the preprocessing derivation journal.
-#[derive(Clone, Debug)]
-enum ProofEvent {
-    /// A resolution chain producing the next derived clause: `start`
-    /// resolved against each `(pivot, other)` in order. Produced by
-    /// self-subsuming resolution (one step) and by BVE resolvents
-    /// (one step each).
-    Derive {
-        start: PRef,
-        steps: Vec<(Var, PRef)>,
-    },
-    /// A clause was removed from the set (subsumed, replaced by its
-    /// strengthened form, or eliminated with its variable).
-    Delete(PRef),
-}
-
-/// The derivation journal of one logged preprocessing run.
-///
-/// Events are chronological; replaying them into the [`Proof`] that
-/// contains the input clauses yields one
-/// [`ProofClause::Derived`](crate::proof::ProofClause::Derived) entry
-/// per derivation and one deletion record per removed clause.
-#[derive(Clone, Debug, Default)]
-pub struct PreprocProof {
-    journal: Vec<ProofEvent>,
-    /// Provenance of each output clause, parallel to
-    /// [`PreprocResult::clauses`].
-    clause_refs: Vec<PRef>,
-    /// Provenance of the empty clause when the run derived UNSAT.
-    unsat: Option<PRef>,
-}
-
-/// Proof ids assigned by [`PreprocProof::replay`].
-#[derive(Clone, Debug)]
-pub struct ReplayedIds {
-    /// Proof id of each output clause, parallel to
-    /// [`PreprocResult::clauses`].
-    pub clause_ids: Vec<ClauseId>,
-    /// Proof id of the derived empty clause, when the run proved the
-    /// set unsatisfiable.
-    pub unsat: Option<ClauseId>,
-}
-
-impl PreprocProof {
-    /// Appends the journal to `proof` — every derivation becomes a
-    /// `Derived` chain, every removal a deletion record — and returns
-    /// the proof id of each output clause (and of the empty clause on
-    /// UNSAT). `proof` must be the one holding the input clauses the
-    /// run was fed (ids are resolved against it).
-    pub fn replay(&self, proof: &mut Proof) -> ReplayedIds {
-        let mut derived: Vec<ClauseId> = Vec::new();
-        let resolve_ref = |derived: &[ClauseId], r: PRef| match r {
-            PRef::Input(id) => id,
-            PRef::Derived(k) => derived[k],
-        };
-        for ev in &self.journal {
-            match ev {
-                ProofEvent::Derive { start, steps } => {
-                    let s = resolve_ref(&derived, *start);
-                    let chain: Vec<ResStep> = steps
-                        .iter()
-                        .map(|&(pivot, other)| ResStep {
-                            pivot,
-                            other: resolve_ref(&derived, other),
-                        })
-                        .collect();
-                    let id = proof.add_derived(s, chain);
-                    derived.push(id);
-                }
-                ProofEvent::Delete(r) => {
-                    let id = resolve_ref(&derived, *r);
-                    proof.record_deletion(id);
-                }
-            }
-        }
-        ReplayedIds {
-            clause_ids: self
-                .clause_refs
-                .iter()
-                .map(|&r| resolve_ref(&derived, r))
-                .collect(),
-            unsat: self.unsat.map(|r| {
-                let id = resolve_ref(&derived, r);
-                proof.set_empty(id, Vec::new());
-                id
-            }),
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
 struct Clause {
     lits: Vec<Lit>,
-    part: Part,
-    tag: u32,
     /// Variable-set signature for fast subset rejection.
     sig: u64,
     deleted: bool,
@@ -382,18 +229,6 @@ pub struct Preprocessor {
     recon: ReconStack,
     stats: PreprocStats,
     unsat: bool,
-    /// Provenance per clause, parallel to `clauses` (meaningful only
-    /// when `logging`).
-    prov: Vec<PRef>,
-    /// Chronological derivation journal (only when `logging`).
-    journal: Vec<ProofEvent>,
-    /// Number of `Derive` events recorded so far (next derived index).
-    n_derived: usize,
-    /// Whether derivations are being journalled (set by the first
-    /// [`add_clause_logged`](Preprocessor::add_clause_logged)).
-    logging: bool,
-    /// Provenance of the derived empty clause, when `unsat`.
-    unsat_ref: Option<PRef>,
 }
 
 impl Preprocessor {
@@ -410,11 +245,6 @@ impl Preprocessor {
             recon: ReconStack::default(),
             stats: PreprocStats::default(),
             unsat: false,
-            prov: Vec::new(),
-            journal: Vec::new(),
-            n_derived: 0,
-            logging: false,
-            unsat_ref: None,
         }
     }
 
@@ -433,21 +263,7 @@ impl Preprocessor {
     /// Adds a clause. Literals are normalized (sorted, deduplicated);
     /// tautologies are dropped; an empty clause marks the set
     /// unsatisfiable.
-    pub fn add_clause(&mut self, lits: &[Lit], part: Part, tag: u32) {
-        self.add_with_prov(lits, part, tag, PRef::Input(ClauseId(u32::MAX)));
-    }
-
-    /// Like [`add_clause`](Preprocessor::add_clause), identifying the
-    /// clause with its id in the caller's [`Proof`] and turning on
-    /// derivation journalling for the run
-    /// ([`PreprocResult::provenance`]). All clauses of a logged run
-    /// must go through this method.
-    pub fn add_clause_logged(&mut self, lits: &[Lit], part: Part, tag: u32, id: ClauseId) {
-        self.logging = true;
-        self.add_with_prov(lits, part, tag, PRef::Input(id));
-    }
-
-    fn add_with_prov(&mut self, lits: &[Lit], part: Part, tag: u32, prov: PRef) {
+    pub fn add_clause(&mut self, lits: &[Lit]) {
         let mut ls: Vec<Lit> = lits.to_vec();
         ls.sort_unstable();
         ls.dedup();
@@ -458,15 +274,12 @@ impl Preprocessor {
         }
         if ls.is_empty() {
             self.unsat = true;
-            if self.unsat_ref.is_none() {
-                self.unsat_ref = Some(prov);
-            }
             return;
         }
-        self.push_clause(ls, part, tag, prov);
+        self.push_clause(ls);
     }
 
-    fn push_clause(&mut self, lits: Vec<Lit>, part: Part, tag: u32, prov: PRef) -> u32 {
+    fn push_clause(&mut self, lits: Vec<Lit>) -> u32 {
         let idx = self.clauses.len() as u32;
         let sig = sig_of(&lits);
         for &l in &lits {
@@ -476,31 +289,10 @@ impl Preprocessor {
         }
         self.clauses.push(Clause {
             lits,
-            part,
-            tag,
             sig,
             deleted: false,
         });
-        self.prov.push(prov);
         idx
-    }
-
-    /// Journals a derivation and returns the new clause's provenance.
-    fn log_derive(&mut self, start: PRef, steps: Vec<(Var, PRef)>) -> PRef {
-        debug_assert!(self.logging);
-        self.journal.push(ProofEvent::Derive { start, steps });
-        let r = PRef::Derived(self.n_derived);
-        self.n_derived += 1;
-        r
-    }
-
-    /// Journals the removal of clause `ci` (after any derivation that
-    /// replaces it, so replay order stays chronological).
-    fn log_delete(&mut self, ci: u32) {
-        if self.logging {
-            let r = self.prov[ci as usize];
-            self.journal.push(ProofEvent::Delete(r));
-        }
     }
 
     fn delete_clause(&mut self, ci: u32) {
@@ -547,10 +339,7 @@ impl Preprocessor {
                 .expect("clauses are nonempty");
             let mut cands = self.occ_of(best);
             cands.extend(self.occ_of(!best));
-            let (sig, part, tag) = {
-                let c = &self.clauses[ci as usize];
-                (c.sig, c.part, c.tag)
-            };
+            let sig = self.clauses[ci as usize].sig;
             for di in cands {
                 if di == ci || self.clauses[di as usize].deleted {
                     continue;
@@ -562,30 +351,10 @@ impl Preprocessor {
                 match subsume_check(&lits, &d.lits) {
                     SubsumeKind::No => {}
                     SubsumeKind::Exact => {
-                        // Deleting a subsumed clause is sound across
-                        // parts (see module docs).
-                        self.log_delete(di);
                         self.delete_clause(di);
                         self.stats.subsumed += 1;
                     }
                     SubsumeKind::Strengthen(rem) => {
-                        // Strengthening is resolution: same part and
-                        // tag only.
-                        let d = &self.clauses[di as usize];
-                        if d.part != part || d.tag != tag {
-                            continue;
-                        }
-                        if self.logging {
-                            // D′ = resolve(D, C) on rem: C ∖ {¬rem} ⊆
-                            // D ∖ {rem} makes the resolvent exactly
-                            // the strengthened clause. The old D is
-                            // replaced, so journal its deletion.
-                            let d_ref = self.prov[di as usize];
-                            let c_ref = self.prov[ci as usize];
-                            let nr = self.log_derive(d_ref, vec![(rem.var(), c_ref)]);
-                            self.journal.push(ProofEvent::Delete(d_ref));
-                            self.prov[di as usize] = nr;
-                        }
                         let d = &mut self.clauses[di as usize];
                         let p = d.lits.iter().position(|&l| l == rem).expect("present");
                         d.lits.remove(p);
@@ -602,9 +371,6 @@ impl Preprocessor {
                         }
                         if self.clauses[di as usize].lits.is_empty() {
                             self.unsat = true;
-                            if self.unsat_ref.is_none() {
-                                self.unsat_ref = Some(self.prov[di as usize]);
-                            }
                             return;
                         }
                         queue.push(di);
@@ -616,7 +382,7 @@ impl Preprocessor {
 
     /// Tries to eliminate `v`; returns `true` (and queues the
     /// resolvents for subsumption) on success.
-    fn try_eliminate(&mut self, v: Var, cfg: &PreprocConfig, queue: &mut Vec<u32>) -> bool {
+    fn try_eliminate(&mut self, v: Var, queue: &mut Vec<u32>) -> bool {
         if self.frozen[v.index()] || self.eliminated[v.index()] {
             return false;
         }
@@ -625,24 +391,13 @@ impl Preprocessor {
         if pos.is_empty() && neg.is_empty() {
             return false;
         }
-        if pos.len() > cfg.max_occ || neg.len() > cfg.max_occ {
+        if pos.len() > MAX_OCC || neg.len() > MAX_OCC {
             return false;
         }
-        // Resolution must stay inside one part/tag (see module docs).
-        let (part, tag) = {
-            let c = &self.clauses[*pos.first().or(neg.first()).expect("nonempty") as usize];
-            (c.part, c.tag)
-        };
-        if pos.iter().chain(&neg).any(|&ci| {
-            self.clauses[ci as usize].part != part || self.clauses[ci as usize].tag != tag
-        }) {
-            return false;
-        }
-        // Build all non-tautological resolvents (remembering which
-        // positive/negative clause pair produced each, for the proof
-        // journal), bailing out when the bound is exceeded.
-        let budget = pos.len() as isize + neg.len() as isize + cfg.max_growth;
-        let mut resolvents: Vec<(Vec<Lit>, u32, u32)> = Vec::new();
+        // Build all non-tautological resolvents, bailing out when the
+        // bound is exceeded.
+        let budget = pos.len() as isize + neg.len() as isize + MAX_GROWTH;
+        let mut resolvents: Vec<Vec<Lit>> = Vec::new();
         for &pi in &pos {
             for &ni in &neg {
                 let r = resolve(
@@ -651,10 +406,10 @@ impl Preprocessor {
                     v,
                 );
                 if let Some(r) = r {
-                    if r.len() > cfg.max_resolvent_len {
+                    if r.len() > MAX_RESOLVENT_LEN {
                         return false;
                     }
-                    resolvents.push((r, pi, ni));
+                    resolvents.push(r);
                     if resolvents.len() as isize > budget {
                         return false;
                     }
@@ -662,107 +417,77 @@ impl Preprocessor {
             }
         }
         // Commit: save originals for reconstruction, delete them, add
-        // the resolvents. Each kept resolvent is journalled as a
-        // one-step chain `pos ⊗_v neg`; the replaced clauses stay
-        // valid antecedents, so deleting them first is harmless.
+        // the resolvents.
         let mut saved: Vec<Vec<Lit>> = Vec::with_capacity(pos.len() + neg.len());
         for &ci in pos.iter().chain(&neg) {
             saved.push(self.clauses[ci as usize].lits.clone());
-            self.log_delete(ci);
             self.delete_clause(ci);
         }
         self.recon.entries.push((v, saved));
         self.eliminated[v.index()] = true;
         self.stats.elim_vars += 1;
-        for (r, pi, ni) in resolvents {
-            let prov = if self.logging {
-                let p_ref = self.prov[pi as usize];
-                let n_ref = self.prov[ni as usize];
-                self.log_derive(p_ref, vec![(v, n_ref)])
-            } else {
-                PRef::Input(ClauseId(u32::MAX))
-            };
+        for r in resolvents {
             if r.is_empty() {
                 self.unsat = true;
-                if self.unsat_ref.is_none() {
-                    self.unsat_ref = Some(prov);
-                }
                 return true;
             }
-            let idx = self.push_clause(r, part, tag, prov);
+            let idx = self.push_clause(r);
             queue.push(idx);
         }
         true
     }
 
-    /// Runs subsumption, strengthening and (optionally) bounded
-    /// variable elimination to fixpoint and returns the simplified set.
-    pub fn run(mut self, cfg: &PreprocConfig) -> PreprocResult {
+    /// Runs subsumption, strengthening and bounded variable
+    /// elimination to fixpoint and returns the simplified set.
+    pub fn run(mut self) -> PreprocResult {
         let mut queue: Vec<u32> = (0..self.clauses.len() as u32).collect();
         self.subsume_fixpoint(&mut queue);
-        if cfg.var_elim {
-            // Touched-variable worklist: the first round considers
-            // every variable; later rounds only the ones whose
-            // occurrence lists changed since.
-            loop {
+        // Touched-variable worklist: the first round considers every
+        // variable; later rounds only the ones whose occurrence lists
+        // changed since.
+        loop {
+            if self.unsat {
+                break;
+            }
+            let mut order: Vec<Var> = (0..self.num_vars)
+                .map(Var::from_index)
+                .filter(|v| {
+                    self.touched[v.index()]
+                        && !self.frozen[v.index()]
+                        && !self.eliminated[v.index()]
+                })
+                .collect();
+            for v in &order {
+                self.touched[v.index()] = false;
+            }
+            if order.is_empty() {
+                break;
+            }
+            // Cheapest variables first: elimination of a low-occurrence
+            // variable shrinks the set and may enable further
+            // eliminations.
+            order
+                .sort_by_key(|v| self.n_occ[Lit::pos(*v).code()] + self.n_occ[Lit::neg(*v).code()]);
+            for v in order {
                 if self.unsat {
                     break;
                 }
-                let mut order: Vec<Var> = (0..self.num_vars)
-                    .map(Var::from_index)
-                    .filter(|v| {
-                        self.touched[v.index()]
-                            && !self.frozen[v.index()]
-                            && !self.eliminated[v.index()]
-                    })
-                    .collect();
-                for v in &order {
-                    self.touched[v.index()] = false;
-                }
-                if order.is_empty() {
-                    break;
-                }
-                // Cheapest variables first: elimination of a
-                // low-occurrence variable shrinks the set and may
-                // enable further eliminations.
-                order.sort_by_key(|v| {
-                    self.n_occ[Lit::pos(*v).code()] + self.n_occ[Lit::neg(*v).code()]
-                });
-                for v in order {
-                    if self.unsat {
-                        break;
-                    }
-                    if self.try_eliminate(v, cfg, &mut queue) {
-                        self.subsume_fixpoint(&mut queue);
-                    }
+                if self.try_eliminate(v, &mut queue) {
+                    self.subsume_fixpoint(&mut queue);
                 }
             }
         }
-        let mut clauses = Vec::new();
-        let mut clause_refs = Vec::new();
-        for (i, c) in self.clauses.into_iter().enumerate() {
-            if c.deleted {
-                continue;
-            }
-            clauses.push(PreprocClause {
-                lits: c.lits,
-                part: c.part,
-                tag: c.tag,
-            });
-            clause_refs.push(self.prov[i]);
-        }
-        let provenance = self.logging.then_some(PreprocProof {
-            journal: self.journal,
-            clause_refs,
-            unsat: self.unsat_ref,
-        });
         PreprocResult {
-            clauses,
+            clauses: self
+                .clauses
+                .into_iter()
+                .filter(|c| !c.deleted)
+                .map(|c| c.lits)
+                .collect(),
             stats: self.stats,
             recon: self.recon,
             eliminated: self.eliminated,
             unsat: self.unsat,
-            provenance,
         }
     }
 }
@@ -840,39 +565,39 @@ mod tests {
     #[test]
     fn subsumption_deletes_supersets() {
         let mut p = Preprocessor::new(3);
-        p.add_clause(&[lit(0, true)], Part::A, 0);
-        p.add_clause(&[lit(0, true), lit(1, true)], Part::A, 0);
-        p.add_clause(&[lit(0, true), lit(1, false), lit(2, true)], Part::A, 0);
+        p.add_clause(&[lit(0, true)]);
+        p.add_clause(&[lit(0, true), lit(1, true)]);
+        p.add_clause(&[lit(0, true), lit(1, false), lit(2, true)]);
         for v in 0..3 {
             p.freeze(Var::from_index(v));
         }
-        let r = p.run(&PreprocConfig::default());
+        let r = p.run();
         assert!(!r.unsat);
         assert_eq!(r.stats.subsumed, 2);
         assert_eq!(r.clauses.len(), 1);
-        assert_eq!(r.clauses[0].lits, vec![lit(0, true)]);
+        assert_eq!(r.clauses[0], vec![lit(0, true)]);
     }
 
     #[test]
     fn strengthening_removes_negated_literal() {
         // (a) and (!a | b): the unit strengthens the second to (b).
         let mut p = Preprocessor::new(2);
-        p.add_clause(&[lit(0, true)], Part::A, 0);
-        p.add_clause(&[lit(0, false), lit(1, true)], Part::A, 0);
+        p.add_clause(&[lit(0, true)]);
+        p.add_clause(&[lit(0, false), lit(1, true)]);
         p.freeze(Var::from_index(0));
         p.freeze(Var::from_index(1));
-        let r = p.run(&PreprocConfig::default());
+        let r = p.run();
         assert!(r.stats.strengthened >= 1);
-        assert!(r.clauses.iter().any(|c| c.lits == vec![lit(1, true)]));
-        assert!(!r.clauses.iter().any(|c| c.lits.len() == 2));
+        assert!(r.clauses.iter().any(|c| *c == vec![lit(1, true)]));
+        assert!(!r.clauses.iter().any(|c| c.len() == 2));
     }
 
     #[test]
     fn contradictory_units_derive_empty_clause() {
         let mut p = Preprocessor::new(1);
-        p.add_clause(&[lit(0, true)], Part::A, 0);
-        p.add_clause(&[lit(0, false)], Part::A, 0);
-        let r = p.run(&PreprocConfig::default());
+        p.add_clause(&[lit(0, true)]);
+        p.add_clause(&[lit(0, false)]);
+        let r = p.run();
         assert!(r.unsat);
     }
 
@@ -883,12 +608,12 @@ mod tests {
         // and the output is empty.
         let (a, b, g) = (0, 1, 2);
         let mut p = Preprocessor::new(3);
-        p.add_clause(&[lit(g, false), lit(a, true)], Part::A, 0);
-        p.add_clause(&[lit(g, false), lit(b, true)], Part::A, 0);
-        p.add_clause(&[lit(a, false), lit(b, false), lit(g, true)], Part::A, 0);
+        p.add_clause(&[lit(g, false), lit(a, true)]);
+        p.add_clause(&[lit(g, false), lit(b, true)]);
+        p.add_clause(&[lit(a, false), lit(b, false), lit(g, true)]);
         p.freeze(Var::from_index(a));
         p.freeze(Var::from_index(b));
-        let r = p.run(&PreprocConfig::default());
+        let r = p.run();
         assert_eq!(r.stats.elim_vars, 1);
         assert!(r.clauses.is_empty());
         // Reconstruction: any frozen assignment extends to g = a & b.
@@ -902,51 +627,14 @@ mod tests {
     #[test]
     fn frozen_variables_survive() {
         let mut p = Preprocessor::new(3);
-        p.add_clause(&[lit(2, false), lit(0, true)], Part::A, 0);
-        p.add_clause(&[lit(2, true), lit(1, true)], Part::A, 0);
+        p.add_clause(&[lit(2, false), lit(0, true)]);
+        p.add_clause(&[lit(2, true), lit(1, true)]);
         for v in 0..3 {
             p.freeze(Var::from_index(v));
         }
-        let r = p.run(&PreprocConfig::default());
+        let r = p.run();
         assert_eq!(r.stats.elim_vars, 0);
         assert_eq!(r.clauses.len(), 2);
-    }
-
-    #[test]
-    fn parts_block_cross_partition_resolution() {
-        // v occurs in an A clause and a B clause: it must survive, and
-        // no strengthening may mix the parts.
-        let (a, b, v) = (0, 1, 2);
-        let mut p = Preprocessor::new(3);
-        p.add_clause(&[lit(v, true), lit(a, true)], Part::A, 0);
-        p.add_clause(&[lit(v, false), lit(b, true)], Part::B, 0);
-        p.freeze(Var::from_index(a));
-        p.freeze(Var::from_index(b));
-        let r = p.run(&PreprocConfig::default());
-        assert_eq!(r.stats.elim_vars, 0, "cross-part variable eliminated");
-        assert_eq!(r.clauses.len(), 2);
-        // Same shape within one part: eliminated.
-        let mut p = Preprocessor::new(3);
-        p.add_clause(&[lit(v, true), lit(a, true)], Part::A, 0);
-        p.add_clause(&[lit(v, false), lit(b, true)], Part::A, 0);
-        p.freeze(Var::from_index(a));
-        p.freeze(Var::from_index(b));
-        let r = p.run(&PreprocConfig::default());
-        assert_eq!(r.stats.elim_vars, 1);
-        assert_eq!(r.clauses.len(), 1);
-        assert_eq!(r.clauses[0].lits, vec![lit(a, true), lit(b, true)]);
-    }
-
-    #[test]
-    fn tags_block_resolution_like_parts() {
-        let (a, b, v) = (0, 1, 2);
-        let mut p = Preprocessor::new(3);
-        p.add_clause(&[lit(v, true), lit(a, true)], Part::A, 1);
-        p.add_clause(&[lit(v, false), lit(b, true)], Part::A, 2);
-        p.freeze(Var::from_index(a));
-        p.freeze(Var::from_index(b));
-        let r = p.run(&PreprocConfig::default());
-        assert_eq!(r.stats.elim_vars, 0, "cross-tag variable eliminated");
     }
 
     /// The core contract on random CNF: equisatisfiable under every
@@ -969,11 +657,11 @@ mod tests {
                 let cl: Vec<Lit> = (0..len)
                     .map(|_| lit(rng.gen_range(0..nvars), rng.gen_bool(0.5)))
                     .collect();
-                p.add_clause(&cl, Part::A, 0);
+                p.add_clause(&cl);
                 cnf.push(cl);
             }
-            let r = p.clone().run(&PreprocConfig::default());
-            let simp: Vec<Vec<Lit>> = r.clauses.iter().map(|c| c.lits.clone()).collect();
+            let r = p.clone().run();
+            let simp: Vec<Vec<Lit>> = r.clauses.clone();
             if r.unsat {
                 assert_eq!(
                     sat_of(&cnf, nvars, &[]),
@@ -1014,49 +702,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// Logged runs journal every derivation and deletion; replaying
-    /// the journal into the proof that holds the inputs yields chains
-    /// the independent checker accepts, with output-clause ids whose
-    /// replayed literal sets match the output clauses.
-    #[test]
-    fn logged_provenance_replays_into_checkable_proof() {
-        let mut rng = StdRng::seed_from_u64(0x10C4ED);
-        for round in 0..200 {
-            let nvars = rng.gen_range(2..=9usize);
-            let nclauses = rng.gen_range(1..=24usize);
-            let nfrozen = rng.gen_range(1..=nvars);
-            let mut proof = Proof::default();
-            let mut p = Preprocessor::new(nvars);
-            for v in 0..nfrozen {
-                p.freeze(Var::from_index(v));
-            }
-            for _ in 0..nclauses {
-                let len = rng.gen_range(1..=4usize);
-                let cl: Vec<Lit> = (0..len)
-                    .map(|_| lit(rng.gen_range(0..nvars), rng.gen_bool(0.5)))
-                    .collect();
-                let part = if rng.gen_bool(0.5) { Part::A } else { Part::B };
-                let id = proof.add_original(part, cl.clone(), 0);
-                p.add_clause_logged(&cl, part, 0, id);
-            }
-            let r = p.run(&PreprocConfig::default());
-            let prov = r.provenance.as_ref().expect("logged run");
-            let ids = prov.replay(&mut proof);
-            let mut checker = crate::proofcheck::ProofChecker::new(&proof);
-            for (c, &id) in r.clauses.iter().zip(&ids.clause_ids) {
-                checker.check_learnt(id, &c.lits);
-            }
-            let report = checker.finish();
-            assert!(
-                report.ok(),
-                "round {round}: {}",
-                report.first_failure().unwrap()
-            );
-            assert_eq!(r.unsat, ids.unsat.is_some());
-            assert_eq!(r.unsat, proof.empty_clause().is_some());
         }
     }
 

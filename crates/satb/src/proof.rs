@@ -9,12 +9,13 @@
 //! chains with McMillan's labelling, and [`crate::proofcheck`] replays
 //! them as an independent validity check.
 //!
-//! The proof also records **deletions**: when preprocessing or clause
-//! management removes a clause from the solver, the clause's id is
-//! appended to a deletion list. Deleted clauses stay in the arena (ids
-//! are never reused, so every recorded chain stays replayable); the
-//! list exists so a checker can verify that no *deleted* clause is the
-//! start of the final empty-clause derivation.
+//! The proof format also has **deletion records**: a deleted clause's
+//! id is appended to a deletion list, while the clause itself stays in
+//! the proof (ids are never reused, so every recorded chain stays
+//! replayable). The solver never records one; the list exists so the
+//! checker can verify that no *deleted* clause is the start of the
+//! final empty-clause derivation, and its tests build such proofs by
+//! hand.
 //!
 //! Memory is accounted incrementally: [`Proof::bytes`] approximates the
 //! heap footprint of the recorded derivations and the solver can cap it
@@ -87,8 +88,8 @@ pub struct Proof {
     pub(crate) tags: Vec<u32>,
     /// Chain deriving the empty clause (set on UNSAT).
     pub(crate) empty: Option<(ClauseId, Vec<ResStep>)>,
-    /// Ids of clauses deleted by preprocessing / clause management, in
-    /// deletion order. Deleted clauses remain replayable antecedents.
+    /// Ids of deleted clauses, in deletion order. Deleted clauses
+    /// remain replayable antecedents.
     pub(crate) deleted: Vec<ClauseId>,
     /// Approximate heap bytes held by the recorded derivations,
     /// maintained incrementally on every add.
@@ -175,8 +176,8 @@ impl Proof {
         self.empty = Some((start, steps));
     }
 
-    /// Record that a clause was deleted from the solver (subsumption,
-    /// strengthening-replacement, or variable elimination).
+    /// Record that a clause was deleted.
+    #[cfg(test)]
     pub(crate) fn record_deletion(&mut self, id: ClauseId) {
         self.bytes += std::mem::size_of::<ClauseId>() as u64;
         self.deleted.push(id);
