@@ -42,6 +42,26 @@
 //! inductive *as a set*: the final pass checked every member under
 //! exactly the final assumptions.
 //!
+//! The queries are split across worker solvers ([`crate::split`]): up
+//! to one per idle core, each with at least 64 candidates, so a pool
+//! below 128 candidates runs on one solver on the calling thread. Each
+//! worker builds its own frame and guards once and keeps them across
+//! rounds. A round splits the live candidates into one chunk per
+//! worker. Each worker checks its chunk under the round's live set
+//! minus the candidates its own models have dropped, and the round
+//! drops the union of what the workers' models falsify. Rounds repeat
+//! until one drops nothing.
+//!
+//! The result does not depend on the worker count. It is the unique
+//! greatest inductive subset of the candidates. Every model is a state
+//! satisfying a superset of that subset, and such a state steps into
+//! the subset again, so no member is ever dropped. The last round
+//! checked every survivor under exactly the survivors, so they are
+//! inductive and lie inside that subset. Only the round and query
+//! counts can differ, and only in rounds that drop candidates: a
+//! worker cannot skip a query for a candidate that another worker's
+//! model has already falsified.
+//!
 //! # Soundness
 //!
 //! The pass is advisory: its output is re-checked by
@@ -49,10 +69,10 @@
 //! un-preprocessed template with an independent solver before any
 //! engine consumes it, so a bug here can cost strength but never
 //! soundness. Cancellation (the shared [`satb::Limits::stop`] flag, a
-//! deadline, or a conflict cap) aborts the whole analysis and returns
-//! an **empty** invariant with [`AnalysisStats::cancelled`] set — never
-//! a partially-filtered candidate set that was not driven to the
-//! Houdini fixpoint.
+//! deadline, or a conflict cap, in any worker) aborts the whole
+//! analysis and returns an **empty** invariant with
+//! [`AnalysisStats::cancelled`] set — never a partially-filtered
+//! candidate set that was not driven to the Houdini fixpoint.
 //!
 //! [`refine_with_constants`] additionally lets the template compiler
 //! consume the certified stuck-at facts: constants are substituted into
@@ -68,7 +88,8 @@
 use crate::graph::{Aig, AigLit};
 use crate::seq::{AigSystem, Latch};
 use crate::sim::{Tern, TernarySim};
-use crate::template::TransitionTemplate;
+use crate::split;
+use crate::template::{FrameVars, TransitionTemplate};
 use satb::{Lit, Part, SolveResult, Solver};
 
 /// A clause over latches: `(latch index, polarity)` literals, true when
@@ -88,7 +109,7 @@ pub struct AnalysisConfig {
     /// Latch-count ceiling for the pairwise implication scan (the
     /// equivalence scan sorts signatures and has no such ceiling).
     pub max_implication_latches: usize,
-    /// Per-query conflict cap for the Houdini solver, applied when the
+    /// Per-query conflict cap for the Houdini solvers, applied when the
     /// caller's [`satb::Limits`] carries none.
     pub max_conflicts: u64,
     /// Seed for the deterministic simulation PRNG.
@@ -121,7 +142,7 @@ pub struct AnalysisStats {
     pub retained: u32,
     /// Houdini passes over the candidate set.
     pub houdini_rounds: u32,
-    /// Consecution queries issued.
+    /// Consecution queries issued, summed over the worker solvers.
     pub sat_queries: u64,
     /// Whether the run was cut short (stop flag, deadline or conflict
     /// cap). A cancelled run reports an empty invariant.
@@ -412,92 +433,14 @@ pub fn analyze(
         return StaticInvariant::cancelled(stats);
     }
 
-    // Houdini: all candidates guarded on the current-state side of one
-    // template frame; drop every candidate a step model falsifies.
-    let mut solver = Solver::new();
-    let frame = tpl.instantiate(&mut solver, Part::A, 0);
-    let guards: Vec<Lit> = candidates
-        .iter()
-        .map(|clause| {
-            let g = Lit::pos(solver.new_var());
-            let mut cl: Vec<Lit> = Vec::with_capacity(clause.len() + 1);
-            cl.push(!g);
-            cl.extend(clause.iter().map(|&(i, v)| {
-                if v {
-                    frame.latch_cur[i]
-                } else {
-                    !frame.latch_cur[i]
-                }
-            }));
-            solver.add_clause(&cl);
-            g
-        })
-        .collect();
     let query_limits = satb::Limits {
         max_conflicts: Some(limits.max_conflicts.unwrap_or(cfg.max_conflicts)),
         ..limits.clone()
     };
-    let mut alive = vec![true; candidates.len()];
-    let mut assumptions: Vec<Lit> = Vec::new();
-    loop {
-        stats.houdini_rounds += 1;
-        let mut dropped_any = false;
-        for idx in 0..candidates.len() {
-            if !alive[idx] {
-                continue;
-            }
-            if query_limits.stop_requested() {
-                return StaticInvariant::cancelled(stats);
-            }
-            assumptions.clear();
-            assumptions.extend(
-                guards
-                    .iter()
-                    .zip(&alive)
-                    .filter(|&(_, &a)| a)
-                    .map(|(&g, _)| g),
-            );
-            assumptions.extend(candidates[idx].iter().map(|&(i, v)| {
-                if v {
-                    !frame.latch_next[i]
-                } else {
-                    frame.latch_next[i]
-                }
-            }));
-            stats.sat_queries += 1;
-            match solver.solve_limited(&assumptions, query_limits.clone()) {
-                SolveResult::Unsat => {}
-                SolveResult::Sat => {
-                    // The model is a state satisfying every live
-                    // candidate whose successor escapes at least the
-                    // queried one: drop every candidate the successor
-                    // falsifies (the queried clause is among them).
-                    for (j, clause) in candidates.iter().enumerate() {
-                        if !alive[j] {
-                            continue;
-                        }
-                        let falsified = clause
-                            .iter()
-                            .all(|&(i, v)| solver.value(frame.latch_next[i]) == Some(!v));
-                        if falsified {
-                            alive[j] = false;
-                            dropped_any = true;
-                        }
-                    }
-                    debug_assert!(!alive[idx], "queried candidate must be falsified");
-                    alive[idx] = false;
-                }
-                SolveResult::Unknown(_) => {
-                    // Limit hit mid-filter: the surviving set was not
-                    // driven to the fixpoint, so nothing is trustworthy.
-                    return StaticInvariant::cancelled(stats);
-                }
-            }
-        }
-        if !dropped_any {
-            break;
-        }
-    }
+    let workers = split::worker_count(candidates.len());
+    let Some(alive) = houdini(tpl, &candidates, &query_limits, &mut stats, workers) else {
+        return StaticInvariant::cancelled(stats);
+    };
 
     let clauses: Vec<LatchClause> = candidates
         .into_iter()
@@ -515,6 +458,176 @@ pub fn analyze(
         clauses,
         constants,
         stats,
+    }
+}
+
+/// The Houdini fixpoint over `candidates`, split across `workers`
+/// solvers: which candidates survive, or `None` when a limit cut a query
+/// short.
+///
+/// Every round splits the live candidates into one chunk per worker.
+/// Each worker checks its chunk's consecution under the round's live
+/// set minus its own drops, and the round drops every candidate any
+/// worker's models falsify. Rounds repeat until one drops nothing.
+fn houdini(
+    tpl: &TransitionTemplate,
+    candidates: &[LatchClause],
+    limits: &satb::Limits,
+    stats: &mut AnalysisStats,
+    workers: usize,
+) -> Option<Vec<bool>> {
+    let mut solvers: Vec<Option<HoudiniSolver>> = (0..workers).map(|_| None).collect();
+    let mut alive = vec![true; candidates.len()];
+    loop {
+        stats.houdini_rounds += 1;
+        let live: Vec<usize> = (0..candidates.len()).filter(|&j| alive[j]).collect();
+        let rounds = split::run(&mut solvers, |k, solver| {
+            let chunk = &live[split::chunk(live.len(), workers, k)];
+            solver
+                .get_or_insert_with(|| HoudiniSolver::new(tpl, candidates))
+                .round(candidates, &alive, chunk, limits)
+        });
+        let mut cancelled = false;
+        let mut dropped_any = false;
+        for round in rounds {
+            stats.sat_queries += round.queries;
+            cancelled |= round.cancelled;
+            for j in round.dropped {
+                alive[j] = false;
+                dropped_any = true;
+            }
+        }
+        if cancelled {
+            // The surviving set was not driven to the fixpoint, so
+            // nothing is trustworthy.
+            return None;
+        }
+        if !dropped_any {
+            return Some(alive);
+        }
+    }
+}
+
+/// One Houdini worker's solver: one template frame with every candidate
+/// asserted on its current-state side, each behind a guard literal of
+/// its own. It is built once and kept across rounds.
+struct HoudiniSolver {
+    solver: Solver,
+    frame: FrameVars,
+    guards: Vec<Lit>,
+}
+
+/// What one worker found in one Houdini round.
+struct HoudiniRound {
+    /// Consecution queries issued.
+    queries: u64,
+    /// Candidates falsified by the worker's models.
+    dropped: Vec<usize>,
+    /// Whether a limit cut a query short.
+    cancelled: bool,
+}
+
+impl HoudiniSolver {
+    fn new(tpl: &TransitionTemplate, candidates: &[LatchClause]) -> HoudiniSolver {
+        let mut solver = Solver::new();
+        let frame = tpl.instantiate(&mut solver, Part::A, 0);
+        let guards = candidates
+            .iter()
+            .map(|clause| {
+                let g = Lit::pos(solver.new_var());
+                let mut cl: Vec<Lit> = Vec::with_capacity(clause.len() + 1);
+                cl.push(!g);
+                cl.extend(clause.iter().map(|&(i, v)| {
+                    if v {
+                        frame.latch_cur[i]
+                    } else {
+                        !frame.latch_cur[i]
+                    }
+                }));
+                solver.add_clause(&cl);
+                g
+            })
+            .collect();
+        HoudiniSolver {
+            solver,
+            frame,
+            guards,
+        }
+    }
+
+    /// Queries the consecution of every candidate of `chunk` this worker
+    /// has not dropped yet, assuming the candidates `alive` at the start
+    /// of the round minus the worker's own drops.
+    fn round(
+        &mut self,
+        candidates: &[LatchClause],
+        alive: &[bool],
+        chunk: &[usize],
+        limits: &satb::Limits,
+    ) -> HoudiniRound {
+        let mut alive = alive.to_vec();
+        let mut round = HoudiniRound {
+            queries: 0,
+            dropped: Vec::new(),
+            cancelled: false,
+        };
+        let mut assumptions: Vec<Lit> = Vec::new();
+        for &idx in chunk {
+            if !alive[idx] {
+                continue;
+            }
+            if limits.stop_requested() {
+                round.cancelled = true;
+                return round;
+            }
+            assumptions.clear();
+            assumptions.extend(
+                self.guards
+                    .iter()
+                    .zip(&alive)
+                    .filter(|&(_, &a)| a)
+                    .map(|(&g, _)| g),
+            );
+            assumptions.extend(candidates[idx].iter().map(|&(i, v)| {
+                if v {
+                    !self.frame.latch_next[i]
+                } else {
+                    self.frame.latch_next[i]
+                }
+            }));
+            round.queries += 1;
+            match self.solver.solve_limited(&assumptions, limits.clone()) {
+                SolveResult::Unsat => {}
+                SolveResult::Sat => {
+                    // The model is a state satisfying every assumed
+                    // candidate whose successor escapes at least the
+                    // queried one: drop every candidate the successor
+                    // falsifies (the queried clause is among them).
+                    for (j, clause) in candidates.iter().enumerate() {
+                        if !alive[j] {
+                            continue;
+                        }
+                        let falsified = clause
+                            .iter()
+                            .all(|&(i, v)| self.solver.value(self.frame.latch_next[i]) == Some(!v));
+                        if falsified {
+                            alive[j] = false;
+                            round.dropped.push(j);
+                        }
+                    }
+                    debug_assert!(!alive[idx], "queried candidate must be falsified");
+                    if alive[idx] {
+                        alive[idx] = false;
+                        round.dropped.push(idx);
+                    }
+                }
+                SolveResult::Unknown(_) => {
+                    round.cancelled = true;
+                    return round;
+                }
+            }
+        }
+        round
     }
 }
 
@@ -758,6 +871,95 @@ mod tests {
         assert!(inv.stats.cancelled);
         assert!(inv.is_empty() && inv.constants.is_empty());
         stop.store(false, Ordering::Relaxed);
+    }
+
+    /// `pairs` pairs of 3-bit counters that saturate at 2, each pair
+    /// counting on an enable input of its own. A counter's high bit is 0
+    /// in every reachable state but not inductive alone (3 steps to 4),
+    /// so the first Houdini round drops it and the mined equivalences
+    /// that chain one pair's high bits to the next; the two counters of
+    /// one pair stay equal bit for bit.
+    fn counter_pairs(pairs: usize) -> AigSystem {
+        let mut ts = rtlir::TransitionSystem::new("counter-pairs");
+        for p in 0..pairs {
+            let en = ts.add_input(format!("en{p}"), rtlir::Sort::BOOL);
+            for copy in ["a", "b"] {
+                let c = ts.add_state(format!("{copy}{p}"), rtlir::Sort::Bv(3));
+                let pool = ts.pool_mut();
+                let (cv, ev) = (pool.var(c), pool.var(en));
+                let [zero, one, two] = [0, 1, 2].map(|v| pool.constv(3, v));
+                let full = pool.eq(cv, two);
+                let inc = pool.add(cv, one);
+                let step = pool.ite(ev, inc, cv);
+                let next = pool.ite(full, cv, step);
+                ts.set_init(c, zero);
+                ts.set_next(c, next);
+            }
+        }
+        crate::blast_system(&ts)
+    }
+
+    /// The Houdini fixpoint of `sys`'s mined candidates on `workers`
+    /// worker solvers, or `None` when it was cancelled.
+    fn houdini_on(
+        sys: &AigSystem,
+        limits: &satb::Limits,
+        workers: usize,
+    ) -> Option<(Vec<LatchClause>, AnalysisStats)> {
+        let cfg = AnalysisConfig::default();
+        let (fix, _) = ternary_fixpoint(sys, &mut TernarySim::new(sys));
+        let (sigs, total_states) = simulate_signatures(sys, &cfg);
+        let candidates = mine_candidates(sys, &fix, &sigs, total_states, &cfg);
+        let tpl = TransitionTemplate::compile(sys);
+        let mut stats = AnalysisStats {
+            mined: candidates.len() as u32,
+            ..AnalysisStats::default()
+        };
+        let alive = houdini(&tpl, &candidates, limits, &mut stats, workers)?;
+        let kept = candidates
+            .into_iter()
+            .zip(alive)
+            .filter_map(|(c, a)| a.then_some(c))
+            .collect();
+        Some((kept, stats))
+    }
+
+    #[test]
+    fn houdini_split_keeps_the_greatest_inductive_subset() {
+        let pairs = 20;
+        let sys = counter_pairs(pairs);
+        let unlimited = satb::Limits::default();
+        let (serial, stats) = houdini_on(&sys, &unlimited, 1).expect("not cancelled");
+        assert!(stats.mined >= 128, "{stats:?}");
+        assert!(
+            stats.houdini_rounds >= 2,
+            "the first round drops: {stats:?}"
+        );
+        // Exactly the equivalences of the two counters of each pair
+        // survive: latch `6p + b` is bit `b` of pair `p`'s first
+        // counter, latch `6p + 3 + b` the same bit of its second.
+        assert_eq!(serial.len(), 6 * pairs, "{serial:?}");
+        for clause in &serial {
+            let &[(x, _), (y, _)] = clause.as_slice() else {
+                panic!("not an equivalence clause: {clause:?}");
+            };
+            assert!(x / 6 == y / 6 && x % 3 == y % 3 && x != y, "{clause:?}");
+        }
+        for workers in [2, 3] {
+            let (split, stats) = houdini_on(&sys, &unlimited, workers).expect("not cancelled");
+            assert_eq!(split, serial, "{workers} workers");
+            assert!(stats.houdini_rounds >= 2, "{stats:?}");
+        }
+        let tpl = TransitionTemplate::compile(&sys);
+        let inv = analyze(&sys, &tpl, &AnalysisConfig::default(), &unlimited);
+        assert_eq!(inv.clauses, serial);
+
+        // A stop flag seen by the workers cancels the whole fixpoint.
+        let stopped = satb::Limits {
+            stop: Some(Arc::new(AtomicBool::new(true))),
+            ..satb::Limits::default()
+        };
+        assert!(houdini_on(&sys, &stopped, 2).is_none());
     }
 
     /// Whether latch `i`'s next state is a free CI: neither an input nor

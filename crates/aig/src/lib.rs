@@ -37,6 +37,7 @@ pub mod cnf;
 pub mod graph;
 pub mod seq;
 pub mod sim;
+pub mod split;
 pub mod template;
 #[cfg(any(test, feature = "testutil"))]
 #[doc(hidden)]

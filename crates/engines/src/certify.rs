@@ -43,10 +43,10 @@
 //! # Check obligations
 //!
 //! For a clause set `Inv` (a clausal certificate, or the strengthening
-//! a certificate names) the checker discharges, clause at a time, the
-//! standard obligations against the raw template (constraints are
-//! asserted in every instantiated frame, so the constrained-transition
-//! semantics of the engines carries over):
+//! a certificate names) the checker discharges the standard
+//! obligations against the raw template, one query per clause
+//! (constraints are asserted in every instantiated frame, so the
+//! constrained-transition semantics of the engines carries over):
 //!
 //! 1. **Initiation** — `Init ⇒ Inv`: for every clause `c`,
 //!    `Init ∧ ¬c` is UNSAT. Checked on a solver *without* the other
@@ -59,6 +59,20 @@
 //!    `Inv ∧ T ∧ any_bad` is UNSAT (the frame's bad outputs are
 //!    evaluated under the same constraint semantics the engines used).
 //!    A strengthening makes no claim about the bad outputs.
+//!
+//! Initiation runs on its one cheap solver. Consecution is split across
+//! worker solvers ([`aig::split`]): up to one per idle core, each with
+//! at least 64 clauses, so a set below 128 fresh clauses runs on one
+//! solver on the calling thread, and so does a check made while a
+//! portfolio race's seats keep every core busy. Every worker builds a
+//! fresh solver on the raw template, asserts the whole set on one
+//! frame's current-state side, and checks the consecution of its own
+//! contiguous chunk of clauses; the last worker also checks safety. The
+//! split keeps the check independent: every obligation is still
+//! discharged by a fresh solver against the raw template, and none
+//! relies on another worker's answer. A failing check names the
+//! lowest-numbered clause that fails, whatever the worker count, and a
+//! passing check discharges the same obligations as a single solver.
 //!
 //! A formula certificate with root `r` and strengthening `Inv` first
 //! has `Inv` admitted by 1–2, then discharges, on one raw frame with
@@ -123,10 +137,11 @@
 //! initial states meets only reachable states, so a witness that is
 //! initiated and inductive relative to known clauses is sound, and its
 //! clauses hold in all reachable states in turn. The known set grows
-//! only from checks that passed in full; a failing check teaches the
-//! certifier nothing. No clause is known on anyone else's word: a
-//! strengthening that [`Blasted::of`](crate::Blasted::of) certified is
-//! proven again by the first witness that names it.
+//! only from checks that passed in full, on every worker; a failing
+//! check teaches the certifier nothing. No clause is known on anyone
+//! else's word: a strengthening that
+//! [`Blasted::of`](crate::Blasted::of) certified is proven again by the
+//! first witness that names it.
 //!
 //! A fresh certifier knows nothing, so [`certify`], [`certify_with`],
 //! [`certify_with_mode`] and [`certify_invariant`] — one-shot
@@ -143,10 +158,11 @@
 //! (antecedent existence, pivot polarity, learnt-clause cross-check
 //! against the live clause database). A refutation that fails the
 //! replay fails the certificate — [`CertifyReport::proof_chains`]
-//! counts the machine-checked chains backing a paranoid pass.
+//! counts the machine-checked chains backing a paranoid pass, summed
+//! over every worker solver.
 
 use crate::result::{CheckOutcome, Verdict};
-use aig::{Aig, AigLit, AigSystem, FrameEncoder, TransitionTemplate};
+use aig::{split, Aig, AigLit, AigSystem, FrameEncoder, TransitionTemplate};
 use satb::{Lit, Part, SolveResult, Solver};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -442,42 +458,105 @@ impl<'a> Certifier<'a> {
         let fresh: Vec<usize> = (0..clauses.len())
             .filter(|&ci| !self.known.contains(&canonical(&clauses[ci])))
             .collect();
-        let safety = claim == Claim::Invariant;
-        if fresh.is_empty() && !safety {
+        if fresh.is_empty() && claim == Claim::Strengthening {
             return Ok(0);
         }
-        let mut done = 0usize;
+        let workers = split::worker_count(fresh.len());
+        self.prove_fresh(clauses, &fresh, claim, par, workers)
+    }
 
-        // Initiation, on a solver holding nothing but the reset values:
-        // each clause must be checked without the others, or a clause the
-        // initial states escape could hide behind one they satisfy.
-        if !fresh.is_empty() {
-            let mut init = par.solver();
-            let vars: Vec<Lit> = (0..n).map(|_| Lit::pos(init.new_var())).collect();
-            for (latch, &l) in self.sys.latches.iter().zip(&vars) {
-                if let Some(iv) = latch.init {
-                    init.add_clause(&[if iv { l } else { !l }]);
+    /// Initiation for the `fresh` clauses of `clauses`, then their
+    /// consecution split across `workers` solvers, the safety of a
+    /// [`Claim::Invariant`] on the last. A failure names the lowest
+    /// failing clause. On a full pass the fresh clauses become known.
+    fn prove_fresh(
+        &mut self,
+        clauses: &[LatchClause],
+        fresh: &[usize],
+        claim: Claim,
+        par: &mut Paranoia,
+        workers: usize,
+    ) -> CheckResult {
+        let what = claim.prefix();
+        let mut done = if fresh.is_empty() {
+            0
+        } else {
+            self.initiation(clauses, fresh, what, par)?
+        };
+        let mut pars: Vec<Paranoia> = (0..workers).map(|_| Paranoia::new(par.on)).collect();
+        let results = split::run(&mut pars, |k, p| {
+            let chunk = &fresh[split::chunk(fresh.len(), workers, k)];
+            let safety = claim == Claim::Invariant && k + 1 == workers;
+            self.consecution(clauses, chunk, safety, what, p)
+        });
+        par.chains += pars.iter().map(|p| p.chains).sum::<u64>();
+        let mut failure = None;
+        for result in results {
+            match result {
+                Ok(n) => done += n,
+                Err((n, why)) => {
+                    done += n;
+                    failure.get_or_insert(why);
                 }
             }
-            for &ci in &fresh {
-                match init.solve_with(&negated_clause_on(&clauses[ci], &vars)) {
-                    SolveResult::Unsat => done += 1,
-                    _ => {
-                        return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}")))
-                    }
-                }
-            }
-            par.audit(&init).map_err(|why| (done, why))?;
         }
+        if let Some(why) = failure {
+            return Err((done, why));
+        }
+        self.known
+            .extend(fresh.iter().map(|&ci| canonical(&clauses[ci])));
+        Ok(done)
+    }
 
-        // Consecution (and safety) share one raw frame with the whole
-        // set, known clauses included, asserted on the current-state side.
+    /// Initiation for the `fresh` clauses of `clauses`, on a solver
+    /// holding nothing but the reset values: each clause must be checked
+    /// without the others, or a clause the initial states escape could
+    /// hide behind one they satisfy.
+    fn initiation(
+        &self,
+        clauses: &[LatchClause],
+        fresh: &[usize],
+        what: &str,
+        par: &mut Paranoia,
+    ) -> CheckResult {
+        let mut done = 0;
+        let mut init = par.solver();
+        let vars: Vec<Lit> = (0..self.sys.latches.len())
+            .map(|_| Lit::pos(init.new_var()))
+            .collect();
+        for (latch, &l) in self.sys.latches.iter().zip(&vars) {
+            if let Some(iv) = latch.init {
+                init.add_clause(&[if iv { l } else { !l }]);
+            }
+        }
+        for &ci in fresh {
+            match init.solve_with(&negated_clause_on(&clauses[ci], &vars)) {
+                SolveResult::Unsat => done += 1,
+                _ => return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}"))),
+            }
+        }
+        par.audit(&init).map_err(|why| (done, why))?;
+        Ok(done)
+    }
+
+    /// Consecution for the `chunk` clauses of `clauses`, and safety when
+    /// asked, on a fresh solver with one raw frame and the whole set,
+    /// known clauses included, asserted on its current-state side.
+    fn consecution(
+        &self,
+        clauses: &[LatchClause],
+        chunk: &[usize],
+        safety: bool,
+        what: &str,
+        par: &mut Paranoia,
+    ) -> CheckResult {
+        let mut done = 0;
         let mut s = par.solver();
         let frame = self.tpl.instantiate(&mut s, Part::A, 0);
         for clause in clauses {
             s.add_clause(&clause_on(clause, &frame.latch_cur));
         }
-        for &ci in &fresh {
+        for &ci in chunk {
             match s.solve_with(&negated_clause_on(&clauses[ci], &frame.latch_next)) {
                 SolveResult::Unsat => done += 1,
                 _ => {
@@ -495,8 +574,6 @@ impl<'a> Certifier<'a> {
             }
         }
         par.audit(&s).map_err(|why| (done, why))?;
-        self.known
-            .extend(fresh.iter().map(|&ci| canonical(&clauses[ci])));
         Ok(done)
     }
 
@@ -1021,23 +1098,28 @@ mod tests {
     /// inductive only under the mined stage equivalences, which every
     /// engine's certificate then carries.
     fn shadow_pair() -> TransitionSystem {
+        shadow_pair_of(4)
+    }
+
+    /// [`shadow_pair`] with `width`-bit stages.
+    fn shadow_pair_of(width: u32) -> TransitionSystem {
         let mut ts = TransitionSystem::new("shadow");
-        let din = ts.add_input("din", Sort::Bv(4));
+        let din = ts.add_input("din", Sort::Bv(width));
         let mut prev = (din, din);
         for stage in 1..=4 {
-            let r = ts.add_state(format!("r{stage}"), Sort::Bv(4));
-            let s = ts.add_state(format!("s{stage}"), Sort::Bv(4));
+            let r = ts.add_state(format!("r{stage}"), Sort::Bv(width));
+            let s = ts.add_state(format!("s{stage}"), Sort::Bv(width));
             let p = ts.pool_mut();
             let (a, b) = (p.var(prev.0), p.var(prev.1));
             let (r_next, s_next) = if stage % 2 == 1 {
-                let five = p.constv(4, 5);
+                let five = p.constv(width, 5);
                 (p.mul(a, five), p.mul(five, b))
             } else {
-                let one = p.constv(4, 1);
+                let one = p.constv(width, 1);
                 let (a2, b2) = (p.shl(a, one), p.shl(b, one));
                 (p.add(a, a2), p.add(b2, b))
             };
-            let zero = p.constv(4, 0);
+            let zero = p.constv(width, 0);
             ts.set_init(r, zero);
             ts.set_init(s, zero);
             ts.set_next(r, r_next);
@@ -1218,5 +1300,98 @@ mod tests {
                 assert!(b.proof_chains > 0, "the admission's proof is replayed");
             }
         }
+    }
+
+    /// The 128 mined clauses of the 16-bit shadow pair: enough to split.
+    fn wide_shadow() -> Blasted {
+        let blasted = Blasted::of(&shadow_pair_of(16));
+        assert!(blasted.invariant.clauses.len() >= 128);
+        blasted
+    }
+
+    #[test]
+    fn split_consecution_names_the_lowest_failing_clause() {
+        let blasted = wide_shadow();
+        let sys = &blasted.sys;
+        let mut clauses = blasted.invariant.clauses.clone();
+        clauses.push(forged_clause(sys));
+        let mut certifier = Certifier::new(sys, false);
+        let mut failure = |clauses: &[LatchClause], workers| {
+            let all: Vec<usize> = (0..clauses.len()).collect();
+            let mut par = Paranoia::new(false);
+            let result =
+                certifier.prove_fresh(clauses, &all, Claim::Strengthening, &mut par, workers);
+            assert!(certifier.known.is_empty(), "a failed check adds no clause");
+            result.expect_err("the forged clause fails").1
+        };
+        let last = clauses.len() - 1;
+        for workers in [1, 2, 3] {
+            assert_eq!(
+                failure(&clauses, workers),
+                format!("invariant consecution fails: Inv ∧ T ⇏ clause #{last}′"),
+                "{workers} workers"
+            );
+        }
+        // A second forgery, in the first chunk, is the one named.
+        clauses.insert(0, forged_clause(sys));
+        for workers in [1, 2, 3] {
+            assert_eq!(
+                failure(&clauses, workers),
+                "invariant consecution fails: Inv ∧ T ⇏ clause #0′",
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn split_paranoid_audit_covers_every_worker() {
+        let blasted = wide_shadow();
+        let sys = &blasted.sys;
+        let clauses = &blasted.invariant.clauses;
+        let all: Vec<usize> = (0..clauses.len()).collect();
+        let workers = 2;
+        let check = |paranoid| {
+            let started = Instant::now();
+            let mut par = Paranoia::new(paranoid);
+            let mut certifier = Certifier::new(sys, paranoid);
+            let result =
+                certifier.prove_fresh(clauses, &all, Claim::Strengthening, &mut par, workers);
+            assert_eq!(certifier.known.len(), clauses.len());
+            CertifyReport::new(true, result, &par, started)
+        };
+        let (plain, paranoid) = (check(false), check(true));
+        assert!(plain.ok && paranoid.ok, "{:?}", paranoid.failure);
+        assert_eq!(
+            (plain.ok, plain.witnessed, plain.obligations),
+            (paranoid.ok, paranoid.witnessed, paranoid.obligations)
+        );
+        assert_eq!(plain.obligations, 2 * clauses.len());
+        assert_eq!(plain.proof_chains, 0);
+        // The same obligations, whatever the worker count.
+        let tpl = TransitionTemplate::compile(sys);
+        for paranoid in [false, true] {
+            let rep = certify_invariant_with_mode(sys, &tpl, clauses, paranoid);
+            assert_eq!(
+                (rep.ok, rep.witnessed, rep.obligations),
+                (true, true, plain.obligations)
+            );
+        }
+
+        // The replayed chains are those of the initiation solver and of
+        // every worker's consecution solver.
+        let certifier = Certifier::new(sys, true);
+        let mut init = Paranoia::new(true);
+        assert!(certifier.initiation(clauses, &all, "", &mut init).is_ok());
+        let mut chains = init.chains;
+        for k in 0..workers {
+            let mut par = Paranoia::new(true);
+            let chunk = &all[split::chunk(all.len(), workers, k)];
+            assert!(certifier
+                .consecution(clauses, chunk, false, "", &mut par)
+                .is_ok());
+            assert!(par.chains > 0, "worker {k} replays no proof");
+            chains += par.chains;
+        }
+        assert_eq!(paranoid.proof_chains, chains);
     }
 }

@@ -100,6 +100,23 @@
 //! is proven once per race rather than once per seat. The certifier
 //! takes nothing on trust from [`Blasted::of`]'s own certification.
 //!
+//! Houdini's consecution queries and the certifier's per-clause
+//! obligations come by the hundred on a wide design (512 candidates and
+//! 1,024 obligations for a 512-latch shadow pipeline), and no query in
+//! a batch needs another's answer. Both are split across one worker
+//! solver per idle core ([`aig::split`]) once a batch holds at least
+//! 128 queries; smaller batches run on the calling thread. Every
+//! portfolio seat claims a core while it runs, so [`Blasted::of`]
+//! splits across all cores, while a race's own admission of the
+//! strengthening splits only across cores its seats leave idle. Mining
+//! keeps its result, the unique greatest inductive subset of the
+//! candidates (see [the Houdini loop](aig::analysis#the-houdini-loop)),
+//! and certification keeps its independence, since every worker runs a
+//! fresh solver on the raw template (see [check
+//! obligations](certify#check-obligations)). Verdicts, certificates and
+//! the obligation counts of passing checks do not depend on the core
+//! count.
+//!
 //! A cancelled analysis degrades to an empty invariant — never a
 //! half-filtered one — so the pipeline is safe under fault injection.
 //!

@@ -357,6 +357,9 @@ impl Portfolio {
                 thread::Builder::new()
                     .name(format!("portfolio-{name}"))
                     .spawn_scoped(scope, move || {
+                        // The seat keeps a core busy: a witness checked
+                        // meanwhile is not split onto it.
+                        let _core = aig::split::CoreClaim::claim();
                         // A panicking member must degrade the race, not
                         // kill it: catch the unwind and report it as a
                         // crash so the seat stays visible in the

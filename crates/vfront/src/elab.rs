@@ -96,6 +96,7 @@ pub fn elaborate(modules: &[SourceModule], top: &str) -> Result<Design, VerilogE
         by_name,
         out: Vec::new(),
         memo: HashMap::new(),
+        open: Vec::new(),
     };
     let top_idx = elab.module(top, &[], 0)?;
     Ok(Design {
@@ -108,6 +109,9 @@ struct Elaborator<'a> {
     by_name: HashMap<&'a str, &'a SourceModule>,
     out: Vec<ElabModule>,
     memo: HashMap<(String, Vec<(String, u64)>), usize>,
+    /// The modules being elaborated, outermost first: a module that
+    /// instantiates one of them closes a cycle.
+    open: Vec<String>,
 }
 
 impl<'a> Elaborator<'a> {
@@ -121,7 +125,28 @@ impl<'a> Elaborator<'a> {
             .by_name
             .get(name)
             .ok_or_else(|| VerilogError::at(line, format!("unknown module '{name}'")))?;
+        if let Some(first) = self.open.iter().position(|m| m == name) {
+            let cycle = self.open[first..].join(" -> ");
+            return Err(VerilogError::at(
+                line,
+                format!("module instantiation cycle: {cycle} -> {name}"),
+            ));
+        }
+        self.open.push(name.to_string());
+        let module = self.specialize(src, name, overrides, line);
+        self.open.pop();
+        module
+    }
 
+    /// Elaborates the source module `src` (named `name`) under the
+    /// parameter `overrides` of its instantiation at `line`.
+    fn specialize(
+        &mut self,
+        src: &SourceModule,
+        name: &str,
+        overrides: &[(Option<String>, u64)],
+        line: u32,
+    ) -> Result<usize, VerilogError> {
         // Resolve parameters in declaration order, applying overrides.
         let mut params: HashMap<String, u64> = HashMap::new();
         let mut param_order: Vec<String> = Vec::new();
@@ -619,6 +644,19 @@ mod tests {
         assert_eq!(ceil_log2(3), 2);
         assert_eq!(ceil_log2(16), 4);
         assert_eq!(ceil_log2(17), 5);
+    }
+
+    #[test]
+    fn instantiation_cycles_are_errors() {
+        let direct = "module m(input clk); m u(.clk(clk)); endmodule";
+        let mutual = "module top(input clk); a u(.clk(clk)); endmodule
+                      module a(input clk); b u(.clk(clk)); endmodule
+                      module b(input clk); a u(.clk(clk)); endmodule";
+        for (src, top, cycle) in [(direct, "m", "m -> m"), (mutual, "top", "a -> b -> a")] {
+            let mods = parse(src).expect("parses");
+            let err = elaborate(&mods, top).expect_err("a cycle never ends");
+            assert!(err.message.contains(cycle), "{err}");
+        }
     }
 
     #[test]

@@ -439,6 +439,29 @@ struct Synthesizer {
     sig_expr: HashMap<String, ExprId>,
 }
 
+/// The width of a `total`-bit concatenation extended by a `part`-bit
+/// part, or an error past the 64 bits a value can hold.
+fn concat_width(total: u32, part: u32) -> Result<u32, VerilogError> {
+    total
+        .checked_add(part)
+        .filter(|&w| w <= 64)
+        .ok_or_else(|| VerilogError::general("concatenation is wider than 64 bits"))
+}
+
+/// The width of `count` copies of a `unit`-bit value, or an error past
+/// the 64 bits a value can hold.
+fn replication_width(count: u64, unit: u32) -> Result<u32, VerilogError> {
+    count
+        .checked_mul(u64::from(unit))
+        .filter(|&w| w <= 64)
+        .map(|w| w as u32)
+        .ok_or_else(|| {
+            VerilogError::general(format!(
+                "replication of {count} copies of {unit} bits is wider than 64 bits"
+            ))
+        })
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Role {
     Input,
@@ -840,17 +863,17 @@ impl Synthesizer {
             Expr::Concat(parts) => {
                 let mut w = 0;
                 for p in parts {
-                    w += self.self_width(p)?;
+                    w = concat_width(w, self.self_width(p)?)?;
                 }
                 w
             }
             Expr::Repl(n, parts) => {
-                let count = const_eval(n, &HashMap::new()).map_err(Self::err)? as u32;
+                let count = const_eval(n, &HashMap::new()).map_err(Self::err)?;
                 let mut w = 0;
                 for p in parts {
-                    w += self.self_width(p)?;
+                    w = concat_width(w, self.self_width(p)?)?;
                 }
-                count * w
+                replication_width(count, w)?
             }
             Expr::Index(n, _) => match self.flat.sig(n) {
                 Some(s) if s.memory.is_some() => s.width,
@@ -1021,8 +1044,10 @@ impl Synthesizer {
             }
             Expr::Concat(parts) => {
                 let mut acc: Option<ExprId> = None;
+                let mut total = 0;
                 for part in parts {
                     let w = self.self_width(part)?;
+                    total = concat_width(total, w)?;
                     let pv = self.build(part, w)?;
                     acc = Some(match acc {
                         None => pv,
@@ -1038,8 +1063,10 @@ impl Synthesizer {
                     return Err(Self::err("zero replication"));
                 }
                 let mut one: Option<ExprId> = None;
+                let mut unit_width = 0;
                 for part in parts {
                     let w = self.self_width(part)?;
+                    unit_width = concat_width(unit_width, w)?;
                     let pv = self.build(part, w)?;
                     one = Some(match one {
                         None => pv,
@@ -1047,6 +1074,7 @@ impl Synthesizer {
                     });
                 }
                 let unit = one.ok_or_else(|| Self::err("empty replication"))?;
+                replication_width(count, unit_width)?;
                 let mut acc = unit;
                 for _ in 1..count {
                     acc = self.ts.pool_mut().concat(acc, unit);
@@ -1656,6 +1684,19 @@ impl Synthesizer {
 mod tests {
     use crate::compile;
     use rtlir::{Simulator, Value};
+
+    #[test]
+    fn concatenations_wider_than_64_bits_are_errors() {
+        for rhs in ["{65{1'b1}}", "{a, a}", "{99999999999{1'b1}}", "a + {a, a}"] {
+            let src = format!(
+                "module top(input [63:0] a, output [63:0] y);\n  assign y = {rhs};\nendmodule\n"
+            );
+            let err = compile(&src, "top").expect_err(rhs);
+            assert!(err.message.contains("wider than 64 bits"), "{rhs}: {err}");
+        }
+        let src = "module top(input [31:0] a, output [63:0] y);\n  assign y = {2{a}};\nendmodule\n";
+        assert!(compile(src, "top").is_ok(), "exactly 64 bits is fine");
+    }
 
     #[test]
     fn counter_semantics() {
