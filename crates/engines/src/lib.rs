@@ -135,7 +135,12 @@
 //! through its step solves (frame binding makes the closure span the
 //! whole chain, so the win there is structural uniformity, not
 //! pruning). PDR's query solver pairs the domains with chronological
-//! backtracking ([`satb::Solver::set_chrono`]).
+//! backtracking ([`satb::Solver::set_chrono`]), and keeps to the live
+//! frames: when a stronger cube prunes a stored one, or a push
+//! supersedes it, its blocking clause is retired together with the
+//! learned clauses its frame guard taints
+//! ([`satb::Solver::remove_clause_activated`]), so each query
+//! propagates through one clause per live cube.
 //!
 //! # Example
 //!

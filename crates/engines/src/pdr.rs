@@ -24,6 +24,22 @@
 //!   frame-0 initial-state units are guarded by `act_0`. Because
 //!   `F_i = ∪_{j≥i} frames[j]`, a query against `F_i` simply assumes
 //!   the **tail** `act_i, act_{i+1}, …, act_N`.
+//! * The solver holds **one clause per live cube**. A cube stored at
+//!   level `j` prunes every stored cube it subsumes at a level
+//!   `i <= j`: weaker cubes, and the copy a push leaves one frame down
+//!   (pushes in propagation, pushes after a block, ctg blocks while
+//!   shrinking). Each pruned cube's clause is retired with
+//!   [`satb::Solver::remove_clause_activated`], together with every
+//!   learned clause that mentions its frame guard `act_i`. Dropping
+//!   those is what keeps the retirement sound: a frame guard occurs
+//!   only negatively in clauses, so every clause learned from the
+//!   retired one still contains `¬act_i`, and every learned clause
+//!   left is implied by the clauses left. The frame's other learned
+//!   consequences go too, and the search re-derives what it needs.
+//!   Every query then propagates through a database the size of the
+//!   frames rather than of their history. A retirement the solver
+//!   refuses keeps a clause the pruning cube implies: sound, merely
+//!   slower.
 //! * Each relative-induction query needs a temporary `¬cube` clause.
 //!   Instead of the leak-a-var-and-unit-clause-per-query pattern, the
 //!   clause is guarded by a **recycled** activation variable from
@@ -121,6 +137,13 @@ fn subsumes(small: &Cube, big: &Cube) -> bool {
         return false;
     }
     true
+}
+
+/// The blocking clause `¬cube` over the latch literals `latch_lits`.
+fn blocking_clause(latch_lits: &[Lit], cube: &Cube) -> Vec<Lit> {
+    cube.iter()
+        .map(|&(i, v)| if v { !latch_lits[i] } else { latch_lits[i] })
+        .collect()
 }
 
 /// A proof obligation: every state of `cube` reaches a violation, so
@@ -424,29 +447,25 @@ impl<'s> PdrRun<'s> {
 
     /// Stores a blocked cube at `level`: one guarded solver clause
     /// (through the prenormalized cube-import fast path — cube literals
-    /// are sorted over distinct latches by construction), plus registry
-    /// upkeep — any stored cube subsumed by the new one (at a level the
-    /// new clause covers) is pruned so the syntactic blocked-check
-    /// stays small.
+    /// are sorted over distinct latches by construction). Every stored
+    /// cube the new one subsumes at a level it covers is pruned, and
+    /// its solver clause retired with the learned clauses its frame
+    /// guard taints, so the solver holds one clause per live cube.
     fn add_blocked(&mut self, cube: Cube, level: usize) {
         while self.frames.len() <= level {
             self.frames.push(Vec::new());
         }
-        let clause: Vec<Lit> = cube
-            .iter()
-            .map(|&(i, v)| {
-                if v {
-                    !self.latch_lits[i]
-                } else {
-                    self.latch_lits[i]
-                }
-            })
-            .collect();
+        let clause = blocking_clause(&self.latch_lits, &cube);
         self.solver
             .add_clause_activated_prenormalized(self.acts[level], &clause);
         self.bump_activity(&cube);
         for j in 1..=level {
-            self.frames[j].retain(|d| !subsumes(&cube, d));
+            // A refused retirement keeps a clause the new one implies:
+            // sound, merely slower.
+            for d in self.frames[j].extract_if(.., |d| subsumes(&cube, d)) {
+                let clause = blocking_clause(&self.latch_lits, &d);
+                self.solver.remove_clause_activated(self.acts[j], &clause);
+            }
         }
         self.frames[level].push(cube);
     }
@@ -582,16 +601,7 @@ impl<'s> PdrRun<'s> {
     /// activation variable and is released either way.
     fn query_relative(&mut self, cube: &Cube, level: usize) -> RelQuery {
         let act = self.solver.new_activation();
-        let clause: Vec<Lit> = cube
-            .iter()
-            .map(|&(i, v)| {
-                if v {
-                    !self.latch_lits[i]
-                } else {
-                    self.latch_lits[i]
-                }
-            })
-            .collect();
+        let clause = blocking_clause(&self.latch_lits, cube);
         self.solver.add_clause_activated(act, &clause);
         self.push_frame_tail(level - 1);
         self.assumptions.push(act);
@@ -1449,11 +1459,7 @@ mod tests {
     /// sequential AIGs (the refactor must not change any answer).
     #[test]
     fn matches_per_frame_baseline_on_random_systems() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(0x9D12);
-        for round in 0..25 {
-            let sys = random_system(&mut rng);
+        for (round, sys) in random_systems().enumerate() {
             let tpl = TransitionTemplate::compile(&sys);
             let budget = Budget {
                 timeout: None,
@@ -1474,10 +1480,48 @@ mod tests {
         }
     }
 
-    /// The shared random sequential netlist (`aig::testutil`, reached
-    /// through the `testutil` dev-dependency feature).
-    fn random_system(rng: &mut rand::rngs::StdRng) -> AigSystem {
-        aig::testutil::random_system(rng, &aig::testutil::RandomSystemConfig::default())
+    /// The 25 seeded random sequential netlists of the baseline
+    /// comparison (`aig::testutil`, reached through the `testutil`
+    /// dev-dependency feature).
+    fn random_systems() -> impl Iterator<Item = AigSystem> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9D12);
+        let config = aig::testutil::RandomSystemConfig::default();
+        (0..25).map(move |_| aig::testutil::random_system(&mut rng, &config))
+    }
+
+    /// The solver holds one clause per live cube: after a run, no frame
+    /// guard registers more clauses than its frame holds cubes (fewer
+    /// when a cube's clause was satisfied at level 0 and never stored).
+    /// Pruned cubes, pushed ones included, take their clauses along.
+    #[test]
+    fn one_solver_clause_per_live_cube() {
+        let designs = [
+            crate::kind::tests::trap_ts(),
+            crate::bmc::tests::counter_ts(9, 8),
+        ];
+        let systems = designs
+            .iter()
+            .map(aig::blast_system)
+            .chain(random_systems());
+        for (n, sys) in systems.enumerate() {
+            let tpl = TransitionTemplate::compile(&sys);
+            let budget = Budget {
+                timeout: None,
+                max_depth: 64,
+                ..Budget::default()
+            };
+            let mut run = PdrRun::new(&sys, &tpl, &[], budget);
+            let _ = run.solve();
+            for (j, &act) in run.acts.iter().enumerate().skip(1) {
+                let cubes = run.frames.get(j).map_or(0, Vec::len);
+                let clauses = run.solver.debug_activated_clauses(act);
+                assert!(
+                    clauses <= cubes,
+                    "system {n}, level {j}: {clauses} clauses for {cubes} cubes"
+                );
+            }
+        }
     }
 
     /// Obligation pop order: lowest level first; among equal levels,

@@ -12,6 +12,20 @@
 //! * incremental solving under **assumptions** with failed-assumption
 //!   cores ([`Solver::failed_assumptions`]), the workhorse of the
 //!   IC3/PDR and k-induction engines;
+//! * **activation groups** ([`Solver::new_activation`]): clauses added
+//!   with [`Solver::add_clause_activated`] carry the negation of a
+//!   guard variable and hold only while the guard is assumed.
+//!   [`Solver::release_activation`] retires a whole group: its clauses,
+//!   every learned clause that mentions the guard, and the guard
+//!   itself, which goes back to a free-list for reuse.
+//!   [`Solver::remove_clause_activated`] retires one clause of a group
+//!   and every learned clause that mentions the guard, and leaves the
+//!   group and its guard live. Both rest on one contract: a guard
+//!   never occurs positively in a clause (debug builds assert it), so
+//!   every clause learned from a guarded clause still contains the
+//!   negated guard, and the learned clauses that remain are implied by
+//!   the clauses that remain. PDR releases its per-query groups and
+//!   removes the frame clauses that stronger cubes prune;
 //! * optional **resolution proof logging** and McMillan **interpolant**
 //!   extraction ([`Solver::interpolant`]), used by the interpolation-
 //!   based model checker and the IMPACT-style software analyzer;

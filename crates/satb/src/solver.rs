@@ -137,8 +137,9 @@ pub struct Stats {
     /// Number of activation variables reused from the free-list by
     /// [`Solver::new_activation`] instead of allocating a fresh one.
     pub act_recycled: u64,
-    /// Number of clauses freed by [`Solver::release_activation`]
-    /// (registered activated clauses plus contaminated learned ones).
+    /// Number of clauses freed by [`Solver::release_activation`] and
+    /// [`Solver::remove_clause_activated`] (registered activated
+    /// clauses plus the learned clauses their guard taints).
     pub act_released: u64,
     /// Number of releases abandoned because the activation variable was
     /// fixed at level 0 or a dependent clause was locked; the group
@@ -374,6 +375,10 @@ pub struct Solver {
     act_entries: HashMap<Var, ActEntry>,
     /// Recycled activation variables, ready for reuse.
     free_acts: Vec<Var>,
+    /// Per variable: whether [`new_activation`](Solver::new_activation)
+    /// ever returned it. Debug builds assert that no original clause
+    /// holds such a guard positively.
+    is_guard: Vec<bool>,
     /// Abandoned activation releases awaiting reclamation: their
     /// clauses are all satisfied at level 0 (the guard variable is
     /// fixed false), so they are freed by the next sweep unless they
@@ -458,6 +463,7 @@ impl Solver {
             lbd_gen: 0,
             act_entries: HashMap::new(),
             free_acts: Vec::new(),
+            is_guard: Vec::new(),
             leaked: Vec::new(),
             chaos_epoch: 0,
             chrono: None,
@@ -580,6 +586,7 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
+        self.is_guard.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.lbd_stamp.push(0);
@@ -673,10 +680,13 @@ impl Solver {
     ///
     /// The returned positive literal is the group's guard: add clauses
     /// with [`add_clause_activated`](Solver::add_clause_activated),
-    /// enable them by assuming the literal, and retire the whole group
-    /// with [`release_activation`](Solver::release_activation). The
-    /// caller must only use the variable as an assumption guard — it
-    /// must not occur in ordinary clauses, or release becomes unsound.
+    /// enable them by assuming the literal, retire one clause with
+    /// [`remove_clause_activated`](Solver::remove_clause_activated)
+    /// and the whole group with
+    /// [`release_activation`](Solver::release_activation). The caller
+    /// must only use the variable as an assumption guard — it must
+    /// never occur positively in a clause, or both become unsound
+    /// (debug builds assert this on every original clause).
     pub fn new_activation(&mut self) -> Lit {
         let v = match self.free_acts.pop() {
             Some(v) => {
@@ -684,7 +694,11 @@ impl Solver {
                 self.stats.act_recycled += 1;
                 v
             }
-            None => self.new_var(),
+            None => {
+                let v = self.new_var();
+                self.is_guard[v.index()] = true;
+                v
+            }
         };
         self.act_entries.insert(
             v,
@@ -780,25 +794,8 @@ impl Solver {
             return false;
         };
         debug_assert!(self.trail_lim.is_empty(), "release happens at level 0");
+        let doomed_learnts = self.tainted_learnts(v, &entry);
         let doomed = entry.crefs;
-        // Learned clauses mentioning the variable can only have been
-        // allocated after the group was created; skip the scan of the
-        // older arena prefix unless a compaction moved things since.
-        let mark = if self.stats.gcs == entry.gc_mark {
-            entry.arena_mark
-        } else {
-            0
-        };
-        let mut doomed_learnts: Vec<CRef> = Vec::new();
-        let learnts = self.cdb.learnts();
-        // The registry is in ascending CRef order, so the pre-mark
-        // prefix is skipped outright, not merely filtered.
-        let start = learnts.partition_point(|c| c.index() < mark);
-        for &c in &learnts[start..] {
-            if self.cdb.lits(c).iter().any(|l| l.var() == v) {
-                doomed_learnts.push(c);
-            }
-        }
         if self.assigns[v.index()] != LBool::Undef
             || doomed
                 .iter()
@@ -812,15 +809,115 @@ impl Solver {
             });
             return false;
         }
-        for &c in doomed.iter().chain(&doomed_learnts) {
+        self.free_guarded(&doomed, &doomed_learnts);
+        self.free_acts.push(v);
+        true
+    }
+
+    /// Retires one clause of a live activation group: frees the stored
+    /// clause `lits ∨ ¬act` and every learned clause that mentions the
+    /// guard variable, and leaves the group and its guard live, so
+    /// later clauses can still be added under `act`.
+    ///
+    /// Dropping the tainted learned clauses is what makes this sound
+    /// with no further caller contract, by the argument of
+    /// [`release_activation`](Solver::release_activation): every
+    /// learned clause whose derivation used the retired clause still
+    /// contains `¬act`, so every learned clause that remains is implied
+    /// by the original clauses that remain. The group's other clauses
+    /// lose their learned consequences, which the search re-derives
+    /// where it needs them.
+    ///
+    /// The stored clause is found by literal set, not by order: watch
+    /// swaps permute the stored literals, and level-0 simplification
+    /// dropped those already false when the clause was added. A
+    /// registered clause matches when it contains `¬act`, its literals
+    /// are a subset of `lits ∨ ¬act`, and every literal it lacks is
+    /// false at level 0. Two matching clauses are equal modulo level-0
+    /// facts, so retiring either is the same.
+    ///
+    /// Call it between solves, at level 0. It removes nothing and
+    /// returns `false` when no registered clause matches (a clause
+    /// satisfied at level 0 is never stored), when the guard is
+    /// assigned at level 0, or when the clause or a tainted learned
+    /// clause is the reason of an assignment; keeping a clause is
+    /// always sound. Freed clauses count in [`Stats::act_released`].
+    pub fn remove_clause_activated(&mut self, act: Lit, lits: &[Lit]) -> bool {
+        debug_assert!(self.trail_lim.is_empty(), "removal happens at level 0");
+        let v = act.var();
+        let Some(entry) = self.act_entries.get(&v) else {
+            return false;
+        };
+        if self.assigns[v.index()] != LBool::Undef {
+            return false;
+        }
+        let Some(pos) = entry
+            .crefs
+            .iter()
+            .position(|&c| self.stores_guarded(c, act, lits))
+        else {
+            return false;
+        };
+        let c = entry.crefs[pos];
+        let learnts = self.tainted_learnts(v, entry);
+        if self.is_reason_clause(c) || learnts.iter().any(|&l| self.is_reason_clause(l)) {
+            return false;
+        }
+        self.free_guarded(&[c], &learnts);
+        // `remove` keeps the registry in ascending order, which a later
+        // release relies on.
+        if let Some(e) = self.act_entries.get_mut(&v) {
+            e.crefs.remove(pos);
+        }
+        true
+    }
+
+    /// Whether the stored clause `c` is `lits ∨ ¬act` up to literals
+    /// false at level 0 (see
+    /// [`remove_clause_activated`](Solver::remove_clause_activated)).
+    fn stores_guarded(&self, c: CRef, act: Lit, lits: &[Lit]) -> bool {
+        let stored = self.cdb.lits(c);
+        stored.len() <= lits.len() + 1
+            && stored.iter().all(|&l| l == !act || lits.contains(&l))
+            && stored.contains(&!act)
+            && lits
+                .iter()
+                .all(|&l| stored.contains(&l) || self.lit_value(l) == LBool::False)
+    }
+
+    /// The learned clauses mentioning `v`, the guard of the live group
+    /// `entry`, in ascending `CRef` order.
+    fn tainted_learnts(&self, v: Var, entry: &ActEntry) -> Vec<CRef> {
+        // Such clauses can only have been allocated after the group's
+        // mark; skip the scan of the older arena prefix unless a
+        // compaction moved things since.
+        let mark = if self.stats.gcs == entry.gc_mark {
+            entry.arena_mark
+        } else {
+            0
+        };
+        let learnts = self.cdb.learnts();
+        // The registry is in ascending CRef order, so the pre-mark
+        // prefix is skipped outright, not merely filtered.
+        let start = learnts.partition_point(|c| c.index() < mark);
+        learnts[start..]
+            .iter()
+            .copied()
+            .filter(|&c| self.cdb.lits(c).iter().any(|l| l.var() == v))
+            .collect()
+    }
+
+    /// Frees guarded original clauses and the learned clauses their
+    /// guard taints (each list in ascending order, none of them a
+    /// reason), counting them in [`Stats::act_released`].
+    fn free_guarded(&mut self, origs: &[CRef], learnts: &[CRef]) {
+        for &c in origs.iter().chain(learnts) {
             self.detach(c);
             self.cdb.free(c);
             self.stats.act_released += 1;
         }
-        self.cdb.remove_from_registry(false, &doomed);
-        self.cdb.remove_from_registry(true, &doomed_learnts);
-        self.free_acts.push(v);
-        true
+        self.cdb.remove_from_registry(false, origs);
+        self.cdb.remove_from_registry(true, learnts);
     }
 
     /// Reclaims abandoned activation groups (see
@@ -930,6 +1027,10 @@ impl Solver {
             },
             "pre-normalized clause has duplicate variables: {lits:?}"
         );
+        debug_assert!(
+            self.guards_negative(lits),
+            "activation guard occurs positively: {lits:?}"
+        );
         if self.proof.is_none() && lits.len() >= 2 {
             let mut any_assigned = false;
             for &l in lits {
@@ -955,6 +1056,10 @@ impl Solver {
     /// proof registration, watch selection. `ls` must be normalized.
     fn add_normalized(&mut self, mut ls: Vec<Lit>, part: Part, tag: u32) -> bool {
         debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
+        debug_assert!(
+            self.guards_negative(&ls),
+            "activation guard occurs positively: {ls:?}"
+        );
         // Drop literals already false at level 0 only when proofs are
         // off (with proofs the drop would need extra resolution steps,
         // so we keep the clause intact and let analysis handle it).
@@ -1023,6 +1128,14 @@ impl Solver {
                 true
             }
         }
+    }
+
+    /// The activation contract for an original clause: no literal is
+    /// the positive literal of a guard from
+    /// [`new_activation`](Solver::new_activation).
+    fn guards_negative(&self, lits: &[Lit]) -> bool {
+        lits.iter()
+            .all(|l| !(l.is_positive() && self.is_guard[l.var().index()]))
     }
 
     /// Installs the two watchers of a clause (binary clauses get the
@@ -1707,7 +1820,27 @@ impl Solver {
                 }
             }
         }
+        for (v, e) in &self.act_entries {
+            let guard = Lit::neg(*v);
+            if !e.crefs.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("group of {v:?} is not in ascending order"));
+            }
+            for &c in &e.crefs {
+                if self.cdb.is_deleted(c) || !self.cdb.lits(c).contains(&guard) {
+                    return Err(format!("group of {v:?} registers {c:?} without its guard"));
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// Number of clauses registered under the activation guard `act`
+    /// (test hook; 0 for a released or unknown guard).
+    #[doc(hidden)]
+    pub fn debug_activated_clauses(&self, act: Lit) -> usize {
+        self.act_entries
+            .get(&act.var())
+            .map_or(0, |e| e.crefs.len())
     }
 
     /// Picks the next decision literal. Under a domain, out-of-domain
@@ -2446,6 +2579,126 @@ pub(crate) mod tests {
         assert!(st.act_swept >= 1, "sweep reclaimed the satisfied clause");
         s.debug_force_gc();
         s.debug_check_integrity().expect("intact after sweep + GC");
+    }
+
+    /// Learned clauses that mention the variable of `act`.
+    fn tainted(s: &Solver, act: Lit) -> usize {
+        s.cdb
+            .learnts()
+            .iter()
+            .filter(|&&c| s.cdb.lits(c).iter().any(|l| l.var() == act.var()))
+            .count()
+    }
+
+    /// Retiring one clause of a group frees it and the learned clauses
+    /// its guard taints, and nothing else: the query only that clause
+    /// refuted turns SAT, the group's other clauses still bite, and the
+    /// solver stays intact through reduction and compaction.
+    #[test]
+    fn remove_activated_frees_one_clause_and_its_tainted_learnts() {
+        // Four pigeons in three holes under one guard; pigeon 0 may
+        // escape through `e`, so only the assumptions [act, ¬e] refute.
+        let holes = 3;
+        let mut s = Solver::new();
+        let h = |p: usize, k: usize| Lit::pos(Var::from_index(p * holes + k));
+        let e = lit(&mut s, (holes + 1) * holes, true);
+        let act = s.new_activation();
+        let pigeon0: Vec<Lit> = (0..holes).map(|k| h(0, k)).chain([e]).collect();
+        assert!(s.add_clause_activated(act, &pigeon0));
+        for p in 1..=holes {
+            let c: Vec<Lit> = (0..holes).map(|k| h(p, k)).collect();
+            assert!(s.add_clause_activated(act, &c));
+        }
+        for k in 0..holes {
+            for p1 in 0..=holes {
+                for p2 in p1 + 1..=holes {
+                    assert!(s.add_clause_activated(act, &[!h(p1, k), !h(p2, k)]));
+                }
+            }
+        }
+        assert_eq!(s.solve_with(&[act, !e]), SolveResult::Unsat);
+        let learned = tainted(&s, act);
+        assert!(learned > 0, "the refutation learns under the guard");
+        let group = s.debug_activated_clauses(act);
+        let (clauses, released) = (s.num_clauses(), s.stats().act_released);
+        // Literal order does not matter.
+        let reversed: Vec<Lit> = pigeon0.iter().rev().copied().collect();
+        assert!(s.remove_clause_activated(act, &reversed));
+        assert_eq!(tainted(&s, act), 0, "no learned clause mentions the guard");
+        assert_eq!(s.debug_activated_clauses(act), group - 1);
+        assert_eq!(s.num_clauses(), clauses - 1 - learned);
+        assert_eq!(s.stats().act_released, released + 1 + learned as u64);
+        // Three pigeons fit three holes.
+        assert_eq!(s.solve_with(&[act, !e]), SolveResult::Sat);
+        // The group's other clauses still bite, the guard still gates.
+        assert_eq!(s.solve_with(&[act, h(1, 0), h(2, 0)]), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&[h(1, 0), h(2, 0)]), SolveResult::Sat);
+        s.debug_force_reduce();
+        s.debug_force_gc();
+        s.debug_check_integrity().expect("intact after reduce + GC");
+        assert_eq!(s.solve_with(&[act, !e]), SolveResult::Sat);
+        assert_eq!(s.solve_with(&[act, h(1, 0), h(2, 0)]), SolveResult::Unsat);
+    }
+
+    /// The stored clause is matched modulo literals false at level 0,
+    /// which the add path dropped.
+    #[test]
+    fn remove_activated_matches_modulo_level_0_facts() {
+        let mut s = Solver::new();
+        let (a, b, z) = (
+            lit(&mut s, 0, true),
+            lit(&mut s, 1, true),
+            lit(&mut s, 2, true),
+        );
+        assert!(s.add_clause(&[!z]));
+        let act = s.new_activation();
+        assert!(s.add_clause_activated(act, &[a, z, b]));
+        assert!(!s.remove_clause_activated(act, &[a]), "b is not false");
+        assert!(s.remove_clause_activated(act, &[b, z, a]));
+        assert_eq!(s.debug_activated_clauses(act), 0);
+        assert_eq!(s.solve_with(&[act, !a, !b]), SolveResult::Sat);
+        s.debug_check_integrity().expect("intact after removal");
+    }
+
+    /// A guard fixed false at level 0 refuses removal and frees nothing.
+    #[test]
+    fn remove_activated_refuses_a_guard_fixed_at_level_0() {
+        let mut s = Solver::new();
+        let (a, b) = (lit(&mut s, 0, true), lit(&mut s, 1, true));
+        let act = s.new_activation();
+        assert!(s.add_clause_activated(act, &[a, b]));
+        assert!(s.add_clause(&[!act]));
+        let clauses = s.num_clauses();
+        assert!(!s.remove_clause_activated(act, &[a, b]));
+        assert_eq!(s.num_clauses(), clauses);
+        assert_eq!(s.debug_activated_clauses(act), 1);
+        assert_eq!(s.stats().act_released, 0);
+        s.debug_check_integrity().expect("intact after refusal");
+    }
+
+    /// Only a clause registered under the given guard is removed.
+    #[test]
+    fn remove_activated_refuses_an_unregistered_clause() {
+        let mut s = Solver::new();
+        let (a, b, c) = (
+            lit(&mut s, 0, true),
+            lit(&mut s, 1, true),
+            lit(&mut s, 2, true),
+        );
+        let act = s.new_activation();
+        let other = s.new_activation();
+        assert!(s.add_clause_activated(act, &[a, b]));
+        // The same shape, added without registration.
+        assert!(s.add_clause(&[a, c, !act]));
+        let clauses = s.num_clauses();
+        for lits in [&[a, c][..], &[a], &[a, b, c], &[!a, b]] {
+            assert!(!s.remove_clause_activated(act, lits), "{lits:?}");
+        }
+        assert!(!s.remove_clause_activated(other, &[a, b]), "other group");
+        assert!(!s.remove_clause_activated(c, &[a, b]), "not a guard");
+        assert_eq!(s.num_clauses(), clauses);
+        assert_eq!(s.debug_activated_clauses(act), 1);
+        assert_eq!(s.stats().act_released, 0);
     }
 
     #[test]

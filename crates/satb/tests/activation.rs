@@ -199,3 +199,117 @@ fn random_groups_match_rebuilt_reference() {
         }
     }
 }
+
+/// Seeded differential check of single-clause removal: interleaves
+/// guarded adds, removals and solves on random CNFs under random guard
+/// and literal assumptions, and compares every answer with a fresh
+/// solver that holds only the live clauses. A model must satisfy every
+/// live clause whose guard is assumed, and a failed core must be UNSAT
+/// on the fresh solver too.
+#[test]
+fn guarded_removals_match_a_fresh_solver() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x5E71);
+    let (mut removed, mut released) = (0u64, 0u64);
+    for round in 0..200 {
+        let nvars = rng.gen_range(6..=12usize);
+        let mut s = Solver::new();
+        for _ in 0..nvars {
+            s.new_var();
+        }
+        let guards: Vec<Lit> = (0..rng.gen_range(1..=3usize))
+            .map(|_| s.new_activation())
+            .collect();
+        let mut permanent: Vec<Vec<Lit>> = Vec::new();
+        // Live guarded clauses: (guard, clause without the guard).
+        let mut live: Vec<(Lit, Vec<Lit>)> = Vec::new();
+        let rand_clause = |rng: &mut StdRng| -> Vec<Lit> {
+            (0..rng.gen_range(2..=3usize))
+                .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
+                .collect()
+        };
+        for op in 0..60 {
+            match rng.gen_range(0..10) {
+                0 => {
+                    let c = rand_clause(&mut rng);
+                    s.add_clause(&c);
+                    permanent.push(c);
+                }
+                1..=4 => {
+                    let g = guards[rng.gen_range(0..guards.len())];
+                    let c = rand_clause(&mut rng);
+                    s.add_clause_activated(g, &c);
+                    live.push((g, c));
+                }
+                5 | 6 if !live.is_empty() => {
+                    // A refused removal keeps the clause live.
+                    let i = rng.gen_range(0..live.len());
+                    if s.remove_clause_activated(live[i].0, &live[i].1) {
+                        live.swap_remove(i);
+                        removed += 1;
+                    }
+                }
+                7 => {
+                    s.debug_force_reduce();
+                    s.debug_force_gc();
+                }
+                _ => {
+                    let mut assumptions: Vec<Lit> = guards
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.gen_bool(0.8))
+                        .collect();
+                    for _ in 0..rng.gen_range(0..=3usize) {
+                        assumptions.push(Lit::new(
+                            Var::from_index(rng.gen_range(0..nvars)),
+                            rng.gen_bool(0.5),
+                        ));
+                    }
+                    let got = s.solve_with(&assumptions);
+                    let mut r = Solver::new();
+                    for _ in 0..s.num_vars() {
+                        r.new_var();
+                    }
+                    for c in &permanent {
+                        r.add_clause(c);
+                    }
+                    for (g, c) in &live {
+                        let mut gc = c.clone();
+                        gc.push(!*g);
+                        r.add_clause(&gc);
+                    }
+                    let want = r.solve_with(&assumptions);
+                    assert_eq!(got, want, "round {round}, op {op}: {assumptions:?}");
+                    match got {
+                        SolveResult::Sat => {
+                            let holds = |c: &[Lit]| c.iter().any(|&l| s.value(l) == Some(true));
+                            assert!(permanent.iter().all(|c| holds(c)), "round {round}");
+                            for (g, c) in &live {
+                                assert!(
+                                    !assumptions.contains(g) || holds(c),
+                                    "round {round}, op {op}: model violates {c:?}"
+                                );
+                            }
+                        }
+                        SolveResult::Unsat => {
+                            let core = s.failed_assumptions().to_vec();
+                            assert_eq!(
+                                r.solve_with(&core),
+                                SolveResult::Unsat,
+                                "round {round}, op {op}: core {core:?}"
+                            );
+                        }
+                        SolveResult::Unknown(_) => unreachable!("no limits"),
+                    }
+                }
+            }
+            s.debug_check_integrity().expect("intact");
+        }
+        released += s.stats().act_released;
+    }
+    assert!(
+        released > removed,
+        "removals must also drop tainted learned clauses: {removed} removed, {released} freed"
+    );
+}
