@@ -51,23 +51,6 @@
 //! part/tag) by every instantiation: all consumers assert them on every
 //! materialized frame.
 //!
-//! # Query scoping (cone maps)
-//!
-//! Compilation also records the **structural cone** of every root —
-//! per-latch next-state cones, per-bad cones, the constraint and
-//! any-bad union cones — as template-local variable sets
-//! ([`TransitionTemplate::latch_next_cone`] and friends). Because
-//! instantiation is offset arithmetic, a frame maps a cone onto solver
-//! variables for free, and [`FrameVars::extend_domain`] /
-//! [`FrameVars::extend_domain_base`] assemble per-query decision
-//! [`Domain`]s for [`satb::Solver::solve_with_domain`]: engines
-//! restrict each SAT query's branching to exactly the variables its
-//! cube, guards and constraints can observe. The cones are computed
-//! once per design and survive [`preprocess`]
-//! (eliminated variables leave the cones together with their clauses).
-//!
-//! [`preprocess`]: TransitionTemplate::preprocess
-//!
 //! # Example
 //!
 //! ```
@@ -106,7 +89,7 @@
 use crate::graph::AigLit;
 use crate::seq::AigSystem;
 use satb::preproc::{PreprocStats, Preprocessor, ReconStack};
-use satb::{Domain, Lit, Part, Solver, Var};
+use satb::{Lit, Part, Solver, Var};
 
 /// The solver literals of one materialized time frame.
 ///
@@ -129,12 +112,6 @@ pub struct FrameVars {
     pub bads: Vec<Lit>,
     /// Literal equivalent to "some bad output fires in this frame".
     pub any_bad: Lit,
-    /// First solver variable of this frame's fresh block (for mapping
-    /// template-local cone variables; see [`FrameVars::extend_domain`]).
-    first: usize,
-    /// Template-local variables skipped by the mapping (the latch
-    /// block when the frame was chained with `instantiate_bound`).
-    skip: usize,
 }
 
 impl FrameVars {
@@ -148,48 +125,6 @@ impl FrameVars {
                 solver.add_clause(&[if init { l } else { !l }]);
             }
         }
-    }
-
-    /// The solver variable a template-local variable was mapped to in
-    /// this frame (latch-current variables go through the binding, the
-    /// rest is offset arithmetic — the same mapping instantiation
-    /// used).
-    fn solver_var(&self, tv: Var) -> Var {
-        let v = tv.index();
-        if v < self.latch_cur.len() {
-            self.latch_cur[v].var()
-        } else {
-            Var::from_index(self.first + v - self.skip)
-        }
-    }
-
-    /// Adds the solver image of a template-local cone — one of
-    /// [`TransitionTemplate::latch_next_cone`],
-    /// [`TransitionTemplate::bad_cone`],
-    /// [`TransitionTemplate::constraint_cone`],
-    /// [`TransitionTemplate::any_bad_cone`] — to a query [`Domain`].
-    pub fn extend_domain(&self, dom: &mut Domain, cone: &[Var]) {
-        for &v in cone {
-            dom.insert(self.solver_var(v));
-        }
-    }
-
-    /// Adds this frame's base query domain: every latch-current and
-    /// input variable plus the constraint cone. This is the part every
-    /// engine query needs regardless of its cube — frame lemmas and
-    /// initial-state units range over latch-current variables, inputs
-    /// feed every cone, and the constraint units are asserted
-    /// unconditionally — so starting from it keeps
-    /// [`satb::Solver::solve_with_domain`]'s `Sat` answers extendable
-    /// (see the `satb::domain` module docs for the contract).
-    pub fn extend_domain_base(&self, tpl: &TransitionTemplate, dom: &mut Domain) {
-        for &l in &self.latch_cur {
-            dom.insert(l.var());
-        }
-        for &l in &self.inputs {
-            dom.insert(l.var());
-        }
-        self.extend_domain(dom, tpl.constraint_cone());
     }
 }
 
@@ -222,20 +157,9 @@ pub struct TransitionTemplate {
     constraints: Vec<Lit>,
     bad_lits: Vec<Lit>,
     any_bad: Lit,
-    /// Per-root structural cones over template-local variables, for
-    /// per-query decision [`Domain`]s (see [`FrameVars::extend_domain`]
-    /// and the `satb::domain` module docs). CSR layout: entry `i` of
-    /// `0..L` is latch `i`'s next-state cone, entry `L + j` is bad
-    /// `j`'s cone; each cone is fanin-closed and contains its root's
-    /// variable.
-    cone_vars: Vec<Var>,
-    cone_ends: Vec<u32>,
-    /// Union cone of every environment constraint (part of every
-    /// query's base domain — the constraint units are asserted on
-    /// every frame).
-    constraint_cone: Vec<Var>,
-    /// Union cone of every bad output plus the any-bad variable.
-    any_bad_cone: Vec<Var>,
+    /// Per latch: whether it lies in the compiled system's sequential
+    /// cone of influence ([`AigSystem::latch_coi`]).
+    latch_coi: Vec<bool>,
 }
 
 /// Template-local Tseitin emitter used by
@@ -393,64 +317,6 @@ impl TransitionTemplate {
             }
         };
 
-        // Structural cones for per-query domains: one stamped DFS over
-        // the AIG per root (or root group), collecting the template
-        // variable of every node in the transitive fanin. Constant
-        // roots/fanins contribute the constant-true variable (their
-        // defining unit clause must be in any domain that sees them).
-        let mut visited = vec![0u32; sys.aig.num_nodes()];
-        let mut gen = 0u32;
-        let mut stack: Vec<u32> = Vec::new();
-        let mut cone_of = |roots: &[AigLit], out: &mut Vec<Var>| {
-            gen += 1;
-            let mut saw_const = false;
-            for &r in roots {
-                if r.is_const() {
-                    saw_const = true;
-                } else {
-                    stack.push(r.node());
-                }
-            }
-            while let Some(n) = stack.pop() {
-                let ni = n as usize;
-                if visited[ni] == gen {
-                    continue;
-                }
-                visited[ni] = gen;
-                out.push(b.map[ni].expect("cone nodes are mapped").var());
-                if let Some((fa, fb)) = sys.aig.and_fanins_of_node(n) {
-                    for f in [fa, fb] {
-                        if f.is_const() {
-                            saw_const = true;
-                        } else {
-                            stack.push(f.node());
-                        }
-                    }
-                }
-            }
-            if saw_const {
-                out.push(b.const_true.expect("const leaf minted true_lit").var());
-            }
-        };
-        let mut cone_vars: Vec<Var> = Vec::new();
-        let mut cone_ends: Vec<u32> = Vec::with_capacity(num_latches + sys.bads.len());
-        for latch in &sys.latches {
-            cone_of(&[latch.next], &mut cone_vars);
-            cone_ends.push(cone_vars.len() as u32);
-        }
-        for &bad in &sys.bads {
-            cone_of(&[bad], &mut cone_vars);
-            cone_ends.push(cone_vars.len() as u32);
-        }
-        let mut constraint_cone: Vec<Var> = Vec::new();
-        cone_of(&sys.constraints, &mut constraint_cone);
-        let mut any_bad_cone: Vec<Var> = Vec::new();
-        cone_of(&sys.bads, &mut any_bad_cone);
-        if !any_bad_cone.contains(&any_bad.var()) {
-            // The disjunction/constant variable sits outside the AIG.
-            any_bad_cone.push(any_bad.var());
-        }
-
         TransitionTemplate {
             num_latches,
             num_vars: b.next_var as usize,
@@ -463,66 +329,20 @@ impl TransitionTemplate {
             constraints,
             bad_lits,
             any_bad,
-            cone_vars,
-            cone_ends,
-            constraint_cone,
-            any_bad_cone,
+            latch_coi: sys.latch_coi(),
         }
-    }
-
-    /// The fanin-closed template-local cone of latch `i`'s next-state
-    /// function (contains [`latch-next`](FrameVars::latch_next) `i`'s
-    /// variable). Map into a frame's solver variables with
-    /// [`FrameVars::extend_domain`].
-    pub fn latch_next_cone(&self, i: usize) -> &[Var] {
-        self.cone(i)
-    }
-
-    /// The fanin-closed template-local cone of bad output `i`.
-    pub fn bad_cone(&self, i: usize) -> &[Var] {
-        self.cone(self.num_latches + i)
-    }
-
-    /// The union cone of every environment constraint.
-    pub fn constraint_cone(&self) -> &[Var] {
-        &self.constraint_cone
-    }
-
-    /// The union cone of every bad output, any-bad variable included.
-    pub fn any_bad_cone(&self) -> &[Var] {
-        &self.any_bad_cone
     }
 
     /// Which latches the bad outputs and constraints can observe,
     /// directly or through the next-state cones of other such latches:
-    /// [`AigSystem::latch_coi`] of the compiled system, read off the
-    /// cone maps (so it survives [`preprocess`], which keeps every
-    /// latch-current variable). On a template compiled from
+    /// [`AigSystem::latch_coi`] of the compiled system, recorded by
+    /// [`compile`](TransitionTemplate::compile) and kept by
+    /// [`preprocess`](TransitionTemplate::preprocess), which keeps every
+    /// latch. On a template compiled from
     /// [`refine_with_constants`](crate::refine_with_constants) these are
     /// exactly the latches whose next state is not free.
-    ///
-    /// [`preprocess`]: TransitionTemplate::preprocess
     pub fn latch_coi(&self) -> Vec<bool> {
-        let mut in_coi = vec![false; self.num_latches];
-        let mut pending: Vec<&[Var]> = vec![&self.any_bad_cone, &self.constraint_cone];
-        while let Some(cone) = pending.pop() {
-            for v in cone {
-                let i = v.index();
-                if i < self.num_latches && !std::mem::replace(&mut in_coi[i], true) {
-                    pending.push(self.latch_next_cone(i));
-                }
-            }
-        }
-        in_coi
-    }
-
-    fn cone(&self, entry: usize) -> &[Var] {
-        let start = if entry == 0 {
-            0
-        } else {
-            self.cone_ends[entry - 1] as usize
-        };
-        &self.cone_vars[start..self.cone_ends[entry] as usize]
+        self.latch_coi.clone()
     }
 
     /// Number of latches of the compiled system.
@@ -679,18 +499,6 @@ impl TransitionTemplate {
             }
         }
 
-        // Cones follow the renumbering; eliminated/dropped variables
-        // simply leave the cone (their clauses left the image — a
-        // domain never needs to decide them).
-        let map_cone =
-            |cone: &[Var]| -> Vec<Var> { cone.iter().filter_map(|v| map[v.index()]).collect() };
-        let mut cone_vars: Vec<Var> = Vec::new();
-        let mut cone_ends: Vec<u32> = Vec::with_capacity(self.cone_ends.len());
-        for entry in 0..self.cone_ends.len() {
-            cone_vars.extend(map_cone(self.cone(entry)));
-            cone_ends.push(cone_vars.len() as u32);
-        }
-
         let template = TransitionTemplate {
             num_latches: self.num_latches,
             num_vars: next,
@@ -703,10 +511,7 @@ impl TransitionTemplate {
             constraints: self.constraints.iter().map(|&l| map_lit(l)).collect(),
             bad_lits: self.bad_lits.iter().map(|&l| map_lit(l)).collect(),
             any_bad: map_lit(self.any_bad),
-            cone_vars,
-            cone_ends,
-            constraint_cone: map_cone(&self.constraint_cone),
-            any_bad_cone: map_cone(&self.any_bad_cone),
+            latch_coi: self.latch_coi.clone(),
         };
         PreprocessedTemplate {
             template,
@@ -746,7 +551,8 @@ impl TransitionTemplate {
     ///   literal per latch, positional positive latch-current and
     ///   input literals (`0..L` and `L..L+I` — the layout contract
     ///   preprocessing must preserve), and constraint / bad / any-bad
-    ///   literals below the variable count.
+    ///   literals below the variable count;
+    /// * the cone of influence has one entry per latch.
     ///
     /// Returns the first violation as a human-readable message.
     ///
@@ -822,45 +628,12 @@ impl TransitionTemplate {
         if self.any_bad.var().index() >= self.num_vars {
             return Err(format!("any-bad literal {:?} out of range", self.any_bad));
         }
-        if self.cone_ends.len() != self.num_latches + self.bad_lits.len() {
+        if self.latch_coi.len() != self.num_latches {
             return Err(format!(
-                "cone map has {} entries for {} latches + {} bads",
-                self.cone_ends.len(),
-                self.num_latches,
-                self.bad_lits.len()
+                "cone of influence has {} entries for {} latches",
+                self.latch_coi.len(),
+                self.num_latches
             ));
-        }
-        let mut start = 0u32;
-        for (i, &end) in self.cone_ends.iter().enumerate() {
-            if end < start || end as usize > self.cone_vars.len() {
-                return Err(format!("cone #{i}: bad extent {start}..{end}"));
-            }
-            start = end;
-        }
-        if start as usize != self.cone_vars.len() {
-            return Err("cone map: trailing variables".into());
-        }
-        for (what, cone) in [
-            ("cone map", &self.cone_vars),
-            ("constraint cone", &self.constraint_cone),
-            ("any-bad cone", &self.any_bad_cone),
-        ] {
-            if let Some(v) = cone.iter().find(|v| v.index() >= self.num_vars) {
-                return Err(format!("{what}: variable {v:?} out of range"));
-            }
-        }
-        for i in 0..self.num_latches {
-            if !self.latch_next_cone(i).contains(&self.latch_next[i].var()) {
-                return Err(format!("latch-next cone {i} misses its root variable"));
-            }
-        }
-        for i in 0..self.bad_lits.len() {
-            if !self.bad_cone(i).contains(&self.bad_lits[i].var()) {
-                return Err(format!("bad cone {i} misses its root variable"));
-            }
-        }
-        if !self.any_bad_cone.contains(&self.any_bad.var()) {
-            return Err("any-bad cone misses the any-bad variable".into());
         }
         Ok(())
     }
@@ -952,8 +725,6 @@ impl TransitionTemplate {
             constraints: self.constraints.iter().map(|&l| map(l)).collect(),
             bads: self.bad_lits.iter().map(|&l| map(l)).collect(),
             any_bad: map(self.any_bad),
-            first,
-            skip,
         }
     }
 }
@@ -1569,110 +1340,16 @@ mod tests {
         }
     }
 
-    /// Query scoping: solves restricted to the cone-derived domain of
-    /// a query must agree with unrestricted solves on random template
-    /// queries — raw and preprocessed, fresh and chained frames — and
-    /// keep failed-assumption cores inside the domain.
-    #[test]
-    fn domain_restricted_template_queries_agree() {
-        use satb::{Domain, Limits};
-        let mut rng = StdRng::seed_from_u64(0xD0_A16);
-        for round in 0..60 {
-            let sys = random_system(&mut rng);
-            let raw = TransitionTemplate::compile(&sys);
-            let tpl = if rng.gen_bool(0.5) {
-                raw.preprocess().template
-            } else {
-                raw
-            };
-            tpl.lint().expect("template passes lint");
-            let initialized = rng.gen_bool(0.5);
-            let chained = rng.gen_bool(0.5);
-            let depth = usize::from(chained);
-            let (mut s, sframes) = template_chain(&sys, &tpl, depth, initialized);
-            let (mut t, tframes) = template_chain(&sys, &tpl, depth, initialized);
-            let mut dom = Domain::new();
-            for _query in 0..8 {
-                let f = rng.gen_range(0..=depth);
-                dom.clear();
-                // The base must cover every frame the solver holds:
-                // each frame's image is live, so each frame's lemma/
-                // constraint surface belongs in the domain. Chained
-                // frames bind their latch-current variables to the
-                // previous frame's latch-next gate outputs, so those
-                // cones join the domain to keep it fanin-closed.
-                for fr in &sframes {
-                    fr.extend_domain_base(&tpl, &mut dom);
-                }
-                for fr in &sframes[..depth] {
-                    for li in 0..sys.latches.len() {
-                        fr.extend_domain(&mut dom, tpl.latch_next_cone(li));
-                    }
-                }
-                let mut sa: Vec<Lit> = Vec::new();
-                let mut ta: Vec<Lit> = Vec::new();
-                match rng.gen_range(0..3) {
-                    0 => {
-                        let bi = rng.gen_range(0..sys.bads.len());
-                        sframes[f].extend_domain(&mut dom, tpl.bad_cone(bi));
-                        let pos = rng.gen_bool(0.75);
-                        sa.push(if pos {
-                            sframes[f].bads[bi]
-                        } else {
-                            !sframes[f].bads[bi]
-                        });
-                        ta.push(if pos {
-                            tframes[f].bads[bi]
-                        } else {
-                            !tframes[f].bads[bi]
-                        });
-                    }
-                    1 => {
-                        sframes[f].extend_domain(&mut dom, tpl.any_bad_cone());
-                        sa.push(sframes[f].any_bad);
-                        ta.push(tframes[f].any_bad);
-                    }
-                    _ => {
-                        for _ in 0..rng.gen_range(1..=3usize) {
-                            let li = rng.gen_range(0..sys.latches.len());
-                            sframes[f].extend_domain(&mut dom, tpl.latch_next_cone(li));
-                            let pos = rng.gen_bool(0.5);
-                            let (sl, tl) = (sframes[f].latch_next[li], tframes[f].latch_next[li]);
-                            sa.push(if pos { sl } else { !sl });
-                            ta.push(if pos { tl } else { !tl });
-                        }
-                    }
-                }
-                for _ in 0..rng.gen_range(0..=2usize) {
-                    // Latch-current forcings are in the base domain.
-                    let ff = rng.gen_range(0..=depth);
-                    let li = rng.gen_range(0..sys.latches.len());
-                    let pos = rng.gen_bool(0.5);
-                    let (sl, tl) = (sframes[ff].latch_cur[li], tframes[ff].latch_cur[li]);
-                    sa.push(if pos { sl } else { !sl });
-                    ta.push(if pos { tl } else { !tl });
-                }
-                let rd = s.solve_with_domain(&sa, Limits::default(), &dom);
-                let ru = t.solve_with(&ta);
-                assert_eq!(rd, ru, "round {round} frame {f}: domain {rd:?} full {ru:?}");
-                if rd == SolveResult::Unsat {
-                    assert!(
-                        s.failed_assumptions().iter().all(|l| dom.contains(l.var())),
-                        "round {round}: core escapes the domain"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The cone of influence read off the cone maps is the netlist's,
-    /// before and after preprocessing, and on the cut netlist of
-    /// `refine_with_constants` it is the set of latches that keep their
-    /// next state.
+    /// The template records the netlist's cone of influence and
+    /// preprocessing keeps it. On the cut netlist of
+    /// `refine_with_constants`, without constants or with one folded,
+    /// it is the cut's own cone: the latches that keep their next
+    /// state. A folded constant can only shrink it.
     #[test]
     fn latch_coi_matches_the_netlist() {
         let mut rng = StdRng::seed_from_u64(29);
         let mut partial = 0;
+        let mut shrunk = 0;
         for round in 0..100 {
             let sys = random_system(&mut rng);
             let coi = sys.latch_coi();
@@ -1680,14 +1357,30 @@ mod tests {
             let tpl = TransitionTemplate::compile(&sys);
             assert_eq!(tpl.latch_coi(), coi, "round {round}");
             assert_eq!(tpl.preprocess().template.latch_coi(), coi, "round {round}");
-            let cut = crate::refine_with_constants(&sys, &[]);
-            assert_eq!(
-                TransitionTemplate::compile(&cut).latch_coi(),
-                coi,
-                "round {round}"
-            );
+            let folded = [(round % sys.latches.len(), round % 2 == 1)];
+            for constants in [&[][..], &folded] {
+                let cut = crate::refine_with_constants(&sys, constants);
+                let cut_coi = cut.latch_coi();
+                let cut_tpl = TransitionTemplate::compile(&cut);
+                assert_eq!(cut_tpl.latch_coi(), cut_coi, "round {round} {constants:?}");
+                assert_eq!(
+                    cut_tpl.preprocess().template.latch_coi(),
+                    cut_coi,
+                    "round {round} {constants:?}"
+                );
+                assert!(
+                    cut_coi.iter().zip(&coi).all(|(&c, &s)| s || !c),
+                    "round {round} {constants:?}: the cut grew the cone"
+                );
+                if constants.is_empty() {
+                    assert_eq!(cut_coi, coi, "round {round}");
+                } else {
+                    shrunk += usize::from(cut_coi != coi);
+                }
+            }
         }
         assert!(partial >= 10, "only {partial} netlists leave a latch out");
+        assert!(shrunk >= 10, "only {shrunk} folds shrink the cone");
     }
 
     #[test]

@@ -81,66 +81,30 @@ impl<'s> FrameChain<'s> {
         self.frames[k].any_bad
     }
 
-    /// Extends `dom` with everything frame `k` can constrain — its
-    /// query-scoping base (latches, inputs, constraint cone), its full
-    /// latch next-state cones and its bad cone. Frame `k+1` binds its
-    /// current-state literals onto frame `k`'s next-state gate outputs,
-    /// so a chain query at depth `d` needs frames `0..=d` extended for
-    /// the fanin closure the [`satb::domain`] contract requires; on a
-    /// chain, a query's domain therefore degenerates to nearly the
-    /// whole formula — the API exists so chain engines share the same
-    /// scoped-query path as the frame-local ones.
-    pub(crate) fn extend_domain(&mut self, k: usize, dom: &mut satb::Domain) {
-        self.ensure(k);
-        let f = &self.frames[k];
-        f.extend_domain_base(self.tpl, dom);
-        for i in 0..self.sys.latches.len() {
-            f.extend_domain(dom, self.tpl.latch_next_cone(i));
-        }
-        f.extend_domain(dom, self.tpl.any_bad_cone());
-    }
-
     /// SAT literal of an individual bad output at frame `k`.
     pub(crate) fn bad_at(&mut self, k: usize, bad_index: usize) -> Lit {
         self.ensure(k);
         self.frames[k].bads[bad_index]
     }
 
-    /// Adds a distinctness clause between the states of frames `i` and
-    /// `j` over the given `latches` (the simple-path constraint of
-    /// k-induction), scoped to the activation group `act` and drawing
-    /// its xor difference variables from `pool` (recording them in
-    /// `used`).
+    /// Asserts that the states of frames `i` and `j` differ on some of
+    /// the given `latches` (the simple-path constraint of k-induction),
+    /// with one fresh difference variable per latch.
     ///
     /// The clauses only need the forward half of the xor definition
     /// (`d → a ≠ c`): the disjunction of the `d`s forces some bit to
     /// differ, and a free `d` can always be set when the bits do.
-    /// Because the difference variables occur **exclusively** in this
-    /// group's clauses, a successful [`satb::Solver::release_activation`]
-    /// sweeps every clause and learned clause mentioning them, leaving
-    /// them unconstrained and unassigned — which is what makes handing
-    /// them back to the pool sound (see [`ScratchPool`]).
-    pub(crate) fn assert_distinct_scoped(
-        &mut self,
-        i: usize,
-        j: usize,
-        latches: &[usize],
-        act: Lit,
-        pool: &mut ScratchPool,
-        used: &mut Vec<satb::Var>,
-    ) {
+    pub(crate) fn assert_distinct(&mut self, i: usize, j: usize, latches: &[usize]) {
         self.ensure(i.max(j));
         let mut diff_lits = Vec::with_capacity(latches.len());
         for &b in latches {
             let (a, c) = (self.frames[i].latch_cur[b], self.frames[j].latch_cur[b]);
-            let dv = pool.get(&mut self.solver);
-            used.push(dv);
-            let d = Lit::pos(dv);
-            self.solver.add_clause_activated(act, &[!d, a, c]);
-            self.solver.add_clause_activated(act, &[!d, !a, !c]);
+            let d = Lit::pos(self.solver.new_var());
+            self.solver.add_clause(&[!d, a, c]);
+            self.solver.add_clause(&[!d, !a, !c]);
             diff_lits.push(d);
         }
-        self.solver.add_clause_activated(act, &diff_lits);
+        self.solver.add_clause(&diff_lits);
     }
 
     /// Extracts a counterexample trace of length `k` from the current
@@ -168,44 +132,6 @@ impl<'s> FrameChain<'s> {
             }
         }
         0
-    }
-}
-
-/// A free-list of recycled scratch variables for activation-scoped
-/// clause groups — `satb`'s recycled-activation pattern lifted to the
-/// engine side, used by k-induction's per-iteration simple-path
-/// constraints so deep runs stop growing the variable table
-/// monotonically.
-///
-/// # Safety contract
-///
-/// A variable handed out by [`get`](ScratchPool::get) may only appear
-/// in clauses of **one** activation group, and may only be
-/// [`recycle`](ScratchPool::recycle)d after
-/// [`satb::Solver::release_activation`] returned `true` for that
-/// group: the release then swept every clause and contaminated learned
-/// clause mentioning the variable (any derivation through the group
-/// carries the guard literal), so the variable is unconstrained and
-/// unassigned again. An abandoned release must leak its scratch
-/// variables instead.
-#[derive(Debug, Default)]
-pub(crate) struct ScratchPool {
-    free: Vec<satb::Var>,
-}
-
-impl ScratchPool {
-    /// A scratch variable: recycled when available, fresh otherwise.
-    pub(crate) fn get(&mut self, solver: &mut Solver) -> satb::Var {
-        self.free.pop().unwrap_or_else(|| solver.new_var())
-    }
-
-    /// Returns the scratch variables of a successfully released group.
-    /// Cumulative k-induction keeps its groups live for the whole run,
-    /// so today only the test suite (and any future windowed or
-    /// restarting variant) drives this leg.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn recycle(&mut self, vars: Vec<satb::Var>) {
-        self.free.extend(vars);
     }
 }
 

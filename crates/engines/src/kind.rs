@@ -66,30 +66,15 @@ impl KInduction {
         // free-state step chain when the template is invariant-refined.
         let mut base = FrameChain::new(sys, tpl, inv, true);
         let mut step = FrameChain::new(sys, tpl, inv, false);
-        // Simple-path constraints are incremental: iteration k adds
-        // only the new pairs (i, k), in one activation group per
-        // iteration (halved xor encoding, difference variables from
-        // the scratch pool), and every step solve assumes the live
-        // guards. Scoping the constraints into releasable groups keeps
-        // them removable — the pool recycles the difference variables
-        // of any group that is released (see `ScratchPool`) — while a
-        // cumulative run keeps all groups live, so nothing is
+        // Simple-path constraints are incremental: iteration k asserts
+        // only the new pairs (i, k) (halved xor encoding), so nothing is
         // re-encoded and learned clauses persist across iterations.
-        let mut pool = crate::bmc::ScratchPool::default();
-        let mut sp_acts: Vec<satb::Lit> = Vec::new();
         // Distinctness ranges over the netlist's cone of influence
         // only, the same set `certify` re-checks: bads and constraints
         // read nothing else, so a shortest counterexample is simple over
         // it. Latches outside it are free on a cone-cut template and
         // would keep paths distinct for 2^(their number) times longer.
         let distinct_over = coi_latches(sys);
-        // Step-solve decision domain, grown monotonically with the
-        // chain: each new frame contributes its base and cones (the
-        // chain binding makes earlier frames' cones part of the fanin
-        // closure — see `FrameChain::extend_domain`), and each
-        // simple-path group its guard and difference variables.
-        let mut step_dom = satb::Domain::new();
-        let mut dom_frames = 0usize;
 
         for k in 0..=self.budget.max_depth {
             if let Some(u) = self.budget.interruption(started) {
@@ -131,37 +116,18 @@ impl KInduction {
             // the property holding on frames 0..k-1 (pinned by the !bad
             // units added in earlier iterations) and violated at k.
             // Only the pairs involving the new frame are encoded; the
-            // earlier iterations' groups are still live and assumed.
+            // earlier iterations' pairs are already asserted.
             if self.simple_path && k >= 1 {
-                let act = step.solver.new_activation();
-                let mut used: Vec<satb::Var> = Vec::new();
                 for i in 0..k as usize {
-                    step.assert_distinct_scoped(
-                        i,
-                        k as usize,
-                        &distinct_over,
-                        act,
-                        &mut pool,
-                        &mut used,
-                    );
+                    step.assert_distinct(i, k as usize, &distinct_over);
                 }
-                step_dom.insert(act.var());
-                step_dom.extend(used.iter().copied());
-                sp_acts.push(act);
             }
             let bad_step = step.any_bad(k as usize);
-            while dom_frames <= k as usize {
-                step.extend_domain(dom_frames, &mut step_dom);
-                dom_frames += 1;
-            }
-            let mut assumptions = vec![bad_step];
-            assumptions.extend_from_slice(&sp_acts);
             stats.sat_queries += 1;
-            match step.solver.solve_with_domain(
-                &assumptions,
-                self.budget.sat_limits(started),
-                &step_dom,
-            ) {
+            match step
+                .solver
+                .solve_limited(&[bad_step], self.budget.sat_limits(started))
+            {
                 SolveResult::Unsat => {
                     stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
                     // The base chain verified depths 0..=k and the
@@ -358,66 +324,28 @@ pub(crate) mod tests {
         assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
     }
 
-    /// The ROADMAP follow-up landed in this PR: per-iteration
-    /// simple-path groups recycle both the activation variable and the
-    /// xor difference variables, so re-encoding the same pairs twice
-    /// allocates nothing new.
-    #[test]
-    fn scoped_simple_path_recycles_vars() {
-        let ts = trap_ts();
-        let sys = aig::blast_system(&ts);
-        let tpl = aig::TransitionTemplate::compile(&sys).preprocess().template;
-        let mut step = crate::bmc::FrameChain::new(&sys, &tpl, &[], false);
-        let mut pool = crate::bmc::ScratchPool::default();
-        let latches = coi_latches(&sys);
-        let _ = step.any_bad(3);
-        let mut vars_after: Vec<usize> = Vec::new();
-        for round in 0..3 {
-            let act = step.solver.new_activation();
-            let mut used = Vec::new();
-            for j in 1..=3usize {
-                for i in 0..j {
-                    step.assert_distinct_scoped(i, j, &latches, act, &mut pool, &mut used);
-                }
-            }
-            let bad = step.any_bad(3);
-            let _ = step.solver.solve_with(&[bad, act]);
-            assert!(
-                step.solver.release_activation(act),
-                "round {round}: release must succeed"
-            );
-            pool.recycle(used);
-            vars_after.push(step.solver.num_vars());
-        }
-        assert_eq!(vars_after[0], vars_after[1], "no growth on re-encode");
-        assert_eq!(vars_after[1], vars_after[2]);
-    }
-
     /// Incremental simple-path encoding: iteration k adds exactly the
-    /// new pairs (i, k) — one activation guard plus `k · latches`
-    /// difference variables — never re-encoding earlier pairs.
+    /// new pairs (i, k) — `k · latches` difference variables, with no
+    /// guard — never re-encoding earlier pairs.
     #[test]
     fn simple_path_groups_grow_incrementally() {
         let ts = trap_ts();
         let sys = aig::blast_system(&ts);
         let tpl = aig::TransitionTemplate::compile(&sys).preprocess().template;
         let mut step = crate::bmc::FrameChain::new(&sys, &tpl, &[], false);
-        let mut pool = crate::bmc::ScratchPool::default();
         let latches = coi_latches(&sys);
         let nl = sys.latches.len();
         assert_eq!(latches.len(), nl, "the bad reads every latch");
         for k in 1..=4usize {
             let _ = step.any_bad(k);
             let before = step.solver.num_vars();
-            let act = step.solver.new_activation();
-            let mut used = Vec::new();
             for i in 0..k {
-                step.assert_distinct_scoped(i, k, &latches, act, &mut pool, &mut used);
+                step.assert_distinct(i, k, &latches);
             }
             assert_eq!(
                 step.solver.num_vars() - before,
-                1 + k * nl,
-                "iteration {k}: one guard plus the new pairs' diff vars"
+                k * nl,
+                "iteration {k}: the new pairs' diff vars"
             );
         }
     }

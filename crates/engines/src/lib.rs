@@ -120,27 +120,15 @@
 //! A cancelled analysis degrades to an empty invariant — never a
 //! half-filtered one — so the pipeline is safe under fault injection.
 //!
-//! # Query scoping
+//! # PDR's live frames
 //!
-//! Engines fire thousands of SAT queries that each touch a small cone
-//! of one big incremental formula, so every query is **cone-
-//! restricted**: the [`aig::TransitionTemplate`] precomputes per-latch
-//! next-state, bad and constraint fanin cones at compile time,
-//! [`aig::FrameVars`] maps them onto solver variables, and the engines
-//! hand the union relevant to each query to
-//! [`satb::Solver::solve_with_domain`], which keeps VSIDS decisions
-//! inside the cone (see the [`satb::domain`] soundness contract). PDR
-//! scopes every relative-induction, lifting and bad-state query to the
-//! obligation cube's cones; k-induction threads a chain-wide domain
-//! through its step solves (frame binding makes the closure span the
-//! whole chain, so the win there is structural uniformity, not
-//! pruning). PDR's query solver pairs the domains with chronological
-//! backtracking ([`satb::Solver::set_chrono`]), and keeps to the live
-//! frames: when a stronger cube prunes a stored one, or a push
-//! supersedes it, its blocking clause is retired together with the
-//! learned clauses its frame guard taints
+//! PDR fires thousands of queries into one incremental solver, so it
+//! keeps that solver to the live frames: when a stronger cube prunes a
+//! stored one, or a push supersedes it, its blocking clause is retired
+//! together with the learned clauses its frame guard taints
 //! ([`satb::Solver::remove_clause_activated`]), so each query
-//! propagates through one clause per live cube.
+//! propagates through one clause per live cube (see the [`pdr`]
+//! module docs).
 //!
 //! # Example
 //!

@@ -84,18 +84,13 @@ use crate::result::{
 use aig::sim::{Tern, TernarySim};
 use aig::{AigLit, AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
-use satb::{Domain, Lit, Part, SolveResult, Solver, Var};
+use satb::{Lit, Part, SolveResult, Solver};
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// A cube: a partial assignment to latches, as (latch index, value)
 /// pairs sorted by index.
 type Cube = Vec<(usize, bool)>;
-
-/// Chronological-backtracking threshold (conflicts whose asserting
-/// level is more than this far below the conflict level step back one
-/// level instead of long-jumping; see [`satb::Solver::set_chrono`]).
-const CHRONO_THRESHOLD: u32 = 100;
 
 /// Maximum counterexamples-to-generalization blocked per literal-drop
 /// attempt in [`PdrRun::shrink`] (rIC3 ctg-down, depth 1).
@@ -189,9 +184,9 @@ impl PartialOrd for QueueEntry {
 
 /// IC3/PDR engine.
 ///
-/// Every run makes the same search: cone-restricted query domains with
-/// chronological backtracking, ternary widening and SAT-core lifting of
-/// predecessors, activity-ordered cube shrinking with ctg-down.
+/// Every run makes the same search: ternary widening and SAT-core
+/// lifting of predecessors, activity-ordered cube shrinking with
+/// ctg-down, and one solver clause per live cube.
 #[derive(Clone, Debug, Default)]
 pub struct Pdr {
     /// Resource limits (`max_depth` bounds the number of frames).
@@ -240,19 +235,6 @@ struct PdrRun<'s> {
     state_t: Vec<Tern>,
     /// Scratch assumption vector (frame tail + query literals).
     assumptions: Vec<Lit>,
-    /// Reusable per-query decision domain (cleared and refilled before
-    /// each solve).
-    dom: Domain,
-    /// Solver variables every query domain starts from: latch
-    /// current-state, primary inputs, and the constraint cone — the
-    /// vocabulary of every frame clause, initial-state unit and
-    /// invariant clause this engine ever asserts.
-    base_dom: Vec<Var>,
-    /// Per-latch next-state fanin cone, mapped to solver variables
-    /// ([`TransitionTemplate::latch_next_cone`] through the frame).
-    next_cones: Vec<Vec<Var>>,
-    /// The union bad cone (every bad output plus the any-bad OR).
-    bad_cone: Vec<Var>,
     /// Scratch target-output list for ternary trials.
     targets: Vec<(AigLit, bool)>,
     stats: EngineStats,
@@ -297,25 +279,6 @@ impl<'s> PdrRun<'s> {
         for clause in inv {
             solver.add_clause(&clause_on(clause, &vars.latch_cur));
         }
-        solver.set_chrono(Some(CHRONO_THRESHOLD));
-        // Precompute the query-scoping sets once per run: the base
-        // vocabulary and the per-latch next-state cones, mapped from
-        // template to solver variables through the instantiated frame.
-        // A scratch domain deduplicates each set.
-        let mut dom = Domain::new();
-        vars.extend_domain_base(tpl, &mut dom);
-        let base_dom = dom.vars().to_vec();
-        let next_cones: Vec<Vec<Var>> = (0..sys.latches.len())
-            .map(|i| {
-                dom.clear();
-                vars.extend_domain(&mut dom, tpl.latch_next_cone(i));
-                dom.vars().to_vec()
-            })
-            .collect();
-        dom.clear();
-        vars.extend_domain(&mut dom, tpl.any_bad_cone());
-        let bad_cone = dom.vars().to_vec();
-        dom.clear();
         let mut run = PdrRun {
             sys,
             inv,
@@ -333,10 +296,6 @@ impl<'s> PdrRun<'s> {
             sim: TernarySim::new(sys),
             state_t: vec![Tern::X; sys.latches.len()],
             assumptions: Vec::new(),
-            dom,
-            base_dom,
-            next_cones,
-            bad_cone,
             targets: Vec::new(),
             stats: EngineStats::default(),
             seq: 0,
@@ -409,40 +368,11 @@ impl<'s> PdrRun<'s> {
         self.assumptions.extend(self.acts[level..].iter().copied());
     }
 
-    /// Rebuilds the reusable decision domain for the current assumption
-    /// vector: the base vocabulary (latch-current, inputs, constraint
-    /// cone), every assumption variable (frame and query activation
-    /// guards, next-state roots) and the next-state fanin cones of
-    /// `cube`'s latches — exactly the fanin-closed set the
-    /// [`satb::domain`] soundness contract asks for. Blocking clauses
-    /// whose frame guard is below the assumed tail keep an unassigned
-    /// out-of-domain guard literal and can never be falsified, so they
-    /// don't constrain the query.
-    fn fill_query_domain(&mut self, cube: &Cube) {
-        self.dom.clear();
-        self.dom.extend(self.base_dom.iter().copied());
-        self.dom.extend(self.assumptions.iter().map(|l| l.var()));
-        for &(i, _) in cube {
-            self.dom.extend(self.next_cones[i].iter().copied());
-        }
-    }
-
-    /// Rebuilds the reusable decision domain for a bad-state query
-    /// (`F_level ∧ bad`): the base vocabulary, the assumed frame tail
-    /// and the union bad cone.
-    fn fill_bad_domain(&mut self) {
-        self.dom.clear();
-        self.dom.extend(self.base_dom.iter().copied());
-        self.dom.extend(self.assumptions.iter().map(|l| l.var()));
-        self.dom.extend(self.bad_cone.iter().copied());
-    }
-
-    /// Runs the prepared query (`self.assumptions`), restricted to the
-    /// decision domain the caller filled into `self.dom`.
+    /// Runs the prepared query (`self.assumptions`) under the run's
+    /// budget.
     fn solve_prepared(&mut self) -> SolveResult {
         let limits = self.budget.sat_limits(self.started);
-        self.solver
-            .solve_with_domain(&self.assumptions, limits, &self.dom)
+        self.solver.solve_limited(&self.assumptions, limits)
     }
 
     /// Stores a blocked cube at `level`: one guarded solver clause
@@ -613,7 +543,6 @@ impl<'s> PdrRun<'s> {
             });
         }
         self.stats.sat_queries += 1;
-        self.fill_query_domain(cube);
         let result = self.solve_prepared();
         match result {
             SolveResult::Sat => {
@@ -723,22 +652,6 @@ impl<'s> PdrRun<'s> {
             });
         }
         self.stats.sat_queries += 1;
-        // Lift queries carry no frame tail; the domain is the base
-        // vocabulary, the assumption variables, and the target's cone
-        // (the parent's next-state cones, or the bad cone for root
-        // obligations). Only the UNSAT side is ever used, so a
-        // domain-Sat merely skips the lift — sound either way.
-        self.dom.clear();
-        self.dom.extend(self.base_dom.iter().copied());
-        self.dom.extend(self.assumptions.iter().map(|l| l.var()));
-        match parent {
-            Some(p) => {
-                for &(i, _) in p {
-                    self.dom.extend(self.next_cones[i].iter().copied());
-                }
-            }
-            None => self.dom.extend(self.bad_cone.iter().copied()),
-        }
         let result = self.solve_prepared();
         let mut lifted: Option<Cube> = None;
         if result == SolveResult::Unsat {
@@ -1091,7 +1004,6 @@ impl<'s> PdrRun<'s> {
         self.stats.sat_queries += 1;
         self.push_frame_tail(0);
         self.assumptions.push(self.bad_lit);
-        self.fill_bad_domain();
         match self.solve_prepared() {
             SolveResult::Sat => {
                 let trace = Trace::simulate(
@@ -1123,7 +1035,6 @@ impl<'s> PdrRun<'s> {
             self.stats.sat_queries += 1;
             self.push_frame_tail(max_level);
             self.assumptions.push(self.bad_lit);
-            self.fill_bad_domain();
             match self.solve_prepared() {
                 SolveResult::Sat => {
                     let state = self.model_state();

@@ -941,14 +941,11 @@ mod tests {
         let report = Portfolio::with_default_engines(Budget::default()).check_detailed(&ts);
         assert!(report.verdict.is_unsafe());
         type Counter = fn(&EngineStats) -> u64;
-        let counters: [(&str, Counter); 17] = [
+        let counters: [(&str, Counter); 14] = [
             ("sat_queries", |s| s.sat_queries),
             ("conflicts", |s| s.conflicts),
             ("decisions", |s| s.decisions),
             ("propagations", |s| s.propagations),
-            ("domain_decisions", |s| s.domain_decisions),
-            ("domain_skipped", |s| s.domain_skipped),
-            ("chrono_backtracks", |s| s.chrono_backtracks),
             ("inproc_subsumed", |s| s.inproc_subsumed),
             ("reduces", |s| s.reduces),
             ("deleted", |s| s.deleted),

@@ -56,7 +56,6 @@ impl From<satb::Interrupt> for Unknown {
             satb::Interrupt::ConflictLimit => Unknown::ConflictLimit,
             satb::Interrupt::Timeout => Unknown::Timeout,
             satb::Interrupt::Cancelled => Unknown::Cancelled,
-            satb::Interrupt::ProofLimit => Unknown::Inconclusive("proof memory cap".to_string()),
         }
     }
 }
@@ -211,15 +210,6 @@ pub struct EngineStats {
     pub decisions: u64,
     /// Total literal propagations across all SAT queries.
     pub propagations: u64,
-    /// Decisions taken inside a per-query domain
-    /// ([`satb::Solver::solve_with_domain`]).
-    pub domain_decisions: u64,
-    /// Heap pops skipped because the variable was outside the query
-    /// domain (a direct measure of the branching work scoping avoids).
-    pub domain_skipped: u64,
-    /// Conflicts resolved by a one-level chronological backtrack
-    /// instead of the full jump ([`satb::Solver::set_chrono`]).
-    pub chrono_backtracks: u64,
     /// Original clauses removed by inprocessing backward subsumption.
     pub inproc_subsumed: u64,
     /// Learned-clause reduction passes across all SAT solvers used.
@@ -272,9 +262,6 @@ impl EngineStats {
         self.conflicts += s.conflicts;
         self.decisions += s.decisions;
         self.propagations += s.propagations;
-        self.domain_decisions += s.domain_decisions;
-        self.domain_skipped += s.domain_skipped;
-        self.chrono_backtracks += s.chrono_backtracks;
         self.inproc_subsumed += s.inproc_subsumed;
         self.reduces += s.reduces;
         self.deleted += s.deleted;
@@ -293,9 +280,6 @@ impl EngineStats {
         self.conflicts = 0;
         self.decisions = 0;
         self.propagations = 0;
-        self.domain_decisions = 0;
-        self.domain_skipped = 0;
-        self.chrono_backtracks = 0;
         self.inproc_subsumed = 0;
         self.reduces = 0;
         self.deleted = 0;
@@ -319,9 +303,6 @@ impl std::ops::AddAssign<&EngineStats> for EngineStats {
         self.conflicts += s.conflicts;
         self.decisions += s.decisions;
         self.propagations += s.propagations;
-        self.domain_decisions += s.domain_decisions;
-        self.domain_skipped += s.domain_skipped;
-        self.chrono_backtracks += s.chrono_backtracks;
         self.inproc_subsumed += s.inproc_subsumed;
         self.reduces += s.reduces;
         self.deleted += s.deleted;

@@ -50,30 +50,7 @@
 //!   empty-clause derivation, interpolation side-conditions) and
 //!   returns a structured [`ProofReport`] — the `paranoid` trust
 //!   layer behind [`Solver::check_proof`]. Proof memory is accounted
-//!   ([`Stats::proof_bytes`]) and can be capped
-//!   ([`Solver::set_proof_limit`], [`Interrupt::ProofLimit`]).
-//!
-//! # Query scoping
-//!
-//! Model-checking engines issue dense sequences of queries that each
-//! touch a small cone of one large incremental formula. Two features
-//! target exactly that shape:
-//!
-//! * **Local domains** ([`Domain`],
-//!   [`Solver::solve_with_domain`]): the caller restricts *decisions*
-//!   to the query's cone of influence, so VSIDS never branches on a
-//!   variable the query cannot observe. The solve answers `Sat` once
-//!   every in-domain variable is assigned; out-of-domain variables
-//!   stay unassigned ([`Solver::value`] returns `None` for them), and
-//!   the [`domain`] module docs state the structural conditions under
-//!   which such a partial model is extendable. `Unsat` answers (and
-//!   failed-assumption cores) are unconditionally sound.
-//! * **Chronological backtracking** ([`Solver::set_chrono`]): when a
-//!   conflict's asserting level is far below the conflict level, the
-//!   solver steps back a single level instead of long-jumping,
-//!   keeping the in-domain assignment prefix alive across the dense
-//!   per-query conflicts. [`Stats::chrono_backtracks`] counts the
-//!   short backtracks for A/B comparison.
+//!   ([`Stats::proof_bytes`]).
 //!
 //! # Example
 //!
@@ -94,7 +71,6 @@
 #![warn(missing_docs)]
 
 pub mod cdb;
-pub mod domain;
 pub mod interp;
 pub mod lit;
 pub mod preproc;
@@ -103,7 +79,6 @@ pub mod proofcheck;
 pub mod solver;
 
 pub use cdb::{CRef, ClauseDb};
-pub use domain::Domain;
 pub use interp::Interpolant;
 pub use lit::{Lit, Var};
 pub use preproc::{PreprocResult, PreprocStats, Preprocessor, ReconStack};

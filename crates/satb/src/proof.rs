@@ -18,9 +18,8 @@
 //! hand.
 //!
 //! Memory is accounted incrementally: [`Proof::bytes`] approximates the
-//! heap footprint of the recorded derivations and the solver can cap it
-//! ([`crate::Solver::set_proof_limit`]) through the typed-interrupt
-//! path.
+//! heap footprint of the recorded derivations
+//! ([`crate::Stats::proof_bytes`]).
 
 use crate::lit::Var;
 

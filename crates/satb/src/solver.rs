@@ -1,7 +1,6 @@
 //! The CDCL solver.
 
 use crate::cdb::{CRef, ClauseDb};
-use crate::domain::Domain;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::{ClauseId, Part, Proof, ResStep};
 use std::collections::{HashMap, HashSet};
@@ -34,10 +33,6 @@ pub enum Interrupt {
     /// The shared stop flag ([`Limits::stop`]) was raised by another
     /// thread (cooperative cancellation, e.g. a portfolio winner).
     Cancelled,
-    /// The proof arena grew past the configured byte cap
-    /// ([`Solver::set_proof_limit`]); the recorded derivations stay
-    /// intact and checkable, but no answer was derived.
-    ProofLimit,
 }
 
 /// Result of a [`Solver::solve`] call.
@@ -157,18 +152,6 @@ pub struct Stats {
     /// Faults injected by [`Limits::chaos`] (each one surfaced as an
     /// [`Interrupt::Cancelled`] answer).
     pub chaos_injected: u64,
-    /// Conflicts resolved by a one-level chronological backtrack
-    /// instead of the full non-chronological jump (see
-    /// [`Solver::set_chrono`]).
-    pub chrono_backtracks: u64,
-    /// Decisions made on in-domain variables during
-    /// [`Solver::solve_with_domain`] calls.
-    pub domain_decisions: u64,
-    /// Out-of-domain variables the decision heuristic popped and
-    /// parked during [`Solver::solve_with_domain`] calls (each is
-    /// parked at most once per call — the work a plain solve would
-    /// have spent branching outside the cone).
-    pub domain_skipped: u64,
     /// Original clauses deleted by inprocessing because a learned
     /// clause subsumed them (the learned clause is promoted in their
     /// place).
@@ -388,19 +371,8 @@ pub struct Solver {
     /// [`Chaos`] threshold so injected faults vary across calls but
     /// replay deterministically.
     chaos_epoch: u64,
-    /// Chronological-backtracking threshold (see
-    /// [`set_chrono`](Solver::set_chrono)); `None` disables it.
-    chrono: Option<u32>,
-    /// Out-of-domain variables popped off the decision heap during a
-    /// domain-restricted solve; restored to the heap when the call
-    /// returns. Parking them (instead of re-inserting immediately)
-    /// means each is popped at most once per call.
-    dom_stash: Vec<Var>,
     /// Learned-clause count that triggers the next inprocessing pass.
     next_inproc: u64,
-    /// Byte cap on the recorded proof; a solve that pushes the proof
-    /// past it returns [`Interrupt::ProofLimit`].
-    proof_limit: Option<u64>,
 }
 
 /// Clauses of one abandoned activation release, kept until the sweep
@@ -466,10 +438,7 @@ impl Solver {
             is_guard: Vec::new(),
             leaked: Vec::new(),
             chaos_epoch: 0,
-            chrono: None,
-            dom_stash: Vec::new(),
             next_inproc: Self::INPROC_INTERVAL,
-            proof_limit: None,
         }
     }
 
@@ -503,22 +472,6 @@ impl Solver {
         s
     }
 
-    /// Caps the recorded proof at approximately `bytes` heap bytes
-    /// (`None` = unbounded, the default). A solve call that pushes the
-    /// proof past the cap stops and returns
-    /// [`Interrupt::ProofLimit`] through the usual typed-interrupt
-    /// path; everything recorded so far stays intact and checkable,
-    /// and the solver remains usable (raise the cap or accept the
-    /// partial proof). No effect when proof logging is off.
-    pub fn set_proof_limit(&mut self, bytes: Option<u64>) {
-        self.proof_limit = bytes;
-    }
-
-    /// The configured proof byte cap, if any.
-    pub fn proof_limit(&self) -> Option<u64> {
-        self.proof_limit
-    }
-
     /// The current learned-clause reduction policy.
     pub fn reduce_config(&self) -> ReduceConfig {
         self.reduce
@@ -545,24 +498,6 @@ impl Solver {
 
     /// Additional learned clauses between inprocessing passes.
     const INPROC_INTERVAL: u64 = 500;
-
-    /// Sets the chronological-backtracking threshold: on a conflict
-    /// whose asserting level is more than `threshold` levels below the
-    /// conflict level, backtrack a single level instead of jumping all
-    /// the way down — the intervening assignments are usually still
-    /// consistent, and dense incremental query sequences (IC3/PDR)
-    /// re-derive them constantly otherwise. `None` (the default)
-    /// restores classic non-chronological backjumping. Unit learned
-    /// clauses always jump to level 0 regardless (they must be
-    /// asserted at the root). Counted in [`Stats::chrono_backtracks`].
-    pub fn set_chrono(&mut self, threshold: Option<u32>) {
-        self.chrono = threshold;
-    }
-
-    /// The current chronological-backtracking threshold.
-    pub fn chrono(&self) -> Option<u32> {
-        self.chrono
-    }
 
     /// Creates `n` fresh variables and returns the first one. The
     /// block is contiguous, so callers that pre-compile a clause image
@@ -1843,26 +1778,14 @@ impl Solver {
             .map_or(0, |e| e.crefs.len())
     }
 
-    /// Picks the next decision literal. Under a domain, out-of-domain
-    /// variables popped off the heap are parked in `dom_stash` (not
-    /// re-inserted, so each is popped at most once per call) and the
-    /// search is over once the heap holds no in-domain variable —
-    /// every unassigned variable is always in the heap or the stash,
-    /// so an empty pop means the domain is fully assigned.
-    fn pick_branch(&mut self, domain: Option<&Domain>) -> Option<Lit> {
+    /// Picks the next decision literal: the most active unassigned
+    /// variable in its saved phase. Every unassigned variable is in the
+    /// heap, so an empty pop means every variable is assigned.
+    fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assigns[v.index()] != LBool::Undef {
-                continue;
+            if self.assigns[v.index()] == LBool::Undef {
+                return Some(Lit::new(v, self.phase[v.index()]));
             }
-            if let Some(d) = domain {
-                if !d.contains(v) {
-                    self.dom_stash.push(v);
-                    self.stats.domain_skipped += 1;
-                    continue;
-                }
-                self.stats.domain_decisions += 1;
-            }
-            return Some(Lit::new(v, self.phase[v.index()]));
         }
         None
     }
@@ -1916,47 +1839,6 @@ impl Solver {
 
     /// Solves under assumptions with resource limits.
     pub fn solve_limited(&mut self, assumptions: &[Lit], limits: Limits) -> SolveResult {
-        self.solve_core(assumptions, limits, None)
-    }
-
-    /// Solves under assumptions and limits, restricting decisions to
-    /// `domain` (see the crate docs' "Query scoping" section and the
-    /// [`crate::domain`] module for the soundness contract). The call
-    /// answers `Sat` as soon as every in-domain variable is assigned;
-    /// out-of-domain variables may be left unassigned, in which case
-    /// [`value`](Solver::value) returns `None` for them. Every
-    /// assumption variable must be in the domain. `Unsat` answers and
-    /// failed-assumption cores carry no extra conditions.
-    pub fn solve_with_domain(
-        &mut self,
-        assumptions: &[Lit],
-        limits: Limits,
-        domain: &Domain,
-    ) -> SolveResult {
-        debug_assert!(
-            assumptions.iter().all(|l| domain.contains(l.var())),
-            "assumption variable outside the query domain"
-        );
-        let r = self.solve_core(assumptions, limits, Some(domain));
-        // Single restore point covering every exit path of the core
-        // (Sat, Unsat, limits, cancellation, injected faults): parked
-        // variables re-enter the decision heap so later calls — with
-        // another domain or none — see the full pool again. `insert`
-        // is idempotent, so a parked variable that was propagated and
-        // then re-inserted by the final backtrack is not duplicated.
-        while let Some(v) = self.dom_stash.pop() {
-            self.heap.insert(v, &self.activity);
-        }
-        r
-    }
-
-    fn solve_core(
-        &mut self,
-        assumptions: &[Lit],
-        limits: Limits,
-        domain: Option<&Domain>,
-    ) -> SolveResult {
-        debug_assert!(self.dom_stash.is_empty(), "stale domain stash");
         self.backtrack(0);
         self.sweep_leaked();
         self.model.clear();
@@ -2007,22 +1889,7 @@ impl Solver {
                     .proof
                     .as_ref()
                     .map_or(ClauseId(0), |p| ClauseId((p.len() - 1) as u32));
-                // Chronological backtracking: when the asserting level
-                // is far below the conflict level, the intervening
-                // levels are usually still consistent with the learnt
-                // clause — step back one level and keep them instead
-                // of re-deriving the whole prefix. Unit learnt clauses
-                // are exempt: they carry no second watch and must be
-                // asserted at level 0, or the constraint would be
-                // silently lost on the next backtrack.
-                let jump = match self.chrono {
-                    Some(t) if learnt.len() > 1 && self.decision_level() - bt > t => {
-                        self.stats.chrono_backtracks += 1;
-                        self.decision_level() - 1
-                    }
-                    _ => bt,
-                };
-                self.backtrack(jump);
+                self.backtrack(bt);
                 let asserting = learnt[0];
                 let cref = self.learn(learnt, pid);
                 debug_assert_eq!(self.lit_value(asserting), LBool::Undef);
@@ -2046,12 +1913,6 @@ impl Solver {
                     if self.stats.conflicts - limit_base >= mc {
                         self.backtrack(0);
                         return SolveResult::Unknown(Interrupt::ConflictLimit);
-                    }
-                }
-                if let (Some(cap), Some(p)) = (self.proof_limit, &self.proof) {
-                    if p.bytes() > cap {
-                        self.backtrack(0);
-                        return SolveResult::Unknown(Interrupt::ProofLimit);
                     }
                 }
                 if self.stats.conflicts.is_multiple_of(64) {
@@ -2087,12 +1948,12 @@ impl Solver {
                     Some(a) => Some(a),
                     None => {
                         self.stats.decisions += 1;
-                        self.pick_branch(domain)
+                        self.pick_branch()
                     }
                 };
                 match decision {
                     None => {
-                        // All (decidable) variables assigned: SAT.
+                        // All variables assigned: SAT.
                         self.model = self.assigns.clone();
                         self.backtrack(0);
                         return SolveResult::Sat;
@@ -2383,11 +2244,16 @@ pub(crate) mod tests {
             ..Limits::default()
         };
         // Pigeonhole-8 needs far more than `period` conflicts, so every
-        // chaos run must get cut down mid-solve.
+        // chaos run must get cut down mid-solve, leaving the watch
+        // lists, reasons and activation registries intact.
         let mut injected = 0;
         loop {
             match s.solve_limited(&[], limits.clone()) {
-                SolveResult::Unknown(Interrupt::Cancelled) => injected += 1,
+                SolveResult::Unknown(Interrupt::Cancelled) => {
+                    injected += 1;
+                    s.debug_check_integrity()
+                        .expect("intact after injected fault");
+                }
                 SolveResult::Unsat if injected > 0 => break,
                 r => panic!("unexpected chaos-run answer {r:?} after {injected} faults"),
             }
@@ -2701,21 +2567,25 @@ pub(crate) mod tests {
         assert_eq!(s.stats().act_released, 0);
     }
 
+    /// A limit that interrupts a proof-logging solve (here the conflict
+    /// limit) leaves every recorded derivation checkable, and the
+    /// resumed solve finishes with a checkable refutation.
     #[test]
     fn proof_limit_interrupts_and_leaves_checkable_proof() {
         let mut s = Solver::with_proof();
         pigeonhole(&mut s, 7);
-        s.set_proof_limit(Some(20_000));
-        let r = s.solve_limited(&[], Limits::default());
-        assert_eq!(r, SolveResult::Unknown(Interrupt::ProofLimit));
+        let limits = Limits {
+            max_conflicts: Some(200),
+            ..Limits::default()
+        };
+        let r = s.solve_limited(&[], limits);
+        assert_eq!(r, SolveResult::Unknown(Interrupt::ConflictLimit));
         let st = s.stats();
-        assert!(st.proof_bytes > 20_000, "cap tripped: {st:?}");
-        assert!(st.proof_chains > 0);
+        assert!(st.proof_bytes > 0 && st.proof_chains > 0, "{st:?}");
         // Everything recorded so far is still a valid derivation set.
         let report = s.check_proof().expect("proof logging on");
         assert!(report.ok(), "{}", report.first_failure().unwrap());
-        // Raising the cap lets the solve finish.
-        s.set_proof_limit(None);
+        // Without the limit the solve finishes.
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.check_proof().expect("proof").ok());
     }
@@ -2904,246 +2774,6 @@ pub(crate) mod tests {
                 assert_eq!(got, want, "cnf {cnf:?} assumptions {assumptions:?}");
             }
         }
-    }
-
-    /// Random AND-gate circuits: a solve restricted to the fanin cone
-    /// of a probed signal must agree with the unrestricted solve on
-    /// every verdict, keep failed-assumption cores inside the domain,
-    /// and leave a partial model that extends functionally over the
-    /// out-of-cone remainder.
-    #[test]
-    fn domain_restricted_agrees_on_random_circuits() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xD0_2016);
-        for round in 0..300 {
-            let nleaves = rng.gen_range(2..=5usize);
-            let ngates = rng.gen_range(1..=12usize);
-            let mut s = Solver::new();
-            let mut twin = Solver::new();
-            for _ in 0..(nleaves + ngates) {
-                s.new_var();
-                twin.new_var();
-            }
-            // Gate g (variable nleaves + g) is the AND of two earlier
-            // signals with random polarities, Tseitin-encoded.
-            let mut fanins: Vec<(Lit, Lit)> = Vec::new();
-            for g in 0..ngates {
-                let mut pick = || {
-                    let v = rng.gen_range(0..nleaves + g);
-                    Lit::new(Var::from_index(v), rng.gen_bool(0.5))
-                };
-                let (a, b) = (pick(), pick());
-                let o = Lit::pos(Var::from_index(nleaves + g));
-                for solver in [&mut s, &mut twin] {
-                    solver.add_clause(&[!o, a]);
-                    solver.add_clause(&[!o, b]);
-                    solver.add_clause(&[!a, !b, o]);
-                }
-                fanins.push((a, b));
-            }
-            // The domain is the fanin-closed cone of a random root.
-            let root = rng.gen_range(0..nleaves + ngates);
-            let mut dom = Domain::new();
-            let mut stack = vec![root];
-            while let Some(v) = stack.pop() {
-                if dom.contains(Var::from_index(v)) {
-                    continue;
-                }
-                dom.insert(Var::from_index(v));
-                if v >= nleaves {
-                    let (a, b) = fanins[v - nleaves];
-                    stack.push(a.var().index());
-                    stack.push(b.var().index());
-                }
-            }
-            let cone: Vec<Var> = dom.vars().to_vec();
-            let assumptions: Vec<Lit> = (0..rng.gen_range(1..=3usize))
-                .map(|_| {
-                    let v = cone[rng.gen_range(0..cone.len())];
-                    Lit::new(v, rng.gen_bool(0.5))
-                })
-                .collect();
-            let rd = s.solve_with_domain(&assumptions, Limits::default(), &dom);
-            let ru = twin.solve_with(&assumptions);
-            assert_eq!(rd, ru, "round {round}");
-            match rd {
-                SolveResult::Sat => {
-                    // Extend the partial model functionally (unassigned
-                    // leaves default to false) and check it against the
-                    // in-domain assignment and the assumptions.
-                    let mut vals = vec![false; nleaves + ngates];
-                    for (i, val) in vals.iter_mut().enumerate().take(nleaves) {
-                        *val = s.value(Lit::pos(Var::from_index(i))) == Some(true);
-                    }
-                    for g in 0..ngates {
-                        let (a, b) = fanins[g];
-                        let hold = |l: Lit| vals[l.var().index()] == l.is_positive();
-                        let f = hold(a) && hold(b);
-                        let gv = Var::from_index(nleaves + g);
-                        if dom.contains(gv) {
-                            // In-domain gates are fanin-closed, so the
-                            // partial model must already agree with the
-                            // functional evaluation.
-                            assert_eq!(s.value(Lit::pos(gv)), Some(f), "round {round} gate {g}");
-                        }
-                        vals[nleaves + g] = f;
-                    }
-                    for &a in &assumptions {
-                        assert_eq!(vals[a.var().index()], a.is_positive(), "round {round}");
-                    }
-                    for &v in &cone {
-                        assert!(s.value(Lit::pos(v)).is_some(), "in-domain var unassigned");
-                    }
-                }
-                SolveResult::Unsat => {
-                    let core = s.failed_assumptions();
-                    assert!(
-                        core.iter().all(|l| dom.contains(l.var())),
-                        "round {round}: core escapes the domain"
-                    );
-                }
-                SolveResult::Unknown(_) => unreachable!(),
-            }
-            // The solver stays usable unrestricted afterwards.
-            assert_eq!(s.solve(), twin.solve(), "round {round} post-solve");
-        }
-    }
-
-    #[test]
-    fn chrono_backtracking_agrees_with_nonchrono() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xC4040);
-        let mut fired = 0u64;
-        for round in 0..200 {
-            let nvars = rng.gen_range(6..=12usize);
-            let nclauses = rng.gen_range(15..=50usize);
-            let mut a = if round % 2 == 0 {
-                Solver::new()
-            } else {
-                Solver::with_proof()
-            };
-            // Threshold 0: every non-unit conflict backtracks one level.
-            a.set_chrono(Some(0));
-            let mut b = Solver::new();
-            for _ in 0..nvars {
-                a.new_var();
-                b.new_var();
-            }
-            let mut cnf: Vec<Vec<Lit>> = Vec::new();
-            for _ in 0..nclauses {
-                let len = rng.gen_range(2..=4usize);
-                let cl: Vec<Lit> = (0..len)
-                    .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
-                    .collect();
-                a.add_clause(&cl);
-                b.add_clause(&cl);
-                cnf.push(cl);
-            }
-            for _ in 0..3 {
-                let assumptions: Vec<Lit> = (0..rng.gen_range(0..=2usize))
-                    .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
-                    .collect();
-                let ra = a.solve_with(&assumptions);
-                assert_eq!(ra, b.solve_with(&assumptions), "round {round}");
-                if ra == SolveResult::Sat {
-                    for cl in &cnf {
-                        assert!(
-                            cl.iter().any(|&l| a.value(l) == Some(true)),
-                            "chrono model violates clause {cl:?}"
-                        );
-                    }
-                }
-            }
-            if a.proof_logging() {
-                a.debug_verify_proof().expect("valid proof under chrono");
-            }
-            fired += a.stats().chrono_backtracks;
-        }
-        assert!(fired > 0, "chronological backtracking never exercised");
-
-        // A hard refutation with a moderate threshold: same verdict,
-        // and the short backtracks actually happen.
-        let mut s = Solver::with_proof();
-        s.set_chrono(Some(2));
-        pigeonhole(&mut s, 7);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert!(s.stats().chrono_backtracks > 0);
-        s.debug_verify_proof()
-            .expect("pigeonhole proof under chrono");
-    }
-
-    #[test]
-    fn chaos_mid_domain_solve_leaves_solver_clean() {
-        // Phase A: pigeonhole PHP(9,8) (UNSAT, needs far more than
-        // `period` conflicts) under a domain covering the pigeonhole
-        // block, with out-of-domain ballast variables alongside. Every
-        // injected cancellation must leave the stash drained and the
-        // clause structures intact, and the retries must still refute.
-        let chaos = Chaos { seed: 7, period: 4 };
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 8);
-        s.set_chrono(Some(4));
-        let mut dom = Domain::new();
-        dom.extend((0..s.num_vars()).map(Var::from_index));
-        for _ in 0..16 {
-            s.new_var(); // ballast the domain excludes
-        }
-        let limits = Limits {
-            chaos: Some(chaos),
-            ..Limits::default()
-        };
-        let mut injected = 0;
-        loop {
-            match s.solve_with_domain(&[], limits.clone(), &dom) {
-                SolveResult::Unknown(Interrupt::Cancelled) => {
-                    injected += 1;
-                    assert!(s.dom_stash.is_empty(), "stash must drain on every exit");
-                    s.debug_check_integrity()
-                        .expect("intact after injected fault");
-                }
-                SolveResult::Unsat if injected > 0 => break,
-                r => panic!("unexpected chaos-run answer {r:?} after {injected} faults"),
-            }
-            if injected > 10_000 {
-                assert_eq!(
-                    s.solve_with_domain(&[], Limits::default(), &dom),
-                    SolveResult::Unsat
-                );
-                break;
-            }
-        }
-        assert!(injected >= 1, "chaos never fired");
-        assert!(s.dom_stash.is_empty());
-
-        // Phase B: a satisfiable instance checks the Sat-side domain
-        // semantics — in-domain variables assigned, unconstrained
-        // ballast left unassigned but returned to the decision pool.
-        let mut t = Solver::new();
-        let x: Vec<Lit> = (0..3).map(|i| lit(&mut t, i, true)).collect();
-        t.add_clause(&[x[0], x[1], x[2]]);
-        t.add_clause(&[x[0], !x[1], !x[2]]);
-        t.add_clause(&[!x[0], x[1], !x[2]]);
-        t.add_clause(&[!x[0], !x[1], x[2]]);
-        let mut tdom = Domain::new();
-        tdom.extend((0..3).map(Var::from_index));
-        let ballast: Vec<Var> = (0..16).map(|_| t.new_var()).collect();
-        assert_eq!(
-            t.solve_with_domain(&[], Limits::default(), &tdom),
-            SolveResult::Sat
-        );
-        for v in tdom.vars() {
-            assert!(t.value(Lit::pos(*v)).is_some());
-        }
-        for &v in &ballast {
-            assert_eq!(t.value(Lit::pos(v)), None, "ballast must stay unassigned");
-        }
-        assert_eq!(t.solve(), SolveResult::Sat);
-        for &v in &ballast {
-            assert!(t.value(Lit::pos(v)).is_some(), "ballast lost from heap");
-        }
-        t.debug_check_integrity().expect("intact at the end");
     }
 
     #[test]
