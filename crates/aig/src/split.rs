@@ -6,10 +6,10 @@
 //! another's answer, so the batch is cut into contiguous chunks
 //! ([`chunk`]), one per worker, and every worker runs its chunk on a
 //! solver of its own ([`run`]). [`worker_count`] sizes the split: one
-//! worker per idle core, each with at least 64 queries. A batch too
-//! small for two workers, below 128 queries, runs inline on the
-//! calling thread, which then neither spawns a thread nor asks how many
-//! cores there are.
+//! worker per idle core of the host's [`cores`], each with at least 64
+//! queries. A batch too small for two workers, below 128 queries, runs
+//! inline on the calling thread, which then neither spawns a thread nor
+//! asks how many cores there are.
 //!
 //! A core is idle unless a thread holds a [`CoreClaim`] for it. The
 //! seats of a portfolio race claim one each, so a witness checked
@@ -48,6 +48,14 @@ impl Drop for CoreClaim {
     }
 }
 
+/// How many cores this host runs threads on
+/// ([`std::thread::available_parallelism`]), and 1 when that cannot be
+/// read. The portfolio's default line-up and [`worker_count`] both size
+/// themselves by it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// The fewest queries a worker is given. A scoped spawn, the core-count
 /// lookup and the worker's own solver each cost more than a handful of
 /// queries save.
@@ -60,8 +68,7 @@ pub fn worker_count(queries: usize) -> usize {
     if queries < 2 * MIN_QUERIES_PER_WORKER {
         return 1;
     }
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let idle = cores.saturating_sub(CLAIMED.load(Ordering::Relaxed));
+    let idle = cores().saturating_sub(CLAIMED.load(Ordering::Relaxed));
     idle.clamp(1, queries / MIN_QUERIES_PER_WORKER)
 }
 
@@ -109,7 +116,7 @@ mod tests {
     fn small_batches_run_inline() {
         assert_eq!(worker_count(0), 1);
         assert_eq!(worker_count(2 * MIN_QUERIES_PER_WORKER - 1), 1);
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let cores = cores();
         assert_eq!(worker_count(2 * MIN_QUERIES_PER_WORKER), cores.min(2));
         assert_eq!(worker_count(1 << 20), cores);
         let claims: Vec<CoreClaim> = (0..cores).map(|_| CoreClaim::claim()).collect();

@@ -17,7 +17,8 @@
 //!    strengthening stay gated on real designs.
 //! 3. **Arena.** Wherever the per-frame PDR got past frame 0, PDR's peak
 //!    clause arena must be strictly below the per-frame engine's.
-//! 4. **Portfolio.** The certifying portfolio runs three legs: calm (a
+//! 4. **Portfolio.** The certifying portfolio, all four engines seated
+//!    whatever the host's core count, runs three legs: calm (a
 //!    correct, certified answer with no seat demoted or crashed), under
 //!    seeded fault injection (a definite answer must be certified and
 //!    agree with the calm one), and with a seat that panics (the crash
@@ -199,11 +200,11 @@ fn portfolio_legs(ts: &TransitionSystem, seed: u64, timeout: u64) -> Legs {
     // Aggressive enough to hit real queries, loose enough that trivial
     // ones still finish.
     let chaos = bench::budget(timeout).with_chaos(Chaos { seed, period: 200 });
-    let mut panicking = Portfolio::with_default_engines(bench::budget(timeout));
+    let mut panicking = Portfolio::with_engines(bench::budget(timeout), 4);
     panicking.push(PanicSeat);
     Legs {
-        calm: Portfolio::with_default_engines(bench::budget(timeout)).check_detailed(ts),
-        chaos: Portfolio::with_default_engines(chaos).check_detailed(ts),
+        calm: Portfolio::with_engines(bench::budget(timeout), 4).check_detailed(ts),
+        chaos: Portfolio::with_engines(chaos, 4).check_detailed(ts),
         panicked: panicking.check_detailed(ts),
     }
 }

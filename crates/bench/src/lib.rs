@@ -5,10 +5,13 @@
 //!
 //! The binaries `fig3_kinduction`, `fig4_interpolation`, `fig5_hybrid`
 //! and `sec3c_equivalence` regenerate the corresponding figure/claim,
-//! `portfolio` races the hybrid portfolio, and `gates` runs the
-//! correctness checks over the bundled designs (ground truth, paranoid
-//! witness certification, fault injection, proof replay). Timing is
-//! the end-to-end benchmark's job (`perfbench/`).
+//! `portfolio` races the hybrid portfolio with all five seats, and
+//! `gates` runs the correctness checks over the bundled designs (ground
+//! truth, paranoid witness certification, fault injection, proof
+//! replay). Timing is the end-to-end benchmark's job (`perfbench/`),
+//! which races [`hybrid_portfolio`]: one seat per core, in the order
+//! PDR, BMC, interpolation, k-induction and the software seat, and never
+//! fewer than PDR beside BMC (see [`hybrid_seats`]).
 
 #![forbid(unsafe_code)]
 
@@ -126,25 +129,34 @@ pub fn budget(timeout_secs: u64) -> Budget {
     }
 }
 
-/// The paper's hybrid portfolio: the default hardware engines (BMC,
-/// k-induction, interpolation, PDR) **plus a software-analyzer seat**
-/// (CPAChecker-style predicate abstraction over the v2c path), all
-/// racing under one cooperative-cancellation flag.
-pub fn hybrid_portfolio(timeout_secs: u64) -> engines::portfolio::Portfolio {
-    let mut p = engines::portfolio::Portfolio::with_default_engines(budget(timeout_secs));
-    let b = p.engine_budget();
-    p.push(swan::SwSeat::new(swan::predabs::PredAbs::new(
-        b,
-        swan::predabs::RefineMode::Wp,
-    )));
+/// The paper's hybrid portfolio sized to `seats`: the hardware
+/// line-up of [`Portfolio::with_engines`] (the first `seats.clamp(2, 4)`
+/// of PDR, BMC, interpolation and k-induction), joined from 5 seats on
+/// by a **software-analyzer seat** (CPAChecker-style predicate
+/// abstraction over the v2c path), all racing under one
+/// cooperative-cancellation flag.
+///
+/// [`Portfolio::with_engines`]: engines::portfolio::Portfolio::with_engines
+pub fn hybrid_seats(timeout_secs: u64, seats: usize) -> engines::portfolio::Portfolio {
+    let mut p = engines::portfolio::Portfolio::with_engines(budget(timeout_secs), seats);
+    if seats >= 5 {
+        let b = p.engine_budget();
+        p.push(swan::SwSeat::new(swan::predabs::PredAbs::new(
+            b,
+            swan::predabs::RefineMode::Wp,
+        )));
+    }
     p
 }
 
-/// The paper's best configuration as one tool: the parallel hybrid
-/// portfolio with cooperative cancellation (the `portfolio` mode of
-/// the benchmark runner), software seat included.
-pub fn portfolio_tool(timeout_secs: u64) -> Tool {
-    Tool::hw("Portfolio", hybrid_portfolio(timeout_secs))
+/// The hybrid portfolio with one seat per core of the host
+/// ([`hybrid_seats`] at [`aig::split::cores`]): a 2-core host races PDR
+/// beside BMC, and a host with 5 or more cores races all five seats.
+/// Seats beyond the core count would only share cores with the seats
+/// that answer; see the [portfolio's line-up](engines::portfolio#line-up)
+/// for the order and the floor of 2.
+pub fn hybrid_portfolio(timeout_secs: u64) -> engines::portfolio::Portfolio {
+    hybrid_seats(timeout_secs, aig::split::cores())
 }
 
 /// The Figure 3 tool set: k-induction at bit level (ABC), word level
@@ -311,14 +323,40 @@ mod tests {
     }
 
     #[test]
-    fn easy_benchmark_solved_by_pdr_quickly() {
-        let b = bmarks::by_name("Vending").expect("exists");
-        let tool = Tool::hw("ABC-pdr", engines::pdr::Pdr::new(budget(30)));
-        let (class, _) = run_and_classify(&tool, &b);
-        assert!(
-            matches!(class, Classification::Solved(_)),
-            "vending must be easy for PDR: {class:?}"
+    fn hybrid_lineup_follows_the_core_count() {
+        for seats in 0..=6 {
+            let expected: &[&str] = match seats {
+                0..=2 => &["abc-pdr", "bmc"],
+                3 => &["abc-pdr", "bmc", "abc-itp"],
+                4 => &["abc-pdr", "bmc", "abc-itp", "abc-kind"],
+                _ => &["abc-pdr", "bmc", "abc-itp", "abc-kind", "cpa-predabs"],
+            };
+            assert_eq!(hybrid_seats(1, seats).members(), expected, "{seats} seats");
+        }
+        assert_eq!(
+            hybrid_portfolio(1).members(),
+            hybrid_seats(1, aig::split::cores()).members()
         );
+    }
+
+    #[test]
+    fn easy_benchmark_solved_by_pdr_quickly() {
+        use engines::{itp::Interpolation, kind::KInduction, pdr::Pdr};
+        // Figure cells no other test requires ride along: k-induction
+        // proves Vending, interpolation proves Heap.
+        for (design, tool) in [
+            ("Vending", Tool::hw("ABC-pdr", Pdr::new(budget(30)))),
+            ("Vending", Tool::hw("ABC-kind", KInduction::new(budget(30)))),
+            ("Heap", Tool::hw("ABC-itp", Interpolation::new(budget(30)))),
+        ] {
+            let b = bmarks::by_name(design).expect("exists");
+            let (class, _) = run_and_classify(&tool, &b);
+            assert!(
+                matches!(class, Classification::Solved(_)),
+                "{design} must be easy for {}: {class:?}",
+                tool.name
+            );
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn portfolio_survives_chaotic_budget() {
         ..Budget::default()
     }
     .with_chaos(Chaos { seed: 7, period: 2 });
-    let p = crate::portfolio::Portfolio::with_default_engines(budget);
+    let p = crate::portfolio::Portfolio::with_engines(budget, 4);
     let report = p.check_detailed(&ts);
     match &report.verdict {
         Verdict::Unsafe(_) => assert!(report.certified, "witnessed bug must certify"),

@@ -11,10 +11,25 @@
 //! iteration — no loser outlives the winner by more than one
 //! conflict-check interval.
 //!
-//! The default line-up is BMC (bug hunting), k-induction, interpolation
-//! and PDR — mirroring how ABC's `dprove`, CPAchecker 3.0's strategy
-//! portfolio, and rIC3 field complementary engines so that whichever
-//! technique fits the design answers first.
+//! # Line-up
+//!
+//! Seats join in one committed order of measured coverage: PDR proves
+//! every safe design measured, BMC finds the deep bugs, and
+//! interpolation and k-induction, alone, answer 11 and 10 of the 12
+//! bundled designs. [`Portfolio::with_engines`] races the first `seats`
+//! of them, at least 2 and at most 4; [`Portfolio::with_default_engines`]
+//! races one per core of the host ([`aig::split::cores`]). No flag,
+//! variable or setting chooses the seats: a caller whose coverage must
+//! not depend on the host passes the count itself.
+//!
+//! A seat beyond the core count only takes time from the seats that
+//! answer: on 2 cores, five seats made the race take about twice as
+//! long as PDR alone. The floor is 2 because neither engine covers the
+//! other's answers in time: alone, PDR took 109–133 s over 8 deep bugs
+//! that BMC finds in milliseconds, while two seats sharing one core
+//! cost at most about twice the faster one. Racing complementary
+//! engines mirrors ABC's `dprove`, CPAchecker 3.0's strategy portfolio
+//! and rIC3: whichever technique fits the design answers first.
 //!
 //! The race is *certifying* (see [`crate::certify`]): a definite
 //! verdict only wins after its witness re-checks against the raw
@@ -262,17 +277,30 @@ impl Portfolio {
         self.paranoid
     }
 
-    /// The paper's hybrid line-up: BMC, k-induction, interpolation and
-    /// PDR, independent seats under `budget` and the shared
-    /// cancellation flag.
-    pub fn with_default_engines(budget: Budget) -> Portfolio {
+    /// The paper's hybrid line-up sized to `seats`: the first
+    /// `seats.clamp(2, 4)` of PDR, BMC, interpolation and k-induction,
+    /// in that order (see [Line-up](self#line-up)), as independent
+    /// seats under `budget` and the shared cancellation flag.
+    pub fn with_engines(budget: Budget, seats: usize) -> Portfolio {
         let mut p = Portfolio::new(budget);
         let b = p.engine_budget();
+        p.push(Pdr::new(b.clone()));
         p.push(Bmc::new(b.clone()));
-        p.push(KInduction::new(b.clone()));
-        p.push(Interpolation::new(b.clone()));
-        p.push(Pdr::new(b));
+        if seats >= 3 {
+            p.push(Interpolation::new(b.clone()));
+        }
+        if seats >= 4 {
+            p.push(KInduction::new(b));
+        }
         p
+    }
+
+    /// The hybrid line-up with one seat per core of the host:
+    /// [`with_engines`](Portfolio::with_engines) at
+    /// [`aig::split::cores`]. A 2-core host races PDR beside BMC, a host
+    /// with 4 or more cores all four engines.
+    pub fn with_default_engines(budget: Budget) -> Portfolio {
+        Portfolio::with_engines(budget, aig::split::cores())
     }
 
     /// A clone of the portfolio's budget carrying the shared stop
@@ -571,11 +599,29 @@ mod tests {
     }
 
     #[test]
+    fn lineup_follows_the_core_count() {
+        let b = Budget::default();
+        for seats in 0..=6 {
+            let expected: &[&str] = match seats {
+                0..=2 => &["abc-pdr", "bmc"],
+                3 => &["abc-pdr", "bmc", "abc-itp"],
+                _ => &["abc-pdr", "bmc", "abc-itp", "abc-kind"],
+            };
+            let members = Portfolio::with_engines(b.clone(), seats).members();
+            assert_eq!(members, expected, "{seats} seats");
+        }
+        assert_eq!(
+            Portfolio::with_default_engines(b.clone()).members(),
+            Portfolio::with_engines(b, aig::split::cores()).members()
+        );
+    }
+
+    #[test]
     fn portfolio_finds_bmc_winnable_bug() {
         // A counter bug at depth 6: pure reachability, the racing
         // provers cannot answer faster than the bug hunters.
         let ts = crate::bmc::tests::counter_ts(6, 8);
-        let report = Portfolio::with_default_engines(Budget::default()).check_detailed(&ts);
+        let report = Portfolio::with_engines(Budget::default(), 4).check_detailed(&ts);
         match &report.verdict {
             Verdict::Unsafe(trace) => {
                 assert_eq!(trace.length(), 6, "bug at documented depth");
@@ -907,7 +953,7 @@ mod tests {
         // Same-verdict check on designs with known ground truth: the
         // portfolio answer must match what a lone engine derives.
         let bug = crate::bmc::tests::counter_ts(3, 8);
-        let p = Portfolio::with_default_engines(Budget::default());
+        let p = Portfolio::with_engines(Budget::default(), 4);
         let solo = Bmc::new(Budget::default()).check(&bug);
         let port = p.check(&bug);
         match (&solo.outcome, &port.outcome) {
@@ -918,7 +964,7 @@ mod tests {
         }
 
         let safe = crate::kind::tests::trap_ts();
-        let p = Portfolio::with_default_engines(Budget::default());
+        let p = Portfolio::with_engines(Budget::default(), 4);
         assert_eq!(p.check(&safe).outcome, Verdict::Safe);
     }
 
@@ -938,7 +984,7 @@ mod tests {
         ts.set_init(s, zero);
         ts.set_next(s, next);
         ts.add_bad(bad, "acc > 10");
-        let report = Portfolio::with_default_engines(Budget::default()).check_detailed(&ts);
+        let report = Portfolio::with_engines(Budget::default(), 4).check_detailed(&ts);
         assert!(report.verdict.is_unsafe());
         type Counter = fn(&EngineStats) -> u64;
         let counters: [(&str, Counter); 14] = [
@@ -966,11 +1012,11 @@ mod tests {
 
     #[test]
     fn winner_certificate_is_checked_and_exposed() {
-        // A safe design through the default engines: the winner's
+        // A safe design through all four engines: the winner's
         // witness must survive the independent re-check and surface on
         // the portfolio outcome.
         let ts = crate::kind::tests::trap_ts();
-        let report = Portfolio::with_default_engines(Budget::default()).check_detailed(&ts);
+        let report = Portfolio::with_engines(Budget::default(), 4).check_detailed(&ts);
         assert_eq!(report.verdict, Verdict::Safe);
         assert!(
             report.certified,
@@ -1081,7 +1127,7 @@ mod tests {
         // obligation solvers' resolution proofs must have been
         // replayed, and the summary must surface the proof line.
         let ts = crate::kind::tests::trap_ts();
-        let report = Portfolio::with_default_engines(Budget::default())
+        let report = Portfolio::with_engines(Budget::default(), 4)
             .with_paranoid(true)
             .check_detailed(&ts);
         assert_eq!(report.verdict, Verdict::Safe);

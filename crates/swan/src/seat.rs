@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn seated_analyzer_races_in_a_portfolio() {
         use engines::portfolio::Portfolio;
-        let mut p = Portfolio::with_default_engines(Budget::default());
+        let mut p = Portfolio::with_engines(Budget::default(), 4);
         p.push(SwSeat::new(PredAbs::new(p.engine_budget(), RefineMode::Wp)));
         let report = p.check_detailed(&saturating_counter());
         assert_eq!(report.verdict, Verdict::Safe);

@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let r2 = Interpolation::new(budget.clone()).check_blasted(&ts, &blasted);
         let r3 = Pdr::new(budget.clone()).check_blasted(&ts, &blasted);
         let r4 = hwsw::swan::twols::TwoLs::new(budget.clone()).check(&prog);
-        // The default hybrid configuration: all hardware engines race,
-        // the first definite verdict wins and cancels the rest.
+        // The default hybrid configuration: one hardware engine per
+        // core races (PDR and BMC first, never fewer), the first
+        // definite verdict wins and cancels the rest.
         let hybrid =
             Portfolio::with_default_engines(budget.clone()).check_detailed_blasted(&ts, &blasted);
         let s = |o: &hwsw::engines::Verdict| match o {

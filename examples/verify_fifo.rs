@@ -1,7 +1,7 @@
 //! The paper's headline comparison on one hard benchmark: the FIFO
 //! controller is not k-inductive, so k-induction engines diverge while
 //! PDR proves it — and the hybrid portfolio answers as fast as its
-//! best member by racing all of them with cooperative cancellation.
+//! best member by racing them with cooperative cancellation.
 //!
 //! Run with: `cargo run --release --example verify_fifo`
 
@@ -38,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kiki = hwsw::swan::twols::TwoLs::new(budget.clone()).check(&prog);
     println!("2LS-style kIkI        : {}", kiki.outcome);
 
-    // The default configuration: every engine races over the shared
-    // blast, the first definite verdict wins, the losers are cancelled
-    // mid-solve.
+    // The default configuration: one engine per core (PDR and BMC
+    // first, never fewer) races over the shared blast, the first
+    // definite verdict wins, the losers are cancelled mid-solve.
     let hybrid = Portfolio::with_default_engines(budget).check_detailed_blasted(&ts, &blasted);
     println!("hybrid portfolio      : {}", hybrid.summary().trim_end());
     Ok(())

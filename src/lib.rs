@@ -17,12 +17,16 @@
 //! ```
 //!
 //! The paper's best configuration — the Figure 5 "hybrid" — is the
-//! parallel [`Portfolio`]: BMC, k-induction, interpolation and PDR
+//! parallel [`Portfolio`]: PDR, BMC, interpolation and k-induction
 //! race on worker threads, the first definite verdict wins, and the
 //! losers are cooperatively cancelled through the `satb` stop flag.
-//! Software analyzers join the race through [`swan::SwSeat`], which
-//! adapts any `swan` analyzer to the hardware `Checker` interface
-//! over the v2c software-netlist path.
+//! The default line-up seats one engine per core, in that order and
+//! never fewer than PDR beside BMC: a seat beyond the core count only
+//! slows the seats that answer, and no single engine both proves the
+//! safe designs and finds the deep bugs quickly. Software analyzers
+//! join the race through [`swan::SwSeat`], which adapts any `swan`
+//! analyzer to the hardware `Checker` interface over the v2c
+//! software-netlist path.
 //!
 //! This crate re-exports the public API of every component so examples
 //! and downstream users need a single dependency.

@@ -12,9 +12,10 @@ fn budget(secs: u64) -> Budget {
     }
 }
 
-/// The portfolio (the paper's hybrid configuration) must answer every
-/// design its best member answers: bugs with a replaying trace, proofs
-/// where k-induction diverges, with the losers cancelled.
+/// The portfolio (the paper's hybrid configuration), all four engines
+/// seated, must answer every design its best member answers: bugs with
+/// a replaying trace, proofs where k-induction diverges, with the
+/// losers cancelled.
 #[test]
 fn portfolio_hybrid_matches_best_member() {
     use hwsw::engines::portfolio::Portfolio;
@@ -23,7 +24,7 @@ fn portfolio_hybrid_matches_best_member() {
     let b = hwsw::bmarks::by_name("traffic-light").expect("exists");
     let expected = b.bug_cycle.expect("unsafe benchmark");
     let ts = b.compile().expect("compiles");
-    let report = Portfolio::with_default_engines(budget(60)).check_detailed(&ts);
+    let report = Portfolio::with_engines(budget(60), 4).check_detailed(&ts);
     match &report.verdict {
         Verdict::Unsafe(t) => assert_eq!(t.length() as u64, expected, "bug cycle"),
         other => panic!("portfolio must find the bug, got {other:?}"),
@@ -36,7 +37,7 @@ fn portfolio_hybrid_matches_best_member() {
     // portfolio's answer.
     let b = hwsw::bmarks::by_name("FIFOs").expect("exists");
     let ts = b.compile().expect("compiles");
-    let report = Portfolio::with_default_engines(budget(60)).check_detailed(&ts);
+    let report = Portfolio::with_engines(budget(60), 4).check_detailed(&ts);
     assert_eq!(report.verdict, Verdict::Safe, "{}", report.summary());
     // Every loser is accounted for: definite, cancelled, or at a limit.
     assert_eq!(report.engines.len(), 4);
@@ -106,7 +107,8 @@ fn pdr_beats_kinduction_on_fifo() {
 }
 
 /// The SeaHorn-mode abstraction produces its documented false negative
-/// on a bit-heavy design while exact PDR proves it.
+/// on a bit-heavy design while exact PDR, and 2LS's kIkI on the same
+/// software netlist, prove it.
 #[test]
 fn seahorn_false_negative_reproduced() {
     let b = hwsw::bmarks::by_name("TicTacToe").expect("exists");
@@ -120,6 +122,8 @@ fn seahorn_false_negative_reproduced() {
         "expected a false negative, got {:?}",
         sea.outcome
     );
+    let kiki = hwsw::swan::twols::TwoLs::new(budget(30)).check(&prog);
+    assert_eq!(kiki.outcome, Verdict::Safe, "2LS kIkI proves TicTacToe");
 }
 
 /// All twelve benchmarks make it through the v2c C emitter and back.
