@@ -1,17 +1,23 @@
-//! Tseitin encoding of AIG cones into a SAT solver.
+//! Tseitin encoding of per-query AIG formula cones into a SAT solver.
+//!
+//! Two encoders split the work. A multi-frame transition relation goes
+//! through [`TransitionTemplate`](crate::TransitionTemplate), compiled
+//! once and instantiated per frame. [`FrameEncoder`] encodes the
+//! formulas a single query is about, each cone once: word-level
+//! queries, predicates, interpolants and certificate formulas.
 
 use crate::graph::{Aig, AigLit};
 use satb::{Lit, Part, Solver};
 use std::collections::HashMap;
 
-/// Encodes AIG cones into a [`satb::Solver`], one instance per time
-/// frame (or per interpolation partition).
+/// Encodes AIG formula cones into a [`satb::Solver`], one instance per
+/// set of CI bindings.
 ///
 /// CIs can be pre-bound to existing SAT literals with
-/// [`bind`](FrameEncoder::bind) — this is how engines wire latch
-/// variables between frames, and how interpolation engines control
-/// exactly which SAT variables are shared between the `A` and `B`
-/// partitions. Unbound CIs get fresh SAT variables on first use (free
+/// [`bind`](FrameEncoder::bind): this is how a formula over the latch
+/// outputs is placed on a frame's latch variables, such as an invariant
+/// candidate on the current and on the next state of one template
+/// frame. Unbound CIs get fresh SAT variables on first use (free
 /// inputs).
 ///
 /// # Example
@@ -121,53 +127,6 @@ impl FrameEncoder {
             self.map.insert(n, ln);
         }
         self.leaf_lit(solver, root, part)
-    }
-
-    /// Like [`encode`](FrameEncoder::encode), but labels every emitted
-    /// Tseitin clause with a caller tag (see
-    /// [`satb::Solver::add_clause_tagged`]) so one refutation can be
-    /// re-partitioned into sequence interpolants.
-    pub fn encode_tagged(
-        &mut self,
-        aig: &Aig,
-        solver: &mut Solver,
-        root: AigLit,
-        part: Part,
-        tag: u32,
-    ) -> Lit {
-        if root.is_const() {
-            return self.leaf_lit(solver, root, part);
-        }
-        for n in aig.cone(&[root]) {
-            if self.map.contains_key(&n) {
-                continue;
-            }
-            let (a, b) = aig
-                .and_fanins_of_node(n)
-                .expect("cone() yields AND nodes only");
-            let la = self.leaf_lit(solver, a, part);
-            let lb = self.leaf_lit(solver, b, part);
-            let ln = Lit::pos(solver.new_var());
-            solver.add_clause_tagged(&[!ln, la], part, tag);
-            solver.add_clause_tagged(&[!ln, lb], part, tag);
-            solver.add_clause_tagged(&[!la, !lb, ln], part, tag);
-            self.map.insert(n, ln);
-        }
-        self.leaf_lit(solver, root, part)
-    }
-
-    /// Encodes every root and returns their SAT literals.
-    pub fn encode_all(
-        &mut self,
-        aig: &Aig,
-        solver: &mut Solver,
-        roots: &[AigLit],
-        part: Part,
-    ) -> Vec<Lit> {
-        roots
-            .iter()
-            .map(|&r| self.encode(aig, solver, r, part))
-            .collect()
     }
 }
 

@@ -4,10 +4,13 @@
 //! role AIGER/ABC plays in the paper): a structurally hashed [`Aig`],
 //! a [`Blaster`] that lowers word-level [`rtlir`] expressions to bits,
 //! a sequential [`AigSystem`] (latches + bads, the bit-level netlist a
-//! hardware model checker consumes), a Tseitin [`FrameEncoder`] that
-//! encodes AIG cones into a [`satb::Solver`], and a compile-once
-//! [`TransitionTemplate`] that the unrolling engines instantiate per
-//! time frame by variable-offset arithmetic instead of re-encoding.
+//! hardware model checker consumes), and two CNF encoders with one job
+//! each. Every multi-frame transition relation goes through the
+//! compile-once [`TransitionTemplate`], which engines and analyzers
+//! instantiate per time frame by variable-offset arithmetic instead of
+//! re-encoding. The Tseitin [`FrameEncoder`] encodes per-query formula
+//! cones into a [`satb::Solver`]: word-level queries, predicates,
+//! interpolants and certificate formulas.
 //!
 //! The lowering is purely structural — no synthesis optimization — in
 //! line with the paper's §III-C trustworthiness argument; every

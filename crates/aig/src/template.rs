@@ -1,7 +1,8 @@
 //! Compile-once CNF transition template.
 //!
 //! Every engine in this workspace (BMC, k-induction, interpolation,
-//! PDR, and the portfolio racing them) materializes the *same*
+//! PDR, the portfolio racing them, and the interpolating software
+//! analyzers IMPARA and CPA-itp) materializes the *same*
 //! transition relation in a SAT solver, over and over: once per time
 //! frame, once per PDR frame solver, once per interpolation partition.
 //! Running Tseitin over the AIG cone each time costs a cone traversal,
@@ -43,9 +44,8 @@
 //! ([`satb::Part`]) and a caller tag, forwarded to
 //! [`satb::Solver::add_clause_tagged`] for each emitted clause. The
 //! interpolation engine instantiates frame 0 in `Part::A` and frames
-//! `1..k` in `Part::B`, and sequence-interpolant users can tag each
-//! frame with its index — exactly the labelling the per-frame
-//! `FrameEncoder` path used to provide.
+//! `1..k` in `Part::B`, and the IMPACT analyzer tags each frame with its
+//! index to cut one refutation into sequence interpolants.
 //!
 //! Environment constraints are asserted (as unit clauses, in the same
 //! part/tag) by every instantiation: all consumers assert them on every

@@ -38,9 +38,15 @@ impl Interpolation {
     }
 }
 
-/// Converts an interpolant over frame-1 latch SAT variables into an AIG
-/// function over the latch-output CIs.
-fn itp_to_aig(
+/// Converts an interpolant over the SAT variables of one frame's
+/// latches into an AIG function over the latch-output CIs that
+/// `var_to_latch` maps them to.
+///
+/// # Panics
+///
+/// Panics if the interpolant names a variable the map does not: a cut
+/// must share latch variables only.
+pub fn itp_to_aig(
     itp: &satb::Interpolant,
     var_to_latch: &HashMap<satb::Var, AigLit>,
     aig: &mut Aig,
@@ -52,7 +58,7 @@ fn itp_to_aig(
             ItpNode::Lit(sl) => {
                 let base = *var_to_latch
                     .get(&sl.var())
-                    .expect("interpolant variable is a frame-1 latch");
+                    .expect("interpolant variable is a latch of the cut");
                 if sl.is_positive() {
                     base
                 } else {

@@ -8,6 +8,7 @@
 //! |---------------------|------------------------|
 //! | ABC `kind`          | [`kind::KInduction`]   |
 //! | EBMC k-induction    | [`word::WordKInduction`] |
+//! | CBMC and 2LS k-induction | the same loop, run by `swan` on the software-netlist |
 //! | ABC interpolation   | [`itp::Interpolation`] |
 //! | ABC `pdr`           | [`pdr::Pdr`]           |
 //! | (bug finding base)  | [`bmc::Bmc`]           |

@@ -418,6 +418,19 @@ impl Budget {
         }
     }
 
+    /// What is left of this budget now, for a run that started at
+    /// `started`: the timeout shrinks by the time spent so far, down to
+    /// zero, and the bound, the stop flag and fault injection carry
+    /// over. A run hands this to a sub-engine it starts, whose clock
+    /// starts afresh, so that the sub-engine stops at the run's own
+    /// deadline.
+    pub fn remaining(&self, started: Instant) -> Budget {
+        Budget {
+            timeout: self.timeout.map(|t| t.saturating_sub(started.elapsed())),
+            ..self.clone()
+        }
+    }
+
     /// Whether the deadline has passed.
     pub fn expired(&self, started: Instant) -> bool {
         match self.deadline_from(started) {
@@ -626,6 +639,40 @@ mod tests {
             ..Budget::default()
         };
         assert!(!unlimited.expired(t0));
+    }
+
+    #[test]
+    fn remaining_budget_shrinks_and_keeps_stop_and_chaos() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let chaos = satb::Chaos {
+            seed: 7,
+            period: 100,
+        };
+        let b = Budget {
+            timeout: Some(Duration::from_secs(1)),
+            max_depth: 9,
+            ..Budget::default()
+        }
+        .with_stop(stop.clone())
+        .with_chaos(chaos);
+        let started = Instant::now();
+        std::thread::sleep(Duration::from_millis(20));
+        let left = b.remaining(started);
+        let t = left.timeout.expect("a timeout stays a timeout");
+        assert!(t <= Duration::from_millis(980), "{t:?}");
+        assert_eq!(left.max_depth, 9);
+        assert!(Arc::ptr_eq(left.stop.as_ref().expect("stop kept"), &stop));
+        assert_eq!(left.chaos, Some(chaos));
+
+        let spent = Budget {
+            timeout: Some(Duration::from_millis(5)),
+            ..b.clone()
+        }
+        .remaining(started);
+        assert_eq!(spent.timeout, Some(Duration::ZERO), "saturates at zero");
+        assert!(spent.expired(Instant::now()));
+        let unlimited = Budget { timeout: None, ..b };
+        assert_eq!(unlimited.remaining(started).timeout, None);
     }
 
     #[test]

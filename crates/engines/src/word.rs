@@ -1,4 +1,4 @@
-//! Word-level k-induction (the paper's "EBMC-kind" configuration).
+//! Word-level k-induction: one loop, three tools.
 //!
 //! Unlike the bit-level engine, the unrolling happens at the *word
 //! level* using [`rtlir::Unroller`]: constants propagate through whole
@@ -6,11 +6,26 @@
 //! bit-blasted and solved from scratch. This mirrors how EBMC's
 //! word-level engine behaves — cheaper formulas on data-path designs,
 //! but no incremental solver reuse between bounds.
+//!
+//! The paper runs k-induction on the v2c program too, and this loop
+//! serves it, since unwinding the software-netlist's top-level loop is
+//! the same unrolling. The three tools differ only in what the step
+//! case assumes:
+//!
+//! | paper tool | runs [`WordKInduction`] as                              |
+//! |------------|---------------------------------------------------------|
+//! | EBMC-kind  | [`check`](Checker::check), with simple paths            |
+//! | CBMC-kind  | `swan::cbmc::CbmcKind`: without simple paths            |
+//! | 2LS        | `swan::twols::TwoLs`: [`run`](WordKInduction::run) without simple paths, under its interval invariant in the kIkI configuration |
+//!
+//! The word query ([`solve_word`]) and the trace reader
+//! ([`TraceExtractor`]) serve the other software analyzers too, which
+//! solve word-level formulas of their own.
 
 use crate::result::{Budget, CheckOutcome, Checker, EngineStats, Trace, Unknown, Verdict};
 use aig::Blaster;
 use rtlir::unroll::{InitMode, Unroller};
-use rtlir::TransitionSystem;
+use rtlir::{ExprId, ExprPool, TransitionSystem};
 use satb::{Part, SolveResult, Solver};
 use std::time::Instant;
 
@@ -41,174 +56,42 @@ impl WordKInduction {
         }
     }
 
-    /// Solves a single-bit word-level formula built in `unroller`'s
-    /// pool. Returns the solver (for model extraction) and the result;
-    /// the per-query solver's counters are folded into `stats` (each
-    /// bound solves from scratch, so the solver dies with the query).
-    fn solve_formula<'u>(
+    /// Runs the base/step loop on `ts` for a run that started at
+    /// `started` and has already counted `stats`, so a caller with a
+    /// phase of its own keeps one deadline and one set of counters.
+    ///
+    /// `strengthening`, a single-bit expression over `ts`'s state
+    /// variables, is assumed on every frame of the step case: it must
+    /// hold on every reachable state. The base case never assumes it,
+    /// so a wrong strengthening can lose a proof but never a bug.
+    pub fn run(
         &self,
-        unroller: &'u Unroller<'_>,
-        roots: &[rtlir::ExprId],
+        ts: &TransitionSystem,
+        strengthening: Option<ExprId>,
         started: Instant,
-        stats: &mut EngineStats,
-    ) -> (SolveResult, Option<WordModel<'u>>) {
-        let mut blaster = Blaster::new(unroller.pool());
-        let bits: Vec<aig::AigLit> = roots.iter().map(|&r| blaster.blast_bit(r)).collect();
-        let aig = blaster.aig();
-        let mut solver = Solver::new();
-        let mut enc = aig::FrameEncoder::new();
-        for &b in &bits {
-            let l = enc.encode(aig, &mut solver, b, Part::A);
-            solver.add_clause(&[l]);
-        }
-        let r = solver.solve_limited(&[], self.budget.sat_limits(started));
-        stats.absorb_solver(&solver.stats());
-        if r == SolveResult::Sat {
-            // Capture CI values so the caller can evaluate word-level
-            // expressions of the model.
-            let mut ci_vals = vec![false; aig.num_cis()];
-            for (ci, al) in aig.ci_lits().into_iter().enumerate() {
-                ci_vals[ci] = enc
-                    .mapped(al)
-                    .and_then(|sl| solver.value(sl))
-                    .unwrap_or(false);
-            }
-            let model = WordModel { blaster, ci_vals };
-            return (r, Some(model));
-        }
-        (r, None)
-    }
-}
-
-/// A satisfying assignment at the word level: CI values plus the
-/// blaster that maps word expressions to bits.
-struct WordModel<'p> {
-    blaster: Blaster<'p>,
-    ci_vals: Vec<bool>,
-}
-
-impl WordModel<'_> {
-    /// Evaluates a word-level expression under the model. Expressions
-    /// outside the solved cone may introduce fresh CIs (don't-cares),
-    /// which read as zero.
-    fn eval_word(&mut self, e: rtlir::ExprId) -> u64 {
-        let bits = self.blaster.blast(e).bits().to_vec();
-        if self.ci_vals.len() < self.blaster.aig().num_cis() {
-            self.ci_vals.resize(self.blaster.aig().num_cis(), false);
-        }
-        let mut out = 0u64;
-        for (i, &b) in bits.iter().enumerate() {
-            if self.blaster.aig().eval(b, &self.ci_vals) {
-                out |= 1 << i;
-            }
-        }
-        out
-    }
-}
-
-impl Checker for WordKInduction {
-    fn name(&self) -> &'static str {
-        "ebmc-kind"
-    }
-
-    fn check(&self, ts: &TransitionSystem) -> CheckOutcome {
-        let started = Instant::now();
-        let mut stats = EngineStats::default();
-
+        mut stats: EngineStats,
+    ) -> CheckOutcome {
         for k in 0..=self.budget.max_depth {
             if let Some(u) = self.budget.interruption(started) {
                 return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
             }
             stats.depth = k;
+            let k = k as usize;
 
-            // Base case: fresh initialized unrolling, bad at frame k,
-            // constraints on all frames, no bad before k.
+            // Base case: initialized unrolling, no bad before k, bad
+            // at k.
             let mut base = Unroller::new(ts, InitMode::Initialized);
-            let mut roots = Vec::new();
-            for f in 0..=k as usize {
-                let c = base.constraint(f);
-                roots.push(c);
-                if f < k as usize {
-                    let b = base.bad(f);
-                    let nb = base.pool_mut().not(b);
-                    roots.push(nb);
-                }
-            }
-            let bk = base.bad(k as usize);
-            roots.push(bk);
-            // Pre-materialize everything a trace needs, because model
-            // extraction borrows the unroller's pool immutably.
-            // Per frame, per state: the word expressions to evaluate
-            // (one for a bit-vector, one read per index for an array).
-            let mut state_words: Vec<Vec<Vec<rtlir::ExprId>>> = Vec::new();
-            let mut input_words: Vec<Vec<rtlir::ExprId>> = Vec::new();
-            for f in 0..=k as usize {
-                let mut per_state = Vec::new();
-                for (si, s) in ts.states().iter().enumerate() {
-                    let sort = ts.pool().var_sort(s.var);
-                    let e = base.state(f, si);
-                    let words = match sort {
-                        rtlir::Sort::Bv(_) => vec![e],
-                        rtlir::Sort::Array { index_width, .. } => (0..(1u64 << index_width))
-                            .map(|idx| {
-                                let ie = base.pool_mut().constv(index_width, idx);
-                                base.pool_mut().read(e, ie)
-                            })
-                            .collect(),
-                    };
-                    per_state.push(words);
-                }
-                state_words.push(per_state);
-                let inps = (0..ts.inputs().len()).map(|ii| base.input(f, ii)).collect();
-                input_words.push(inps);
-            }
-            let bad_words: Vec<rtlir::ExprId> = (0..ts.bads().len())
-                .map(|bi| base.bad_at(k as usize, bi))
-                .collect();
-            stats.sat_queries += 1;
-            let (r, model) = self.solve_formula(&base, &roots, started, &mut stats);
-            match r {
+            let roots = path_roots(&mut base, k, None);
+            let extractor = TraceExtractor::prepare(&mut base, k);
+            let q = solve_word(
+                base.pool(),
+                &roots,
+                self.budget.sat_limits(started),
+                &mut stats,
+            );
+            match q.result {
                 SolveResult::Sat => {
-                    let mut model = model.expect("sat model");
-                    // Flatten the word-level model to the bit order of
-                    // AigSystem (state-major, LSB first).
-                    let mut states = Vec::new();
-                    let mut inputs = Vec::new();
-                    for f in 0..=k as usize {
-                        let mut st = Vec::new();
-                        for (si, s) in ts.states().iter().enumerate() {
-                            let sort = ts.pool().var_sort(s.var);
-                            let width = match sort {
-                                rtlir::Sort::Bv(w) => w,
-                                rtlir::Sort::Array { elem_width, .. } => elem_width,
-                            };
-                            for &e in &state_words[f][si] {
-                                let v = model.eval_word(e);
-                                for b in 0..width {
-                                    st.push((v >> b) & 1 == 1);
-                                }
-                            }
-                        }
-                        states.push(st);
-                        let mut inp = Vec::new();
-                        for (ii, &ivar) in ts.inputs().iter().enumerate() {
-                            let w = ts.pool().var_sort(ivar).width();
-                            let v = model.eval_word(input_words[f][ii]);
-                            for b in 0..w {
-                                inp.push((v >> b) & 1 == 1);
-                            }
-                        }
-                        inputs.push(inp);
-                    }
-                    let bad_index = bad_words
-                        .iter()
-                        .position(|&e| model.eval_word(e) == 1)
-                        .unwrap_or(0);
-                    let trace = Trace {
-                        states,
-                        inputs,
-                        bad_index,
-                    };
+                    let trace = extractor.extract(ts, &mut q.model.expect("sat model"));
                     return CheckOutcome::finish(Verdict::Unsafe(trace), stats, started);
                 }
                 SolveResult::Unknown(why) => {
@@ -223,32 +106,25 @@ impl Checker for WordKInduction {
                 return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
             }
 
-            // Inductive step: free initial state, property holds for
-            // frames 0..k-1, fails at k, simple path.
+            // Inductive step: free initial state, the strengthening on
+            // every frame, no bad before k, bad at k, simple path.
             let mut step = Unroller::new(ts, InitMode::Free);
-            let mut roots = Vec::new();
-            for f in 0..=k as usize {
-                let c = step.constraint(f);
-                roots.push(c);
-                if f < k as usize {
-                    let b = step.bad(f);
-                    let nb = step.pool_mut().not(b);
-                    roots.push(nb);
-                }
-            }
-            let bk = step.bad(k as usize);
-            roots.push(bk);
+            let mut roots = path_roots(&mut step, k, strengthening);
             if self.simple_path {
-                for i in 0..k as usize {
-                    for j in (i + 1)..=k as usize {
-                        let d = step.frames_distinct(i, j);
-                        roots.push(d);
+                for i in 0..k {
+                    for j in (i + 1)..=k {
+                        roots.push(step.frames_distinct(i, j));
                     }
                 }
             }
-            stats.sat_queries += 1;
-            let (r, _) = self.solve_formula(&step, &roots, started, &mut stats);
-            match r {
+            match solve_word(
+                step.pool(),
+                &roots,
+                self.budget.sat_limits(started),
+                &mut stats,
+            )
+            .result
+            {
                 SolveResult::Unsat => {
                     return CheckOutcome::finish(Verdict::Safe, stats, started);
                 }
@@ -259,6 +135,195 @@ impl Checker for WordKInduction {
             }
         }
         CheckOutcome::finish(Verdict::Unknown(Unknown::BoundReached), stats, started)
+    }
+}
+
+impl Checker for WordKInduction {
+    fn name(&self) -> &'static str {
+        "ebmc-kind"
+    }
+
+    fn check(&self, ts: &TransitionSystem) -> CheckOutcome {
+        self.run(ts, None, Instant::now(), EngineStats::default())
+    }
+}
+
+/// The roots of a length-`k` path ending in a bad state: per frame the
+/// constraint, then `strengthening` if any, then ¬bad before frame `k`;
+/// then bad at `k`.
+fn path_roots(u: &mut Unroller<'_>, k: usize, strengthening: Option<ExprId>) -> Vec<ExprId> {
+    let mut roots = Vec::new();
+    for f in 0..=k {
+        roots.push(u.constraint(f));
+        if let Some(s) = strengthening {
+            roots.push(u.translate(f as u32, s));
+        }
+        if f < k {
+            let b = u.bad(f);
+            roots.push(u.pool_mut().not(b));
+        }
+    }
+    roots.push(u.bad(k));
+    roots
+}
+
+/// Result of solving a conjunction of single-bit word-level roots.
+pub struct WordQuery<'p> {
+    /// The SAT result.
+    pub result: SolveResult,
+    /// Model access on SAT.
+    pub model: Option<WordModel<'p>>,
+}
+
+/// A satisfying assignment over a formula pool: CI values plus the
+/// blaster that maps word expressions to bits.
+pub struct WordModel<'p> {
+    blaster: Blaster<'p>,
+    ci_vals: Vec<bool>,
+}
+
+impl WordModel<'_> {
+    /// Evaluates any expression of the pool under the model.
+    /// Expressions outside the solved cone may introduce fresh CIs
+    /// (don't-cares), which read as zero.
+    pub fn eval_word(&mut self, e: ExprId) -> u64 {
+        let bits = self.blaster.blast(e).bits().to_vec();
+        if self.ci_vals.len() < self.blaster.aig().num_cis() {
+            self.ci_vals.resize(self.blaster.aig().num_cis(), false);
+        }
+        let mut out = 0u64;
+        for (i, &b) in bits.iter().enumerate() {
+            if self.blaster.aig().eval(b, &self.ci_vals) {
+                out |= 1 << i;
+            }
+        }
+        out
+    }
+}
+
+/// Solves `⋀ roots` (all single-bit) over `pool` by bit-blasting, under
+/// the given per-query limits (deadline, stop flag, fault injection).
+/// Counts the query in `stats` and folds the solver's counters into it:
+/// each query solves from scratch, so the solver dies with the query.
+pub fn solve_word<'p>(
+    pool: &'p ExprPool,
+    roots: &[ExprId],
+    limits: satb::Limits,
+    stats: &mut EngineStats,
+) -> WordQuery<'p> {
+    let mut blaster = Blaster::new(pool);
+    let bits: Vec<aig::AigLit> = roots.iter().map(|&r| blaster.blast_bit(r)).collect();
+    let mut solver = Solver::new();
+    let mut enc = aig::FrameEncoder::new();
+    for &b in &bits {
+        let l = enc.encode(blaster.aig(), &mut solver, b, Part::A);
+        solver.add_clause(&[l]);
+    }
+    let result = solver.solve_limited(&[], limits);
+    stats.sat_queries += 1;
+    stats.absorb_solver(&solver.stats());
+    let model = (result == SolveResult::Sat).then(|| {
+        let ci_vals = blaster
+            .aig()
+            .ci_lits()
+            .into_iter()
+            .map(|al| {
+                enc.mapped(al)
+                    .and_then(|sl| solver.value(sl))
+                    .unwrap_or(false)
+            })
+            .collect();
+        WordModel { blaster, ci_vals }
+    });
+    WordQuery { result, model }
+}
+
+/// Reads a bit-level trace off a SAT word model of an unrolled formula:
+/// states and inputs flattened in [`aig::AigSystem`] order (state-major,
+/// LSB first; an array state one element per index).
+pub struct TraceExtractor {
+    /// Per frame, per state: expressions to evaluate.
+    state_words: Vec<Vec<Vec<ExprId>>>,
+    /// Per frame: input expressions.
+    input_words: Vec<Vec<ExprId>>,
+    /// Bad expressions at the final frame.
+    bad_words: Vec<ExprId>,
+}
+
+impl TraceExtractor {
+    /// Pre-materializes the expressions a trace of length `k` needs
+    /// (must run before solving: model extraction borrows the pool).
+    pub fn prepare(u: &mut Unroller<'_>, k: usize) -> TraceExtractor {
+        let ts = u.ts();
+        let state_sorts: Vec<rtlir::Sort> = ts
+            .states()
+            .iter()
+            .map(|s| ts.pool().var_sort(s.var))
+            .collect();
+        let ninputs = ts.inputs().len();
+        let nbads = ts.bads().len();
+        let mut state_words = Vec::new();
+        let mut input_words = Vec::new();
+        for f in 0..=k {
+            let mut per_state = Vec::new();
+            for (si, sort) in state_sorts.iter().enumerate() {
+                let e = u.state(f, si);
+                let words = match *sort {
+                    rtlir::Sort::Bv(_) => vec![e],
+                    rtlir::Sort::Array { index_width, .. } => (0..(1u64 << index_width))
+                        .map(|idx| {
+                            let ie = u.pool_mut().constv(index_width, idx);
+                            u.pool_mut().read(e, ie)
+                        })
+                        .collect(),
+                };
+                per_state.push(words);
+            }
+            state_words.push(per_state);
+            input_words.push((0..ninputs).map(|ii| u.input(f, ii)).collect());
+        }
+        let bad_words = (0..nbads).map(|bi| u.bad_at(k, bi)).collect();
+        TraceExtractor {
+            state_words,
+            input_words,
+            bad_words,
+        }
+    }
+
+    /// Builds the trace from a model.
+    pub fn extract(&self, ts: &TransitionSystem, model: &mut WordModel<'_>) -> Trace {
+        let mut states = Vec::new();
+        let mut inputs = Vec::new();
+        for (state_words, input_words) in self.state_words.iter().zip(&self.input_words) {
+            let mut st = Vec::new();
+            for (s, words) in ts.states().iter().zip(state_words) {
+                let width = match ts.pool().var_sort(s.var) {
+                    rtlir::Sort::Bv(w) => w,
+                    rtlir::Sort::Array { elem_width, .. } => elem_width,
+                };
+                for &e in words {
+                    let v = model.eval_word(e);
+                    st.extend((0..width).map(|b| (v >> b) & 1 == 1));
+                }
+            }
+            states.push(st);
+            let mut inp = Vec::new();
+            for (&ivar, &e) in ts.inputs().iter().zip(input_words) {
+                let v = model.eval_word(e);
+                inp.extend((0..ts.pool().var_sort(ivar).width()).map(|b| (v >> b) & 1 == 1));
+            }
+            inputs.push(inp);
+        }
+        let bad_index = self
+            .bad_words
+            .iter()
+            .position(|&e| model.eval_word(e) == 1)
+            .unwrap_or(0);
+        Trace {
+            states,
+            inputs,
+            bad_index,
+        }
     }
 }
 
@@ -284,6 +349,45 @@ mod tests {
                 other => panic!("expected Unsafe at {depth}, got {other:?}"),
             }
         }
+    }
+
+    /// The strengthening is assumed on step frames only: `count != 0`
+    /// is false in the reset state, yet the bug at cycle 3 is found.
+    #[test]
+    fn strengthening_stays_out_of_the_base_case() {
+        let mut ts = crate::bmc::tests::counter_ts(3, 8);
+        let count = ts.states()[0].var;
+        let sv = ts.pool_mut().var(count);
+        let zero = ts.pool_mut().constv(8, 0);
+        let is_zero = ts.pool_mut().eq(sv, zero);
+        let nonzero = ts.pool_mut().not(is_zero);
+        let out = WordKInduction::default().run(
+            &ts,
+            Some(nonzero),
+            Instant::now(),
+            EngineStats::default(),
+        );
+        match out.outcome {
+            Verdict::Unsafe(trace) => {
+                assert_eq!(trace.length(), 3);
+                assert!(trace.replays_on(&aig::blast_system(&ts)));
+            }
+            other => panic!("expected Unsafe at 3, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn solve_word_sat_and_model() {
+        let ts = crate::bmc::tests::counter_ts(5, 8);
+        let mut u = Unroller::new(&ts, InitMode::Free);
+        let b0 = u.bad(0);
+        let s0 = u.state(0, 0);
+        let mut stats = EngineStats::default();
+        let q = solve_word(u.pool(), &[b0], satb::Limits::default(), &mut stats);
+        assert_eq!(q.result, SolveResult::Sat);
+        assert_eq!(stats.sat_queries, 1);
+        let mut m = q.model.expect("model");
+        assert_eq!(m.eval_word(s0), 5, "state must be the bad value");
     }
 
     #[test]

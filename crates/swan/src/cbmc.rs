@@ -2,19 +2,16 @@
 //! "CBMC-kind" series).
 //!
 //! CBMC symbolically executes the unwound program and bit-blasts to
-//! SAT — operationally the same word-level unrolling our
-//! [`rtlir::Unroller`] performs on the software-netlist's loop. Unlike
-//! the hardware engines, CBMC's k-induction (as run in the paper via
-//! the wrapper script) does not add simple-path constraints, so
-//! properties that need them are out of reach — visible on the hard
-//! benchmarks.
+//! SAT — operationally the same word-level unrolling EBMC performs on
+//! the netlist, so the analyzer runs the engines' one word-level loop,
+//! [`engines::word::WordKInduction`]. What sets CBMC apart is the
+//! configuration: its k-induction (as run in the paper via the wrapper
+//! script) does not add simple-path constraints, so properties that
+//! need them are out of reach — visible on the hard benchmarks.
 
-use crate::util::{solve_word, TraceExtractor};
 use crate::Analyzer;
-use engines::{Budget, CheckOutcome, EngineStats, Unknown, Verdict};
-use rtlir::unroll::{InitMode, Unroller};
-use satb::SolveResult;
-use std::time::Instant;
+use engines::word::WordKInduction;
+use engines::{Budget, CheckOutcome, Checker};
 use v2c::SwProgram;
 
 /// CBMC-style k-induction analyzer.
@@ -37,79 +34,18 @@ impl Analyzer for CbmcKind {
     }
 
     fn check(&self, prog: &SwProgram) -> CheckOutcome {
-        let started = Instant::now();
-        let mut stats = EngineStats::default();
-        let ts = &prog.ts;
-
-        for k in 0..=self.budget.max_depth {
-            if let Some(u) = self.budget.interruption(started) {
-                return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
-            }
-            stats.depth = k;
-
-            // Base case (the unwound program with an assertion at
-            // iteration k).
-            let mut base = Unroller::new(ts, InitMode::Initialized);
-            let mut roots = Vec::new();
-            for f in 0..=k as usize {
-                let c = base.constraint(f);
-                roots.push(c);
-                if f < k as usize {
-                    let b = base.bad(f);
-                    let nb = base.pool_mut().not(b);
-                    roots.push(nb);
-                }
-            }
-            let bk = base.bad(k as usize);
-            roots.push(bk);
-            let extractor = TraceExtractor::prepare(&mut base, k as usize);
-            stats.sat_queries += 1;
-            let q = solve_word(base.pool(), &roots, self.budget.sat_limits(started));
-            match q.result {
-                SolveResult::Sat => {
-                    let mut model = q.model.expect("model");
-                    let trace = extractor.extract(ts, &mut model);
-                    return CheckOutcome::finish(Verdict::Unsafe(trace), stats, started);
-                }
-                SolveResult::Unknown(why) => {
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started);
-                }
-                SolveResult::Unsat => {}
-            }
-
-            // Step case, without simple-path constraints.
-            let mut step = Unroller::new(ts, InitMode::Free);
-            let mut roots = Vec::new();
-            for f in 0..=k as usize {
-                let c = step.constraint(f);
-                roots.push(c);
-                if f < k as usize {
-                    let b = step.bad(f);
-                    let nb = step.pool_mut().not(b);
-                    roots.push(nb);
-                }
-            }
-            let bk = step.bad(k as usize);
-            roots.push(bk);
-            stats.sat_queries += 1;
-            let q = solve_word(step.pool(), &roots, self.budget.sat_limits(started));
-            match q.result {
-                SolveResult::Unsat => {
-                    return CheckOutcome::finish(Verdict::Safe, stats, started);
-                }
-                SolveResult::Unknown(why) => {
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started);
-                }
-                SolveResult::Sat => {}
-            }
+        WordKInduction {
+            budget: self.budget.clone(),
+            simple_path: false,
         }
-        CheckOutcome::finish(Verdict::Unknown(Unknown::BoundReached), stats, started)
+        .check(&prog.ts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engines::Verdict;
     use rtlir::{Sort, TransitionSystem};
 
     fn prog_counter(bug_at: u64) -> SwProgram {

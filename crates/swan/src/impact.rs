@@ -11,10 +11,12 @@
 //! excludes bad), so the engine stays sound regardless of labelling
 //! subtleties.
 
+use crate::util::interface_unrolling;
 use crate::Analyzer;
+use engines::itp::itp_to_aig;
 use engines::{bmc::Bmc, Budget, CheckOutcome, Checker, EngineStats, Unknown, Verdict};
-use satb::{interp::ItpNode, Lit, Part, SolveResult, Solver};
-use std::collections::HashMap;
+use satb::{Part, SolveResult, Solver};
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use v2c::SwProgram;
 
@@ -30,45 +32,22 @@ impl Impact {
     pub fn new(budget: Budget) -> Impact {
         Impact { budget }
     }
-}
 
-fn itp_to_aig(
-    itp: &satb::Interpolant,
-    map: &HashMap<satb::Var, aig::AigLit>,
-    g: &mut aig::Aig,
-) -> aig::AigLit {
-    let mut out: Vec<aig::AigLit> = Vec::with_capacity(itp.nodes().len());
-    for n in itp.nodes() {
-        let l = match *n {
-            ItpNode::Const(c) => aig::AigLit::constant(c),
-            ItpNode::Lit(sl) => {
-                let base = *map.get(&sl.var()).expect("shared var is a latch");
-                if sl.is_positive() {
-                    base
-                } else {
-                    !base
-                }
-            }
-            ItpNode::And(a, b) => g.and(out[a as usize], out[b as usize]),
-            ItpNode::Or(a, b) => g.or(out[a as usize], out[b as usize]),
-        };
-        out.push(l);
+    /// Replays a satisfiable path formula of length `k` as a trace with
+    /// BMC, under what is left of the budget.
+    fn confirm(
+        &self,
+        prog: &SwProgram,
+        k: u32,
+        stats: EngineStats,
+        started: Instant,
+    ) -> CheckOutcome {
+        let bmc = Bmc::new(Budget {
+            max_depth: k,
+            ..self.budget.remaining(started)
+        });
+        CheckOutcome::finish(bmc.check(&prog.ts).outcome, stats, started)
     }
-    out[itp.root()]
-}
-
-/// Encodes a cone with all Tseitin clauses tagged (for sequence
-/// interpolation). The encoder caches nodes, so a node is tagged with
-/// the frame that first encodes it — exactly the frame its variables
-/// belong to, since encoders are per-frame.
-fn tagged_encode(
-    enc: &mut aig::FrameEncoder,
-    g: &aig::Aig,
-    solver: &mut Solver,
-    root: aig::AigLit,
-    tag: u32,
-) -> Lit {
-    enc.encode_tagged(g, solver, root, Part::A, tag)
 }
 
 impl Analyzer for Impact {
@@ -80,6 +59,7 @@ impl Analyzer for Impact {
         let started = Instant::now();
         let mut stats = EngineStats::default();
         let mut sys = aig::blast_system(&prog.ts);
+        let tpl = aig::TransitionTemplate::compile(&sys);
         let bads = sys.bads.clone();
         let any_bad = sys.aig.or_all(&bads);
         let init_lits: Vec<aig::AigLit> = sys
@@ -88,31 +68,15 @@ impl Analyzer for Impact {
             .filter_map(|l| l.init.map(|b| if b { l.output } else { !l.output }))
             .collect();
         let init_pred = sys.aig.and_all(&init_lits);
-        let limits = |started: Instant, budget: &Budget| budget.sat_limits(started);
 
         // Depth-0 check: Init ∧ Bad.
         {
             let mut solver = Solver::new();
-            let mut enc = aig::FrameEncoder::new();
-            let ip = enc.encode(&sys.aig, &mut solver, init_pred, Part::A);
-            solver.add_clause(&[ip]);
-            for &c in &sys.constraints {
-                let cl = enc.encode(&sys.aig, &mut solver, c, Part::A);
-                solver.add_clause(&[cl]);
-            }
-            let b = enc.encode(&sys.aig, &mut solver, any_bad, Part::A);
+            let f0 = tpl.instantiate(&mut solver, Part::A, 0);
+            f0.assert_init(&sys, &mut solver);
             stats.sat_queries += 1;
-            match solver.solve_limited(&[b], limits(started, &self.budget)) {
-                SolveResult::Sat => {
-                    let bmc = Bmc::new(Budget {
-                        timeout: self.budget.timeout,
-                        max_depth: 0,
-                        stop: self.budget.stop.clone(),
-                        chaos: self.budget.chaos,
-                    });
-                    let out = bmc.check(&prog.ts);
-                    return CheckOutcome::finish(out.outcome, stats, started);
-                }
+            match solver.solve_limited(&[f0.any_bad], self.budget.sat_limits(started)) {
+                SolveResult::Sat => return self.confirm(prog, 0, stats, started),
                 SolveResult::Unknown(why) => {
                     return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started)
                 }
@@ -124,22 +88,15 @@ impl Analyzer for Impact {
         // input in their cones); if so, ¬bad can strengthen the
         // invariant candidate.
         let bad_is_state_pred = {
-            let cone = sys.aig.cone(&[any_bad]);
-            let mut input_free = true;
-            let mut reachable: std::collections::HashSet<u32> = cone.iter().copied().collect();
-            reachable.insert(any_bad.node());
-            for n in &cone {
-                if let Some((a, b)) = sys.aig.and_fanins_of_node(*n) {
-                    reachable.insert(a.node());
-                    reachable.insert(b.node());
-                }
-            }
-            for &i in &sys.inputs {
-                if reachable.contains(&i.node()) {
-                    input_free = false;
-                }
-            }
-            input_free
+            let leaves: HashSet<u32> = sys
+                .aig
+                .cone(&[any_bad])
+                .into_iter()
+                .filter_map(|n| sys.aig.and_fanins_of_node(n))
+                .flat_map(|(a, b)| [a.node(), b.node()])
+                .chain([any_bad.node()])
+                .collect();
+            sys.inputs.iter().all(|i| !leaves.contains(&i.node()))
         };
 
         // Node labels; labels[i] over-approximates states reachable in
@@ -149,78 +106,41 @@ impl Analyzer for Impact {
         let mut labels: Vec<aig::AigLit> = vec![init_pred];
 
         for k in 1..=self.budget.max_depth {
-            if self.budget.expired(started) {
-                return CheckOutcome::finish(Verdict::Unknown(Unknown::Timeout), stats, started);
+            if let Some(u) = self.budget.interruption(started) {
+                return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
             }
             stats.depth = k;
             labels.push(aig::AigLit::TRUE);
             let k = k as usize;
 
             // One proof-logged solve of Init ∧ T^k ∧ ¬Bad(<k) ∧ Bad(k),
-            // with clauses tagged by frame so every cut's interpolant
-            // comes from the same refutation (sequence interpolants).
+            // with frame f's clauses tagged f + 1 so every cut's
+            // interpolant comes from the same refutation (sequence
+            // interpolants).
             let mut solver = Solver::with_proof();
-            let mut frame_lits: Vec<Vec<Lit>> = Vec::new();
-            let mut encs: Vec<aig::FrameEncoder> = Vec::new();
-            for _f in 0..=k {
-                let lits: Vec<Lit> = sys
-                    .latches
-                    .iter()
-                    .map(|_| Lit::pos(solver.new_var()))
-                    .collect();
-                let mut enc = aig::FrameEncoder::new();
-                for (latch, &l) in sys.latches.iter().zip(&lits) {
-                    enc.bind(latch.output, l);
-                }
-                frame_lits.push(lits);
-                encs.push(enc);
-            }
             let tag = |f: usize| (f + 1) as u32;
-            for (latch, &l) in sys.latches.iter().zip(&frame_lits[0]) {
-                if let Some(init) = latch.init {
-                    solver.add_clause_tagged(&[if init { l } else { !l }], Part::A, tag(0));
-                }
+            let (latches, frames) =
+                interface_unrolling(&sys, &tpl, &mut solver, k + 1, |f| (Part::A, tag(f)));
+            // No counterexample shorter than k exists (established by
+            // earlier rounds): pin ¬bad at every inner frame.
+            for f in 1..k {
+                solver.add_clause_tagged(&[!frames[f].any_bad], Part::A, tag(f));
             }
-            for f in 0..k {
-                for (i, latch) in sys.latches.iter().enumerate() {
-                    let nl = tagged_encode(&mut encs[f], &sys.aig, &mut solver, latch.next, tag(f));
-                    let tgt = frame_lits[f + 1][i];
-                    solver.add_clause_tagged(&[!nl, tgt], Part::A, tag(f));
-                    solver.add_clause_tagged(&[nl, !tgt], Part::A, tag(f));
-                }
-                for &c in &sys.constraints {
-                    let cl = tagged_encode(&mut encs[f], &sys.aig, &mut solver, c, tag(f));
-                    solver.add_clause_tagged(&[cl], Part::A, tag(f));
-                }
-                // No counterexample shorter than k exists (established
-                // by earlier rounds): pin ¬bad at every inner frame.
-                let bf = tagged_encode(&mut encs[f], &sys.aig, &mut solver, any_bad, tag(f));
-                if f > 0 {
-                    solver.add_clause_tagged(&[!bf], Part::A, tag(f));
-                }
-            }
-            let bl = tagged_encode(&mut encs[k], &sys.aig, &mut solver, any_bad, tag(k));
-            solver.add_clause_tagged(&[bl], Part::A, tag(k));
+            solver.add_clause_tagged(&[frames[k].any_bad], Part::A, tag(k));
             stats.sat_queries += 1;
-            match solver.solve_limited(&[], limits(started, &self.budget)) {
-                SolveResult::Sat => {
-                    let bmc = Bmc::new(Budget {
-                        timeout: self.budget.timeout,
-                        max_depth: k as u32,
-                        stop: self.budget.stop.clone(),
-                        chaos: self.budget.chaos,
-                    });
-                    let out = bmc.check(&prog.ts);
-                    return CheckOutcome::finish(out.outcome, stats, started);
-                }
+            match solver.solve_limited(&[], self.budget.sat_limits(started)) {
+                SolveResult::Sat => return self.confirm(prog, k as u32, stats, started),
                 SolveResult::Unknown(why) => {
                     return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started)
                 }
                 SolveResult::Unsat => {
                     // Sequence interpolants: cut c puts frames < c in A.
                     for cut in 1..=k {
+                        if let Some(u) = self.budget.interruption(started) {
+                            return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
+                        }
                         if let Some(itp) = solver.interpolant_with(|t| t <= cut as u32) {
-                            let map: HashMap<satb::Var, aig::AigLit> = frame_lits[cut]
+                            let map: HashMap<satb::Var, aig::AigLit> = latches[cut]
                                 .iter()
                                 .zip(&sys.latches)
                                 .map(|(&l, latch)| (l.var(), latch.output))
@@ -245,6 +165,9 @@ impl Analyzer for Impact {
                 candidates.insert(0, r1);
             }
             for r in candidates {
+                if let Some(u) = self.budget.interruption(started) {
+                    return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
+                }
                 match self.certify(&mut sys, r, any_bad, init_pred, started, &mut stats) {
                     Some(true) => return CheckOutcome::finish(Verdict::Safe, stats, started),
                     Some(false) => {}
@@ -298,6 +221,9 @@ impl Impact {
         if implies(sys, init_pred, r, started, &self.budget) != Some(true) {
             return Some(false);
         }
+        if self.budget.interruption(started).is_some() {
+            return None;
+        }
         // r ∧ bad unsat.
         let rb = sys.aig.and(r, any_bad);
         let mut solver = Solver::new();
@@ -313,6 +239,9 @@ impl Impact {
             SolveResult::Sat => return Some(false),
             SolveResult::Unknown(_) => return None,
             SolveResult::Unsat => {}
+        }
+        if self.budget.interruption(started).is_some() {
+            return None;
         }
         // Consecution: r(s) ∧ T(s, s') ∧ ¬r(s') unsat. Encode r twice:
         // once over the latch CIs, once with latch CIs bound to the

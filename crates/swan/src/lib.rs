@@ -5,8 +5,8 @@
 //!
 //! | paper tool (SV-COMP)     | analyzer here                  |
 //! |--------------------------|--------------------------------|
-//! | CBMC 5.2 k-induction     | [`cbmc::CbmcKind`]             |
-//! | 2LS 0.3.4 kIkI           | [`twols::TwoLs`]               |
+//! | CBMC 5.2 k-induction     | [`cbmc::CbmcKind`]: [`engines::word::WordKInduction`] without simple paths |
+//! | 2LS 0.3.4 kIkI           | [`twols::TwoLs`]: interval invariants, then the same loop under them |
 //! | CPAChecker pred. abs.    | [`predabs::PredAbs`] (WP mode) |
 //! | CPAChecker interpolation | [`predabs::PredAbs`] (ITP mode)|
 //! | IMPARA (IMPACT)          | [`impact::Impact`]             |
@@ -16,7 +16,10 @@
 //! All analyzers consume a [`v2c::SwProgram`] (the software-netlist)
 //! and report [`engines::CheckOutcome`]s, so hardware engines and
 //! software analyzers are directly comparable — the whole point of the
-//! paper's unified framework.
+//! paper's unified framework. The analyzers keep only what makes their
+//! tool distinct: the k-induction analyzers run the engines' word-level
+//! loop, and IMPARA and CPA-itp unroll the engines'
+//! [`aig::TransitionTemplate`] for their interpolants.
 //!
 //! Two analyzers intentionally reproduce *imprecision* the paper
 //! observed: [`seahorn::SeaHorn`] over-approximates bit-level

@@ -16,12 +16,13 @@
 //!   are precise but converge slowly on bit-heavy designs — the
 //!   behaviour the paper observes.
 
-use crate::util::{collect_atoms, solve_word, substitute_next, vars_of, TraceExtractor};
+use crate::util::{collect_atoms, interface_unrolling, substitute_next, vars_of};
 use crate::Analyzer;
+use engines::word::{solve_word, TraceExtractor};
 use engines::{Budget, CheckOutcome, EngineStats, Unknown, Verdict};
 use rtlir::unroll::{InitMode, Unroller};
 use rtlir::{ExprId, Sort, TransitionSystem, Value, VarId};
-use satb::{Lit, Part, SolveResult, Solver};
+use satb::{Part, SolveResult, Solver};
 use std::collections::HashMap;
 use std::time::Instant;
 use v2c::SwProgram;
@@ -140,8 +141,12 @@ impl Analyzer for PredAbs {
                     let bn = u.bad(n);
                     roots.push(bn);
                     let extractor = TraceExtractor::prepare(&mut u, n);
-                    stats.sat_queries += 1;
-                    let q = solve_word(u.pool(), &roots, self.budget.sat_limits(started));
+                    let q = solve_word(
+                        u.pool(),
+                        &roots,
+                        self.budget.sat_limits(started),
+                        &mut stats,
+                    );
                     match q.result {
                         SolveResult::Sat => {
                             let mut model = q.model.expect("model");
@@ -161,11 +166,9 @@ impl Analyzer for PredAbs {
                             // real path of the same depth may exist;
                             // check with plain BMC before refining
                             // (CPAChecker's counterexample check).
-                            let bmc = engines::bmc::Bmc::new(engines::Budget {
-                                timeout: self.budget.timeout,
+                            let bmc = engines::bmc::Bmc::new(Budget {
                                 max_depth: n as u32,
-                                stop: self.budget.stop.clone(),
-                                chaos: self.budget.chaos,
+                                ..self.budget.remaining(started)
                             });
                             let bout = engines::Checker::check(&bmc, &ts);
                             if let Verdict::Unsafe(trace) = bout.outcome {
@@ -285,16 +288,22 @@ impl PredAbs {
             }
             let cur = path.last().expect("nonempty").clone();
             // Bad intersection and post, via one incremental solver.
+            // A predicate refined by WP can take a second to translate,
+            // so the clock is checked per predicate.
             let mut u = Unroller::new(ts, InitMode::Free);
             let mut premises = vec![u.constraint(0)];
-            for (j, v) in cur.iter().enumerate() {
-                if let Some(v) = v {
-                    let p = u.translate(0, preds[j]);
-                    premises.push(if *v { p } else { u.pool_mut().not(p) });
+            let mut pred_next = Vec::with_capacity(preds.len());
+            for (&p, v) in preds.iter().zip(&cur) {
+                if let Some(why) = self.budget.interruption(started) {
+                    return ReachResult::Stopped(why);
                 }
+                if let Some(v) = v {
+                    let p0 = u.translate(0, p);
+                    premises.push(if *v { p0 } else { u.pool_mut().not(p0) });
+                }
+                pred_next.push(u.translate(1, p));
             }
             let bad0 = u.bad(0);
-            let pred_next: Vec<ExprId> = preds.iter().map(|&p| u.translate(1, p)).collect();
 
             let mut blaster = aig::Blaster::new(u.pool());
             let premise_bits: Vec<aig::AigLit> =
@@ -319,6 +328,9 @@ impl PredAbs {
             // Successor via two queries per predicate.
             let mut succ: AbsState = Vec::with_capacity(preds.len());
             for &pb in &pn_bits {
+                if let Some(why) = self.budget.interruption(started) {
+                    return ReachResult::Stopped(why);
+                }
                 let pl = enc.encode(blaster.aig(), &mut solver, pb, Part::A);
                 stats.sat_queries += 2;
                 let can_true = solver.solve_limited(&[pl], limits.clone());
@@ -410,61 +422,24 @@ fn refine_itp(
     if n == 0 {
         return;
     }
-    // Blast the system once; predicates of the path are re-blasted per
-    // frame below.
+    // Blast and compile the system once; every cut unrolls the template.
     let sys = aig::blast_system(ts);
-    let bads = sys.bads.clone();
-    let mut sys = sys;
-    let any_bad = sys.aig.or_all(&bads);
+    let tpl = aig::TransitionTemplate::compile(&sys);
 
     // Try every cut until one yields a new predicate.
     for cut in (1..=n).rev() {
         if budget.expired(started) {
             return;
         }
+        // Frames before the cut in A, the rest and the bad at frame n
+        // in B: frame `cut`'s latch variables are the shared interface.
         let mut solver = Solver::with_proof();
-        // Frame variable literals; frame `cut` is the shared interface.
-        let mut frame_lits: Vec<Vec<Lit>> = Vec::new();
-        let mut encs: Vec<aig::FrameEncoder> = Vec::new();
-        for _f in 0..=n {
-            let lits: Vec<Lit> = sys
-                .latches
-                .iter()
-                .map(|_| Lit::pos(solver.new_var()))
-                .collect();
-            let mut enc = aig::FrameEncoder::new();
-            for (latch, &l) in sys.latches.iter().zip(&lits) {
-                enc.bind(latch.output, l);
-            }
-            frame_lits.push(lits);
-            encs.push(enc);
-        }
-        let part_of = |f: usize| if f < cut { Part::A } else { Part::B };
-        // Init in A.
-        for (latch, &l) in sys.latches.iter().zip(&frame_lits[0]) {
-            if let Some(init) = latch.init {
-                solver.add_clause_in(&[if init { l } else { !l }], Part::A);
-            }
-        }
-        // Transitions f -> f+1, in the partition of frame f.
-        for f in 0..n {
-            for (i, latch) in sys.latches.iter().enumerate() {
-                let nl = encs[f].encode(&sys.aig, &mut solver, latch.next, part_of(f));
-                let tgt = frame_lits[f + 1][i];
-                solver.add_clause_in(&[!nl, tgt], part_of(f));
-                solver.add_clause_in(&[nl, !tgt], part_of(f));
-            }
-            for &c in &sys.constraints {
-                let cl = encs[f].encode(&sys.aig, &mut solver, c, part_of(f));
-                solver.add_clause_in(&[cl], part_of(f));
-            }
-        }
-        // Bad at frame n (B side).
-        let bl = encs[n].encode(&sys.aig, &mut solver, any_bad, Part::B);
-        solver.add_clause_in(&[bl], Part::B);
+        let (latches, frames) = interface_unrolling(&sys, &tpl, &mut solver, n + 1, |f| {
+            (if f < cut { Part::A } else { Part::B }, 0)
+        });
+        solver.add_clause_in(&[frames[n].any_bad], Part::B);
         stats.sat_queries += 1;
-        let limits = budget.sat_limits(started);
-        match solver.solve_limited(&[], limits) {
+        match solver.solve_limited(&[], budget.sat_limits(started)) {
             SolveResult::Unsat => {
                 if let Some(itp) = solver.interpolant() {
                     // Map shared SAT variables back to (state, bit).
@@ -477,7 +452,7 @@ fn refine_itp(
                             Sort::Bv(w) => {
                                 for b in 0..w {
                                     let e = ts.pool_mut().extract(var_e, b, b);
-                                    bit_expr.insert(frame_lits[cut][li].var(), e);
+                                    bit_expr.insert(latches[cut][li].var(), e);
                                     li += 1;
                                 }
                             }
@@ -490,7 +465,7 @@ fn refine_itp(
                                     let re = ts.pool_mut().read(var_e, ie);
                                     for b in 0..elem_width {
                                         let e = ts.pool_mut().extract(re, b, b);
-                                        bit_expr.insert(frame_lits[cut][li].var(), e);
+                                        bit_expr.insert(latches[cut][li].var(), e);
                                         li += 1;
                                     }
                                 }

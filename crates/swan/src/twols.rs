@@ -6,10 +6,13 @@
 //! register: candidate bounds start from the initial state and are
 //! weakened by counterexamples-to-induction (model-based template
 //! synthesis, with widening-to-top after a few rounds per variable).
-//! The inductive invariant then strengthens a k-induction loop.
+//! The inductive invariant then strengthens the step case of the
+//! engines' one word-level k-induction loop,
+//! [`engines::word::WordKInduction`], run without simple paths: the
+//! invariant is what sets 2LS apart, not the unrolling.
 
-use crate::util::{solve_word, TraceExtractor};
 use crate::Analyzer;
+use engines::word::{solve_word, WordKInduction};
 use engines::{Budget, CheckOutcome, EngineStats, Unknown, Verdict};
 use rtlir::unroll::{InitMode, Unroller};
 use rtlir::{ExprId, Sort, TransitionSystem, Value};
@@ -130,11 +133,11 @@ impl TwoLs {
                 }
             })
             .collect();
-        stats.sat_queries += 1;
         let q = solve_word(
             u.pool(),
             &[inv0, c0, ninv1],
             self.budget.sat_limits(started),
+            stats,
         );
         match q.result {
             SolveResult::Unsat => Ok(true),
@@ -178,7 +181,7 @@ impl Analyzer for TwoLs {
         let mut ts = prog.ts.clone();
 
         // Phase 1: infer an inductive interval invariant.
-        let mut invariant: Option<ExprId> = None;
+        let mut invariant = None;
         if self.use_invariants {
             let mut t = Self::initial_template(&ts);
             loop {
@@ -186,94 +189,36 @@ impl Analyzer for TwoLs {
                     return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
                 }
                 match self.strengthen_round(&mut ts, &mut t, started, &mut stats) {
-                    Ok(true) => {
-                        invariant = Some(Self::template_expr(&mut ts, &t));
-                        break;
-                    }
+                    Ok(true) => break,
                     Ok(false) => {}
                     Err(u) => return CheckOutcome::finish(Verdict::Unknown(u), stats, started),
                 }
             }
+            let inv = Self::template_expr(&mut ts, &t);
             // Quick win: invariant strong enough on its own?
-            if let Some(inv) = invariant {
-                let mut u = Unroller::new(&ts, InitMode::Free);
-                let inv0 = u.translate(0, inv);
-                let c0 = u.constraint(0);
-                let bad0 = u.bad(0);
-                stats.sat_queries += 1;
-                let q = solve_word(u.pool(), &[inv0, c0, bad0], self.budget.sat_limits(started));
-                if q.result == SolveResult::Unsat {
-                    return CheckOutcome::finish(Verdict::Safe, stats, started);
-                }
+            let mut u = Unroller::new(&ts, InitMode::Free);
+            let inv0 = u.translate(0, inv);
+            let c0 = u.constraint(0);
+            let bad0 = u.bad(0);
+            let q = solve_word(
+                u.pool(),
+                &[inv0, c0, bad0],
+                self.budget.sat_limits(started),
+                &mut stats,
+            );
+            if q.result == SolveResult::Unsat {
+                return CheckOutcome::finish(Verdict::Safe, stats, started);
             }
+            invariant = Some(inv);
         }
 
-        // Phase 2: k-induction strengthened by the invariant at every
+        // Phase 2: k-induction with the invariant assumed on every step
         // frame (kIkI's combined check).
-        for k in 0..=self.budget.max_depth {
-            if let Some(u) = self.budget.interruption(started) {
-                return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
-            }
-            stats.depth = k;
-
-            // Base case (BMC).
-            let mut base = Unroller::new(&ts, InitMode::Initialized);
-            let mut roots = Vec::new();
-            for f in 0..=k as usize {
-                let c = base.constraint(f);
-                roots.push(c);
-                if f < k as usize {
-                    let b = base.bad(f);
-                    let nb = base.pool_mut().not(b);
-                    roots.push(nb);
-                }
-            }
-            let bk = base.bad(k as usize);
-            roots.push(bk);
-            let extractor = TraceExtractor::prepare(&mut base, k as usize);
-            stats.sat_queries += 1;
-            let q = solve_word(base.pool(), &roots, self.budget.sat_limits(started));
-            match q.result {
-                SolveResult::Sat => {
-                    let mut model = q.model.expect("model");
-                    let trace = extractor.extract(&ts, &mut model);
-                    return CheckOutcome::finish(Verdict::Unsafe(trace), stats, started);
-                }
-                SolveResult::Unknown(why) => {
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started)
-                }
-                SolveResult::Unsat => {}
-            }
-
-            // Step case with the invariant assumed at every frame.
-            let mut step = Unroller::new(&ts, InitMode::Free);
-            let mut roots = Vec::new();
-            for f in 0..=k as usize {
-                let c = step.constraint(f);
-                roots.push(c);
-                if let Some(inv) = invariant {
-                    let invf = step.translate(f as u32, inv);
-                    roots.push(invf);
-                }
-                if f < k as usize {
-                    let b = step.bad(f);
-                    let nb = step.pool_mut().not(b);
-                    roots.push(nb);
-                }
-            }
-            let bk = step.bad(k as usize);
-            roots.push(bk);
-            stats.sat_queries += 1;
-            let q = solve_word(step.pool(), &roots, self.budget.sat_limits(started));
-            match q.result {
-                SolveResult::Unsat => return CheckOutcome::finish(Verdict::Safe, stats, started),
-                SolveResult::Unknown(why) => {
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started)
-                }
-                SolveResult::Sat => {}
-            }
+        WordKInduction {
+            budget: self.budget.clone(),
+            simple_path: false,
         }
-        CheckOutcome::finish(Verdict::Unknown(Unknown::BoundReached), stats, started)
+        .run(&ts, invariant, started, stats)
     }
 }
 

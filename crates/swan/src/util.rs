@@ -1,72 +1,53 @@
-//! Shared machinery for the software analyzers: word-level query
-//! solving, model evaluation, substitution and atom collection.
+//! Shared machinery for the software analyzers: substitution, atom
+//! collection, and the bit-level unrolling that IMPARA and CPA-itp
+//! interpolate over. Word-level queries and traces come from
+//! [`engines::word`], which the k-induction analyzers run outright.
 
-use rtlir::{ExprId, ExprPool, Node, TransitionSystem, Unroller, VarId};
-use satb::{Part, SolveResult, Solver};
+use aig::{AigSystem, FrameVars, TransitionTemplate};
+use rtlir::{ExprId, ExprPool, Node, TransitionSystem, VarId};
+use satb::{Lit, Part, Solver};
 use std::collections::{HashMap, HashSet};
 
-/// Result of solving a conjunction of single-bit word-level roots.
-pub struct WordQuery<'p> {
-    /// The SAT result.
-    pub result: SolveResult,
-    /// Model access on SAT.
-    pub model: Option<WordModel<'p>>,
-}
-
-/// A satisfying assignment over a formula pool.
-pub struct WordModel<'p> {
-    blaster: aig::Blaster<'p>,
-    ci_vals: Vec<bool>,
-}
-
-impl WordModel<'_> {
-    /// Evaluates any expression of the pool under the model
-    /// (expressions outside the solved cone read as zero).
-    pub fn eval_word(&mut self, e: ExprId) -> u64 {
-        let bits = self.blaster.blast(e).bits().to_vec();
-        if self.ci_vals.len() < self.blaster.aig().num_cis() {
-            self.ci_vals.resize(self.blaster.aig().num_cis(), false);
+/// Unrolls `tpl`, compiled from `sys`, over `len` frames from the reset
+/// state, for interpolation. Frame `f` is instantiated with `label(f)`'s
+/// partition and tag on fresh latch variables, `latches[f]`, and its
+/// next state is tied to `latches[f + 1]` by equivalence clauses under
+/// the same label. A cut before frame `c` therefore shares exactly
+/// `latches[c]` between its sides: the variables an interpolant at that
+/// cut ranges over. The reset values go on `latches[0]` in
+/// [`Part::A`] with tag 0, on the first side of every cut. Returns the
+/// latch variables and the frames.
+pub(crate) fn interface_unrolling(
+    sys: &AigSystem,
+    tpl: &TransitionTemplate,
+    solver: &mut Solver,
+    len: usize,
+    label: impl Fn(usize) -> (Part, u32),
+) -> (Vec<Vec<Lit>>, Vec<FrameVars>) {
+    let latches: Vec<Vec<Lit>> = (0..len)
+        .map(|_| {
+            (0..tpl.num_latches())
+                .map(|_| Lit::pos(solver.new_var()))
+                .collect()
+        })
+        .collect();
+    let frames: Vec<FrameVars> = latches
+        .iter()
+        .enumerate()
+        .map(|(f, cur)| {
+            let (part, tag) = label(f);
+            tpl.instantiate_bound(solver, part, tag, cur)
+        })
+        .collect();
+    frames[0].assert_init(sys, solver);
+    for (f, (frame, next)) in frames.iter().zip(&latches[1..]).enumerate() {
+        let (part, tag) = label(f);
+        for (&nl, &l) in frame.latch_next.iter().zip(next) {
+            solver.add_clause_tagged(&[!nl, l], part, tag);
+            solver.add_clause_tagged(&[nl, !l], part, tag);
         }
-        let mut out = 0u64;
-        for (i, &b) in bits.iter().enumerate() {
-            if self.blaster.aig().eval(b, &self.ci_vals) {
-                out |= 1 << i;
-            }
-        }
-        out
     }
-}
-
-/// Solves `⋀ roots` (all single-bit) over `pool` by bit-blasting,
-/// under the given per-query limits (deadline, conflict budget, and
-/// the cooperative stop flag).
-pub fn solve_word<'p>(pool: &'p ExprPool, roots: &[ExprId], limits: satb::Limits) -> WordQuery<'p> {
-    let mut blaster = aig::Blaster::new(pool);
-    let bits: Vec<aig::AigLit> = roots.iter().map(|&r| blaster.blast_bit(r)).collect();
-    let mut solver = Solver::new();
-    let mut enc = aig::FrameEncoder::new();
-    for &b in &bits {
-        let l = enc.encode(blaster.aig(), &mut solver, b, Part::A);
-        solver.add_clause(&[l]);
-    }
-    let result = solver.solve_limited(&[], limits);
-    if result == SolveResult::Sat {
-        let mut ci_vals = vec![false; blaster.aig().num_cis()];
-        for (ci, al) in blaster.aig().ci_lits().into_iter().enumerate() {
-            ci_vals[ci] = enc
-                .mapped(al)
-                .and_then(|sl| solver.value(sl))
-                .unwrap_or(false);
-        }
-        return WordQuery {
-            result,
-            model: Some(WordModel { blaster, ci_vals }),
-        };
-    }
-    WordQuery {
-        result,
-        model: None,
-    }
+    (latches, frames)
 }
 
 /// Substitutes state variables by their next-state functions in `e`
@@ -298,103 +279,6 @@ pub fn collect_atoms(pool: &ExprPool, root: ExprId, keep: &impl Fn(VarId) -> boo
     out
 }
 
-/// Extracts a bit-level trace from a SAT word model of an unrolled
-/// formula: states and inputs flattened in [`aig::AigSystem`] order.
-pub struct TraceExtractor {
-    /// Per frame, per state: expressions to evaluate.
-    pub state_words: Vec<Vec<Vec<ExprId>>>,
-    /// Per frame: input expressions.
-    pub input_words: Vec<Vec<ExprId>>,
-    /// Bad expressions at the final frame.
-    pub bad_words: Vec<ExprId>,
-}
-
-impl TraceExtractor {
-    /// Pre-materializes the expressions a trace of length `k` needs
-    /// (must run before solving: model extraction borrows the pool).
-    pub fn prepare(u: &mut Unroller<'_>, k: usize) -> TraceExtractor {
-        let ts = u.ts();
-        let nstates = ts.states().len();
-        let ninputs = ts.inputs().len();
-        let state_sorts: Vec<rtlir::Sort> = ts
-            .states()
-            .iter()
-            .map(|s| ts.pool().var_sort(s.var))
-            .collect();
-        let nbads = ts.bads().len();
-        let mut state_words = Vec::new();
-        let mut input_words = Vec::new();
-        for f in 0..=k {
-            let mut per_state = Vec::new();
-            for (si, sort) in state_sorts.iter().enumerate() {
-                let e = u.state(f, si);
-                let words = match sort {
-                    rtlir::Sort::Bv(_) => vec![e],
-                    rtlir::Sort::Array { index_width, .. } => (0..(1u64 << index_width))
-                        .map(|idx| {
-                            let ie = u.pool_mut().constv(*index_width, idx);
-                            u.pool_mut().read(e, ie)
-                        })
-                        .collect(),
-                };
-                per_state.push(words);
-            }
-            let _ = nstates;
-            state_words.push(per_state);
-            input_words.push((0..ninputs).map(|ii| u.input(f, ii)).collect());
-        }
-        let bad_words = (0..nbads).map(|bi| u.bad_at(k, bi)).collect();
-        TraceExtractor {
-            state_words,
-            input_words,
-            bad_words,
-        }
-    }
-
-    /// Builds the trace from a model.
-    pub fn extract(&self, ts: &TransitionSystem, model: &mut WordModel<'_>) -> engines::Trace {
-        let mut states = Vec::new();
-        let mut inputs = Vec::new();
-        for f in 0..self.state_words.len() {
-            let mut st = Vec::new();
-            for (si, s) in ts.states().iter().enumerate() {
-                let width = match ts.pool().var_sort(s.var) {
-                    rtlir::Sort::Bv(w) => w,
-                    rtlir::Sort::Array { elem_width, .. } => elem_width,
-                };
-                for &e in &self.state_words[f][si] {
-                    let v = model.eval_word(e);
-                    for b in 0..width {
-                        st.push((v >> b) & 1 == 1);
-                    }
-                }
-            }
-            states.push(st);
-            let mut inp = Vec::new();
-            for (ii, &ivar) in ts.inputs().iter().enumerate() {
-                let w = ts.pool().var_sort(ivar).width();
-                let v = model.eval_word(self.input_words[f][ii]);
-                for b in 0..w {
-                    inp.push((v >> b) & 1 == 1);
-                }
-            }
-            inputs.push(inp);
-        }
-        let mut bad_index = 0;
-        for (i, &e) in self.bad_words.iter().enumerate() {
-            if model.eval_word(e) == 1 {
-                bad_index = i;
-                break;
-            }
-        }
-        engines::Trace {
-            states,
-            inputs,
-            bad_index,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,18 +297,6 @@ mod tests {
         let bad = ts.pool_mut().eq(sv, c);
         ts.add_bad(bad, "hit");
         ts
-    }
-
-    #[test]
-    fn solve_word_sat_and_model() {
-        let ts = counter(5);
-        let mut u = Unroller::new(&ts, rtlir::unroll::InitMode::Free);
-        let b0 = u.bad(0);
-        let s0 = u.state(0, 0);
-        let q = solve_word(u.pool(), &[b0], satb::Limits::default());
-        assert_eq!(q.result, SolveResult::Sat);
-        let mut m = q.model.expect("model");
-        assert_eq!(m.eval_word(s0), 5, "state must be the bad value");
     }
 
     #[test]

@@ -91,6 +91,29 @@ fn unsafe_benchmarks_same_cycle_everywhere() {
     }
 }
 
+/// CBMC-kind and 2LS-kind run the engines' word-level k-induction loop
+/// and report the SAT counters of its queries, not only their number.
+#[test]
+fn software_kinduction_reports_sat_counters() {
+    let b = hwsw::bmarks::by_name("DAIO").expect("exists");
+    let prog = hwsw::v2c::SwProgram::from_ts(b.compile().expect("compiles"));
+    let twols_kind = hwsw::swan::twols::TwoLs {
+        budget: budget(60),
+        use_invariants: false,
+        ..hwsw::swan::twols::TwoLs::default()
+    };
+    let runs = [
+        hwsw::swan::cbmc::CbmcKind::new(budget(60)).check(&prog),
+        twols_kind.check(&prog),
+    ];
+    for out in runs {
+        assert!(out.outcome.is_unsafe(), "{:?}", out.outcome);
+        assert_eq!(out.stats.sat_queries, 129, "base and step per bound");
+        assert!(out.stats.decisions > 0, "{:?}", out.stats);
+        assert!(out.stats.propagations > 0, "{:?}", out.stats);
+    }
+}
+
 /// PDR proves the hard FIFO benchmark that k-induction cannot.
 #[test]
 fn pdr_beats_kinduction_on_fifo() {
