@@ -177,46 +177,7 @@ impl<'p> Blaster<'p> {
 
     /// Lowers an expression, returning its bit-level image.
     pub fn blast(&mut self, root: ExprId) -> Bundle {
-        if let Some(b) = self.cache.get(&root) {
-            return b.clone();
-        }
-        // Iterative post-order over the expression DAG.
-        let mut stack: Vec<(ExprId, bool)> = vec![(root, false)];
-        while let Some((e, expanded)) = stack.pop() {
-            if self.cache.contains_key(&e) {
-                continue;
-            }
-            if !expanded {
-                stack.push((e, true));
-                match self.pool.node(e) {
-                    Node::Const { .. } | Node::Var(_) | Node::ConstArray { .. } => {}
-                    Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push((*a, false)),
-                    Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push((*arg, false)),
-                    Node::Bin(_, a, b) => {
-                        stack.push((*a, false));
-                        stack.push((*b, false));
-                    }
-                    Node::Ite(c, t, f) => {
-                        stack.push((*c, false));
-                        stack.push((*t, false));
-                        stack.push((*f, false));
-                    }
-                    Node::Read { array, index } => {
-                        stack.push((*array, false));
-                        stack.push((*index, false));
-                    }
-                    Node::Write {
-                        array,
-                        index,
-                        value,
-                    } => {
-                        stack.push((*array, false));
-                        stack.push((*index, false));
-                        stack.push((*value, false));
-                    }
-                }
-                continue;
-            }
+        for e in self.pool.post_order(root, |e| self.cache.contains_key(&e)) {
             let bundle = self.lower_node(e);
             self.cache.insert(e, bundle);
         }

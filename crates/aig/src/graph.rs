@@ -154,11 +154,6 @@ impl Aig {
         out
     }
 
-    /// The fanins of an AND node, if `l` points at one.
-    pub fn and_fanins(&self, l: AigLit) -> Option<(AigLit, AigLit)> {
-        self.and_fanins_of_node(l.node())
-    }
-
     /// The fanins of an AND node given a raw node index.
     pub fn and_fanins_of_node(&self, node: u32) -> Option<(AigLit, AigLit)> {
         match self.nodes[node as usize] {

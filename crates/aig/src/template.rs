@@ -758,11 +758,6 @@ pub struct TemplateRecon {
 }
 
 impl TemplateRecon {
-    /// Variable count of the raw template.
-    pub fn raw_num_vars(&self) -> usize {
-        self.raw_vars
-    }
-
     /// The simplified-template variable a raw variable survived as,
     /// `None` if it was eliminated or dropped.
     pub fn forward(&self, raw: Var) -> Option<Var> {

@@ -381,14 +381,6 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// A budget with the given wall-clock limit in seconds.
-    pub fn with_timeout_secs(secs: u64) -> Budget {
-        Budget {
-            timeout: Some(Duration::from_secs(secs)),
-            ..Budget::default()
-        }
-    }
-
     /// Attaches a shared stop flag, making the budget cancellable.
     pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Budget {
         self.stop = Some(stop);

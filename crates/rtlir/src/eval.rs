@@ -1,6 +1,6 @@
 //! Reference evaluator: the golden semantics of the expression language.
 
-use crate::expr::{BinOp, ExprId, Node, UnOp, VarId};
+use crate::expr::{ExprId, Node, VarId};
 use crate::pool::ExprPool;
 use crate::value::{ops, ArrayValue, Value};
 use std::collections::HashMap;
@@ -35,7 +35,7 @@ impl<F: Fn(VarId) -> Value> EvalEnv for F {
 
 /// Evaluates `root` under `env`, sharing work across the expression DAG.
 ///
-/// Iterative (explicit work list), so deeply nested expressions from
+/// Runs on [`ExprPool::post_order`], so deeply nested expressions from
 /// long combinational chains cannot overflow the stack.
 ///
 /// # Example
@@ -66,46 +66,9 @@ pub fn eval_with_cache(
     env: &impl EvalEnv,
     cache: &mut HashMap<ExprId, Value>,
 ) -> Value {
-    // Work list of (expr, expanded?) pairs: post-order evaluation.
-    let mut stack: Vec<(ExprId, bool)> = vec![(root, false)];
-    while let Some((e, expanded)) = stack.pop() {
-        if cache.contains_key(&e) {
-            continue;
-        }
-        let node = pool.node(e).clone();
-        if !expanded {
-            stack.push((e, true));
-            match &node {
-                Node::Const { .. } | Node::Var(_) | Node::ConstArray { .. } => {}
-                Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push((*a, false)),
-                Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push((*arg, false)),
-                Node::Bin(_, a, b) => {
-                    stack.push((*a, false));
-                    stack.push((*b, false));
-                }
-                Node::Ite(c, t, f) => {
-                    stack.push((*c, false));
-                    stack.push((*t, false));
-                    stack.push((*f, false));
-                }
-                Node::Read { array, index } => {
-                    stack.push((*array, false));
-                    stack.push((*index, false));
-                }
-                Node::Write {
-                    array,
-                    index,
-                    value,
-                } => {
-                    stack.push((*array, false));
-                    stack.push((*index, false));
-                    stack.push((*value, false));
-                }
-            }
-            continue;
-        }
-        let get = |cache: &HashMap<ExprId, Value>, id: ExprId| cache[&id].clone();
-        let value = match node {
+    for e in pool.post_order(root, |e| cache.contains_key(&e)) {
+        let word = |x: ExprId| cache[&x].bits();
+        let value = match *pool.node(e) {
             Node::Const { width, bits } => Value::bv(width, bits),
             Node::ConstArray {
                 index_width,
@@ -121,73 +84,28 @@ pub fn eval_with_cache(
                 );
                 val
             }
-            Node::Un(op, a) => {
-                let av = get(cache, a);
-                let w = pool.width(a);
-                let bits = av.bits();
-                let out = match op {
-                    UnOp::Not => ops::not(w, bits),
-                    UnOp::Neg => ops::neg(w, bits),
-                    UnOp::RedAnd => ops::redand(w, bits),
-                    UnOp::RedOr => ops::redor(w, bits),
-                    UnOp::RedXor => ops::redxor(w, bits),
-                };
-                Value::bv(pool.width(e), out)
-            }
-            Node::Bin(op, a, b) => {
-                let (av, bv) = (get(cache, a).bits(), get(cache, b).bits());
-                let (wa, wb) = (pool.width(a), pool.width(b));
-                let out = match op {
-                    BinOp::And => av & bv,
-                    BinOp::Or => av | bv,
-                    BinOp::Xor => av ^ bv,
-                    BinOp::Add => ops::add(wa, av, bv),
-                    BinOp::Sub => ops::sub(wa, av, bv),
-                    BinOp::Mul => ops::mul(wa, av, bv),
-                    BinOp::Udiv => ops::udiv(wa, av, bv),
-                    BinOp::Urem => ops::urem(wa, av, bv),
-                    BinOp::Shl => ops::shl(wa, av, bv),
-                    BinOp::Lshr => ops::lshr(wa, av, bv),
-                    BinOp::Ashr => ops::ashr(wa, av, bv),
-                    BinOp::Eq => ops::eq(av, bv),
-                    BinOp::Ult => ops::ult(av, bv),
-                    BinOp::Ule => ops::ule(av, bv),
-                    BinOp::Slt => ops::slt(wa, av, bv),
-                    BinOp::Sle => ops::sle(wa, av, bv),
-                    BinOp::Concat => ops::concat(av, wb, bv),
-                };
-                Value::bv(pool.width(e), out)
-            }
-            Node::Ite(c, t, f) => {
-                if get(cache, c).as_bool() {
-                    get(cache, t)
-                } else {
-                    get(cache, f)
-                }
-            }
-            Node::Extract { hi, lo, arg } => {
-                Value::bv(hi - lo + 1, ops::extract(hi, lo, get(cache, arg).bits()))
-            }
-            Node::Zext { arg, width } => Value::bv(width, get(cache, arg).bits()),
-            Node::Sext { arg, width } => Value::bv(
-                width,
-                ops::sext(pool.width(arg), width, get(cache, arg).bits()),
+            Node::Un(op, a) => Value::bv(pool.width(e), ops::unary(op, pool.width(a), word(a))),
+            Node::Bin(op, a, b) => Value::bv(
+                pool.width(e),
+                ops::binary(op, pool.width(a), word(a), pool.width(b), word(b)),
             ),
+            Node::Ite(c, t, f) => cache[if cache[&c].as_bool() { &t } else { &f }].clone(),
+            Node::Extract { hi, lo, arg } => {
+                Value::bv(hi - lo + 1, ops::extract(hi, lo, word(arg)))
+            }
+            Node::Zext { arg, width } => Value::bv(width, word(arg)),
+            Node::Sext { arg, width } => {
+                Value::bv(width, ops::sext(pool.width(arg), width, word(arg)))
+            }
             Node::Read { array, index } => {
-                let a = get(cache, array);
-                let i = get(cache, index).bits();
-                Value::bv(a.as_array().elem_width, a.as_array().read(i))
+                let a = cache[&array].as_array();
+                Value::bv(a.elem_width, a.read(word(index)))
             }
             Node::Write {
                 array,
                 index,
                 value,
-            } => {
-                let a = get(cache, array);
-                let i = get(cache, index).bits();
-                let v = get(cache, value).bits();
-                Value::Array(a.as_array().write(i, v))
-            }
+            } => Value::Array(cache[&array].as_array().write(word(index), word(value))),
         };
         cache.insert(e, value);
     }

@@ -237,6 +237,29 @@ pub enum Node {
     },
 }
 
+impl Node {
+    /// The operands of the node in field order: none for a leaf, the
+    /// condition before the branches of an ite, and the array before
+    /// the index and the value of an array access.
+    pub fn children(&self) -> impl Iterator<Item = ExprId> {
+        let ops = match *self {
+            Node::Const { .. } | Node::Var(_) | Node::ConstArray { .. } => [None; 3],
+            Node::Un(_, a)
+            | Node::Extract { arg: a, .. }
+            | Node::Zext { arg: a, .. }
+            | Node::Sext { arg: a, .. } => [Some(a), None, None],
+            Node::Bin(_, a, b) | Node::Read { array: a, index: b } => [Some(a), Some(b), None],
+            Node::Ite(a, b, c)
+            | Node::Write {
+                array: a,
+                index: b,
+                value: c,
+            } => [Some(a), Some(b), Some(c)],
+        };
+        ops.into_iter().flatten()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

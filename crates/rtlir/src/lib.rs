@@ -11,6 +11,25 @@
 //! (and property-tested) against the evaluator in this crate, which plays
 //! the role of the golden semantics.
 //!
+//! # One walk over expressions
+//!
+//! A pass that traverses or rewrites an expression DAG does so through
+//! one walk, not a copy of its own:
+//!
+//! * [`Node::children`] lists a node's operands, in field order;
+//! * [`ExprPool::post_order`] yields each node under a root once,
+//!   operands first, skipping nodes the pass has already memoized;
+//! * [`ExprPool::rebuild`] rebuilds a node over translated operands
+//!   through the pool's simplifying constructors;
+//! * [`value::ops::unary`] and [`value::ops::binary`] are the one
+//!   operator table, shared by the constant folder and the evaluator.
+//!
+//! A pass memoizes per node and handles only the nodes it treats
+//! specially, such as variables; every other node goes through
+//! `rebuild`. The evaluator, the unroller, the bit-blaster and the
+//! software analyzers' substitution and abstraction are built this way,
+//! so a shared sub-DAG costs them once, not once per path to it.
+//!
 //! # Example
 //!
 //! Build a 4-bit counter with a safety property `count != 15` (which is

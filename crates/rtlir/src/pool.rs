@@ -3,7 +3,7 @@
 use crate::expr::{BinOp, ExprId, Node, UnOp, VarId};
 use crate::sort::Sort;
 use crate::value::{mask, ops};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Declaration of a free variable in a pool.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,14 +196,7 @@ impl ExprPool {
             UnOp::RedAnd | UnOp::RedOr | UnOp::RedXor => Sort::BOOL,
         };
         if let Some(av) = self.const_bits(a) {
-            let bits = match op {
-                UnOp::Not => ops::not(w, av),
-                UnOp::Neg => ops::neg(w, av),
-                UnOp::RedAnd => ops::redand(w, av),
-                UnOp::RedOr => ops::redor(w, av),
-                UnOp::RedXor => ops::redxor(w, av),
-            };
-            return self.constv(out_sort.width(), bits);
+            return self.constv(out_sort.width(), ops::unary(op, w, av));
         }
         // ~~a == a
         if op == UnOp::Not {
@@ -262,26 +255,7 @@ impl ExprPool {
 
         // Constant folding.
         if let (Some(av), Some(bv)) = (self.const_bits(a), self.const_bits(b)) {
-            let bits = match op {
-                BinOp::And => av & bv,
-                BinOp::Or => av | bv,
-                BinOp::Xor => av ^ bv,
-                BinOp::Add => ops::add(wa, av, bv),
-                BinOp::Sub => ops::sub(wa, av, bv),
-                BinOp::Mul => ops::mul(wa, av, bv),
-                BinOp::Udiv => ops::udiv(wa, av, bv),
-                BinOp::Urem => ops::urem(wa, av, bv),
-                BinOp::Shl => ops::shl(wa, av, bv),
-                BinOp::Lshr => ops::lshr(wa, av, bv),
-                BinOp::Ashr => ops::ashr(wa, av, bv),
-                BinOp::Eq => ops::eq(av, bv),
-                BinOp::Ult => ops::ult(av, bv),
-                BinOp::Ule => ops::ule(av, bv),
-                BinOp::Slt => ops::slt(wa, av, bv),
-                BinOp::Sle => ops::sle(wa, av, bv),
-                BinOp::Concat => ops::concat(av, wb, bv),
-            };
-            return self.constv(out_sort.width(), bits);
+            return self.constv(out_sort.width(), ops::binary(op, wa, av, wb, bv));
         }
 
         // Canonical operand order for commutative operators:
@@ -670,6 +644,90 @@ impl ExprPool {
         }
         acc
     }
+
+    // ------------------------------------------------------------------
+    // The walk
+    // ------------------------------------------------------------------
+
+    /// The nodes under `root` that are not `done`, each once and after
+    /// its operands: the order in which a memoizing pass computes them.
+    ///
+    /// The walk does not descend below a `done` node, so a pass that
+    /// keeps a memo across calls passes "is memoized" and visits only
+    /// new nodes. Of two unvisited operands, the later one in
+    /// [`Node::children`] order comes first. The order is part of the
+    /// contract: a pass that creates nodes as it goes, such as the
+    /// unroller or the bit-blaster, numbers them in this order. The walk
+    /// is iterative, and its cost is proportional to the nodes it
+    /// visits: a shared sub-DAG is visited once, however many paths lead
+    /// to it.
+    pub fn post_order(&self, root: ExprId, done: impl Fn(ExprId) -> bool) -> Vec<ExprId> {
+        let mut order = Vec::new();
+        let mut seen = HashSet::new();
+        let mut stack = vec![(root, false)];
+        while let Some((e, expanded)) = stack.pop() {
+            if expanded {
+                order.push(e);
+            } else if !done(e) && seen.insert(e) {
+                stack.push((e, true));
+                stack.extend(self.node(e).children().map(|c| (c, false)));
+            }
+        }
+        order
+    }
+
+    /// `node` rebuilt in this pool through the simplifying constructors,
+    /// with each operand `x` replaced by `arg(x)`.
+    ///
+    /// A variable stays the variable of the same index; a pass that maps
+    /// variables handles [`Node::Var`] itself.
+    pub fn rebuild(&mut self, node: &Node, mut arg: impl FnMut(ExprId) -> ExprId) -> ExprId {
+        match *node {
+            Node::Const { width, bits } => self.constv(width, bits),
+            Node::ConstArray {
+                index_width,
+                elem_width,
+                bits,
+            } => self.const_array(index_width, elem_width, bits),
+            Node::Var(v) => self.var(v),
+            Node::Un(op, a) => {
+                let a = arg(a);
+                self.unary(op, a)
+            }
+            Node::Bin(op, a, b) => {
+                let (a, b) = (arg(a), arg(b));
+                self.binary(op, a, b)
+            }
+            Node::Ite(c, t, f) => {
+                let (c, t, f) = (arg(c), arg(t), arg(f));
+                self.ite(c, t, f)
+            }
+            Node::Extract { hi, lo, arg: a } => {
+                let a = arg(a);
+                self.extract(a, hi, lo)
+            }
+            Node::Zext { arg: a, width } => {
+                let a = arg(a);
+                self.zext(a, width)
+            }
+            Node::Sext { arg: a, width } => {
+                let a = arg(a);
+                self.sext(a, width)
+            }
+            Node::Read { array, index } => {
+                let (array, index) = (arg(array), arg(index));
+                self.read(array, index)
+            }
+            Node::Write {
+                array,
+                index,
+                value,
+            } => {
+                let (array, index, value) = (arg(array), arg(index), arg(value));
+                self.write(array, index, value)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -804,6 +862,51 @@ mod tests {
         assert!(p.is_true(empty));
         let empty_or = p.or_all(&[]);
         assert!(p.is_false(empty_or));
+    }
+
+    #[test]
+    fn post_order_visits_each_node_once_operands_first() {
+        let (ts, root) = crate::unroll::tests::diamond(40);
+        let p = ts.pool();
+        let order = p.post_order(root, |_| false);
+        // `s`, `x`, and per level `c_i`, a product and an ite.
+        assert_eq!(order.len(), 2 + 3 * 40);
+        let pos: HashMap<ExprId, usize> = order.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+        assert_eq!(pos.len(), order.len(), "each node once");
+        for &e in &order {
+            for c in p.node(e).children() {
+                assert!(pos[&c] < pos[&e], "{c} after its user {e}");
+            }
+        }
+        assert_eq!(order.last(), Some(&root));
+        // A done node is neither visited nor descended into.
+        let Node::Ite(_, below, _) = *p.node(root) else {
+            panic!("root is an ite")
+        };
+        let above = p.post_order(root, |e| e == below);
+        assert!(!above.contains(&below));
+        assert_eq!(above.len(), 4, "c_39, x, the product and the root");
+    }
+
+    #[test]
+    fn post_order_takes_the_last_operand_first() {
+        let (mut p, x) = pool_with_var(8);
+        let y = p.new_var("y", Sort::Bv(8));
+        let yv = p.var(y);
+        let d = p.sub(x, yv);
+        assert_eq!(p.post_order(d, |_| false), vec![yv, x, d]);
+        assert_eq!(p.post_order(d, |e| e == d), vec![]);
+    }
+
+    #[test]
+    fn rebuild_simplifies_over_new_operands() {
+        let (mut p, x) = pool_with_var(8);
+        let c = p.constv(8, 3);
+        let s = p.add(x, x);
+        let node = p.node(s).clone();
+        let folded = p.rebuild(&node, |_| c);
+        assert_eq!(p.const_bits(folded), Some(6));
+        assert_eq!(p.rebuild(&node, |a| a), s);
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Evaluates the environment constraints with the given inputs.
-    pub fn constraints_hold(&self, inputs: &[Value]) -> bool {
-        let env = self.env(inputs);
-        let mut cache = HashMap::new();
-        self.ts
-            .constraints()
-            .iter()
-            .all(|&c| eval_with_cache(self.ts.pool(), c, &env, &mut cache).as_bool())
-    }
-
     fn env(&self, inputs: &[Value]) -> HashMap<VarId, Value> {
         let mut env = self.state.clone();
         for (i, &var) in self.ts.inputs().iter().enumerate() {

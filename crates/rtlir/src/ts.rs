@@ -1,6 +1,6 @@
 //! BTOR-style word-level transition systems.
 
-use crate::expr::{ExprId, VarId};
+use crate::expr::{ExprId, Node, VarId};
 use crate::pool::ExprPool;
 use crate::sort::Sort;
 
@@ -211,11 +211,6 @@ impl TransitionSystem {
         self.states.iter().find(|s| s.var == var)
     }
 
-    /// Whether `var` is one of the primary inputs.
-    pub fn is_input(&self, var: VarId) -> bool {
-        self.inputs.contains(&var)
-    }
-
     /// Single bad expression that is the disjunction of all bad
     /// properties (computed in the pool).
     pub fn any_bad(&mut self) -> ExprId {
@@ -246,45 +241,10 @@ impl TransitionSystem {
     }
 
     fn is_var_free(&self, root: ExprId) -> bool {
-        use crate::expr::Node;
-        let mut stack = vec![root];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(e) = stack.pop() {
-            if !seen.insert(e) {
-                continue;
-            }
-            match self.pool.node(e) {
-                Node::Var(_) => return false,
-                Node::Const { .. } | Node::ConstArray { .. } => {}
-                Node::Un(_, a) => stack.push(*a),
-                Node::Bin(_, a, b) => {
-                    stack.push(*a);
-                    stack.push(*b);
-                }
-                Node::Ite(c, t, f) => {
-                    stack.push(*c);
-                    stack.push(*t);
-                    stack.push(*f);
-                }
-                Node::Extract { arg, .. } | Node::Zext { arg, .. } | Node::Sext { arg, .. } => {
-                    stack.push(*arg);
-                }
-                Node::Read { array, index } => {
-                    stack.push(*array);
-                    stack.push(*index);
-                }
-                Node::Write {
-                    array,
-                    index,
-                    value,
-                } => {
-                    stack.push(*array);
-                    stack.push(*index);
-                    stack.push(*value);
-                }
-            }
-        }
-        true
+        let order = self.pool.post_order(root, |_| false);
+        !order
+            .iter()
+            .any(|&e| matches!(self.pool.node(e), Node::Var(_)))
     }
 }
 

@@ -94,11 +94,6 @@ impl<'a> Unroller<'a> {
         self.ts
     }
 
-    /// Number of frames currently materialized.
-    pub fn num_frames(&self) -> usize {
-        self.state_exprs.len()
-    }
-
     fn push_frame0(&mut self) {
         let mut frame = Vec::new();
         for (i, s) in self.ts.states().iter().enumerate() {
@@ -215,125 +210,11 @@ impl<'a> Unroller<'a> {
     /// Translates a transition-system expression into the formula pool,
     /// substituting frame-`k` state expressions and input variables.
     pub fn translate(&mut self, k: u32, e: ExprId) -> ExprId {
-        if let Some(&t) = self.memo.get(&(k, e)) {
-            return t;
-        }
-        // Iterative post-order translation over the TS pool DAG.
-        let mut order: Vec<ExprId> = Vec::new();
-        let mut stack: Vec<(ExprId, bool)> = vec![(e, false)];
-        while let Some((x, expanded)) = stack.pop() {
-            if self.memo.contains_key(&(k, x)) {
-                continue;
-            }
-            if expanded {
-                order.push(x);
-                continue;
-            }
-            stack.push((x, true));
-            match self.ts.pool().node(x) {
-                Node::Const { .. } | Node::Var(_) | Node::ConstArray { .. } => {}
-                Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push((*a, false)),
-                Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push((*arg, false)),
-                Node::Bin(_, a, b) => {
-                    stack.push((*a, false));
-                    stack.push((*b, false));
-                }
-                Node::Ite(c, t, f) => {
-                    stack.push((*c, false));
-                    stack.push((*t, false));
-                    stack.push((*f, false));
-                }
-                Node::Read { array, index } => {
-                    stack.push((*array, false));
-                    stack.push((*index, false));
-                }
-                Node::Write {
-                    array,
-                    index,
-                    value,
-                } => {
-                    stack.push((*array, false));
-                    stack.push((*index, false));
-                    stack.push((*value, false));
-                }
-            }
-        }
-        for x in order {
-            let node = self.ts.pool().node(x).clone();
-            let t = match node {
-                Node::Const { width, bits } => self.pool.constv(width, bits),
-                Node::ConstArray {
-                    index_width,
-                    elem_width,
-                    bits,
-                } => self.pool.const_array(index_width, elem_width, bits),
+        let ts = self.ts;
+        for x in ts.pool().post_order(e, |x| self.memo.contains_key(&(k, x))) {
+            let t = match *ts.pool().node(x) {
                 Node::Var(v) => self.frame_var(k, v),
-                Node::Un(op, a) => {
-                    let ta = self.memo[&(k, a)];
-                    match op {
-                        crate::expr::UnOp::Not => self.pool.not(ta),
-                        crate::expr::UnOp::Neg => self.pool.neg(ta),
-                        crate::expr::UnOp::RedAnd => self.pool.redand(ta),
-                        crate::expr::UnOp::RedOr => self.pool.redor(ta),
-                        crate::expr::UnOp::RedXor => self.pool.redxor(ta),
-                    }
-                }
-                Node::Bin(op, a, b) => {
-                    let (ta, tb) = (self.memo[&(k, a)], self.memo[&(k, b)]);
-                    use crate::expr::BinOp as B;
-                    match op {
-                        B::And => self.pool.and(ta, tb),
-                        B::Or => self.pool.or(ta, tb),
-                        B::Xor => self.pool.xor(ta, tb),
-                        B::Add => self.pool.add(ta, tb),
-                        B::Sub => self.pool.sub(ta, tb),
-                        B::Mul => self.pool.mul(ta, tb),
-                        B::Udiv => self.pool.udiv(ta, tb),
-                        B::Urem => self.pool.urem(ta, tb),
-                        B::Shl => self.pool.shl(ta, tb),
-                        B::Lshr => self.pool.lshr(ta, tb),
-                        B::Ashr => self.pool.ashr(ta, tb),
-                        B::Eq => self.pool.eq(ta, tb),
-                        B::Ult => self.pool.ult(ta, tb),
-                        B::Ule => self.pool.ule(ta, tb),
-                        B::Slt => self.pool.slt(ta, tb),
-                        B::Sle => self.pool.sle(ta, tb),
-                        B::Concat => self.pool.concat(ta, tb),
-                    }
-                }
-                Node::Ite(c, tt, ff) => {
-                    let (tc, t1, t0) =
-                        (self.memo[&(k, c)], self.memo[&(k, tt)], self.memo[&(k, ff)]);
-                    self.pool.ite(tc, t1, t0)
-                }
-                Node::Extract { hi, lo, arg } => {
-                    let ta = self.memo[&(k, arg)];
-                    self.pool.extract(ta, hi, lo)
-                }
-                Node::Zext { arg, width } => {
-                    let ta = self.memo[&(k, arg)];
-                    self.pool.zext(ta, width)
-                }
-                Node::Sext { arg, width } => {
-                    let ta = self.memo[&(k, arg)];
-                    self.pool.sext(ta, width)
-                }
-                Node::Read { array, index } => {
-                    let (ta, ti) = (self.memo[&(k, array)], self.memo[&(k, index)]);
-                    self.pool.read(ta, ti)
-                }
-                Node::Write {
-                    array,
-                    index,
-                    value,
-                } => {
-                    let (ta, ti, tv) = (
-                        self.memo[&(k, array)],
-                        self.memo[&(k, index)],
-                        self.memo[&(k, value)],
-                    );
-                    self.pool.write(ta, ti, tv)
-                }
+                ref node => self.pool.rebuild(node, |a| self.memo[&(k, a)]),
             };
             self.memo.insert((k, x), t);
         }
@@ -355,9 +236,41 @@ impl<'a> Unroller<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sort::Sort;
+
+    /// A system whose state `s` steps to `e_levels`, where `e_0 = s` and
+    /// `e_{i+1} = ite(c_i, e_i, e_i * x)` over inputs `c_i` and `x`: three
+    /// nodes a level, but `2^levels` paths from the root down to `s`.
+    pub(crate) fn diamond(levels: usize) -> (TransitionSystem, ExprId) {
+        let mut ts = TransitionSystem::new("diamond");
+        let x = ts.add_input("x", Sort::Bv(8));
+        let cs: Vec<VarId> = (0..levels)
+            .map(|i| ts.add_input(format!("c{i}"), Sort::BOOL))
+            .collect();
+        let s = ts.add_state("s", Sort::Bv(8));
+        let p = ts.pool_mut();
+        let xv = p.var(x);
+        let mut e = p.var(s);
+        for c in cs {
+            let cv = p.var(c);
+            let m = p.mul(e, xv);
+            e = p.ite(cv, e, m);
+        }
+        ts.set_next(s, e);
+        (ts, e)
+    }
+
+    #[test]
+    fn translate_expands_a_shared_sub_dag_once() {
+        let (ts, e) = diamond(40);
+        let mut u = Unroller::new(&ts, InitMode::Free);
+        u.translate(0, e);
+        // Frame 0's variables `s`, `x` and `c_i`, then one product and
+        // one ite per level.
+        assert_eq!(u.pool().len(), 2 + 3 * 40);
+    }
 
     fn counter_with_bad(at: u64) -> TransitionSystem {
         let mut ts = TransitionSystem::new("c");

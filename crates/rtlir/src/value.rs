@@ -180,8 +180,46 @@ impl fmt::Display for Value {
 ///
 /// These are free functions over `(width, bits)` pairs so the evaluator,
 /// the constant folder and the interpreters can share one definition.
+/// [`ops::unary`] and [`ops::binary`] are the one operator table: they
+/// map each [`UnOp`](crate::UnOp) and [`BinOp`](crate::BinOp) to its
+/// function.
 pub mod ops {
     use super::{mask, sext_i64};
+    use crate::expr::{BinOp, UnOp};
+
+    /// `op` applied to `a`, an operand of width `w`.
+    pub fn unary(op: UnOp, w: u32, a: u64) -> u64 {
+        match op {
+            UnOp::Not => not(w, a),
+            UnOp::Neg => neg(w, a),
+            UnOp::RedAnd => redand(w, a),
+            UnOp::RedOr => redor(w, a),
+            UnOp::RedXor => redxor(w, a),
+        }
+    }
+
+    /// `op` applied to `a` and `b`, operands of widths `wa` and `wb`.
+    pub fn binary(op: BinOp, wa: u32, a: u64, wb: u32, b: u64) -> u64 {
+        match op {
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Add => add(wa, a, b),
+            BinOp::Sub => sub(wa, a, b),
+            BinOp::Mul => mul(wa, a, b),
+            BinOp::Udiv => udiv(wa, a, b),
+            BinOp::Urem => urem(wa, a, b),
+            BinOp::Shl => shl(wa, a, b),
+            BinOp::Lshr => lshr(wa, a, b),
+            BinOp::Ashr => ashr(wa, a, b),
+            BinOp::Eq => eq(a, b),
+            BinOp::Ult => ult(a, b),
+            BinOp::Ule => ule(a, b),
+            BinOp::Slt => slt(wa, a, b),
+            BinOp::Sle => sle(wa, a, b),
+            BinOp::Concat => concat(a, wb, b),
+        }
+    }
 
     /// Bitwise negation.
     pub fn not(w: u32, a: u64) -> u64 {

@@ -255,11 +255,6 @@ impl Preprocessor {
         self.frozen[v.index()] = true;
     }
 
-    /// Whether `v` is frozen.
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.frozen[v.index()]
-    }
-
     /// Adds a clause. Literals are normalized (sorted, deduplicated);
     /// tautologies are dropped; an empty clause marks the set
     /// unsatisfiable.

@@ -472,11 +472,6 @@ impl Solver {
         s
     }
 
-    /// The current learned-clause reduction policy.
-    pub fn reduce_config(&self) -> ReduceConfig {
-        self.reduce
-    }
-
     /// Replaces the learned-clause reduction policy. Lower limits make
     /// reduction (and arena compaction) happen sooner; disabling it
     /// reproduces the historical keep-everything behaviour.

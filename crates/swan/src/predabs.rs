@@ -181,38 +181,27 @@ impl Analyzer for PredAbs {
                             }
                             // Spurious: refine.
                             let before = preds.len();
-                            match self.refine {
-                                RefineMode::Wp => {
-                                    refine_wp(&mut ts, &mut preds, &is_state, self.max_predicates);
-                                    // Like CPAChecker, fall back to
-                                    // interpolation when syntactic WP
-                                    // yields nothing new (input-laden
-                                    // atoms are unusable).
-                                    if preds.len() == before {
-                                        refine_itp(
-                                            &mut ts,
-                                            &mut preds,
-                                            &mut stats,
-                                            &ItpRefine {
-                                                path: &path,
-                                                started,
-                                                budget: self.budget.clone(),
-                                                cap: self.max_predicates,
-                                            },
-                                        );
-                                    }
-                                }
-                                RefineMode::Interpolant => refine_itp(
-                                    &mut ts,
-                                    &mut preds,
-                                    &mut stats,
-                                    &ItpRefine {
-                                        path: &path,
+                            if self.refine == RefineMode::Wp {
+                                refine_wp(&mut ts, &mut preds, &is_state, self.max_predicates);
+                            }
+                            // Like CPAChecker, fall back to interpolation
+                            // when syntactic WP yields nothing new
+                            // (input-laden atoms are unusable).
+                            if preds.len() == before {
+                                let itp = ItpRefine {
+                                    path: &path,
+                                    started,
+                                    budget: self.budget.clone(),
+                                    cap: self.max_predicates,
+                                };
+                                if let Err(why) = refine_itp(&mut ts, &mut preds, &mut stats, &itp)
+                                {
+                                    return CheckOutcome::finish(
+                                        Verdict::Unknown(why),
+                                        stats,
                                         started,
-                                        budget: self.budget.clone(),
-                                        cap: self.max_predicates,
-                                    },
-                                ),
+                                    );
+                                }
                             }
                             if preds.len() == before {
                                 return CheckOutcome::finish(
@@ -288,8 +277,6 @@ impl PredAbs {
             }
             let cur = path.last().expect("nonempty").clone();
             // Bad intersection and post, via one incremental solver.
-            // A predicate refined by WP can take a second to translate,
-            // so the clock is checked per predicate.
             let mut u = Unroller::new(ts, InitMode::Free);
             let mut premises = vec![u.constraint(0)];
             let mut pred_next = Vec::with_capacity(preds.len());
@@ -403,24 +390,24 @@ struct ItpRefine<'a> {
 /// Interpolant refinement: compute a bit-level Craig interpolant for
 /// the infeasible abstract path at a middle cut and fold it back into
 /// a word-level predicate over individual state bits.
+///
+/// Returns why it stopped when the budget ran out or a query gave up
+/// before any cut yielded a predicate; `Ok` whether or not it found one.
 fn refine_itp(
     ts: &mut TransitionSystem,
     preds: &mut Vec<ExprId>,
     stats: &mut EngineStats,
     r: &ItpRefine<'_>,
-) {
+) -> Result<(), Unknown> {
     let ItpRefine {
         path,
         started,
         ref budget,
         cap,
     } = *r;
-    if preds.len() >= cap {
-        return;
-    }
     let n = path.len() - 1;
-    if n == 0 {
-        return;
+    if preds.len() >= cap || n == 0 {
+        return Ok(());
     }
     // Blast and compile the system once; every cut unrolls the template.
     let sys = aig::blast_system(ts);
@@ -428,8 +415,8 @@ fn refine_itp(
 
     // Try every cut until one yields a new predicate.
     for cut in (1..=n).rev() {
-        if budget.expired(started) {
-            return;
+        if let Some(why) = budget.interruption(started) {
+            return Err(why);
         }
         // Frames before the cut in A, the rest and the bad at frame n
         // in B: frame `cut`'s latch variables are the shared interface.
@@ -475,19 +462,18 @@ fn refine_itp(
                     let pe = itp_to_word(ts, &itp, &bit_expr);
                     if ts.pool().const_bits(pe).is_none() && !preds.contains(&pe) {
                         preds.push(pe);
-                        return;
+                        return Ok(());
                     }
                 }
             }
-            SolveResult::Sat => {
-                // The raw path (without abstract-state constraints) is
-                // feasible at this depth, so interpolants do not exist;
-                // the caller's next concretization will find the bug.
-                return;
-            }
-            SolveResult::Unknown(_) => return,
+            // The raw path (without abstract-state constraints) is
+            // feasible at this depth, so interpolants do not exist; the
+            // caller's next concretization will find the bug.
+            SolveResult::Sat => return Ok(()),
+            SolveResult::Unknown(why) => return Err(why.into()),
         }
     }
+    Ok(())
 }
 
 /// Rebuilds an interpolant as a word-level single-bit expression.
@@ -560,6 +546,23 @@ mod tests {
         }
         .check(&gated_counter(10, 200));
         assert_eq!(out.outcome, Verdict::Safe);
+    }
+
+    #[test]
+    fn refine_itp_reports_a_raised_stop_flag() {
+        let mut ts = gated_counter(10, 200).ts;
+        let mut preds = Vec::new();
+        let path: Vec<AbsState> = vec![Vec::new(); 3];
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let itp = ItpRefine {
+            path: &path,
+            started: Instant::now(),
+            budget: Budget::default().with_stop(stop),
+            cap: 64,
+        };
+        let got = refine_itp(&mut ts, &mut preds, &mut EngineStats::default(), &itp);
+        assert_eq!(got, Err(Unknown::Cancelled));
+        assert!(preds.is_empty());
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //! linear-arithmetic encoding cannot express precisely — bitwise
 //! and/or/xor on words, shifts by non-constant amounts, multiplication
 //! of two variables, concatenations and reductions — is replaced by a
-//! fresh nondeterministic input (a sound over-approximation).
+//! fresh nondeterministic input (a sound over-approximation). Each lossy
+//! term is havocked once: every expression that reads it reads the same
+//! input, however many paths through the expression DAG reach it.
 //! Counterexamples found on the abstracted system are reported
 //! *without concretization*, as SeaHorn did.
 
 use crate::Analyzer;
 use engines::{pdr::Pdr, Budget, CheckOutcome, Checker, Verdict};
-use rtlir::{BinOp, ExprId, Node, Sort, TransitionSystem, UnOp};
+use rtlir::{BinOp, ExprId, Node, Sort, TransitionSystem, UnOp, VarId};
 use std::collections::HashMap;
 use v2c::SwProgram;
 
@@ -35,13 +37,14 @@ impl SeaHorn {
 
 /// Rewrites a transition system, havocking the operators a linear
 /// integer arithmetic encoding loses. Returns the abstracted system
-/// and the number of havocked operator instances.
+/// and the number of havocked terms: each lossy term is havocked once,
+/// by one fresh input shared by every expression that reads it.
 pub fn abstract_bitvector_ops(ts: &TransitionSystem) -> (TransitionSystem, usize) {
     let mut out = TransitionSystem::new(format!("{}#lia", ts.name()));
     let mut havocked = 0usize;
 
     // Recreate inputs and states.
-    let mut var_map: HashMap<rtlir::VarId, rtlir::VarId> = HashMap::new();
+    let mut var_map: HashMap<VarId, VarId> = HashMap::new();
     for &iv in ts.inputs() {
         let d = ts.pool().var_decl(iv).clone();
         let nv = out.add_input(d.name, d.sort);
@@ -55,219 +58,68 @@ pub fn abstract_bitvector_ops(ts: &TransitionSystem) -> (TransitionSystem, usize
 
     // Translate expressions bottom-up, havocking lossy operators.
     let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
-    let exprs_to_translate: Vec<ExprId> = ts
+    let roots = ts
         .states()
         .iter()
         .flat_map(|s| s.init.into_iter().chain(s.next))
         .chain(ts.bads().iter().map(|b| b.expr))
-        .chain(ts.constraints().iter().copied())
-        .collect();
-
-    fn walk(
-        ts: &TransitionSystem,
-        out: &mut TransitionSystem,
-        var_map: &HashMap<rtlir::VarId, rtlir::VarId>,
-        memo: &mut HashMap<ExprId, ExprId>,
-        havocked: &mut usize,
-        root: ExprId,
-    ) -> ExprId {
-        if let Some(&t) = memo.get(&root) {
-            return t;
-        }
-        let mut order = Vec::new();
-        let mut stack = vec![(root, false)];
-        while let Some((e, expanded)) = stack.pop() {
-            if memo.contains_key(&e) {
-                continue;
-            }
-            if expanded {
-                order.push(e);
-                continue;
-            }
-            stack.push((e, true));
-            match ts.pool().node(e) {
-                Node::Const { .. } | Node::Var(_) | Node::ConstArray { .. } => {}
-                Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push((*a, false)),
-                Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push((*arg, false)),
-                Node::Bin(_, a, b) => {
-                    stack.push((*a, false));
-                    stack.push((*b, false));
-                }
-                Node::Ite(c, t, f) => {
-                    stack.push((*c, false));
-                    stack.push((*t, false));
-                    stack.push((*f, false));
-                }
-                Node::Read { array, index } => {
-                    stack.push((*array, false));
-                    stack.push((*index, false));
-                }
-                Node::Write {
-                    array,
-                    index,
-                    value,
-                } => {
-                    stack.push((*array, false));
-                    stack.push((*index, false));
-                    stack.push((*value, false));
-                }
-            }
-        }
-        for e in order {
-            let node = ts.pool().node(e).clone();
+        .chain(ts.constraints().iter().copied());
+    for root in roots {
+        for e in ts.pool().post_order(root, |e| memo.contains_key(&e)) {
+            let node = ts.pool().node(e);
             let sort = ts.pool().sort(e);
-
-            let t = match node {
-                Node::Const { width, bits } => out.pool_mut().constv(width, bits),
-                Node::ConstArray {
-                    index_width,
-                    elem_width,
-                    bits,
-                } => out.pool_mut().const_array(index_width, elem_width, bits),
-                Node::Var(v) => {
-                    let nv = var_map[&v];
-                    out.pool_mut().var(nv)
-                }
-                Node::Un(op, a) => {
-                    let ta = memo[&a];
-                    match op {
-                        UnOp::Neg => out.pool_mut().neg(ta),
-                        // Bitwise complement on a word and reductions
-                        // are not linear: havoc unless single-bit.
-                        UnOp::Not => {
-                            if sort == Sort::BOOL {
-                                out.pool_mut().not(ta)
-                            } else {
-                                havoc(out, havocked, sort)
-                            }
-                        }
-                        UnOp::RedAnd | UnOp::RedOr | UnOp::RedXor => havoc(out, havocked, sort),
-                    }
-                }
-                Node::Bin(op, a, b) => {
-                    let (ta, tb) = (memo[&a], memo[&b]);
-                    let a_const = out.pool().const_bits(ta).is_some();
-                    let b_const = out.pool().const_bits(tb).is_some();
-                    match op {
-                        BinOp::Add => out.pool_mut().add(ta, tb),
-                        BinOp::Sub => out.pool_mut().sub(ta, tb),
-                        BinOp::Eq => out.pool_mut().eq(ta, tb),
-                        BinOp::Ult => out.pool_mut().ult(ta, tb),
-                        BinOp::Ule => out.pool_mut().ule(ta, tb),
-                        BinOp::Slt => out.pool_mut().slt(ta, tb),
-                        BinOp::Sle => out.pool_mut().sle(ta, tb),
-                        // Linear only with a constant operand.
-                        BinOp::Mul | BinOp::Udiv | BinOp::Urem => {
-                            if a_const || b_const {
-                                match op {
-                                    BinOp::Mul => out.pool_mut().mul(ta, tb),
-                                    BinOp::Udiv => out.pool_mut().udiv(ta, tb),
-                                    _ => out.pool_mut().urem(ta, tb),
-                                }
-                            } else {
-                                havoc(out, havocked, sort)
-                            }
-                        }
-                        // Single-bit and/or/xor are boolean structure
-                        // (Horn encodings keep them); wider ones are
-                        // bit-level and lost.
-                        BinOp::And | BinOp::Or | BinOp::Xor => {
-                            if sort == Sort::BOOL {
-                                match op {
-                                    BinOp::And => out.pool_mut().and(ta, tb),
-                                    BinOp::Or => out.pool_mut().or(ta, tb),
-                                    _ => out.pool_mut().xor(ta, tb),
-                                }
-                            } else {
-                                havoc(out, havocked, sort)
-                            }
-                        }
-                        BinOp::Shl | BinOp::Lshr | BinOp::Ashr => {
-                            if b_const {
-                                match op {
-                                    BinOp::Shl => out.pool_mut().shl(ta, tb),
-                                    BinOp::Lshr => out.pool_mut().lshr(ta, tb),
-                                    _ => out.pool_mut().ashr(ta, tb),
-                                }
-                            } else {
-                                havoc(out, havocked, sort)
-                            }
-                        }
-                        BinOp::Concat => havoc(out, havocked, sort),
-                    }
-                }
-                Node::Ite(c, tt, ff) => {
-                    let (tc, t1, t0) = (memo[&c], memo[&tt], memo[&ff]);
-                    out.pool_mut().ite(tc, t1, t0)
-                }
-                // Selecting bits out of words is bit-level: havoc
-                // unless the operand is single-bit already.
-                Node::Extract { hi, lo, arg } => {
-                    let ta = memo[&arg];
-                    if out.pool().const_bits(ta).is_some() {
-                        out.pool_mut().extract(ta, hi, lo)
-                    } else if hi == lo && lo == 0 && out.pool().sort(ta) == Sort::BOOL {
-                        ta
-                    } else {
-                        havoc(out, havocked, sort)
-                    }
-                }
-                Node::Zext { arg, width } => {
-                    let ta = memo[&arg];
-                    out.pool_mut().zext(ta, width)
-                }
-                Node::Sext { arg, width } => {
-                    let ta = memo[&arg];
-                    out.pool_mut().sext(ta, width)
-                }
-                Node::Read { array, index } => {
-                    let (ta, ti) = (memo[&array], memo[&index]);
-                    out.pool_mut().read(ta, ti)
-                }
-                Node::Write {
-                    array,
-                    index,
-                    value,
-                } => {
-                    let (ta, ti, tv) = (memo[&array], memo[&index], memo[&value]);
-                    out.pool_mut().write(ta, ti, tv)
-                }
+            let t = if let Node::Var(v) = *node {
+                out.pool_mut().var(var_map[&v])
+            } else if is_lossy(node, sort, |a| out.pool().const_bits(memo[&a]).is_some()) {
+                havocked += 1;
+                let v = out.add_input(format!("__havoc{havocked}"), sort);
+                out.pool_mut().var(v)
+            } else {
+                out.pool_mut().rebuild(node, |a| memo[&a])
             };
             memo.insert(e, t);
         }
-        memo[&root]
-    }
-
-    fn havoc(out: &mut TransitionSystem, havocked: &mut usize, sort: Sort) -> ExprId {
-        *havocked += 1;
-        let v = out.add_input(format!("__havoc{}", *havocked), sort);
-        out.pool_mut().var(v)
-    }
-
-    for e in exprs_to_translate {
-        walk(ts, &mut out, &var_map, &mut memo, &mut havocked, e);
     }
     for s in ts.states() {
         let nv = var_map[&s.var];
         if let Some(init) = s.init {
             // Init expressions are constant: translate preserves them.
-            let t = memo[&init];
-            out.set_init(nv, t);
+            out.set_init(nv, memo[&init]);
         }
         if let Some(next) = s.next {
-            let t = memo[&next];
-            out.set_next(nv, t);
+            out.set_next(nv, memo[&next]);
         }
     }
     for b in ts.bads() {
-        let t = memo[&b.expr];
-        out.add_bad(t, b.name.clone());
+        out.add_bad(memo[&b.expr], b.name.clone());
     }
     for &c in ts.constraints() {
-        let t = memo[&c];
-        out.add_constraint(t);
+        out.add_constraint(memo[&c]);
     }
     (out, havocked)
+}
+
+/// Whether a linear integer arithmetic encoding loses `node`, of sort
+/// `sort`, whose operands are translated constants exactly where
+/// `is_const` holds.
+fn is_lossy(node: &Node, sort: Sort, is_const: impl Fn(ExprId) -> bool) -> bool {
+    match *node {
+        // Bitwise complement on a word and reductions are not linear.
+        Node::Un(UnOp::Not, _) => sort != Sort::BOOL,
+        Node::Un(UnOp::RedAnd | UnOp::RedOr | UnOp::RedXor, _) => true,
+        // Linear only with a constant operand.
+        Node::Bin(BinOp::Mul | BinOp::Udiv | BinOp::Urem, a, b) => !is_const(a) && !is_const(b),
+        // Single-bit and/or/xor are boolean structure (Horn encodings
+        // keep them); wider ones are bit-level and lost.
+        Node::Bin(BinOp::And | BinOp::Or | BinOp::Xor, ..) => sort != Sort::BOOL,
+        Node::Bin(BinOp::Shl | BinOp::Lshr | BinOp::Ashr, _, b) => !is_const(b),
+        Node::Bin(BinOp::Concat, ..) => true,
+        // Selecting bits out of a word is bit-level. The pool never
+        // builds an extract of a single bit, so only a constant operand
+        // keeps an extract exact.
+        Node::Extract { arg, .. } => !is_const(arg),
+        _ => false,
+    }
 }
 
 impl Analyzer for SeaHorn {
@@ -326,6 +178,14 @@ mod tests {
         assert_eq!(abs.states().len(), 1);
         let out = SeaHorn::default().check(&SwProgram::from_ts(ts));
         assert_eq!(out.outcome, Verdict::Safe);
+    }
+
+    #[test]
+    fn havocs_each_lossy_term_once() {
+        let (ts, _) = crate::util::tests::diamond(40);
+        let (abs, havocked) = abstract_bitvector_ops(&ts);
+        assert_eq!(havocked, 40, "one havoc per `*` node");
+        assert_eq!(abs.inputs().len(), ts.inputs().len() + 40);
     }
 
     #[test]

@@ -65,112 +65,11 @@ pub fn substitute_next(ts: &mut TransitionSystem, e: ExprId) -> ExprId {
 /// Substitutes variables by expressions in `e` (bottom-up, memoized).
 pub fn substitute(ts: &mut TransitionSystem, root: ExprId, map: &HashMap<VarId, ExprId>) -> ExprId {
     let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
-    let mut order: Vec<ExprId> = Vec::new();
-    let mut stack = vec![(root, false)];
-    while let Some((e, expanded)) = stack.pop() {
-        if memo.contains_key(&e) {
-            continue;
-        }
-        if expanded {
-            order.push(e);
-            continue;
-        }
-        stack.push((e, true));
-        match ts.pool().node(e) {
-            Node::Const { .. } | Node::Var(_) | Node::ConstArray { .. } => {}
-            Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push((*a, false)),
-            Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push((*arg, false)),
-            Node::Bin(_, a, b) => {
-                stack.push((*a, false));
-                stack.push((*b, false));
-            }
-            Node::Ite(c, t, f) => {
-                stack.push((*c, false));
-                stack.push((*t, false));
-                stack.push((*f, false));
-            }
-            Node::Read { array, index } => {
-                stack.push((*array, false));
-                stack.push((*index, false));
-            }
-            Node::Write {
-                array,
-                index,
-                value,
-            } => {
-                stack.push((*array, false));
-                stack.push((*index, false));
-                stack.push((*value, false));
-            }
-        }
-    }
-    for e in order {
-        let node = ts.pool().node(e).clone();
-        let p = ts.pool_mut();
-        let out = match node {
-            Node::Const { .. } | Node::ConstArray { .. } => e,
+    let p = ts.pool_mut();
+    for e in p.post_order(root, |_| false) {
+        let out = match p.node(e).clone() {
             Node::Var(v) => map.get(&v).copied().unwrap_or(e),
-            Node::Un(op, a) => {
-                let ta = memo[&a];
-                match op {
-                    rtlir::UnOp::Not => p.not(ta),
-                    rtlir::UnOp::Neg => p.neg(ta),
-                    rtlir::UnOp::RedAnd => p.redand(ta),
-                    rtlir::UnOp::RedOr => p.redor(ta),
-                    rtlir::UnOp::RedXor => p.redxor(ta),
-                }
-            }
-            Node::Bin(op, a, b) => {
-                let (ta, tb) = (memo[&a], memo[&b]);
-                use rtlir::BinOp as B;
-                match op {
-                    B::And => p.and(ta, tb),
-                    B::Or => p.or(ta, tb),
-                    B::Xor => p.xor(ta, tb),
-                    B::Add => p.add(ta, tb),
-                    B::Sub => p.sub(ta, tb),
-                    B::Mul => p.mul(ta, tb),
-                    B::Udiv => p.udiv(ta, tb),
-                    B::Urem => p.urem(ta, tb),
-                    B::Shl => p.shl(ta, tb),
-                    B::Lshr => p.lshr(ta, tb),
-                    B::Ashr => p.ashr(ta, tb),
-                    B::Eq => p.eq(ta, tb),
-                    B::Ult => p.ult(ta, tb),
-                    B::Ule => p.ule(ta, tb),
-                    B::Slt => p.slt(ta, tb),
-                    B::Sle => p.sle(ta, tb),
-                    B::Concat => p.concat(ta, tb),
-                }
-            }
-            Node::Ite(c, t, f) => {
-                let (tc, tt, tf) = (memo[&c], memo[&t], memo[&f]);
-                p.ite(tc, tt, tf)
-            }
-            Node::Extract { hi, lo, arg } => {
-                let ta = memo[&arg];
-                p.extract(ta, hi, lo)
-            }
-            Node::Zext { arg, width } => {
-                let ta = memo[&arg];
-                p.zext(ta, width)
-            }
-            Node::Sext { arg, width } => {
-                let ta = memo[&arg];
-                p.sext(ta, width)
-            }
-            Node::Read { array, index } => {
-                let (ta, ti) = (memo[&array], memo[&index]);
-                p.read(ta, ti)
-            }
-            Node::Write {
-                array,
-                index,
-                value,
-            } => {
-                let (ta, ti, tv) = (memo[&array], memo[&index], memo[&value]);
-                p.write(ta, ti, tv)
-            }
+            node => p.rebuild(&node, |a| memo[&a]),
         };
         memo.insert(e, out);
     }
@@ -179,49 +78,19 @@ pub fn substitute(ts: &mut TransitionSystem, root: ExprId, map: &HashMap<VarId, 
 
 /// The variables occurring in an expression.
 pub fn vars_of(pool: &ExprPool, root: ExprId) -> HashSet<VarId> {
-    let mut out = HashSet::new();
-    let mut seen = HashSet::new();
-    let mut stack = vec![root];
-    while let Some(e) = stack.pop() {
-        if !seen.insert(e) {
-            continue;
-        }
-        match pool.node(e) {
-            Node::Var(v) => {
-                out.insert(*v);
-            }
-            Node::Const { .. } | Node::ConstArray { .. } => {}
-            Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push(*a),
-            Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push(*arg),
-            Node::Bin(_, a, b) => {
-                stack.push(*a);
-                stack.push(*b);
-            }
-            Node::Ite(c, t, f) => {
-                stack.push(*c);
-                stack.push(*t);
-                stack.push(*f);
-            }
-            Node::Read { array, index } => {
-                stack.push(*array);
-                stack.push(*index);
-            }
-            Node::Write {
-                array,
-                index,
-                value,
-            } => {
-                stack.push(*array);
-                stack.push(*index);
-                stack.push(*value);
-            }
-        }
-    }
-    out
+    let order = pool.post_order(root, |_| false);
+    order
+        .into_iter()
+        .filter_map(|e| match *pool.node(e) {
+            Node::Var(v) => Some(v),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Collects predicate atoms (single-bit comparison or reduction
-/// sub-expressions) of `root` whose variables all satisfy `keep`.
+/// sub-expressions) of `root` whose variables all satisfy `keep`, in
+/// pre-order: the order of the predicates CPA's abstraction tracks.
 pub fn collect_atoms(pool: &ExprPool, root: ExprId, keep: &impl Fn(VarId) -> bool) -> Vec<ExprId> {
     let mut out = Vec::new();
     let mut seen = HashSet::new();
@@ -248,41 +117,48 @@ pub fn collect_atoms(pool: &ExprPool, root: ExprId, keep: &impl Fn(VarId) -> boo
         if is_atom && vars_of(pool, e).iter().all(|&v| keep(v)) && pool.const_bits(e).is_none() {
             out.push(e);
         }
-        match pool.node(e) {
-            Node::Var(_) | Node::Const { .. } | Node::ConstArray { .. } => {}
-            Node::Un(_, a) | Node::Extract { arg: a, .. } => stack.push(*a),
-            Node::Zext { arg, .. } | Node::Sext { arg, .. } => stack.push(*arg),
-            Node::Bin(_, a, b) => {
-                stack.push(*a);
-                stack.push(*b);
-            }
-            Node::Ite(c, t, f) => {
-                stack.push(*c);
-                stack.push(*t);
-                stack.push(*f);
-            }
-            Node::Read { array, index } => {
-                stack.push(*array);
-                stack.push(*index);
-            }
-            Node::Write {
-                array,
-                index,
-                value,
-            } => {
-                stack.push(*array);
-                stack.push(*index);
-                stack.push(*value);
-            }
-        }
+        stack.extend(pool.node(e).children());
     }
     out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rtlir::Sort;
+
+    /// A system whose state `s` steps to `e_levels`, where `e_0 = s` and
+    /// `e_{i+1} = ite(c_i, e_i, e_i * x)` over inputs `c_i` and `x`: three
+    /// nodes a level, but `2^levels` paths from the root down to `s`.
+    pub(crate) fn diamond(levels: usize) -> (TransitionSystem, ExprId) {
+        let mut ts = TransitionSystem::new("diamond");
+        let x = ts.add_input("x", Sort::Bv(8));
+        let cs: Vec<VarId> = (0..levels)
+            .map(|i| ts.add_input(format!("c{i}"), Sort::BOOL))
+            .collect();
+        let s = ts.add_state("s", Sort::Bv(8));
+        let p = ts.pool_mut();
+        let xv = p.var(x);
+        let mut e = p.var(s);
+        for c in cs {
+            let cv = p.var(c);
+            let m = p.mul(e, xv);
+            e = p.ite(cv, e, m);
+        }
+        ts.set_next(s, e);
+        (ts, e)
+    }
+
+    #[test]
+    fn substitute_expands_a_shared_sub_dag_once() {
+        let (mut ts, e) = diamond(40);
+        let before = ts.pool().len();
+        // `s` becomes `e` itself: a second diamond on top of the first,
+        // one product and one ite per level.
+        let wp = substitute_next(&mut ts, e);
+        assert_ne!(wp, e);
+        assert_eq!(ts.pool().len(), before + 2 * 40);
+    }
 
     fn counter(bug_at: u64) -> TransitionSystem {
         let mut ts = TransitionSystem::new("c");
