@@ -849,16 +849,27 @@ mod tests {
         // Every paper benchmark must survive the full loop:
         // Verilog -> C text -> parsed software-netlist ≈ direct.
         for b in bmarks_list() {
-            roundtrip(b.0, b.1, 80);
+            roundtrip(b.0, b.1, 200);
         }
     }
 
     fn bmarks_list() -> Vec<(&'static str, &'static str)> {
         vec![
-            (include_str!("../../../benchmarks/fifo.v"), "fifo"),
-            (include_str!("../../../benchmarks/vending.v"), "vending"),
+            (include_str!("../../../benchmarks/bufal.v"), "bufal"),
             (include_str!("../../../benchmarks/daio.v"), "daio"),
+            (include_str!("../../../benchmarks/dekker.v"), "dekker"),
+            (include_str!("../../../benchmarks/fifo.v"), "fifo"),
             (include_str!("../../../benchmarks/heap.v"), "heap"),
+            (include_str!("../../../benchmarks/huffman.v"), "huffman"),
+            (include_str!("../../../benchmarks/ibuf.v"), "ibuf"),
+            (include_str!("../../../benchmarks/rcu.v"), "rcu"),
+            (include_str!("../../../benchmarks/tictactoe.v"), "tictactoe"),
+            (include_str!("../../../benchmarks/npipe_mp.v"), "npipe_mp"),
+            (
+                include_str!("../../../benchmarks/traffic_light.v"),
+                "traffic_light",
+            ),
+            (include_str!("../../../benchmarks/vending.v"), "vending"),
         ]
     }
 }

@@ -512,7 +512,6 @@ impl Portfolio {
             }
         };
         stats.time = started.elapsed();
-        blasted.stamp(&mut stats);
         PortfolioOutcome {
             verdict,
             stats,

@@ -239,16 +239,6 @@ pub struct EngineStats {
     /// Cube literals dropped by input-based predecessor lifting (the
     /// UNSAT-core pass stacked on top of ternary widening).
     pub lifted_lits: u64,
-    /// Counters of the shared template's CNF preprocessing run (stamped
-    /// from [`Blasted`] by `check_blasted`; all zero when the engine
-    /// blasted for itself or ran on a raw template).
-    pub preproc: satb::PreprocStats,
-    /// Certified static-invariant clauses the run was strengthened with
-    /// (stamped from [`Blasted::invariant`]).
-    pub invariant_clauses: u32,
-    /// Stuck-at-constant latches among those clauses, consumed by the
-    /// template compiler for cone refinement.
-    pub invariant_constants: u32,
     /// Wall-clock time spent in `check`.
     pub time: Duration,
 }
@@ -295,9 +285,8 @@ impl EngineStats {
 }
 
 impl std::ops::AddAssign<&EngineStats> for EngineStats {
-    /// Sums every counter of several runs (portfolio seats). `depth`,
-    /// `time` and the encoding facts stamped from [`Blasted`] are not
-    /// counters: each caller sets them itself.
+    /// Sums every counter of several runs (portfolio seats). `depth`
+    /// and `time` are not counters: each caller sets them itself.
     fn add_assign(&mut self, s: &EngineStats) {
         self.sat_queries += s.sat_queries;
         self.conflicts += s.conflicts;
@@ -567,15 +556,6 @@ impl Blasted {
             invariant: Arc::new(invariant),
             invariant_certified,
         }
-    }
-
-    /// Stamps the shared encoding facts (preprocessing savings,
-    /// invariant strength) into an engine's statistics, so every perf
-    /// bin and the portfolio summary report them from one place.
-    pub fn stamp(&self, stats: &mut EngineStats) {
-        stats.preproc = self.preproc_stats;
-        stats.invariant_clauses = self.invariant.clauses.len() as u32;
-        stats.invariant_constants = self.invariant.constants.len() as u32;
     }
 }
 

@@ -203,14 +203,17 @@ impl Analyzer for PredAbs {
                                     );
                                 }
                             }
+                            // Nothing new: the cap stopped refinement,
+                            // or a finished refinement found nothing.
                             if preds.len() == before {
-                                return CheckOutcome::finish(
-                                    Verdict::Unknown(Unknown::Inconclusive(
+                                let why = if preds.len() >= self.max_predicates {
+                                    Unknown::BoundReached
+                                } else {
+                                    Unknown::Inconclusive(
                                         "predicate refinement exhausted".to_string(),
-                                    )),
-                                    stats,
-                                    started,
-                                );
+                                    )
+                                };
+                                return CheckOutcome::finish(Verdict::Unknown(why), stats, started);
                             }
                         }
                     }
@@ -546,6 +549,41 @@ mod tests {
         }
         .check(&gated_counter(10, 200));
         assert_eq!(out.outcome, Verdict::Safe);
+    }
+
+    #[test]
+    fn a_full_predicate_set_reports_the_bound() {
+        // c counts 0..=10 and wraps; bad at 20. The bad atom `c == 20`
+        // alone admits the spurious step 19 -> 20, and with a cap of
+        // one predicate nothing can refine it away.
+        let mut ts = TransitionSystem::new("wrapping");
+        let s = ts.add_state("c", Sort::Bv(8));
+        let sv = ts.pool_mut().var(s);
+        let ten = ts.pool_mut().constv(8, 10);
+        let one = ts.pool_mut().constv(8, 1);
+        let z = ts.pool_mut().constv(8, 0);
+        let at_ten = ts.pool_mut().eq(sv, ten);
+        let inc = ts.pool_mut().add(sv, one);
+        let nx = ts.pool_mut().ite(at_ten, z, inc);
+        ts.set_init(s, z);
+        ts.set_next(s, nx);
+        let twenty = ts.pool_mut().constv(8, 20);
+        let bad = ts.pool_mut().eq(sv, twenty);
+        ts.add_bad(bad, "twenty");
+        let prog = SwProgram::from_ts(ts);
+        for refine in [RefineMode::Wp, RefineMode::Interpolant] {
+            let out = PredAbs {
+                refine,
+                max_predicates: 1,
+                ..PredAbs::default()
+            }
+            .check(&prog);
+            assert_eq!(
+                out.outcome,
+                Verdict::Unknown(Unknown::BoundReached),
+                "{refine:?}"
+            );
+        }
     }
 
     #[test]

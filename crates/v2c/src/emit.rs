@@ -16,8 +16,11 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use vfront::ast::{BinaryOp, Dir, Expr, LValue, NetKind, Stmt, UnaryOp};
-use vfront::elab::{ceil_log2, const_eval, Design, ESignal, ElabModule};
-use vfront::synth::{expr_reads, lvalue_targets, stmt_reads, stmt_targets};
+use vfront::elab::{
+    bit_index_width, const_eval, initial_values, part_bounds, self_width, target_widths, Design,
+    ESignal, ElabModule,
+};
+use vfront::synth::{expr_reads, schedule, stmt_reads};
 use vfront::VerilogError;
 
 /// Which `main` to generate.
@@ -36,11 +39,20 @@ pub enum MainStyle {
 
 /// Emits the software-netlist C program for an elaborated design.
 ///
+/// Every width, part-select bound, concatenated-target and `initial`
+/// rule comes from `vfront` ([`vfront::elab::self_width`],
+/// [`vfront::elab::part_bounds`], [`vfront::elab::target_widths`],
+/// [`vfront::elab::initial_values`]), as do the `case` lowering
+/// ([`vfront::ast::Stmt::case_to_if`]) and the combinational schedule
+/// ([`vfront::synth::schedule`]), so the C means what the synthesized
+/// transition system means.
+///
 /// # Errors
 ///
 /// Reports the same restrictions as synthesis (latches, loops,
-/// multiple clocks) plus emitter-specific limits (instance outputs
-/// must connect to whole signals).
+/// multiple clocks, widths and bounds, with the same messages) plus
+/// emitter-specific limits (instance outputs must connect to whole
+/// signals).
 pub fn emit_c(design: &Design, style: MainStyle) -> Result<String, VerilogError> {
     let mut e = Emitter::new(design, style)?;
     e.emit()?;
@@ -124,8 +136,7 @@ impl<'d> Emitter<'d> {
             }
             // Only ports can be clocks at module boundaries.
             for c in &clock_ports {
-                let sig = m.signal(c).map(|i| &m.signals[i]);
-                match sig {
+                match m.signal(c) {
                     Some(s) if s.port == Some(Dir::Input) && s.width == 1 => {}
                     _ => {
                         return Err(VerilogError::general(format!(
@@ -202,44 +213,25 @@ impl<'d> Emitter<'d> {
     // Structs, init, dump
     // ------------------------------------------------------------------
 
-    /// Registers of a module, in declaration order.
+    /// Registers of a module, in declaration order: the regs a clocked
+    /// process assigns, and the frozen ones nothing assigns.
     fn regs(m: &ElabModule) -> Vec<&ESignal> {
-        // A signal is architectural state iff it is a reg assigned in a
-        // clocked process, or a reg never assigned at all (frozen).
-        let mut clocked_targets: HashSet<String> = HashSet::new();
+        let mut clocked: HashSet<String> = HashSet::new();
+        let mut comb: HashSet<String> = m.assigns.iter().flat_map(|(lv, _)| lv.targets()).collect();
         for (c, body) in &m.processes {
             if c.is_some() {
-                let mut t = Vec::new();
-                stmt_targets(body, &mut t);
-                clocked_targets.extend(t);
+                clocked.extend(body.targets());
+            } else {
+                comb.extend(body.targets());
             }
-        }
-        let mut comb_targets: HashSet<String> = HashSet::new();
-        for (c, body) in &m.processes {
-            if c.is_none() {
-                let mut t = Vec::new();
-                stmt_targets(body, &mut t);
-                comb_targets.extend(t);
-            }
-        }
-        for (lv, _) in &m.assigns {
-            let mut t = Vec::new();
-            lvalue_targets(lv, &mut t);
-            comb_targets.extend(t);
         }
         m.signals
             .iter()
             .filter(|s| {
                 s.kind == NetKind::Reg
-                    && !comb_targets.contains(&s.name)
-                    && (clocked_targets.contains(&s.name) || s.port.is_none())
-                    && !(s.port == Some(Dir::Input))
-            })
-            .filter(|s| {
-                clocked_targets.contains(&s.name) || {
-                    // frozen reg: not driven anywhere
-                    !comb_targets.contains(&s.name)
-                }
+                    && !comb.contains(&s.name)
+                    && (clocked.contains(&s.name) || s.port.is_none())
+                    && s.port != Some(Dir::Input)
             })
             .collect()
     }
@@ -283,22 +275,18 @@ impl<'d> Emitter<'d> {
         let cname = self.info[idx].cname.clone();
         let _ = writeln!(self.out, "static void {cname}_init({cname}_state *s) {{");
 
-        // Interpret the module's initial blocks.
-        let mut scalars: HashMap<String, u64> = HashMap::new();
-        let mut mems: HashMap<String, HashMap<u64, u64>> = HashMap::new();
-        for ini in &m.initials {
-            interp_initial(m, ini, &mut scalars, &mut mems)?;
-        }
+        // Initial blocks win over declaration initializers.
+        let mut init = initial_values(&m.initials, &|n| m.signal(n))?;
         for sig in &m.signals {
             if let Some(v) = sig.init {
-                scalars.entry(sig.name.clone()).or_insert(v);
+                init.scalars.entry(sig.name.clone()).or_insert(v);
             }
         }
         for sig in Self::regs(m) {
             let n = sanitize(&sig.name);
             match sig.memory {
                 None => {
-                    if let Some(&v) = scalars.get(&sig.name) {
+                    if let Some(&v) = init.scalars.get(&sig.name) {
                         let _ = writeln!(self.out, "  s->{n} = {:#x}ULL;", v & mask(sig.width));
                     } else if self.style == MainStyle::Verifier {
                         let _ = writeln!(
@@ -312,21 +300,15 @@ impl<'d> Emitter<'d> {
                 }
                 Some((_, aw)) => {
                     let total = 1u64 << aw;
-                    match mems.get(&sig.name) {
-                        Some(writes) => {
+                    match init.rows.get(&sig.name) {
+                        Some(rows) => {
                             let _ = writeln!(
                                 self.out,
                                 "  {{ int __i; for (__i = 0; __i < {total}; __i++) \
                                  s->{n}[__i] = 0ULL; }}"
                             );
-                            let mut keys: Vec<u64> = writes.keys().copied().collect();
-                            keys.sort_unstable();
-                            for k in keys {
-                                let _ = writeln!(
-                                    self.out,
-                                    "  s->{n}[{k}] = {:#x}ULL;",
-                                    writes[&k] & mask(sig.width)
-                                );
+                            for (k, v) in rows {
+                                let _ = writeln!(self.out, "  s->{n}[{k}] = {v:#x}ULL;");
                             }
                         }
                         None => {
@@ -593,8 +575,11 @@ impl<'a> FnBody<'a> {
     fn sig(&self, name: &str) -> Result<&ESignal, VerilogError> {
         self.m
             .signal(name)
-            .map(|i| &self.m.signals[i])
             .ok_or_else(|| Self::err(format!("unknown signal '{name}'")))
+    }
+
+    fn width(&self, e: &Expr) -> Result<u32, VerilogError> {
+        self_width(e, &|n| self.m.signal(n))
     }
 
     fn line(&mut self, s: &str) {
@@ -628,64 +613,7 @@ impl<'a> FnBody<'a> {
         }
     }
 
-    // ---- expression emission (mirrors the synthesizer's width rules) ----
-
-    fn self_width(&self, e: &Expr) -> Result<u32, VerilogError> {
-        Ok(match e {
-            Expr::Ident(n) => self.sig(n)?.width,
-            Expr::Number { size, value } => size
-                .unwrap_or_else(|| (64 - value.leading_zeros()).max(1))
-                .min(64),
-            Expr::Unary(op, a) => match op {
-                UnaryOp::Not | UnaryOp::Neg | UnaryOp::Plus => self.self_width(a)?,
-                _ => 1,
-            },
-            Expr::Binary(op, a, b) => match op {
-                BinaryOp::Add
-                | BinaryOp::Sub
-                | BinaryOp::Mul
-                | BinaryOp::Div
-                | BinaryOp::Mod
-                | BinaryOp::And
-                | BinaryOp::Or
-                | BinaryOp::Xor
-                | BinaryOp::Xnor => self.self_width(a)?.max(self.self_width(b)?),
-                BinaryOp::Shl | BinaryOp::Shr | BinaryOp::Sshl | BinaryOp::Sshr => {
-                    self.self_width(a)?
-                }
-                _ => 1,
-            },
-            Expr::Ternary(_, a, b) => self.self_width(a)?.max(self.self_width(b)?),
-            Expr::Concat(parts) => {
-                let mut w = 0;
-                for p in parts {
-                    w += self.self_width(p)?;
-                }
-                w
-            }
-            Expr::Repl(n, parts) => {
-                let c = const_eval(n, &HashMap::new()).map_err(Self::err)? as u32;
-                let mut w = 0;
-                for p in parts {
-                    w += self.self_width(p)?;
-                }
-                c * w
-            }
-            Expr::Index(n, _) => {
-                let s = self.sig(n)?;
-                if s.memory.is_some() {
-                    s.width
-                } else {
-                    1
-                }
-            }
-            Expr::Part(_, hi, lo) => {
-                let h = const_eval(hi, &HashMap::new()).map_err(Self::err)?;
-                let l = const_eval(lo, &HashMap::new()).map_err(Self::err)?;
-                (h.saturating_sub(l) + 1) as u32
-            }
-        })
-    }
+    // ---- expression emission ----
 
     /// Emits `e` as a C expression of exactly `width` bits (masked).
     fn expr(&mut self, e: &Expr, width: u32) -> Result<String, VerilogError> {
@@ -712,37 +640,37 @@ impl<'a> FnBody<'a> {
                 }
                 UnaryOp::Plus => self.expr(a, width)?,
                 UnaryOp::LogicNot => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("({av} == 0ULL ? 1ULL : 0ULL)")
                 }
                 UnaryOp::RedAnd => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("({av} == {} ? 1ULL : 0ULL)", cmask(w))
                 }
                 UnaryOp::RedOr => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("({av} != 0ULL ? 1ULL : 0ULL)")
                 }
                 UnaryOp::RedXor => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("((uint64_t)__builtin_parityll({av}))")
                 }
                 UnaryOp::RedNand => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("({av} == {} ? 0ULL : 1ULL)", cmask(w))
                 }
                 UnaryOp::RedNor => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("({av} != 0ULL ? 0ULL : 1ULL)")
                 }
                 UnaryOp::RedXnor => {
-                    let w = self.self_width(a)?;
+                    let w = self.width(a)?;
                     let av = self.expr(a, w)?;
                     format!("((uint64_t)(__builtin_parityll({av}) ^ 1))")
                 }
@@ -759,7 +687,7 @@ impl<'a> FnBody<'a> {
                     | B::Or
                     | B::Xor
                     | B::Xnor => {
-                        let w = width.max(self.self_width(a)?).max(self.self_width(b)?);
+                        let w = width.max(self.width(a)?).max(self.width(b)?);
                         let av = self.expr(a, w)?;
                         let bv = self.expr(b, w)?;
                         let full = match op {
@@ -788,9 +716,9 @@ impl<'a> FnBody<'a> {
                         }
                     }
                     B::Shl | B::Sshl => {
-                        let w = width.max(self.self_width(a)?);
+                        let w = width.max(self.width(a)?);
                         let av = self.expr(a, w)?;
-                        let bw = self.self_width(b)?;
+                        let bw = self.width(b)?;
                         let bv = self.expr(b, bw)?;
                         let bt = self.atom(&bv);
                         let full =
@@ -802,9 +730,9 @@ impl<'a> FnBody<'a> {
                         }
                     }
                     B::Shr => {
-                        let w = width.max(self.self_width(a)?);
+                        let w = width.max(self.width(a)?);
                         let av = self.expr(a, w)?;
-                        let bw = self.self_width(b)?;
+                        let bw = self.width(b)?;
                         let bv = self.expr(b, bw)?;
                         let bt = self.atom(&bv);
                         let full = format!("({bt} >= {w}ULL ? 0ULL : ({av} >> {bt}))");
@@ -815,10 +743,10 @@ impl<'a> FnBody<'a> {
                         }
                     }
                     B::Sshr => {
-                        let w = width.max(self.self_width(a)?);
+                        let w = width.max(self.width(a)?);
                         let av = self.expr(a, w)?;
                         let at = self.atom(&av);
-                        let bw = self.self_width(b)?;
+                        let bw = self.width(b)?;
                         let bv = self.expr(b, bw)?;
                         let bt = self.atom(&bv);
                         let sign = format!("(({at} >> {}ULL) & 1ULL)", w - 1);
@@ -837,7 +765,7 @@ impl<'a> FnBody<'a> {
                         }
                     }
                     B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge => {
-                        let w = self.self_width(a)?.max(self.self_width(b)?);
+                        let w = self.width(a)?.max(self.width(b)?);
                         let av = self.expr(a, w)?;
                         let bv = self.expr(b, w)?;
                         let cop = match op {
@@ -852,8 +780,8 @@ impl<'a> FnBody<'a> {
                         format!("({av} {cop} {bv} ? 1ULL : 0ULL)")
                     }
                     B::LogicAnd | B::LogicOr => {
-                        let aw = self.self_width(a)?;
-                        let bw = self.self_width(b)?;
+                        let aw = self.width(a)?;
+                        let bw = self.width(b)?;
                         let av = self.expr(a, aw)?;
                         let bv = self.expr(b, bw)?;
                         let cop = if *op == B::LogicAnd { "&&" } else { "||" };
@@ -862,47 +790,28 @@ impl<'a> FnBody<'a> {
                 }
             }
             Expr::Ternary(c, a, b) => {
-                let cw = self.self_width(c)?;
+                let cw = self.width(c)?;
                 let cv = self.expr(c, cw)?;
                 let av = self.expr(a, width)?;
                 let bv = self.expr(b, width)?;
                 format!("({cv} != 0ULL ? {av} : {bv})")
             }
             Expr::Concat(parts) => {
-                let mut acc: Option<(String, u32)> = None;
-                for p in parts {
-                    let w = self.self_width(p)?;
-                    let pv = self.expr(p, w)?;
-                    acc = Some(match acc {
-                        None => (pv, w),
-                        Some((a, aw)) => (format!("(({a} << {w}ULL) | {pv})"), aw + w),
-                    });
-                }
-                let (s, total) = acc.ok_or_else(|| Self::err("empty concatenation"))?;
+                let total = self.width(e)?;
+                let (s, _) = self.concat(parts)?;
                 if total <= width {
                     s
                 } else {
                     format!("({s} & {m})")
                 }
             }
-            Expr::Repl(n, parts) => {
-                let count = const_eval(n, &HashMap::new()).map_err(Self::err)?;
-                let mut unit: Option<(String, u32)> = None;
-                for p in parts {
-                    let w = self.self_width(p)?;
-                    let pv = self.expr(p, w)?;
-                    unit = Some(match unit {
-                        None => (pv, w),
-                        Some((a, aw)) => (format!("(({a} << {w}ULL) | {pv})"), aw + w),
-                    });
-                }
-                let (u, uw) = unit.ok_or_else(|| Self::err("empty replication"))?;
+            Expr::Repl(_, parts) => {
+                let total = self.width(e)?;
+                let (u, uw) = self.concat(parts)?;
                 let ut = self.atom(&u);
                 let mut acc = ut.clone();
-                let mut total = uw;
-                for _ in 1..count {
+                for _ in 1..total / uw {
                     acc = format!("(({acc} << {uw}ULL) | {ut})");
-                    total += uw;
                 }
                 if total <= width {
                     acc
@@ -927,29 +836,20 @@ impl<'a> FnBody<'a> {
                     }
                 } else {
                     let v = self.value_of(n)?;
-                    let iw = self
-                        .self_width(idx)?
-                        .max(ceil_log2(sig.width as u64).max(1));
-                    let iv = self.expr(idx, iw)?;
-                    let it = self.atom(&iv);
-                    let off = if sig.lsb != 0 {
-                        format!("({it} - {}ULL)", sig.lsb)
+                    let (off, in_range) = self.bit_offset(&sig, idx)?;
+                    let bit = format!("(({v} >> {off}) & 1ULL)");
+                    if in_range {
+                        bit
                     } else {
-                        it
-                    };
-                    format!("(({v} >> {off}) & 1ULL)")
+                        format!("({off} < {}ULL ? {bit} : 0ULL)", sig.width)
+                    }
                 }
             }
             Expr::Part(n, hi, lo) => {
-                let sig = self.sig(n)?.clone();
-                let h = const_eval(hi, &HashMap::new()).map_err(Self::err)? as u32;
-                let l = const_eval(lo, &HashMap::new()).map_err(Self::err)? as u32;
-                if l < sig.lsb || h >= sig.lsb + sig.width || l > h {
-                    return Err(Self::err(format!("part select out of range on '{n}'")));
-                }
+                let (h, l) = part_bounds(n, hi, lo, &|x| self.m.signal(x))?;
                 let v = self.value_of(n)?;
                 let pw = h - l + 1;
-                let s = format!("(({v} >> {}ULL) & {})", l - sig.lsb, cmask(pw));
+                let s = format!("(({v} >> {l}ULL) & {})", cmask(pw));
                 if pw <= width {
                     s
                 } else {
@@ -957,6 +857,40 @@ impl<'a> FnBody<'a> {
                 }
             }
         })
+    }
+
+    /// The parts of a concatenation at their own widths, the first part
+    /// in the most significant bits, with their total width.
+    fn concat(&mut self, parts: &[Expr]) -> Result<(String, u32), VerilogError> {
+        let mut acc: Option<(String, u32)> = None;
+        for p in parts {
+            let w = self.width(p)?;
+            let pv = self.expr(p, w)?;
+            acc = Some(match acc {
+                None => (pv, w),
+                Some((a, aw)) => (format!("(({a} << {w}ULL) | {pv})"), aw + w),
+            });
+        }
+        acc.ok_or_else(|| Self::err("empty concatenation"))
+    }
+
+    /// The C bit offset `idx - lsb` of a bit-select of `sig`, and
+    /// whether the index is a constant inside the signal. Other offsets
+    /// may lie past the msb, where synthesis reads 0 and writes nothing
+    /// and a C shift by 64 or more is undefined: callers guard them.
+    fn bit_offset(&mut self, sig: &ESignal, idx: &Expr) -> Result<(String, bool), VerilogError> {
+        let iw = bit_index_width(&sig.name, idx, &|n| self.m.signal(n))?;
+        let iv = self.expr(idx, iw)?;
+        let it = self.atom(&iv);
+        let lsb = u64::from(sig.lsb);
+        let in_range = const_eval(idx, &HashMap::new())
+            .is_ok_and(|i| (lsb..lsb + u64::from(sig.width)).contains(&i));
+        let off = if lsb != 0 {
+            format!("({it} - {lsb}ULL)")
+        } else {
+            it
+        };
+        Ok((off, in_range))
     }
 
     /// Materializes a complex C expression in a temp (identifiers and
@@ -974,7 +908,7 @@ impl<'a> FnBody<'a> {
     }
 
     fn bool_expr(&mut self, e: &Expr) -> Result<String, VerilogError> {
-        let w = self.self_width(e)?;
+        let w = self.width(e)?;
         let v = self.expr(e, w)?;
         Ok(format!("({v} != 0ULL)"))
     }
@@ -991,65 +925,34 @@ impl<'a> FnBody<'a> {
                 Ok(())
             }
             Stmt::Blocking(lv, rhs) | Stmt::NonBlocking(lv, rhs) => self.assign(lv, rhs),
-            Stmt::If(c, t, e) => {
-                let cv = self.bool_expr(c)?;
-                self.line(&format!("if ({cv}) {{"));
-                self.indent += 1;
-                self.stmt(t)?;
-                self.indent -= 1;
-                match e {
-                    Some(e) => {
-                        self.line("} else {");
-                        self.indent += 1;
-                        self.stmt(e)?;
-                        self.indent -= 1;
-                        self.line("}");
-                    }
-                    None => self.line("}"),
+            Stmt::If(..) => {
+                // An else-if chain (a lowered `case` among them) comes
+                // out flat. No branch runs before a later condition is
+                // evaluated, so computing every condition up front
+                // reads the same values.
+                let mut arms = Vec::new();
+                let mut rest = Some(s);
+                while let Some(Stmt::If(c, t, e)) = rest {
+                    arms.push((self.bool_expr(c)?, t));
+                    rest = e.as_deref();
                 }
-                Ok(())
-            }
-            Stmt::Case {
-                expr,
-                arms,
-                default,
-                ..
-            } => {
-                let w = self.self_width(expr)?;
-                let sv = self.expr(expr, w)?;
-                let st = self.atom(&sv);
-                let mut first = true;
-                for (labels, body) in arms {
-                    let conds: Result<Vec<String>, _> = labels
-                        .iter()
-                        .map(|l| self.expr(l, w).map(|lv| format!("{st} == {lv}")))
-                        .collect();
-                    let cond = conds?.join(" || ");
-                    if first {
-                        self.line(&format!("if ({cond}) {{"));
-                        first = false;
-                    } else {
-                        self.line(&format!("}} else if ({cond}) {{"));
-                    }
+                for (i, (cv, body)) in arms.into_iter().enumerate() {
+                    let head = if i == 0 { "" } else { "} else " };
+                    self.line(&format!("{head}if ({cv}) {{"));
                     self.indent += 1;
                     self.stmt(body)?;
                     self.indent -= 1;
                 }
-                if let Some(d) = default {
-                    if first {
-                        self.stmt(d)?;
-                    } else {
-                        self.line("} else {");
-                        self.indent += 1;
-                        self.stmt(d)?;
-                        self.indent -= 1;
-                        self.line("}");
-                    }
-                } else if !first {
-                    self.line("}");
+                if let Some(e) = rest {
+                    self.line("} else {");
+                    self.indent += 1;
+                    self.stmt(e)?;
+                    self.indent -= 1;
                 }
+                self.line("}");
                 Ok(())
             }
+            Stmt::Case { .. } => self.stmt(&s.case_to_if()),
         }
     }
 
@@ -1084,29 +987,23 @@ impl<'a> FnBody<'a> {
                     let t = self.write_target(n)?;
                     self.line(&format!("{t}[{iv}] = {rv};"));
                 } else {
-                    let iw = self
-                        .self_width(idx)?
-                        .max(ceil_log2(sig.width as u64).max(1));
-                    let iv = self.expr(idx, iw)?;
-                    let it = self.atom(&iv);
-                    let sh = if sig.lsb != 0 {
-                        format!("({it} - {}ULL)", sig.lsb)
-                    } else {
-                        it
-                    };
+                    let (sh, in_range) = self.bit_offset(&sig, idx)?;
                     let sht = self.atom(&sh);
                     let rv = self.expr(rhs, 1)?;
                     let t = self.write_target(n)?;
+                    let guard = if in_range {
+                        String::new()
+                    } else {
+                        format!("if ({sht} < {}ULL) ", sig.width)
+                    };
                     self.line(&format!(
-                        "{t} = ({t} & ~(1ULL << {sht})) | (({rv}) << {sht});"
+                        "{guard}{t} = ({t} & ~(1ULL << {sht})) | (({rv}) << {sht});"
                     ));
                 }
                 Ok(())
             }
             LValue::Part(n, hi, lo) => {
-                let sig = self.sig(n)?.clone();
-                let h = const_eval(hi, &HashMap::new()).map_err(Self::err)? as u32 - sig.lsb;
-                let l = const_eval(lo, &HashMap::new()).map_err(Self::err)? as u32 - sig.lsb;
+                let (h, l) = part_bounds(n, hi, lo, &|x| self.m.signal(x))?;
                 let pw = h - l + 1;
                 let rv = self.expr(rhs, pw)?;
                 let t = self.write_target(n)?;
@@ -1117,27 +1014,15 @@ impl<'a> FnBody<'a> {
                 Ok(())
             }
             LValue::Concat(parts) => {
-                let mut widths = Vec::new();
-                for p in parts {
-                    match p {
-                        LValue::Ident(n) => widths.push(self.sig(n)?.width),
-                        _ => {
-                            return Err(Self::err(
-                                "nested selects in concatenated assignment targets",
-                            ))
-                        }
-                    }
-                }
-                let total: u32 = widths.iter().sum();
+                let slices = target_widths(parts, &|x| self.m.signal(x))?;
+                let total = slices.iter().map(|&(_, w)| w).sum();
                 let rv = self.expr(rhs, total)?;
                 let rt = self.atom(&rv);
                 let mut hi = total;
-                for (p, w) in parts.iter().zip(&widths) {
+                for (n, w) in slices {
                     let lo = hi - w;
-                    if let LValue::Ident(n) = p {
-                        let t = self.write_target(n)?;
-                        self.line(&format!("{t} = (({rt} >> {lo}ULL) & {});", cmask(*w)));
-                    }
+                    let t = self.write_target(n)?;
+                    self.line(&format!("{t} = (({rt} >> {lo}ULL) & {});", cmask(w)));
                     hi = lo;
                 }
                 Ok(())
@@ -1194,8 +1079,7 @@ impl<'a> FnBody<'a> {
         let mut defs: Vec<Vec<String>> = Vec::new();
         let mut reads: Vec<HashSet<String>> = Vec::new();
         for (i, (lv, rhs)) in m.assigns.iter().enumerate() {
-            let mut d = Vec::new();
-            lvalue_targets(lv, &mut d);
+            let d = lv.targets();
             // Clock wiring assigns are dropped.
             if d.iter().all(|x| self.info.clock_ports.contains(x)) {
                 continue;
@@ -1208,13 +1092,10 @@ impl<'a> FnBody<'a> {
         }
         for (i, (clk, body)) in m.processes.iter().enumerate() {
             if clk.is_none() {
-                let mut d = Vec::new();
-                stmt_targets(body, &mut d);
-                let mut assigned = HashSet::new();
                 let mut r = HashSet::new();
-                stmt_reads(body, &mut assigned, &mut r);
+                stmt_reads(body, &mut HashSet::new(), &mut r);
                 units.push(U::Comb(i));
-                defs.push(d);
+                defs.push(body.targets());
                 reads.push(r);
             }
         }
@@ -1248,48 +1129,9 @@ impl<'a> FnBody<'a> {
             reads.push(r);
         }
 
-        // Kahn topological sort (instance-granular inter-module
-        // dependency analysis).
-        let def_of: HashMap<String, usize> = defs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ds)| ds.iter().map(move |d| (d.clone(), i)))
-            .collect();
-        let n = units.len();
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, rs) in reads.iter().enumerate() {
-            for rsig in rs {
-                if let Some(&j) = def_of.get(rsig) {
-                    if j == i {
-                        return Err(Self::err(format!(
-                            "combinational loop through '{rsig}' in module '{}'",
-                            m.name
-                        )));
-                    }
-                    succ[j].push(i);
-                    indeg[i] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        queue.reverse(); // keep close to source order
-        let mut order = Vec::new();
-        while let Some(u) = queue.pop() {
-            order.push(u);
-            for &v in &succ[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(Self::err(format!(
-                "combinational loop in module '{}' (possibly across instances)",
-                m.name
-            )));
-        }
+        // The synthesizer's schedule, instance-granular here: the
+        // inter-module dependency analysis.
+        let order = schedule(&defs, &reads)?;
 
         // Emit combinational section.
         self.line("/* combinational logic (dependency order) */");
@@ -1392,17 +1234,24 @@ impl<'a> FnBody<'a> {
             self.line("/* sequential update (two-phase) */");
         }
         for body in &clocked {
-            let mut targets = Vec::new();
-            stmt_targets(body, &mut targets);
-            let mut seen: HashSet<String> = HashSet::new();
-            // Classify blocking vs non-blocking per register.
+            // Each register once, in order of first assignment, split
+            // into blocking and non-blocking targets.
+            let mut targets: Vec<String> = Vec::new();
             let mut blocking: HashSet<String> = HashSet::new();
             let mut nonblocking: HashSet<String> = HashSet::new();
-            classify_assigns(body, &mut blocking, &mut nonblocking);
-            for t in &targets {
-                if !seen.insert(t.clone()) {
-                    continue;
+            body.for_each_assign(&mut |is_blocking, lv, _| {
+                for t in lv.targets() {
+                    if !blocking.contains(&t) && !nonblocking.contains(&t) {
+                        targets.push(t.clone());
+                    }
+                    if is_blocking {
+                        blocking.insert(t);
+                    } else {
+                        nonblocking.insert(t);
+                    }
                 }
+            });
+            for t in &targets {
                 if blocking.contains(t) && nonblocking.contains(t) {
                     return Err(Self::err(format!(
                         "register '{t}' assigned both blocking and non-blocking"
@@ -1436,90 +1285,6 @@ impl<'a> FnBody<'a> {
             self.stmt(body)?;
         }
         Ok(())
-    }
-}
-
-fn classify_assigns(s: &Stmt, blocking: &mut HashSet<String>, nonblocking: &mut HashSet<String>) {
-    match s {
-        Stmt::Block(b) => b
-            .iter()
-            .for_each(|x| classify_assigns(x, blocking, nonblocking)),
-        Stmt::If(_, t, e) => {
-            classify_assigns(t, blocking, nonblocking);
-            if let Some(e) = e {
-                classify_assigns(e, blocking, nonblocking);
-            }
-        }
-        Stmt::Case { arms, default, .. } => {
-            for (_, b) in arms {
-                classify_assigns(b, blocking, nonblocking);
-            }
-            if let Some(d) = default {
-                classify_assigns(d, blocking, nonblocking);
-            }
-        }
-        Stmt::Blocking(lv, _) => {
-            let mut t = Vec::new();
-            lvalue_targets(lv, &mut t);
-            blocking.extend(t);
-        }
-        Stmt::NonBlocking(lv, _) => {
-            let mut t = Vec::new();
-            lvalue_targets(lv, &mut t);
-            nonblocking.extend(t);
-        }
-        Stmt::Nop => {}
-    }
-}
-
-fn interp_initial(
-    m: &ElabModule,
-    s: &Stmt,
-    scalars: &mut HashMap<String, u64>,
-    mems: &mut HashMap<String, HashMap<u64, u64>>,
-) -> Result<(), VerilogError> {
-    match s {
-        Stmt::Nop => Ok(()),
-        Stmt::Block(b) => {
-            for st in b {
-                interp_initial(m, st, scalars, mems)?;
-            }
-            Ok(())
-        }
-        Stmt::If(c, t, e) => {
-            let cv = const_eval(c, scalars).map_err(VerilogError::general)?;
-            if cv != 0 {
-                interp_initial(m, t, scalars, mems)
-            } else if let Some(e) = e {
-                interp_initial(m, e, scalars, mems)
-            } else {
-                Ok(())
-            }
-        }
-        Stmt::Blocking(lv, rhs) | Stmt::NonBlocking(lv, rhs) => {
-            let v = const_eval(rhs, scalars).map_err(VerilogError::general)?;
-            match lv {
-                LValue::Ident(n) => {
-                    let w = m
-                        .signal(n)
-                        .map(|i| m.signals[i].width)
-                        .ok_or_else(|| VerilogError::general(format!("unknown '{n}'")))?;
-                    scalars.insert(n.clone(), v & mask(w));
-                    Ok(())
-                }
-                LValue::Index(n, idx) => {
-                    let i = const_eval(idx, scalars).map_err(VerilogError::general)?;
-                    let w = m
-                        .signal(n)
-                        .map(|x| m.signals[x].width)
-                        .ok_or_else(|| VerilogError::general(format!("unknown '{n}'")))?;
-                    mems.entry(n.clone()).or_default().insert(i, v & mask(w));
-                    Ok(())
-                }
-                _ => Err(VerilogError::general("unsupported initial target")),
-            }
-        }
-        Stmt::Case { .. } => Err(VerilogError::general("case in initial block")),
     }
 }
 
@@ -1610,6 +1375,91 @@ mod tests {
         assert!(c.contains("uint64_t mem[8];"));
         assert!(c.contains("__next_mem"));
         assert!(c.contains("s->mem[__i] = __next_mem[__i];"));
+    }
+
+    /// Sources outside the supported subset: synthesis and the C
+    /// emitter apply the same rule in `vfront`, so both reject each
+    /// with the same error, in debug and release builds alike.
+    #[test]
+    fn compile_and_emit_reject_the_same_sources() {
+        let table = [
+            (
+                "input [39:0] a, input [39:0] b, output [63:0] y",
+                "assign y = {a, b};",
+                "concatenation is wider than 64 bits",
+            ),
+            (
+                "input [39:0] a, output [63:0] y",
+                "assign y = {2{a}};",
+                "replication of 2 copies of 40 bits is wider than 64 bits",
+            ),
+            (
+                "input a, output [63:0] y",
+                "assign y = {100000{a}};",
+                "replication of 100000 copies",
+            ),
+            (
+                "input a, input b, output [63:0] y",
+                "assign y = {4294967295{a, b}};",
+                "replication of 4294967295 copies",
+            ),
+            (
+                "input a, output [63:0] y",
+                "assign y = {0{a}};",
+                "zero replication",
+            ),
+            (
+                "input a",
+                "reg [3:0] r; initial r[1] = 1; always @(posedge clk) r <= r + 1;",
+                "bit-level initialization is not supported",
+            ),
+            (
+                "input a",
+                "reg [7:0] m [0:15]; initial m = 5; always @(posedge clk) m[0] <= 1;",
+                "whole-memory assignment to 'm' is not supported",
+            ),
+            (
+                "input a",
+                "reg [7:0] m [0:15]; initial m[16] = 5; always @(posedge clk) m[0] <= 1;",
+                "initial row 16 is outside memory 'm'",
+            ),
+            (
+                "input a",
+                "reg [7:4] r; initial r = 0; always @(posedge clk) r[1:0] <= 0;",
+                "part select [1:0] out of range for 'r'",
+            ),
+            (
+                "input [7:0] a",
+                "assert property (a[18446744073709551615:0] != 0);",
+                "part select [18446744073709551615:0] out of range",
+            ),
+            (
+                "input [7:0] a",
+                "assert property (a[4294967299:0] != 0);",
+                "part select [4294967299:0] out of range",
+            ),
+            (
+                "input a",
+                "reg [39:0] r1; reg [39:0] r2; always @(posedge clk) {r1, r2} <= 0;",
+                "concatenated assignment target is wider than 64 bits",
+            ),
+            (
+                "input [63:0] x, output [39:0] a, output [39:0] b",
+                "assign {a, b} = x;",
+                "concatenated assignment target is wider than 64 bits",
+            ),
+        ];
+        for (ports, body, message) in table {
+            let src = format!("module top(input clk, {ports});\n  {body}\nendmodule\n");
+            let compiled = vfront::compile(&src, "top").expect_err(body);
+            assert!(compiled.message.contains(message), "{body}: {compiled}");
+            let mods = vfront::parse(&src).expect("parses");
+            let design = vfront::elaborate(&mods, "top").expect("elaborates");
+            for style in [MainStyle::Verifier, MainStyle::Cosim] {
+                let emitted = emit_c(&design, style).expect_err(body);
+                assert_eq!(emitted, compiled, "{body}");
+            }
+        }
     }
 
     #[test]

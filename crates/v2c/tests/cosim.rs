@@ -269,3 +269,52 @@ fn unsafe_bug_fires_in_same_cycle_as_word_level() {
     // subsumes "same clock cycle"; run it.
     cosim(src, "buggy", 100, 1);
 }
+
+#[test]
+fn nonblocking_selects_read_the_old_values() {
+    // A bit, part or concatenated non-blocking write reads the values
+    // from before the clock edge, even of registers the same process
+    // has already scheduled a new value for.
+    cosim(
+        r#"
+        module nb(input clk, input [3:0] x);
+          reg [3:0] a; reg [3:0] b; reg [3:0] c; reg [1:0] d; reg [1:0] e;
+          initial begin a = 0; b = 0; c = 0; d = 0; e = 0; end
+          always @(posedge clk) begin
+            a <= a + x;
+            b[0] <= a[0];
+            c[3:2] <= a[1:0];
+            {d, e} <= a;
+          end
+          assert property (b != 4'd1 || c != 4'd12);
+        endmodule
+        "#,
+        "nb",
+        300,
+        0x0B5E,
+    );
+}
+
+#[test]
+fn out_of_range_bit_selects_read_zero_and_write_nothing() {
+    // Indices past the msb, below the lsb (of `t`, below any offset a
+    // 2-bit index can hold) and past bit 63 (of `u`).
+    cosim(
+        r#"
+        module bits(input clk, input [2:0] i, input [1:0] j, input [7:0] k, input v);
+          reg [3:0] r; reg [7:4] s; reg [11:8] t; reg [7:0] u; reg [3:0] q;
+          initial begin r = 0; s = 0; t = 0; u = 8'hA5; q = 0; end
+          always @(posedge clk) begin
+            r[i] <= v;
+            s[i] <= v;
+            t[j] <= v;
+            q <= {r[i], s[i], t[j], u[k]};
+          end
+          assert property (r != 4'hF);
+        endmodule
+        "#,
+        "bits",
+        300,
+        0xB175,
+    );
+}

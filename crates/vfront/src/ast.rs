@@ -262,9 +262,172 @@ pub struct SourceModule {
     pub line: u32,
 }
 
+// ----------------------------------------------------------------------
+// The walk: every pass over the tree recurses through these.
+// ----------------------------------------------------------------------
+
 impl Expr {
     /// Convenience constructor for an unsized number.
     pub fn num(value: u64) -> Expr {
         Expr::Number { size: None, value }
+    }
+
+    /// The operands of this node in field order: a replication's count
+    /// before its parts, a part-select's `hi` before its `lo`.
+    pub fn operands(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Ident(_) | Expr::Number { .. } => Vec::new(),
+            Expr::Unary(_, a) | Expr::Index(_, a) => vec![a],
+            Expr::Binary(_, a, b) | Expr::Part(_, a, b) => vec![a, b],
+            Expr::Ternary(c, a, b) => vec![c, a, b],
+            Expr::Concat(parts) => parts.iter().collect(),
+            Expr::Repl(n, parts) => std::iter::once(&**n).chain(parts).collect(),
+        }
+    }
+
+    /// This node rebuilt over `f` of each operand, in field order;
+    /// operators and signal names stay as they are.
+    pub fn map_operands(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let mut boxed = |e: &Expr| Box::new(f(e));
+        match self {
+            Expr::Ident(_) | Expr::Number { .. } => self.clone(),
+            Expr::Unary(op, a) => Expr::Unary(*op, boxed(a)),
+            Expr::Binary(op, a, b) => Expr::Binary(*op, boxed(a), boxed(b)),
+            Expr::Ternary(c, a, b) => Expr::Ternary(boxed(c), boxed(a), boxed(b)),
+            Expr::Concat(parts) => Expr::Concat(parts.iter().map(f).collect()),
+            Expr::Repl(n, parts) => Expr::Repl(boxed(n), parts.iter().map(f).collect()),
+            Expr::Index(n, i) => Expr::Index(n.clone(), boxed(i)),
+            Expr::Part(n, hi, lo) => Expr::Part(n.clone(), boxed(hi), boxed(lo)),
+        }
+    }
+}
+
+impl LValue {
+    /// This target rebuilt with every signal name mapped by `name` and
+    /// every index or bound by `expr`.
+    pub fn map(
+        &self,
+        name: &mut impl FnMut(&str) -> String,
+        expr: &mut impl FnMut(&Expr) -> Expr,
+    ) -> LValue {
+        match self {
+            LValue::Ident(n) => LValue::Ident(name(n)),
+            LValue::Index(n, i) => LValue::Index(name(n), expr(i)),
+            LValue::Part(n, hi, lo) => LValue::Part(name(n), expr(hi), expr(lo)),
+            LValue::Concat(parts) => {
+                LValue::Concat(parts.iter().map(|p| p.map(name, expr)).collect())
+            }
+        }
+    }
+
+    /// The signals this target writes, left to right.
+    pub fn targets(&self) -> Vec<String> {
+        match self {
+            LValue::Ident(n) | LValue::Index(n, _) | LValue::Part(n, _, _) => vec![n.clone()],
+            LValue::Concat(parts) => parts.iter().flat_map(LValue::targets).collect(),
+        }
+    }
+}
+
+impl Stmt {
+    /// This statement rebuilt with every target's signal names mapped
+    /// by `name` and every expression (conditions, scrutinees, labels,
+    /// right-hand sides, target indices and bounds) by `expr`.
+    pub fn map(
+        &self,
+        name: &mut impl FnMut(&str) -> String,
+        expr: &mut impl FnMut(&Expr) -> Expr,
+    ) -> Stmt {
+        match self {
+            Stmt::Block(b) => Stmt::Block(b.iter().map(|s| s.map(name, expr)).collect()),
+            Stmt::If(c, t, e) => Stmt::If(
+                expr(c),
+                Box::new(t.map(name, expr)),
+                e.as_ref().map(|e| Box::new(e.map(name, expr))),
+            ),
+            Stmt::Case {
+                expr: scrutinee,
+                arms,
+                default,
+                wildcard,
+            } => Stmt::Case {
+                expr: expr(scrutinee),
+                arms: arms
+                    .iter()
+                    .map(|(labels, body)| {
+                        (
+                            labels.iter().map(&mut *expr).collect(),
+                            body.map(name, expr),
+                        )
+                    })
+                    .collect(),
+                default: default.as_ref().map(|d| Box::new(d.map(name, expr))),
+                wildcard: *wildcard,
+            },
+            Stmt::Blocking(lv, e) => Stmt::Blocking(lv.map(name, expr), expr(e)),
+            Stmt::NonBlocking(lv, e) => Stmt::NonBlocking(lv.map(name, expr), expr(e)),
+            Stmt::Nop => Stmt::Nop,
+        }
+    }
+
+    /// Calls `f(blocking, target, rhs)` on every assignment in the
+    /// statement, in source order, whatever branch it sits in.
+    pub fn for_each_assign(&self, f: &mut impl FnMut(bool, &LValue, &Expr)) {
+        match self {
+            Stmt::Block(b) => b.iter().for_each(|s| s.for_each_assign(f)),
+            Stmt::If(_, t, e) => {
+                t.for_each_assign(f);
+                if let Some(e) = e {
+                    e.for_each_assign(f);
+                }
+            }
+            Stmt::Case { arms, default, .. } => {
+                for (_, body) in arms {
+                    body.for_each_assign(f);
+                }
+                if let Some(d) = default {
+                    d.for_each_assign(f);
+                }
+            }
+            Stmt::Blocking(lv, e) => f(true, lv, e),
+            Stmt::NonBlocking(lv, e) => f(false, lv, e),
+            Stmt::Nop => {}
+        }
+    }
+
+    /// The signals assigned anywhere in the statement, in source order
+    /// (a signal assigned twice appears twice).
+    pub fn targets(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_assign(&mut |_, lv, _| out.extend(lv.targets()));
+        out
+    }
+
+    /// A `case` as the priority chain of `if`s it means: an arm is taken
+    /// when the scrutinee `==` one of its labels, the first such arm
+    /// wins, and the `default` (if any) ends the chain. Comparing with
+    /// `==` extends the narrower side, as Verilog extends the scrutinee
+    /// and every label to the widest of them. Any other statement comes
+    /// back unchanged. `casez` labels compare exactly.
+    pub fn case_to_if(&self) -> Stmt {
+        let Stmt::Case {
+            expr,
+            arms,
+            default,
+            ..
+        } = self
+        else {
+            return self.clone();
+        };
+        let mut chain = default.clone();
+        for (labels, body) in arms.iter().rev() {
+            let cond = labels
+                .iter()
+                .map(|l| Expr::Binary(BinaryOp::Eq, Box::new(expr.clone()), Box::new(l.clone())))
+                .reduce(|c, eq| Expr::Binary(BinaryOp::LogicOr, Box::new(c), Box::new(eq)))
+                .unwrap_or(Expr::num(0));
+            chain = Some(Box::new(Stmt::If(cond, Box::new(body.clone()), chain)));
+        }
+        chain.map_or(Stmt::Nop, |c| *c)
     }
 }

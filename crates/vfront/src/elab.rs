@@ -9,7 +9,7 @@
 
 use crate::ast::*;
 use crate::error::VerilogError;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// An elaborated signal.
 #[derive(Clone, Debug)]
@@ -65,9 +65,9 @@ pub struct ElabModule {
 }
 
 impl ElabModule {
-    /// Index of a signal by name.
-    pub fn signal(&self, name: &str) -> Option<usize> {
-        self.signals.iter().position(|s| s.name == name)
+    /// A signal by name.
+    pub fn signal(&self, name: &str) -> Option<&ESignal> {
+        self.signals.iter().find(|s| s.name == name)
     }
 }
 
@@ -236,13 +236,19 @@ impl<'a> Elaborator<'a> {
                                     .map_err(|e| VerilogError::at(src.line, e))?;
                                 let b = const_eval(&r.lo, &params)
                                     .map_err(|e| VerilogError::at(src.line, e))?;
-                                let rows = a.max(b) - a.min(b) + 1;
                                 if a.min(b) != 0 {
                                     return Err(VerilogError::at(
                                         src.line,
                                         format!("memory '{}' must start at index 0", dn.name),
                                     ));
                                 }
+                                if a.max(b) >= 1 << 32 {
+                                    return Err(VerilogError::at(
+                                        src.line,
+                                        format!("memory '{}' has more than 2^32 rows", dn.name),
+                                    ));
+                                }
+                                let rows = a.max(b) + 1;
                                 let addr_width = ceil_log2(rows).max(1);
                                 Some((rows, addr_width))
                             }
@@ -403,14 +409,16 @@ fn range_width(
                     "descending ranges [lo:hi] not supported",
                 ));
             }
-            let width = (hi - lo + 1) as u32;
-            if width == 0 || width > 64 {
+            if hi - lo >= 64 {
                 return Err(VerilogError::at(
                     line,
                     "width out of supported range 1..=64",
                 ));
             }
-            Ok((width, lo as u32))
+            let lsb = u32::try_from(lo).map_err(|_| {
+                VerilogError::at(line, "range bounds past bit 2^32 are not supported")
+            })?;
+            Ok(((hi - lo + 1) as u32, lsb))
         }
     }
 }
@@ -493,85 +501,274 @@ pub fn const_eval(e: &Expr, params: &HashMap<String, u64>) -> Result<u64, String
 
 fn subst_expr(e: &Expr, params: &HashMap<String, u64>) -> Expr {
     match e {
-        Expr::Ident(n) => match params.get(n) {
-            Some(&v) => Expr::Number {
-                size: None,
-                value: v,
-            },
-            None => e.clone(),
-        },
-        Expr::Number { .. } => e.clone(),
-        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(subst_expr(a, params))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(subst_expr(a, params)),
-            Box::new(subst_expr(b, params)),
-        ),
-        Expr::Ternary(c, a, b) => Expr::Ternary(
-            Box::new(subst_expr(c, params)),
-            Box::new(subst_expr(a, params)),
-            Box::new(subst_expr(b, params)),
-        ),
-        Expr::Concat(parts) => Expr::Concat(parts.iter().map(|p| subst_expr(p, params)).collect()),
-        Expr::Repl(n, parts) => Expr::Repl(
-            Box::new(subst_expr(n, params)),
-            parts.iter().map(|p| subst_expr(p, params)).collect(),
-        ),
-        Expr::Index(n, i) => Expr::Index(n.clone(), Box::new(subst_expr(i, params))),
-        Expr::Part(n, hi, lo) => Expr::Part(
-            n.clone(),
-            Box::new(subst_expr(hi, params)),
-            Box::new(subst_expr(lo, params)),
-        ),
+        Expr::Ident(n) if params.contains_key(n) => Expr::num(params[n]),
+        _ => e.map_operands(|x| subst_expr(x, params)),
     }
 }
 
 fn subst_lvalue(lv: &LValue, params: &HashMap<String, u64>) -> LValue {
-    match lv {
-        LValue::Ident(n) => LValue::Ident(n.clone()),
-        LValue::Index(n, i) => LValue::Index(n.clone(), subst_expr(i, params)),
-        LValue::Part(n, hi, lo) => {
-            LValue::Part(n.clone(), subst_expr(hi, params), subst_expr(lo, params))
-        }
-        LValue::Concat(parts) => {
-            LValue::Concat(parts.iter().map(|p| subst_lvalue(p, params)).collect())
-        }
-    }
+    lv.map(&mut str::to_string, &mut |e| subst_expr(e, params))
 }
 
 fn subst_stmt(s: &Stmt, params: &HashMap<String, u64>) -> Stmt {
-    match s {
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|x| subst_stmt(x, params)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            subst_expr(c, params),
-            Box::new(subst_stmt(t, params)),
-            e.as_ref().map(|x| Box::new(subst_stmt(x, params))),
-        ),
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            wildcard,
-        } => Stmt::Case {
-            expr: subst_expr(expr, params),
-            arms: arms
-                .iter()
-                .map(|(ls, b)| {
-                    (
-                        ls.iter().map(|l| subst_expr(l, params)).collect(),
-                        subst_stmt(b, params),
-                    )
-                })
-                .collect(),
-            default: default.as_ref().map(|d| Box::new(subst_stmt(d, params))),
-            wildcard: *wildcard,
+    s.map(&mut str::to_string, &mut |e| subst_expr(e, params))
+}
+
+// ----------------------------------------------------------------------
+// Width, bound and reset rules, shared by synthesis and v2c
+// ----------------------------------------------------------------------
+
+/// Finds a signal by name: an elaborated module's signals, or a
+/// flattened design's under their hierarchical names.
+pub type Lookup<'s> = dyn Fn(&str) -> Option<&'s ESignal> + 's;
+
+fn lookup<'s>(sigs: &Lookup<'s>, name: &str) -> Result<&'s ESignal, VerilogError> {
+    sigs(name).ok_or_else(|| VerilogError::general(format!("unknown signal '{name}'")))
+}
+
+fn constant(e: &Expr) -> Result<u64, VerilogError> {
+    const_eval(e, &HashMap::new()).map_err(VerilogError::general)
+}
+
+/// The width of a `total`-bit concatenation extended by a `part`-bit
+/// part, or an error past the 64 bits a value can hold.
+fn concat_width(total: u32, part: u32) -> Result<u32, VerilogError> {
+    total
+        .checked_add(part)
+        .filter(|&w| w <= 64)
+        .ok_or_else(|| VerilogError::general("concatenation is wider than 64 bits"))
+}
+
+/// The self-determined width of `e`: an operand's own width before an
+/// assignment or operator context widens it. Concatenations and
+/// replications hold at most 64 bits and replicate at least once, and
+/// part-selects obey [`part_bounds`].
+///
+/// # Errors
+///
+/// Reports unknown signals, non-constant replication counts and the
+/// violations above.
+pub fn self_width(e: &Expr, sigs: &Lookup<'_>) -> Result<u32, VerilogError> {
+    let parts_width = |parts: &[Expr]| {
+        parts
+            .iter()
+            .try_fold(0, |w, p| concat_width(w, self_width(p, sigs)?))
+    };
+    Ok(match e {
+        Expr::Ident(n) => lookup(sigs, n)?.width,
+        Expr::Number { size, value } => size
+            .unwrap_or_else(|| 64 - value.leading_zeros())
+            .clamp(1, 64),
+        Expr::Unary(UnaryOp::Not | UnaryOp::Neg | UnaryOp::Plus, a) => self_width(a, sigs)?,
+        Expr::Unary(..) => 1,
+        Expr::Binary(op, a, b) => match op {
+            BinaryOp::Add
+            | BinaryOp::Sub
+            | BinaryOp::Mul
+            | BinaryOp::Div
+            | BinaryOp::Mod
+            | BinaryOp::And
+            | BinaryOp::Or
+            | BinaryOp::Xor
+            | BinaryOp::Xnor => self_width(a, sigs)?.max(self_width(b, sigs)?),
+            BinaryOp::Shl | BinaryOp::Shr | BinaryOp::Sshl | BinaryOp::Sshr => self_width(a, sigs)?,
+            _ => 1,
         },
-        Stmt::Blocking(lv, e) => Stmt::Blocking(subst_lvalue(lv, params), subst_expr(e, params)),
-        Stmt::NonBlocking(lv, e) => {
-            Stmt::NonBlocking(subst_lvalue(lv, params), subst_expr(e, params))
+        Expr::Ternary(_, a, b) => self_width(a, sigs)?.max(self_width(b, sigs)?),
+        Expr::Concat(parts) => parts_width(parts)?,
+        Expr::Repl(n, parts) => {
+            let count = constant(n)?;
+            if count == 0 {
+                return Err(VerilogError::general("zero replication"));
+            }
+            let unit = parts_width(parts)?;
+            count
+                .checked_mul(u64::from(unit))
+                .filter(|&w| w <= 64)
+                .ok_or_else(|| {
+                    VerilogError::general(format!(
+                        "replication of {count} copies of {unit} bits is wider than 64 bits"
+                    ))
+                })? as u32
         }
-        Stmt::Nop => Stmt::Nop,
+        Expr::Index(n, _) => {
+            let sig = lookup(sigs, n)?;
+            if sig.memory.is_some() {
+                sig.width
+            } else {
+                1
+            }
+        }
+        Expr::Part(n, hi, lo) => {
+            let (h, l) = part_bounds(n, hi, lo, sigs)?;
+            h - l + 1
+        }
+    })
+}
+
+/// The width at which a dynamic bit-select `name[idx]` computes its bit
+/// offset `idx - lsb`: the index's own width, widened until every bit
+/// up to the msb has an offset, so that an index below the lsb wraps
+/// past the msb instead of into range.
+///
+/// # Errors
+///
+/// Reports unknown signals and the errors of [`self_width`].
+pub fn bit_index_width(name: &str, idx: &Expr, sigs: &Lookup<'_>) -> Result<u32, VerilogError> {
+    let sig = lookup(sigs, name)?;
+    let span = u64::from(sig.lsb) + u64::from(sig.width);
+    Ok(self_width(idx, sigs)?.max(ceil_log2(span).max(1)))
+}
+
+/// The bounds of the part-select `name[hi:lo]` as bit offsets from the
+/// signal's lsb. The bounds are constants with `lo <= hi` inside the
+/// declared range, and the signal is not a memory.
+///
+/// # Errors
+///
+/// Reports unknown signals, non-constant bounds and the violations
+/// above.
+pub fn part_bounds(
+    name: &str,
+    hi: &Expr,
+    lo: &Expr,
+    sigs: &Lookup<'_>,
+) -> Result<(u32, u32), VerilogError> {
+    let sig = lookup(sigs, name)?;
+    if sig.memory.is_some() {
+        return Err(VerilogError::general(format!(
+            "part-select on memory '{name}'"
+        )));
     }
+    let (h, l) = (constant(hi)?, constant(lo)?);
+    let lsb = u64::from(sig.lsb);
+    if l < lsb || h >= lsb + u64::from(sig.width) || l > h {
+        return Err(VerilogError::general(format!(
+            "part select [{h}:{l}] out of range for '{name}'"
+        )));
+    }
+    Ok(((h - lsb) as u32, (l - lsb) as u32))
+}
+
+/// The parts of the concatenated target `{a, b, ...}` with their
+/// widths, left to right. Every part is a whole signal that is not a
+/// memory, and together they hold at most 64 bits.
+///
+/// # Errors
+///
+/// Reports unknown signals and the violations above.
+pub fn target_widths<'p>(
+    parts: &'p [LValue],
+    sigs: &Lookup<'_>,
+) -> Result<Vec<(&'p str, u32)>, VerilogError> {
+    let mut total = 0u32;
+    parts
+        .iter()
+        .map(|p| {
+            let LValue::Ident(n) = p else {
+                return Err(VerilogError::general(
+                    "nested selects in concatenated assignment targets",
+                ));
+            };
+            let sig = lookup(sigs, n)?;
+            if sig.memory.is_some() {
+                return Err(whole_memory(n));
+            }
+            total = total
+                .checked_add(sig.width)
+                .filter(|&w| w <= 64)
+                .ok_or_else(|| {
+                    VerilogError::general("concatenated assignment target is wider than 64 bits")
+                })?;
+            Ok((n.as_str(), sig.width))
+        })
+        .collect()
+}
+
+fn whole_memory(name: &str) -> VerilogError {
+    VerilogError::general(format!(
+        "whole-memory assignment to '{name}' is not supported"
+    ))
+}
+
+/// The reset values that `initial` blocks assign.
+#[derive(Clone, Debug, Default)]
+pub struct InitialValues {
+    /// Whole signals, masked to their width.
+    pub scalars: HashMap<String, u64>,
+    /// Memory rows by address, masked to the element width.
+    pub rows: HashMap<String, BTreeMap<u64, u64>>,
+}
+
+/// Runs `initials` in order: each assigns a constant to a whole signal
+/// or to one row of a memory, under `if`s whose conditions are
+/// constant over the values assigned so far. A later assignment wins.
+///
+/// # Errors
+///
+/// Reports unknown signals, non-constant values, indices or conditions,
+/// bit- or part-select targets, whole-memory targets, rows outside a
+/// memory and `case` statements.
+pub fn initial_values(initials: &[Stmt], sigs: &Lookup<'_>) -> Result<InitialValues, VerilogError> {
+    fn run(s: &Stmt, sigs: &Lookup<'_>, out: &mut InitialValues) -> Result<(), VerilogError> {
+        let eval = |e: &Expr, out: &InitialValues| {
+            const_eval(e, &out.scalars).map_err(VerilogError::general)
+        };
+        match s {
+            Stmt::Nop => Ok(()),
+            Stmt::Block(b) => b.iter().try_for_each(|s| run(s, sigs, out)),
+            Stmt::If(c, t, e) => {
+                if eval(c, out)? != 0 {
+                    run(t, sigs, out)
+                } else {
+                    e.as_ref().map_or(Ok(()), |e| run(e, sigs, out))
+                }
+            }
+            Stmt::Blocking(lv, rhs) | Stmt::NonBlocking(lv, rhs) => {
+                let v = eval(rhs, out)?;
+                match lv {
+                    LValue::Ident(n) => {
+                        let sig = lookup(sigs, n)?;
+                        if sig.memory.is_some() {
+                            return Err(whole_memory(n));
+                        }
+                        out.scalars
+                            .insert(n.clone(), v & rtlir::value::mask(sig.width));
+                    }
+                    LValue::Index(n, idx) => {
+                        let sig = lookup(sigs, n)?;
+                        let Some((rows, _)) = sig.memory else {
+                            return Err(VerilogError::general(
+                                "bit-level initialization is not supported",
+                            ));
+                        };
+                        let i = eval(idx, out)?;
+                        if i >= rows {
+                            return Err(VerilogError::general(format!(
+                                "initial row {i} is outside memory '{n}'"
+                            )));
+                        }
+                        out.rows
+                            .entry(n.clone())
+                            .or_default()
+                            .insert(i, v & rtlir::value::mask(sig.width));
+                    }
+                    _ => {
+                        return Err(VerilogError::general(
+                            "unsupported initial assignment target",
+                        ))
+                    }
+                }
+                Ok(())
+            }
+            Stmt::Case { .. } => Err(VerilogError::general("case statements in initial blocks")),
+        }
+    }
+    let mut out = InitialValues::default();
+    for s in initials {
+        run(s, sigs, &mut out)?;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -618,10 +815,10 @@ mod tests {
         let mods = parse(src).expect("parses");
         let design = elaborate(&mods, "m").expect("elaborates");
         let m = &design.modules[design.top];
-        let mem = &m.signals[m.signal("mem").expect("mem")];
+        let mem = m.signal("mem").expect("mem");
         assert_eq!(mem.memory, Some((16, 4)));
         assert_eq!(mem.width, 8);
-        let ptr = &m.signals[m.signal("ptr").expect("ptr")];
+        let ptr = m.signal("ptr").expect("ptr");
         assert_eq!(ptr.init, Some(3));
     }
 
@@ -660,6 +857,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_ranges_are_errors() {
+        for (decl, message) in [
+            (
+                "reg [18446744073709551615:0] r;",
+                "width out of supported range",
+            ),
+            (
+                "reg [4294967300:4294967296] r;",
+                "range bounds past bit 2^32",
+            ),
+            ("reg m [0:18446744073709551615];", "more than 2^32 rows"),
+        ] {
+            let src = format!("module top(input clk);\n  {decl}\nendmodule\n");
+            let mods = parse(&src).expect("parses");
+            let err = elaborate(&mods, "top").expect_err(decl);
+            assert!(err.message.contains(message), "{decl}: {err}");
+        }
+    }
+
+    #[test]
     fn unknown_module_rejected() {
         let mods = parse("module top(input a); ghost g(.x(a)); endmodule").expect("parses");
         assert!(elaborate(&mods, "top").is_err());
@@ -675,7 +892,7 @@ mod tests {
         let mods = parse(src).expect("parses");
         let design = elaborate(&mods, "m").expect("elaborates");
         let m = &design.modules[design.top];
-        let q = &m.signals[m.signal("q").expect("q")];
+        let q = m.signal("q").expect("q");
         assert_eq!(q.kind, NetKind::Reg);
         assert_eq!(q.width, 4);
     }

@@ -23,6 +23,24 @@
 //! clocks, `inout` ports and delays. These are reported as
 //! [`VerilogError`]s rather than silently mis-synthesized.
 //!
+//! ## One place for each rule
+//!
+//! Synthesis and the `v2c` C emitter must give a design the same
+//! meaning, so each job has one implementation here and both call it:
+//!
+//! - The tree walk: [`ast::Expr::operands`] and
+//!   [`ast::Expr::map_operands`], [`ast::LValue::map`] and
+//!   [`ast::LValue::targets`], and [`ast::Stmt::map`],
+//!   [`ast::Stmt::for_each_assign`] and [`ast::Stmt::targets`].
+//!   Flattening, parameter substitution, read and target collection
+//!   and the blocking/non-blocking split run on it.
+//! - `case` lowering: [`ast::Stmt::case_to_if`].
+//! - Widths and bounds: [`elab::self_width`], [`elab::part_bounds`] and
+//!   [`elab::target_widths`], over a name-to-signal lookup
+//!   ([`elab::Lookup`]).
+//! - Reset values: [`elab::initial_values`].
+//! - The §III-B combinational schedule: [`synth::schedule`].
+//!
 //! # Example
 //!
 //! ```

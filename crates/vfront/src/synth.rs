@@ -10,7 +10,10 @@
 //! the restrictions the paper states for v2c.
 
 use crate::ast::{BinaryOp, Dir, Expr, LValue, NetKind, Stmt, UnaryOp};
-use crate::elab::{ceil_log2, const_eval, Design, ElabModule};
+use crate::elab::{
+    bit_index_width, initial_values, part_bounds, self_width, target_widths, Design, ESignal,
+    ElabModule,
+};
 use crate::error::VerilogError;
 use rtlir::{ExprId, Sort, TransitionSystem, VarId};
 use std::collections::{HashMap, HashSet};
@@ -40,16 +43,6 @@ pub fn synthesize(design: &Design) -> Result<TransitionSystem, VerilogError> {
 // ----------------------------------------------------------------------
 
 #[derive(Clone, Debug)]
-struct FlatSignal {
-    width: u32,
-    lsb: u32,
-    kind: NetKind,
-    memory: Option<(u64, u32)>,
-    init: Option<u64>,
-    top_input: bool,
-}
-
-#[derive(Clone, Debug)]
 enum Unit {
     Assign(LValue, Expr),
     Comb(Stmt),
@@ -57,7 +50,9 @@ enum Unit {
 
 #[derive(Clone, Debug, Default)]
 struct Flat {
-    signals: Vec<(String, FlatSignal)>,
+    /// Every signal under its hierarchical name; only the top module's
+    /// keep their port direction.
+    signals: Vec<ESignal>,
     index: HashMap<String, usize>,
     units: Vec<Unit>,
     clocked: Vec<(String, Stmt)>,
@@ -67,9 +62,13 @@ struct Flat {
 }
 
 impl Flat {
-    fn sig(&self, name: &str) -> Option<&FlatSignal> {
-        self.index.get(name).map(|&i| &self.signals[i].1)
+    fn sig(&self, name: &str) -> Option<&ESignal> {
+        self.index.get(name).map(|&i| &self.signals[i])
     }
+}
+
+fn is_top_input(sig: &ESignal) -> bool {
+    sig.port == Some(Dir::Input)
 }
 
 fn flat_name(prefix: &str, name: &str) -> String {
@@ -81,80 +80,23 @@ fn flat_name(prefix: &str, name: &str) -> String {
 }
 
 fn prefix_expr(prefix: &str, e: &Expr) -> Expr {
-    match e {
-        Expr::Ident(n) => Expr::Ident(flat_name(prefix, n)),
-        Expr::Number { .. } => e.clone(),
-        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(prefix_expr(prefix, a))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(prefix_expr(prefix, a)),
-            Box::new(prefix_expr(prefix, b)),
-        ),
-        Expr::Ternary(c, a, b) => Expr::Ternary(
-            Box::new(prefix_expr(prefix, c)),
-            Box::new(prefix_expr(prefix, a)),
-            Box::new(prefix_expr(prefix, b)),
-        ),
-        Expr::Concat(p) => Expr::Concat(p.iter().map(|x| prefix_expr(prefix, x)).collect()),
-        Expr::Repl(n, p) => Expr::Repl(
-            Box::new(prefix_expr(prefix, n)),
-            p.iter().map(|x| prefix_expr(prefix, x)).collect(),
-        ),
-        Expr::Index(n, i) => Expr::Index(flat_name(prefix, n), Box::new(prefix_expr(prefix, i))),
-        Expr::Part(n, hi, lo) => Expr::Part(
-            flat_name(prefix, n),
-            Box::new(prefix_expr(prefix, hi)),
-            Box::new(prefix_expr(prefix, lo)),
-        ),
+    let mut out = e.map_operands(|x| prefix_expr(prefix, x));
+    if let Expr::Ident(n) | Expr::Index(n, _) | Expr::Part(n, _, _) = &mut out {
+        *n = flat_name(prefix, n);
     }
+    out
 }
 
 fn prefix_lvalue(prefix: &str, lv: &LValue) -> LValue {
-    match lv {
-        LValue::Ident(n) => LValue::Ident(flat_name(prefix, n)),
-        LValue::Index(n, i) => LValue::Index(flat_name(prefix, n), prefix_expr(prefix, i)),
-        LValue::Part(n, hi, lo) => LValue::Part(
-            flat_name(prefix, n),
-            prefix_expr(prefix, hi),
-            prefix_expr(prefix, lo),
-        ),
-        LValue::Concat(p) => LValue::Concat(p.iter().map(|x| prefix_lvalue(prefix, x)).collect()),
-    }
+    lv.map(&mut |n| flat_name(prefix, n), &mut |e| {
+        prefix_expr(prefix, e)
+    })
 }
 
 fn prefix_stmt(prefix: &str, s: &Stmt) -> Stmt {
-    match s {
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|x| prefix_stmt(prefix, x)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            prefix_expr(prefix, c),
-            Box::new(prefix_stmt(prefix, t)),
-            e.as_ref().map(|x| Box::new(prefix_stmt(prefix, x))),
-        ),
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            wildcard,
-        } => Stmt::Case {
-            expr: prefix_expr(prefix, expr),
-            arms: arms
-                .iter()
-                .map(|(ls, b)| {
-                    (
-                        ls.iter().map(|l| prefix_expr(prefix, l)).collect(),
-                        prefix_stmt(prefix, b),
-                    )
-                })
-                .collect(),
-            default: default.as_ref().map(|d| Box::new(prefix_stmt(prefix, d))),
-            wildcard: *wildcard,
-        },
-        Stmt::Blocking(lv, e) => Stmt::Blocking(prefix_lvalue(prefix, lv), prefix_expr(prefix, e)),
-        Stmt::NonBlocking(lv, e) => {
-            Stmt::NonBlocking(prefix_lvalue(prefix, lv), prefix_expr(prefix, e))
-        }
-        Stmt::Nop => Stmt::Nop,
-    }
+    s.map(&mut |n| flat_name(prefix, n), &mut |e| {
+        prefix_expr(prefix, e)
+    })
 }
 
 fn flatten(design: &Design) -> Result<Flat, VerilogError> {
@@ -178,17 +120,11 @@ fn flatten_module(
             )));
         }
         flat.index.insert(name.clone(), flat.signals.len());
-        flat.signals.push((
+        flat.signals.push(ESignal {
             name,
-            FlatSignal {
-                width: sig.width,
-                lsb: sig.lsb,
-                kind: sig.kind,
-                memory: sig.memory,
-                init: sig.init,
-                top_input: prefix.is_empty() && sig.port == Some(Dir::Input),
-            },
-        ));
+            port: sig.port.filter(|_| prefix.is_empty()),
+            ..sig.clone()
+        });
     }
     for (lhs, rhs) in &m.assigns {
         flat.units.push(Unit::Assign(
@@ -208,12 +144,8 @@ fn flatten_module(
         flat.initials.push(prefix_stmt(prefix, ini));
     }
     for (label, cond) in &m.asserts {
-        let lbl = if prefix.is_empty() {
-            label.clone()
-        } else {
-            format!("{prefix}.{label}")
-        };
-        flat.asserts.push((lbl, prefix_expr(prefix, cond)));
+        flat.asserts
+            .push((flat_name(prefix, label), prefix_expr(prefix, cond)));
     }
     for a in &m.assumes {
         flat.assumes.push(prefix_expr(prefix, a));
@@ -262,56 +194,20 @@ fn expr_as_lvalue(e: &Expr) -> Option<LValue> {
 }
 
 // ----------------------------------------------------------------------
-// Read/write analysis
+// Read/write analysis and scheduling
 // ----------------------------------------------------------------------
 
 /// Collects the identifiers read by an expression, excluding those in
 /// `assigned` (used for dependency analysis; also reused by the v2c
 /// code generator's per-module scheduling).
 pub fn expr_reads(e: &Expr, assigned: &HashSet<String>, out: &mut HashSet<String>) {
-    match e {
-        Expr::Ident(n) => {
-            if !assigned.contains(n) {
-                out.insert(n.clone());
-            }
-        }
-        Expr::Number { .. } => {}
-        Expr::Unary(_, a) => expr_reads(a, assigned, out),
-        Expr::Binary(_, a, b) => {
-            expr_reads(a, assigned, out);
-            expr_reads(b, assigned, out);
-        }
-        Expr::Ternary(c, a, b) => {
-            expr_reads(c, assigned, out);
-            expr_reads(a, assigned, out);
-            expr_reads(b, assigned, out);
-        }
-        Expr::Concat(p) => p.iter().for_each(|x| expr_reads(x, assigned, out)),
-        Expr::Repl(n, p) => {
-            expr_reads(n, assigned, out);
-            p.iter().for_each(|x| expr_reads(x, assigned, out));
-        }
-        Expr::Index(n, i) => {
-            if !assigned.contains(n) {
-                out.insert(n.clone());
-            }
-            expr_reads(i, assigned, out);
-        }
-        Expr::Part(n, hi, lo) => {
-            if !assigned.contains(n) {
-                out.insert(n.clone());
-            }
-            expr_reads(hi, assigned, out);
-            expr_reads(lo, assigned, out);
+    if let Expr::Ident(n) | Expr::Index(n, _) | Expr::Part(n, _, _) = e {
+        if !assigned.contains(n) {
+            out.insert(n.clone());
         }
     }
-}
-
-/// Collects the signals assigned by an lvalue.
-pub fn lvalue_targets(lv: &LValue, out: &mut Vec<String>) {
-    match lv {
-        LValue::Ident(n) | LValue::Index(n, _) | LValue::Part(n, _, _) => out.push(n.clone()),
-        LValue::Concat(p) => p.iter().for_each(|x| lvalue_targets(x, out)),
+    for o in e.operands() {
+        expr_reads(o, assigned, out);
     }
 }
 
@@ -334,132 +230,96 @@ pub fn stmt_reads(s: &Stmt, assigned: &mut HashSet<String>, out: &mut HashSet<St
                 assigned.insert(k.clone());
             }
         }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            expr_reads(expr, assigned, out);
-            let mut common: Option<HashSet<String>> = None;
-            for (labels, body) in arms {
-                labels.iter().for_each(|l| expr_reads(l, assigned, out));
-                let mut ab = assigned.clone();
-                stmt_reads(body, &mut ab, out);
-                common = Some(match common {
-                    None => ab,
-                    Some(c) => c.intersection(&ab).cloned().collect(),
-                });
-            }
-            if let Some(d) = default {
-                let mut ab = assigned.clone();
-                stmt_reads(d, &mut ab, out);
-                common = Some(match common {
-                    None => ab,
-                    Some(c) => c.intersection(&ab).cloned().collect(),
-                });
-                // Only with a default can the case cover all paths.
-                if let Some(c) = common {
-                    for k in c {
-                        assigned.insert(k);
-                    }
-                }
-            }
-        }
-        Stmt::Blocking(lv, e) => {
+        Stmt::Case { .. } => stmt_reads(&s.case_to_if(), assigned, out),
+        Stmt::Blocking(lv, e) | Stmt::NonBlocking(lv, e) => {
             expr_reads(e, assigned, out);
-            // Index/part writes also *read* the index expressions.
+            // Index writes also *read* the index expressions, and
+            // read-modify-write of bit/part selects reads the old value.
             if let LValue::Index(_, i) = lv {
                 expr_reads(i, assigned, out);
             }
-            // Read-modify-write of bit/part selects reads the old value.
-            match lv {
-                LValue::Index(n, _) | LValue::Part(n, _, _) if !assigned.contains(n) => {
+            if let LValue::Index(n, _) | LValue::Part(n, _, _) = lv {
+                if !assigned.contains(n) {
                     out.insert(n.clone());
                 }
-                _ => {}
             }
-            let mut ts = Vec::new();
-            lvalue_targets(lv, &mut ts);
-            // Only whole-signal assignments fully define the signal.
-            if let LValue::Ident(n) = lv {
-                let _ = n;
-                for t in ts {
-                    assigned.insert(t);
-                }
-            }
-        }
-        Stmt::NonBlocking(lv, e) => {
-            expr_reads(e, assigned, out);
-            if let LValue::Index(_, i) = lv {
-                expr_reads(i, assigned, out);
-            }
-            match lv {
-                LValue::Index(n, _) | LValue::Part(n, _, _) if !assigned.contains(n) => {
-                    out.insert(n.clone());
-                }
-                _ => {}
+            // Only blocking whole-signal assignments define the signal.
+            if let (Stmt::Blocking(..), LValue::Ident(n)) = (s, lv) {
+                assigned.insert(n.clone());
             }
         }
         Stmt::Nop => {}
     }
 }
 
-/// Collects the signals assigned anywhere in a statement.
-pub fn stmt_targets(s: &Stmt, out: &mut Vec<String>) {
-    match s {
-        Stmt::Block(b) => b.iter().for_each(|x| stmt_targets(x, out)),
-        Stmt::If(_, t, e) => {
-            stmt_targets(t, out);
-            if let Some(e) = e {
-                stmt_targets(e, out);
+/// Orders combinational units so that each follows the units defining
+/// the signals it reads (the §III-B dependency analysis): Kahn's
+/// algorithm, taking the most recently freed unit first. Unit `u`
+/// drives `defs[u]` and reads `reads[u]`.
+///
+/// # Errors
+///
+/// Reports a combinational loop: a unit that reads its own output, or a
+/// cycle through several units.
+pub fn schedule(
+    defs: &[Vec<String>],
+    reads: &[HashSet<String>],
+) -> Result<Vec<usize>, VerilogError> {
+    let def_unit: HashMap<&str, usize> = defs
+        .iter()
+        .enumerate()
+        .flat_map(|(u, ds)| ds.iter().map(move |d| (d.as_str(), u)))
+        .collect();
+    let n = defs.len();
+    let mut indeg = vec![0usize; n];
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (u, rs) in reads.iter().enumerate() {
+        for r in rs {
+            match def_unit.get(r.as_str()) {
+                Some(&d) if d == u => {
+                    return Err(VerilogError::general(format!(
+                        "combinational loop through signal '{r}' (unsupported, as in v2c)"
+                    )))
+                }
+                Some(&d) => {
+                    succs[d].push(u);
+                    indeg[u] += 1;
+                }
+                None => {}
             }
         }
-        Stmt::Case { arms, default, .. } => {
-            for (_, b) in arms {
-                stmt_targets(b, out);
-            }
-            if let Some(d) = default {
-                stmt_targets(d, out);
-            }
-        }
-        Stmt::Blocking(lv, _) | Stmt::NonBlocking(lv, _) => lvalue_targets(lv, out),
-        Stmt::Nop => {}
     }
+    let mut queue: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(u) = queue.pop() {
+        order.push(u);
+        for &v in &succs[u] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                queue.push(v);
+            }
+        }
+    }
+    if order.len() != n {
+        return Err(VerilogError::general(
+            "combinational loop detected (unsupported, as in v2c)",
+        ));
+    }
+    Ok(order)
 }
 
 // ----------------------------------------------------------------------
 // Synthesis proper
 // ----------------------------------------------------------------------
 
+/// A process environment: the values its assignments gave so far.
+type Env = HashMap<String, ExprId>;
+
 struct Synthesizer {
     flat: Flat,
     ts: TransitionSystem,
     vars: HashMap<String, VarId>,
     sig_expr: HashMap<String, ExprId>,
-}
-
-/// The width of a `total`-bit concatenation extended by a `part`-bit
-/// part, or an error past the 64 bits a value can hold.
-fn concat_width(total: u32, part: u32) -> Result<u32, VerilogError> {
-    total
-        .checked_add(part)
-        .filter(|&w| w <= 64)
-        .ok_or_else(|| VerilogError::general("concatenation is wider than 64 bits"))
-}
-
-/// The width of `count` copies of a `unit`-bit value, or an error past
-/// the 64 bits a value can hold.
-fn replication_width(count: u64, unit: u32) -> Result<u32, VerilogError> {
-    count
-        .checked_mul(u64::from(unit))
-        .filter(|&w| w <= 64)
-        .map(|w| w as u32)
-        .ok_or_else(|| {
-            VerilogError::general(format!(
-                "replication of {count} copies of {unit} bits is wider than 64 bits"
-            ))
-        })
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -515,17 +375,16 @@ impl Synthesizer {
             let is_top_input = self
                 .flat
                 .sig(root)
-                .is_some_and(|s| s.top_input && s.width == 1);
+                .is_some_and(|s| is_top_input(s) && s.width == 1);
             if !is_top_input {
                 return Err(Self::err(format!(
                     "clock '{root}' must be a 1-bit top-level input"
                 )));
             }
             clock_aliases.insert(root.clone());
-            for (name, _) in &self.flat.signals {
-                if resolve(name.clone()) == *root && self.flat.sig(name).map(|s| s.width) == Some(1)
-                {
-                    clock_aliases.insert(name.clone());
+            for sig in &self.flat.signals {
+                if sig.width == 1 && resolve(sig.name.clone()) == *root {
+                    clock_aliases.insert(sig.name.clone());
                 }
             }
             for a in &clock_aliases {
@@ -533,33 +392,33 @@ impl Synthesizer {
             }
         }
 
-        // Drivers from units.
-        for (ui, u) in self.flat.units.iter().enumerate() {
-            let mut targets = Vec::new();
-            match u {
-                Unit::Assign(lv, _) => {
-                    match lv {
-                        LValue::Ident(_) | LValue::Concat(_) => {}
-                        _ => {
-                            return Err(Self::err(
-                                "continuous assignment to bit/part selects is not supported",
-                            ))
-                        }
+        // Drivers from units; clock wiring is excluded from logic.
+        let unit_defs: Vec<Vec<String>> = self
+            .flat
+            .units
+            .iter()
+            .map(|u| {
+                let mut targets = match u {
+                    Unit::Assign(lv @ (LValue::Ident(_) | LValue::Concat(_)), _) => lv.targets(),
+                    Unit::Assign(..) => {
+                        return Err(Self::err(
+                            "continuous assignment to bit/part selects is not supported",
+                        ))
                     }
-                    lvalue_targets(lv, &mut targets);
-                }
-                Unit::Comb(s) => stmt_targets(s, &mut targets),
-            }
+                    Unit::Comb(s) => s.targets(),
+                };
+                targets.retain(|t| !clock_aliases.contains(t));
+                Ok(targets)
+            })
+            .collect::<Result<_, _>>()?;
+        for (ui, targets) in unit_defs.iter().enumerate() {
             for t in targets {
-                if clock_aliases.contains(&t) {
-                    continue; // clock wiring, excluded from logic
-                }
-                if self.flat.sig(&t).is_none() {
+                if self.flat.sig(t).is_none() {
                     return Err(Self::err(format!("assignment to unknown signal '{t}'")));
                 }
-                match role.get(&t) {
+                match role.get(t) {
                     None => {
-                        role.insert(t, Role::Comb(ui));
+                        role.insert(t.clone(), Role::Comb(ui));
                     }
                     Some(Role::Comb(prev)) if *prev == ui => {}
                     Some(_) => return Err(Self::err(format!("signal '{t}' has multiple drivers"))),
@@ -568,9 +427,7 @@ impl Synthesizer {
         }
         // Drivers from clocked processes.
         for (_, body) in &self.flat.clocked {
-            let mut targets = Vec::new();
-            stmt_targets(body, &mut targets);
-            for t in targets {
+            for t in body.targets() {
                 let sig = self
                     .flat
                     .sig(&t)
@@ -589,75 +446,46 @@ impl Synthesizer {
             }
         }
         // Everything else: inputs, frozen regs, free wires.
-        for (name, sig) in &self.flat.signals {
-            if role.contains_key(name) {
-                continue;
-            }
-            let r = if sig.top_input {
+        for sig in &self.flat.signals {
+            let r = if is_top_input(sig) {
                 Role::Input
             } else if sig.kind == NetKind::Reg {
                 Role::State // frozen register
             } else {
                 Role::FreeWire
             };
-            role.insert(name.clone(), r);
-        }
-        // A state must not also be a top input.
-        for (name, sig) in &self.flat.signals {
-            if sig.top_input && matches!(role.get(name), Some(Role::Comb(_) | Role::State)) {
-                return Err(Self::err(format!("top-level input '{name}' is driven")));
+            let r = *role.entry(sig.name.clone()).or_insert(r);
+            // A state must not also be a top input.
+            if is_top_input(sig) && matches!(r, Role::Comb(_) | Role::State) {
+                return Err(Self::err(format!(
+                    "top-level input '{}' is driven",
+                    sig.name
+                )));
             }
         }
 
         // ---- create TS variables ----
-        let sorted_names: Vec<String> = self.flat.signals.iter().map(|(n, _)| n.clone()).collect();
-        for name in &sorted_names {
-            let sig = self.flat.sig(name).expect("exists").clone();
+        for sig in &self.flat.signals {
+            let name = &sig.name;
             let sort = match sig.memory {
                 Some((_, addr_w)) => Sort::array(addr_w, sig.width),
                 None => Sort::Bv(sig.width),
             };
-            match role[name] {
-                Role::Input | Role::FreeWire => {
-                    let v = self.ts.add_input(name.clone(), sort);
-                    self.vars.insert(name.clone(), v);
-                    let e = self.ts.pool_mut().var(v);
-                    self.sig_expr.insert(name.clone(), e);
-                }
-                Role::State => {
-                    let v = self.ts.add_state(name.clone(), sort);
-                    self.vars.insert(name.clone(), v);
-                    let e = self.ts.pool_mut().var(v);
-                    self.sig_expr.insert(name.clone(), e);
-                    if let Some(init) = sig.init {
-                        let ie = self.ts.pool_mut().constv(sig.width, init);
-                        self.ts.set_init(v, ie);
-                    }
-                }
-                Role::Comb(_) | Role::Clock => {}
+            let v = match role[name] {
+                Role::Input | Role::FreeWire => self.ts.add_input(name.clone(), sort),
+                Role::State => self.ts.add_state(name.clone(), sort),
+                Role::Comb(_) | Role::Clock => continue,
+            };
+            self.vars.insert(name.clone(), v);
+            let e = self.ts.pool_mut().var(v);
+            self.sig_expr.insert(name.clone(), e);
+            if let (Role::State, Some(init)) = (role[name], sig.init) {
+                let ie = self.ts.pool_mut().constv(sig.width, init);
+                self.ts.set_init(v, ie);
             }
         }
 
-        // ---- schedule combinational units (the §III-B analysis) ----
-        let unit_defs: Vec<Vec<String>> = self
-            .flat
-            .units
-            .iter()
-            .map(|u| {
-                let mut t = Vec::new();
-                match u {
-                    Unit::Assign(lv, _) => lvalue_targets(lv, &mut t),
-                    Unit::Comb(s) => stmt_targets(s, &mut t),
-                }
-                t.retain(|x| !clock_aliases.contains(x));
-                t
-            })
-            .collect();
-        let def_unit: HashMap<String, usize> = unit_defs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ds)| ds.iter().map(move |d| (d.clone(), i)))
-            .collect();
+        // ---- schedule and build combinational units (§III-B) ----
         let unit_reads: Vec<HashSet<String>> = self
             .flat
             .units
@@ -665,77 +493,23 @@ impl Synthesizer {
             .map(|u| {
                 let mut reads = HashSet::new();
                 match u {
-                    Unit::Assign(lv, rhs) => {
-                        expr_reads(rhs, &HashSet::new(), &mut reads);
-                        if let LValue::Index(_, i) = lv {
-                            expr_reads(i, &HashSet::new(), &mut reads);
-                        }
-                    }
-                    Unit::Comb(s) => {
-                        let mut assigned = HashSet::new();
-                        stmt_reads(s, &mut assigned, &mut reads);
-                    }
+                    Unit::Assign(_, rhs) => expr_reads(rhs, &HashSet::new(), &mut reads),
+                    Unit::Comb(s) => stmt_reads(s, &mut HashSet::new(), &mut reads),
                 }
                 reads
             })
             .collect();
-        // Kahn topological sort over units.
-        let n_units = self.flat.units.len();
-        let mut indeg = vec![0usize; n_units];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n_units];
-        for (ui, reads) in unit_reads.iter().enumerate() {
-            for r in reads {
-                if let Some(&def) = def_unit.get(r) {
-                    if def != ui {
-                        succs[def].push(ui);
-                        indeg[ui] += 1;
-                    } else {
-                        // A unit reading its own output combinationally
-                        // is a loop (self-latch).
-                        return Err(Self::err(format!(
-                            "combinational loop through signal '{r}' (unsupported, as in v2c)"
-                        )));
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n_units).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n_units);
-        while let Some(u) = queue.pop() {
-            order.push(u);
-            for &v in &succs[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if order.len() != n_units {
-            return Err(Self::err(
-                "combinational loop detected (unsupported, as in v2c)",
-            ));
-        }
-
-        // ---- build combinational expressions in order ----
-        for ui in order {
-            let unit = self.flat.units[ui].clone();
-            match unit {
-                Unit::Assign(lv, rhs) => {
-                    // Skip pure clock wiring.
-                    let mut ts_targets = Vec::new();
-                    lvalue_targets(&lv, &mut ts_targets);
-                    if ts_targets.iter().all(|t| clock_aliases.contains(t)) {
-                        continue;
-                    }
-                    self.install_assign(&lv, &rhs)?;
-                }
-                Unit::Comb(body) => {
-                    let env = self.exec_comb(&body)?;
-                    for (name, e) in env {
-                        self.sig_expr.insert(name, e);
-                    }
-                }
-            }
+        for ui in schedule(&unit_defs, &unit_reads)? {
+            // A continuous assignment runs as a one-statement process;
+            // pure clock wiring is skipped.
+            let body = match &self.flat.units[ui] {
+                Unit::Assign(..) if unit_defs[ui].is_empty() => continue,
+                Unit::Assign(lv, rhs) => Stmt::Blocking(lv.clone(), rhs.clone()),
+                Unit::Comb(s) => s.clone(),
+            };
+            let mut env = Env::new();
+            self.exec_stmt(&body, &mut env, None, false)?;
+            self.sig_expr.extend(env);
         }
 
         // ---- clocked processes ----
@@ -752,57 +526,33 @@ impl Synthesizer {
             }
         }
         // Install next functions; frozen registers keep their value.
-        let state_names: Vec<String> = self
-            .flat
-            .signals
-            .iter()
-            .filter(|(n, _)| matches!(role.get(n.as_str()), Some(Role::State)))
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in &state_names {
-            let v = self.vars[name];
-            let next = match next_map.get(name) {
-                Some(&e) => e,
-                None => self.sig_expr[name],
-            };
-            self.ts.set_next(v, next);
+        for sig in &self.flat.signals {
+            if role[&sig.name] == Role::State {
+                let v = self.vars[&sig.name];
+                let next = next_map
+                    .get(&sig.name)
+                    .copied()
+                    .unwrap_or(self.sig_expr[&sig.name]);
+                self.ts.set_next(v, next);
+            }
         }
 
         // ---- initial blocks ----
-        let initials = self.flat.initials.clone();
-        let mut init_scalars: HashMap<String, u64> = HashMap::new();
-        let mut init_mems: HashMap<String, HashMap<u64, u64>> = HashMap::new();
-        for ini in &initials {
-            self.exec_initial(ini, &mut init_scalars, &mut init_mems)?;
-        }
-        for (name, value) in init_scalars {
-            let sig = self
-                .flat
-                .sig(&name)
-                .ok_or_else(|| Self::err(format!("initial assigns unknown signal '{name}'")))?
-                .clone();
-            let v = *self
-                .vars
-                .get(&name)
-                .ok_or_else(|| Self::err(format!("initial assigns non-register '{name}'")))?;
-            if self.ts.state_of_var(v).is_none() {
-                return Err(Self::err(format!("initial assigns non-register '{name}'")));
-            }
+        let init = initial_values(&self.flat.initials, &|n| self.flat.sig(n))?;
+        for (name, value) in init.scalars {
+            let (v, sig) = self.initial_target(&name)?;
             let e = self.ts.pool_mut().constv(sig.width, value);
             self.ts.set_init(v, e);
         }
-        for (name, writes) in init_mems {
-            let sig = self.flat.sig(&name).expect("checked").clone();
+        for (name, rows) in init.rows {
+            let (v, sig) = self.initial_target(&name)?;
             let (_, addr_w) = sig
                 .memory
                 .ok_or_else(|| Self::err(format!("'{name}' is not a memory")))?;
-            let v = self.vars[&name];
             let mut e = self.ts.pool_mut().const_array(addr_w, sig.width, 0);
-            let mut keys: Vec<u64> = writes.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
+            for (k, value) in rows {
                 let i = self.ts.pool_mut().constv(addr_w, k);
-                let val = self.ts.pool_mut().constv(sig.width, writes[&k]);
+                let val = self.ts.pool_mut().constv(sig.width, value);
                 e = self.ts.pool_mut().write(e, i, val);
             }
             self.ts.set_init(v, e);
@@ -823,68 +573,27 @@ impl Synthesizer {
         Ok(())
     }
 
+    /// The state variable and signal an `initial` block assigns.
+    fn initial_target(&self, name: &str) -> Result<(VarId, ESignal), VerilogError> {
+        let v = self.vars.get(name).copied();
+        match (v, self.flat.sig(name)) {
+            (Some(v), Some(sig)) if self.ts.state_of_var(v).is_some() => Ok((v, sig.clone())),
+            _ => Err(Self::err(format!("initial assigns non-register '{name}'"))),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Expression building
     // ------------------------------------------------------------------
 
-    fn signal_width(&self, name: &str) -> Result<u32, VerilogError> {
+    fn sig(&self, name: &str) -> Result<&ESignal, VerilogError> {
         self.flat
             .sig(name)
-            .map(|s| s.width)
             .ok_or_else(|| Self::err(format!("unknown signal '{name}'")))
     }
 
-    fn self_width(&self, e: &Expr) -> Result<u32, VerilogError> {
-        Ok(match e {
-            Expr::Ident(n) => self.signal_width(n)?,
-            Expr::Number { size, value } => size
-                .unwrap_or_else(|| 64 - value.leading_zeros())
-                .clamp(1, 64),
-            Expr::Unary(op, a) => match op {
-                UnaryOp::Not | UnaryOp::Neg | UnaryOp::Plus => self.self_width(a)?,
-                _ => 1,
-            },
-            Expr::Binary(op, a, b) => match op {
-                BinaryOp::Add
-                | BinaryOp::Sub
-                | BinaryOp::Mul
-                | BinaryOp::Div
-                | BinaryOp::Mod
-                | BinaryOp::And
-                | BinaryOp::Or
-                | BinaryOp::Xor
-                | BinaryOp::Xnor => self.self_width(a)?.max(self.self_width(b)?),
-                BinaryOp::Shl | BinaryOp::Shr | BinaryOp::Sshl | BinaryOp::Sshr => {
-                    self.self_width(a)?
-                }
-                _ => 1,
-            },
-            Expr::Ternary(_, a, b) => self.self_width(a)?.max(self.self_width(b)?),
-            Expr::Concat(parts) => {
-                let mut w = 0;
-                for p in parts {
-                    w = concat_width(w, self.self_width(p)?)?;
-                }
-                w
-            }
-            Expr::Repl(n, parts) => {
-                let count = const_eval(n, &HashMap::new()).map_err(Self::err)?;
-                let mut w = 0;
-                for p in parts {
-                    w = concat_width(w, self.self_width(p)?)?;
-                }
-                replication_width(count, w)?
-            }
-            Expr::Index(n, _) => match self.flat.sig(n) {
-                Some(s) if s.memory.is_some() => s.width,
-                _ => 1,
-            },
-            Expr::Part(_, hi, lo) => {
-                let h = const_eval(hi, &HashMap::new()).map_err(Self::err)?;
-                let l = const_eval(lo, &HashMap::new()).map_err(Self::err)?;
-                (h.saturating_sub(l) + 1) as u32
-            }
-        })
+    fn width(&self, e: &Expr) -> Result<u32, VerilogError> {
+        self_width(e, &|n| self.flat.sig(n))
     }
 
     /// Builds `e` at exactly `width` bits (Verilog assignment-context
@@ -894,11 +603,7 @@ impl Synthesizer {
         Ok(match e {
             Expr::Number { value, .. } => self.ts.pool_mut().constv(width, *value),
             Expr::Ident(n) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?;
-                if sig.memory.is_some() {
+                if self.sig(n)?.memory.is_some() {
                     return Err(Self::err(format!("memory '{n}' used without an index")));
                 }
                 let base = *self.sig_expr.get(n).ok_or_else(|| {
@@ -921,44 +626,25 @@ impl Synthesizer {
                     let nb = self.ts.pool_mut().not(b);
                     p(self, nb, width)
                 }
-                UnaryOp::RedAnd => {
-                    let w = self.self_width(a)?;
+                UnaryOp::RedAnd
+                | UnaryOp::RedOr
+                | UnaryOp::RedXor
+                | UnaryOp::RedNand
+                | UnaryOp::RedNor
+                | UnaryOp::RedXnor => {
+                    let w = self.width(a)?;
                     let av = self.build(a, w)?;
-                    let r = self.ts.pool_mut().redand(av);
+                    let pool = self.ts.pool_mut();
+                    let r = match op {
+                        UnaryOp::RedAnd | UnaryOp::RedNand => pool.redand(av),
+                        UnaryOp::RedOr | UnaryOp::RedNor => pool.redor(av),
+                        _ => pool.redxor(av),
+                    };
+                    let r = match op {
+                        UnaryOp::RedNand | UnaryOp::RedNor | UnaryOp::RedXnor => pool.not(r),
+                        _ => r,
+                    };
                     p(self, r, width)
-                }
-                UnaryOp::RedOr => {
-                    let w = self.self_width(a)?;
-                    let av = self.build(a, w)?;
-                    let r = self.ts.pool_mut().redor(av);
-                    p(self, r, width)
-                }
-                UnaryOp::RedXor => {
-                    let w = self.self_width(a)?;
-                    let av = self.build(a, w)?;
-                    let r = self.ts.pool_mut().redxor(av);
-                    p(self, r, width)
-                }
-                UnaryOp::RedNand => {
-                    let w = self.self_width(a)?;
-                    let av = self.build(a, w)?;
-                    let r = self.ts.pool_mut().redand(av);
-                    let nr = self.ts.pool_mut().not(r);
-                    p(self, nr, width)
-                }
-                UnaryOp::RedNor => {
-                    let w = self.self_width(a)?;
-                    let av = self.build(a, w)?;
-                    let r = self.ts.pool_mut().redor(av);
-                    let nr = self.ts.pool_mut().not(r);
-                    p(self, nr, width)
-                }
-                UnaryOp::RedXnor => {
-                    let w = self.self_width(a)?;
-                    let av = self.build(a, w)?;
-                    let r = self.ts.pool_mut().redxor(av);
-                    let nr = self.ts.pool_mut().not(r);
-                    p(self, nr, width)
                 }
             },
             Expr::Binary(op, a, b) => {
@@ -973,8 +659,8 @@ impl Synthesizer {
                     | B::Or
                     | B::Xor
                     | B::Xnor => {
-                        let aw = self.self_width(a)?;
-                        let bw = self.self_width(b)?;
+                        let aw = self.width(a)?;
+                        let bw = self.width(b)?;
                         let w = width.max(aw).max(bw);
                         let av = self.build(a, w)?;
                         let bv = self.build(b, w)?;
@@ -996,10 +682,10 @@ impl Synthesizer {
                         p(self, r, width)
                     }
                     B::Shl | B::Sshl | B::Shr | B::Sshr => {
-                        let aw = self.self_width(a)?;
+                        let aw = self.width(a)?;
                         let w = width.max(aw);
                         let av = self.build(a, w)?;
-                        let bw = self.self_width(b)?;
+                        let bw = self.width(b)?;
                         let bv = self.build(b, bw)?;
                         let r = match op {
                             B::Shl | B::Sshl => self.ts.pool_mut().shl(av, bv),
@@ -1010,7 +696,7 @@ impl Synthesizer {
                         p(self, r, width)
                     }
                     B::Eq | B::Ne | B::Lt | B::Le | B::Gt | B::Ge => {
-                        let w = self.self_width(a)?.max(self.self_width(b)?);
+                        let w = self.width(a)?.max(self.width(b)?);
                         let av = self.build(a, w)?;
                         let bv = self.build(b, w)?;
                         let r = match op {
@@ -1043,102 +729,74 @@ impl Synthesizer {
                 self.ts.pool_mut().ite(cv, av, bv)
             }
             Expr::Concat(parts) => {
-                let mut acc: Option<ExprId> = None;
-                let mut total = 0;
-                for part in parts {
-                    let w = self.self_width(part)?;
-                    total = concat_width(total, w)?;
-                    let pv = self.build(part, w)?;
-                    acc = Some(match acc {
-                        None => pv,
-                        Some(a) => self.ts.pool_mut().concat(a, pv),
-                    });
-                }
-                let e = acc.ok_or_else(|| Self::err("empty concatenation"))?;
-                p(self, e, width)
+                self.width(e)?;
+                let acc = self.build_concat(parts)?;
+                p(self, acc, width)
             }
-            Expr::Repl(n, parts) => {
-                let count = const_eval(n, &HashMap::new()).map_err(Self::err)?;
-                if count == 0 {
-                    return Err(Self::err("zero replication"));
-                }
-                let mut one: Option<ExprId> = None;
-                let mut unit_width = 0;
-                for part in parts {
-                    let w = self.self_width(part)?;
-                    unit_width = concat_width(unit_width, w)?;
-                    let pv = self.build(part, w)?;
-                    one = Some(match one {
-                        None => pv,
-                        Some(a) => self.ts.pool_mut().concat(a, pv),
-                    });
-                }
-                let unit = one.ok_or_else(|| Self::err("empty replication"))?;
-                replication_width(count, unit_width)?;
+            Expr::Repl(_, parts) => {
+                let total = self.width(e)?;
+                let unit = self.build_concat(parts)?;
                 let mut acc = unit;
-                for _ in 1..count {
+                for _ in 1..total / self.ts.pool().width(unit) {
                     acc = self.ts.pool_mut().concat(acc, unit);
                 }
                 p(self, acc, width)
             }
             Expr::Index(n, idx) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                    .clone();
-                let base = *self
-                    .sig_expr
-                    .get(n)
-                    .ok_or_else(|| Self::err(format!("'{n}' used before definition")))?;
+                let sig = self.sig(n)?.clone();
+                let base = self.read_sig(n)?;
                 if let Some((_, addr_w)) = sig.memory {
                     let iv = self.build(idx, addr_w)?;
                     let r = self.ts.pool_mut().read(base, iv);
                     p(self, r, width)
                 } else {
                     // Dynamic bit select: (sig >> (idx - lsb)) & 1.
-                    let iw = self
-                        .self_width(idx)?
-                        .max(ceil_log2(sig.width as u64).max(1));
-                    let mut iv = self.build(idx, iw)?;
-                    if sig.lsb != 0 {
-                        let off = self.ts.pool_mut().constv(iw, sig.lsb as u64);
-                        iv = self.ts.pool_mut().sub(iv, off);
-                    }
+                    let iv = self.bit_offset(&sig, idx)?;
                     let shifted = self.ts.pool_mut().lshr(base, iv);
                     let bit = self.ts.pool_mut().extract(shifted, 0, 0);
                     p(self, bit, width)
                 }
             }
             Expr::Part(n, hi, lo) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                    .clone();
-                if sig.memory.is_some() {
-                    return Err(Self::err(format!("part-select on memory '{n}'")));
-                }
-                let base = *self
-                    .sig_expr
-                    .get(n)
-                    .ok_or_else(|| Self::err(format!("'{n}' used before definition")))?;
-                let h = const_eval(hi, &HashMap::new()).map_err(Self::err)? as u32;
-                let l = const_eval(lo, &HashMap::new()).map_err(Self::err)? as u32;
-                if l < sig.lsb || h >= sig.lsb + sig.width || l > h {
-                    return Err(Self::err(format!(
-                        "part select [{h}:{l}] out of range for '{n}'"
-                    )));
-                }
-                let r = self.ts.pool_mut().extract(base, h - sig.lsb, l - sig.lsb);
+                let (h, l) = part_bounds(n, hi, lo, &|x| self.flat.sig(x))?;
+                let base = self.read_sig(n)?;
+                let r = self.ts.pool_mut().extract(base, h, l);
                 p(self, r, width)
             }
         })
     }
 
+    /// Builds the parts of a concatenation at their own widths, the
+    /// first part in the most significant bits.
+    fn build_concat(&mut self, parts: &[Expr]) -> Result<ExprId, VerilogError> {
+        let mut acc: Option<ExprId> = None;
+        for part in parts {
+            let w = self.width(part)?;
+            let pv = self.build(part, w)?;
+            acc = Some(match acc {
+                None => pv,
+                Some(a) => self.ts.pool_mut().concat(a, pv),
+            });
+        }
+        acc.ok_or_else(|| Self::err("empty concatenation"))
+    }
+
+    /// Builds the bit offset `idx - lsb` of a dynamic bit-select of
+    /// `sig`, at [`bit_index_width`].
+    fn bit_offset(&mut self, sig: &ESignal, idx: &Expr) -> Result<ExprId, VerilogError> {
+        let iw = bit_index_width(&sig.name, idx, &|n| self.flat.sig(n))?;
+        let iv = self.build(idx, iw)?;
+        Ok(if sig.lsb != 0 {
+            let off = self.ts.pool_mut().constv(iw, u64::from(sig.lsb));
+            self.ts.pool_mut().sub(iv, off)
+        } else {
+            iv
+        })
+    }
+
     /// Builds `e` as a 1-bit truth value (`|e|` for wide expressions).
     fn build_bool(&mut self, e: &Expr) -> Result<ExprId, VerilogError> {
-        let w = self.self_width(e)?;
+        let w = self.width(e)?;
         let v = self.build(e, w)?;
         Ok(if w == 1 {
             v
@@ -1151,238 +809,144 @@ impl Synthesizer {
     // Symbolic execution of processes
     // ------------------------------------------------------------------
 
-    /// Installs a continuous assignment into `sig_expr`.
-    fn install_assign(&mut self, lv: &LValue, rhs: &Expr) -> Result<(), VerilogError> {
-        match lv {
-            LValue::Ident(n) => {
-                let w = self.signal_width(n)?;
-                let e = self.build(rhs, w)?;
-                self.sig_expr.insert(n.clone(), e);
-                Ok(())
-            }
-            LValue::Concat(parts) => {
-                // Left-to-right parts take MSB-first slices of the rhs.
-                let mut widths = Vec::new();
-                for p in parts {
-                    match p {
-                        LValue::Ident(n) => widths.push(self.signal_width(n)?),
-                        _ => {
-                            return Err(Self::err("nested selects in concatenated assign targets"))
-                        }
-                    }
-                }
-                let total: u32 = widths.iter().sum();
-                let rhs_e = self.build(rhs, total)?;
-                let mut hi = total;
-                for (p, w) in parts.iter().zip(&widths) {
-                    let lo = hi - w;
-                    let slice = self.ts.pool_mut().extract(rhs_e, hi - 1, lo);
-                    if let LValue::Ident(n) = p {
-                        self.sig_expr.insert(n.clone(), slice);
-                    }
-                    hi = lo;
-                }
-                Ok(())
-            }
-            _ => Err(Self::err(
-                "continuous assignment to bit/part selects is not supported",
-            )),
-        }
-    }
-
-    /// Reads a signal inside a process, honoring the local environment.
-    fn read_sig(
-        &mut self,
-        env: &HashMap<String, ExprId>,
-        name: &str,
-    ) -> Result<ExprId, VerilogError> {
-        if let Some(&e) = env.get(name) {
-            return Ok(e);
-        }
+    /// The current value of a signal, as expressions read it.
+    fn read_sig(&self, name: &str) -> Result<ExprId, VerilogError> {
         self.sig_expr
             .get(name)
             .copied()
             .ok_or_else(|| Self::err(format!("'{name}' used before definition")))
     }
 
-    /// Builds an expression inside a process: identifiers first resolve
-    /// through the blocking environment.
-    fn build_in_env(
+    /// Runs `f` with the values of the process environment `env`
+    /// shadowing the signals' current values.
+    fn in_env<T>(
         &mut self,
-        env: &HashMap<String, ExprId>,
-        e: &Expr,
-        width: u32,
-    ) -> Result<ExprId, VerilogError> {
-        // Substitute env values by temporarily overriding sig_expr.
-        let mut saved: Vec<(String, Option<ExprId>)> = Vec::new();
-        for (k, &v) in env {
-            saved.push((k.clone(), self.sig_expr.get(k).copied()));
-            self.sig_expr.insert(k.clone(), v);
-        }
-        let result = self.build(e, width);
+        env: &Env,
+        f: impl FnOnce(&mut Self) -> Result<T, VerilogError>,
+    ) -> Result<T, VerilogError> {
+        let saved: Vec<(String, Option<ExprId>)> = env
+            .iter()
+            .map(|(k, &v)| (k.clone(), self.sig_expr.insert(k.clone(), v)))
+            .collect();
+        let result = f(self);
         for (k, old) in saved {
             match old {
-                Some(o) => {
-                    self.sig_expr.insert(k, o);
-                }
-                None => {
-                    self.sig_expr.remove(&k);
-                }
-            }
+                Some(o) => self.sig_expr.insert(k, o),
+                None => self.sig_expr.remove(&k),
+            };
         }
         result
     }
 
-    fn build_bool_in_env(
-        &mut self,
-        env: &HashMap<String, ExprId>,
-        e: &Expr,
-    ) -> Result<ExprId, VerilogError> {
-        let w = self.self_width(e)?;
-        let v = self.build_in_env(env, e, w)?;
-        Ok(if w == 1 {
-            v
-        } else {
-            self.ts.pool_mut().redor(v)
-        })
-    }
-
-    /// Applies an assignment to a process environment (read-modify-write
-    /// for selects, functional update for memories).
+    /// Applies `lv = rhs` to `env`, reading the right-hand side and any
+    /// index through `reads` (the blocking environment). A bit, part or
+    /// row write modifies the target's value in `env`, else its value
+    /// in `reads` or its current value; without `allow_current` (in a
+    /// combinational process) a bit or part write to a signal `env`
+    /// does not hold yet is a latch.
     fn assign_in_env(
         &mut self,
-        env: &mut HashMap<String, ExprId>,
+        env: &mut Env,
+        reads: &Env,
         lv: &LValue,
         rhs: &Expr,
-        fallback_current: bool,
+        allow_current: bool,
+    ) -> Result<(), VerilogError> {
+        self.in_env(reads, |s| s.assign(env, lv, rhs, allow_current))
+    }
+
+    fn assign(
+        &mut self,
+        env: &mut Env,
+        lv: &LValue,
+        rhs: &Expr,
+        allow_current: bool,
     ) -> Result<(), VerilogError> {
         match lv {
             LValue::Ident(n) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                    .clone();
+                let sig = self.sig(n)?;
                 if sig.memory.is_some() {
                     return Err(Self::err(format!(
                         "whole-memory assignment to '{n}' is not supported"
                     )));
                 }
-                let e = self.build_in_env(env, rhs, sig.width)?;
+                let e = self.build(rhs, sig.width)?;
                 env.insert(n.clone(), e);
-                Ok(())
             }
             LValue::Index(n, idx) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                    .clone();
-                if let Some((_, addr_w)) = sig.memory {
-                    let cur = match env.get(n) {
-                        Some(&e) => e,
-                        None => self.read_sig(&HashMap::new(), n)?,
-                    };
-                    let iv = self.build_in_env(env, idx, addr_w)?;
-                    let val = self.build_in_env(env, rhs, sig.width)?;
-                    let w = self.ts.pool_mut().write(cur, iv, val);
-                    env.insert(n.clone(), w);
+                let sig = self.sig(n)?.clone();
+                let merged = if let Some((_, addr_w)) = sig.memory {
+                    let cur = self.current(env, n, true, "row")?;
+                    let iv = self.build(idx, addr_w)?;
+                    let val = self.build(rhs, sig.width)?;
+                    self.ts.pool_mut().write(cur, iv, val)
                 } else {
                     // Bit read-modify-write.
-                    let cur = match env.get(n) {
-                        Some(&e) => e,
-                        None => {
-                            if fallback_current {
-                                self.read_sig(&HashMap::new(), n)?
-                            } else {
-                                return Err(Self::err(format!(
-                                    "bit assignment to '{n}' before full assignment \
-                                     in combinational process (latch)"
-                                )));
-                            }
-                        }
-                    };
-                    let iw = self
-                        .self_width(idx)?
-                        .max(ceil_log2(sig.width as u64).max(1));
-                    let mut iv = self.build_in_env(env, idx, iw)?;
-                    if sig.lsb != 0 {
-                        let off = self.ts.pool_mut().constv(iw, sig.lsb as u64);
-                        iv = self.ts.pool_mut().sub(iv, off);
-                    }
-                    let bitv = self.build_in_env(env, rhs, 1)?;
-                    let one = self.ts.pool_mut().constv(sig.width, 1);
-                    let mask = self.ts.pool_mut().shl(one, iv);
-                    let nmask = self.ts.pool_mut().not(mask);
-                    let cleared = self.ts.pool_mut().and(cur, nmask);
-                    let bit_wide = self.ts.pool_mut().zext(bitv, sig.width);
-                    let shifted = self.ts.pool_mut().shl(bit_wide, iv);
-                    let merged = self.ts.pool_mut().or(cleared, shifted);
-                    env.insert(n.clone(), merged);
-                }
-                Ok(())
+                    let cur = self.current(env, n, allow_current, "bit")?;
+                    let iv = self.bit_offset(&sig, idx)?;
+                    let bitv = self.build(rhs, 1)?;
+                    let pool = self.ts.pool_mut();
+                    let one = pool.constv(sig.width, 1);
+                    let mask = pool.shl(one, iv);
+                    let nmask = pool.not(mask);
+                    let cleared = pool.and(cur, nmask);
+                    let bit_wide = pool.zext(bitv, sig.width);
+                    let shifted = pool.shl(bit_wide, iv);
+                    pool.or(cleared, shifted)
+                };
+                env.insert(n.clone(), merged);
             }
             LValue::Part(n, hi, lo) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                    .clone();
-                let h = const_eval(hi, &HashMap::new()).map_err(Self::err)? as u32 - sig.lsb;
-                let l = const_eval(lo, &HashMap::new()).map_err(Self::err)? as u32 - sig.lsb;
-                if h >= sig.width || l > h {
-                    return Err(Self::err(format!("part select out of range on '{n}'")));
-                }
-                let cur = match env.get(n) {
-                    Some(&e) => e,
-                    None => {
-                        if fallback_current {
-                            self.read_sig(&HashMap::new(), n)?
-                        } else {
-                            return Err(Self::err(format!(
-                                "part assignment to '{n}' before full assignment \
-                                 in combinational process (latch)"
-                            )));
-                        }
-                    }
-                };
-                let val = self.build_in_env(env, rhs, h - l + 1)?;
+                let (h, l) = part_bounds(n, hi, lo, &|x| self.flat.sig(x))?;
+                let width = self.sig(n)?.width;
+                let cur = self.current(env, n, allow_current, "part")?;
+                let val = self.build(rhs, h - l + 1)?;
                 // Splice: [ high | val | low ].
+                let pool = self.ts.pool_mut();
                 let mut merged = val;
                 if l > 0 {
-                    let low = self.ts.pool_mut().extract(cur, l - 1, 0);
-                    merged = self.ts.pool_mut().concat(merged, low);
+                    let low = pool.extract(cur, l - 1, 0);
+                    merged = pool.concat(merged, low);
                 }
-                if h + 1 < sig.width {
-                    let high = self.ts.pool_mut().extract(cur, sig.width - 1, h + 1);
-                    merged = self.ts.pool_mut().concat(high, merged);
+                if h + 1 < width {
+                    let high = pool.extract(cur, width - 1, h + 1);
+                    merged = pool.concat(high, merged);
                 }
                 env.insert(n.clone(), merged);
-                Ok(())
             }
             LValue::Concat(parts) => {
-                let mut widths = Vec::new();
-                for p in parts {
-                    let LValue::Ident(n) = p else {
-                        return Err(Self::err(
-                            "nested selects in concatenated assignment targets",
-                        ));
-                    };
-                    widths.push(self.signal_width(n)?);
-                }
-                let total: u32 = widths.iter().sum();
-                let rhs_e = self.build_in_env(env, rhs, total)?;
+                // Left-to-right parts take MSB-first slices of the rhs.
+                let slices = target_widths(parts, &|x| self.flat.sig(x))?;
+                let total = slices.iter().map(|&(_, w)| w).sum();
+                let rhs_e = self.build(rhs, total)?;
                 let mut hi = total;
-                for (p, w) in parts.iter().zip(&widths) {
+                for (n, w) in slices {
                     let lo = hi - w;
                     let slice = self.ts.pool_mut().extract(rhs_e, hi - 1, lo);
-                    if let LValue::Ident(n) = p {
-                        env.insert(n.clone(), slice);
-                    }
+                    env.insert(n.to_string(), slice);
                     hi = lo;
                 }
-                Ok(())
             }
+        }
+        Ok(())
+    }
+
+    /// The value a `what` write to `name` modifies: its value in `env`,
+    /// else (where `allow_current`) the value expressions read.
+    fn current(
+        &self,
+        env: &Env,
+        name: &str,
+        allow_current: bool,
+        what: &str,
+    ) -> Result<ExprId, VerilogError> {
+        match env.get(name) {
+            Some(&e) => Ok(e),
+            None if allow_current => self.read_sig(name),
+            None => Err(Self::err(format!(
+                "{what} assignment to '{name}' before full assignment \
+                 in combinational process (latch)"
+            ))),
         }
     }
 
@@ -1392,11 +956,11 @@ impl Synthesizer {
     fn merge_envs(
         &mut self,
         cond: ExprId,
-        then_env: HashMap<String, ExprId>,
-        else_env: HashMap<String, ExprId>,
-        base: &HashMap<String, ExprId>,
+        then_env: Env,
+        else_env: Env,
+        base: &Env,
         allow_current: bool,
-    ) -> Result<HashMap<String, ExprId>, VerilogError> {
+    ) -> Result<Env, VerilogError> {
         let mut keys: HashSet<String> = then_env.keys().cloned().collect();
         keys.extend(else_env.keys().cloned());
         let mut out = base.clone();
@@ -1406,7 +970,7 @@ impl Synthesizer {
                     return Ok(b);
                 }
                 if allow_current {
-                    s.read_sig(&HashMap::new(), &k)
+                    s.read_sig(&k)
                 } else {
                     Err(Self::err(format!(
                         "signal '{k}' is not assigned on all paths of a combinational \
@@ -1431,8 +995,8 @@ impl Synthesizer {
     fn exec_stmt(
         &mut self,
         s: &Stmt,
-        env: &mut HashMap<String, ExprId>,
-        nb: Option<&mut HashMap<String, ExprId>>,
+        env: &mut Env,
+        nb: Option<&mut Env>,
         allow_current: bool,
     ) -> Result<(), VerilogError> {
         match s {
@@ -1444,27 +1008,21 @@ impl Synthesizer {
                 }
                 Ok(())
             }
-            Stmt::Blocking(lv, rhs) => self.assign_in_env(env, lv, rhs, allow_current),
+            Stmt::Blocking(lv, rhs) => {
+                let reads = env.clone();
+                self.assign_in_env(env, &reads, lv, rhs, allow_current)
+            }
+            // Non-blocking: the right-hand side reads the blocking
+            // environment, and a select or row write starts from the
+            // target's latest non-blocking value.
             Stmt::NonBlocking(lv, rhs) => match nb {
-                Some(nbe) => {
-                    // Non-blocking reads see pre-process values (env for
-                    // blocking locals still applies per Verilog
-                    // scheduling of blocking-then-nonblocking reads).
-                    let mut tmp = nbe.clone();
-                    // Reads inside the rhs use the blocking env.
-                    let rhs_env = env.clone();
-                    // Memory / select updates start from the
-                    // latest non-blocking value of the target.
-                    self.assign_with_read_env(&mut tmp, &rhs_env, lv, rhs)?;
-                    *nbe = tmp;
-                    Ok(())
-                }
+                Some(nbe) => self.assign_in_env(nbe, env, lv, rhs, true),
                 None => Err(Self::err(
                     "non-blocking assignment in combinational process",
                 )),
             },
             Stmt::If(c, t, e) => {
-                let cv = self.build_bool_in_env(env, c)?;
+                let cv = self.in_env(env, |s| s.build_bool(c))?;
                 let mut env_t = env.clone();
                 let mut env_e = env.clone();
                 match nb {
@@ -1488,195 +1046,19 @@ impl Synthesizer {
                 }
                 Ok(())
             }
-            Stmt::Case {
-                expr,
-                arms,
-                default,
-                wildcard: _,
-            } => {
-                // Desugar into an if-else chain with priority order.
-                let chain = Self::case_to_if(expr, arms, default);
-                self.exec_stmt(&chain, env, nb, allow_current)
-            }
+            Stmt::Case { .. } => self.exec_stmt(&s.case_to_if(), env, nb, allow_current),
         }
     }
 
-    fn case_to_if(expr: &Expr, arms: &[(Vec<Expr>, Stmt)], default: &Option<Box<Stmt>>) -> Stmt {
-        let mut chain: Stmt = match default {
-            Some(d) => (**d).clone(),
-            None => Stmt::Nop,
-        };
-        for (labels, body) in arms.iter().rev() {
-            let mut cond: Option<Expr> = None;
-            for l in labels {
-                let eq = Expr::Binary(BinaryOp::Eq, Box::new(expr.clone()), Box::new(l.clone()));
-                cond = Some(match cond {
-                    None => eq,
-                    Some(c) => Expr::Binary(BinaryOp::LogicOr, Box::new(c), Box::new(eq)),
-                });
-            }
-            let cond = cond.unwrap_or(Expr::num(0));
-            chain = Stmt::If(cond, Box::new(body.clone()), Some(Box::new(chain)));
-        }
-        chain
-    }
-
-    /// Non-blocking assignment: the written value reads through
-    /// `read_env` (the blocking env), but read-modify-write of the
-    /// target itself chains through the non-blocking env `nbe`.
-    fn assign_with_read_env(
-        &mut self,
-        nbe: &mut HashMap<String, ExprId>,
-        read_env: &HashMap<String, ExprId>,
-        lv: &LValue,
-        rhs: &Expr,
-    ) -> Result<(), VerilogError> {
-        match lv {
-            LValue::Ident(n) => {
-                let w = self.signal_width(n)?;
-                let e = self.build_in_env(read_env, rhs, w)?;
-                nbe.insert(n.clone(), e);
-                Ok(())
-            }
-            LValue::Index(n, idx) => {
-                let sig = self
-                    .flat
-                    .sig(n)
-                    .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                    .clone();
-                if let Some((_, addr_w)) = sig.memory {
-                    let cur = match nbe.get(n) {
-                        Some(&e) => e,
-                        None => self.read_sig(&HashMap::new(), n)?,
-                    };
-                    let iv = self.build_in_env(read_env, idx, addr_w)?;
-                    let val = self.build_in_env(read_env, rhs, sig.width)?;
-                    let w = self.ts.pool_mut().write(cur, iv, val);
-                    nbe.insert(n.clone(), w);
-                    Ok(())
-                } else {
-                    let mut env2 = nbe.clone();
-                    // For scalar bit writes reuse the blocking machinery
-                    // with the non-blocking env as the base.
-                    for (k, v) in read_env {
-                        env2.entry(k.clone()).or_insert(*v);
-                    }
-                    self.assign_in_env(&mut env2, lv, rhs, true)?;
-                    if let Some(&v) = env2.get(n) {
-                        nbe.insert(n.clone(), v);
-                    }
-                    Ok(())
-                }
-            }
-            LValue::Part(n, _, _) => {
-                let mut env2 = nbe.clone();
-                for (k, v) in read_env {
-                    env2.entry(k.clone()).or_insert(*v);
-                }
-                self.assign_in_env(&mut env2, lv, rhs, true)?;
-                if let Some(&v) = env2.get(n) {
-                    nbe.insert(n.clone(), v);
-                }
-                Ok(())
-            }
-            LValue::Concat(_) => {
-                let mut env2 = nbe.clone();
-                for (k, v) in read_env {
-                    env2.entry(k.clone()).or_insert(*v);
-                }
-                let mut targets = Vec::new();
-                lvalue_targets(lv, &mut targets);
-                self.assign_in_env(&mut env2, lv, rhs, true)?;
-                for t in targets {
-                    if let Some(&v) = env2.get(&t) {
-                        nbe.insert(t, v);
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn exec_comb(&mut self, body: &Stmt) -> Result<HashMap<String, ExprId>, VerilogError> {
-        let mut env = HashMap::new();
-        self.exec_stmt(body, &mut env, None, false)?;
-        Ok(env)
-    }
-
-    fn exec_clocked(&mut self, body: &Stmt) -> Result<HashMap<String, ExprId>, VerilogError> {
-        let mut env = HashMap::new();
-        let mut nb = HashMap::new();
+    fn exec_clocked(&mut self, body: &Stmt) -> Result<Env, VerilogError> {
+        let mut env = Env::new();
+        let mut nb = Env::new();
         self.exec_stmt(body, &mut env, Some(&mut nb), true)?;
         // Blocking-assigned registers in clocked processes are state
         // updates too; non-blocking wins on conflicts (matches
         // scheduling order within one process).
-        let mut out = env;
-        for (k, v) in nb {
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // Initial blocks (concrete interpretation)
-    // ------------------------------------------------------------------
-
-    fn exec_initial(
-        &mut self,
-        s: &Stmt,
-        scalars: &mut HashMap<String, u64>,
-        mems: &mut HashMap<String, HashMap<u64, u64>>,
-    ) -> Result<(), VerilogError> {
-        match s {
-            Stmt::Nop => Ok(()),
-            Stmt::Block(b) => {
-                for st in b {
-                    self.exec_initial(st, scalars, mems)?;
-                }
-                Ok(())
-            }
-            Stmt::If(c, t, e) => {
-                let cv = Self::const_with(c, scalars)?;
-                if cv != 0 {
-                    self.exec_initial(t, scalars, mems)
-                } else if let Some(e) = e {
-                    self.exec_initial(e, scalars, mems)
-                } else {
-                    Ok(())
-                }
-            }
-            Stmt::Blocking(lv, rhs) | Stmt::NonBlocking(lv, rhs) => {
-                let v = Self::const_with(rhs, scalars)?;
-                match lv {
-                    LValue::Ident(n) => {
-                        let w = self.signal_width(n)?;
-                        scalars.insert(n.clone(), v & rtlir::value::mask(w));
-                        Ok(())
-                    }
-                    LValue::Index(n, idx) => {
-                        let sig = self
-                            .flat
-                            .sig(n)
-                            .ok_or_else(|| Self::err(format!("unknown signal '{n}'")))?
-                            .clone();
-                        if sig.memory.is_none() {
-                            return Err(Self::err("bit-level initialization is not supported"));
-                        }
-                        let i = Self::const_with(idx, scalars)?;
-                        mems.entry(n.clone())
-                            .or_default()
-                            .insert(i, v & rtlir::value::mask(sig.width));
-                        Ok(())
-                    }
-                    _ => Err(Self::err("unsupported initial assignment target")),
-                }
-            }
-            Stmt::Case { .. } => Err(Self::err("case statements in initial blocks")),
-        }
-    }
-
-    fn const_with(e: &Expr, env: &HashMap<String, u64>) -> Result<u64, VerilogError> {
-        const_eval(e, env).map_err(Self::err)
+        env.extend(nb);
+        Ok(env)
     }
 }
 

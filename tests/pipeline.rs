@@ -149,13 +149,25 @@ fn seahorn_false_negative_reproduced() {
     assert_eq!(kiki.outcome, Verdict::Safe, "2LS kIkI proves TicTacToe");
 }
 
-/// All twelve benchmarks make it through the v2c C emitter and back.
+/// All twelve benchmarks make it through the v2c C emitter and back,
+/// and, where a C compiler is installed, both harness styles compile
+/// without a warning.
 #[test]
 fn all_benchmarks_roundtrip_through_c() {
+    use hwsw::v2c::MainStyle;
+    let dir = std::env::temp_dir().join(format!("v2c_warnings_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let cc = std::process::Command::new("cc")
+        .arg("--version")
+        .output()
+        .is_ok_and(|o| o.status.success());
+    if !cc {
+        eprintln!("no C compiler: the emitted C is only parsed back");
+    }
     for b in hwsw::bmarks::all() {
         let mods = hwsw::vfront::parse(b.source).expect("parses");
         let design = hwsw::vfront::elaborate(&mods, b.top).expect("elaborates");
-        let c_text = hwsw::v2c::emit_c(&design, hwsw::v2c::MainStyle::Verifier).expect("emits");
+        let c_text = hwsw::v2c::emit_c(&design, MainStyle::Verifier).expect("emits");
         let prog = hwsw::cfront::parse_software_netlist(&c_text)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let direct = b.compile().expect("compiles");
@@ -165,5 +177,57 @@ fn all_benchmarks_roundtrip_through_c() {
             "{}: property count differs",
             b.name
         );
+        for style in [MainStyle::Verifier, MainStyle::Cosim]
+            .into_iter()
+            .filter(|_| cc)
+        {
+            let c_path = dir.join(format!("{}_{style:?}.c", b.top));
+            std::fs::write(&c_path, hwsw::v2c::emit_c(&design, style).expect("emits"))
+                .expect("write C");
+            let out = std::process::Command::new("cc")
+                .args(["-std=c99", "-Wall", "-Wextra", "-Werror", "-c", "-o"])
+                .arg(c_path.with_extension("o"))
+                .arg(&c_path)
+                .output()
+                .expect("run cc");
+            assert!(
+                out.status.success(),
+                "{} ({style:?}): {}",
+                b.name,
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `case` label wider than the scrutinee never matches it: Verilog
+/// compares both at the wider width. BMC on the C round trip must agree
+/// with BMC on the synthesized model that the assertion holds.
+#[test]
+fn wide_case_label_translates_like_the_verilog() {
+    use hwsw::engines::Unknown;
+    let src = r#"
+    module top(input clk, input [1:0] s);
+      reg hit;
+      initial hit = 0;
+      always @(posedge clk)
+        case (s)
+          3'b100: hit <= 1;
+        endcase
+      assert property (!hit);
+    endmodule
+    "#;
+    let ts = hwsw::vfront::compile(src, "top").expect("compiles");
+    let mods = hwsw::vfront::parse(src).expect("parses");
+    let design = hwsw::vfront::elaborate(&mods, "top").expect("elaborates");
+    let c_text = hwsw::v2c::emit_c(&design, hwsw::v2c::MainStyle::Verifier).expect("emits");
+    let prog = hwsw::cfront::parse_software_netlist(&c_text).expect("parses back");
+    let bmc = hwsw::engines::bmc::Bmc::new(Budget {
+        max_depth: 8,
+        ..budget(30)
+    });
+    let bound = Verdict::Unknown(Unknown::BoundReached);
+    assert_eq!(bmc.check(&ts).outcome, bound, "Verilog model");
+    assert_eq!(bmc.check(&prog.ts).outcome, bound, "C model:\n{c_text}");
 }
