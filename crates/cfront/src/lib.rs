@@ -7,9 +7,10 @@
 //! `main` loop — function inlining, struct flattening, loop unrolling
 //! and all.
 //!
-//! Together with the direct path (`v2c::software_netlist`) this closes
-//! the translation loop; the test-suite checks that the *parsed* and
-//! the *direct* software-netlists are simulation-equivalent.
+//! Together with the direct path (`vfront::compile`) this closes the
+//! translation loop; the test-suite checks that the *parsed*
+//! software-netlist and the *direct* transition system are
+//! simulation-equivalent.
 //!
 //! # Example
 //!

@@ -128,7 +128,13 @@
 //! stored one, or a push supersedes it, its blocking clause is retired
 //! together with the learned clauses its frame guard taints
 //! ([`satb::Solver::remove_clause_activated`]), so each query
-//! propagates through one clause per live cube (see the [`pdr`]
+//! propagates through one clause per live cube. Most of those queries
+//! find a predecessor, and many find one an earlier query found. A
+//! predecessor whose state still lies in the query's frame, outside
+//! the queried cube, and whose next state lies inside it answers the
+//! query without a solver call. Each predecessor is kept with its live
+//! cube, or for one shrink call, so memory stays bounded (see
+//! [standing predecessors](pdr#standing-predecessors) in the [`pdr`]
 //! module docs).
 //!
 //! # Example

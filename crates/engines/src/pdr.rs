@@ -76,6 +76,52 @@
 //! reconstructed by *re-simulating* the netlist from the initial
 //! predecessor through each obligation's recorded inputs, which the
 //! ternary guarantee makes valid for every state in each cube.
+//!
+//! # Standing predecessors
+//!
+//! Most relative-induction queries are satisfiable: a push that fails,
+//! a literal drop that fails, a counterexample to generalization (ctg)
+//! that cannot be blocked. Many of them ask again a question an earlier
+//! predecessor still answers. A predecessor `(s, x)` found with a model
+//! whose next state is `t` is **standing** at level `L` while no cube
+//! stored at a level `≥ L−1` contains `s`. It answers the query
+//! `F_{L−1} ∧ ¬c ∧ T ∧ c′` of any cube `c` that contains `t` and not
+//! `s`, the cube it was found for included, while it stands there. No
+//! solver is called then ([`EngineStats::preds_reused`] counts these
+//! answers).
+//!
+//! The answer is exact. Frames only gain cubes, and a pruned cube gives
+//! way to one that blocks a superset of its states at a level at least
+//! as high, so `F_{L−1}` only shrinks as a set of states; the
+//! invariant and the transition relation do not change. A standing `s`
+//! lies in `F_{L−1}`, and with `x`, `t` and the rest of its model it
+//! satisfies `T`. With `s ∉ c` and `t ∈ c` the model satisfies the
+//! query, as an answer the solver could have returned. Only the solver
+//! call is skipped, with the learned clauses and activity it would have
+//! left. Debug builds re-check every reuse by one two-valued step of
+//! the netlist.
+//!
+//! Each predecessor lives only as long as a structure the engine keeps
+//! anyway, so memory stays bounded:
+//!
+//! * **Propagation.** Each stored cube keeps the predecessor that last
+//!   refused its push from level `i` to `i + 1` during propagation: at
+//!   most one per live cube. Before a push is queried, the cube's own
+//!   predecessor and then those of the other cubes at its level are
+//!   tried. The predecessor leaves with its cube, when the cube is
+//!   pruned or a push prunes the copy it left behind.
+//! * **Shrinking.** Within one call of the cube shrinker, each
+//!   predecessor a query finds is kept with the query's level and tried
+//!   on every later query at that level: a drop attempt that fails for
+//!   the same reason in a later round, and the ctg check that follows
+//!   it. The memory is emptied when the call returns.
+//!
+//! Wider scopes were measured on the FIFO and BufAl controllers and
+//! left out. Also keeping the predecessor of a push that fails right
+//! after a block answered more queries, yet made more solver calls and
+//! ran slower. One memory for every query class, cleared when a frame
+//! opens, or one never cleared, saved more calls but let memory grow
+//! with the run.
 
 use crate::certify::{clause_on, LatchClause};
 use crate::result::{
@@ -96,8 +142,23 @@ type Cube = Vec<(usize, bool)>;
 /// attempt in [`PdrRun::shrink`] (rIC3 ctg-down, depth 1).
 const MAX_CTGS: usize = 3;
 
-/// A SAT predecessor: (latch state, input vector) driving into a cube.
-type Predecessor = (Vec<bool>, Vec<bool>);
+/// A SAT predecessor: a latch state and an input vector that drive into
+/// a cube, with the next state of the model that found them.
+#[derive(Clone, Debug)]
+struct Predecessor {
+    state: Vec<bool>,
+    inputs: Vec<bool>,
+    next: Vec<bool>,
+}
+
+/// A cube stored in a frame, with the predecessor that last refused its
+/// push one frame up in propagation (see [standing
+/// predecessors](self#standing-predecessors)).
+#[derive(Debug)]
+struct Lemma {
+    cube: Cube,
+    push_pred: Option<Predecessor>,
+}
 
 /// SplitMix64 finalizer: a cheap, stateless per-latch hash that breaks
 /// activity ties in the shrink order.
@@ -228,7 +289,10 @@ struct PdrRun<'s> {
     /// Delta-encoded frames: `frames[i]` holds cubes whose blocking
     /// clause is valid in frames `1..=i` (index 0 unused). Cubes are
     /// kept sorted and mutually non-subsumed.
-    frames: Vec<Vec<Cube>>,
+    frames: Vec<Vec<Lemma>>,
+    /// The predecessors found by the current [`shrink`](Self::shrink)
+    /// call, with the level of their query; empty between calls.
+    shrink_preds: Vec<(usize, Predecessor)>,
     /// Ternary evaluator over the latch cone, shared by all trials.
     sim: TernarySim,
     /// Scratch three-valued state for generalization trials.
@@ -293,6 +357,7 @@ impl<'s> PdrRun<'s> {
             bad_lit: vars.any_bad,
             acts: Vec::new(),
             frames: vec![Vec::new()],
+            shrink_preds: Vec::new(),
             sim: TernarySim::new(sys),
             state_t: vec![Tern::X; sys.latches.len()],
             assumptions: Vec::new(),
@@ -380,7 +445,8 @@ impl<'s> PdrRun<'s> {
     /// are sorted over distinct latches by construction). Every stored
     /// cube the new one subsumes at a level it covers is pruned, and
     /// its solver clause retired with the learned clauses its frame
-    /// guard taints, so the solver holds one clause per live cube.
+    /// guard taints, so the solver holds one clause per live cube, and
+    /// each pruned cube's push predecessor leaves with it.
     fn add_blocked(&mut self, cube: Cube, level: usize) {
         while self.frames.len() <= level {
             self.frames.push(Vec::new());
@@ -392,12 +458,15 @@ impl<'s> PdrRun<'s> {
         for j in 1..=level {
             // A refused retirement keeps a clause the new one implies:
             // sound, merely slower.
-            for d in self.frames[j].extract_if(.., |d| subsumes(&cube, d)) {
-                let clause = blocking_clause(&self.latch_lits, &d);
+            for d in self.frames[j].extract_if(.., |d| subsumes(&cube, &d.cube)) {
+                let clause = blocking_clause(&self.latch_lits, &d.cube);
                 self.solver.remove_clause_activated(self.acts[j], &clause);
             }
         }
-        self.frames[level].push(cube);
+        self.frames[level].push(Lemma {
+            cube,
+            push_pred: None,
+        });
     }
 
     /// Bumps the shrink-ordering activity of every latch in a freshly
@@ -423,7 +492,45 @@ impl<'s> PdrRun<'s> {
         self.frames
             .iter()
             .skip(level)
-            .any(|cubes| cubes.iter().any(|d| subsumes(d, cube)))
+            .any(|lemmas| lemmas.iter().any(|d| subsumes(&d.cube, cube)))
+    }
+
+    /// Whether a predecessor found earlier answers the relative-induction
+    /// query of `cube` at `level`: its model's next state lies in
+    /// `cube`, its state does not, and it stands, that is, no cube
+    /// stored at a level `>= level - 1` contains its state.
+    /// `F_{level-1}` only shrinks as a set of states, so such a
+    /// predecessor with its model is still a model of the query.
+    fn answers(&self, pred: &Predecessor, cube: &Cube, level: usize) -> bool {
+        let (state, next) = (&pred.state, &pred.next);
+        let answers = cube.iter().all(|&(i, v)| next[i] == v)
+            && !cube.iter().all(|&(i, v)| state[i] == v)
+            && !(self.frames.iter().skip(level - 1).flatten())
+                .any(|d| d.cube.iter().all(|&(i, v)| state[i] == v));
+        debug_assert!(
+            !answers || self.steps_into(pred, cube, level),
+            "a standing predecessor must answer its query"
+        );
+        answers
+    }
+
+    /// Re-checks a predecessor of `cube` at `level` by one two-valued
+    /// step of the netlist under its recorded inputs: the constraints
+    /// hold, the step agrees with the model's next state and lands in
+    /// `cube`, and the state lies in `F_{level-1} ∧ ¬cube`. The step is
+    /// compared on the cone only, since the template leaves every other
+    /// latch's next state free.
+    fn steps_into(&self, pred: &Predecessor, cube: &Cube, level: usize) -> bool {
+        let state = &pred.state;
+        let next = self.sys.step(state, &pred.inputs);
+        let initial = level > 1
+            || (self.sys.latches.iter().zip(state)).all(|(l, &v)| l.init.is_none_or(|i| i == v));
+        self.sys.constraints_in(state, &pred.inputs)
+            && (0..next.len()).all(|i| !self.cone[i] || next[i] == pred.next[i])
+            && cube.iter().all(|&(i, v)| !self.cone[i] || next[i] == v)
+            && !cube.iter().all(|&(i, v)| state[i] == v)
+            && !self.cube_is_blocked(&Self::state_to_cube(state), level - 1)
+            && initial
     }
 
     /// Widens a SAT model cube by ternary simulation: X-es out each
@@ -546,10 +653,13 @@ impl<'s> PdrRun<'s> {
         let result = self.solve_prepared();
         match result {
             SolveResult::Sat => {
-                let state = self.model_state();
-                let inputs = self.model_inputs();
+                let pred = Predecessor {
+                    state: self.model_state(),
+                    inputs: self.model_inputs(),
+                    next: model_values(&self.solver, &self.next_lits),
+                };
                 self.solver.release_activation(act);
-                RelQuery::Pred((state, inputs))
+                RelQuery::Pred(pred)
             }
             SolveResult::Unsat => {
                 // Keep cube literals whose next-state assumption is in
@@ -710,8 +820,36 @@ impl<'s> PdrRun<'s> {
     /// least-active first (rIC3 `activity.rs` style): latches that
     /// rarely appear in blocked cubes are the likeliest to be
     /// droppable, so trying them first reaches the final cube in fewer
-    /// failed queries; a fixed per-latch hash breaks ties.
-    fn shrink(&mut self, mut cube: Cube, level: usize) -> Result<Cube, Unknown> {
+    /// failed queries; a fixed per-latch hash breaks ties. A
+    /// predecessor found earlier in the same call answers every later
+    /// query it still answers.
+    fn shrink(&mut self, cube: Cube, level: usize) -> Result<Cube, Unknown> {
+        let shrunk = self.drop_literals(cube, level);
+        self.shrink_preds.clear();
+        shrunk
+    }
+
+    /// [`query_relative`](Self::query_relative) within one
+    /// [`shrink`](Self::shrink) call, answered by a predecessor an
+    /// earlier query of the call found when one still
+    /// [`answers`](Self::answers) it.
+    fn query_in_shrink(&mut self, cube: &Cube, level: usize) -> RelQuery {
+        let kept = (self.shrink_preds.iter())
+            .find(|(at, pred)| *at == level && self.answers(pred, cube, level))
+            .map(|(_, pred)| pred.clone());
+        if let Some(pred) = kept {
+            self.stats.preds_reused += 1;
+            return RelQuery::Pred(pred);
+        }
+        let answer = self.query_relative(cube, level);
+        if let RelQuery::Pred(pred) = &answer {
+            self.shrink_preds.push((level, pred.clone()));
+        }
+        answer
+    }
+
+    /// The literal drops of [`shrink`](Self::shrink).
+    fn drop_literals(&mut self, mut cube: Cube, level: usize) -> Result<Cube, Unknown> {
         loop {
             if cube.len() <= 1 {
                 return Ok(cube);
@@ -743,7 +881,7 @@ impl<'s> PdrRun<'s> {
                     if let Some(u) = self.budget.interruption(self.started) {
                         return Err(u);
                     }
-                    match self.query_relative(&candidate, level) {
+                    match self.query_in_shrink(&candidate, level) {
                         RelQuery::Blocked(core) => {
                             cube = if self.cube_intersects_init(&core) {
                                 candidate
@@ -753,16 +891,16 @@ impl<'s> PdrRun<'s> {
                             progressed = true;
                             break 'drops;
                         }
-                        RelQuery::Pred((state, _inputs)) => {
+                        RelQuery::Pred(pred) => {
                             if level <= 1 || ctgs >= MAX_CTGS {
                                 break;
                             }
                             ctgs += 1;
-                            let ctg = Self::state_to_cube(&state);
+                            let ctg = Self::state_to_cube(&pred.state);
                             if self.cube_intersects_init(&ctg) {
                                 break;
                             }
-                            match self.query_relative(&ctg, level - 1) {
+                            match self.query_in_shrink(&ctg, level - 1) {
                                 RelQuery::Blocked(core) => {
                                     let core = if self.cube_intersects_init(&core) {
                                         ctg
@@ -845,7 +983,11 @@ impl<'s> PdrRun<'s> {
             }
             match self.query_relative(&cube, level) {
                 RelQuery::Stopped(u) => return BlockResult::Stopped(u),
-                RelQuery::Pred((pred_state, pred_inputs)) => {
+                RelQuery::Pred(Predecessor {
+                    state: pred_state,
+                    inputs: pred_inputs,
+                    ..
+                }) => {
                     let full = Self::state_to_cube(&pred_state);
                     if self.cube_intersects_init(&full) {
                         // The predecessor is an initial state (any
@@ -951,14 +1093,28 @@ impl<'s> PdrRun<'s> {
     /// `F_i = F_{i+1}`).
     fn propagate(&mut self, max_level: usize) -> Result<Option<usize>, Unknown> {
         for i in 1..max_level {
-            let cubes = self.frames.get(i).cloned().unwrap_or_default();
+            let cubes: Vec<Cube> = self.frames.get(i).map_or_else(Vec::new, |lemmas| {
+                lemmas.iter().map(|l| l.cube.clone()).collect()
+            });
             for cube in cubes {
                 if let Some(u) = self.budget.interruption(self.started) {
                     return Err(u);
                 }
                 // The cube may have been pruned (subsumed) by an
                 // earlier move in this very pass.
-                if !self.frames[i].contains(&cube) {
+                let Some(at) = self.frames[i].iter().position(|l| l.cube == cube) else {
+                    continue;
+                };
+                // A predecessor that refused a push at this level before,
+                // this cube's own first, may refuse this push too.
+                let lemmas = &self.frames[i];
+                let kept = (std::iter::once(&lemmas[at]).chain(lemmas))
+                    .filter_map(|l| l.push_pred.as_ref())
+                    .find(|pred| self.answers(pred, &cube, i + 1))
+                    .cloned();
+                if let Some(pred) = kept {
+                    self.stats.preds_reused += 1;
+                    self.frames[i][at].push_pred = Some(pred);
                     continue;
                 }
                 match self.query_relative(&cube, i + 1) {
@@ -967,7 +1123,7 @@ impl<'s> PdrRun<'s> {
                         // prunes the copy at i by subsumption.
                         self.add_blocked(cube, i + 1);
                     }
-                    RelQuery::Pred(_) => {}
+                    RelQuery::Pred(pred) => self.frames[i][at].push_pred = Some(pred),
                     RelQuery::Stopped(u) => return Err(u),
                 }
             }
@@ -990,7 +1146,7 @@ impl<'s> PdrRun<'s> {
             .iter()
             .skip(level)
             .flatten()
-            .map(|cube| cube.iter().map(|&(i, v)| (i, !v)).collect())
+            .map(|l| l.cube.iter().map(|&(i, v)| (i, !v)).collect())
             .collect();
         clauses.extend(self.inv.iter().cloned());
         crate::certify::Certificate::Clausal(crate::certify::ClausalInvariant { clauses })
@@ -1304,7 +1460,9 @@ mod tests {
                 },
             );
             let _ = run.solve();
-            let frames = run.frames.clone();
+            let frames: Vec<Vec<Cube>> = (run.frames.iter())
+                .map(|lemmas| lemmas.iter().map(|l| l.cube.clone()).collect())
+                .collect();
             for (level, cubes) in frames.iter().enumerate().skip(1) {
                 for cube in cubes {
                     assert!(
@@ -1403,6 +1561,11 @@ mod tests {
     /// guard registers more clauses than its frame holds cubes (fewer
     /// when a cube's clause was satisfied at level 0 and never stored).
     /// Pruned cubes, pushed ones included, take their clauses along.
+    ///
+    /// Kept predecessors are bounded the same way: each live cube keeps
+    /// at most the one that refused its push, which steps into that
+    /// cube from outside it (a pruned cube's predecessor left with it),
+    /// and a finished `shrink` leaves none behind.
     #[test]
     fn one_solver_clause_per_live_cube() {
         let designs = [
@@ -1430,7 +1593,56 @@ mod tests {
                     "system {n}, level {j}: {clauses} clauses for {cubes} cubes"
                 );
             }
+            for (j, lemmas) in run.frames.iter().enumerate() {
+                for l in lemmas {
+                    let Some(Predecessor { state, inputs, .. }) = &l.push_pred else {
+                        continue;
+                    };
+                    let next = sys.step(state, inputs);
+                    assert!(
+                        l.cube.iter().all(|&(i, v)| next[i] == v)
+                            && !l.cube.iter().all(|&(i, v)| state[i] == v),
+                        "system {n}, level {j}: a kept predecessor of {:?} must step into it",
+                        l.cube
+                    );
+                }
+            }
+            assert!(
+                run.shrink_preds.is_empty(),
+                "system {n}: a finished shrink keeps no predecessor"
+            );
         }
+    }
+
+    /// A kept predecessor answers the query of any cube that holds its
+    /// model's next state and not its state, until a cube stored at a
+    /// level `>= level - 1` contains its state. On an 8-bit counter:
+    /// 3 steps to 4.
+    #[test]
+    fn a_kept_predecessor_answers_while_it_stands() {
+        let sys = aig::blast_system(&crate::bmc::tests::counter_ts(9, 8));
+        let tpl = TransitionTemplate::compile(&sys);
+        let mut run = PdrRun::new(&sys, &tpl, &[], Budget::default());
+        run.ensure_act(3);
+        let bits = |n: u8| -> Vec<bool> { (0..8).map(|i| n >> i & 1 == 1).collect() };
+        let pred = Predecessor {
+            state: bits(3),
+            inputs: Vec::new(),
+            next: bits(4),
+        };
+        let four = PdrRun::state_to_cube(&bits(4));
+        assert!(run.answers(&pred, &four, 3), "the cube it was found for");
+        assert!(run.answers(&pred, &vec![(0, false)], 3), "any even count");
+        assert!(!run.answers(&pred, &vec![(0, true)], 3), "4 is not odd");
+        assert!(!run.answers(&pred, &vec![(7, false)], 3), "3 is below 128");
+        // The counts 3 mod 8, blocked below `F_2`, leave it standing...
+        let threes: Cube = vec![(0, true), (1, true), (2, false)];
+        run.add_blocked(threes.clone(), 1);
+        assert!(run.answers(&pred, &four, 3));
+        // ...and blocked in `F_2`, they take it down.
+        run.add_blocked(threes, 2);
+        assert!(!run.answers(&pred, &four, 3));
+        assert!(run.answers(&pred, &four, 4), "F_3 still holds 3");
     }
 
     /// Obligation pop order: lowest level first; among equal levels,

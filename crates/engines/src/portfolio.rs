@@ -149,7 +149,9 @@ pub struct PortfolioOutcome {
 
 impl PortfolioOutcome {
     /// A compact multi-line report: winner, then one line per member
-    /// with depth / SAT queries / conflicts / arena footprint.
+    /// with depth / SAT queries / conflicts / arena footprint, plus the
+    /// queries PDR answered with a standing predecessor when there are
+    /// any.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -199,13 +201,18 @@ impl PortfolioOutcome {
                 Some(r) if !r.ok => " cert✗",
                 _ => "",
             };
+            let reused = match e.outcome.stats.preds_reused {
+                0 => String::new(),
+                n => format!("  reused {n}"),
+            };
             let _ = writeln!(
                 out,
-                "  {:<10} {:<22} depth {:>4}  queries {:>6}  conflicts {:>8}  arena {:>9} B  {:.2}s{}",
+                "  {:<10} {:<22} depth {:>4}  queries {:>6}{}  conflicts {:>8}  arena {:>9} B  {:.2}s{}",
                 e.name,
                 format!("{}{}", e.outcome.outcome, if e.winner { " *" } else { "" }),
                 e.outcome.stats.depth,
                 e.outcome.stats.sat_queries,
+                reused,
                 e.outcome.stats.conflicts,
                 e.outcome.stats.arena_peak_bytes,
                 e.outcome.stats.time.as_secs_f64(),
@@ -986,7 +993,7 @@ mod tests {
         let report = Portfolio::with_engines(Budget::default(), 4).check_detailed(&ts);
         assert!(report.verdict.is_unsafe());
         type Counter = fn(&EngineStats) -> u64;
-        let counters: [(&str, Counter); 14] = [
+        let counters: [(&str, Counter); 15] = [
             ("sat_queries", |s| s.sat_queries),
             ("conflicts", |s| s.conflicts),
             ("decisions", |s| s.decisions),
@@ -1001,6 +1008,7 @@ mod tests {
             ("proof_chains", |s| s.proof_chains),
             ("ternary_drops", |s| s.ternary_drops),
             ("lifted_lits", |s| s.lifted_lits),
+            ("preds_reused", |s| s.preds_reused),
         ];
         for (name, get) in counters {
             let members: u64 = report.engines.iter().map(|e| get(&e.outcome.stats)).sum();

@@ -176,10 +176,6 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Whether the verdict is [`Verdict::Safe`].
-    pub fn is_safe(&self) -> bool {
-        matches!(self, Verdict::Safe)
-    }
     /// Whether the verdict is [`Verdict::Unsafe`].
     pub fn is_unsafe(&self) -> bool {
         matches!(self, Verdict::Unsafe(_))
@@ -202,7 +198,9 @@ pub struct EngineStats {
     /// Final bound: the k of k-induction/BMC, frame count of PDR, or
     /// iteration count of fixpoint engines.
     pub depth: u32,
-    /// Number of SAT solver queries issued.
+    /// Number of SAT solver calls issued. A query PDR answers with a
+    /// standing predecessor calls no solver and counts in
+    /// [`preds_reused`](EngineStats::preds_reused) instead.
     pub sat_queries: u64,
     /// Total conflicts across all SAT queries.
     pub conflicts: u64,
@@ -239,6 +237,10 @@ pub struct EngineStats {
     /// Cube literals dropped by input-based predecessor lifting (the
     /// UNSAT-core pass stacked on top of ternary widening).
     pub lifted_lits: u64,
+    /// Relative-induction queries PDR answered with a standing
+    /// predecessor instead of a solver call (see the [`crate::pdr`]
+    /// module docs).
+    pub preds_reused: u64,
     /// Wall-clock time spent in `check`.
     pub time: Duration,
 }
@@ -302,6 +304,7 @@ impl std::ops::AddAssign<&EngineStats> for EngineStats {
         self.proof_chains += s.proof_chains;
         self.ternary_drops += s.ternary_drops;
         self.lifted_lits += s.lifted_lits;
+        self.preds_reused += s.preds_reused;
     }
 }
 

@@ -18,8 +18,8 @@
 //!   validate §III-C's translation-equivalence claim against the
 //!   word-level simulator (via an actual C compiler).
 //! * [`SwProgram`] is the in-memory software-netlist the `swan`
-//!   software analyzers consume; [`software_netlist`] builds it
-//!   directly, and the `cfront` crate recovers it from emitted C text.
+//!   software analyzers consume; the `cfront` crate recovers it from
+//!   emitted C text.
 //!
 //! # Example
 //!
@@ -35,8 +35,6 @@
 //! let c = v2c::emit_c(&design, v2c::MainStyle::Verifier)?;
 //! assert!(c.contains("top_state"));
 //! assert!(c.contains("__VERIFIER_nondet"));
-//! let prog = v2c::software_netlist(src, "top")?;
-//! assert_eq!(prog.ts.states().len(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -48,16 +46,3 @@ pub mod swprog;
 
 pub use emit::{emit_c, MainStyle};
 pub use swprog::SwProgram;
-
-use vfront::VerilogError;
-
-/// Builds the in-memory software-netlist for a Verilog source (the
-/// "direct" path: parse → elaborate → synthesize → wrap).
-///
-/// # Errors
-///
-/// Propagates any frontend error.
-pub fn software_netlist(src: &str, top: &str) -> Result<SwProgram, VerilogError> {
-    let ts = vfront::compile(src, top)?;
-    Ok(SwProgram::from_ts(ts))
-}

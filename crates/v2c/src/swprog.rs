@@ -1,6 +1,6 @@
 //! The in-memory software-netlist program.
 
-use rtlir::{Simulator, TransitionSystem, Value};
+use rtlir::TransitionSystem;
 
 /// A software-netlist: the program the software analyzers consume.
 ///
@@ -42,20 +42,6 @@ impl SwProgram {
     pub fn name(&self) -> &str {
         self.ts.name()
     }
-
-    /// Runs the program for up to `max_iterations` loop iterations with
-    /// the given stimulus, returning the first iteration in which an
-    /// assertion fails. This is the reference execution used by the
-    /// translation-validation tests (§III-C: "the bug is manifested in
-    /// the same clock cycle for both models").
-    pub fn run_until_assert(
-        &self,
-        max_iterations: u64,
-        stimulus: impl FnMut(u64) -> Vec<Value>,
-    ) -> Option<u64> {
-        let mut sim = Simulator::new(&self.ts);
-        sim.run_until_bad(max_iterations, stimulus)
-    }
 }
 
 #[cfg(test)]
@@ -78,6 +64,5 @@ mod tests {
         ts.add_bad(bad, "hits 3");
         let prog = SwProgram::from_ts(ts);
         assert_eq!(prog.name(), "p");
-        assert_eq!(prog.run_until_assert(10, |_| vec![]), Some(3));
     }
 }

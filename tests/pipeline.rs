@@ -129,6 +129,25 @@ fn pdr_beats_kinduction_on_fifo() {
     );
 }
 
+/// On the FIFO, pushes and ctg checks that an earlier predecessor
+/// still refutes recur, and PDR answers them without the solver; the
+/// proof it exports still certifies against the raw netlist.
+#[test]
+fn pdr_reuses_standing_predecessors_on_fifo() {
+    let b = hwsw::bmarks::by_name("FIFOs").expect("exists");
+    let ts = b.compile().expect("compiles");
+    let blasted = hwsw::engines::Blasted::of(&ts);
+    let pdr = hwsw::engines::pdr::Pdr::new(budget(60)).check_blasted(&ts, &blasted);
+    assert_eq!(pdr.outcome, Verdict::Safe, "PDR must prove the FIFO");
+    assert!(
+        pdr.stats.preds_reused > 0,
+        "failed pushes must reuse their predecessors: {:?}",
+        pdr.stats
+    );
+    let report = hwsw::engines::certify::certify(&blasted.sys, &pdr);
+    assert!(report.ok && report.witnessed, "{report:?}");
+}
+
 /// The SeaHorn-mode abstraction produces its documented false negative
 /// on a bit-heavy design while exact PDR, and 2LS's kIkI on the same
 /// software netlist, prove it.
