@@ -250,6 +250,45 @@ pub(crate) mod tests {
         }
     }
 
+    /// A chained frame of a deterministic design costs what survives
+    /// level-0 simplification: its latch-current values are level-0
+    /// facts, so nearly every clause is satisfied or turns into an
+    /// assignment, and neither is stored.
+    #[test]
+    fn chained_frames_store_only_their_surviving_clauses() {
+        let ts = counter_ts(3000, 12);
+        let sys = aig::blast_system(&ts);
+        let raw = TransitionTemplate::compile(&sys);
+        let pre = raw.preprocess().template;
+        for tpl in [&raw, &pre] {
+            let mut solver = Solver::new();
+            let f0 = tpl.instantiate(&mut solver, Part::A, 0);
+            f0.assert_init(&sys, &mut solver);
+            let mut last = f0.latch_next;
+            let before = solver.num_clauses();
+            let frames = 50;
+            for _ in 0..frames {
+                last = tpl
+                    .instantiate_bound(&mut solver, Part::A, 0, &last)
+                    .latch_next;
+            }
+            let stored = (solver.num_clauses() - before) as f64 / frames as f64;
+            assert!(
+                stored < tpl.num_frame_clauses() as f64 / 10.0,
+                "{stored} clauses stored per frame of {}",
+                tpl.num_frame_clauses()
+            );
+        }
+        let out = Bmc::default().check(&ts);
+        match out.outcome {
+            Verdict::Unsafe(trace) => {
+                assert_eq!(trace.length(), 3000, "bug depth");
+                assert!(trace.replays_on(&sys), "trace must replay");
+            }
+            other => panic!("expected Unsafe, got {other:?}"),
+        }
+    }
+
     #[test]
     fn input_driven_bug_with_trace() {
         // Register accumulates input; bad when it exceeds 10.

@@ -9,6 +9,21 @@
 //!   decision heuristics, first-UIP clause learning with minimization,
 //!   LBD-based learned-clause reduction with arena compaction
 //!   ([`ReduceConfig`]), phase saving and Luby restarts;
+//! * clause addition that costs what survives the level-0 assignment:
+//!   every add path ([`Solver::add_clause_tagged`] and the
+//!   pre-normalized bulk path the `aig` transition template loads
+//!   frames through) simplifies the clause in a reused buffer. A
+//!   satisfied clause is not stored and false literals are dropped.
+//!   Without proof logging, a clause that is a unit at level 0 becomes
+//!   an assignment: it is not stored and the assignment has no reason.
+//!   With proof logging it is stored, as the reason of its assignment,
+//!   because the refutation resolves through it. Variables come in
+//!   blocks ([`Solver::new_vars`]) that grow every per-variable array
+//!   once, and a variable is kept small: 4-byte reasons and trail
+//!   positions, and LBD stamps per decision level rather than per
+//!   variable. A deep unrolling creates about 100k variables, most
+//!   fixed at level 0 as soon as they exist, so every byte per
+//!   variable is fresh memory the unrolling pays for;
 //! * incremental solving under **assumptions** with failed-assumption
 //!   cores ([`Solver::failed_assumptions`]), the workhorse of the
 //!   IC3/PDR and k-induction engines;

@@ -230,8 +230,8 @@ struct VarHeap {
 
 impl VarHeap {
     fn ensure(&mut self, n: usize) {
-        while self.pos.len() < n {
-            self.pos.push(-1);
+        if self.pos.len() < n {
+            self.pos.resize(n, -1);
         }
     }
     fn contains(&self, v: Var) -> bool {
@@ -318,18 +318,22 @@ impl VarHeap {
 /// records resolution chains for interpolant extraction. Reduction is
 /// proof-aware: deleting a learned clause never touches the recorded
 /// chains (the [`Proof`] owns its data), locked clauses — including the
-/// reasons of all level-0 assignments, which the empty-clause
-/// derivation resolves against — are never deleted, and the proof-id of
-/// each clause travels with it through compaction, so interpolation
-/// keeps working across arbitrarily many reduce/GC cycles.
+/// reasons of all level-0 assignments, which a proof-logging solver
+/// stores because the empty-clause derivation resolves against them —
+/// are never deleted, and the proof-id of each clause travels with it
+/// through compaction, so interpolation keeps working across
+/// arbitrarily many reduce/GC cycles.
 #[derive(Debug)]
 pub struct Solver {
     cdb: ClauseDb,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     levels: Vec<u32>,
-    reasons: Vec<Option<CRef>>,
-    trail_pos: Vec<usize>,
+    /// Per variable: the clause that implied its assignment, or
+    /// [`CRef::UNDEF`] for a decision, an assumption, an unassigned
+    /// variable and, without proof logging, a level-0 unit.
+    reasons: Vec<CRef>,
+    trail_pos: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -349,7 +353,8 @@ pub struct Solver {
     reduce: ReduceConfig,
     /// Conflict count that triggers the next reduction pass.
     next_reduce: u64,
-    /// Scratch generation stamps for LBD computation, per level.
+    /// Scratch generation stamps for LBD computation, one per decision
+    /// level reached so far.
     lbd_stamp: Vec<u64>,
     lbd_gen: u64,
     /// Live activation groups: clauses registered under each in-use
@@ -373,6 +378,12 @@ pub struct Solver {
     chaos_epoch: u64,
     /// Learned-clause count that triggers the next inprocessing pass.
     next_inproc: u64,
+    /// Scratch buffers of the clause-add paths, reused so that adding a
+    /// clause allocates nothing but its arena words: `clause_buf` holds
+    /// what of a clause survives level-0 simplification, `norm_buf` the
+    /// whole clause a proof-logging solver stores.
+    norm_buf: Vec<Lit>,
+    clause_buf: Vec<Lit>,
 }
 
 /// Clauses of one abandoned activation release, kept until the sweep
@@ -431,7 +442,7 @@ impl Solver {
             cla_inc: 1.0,
             reduce,
             next_reduce: reduce.first_conflicts,
-            lbd_stamp: Vec::new(),
+            lbd_stamp: vec![0],
             lbd_gen: 0,
             act_entries: HashMap::new(),
             free_acts: Vec::new(),
@@ -439,6 +450,8 @@ impl Solver {
             leaked: Vec::new(),
             chaos_epoch: 0,
             next_inproc: Self::INPROC_INTERVAL,
+            norm_buf: Vec::new(),
+            clause_buf: Vec::new(),
         }
     }
 
@@ -498,31 +511,31 @@ impl Solver {
     /// block is contiguous, so callers that pre-compile a clause image
     /// over local variables (like the `aig` crate's transition
     /// template) can map it into this solver with offset arithmetic.
+    /// Every per-variable array grows once for the whole block, and the
+    /// variables enter the decision heap in index order, as `n` calls
+    /// of [`new_var`](Solver::new_var) would put them.
     pub fn new_vars(&mut self, n: usize) -> Var {
-        let first = Var::from_index(self.assigns.len());
-        for _ in 0..n {
-            self.new_var();
+        let first = self.assigns.len();
+        let total = first + n;
+        self.assigns.resize(total, LBool::Undef);
+        self.levels.resize(total, 0);
+        self.reasons.resize(total, CRef::UNDEF);
+        self.trail_pos.resize(total, 0);
+        self.activity.resize(total, 0.0);
+        self.phase.resize(total, false);
+        self.seen.resize(total, false);
+        self.is_guard.resize(total, false);
+        self.watches.resize_with(2 * total, Vec::new);
+        self.heap.ensure(total);
+        for v in first..total {
+            self.heap.insert(Var::from_index(v), &self.activity);
         }
-        first
+        Var::from_index(first)
     }
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
-        self.levels.push(0);
-        self.reasons.push(None);
-        self.trail_pos.push(0);
-        self.activity.push(0.0);
-        self.phase.push(false);
-        self.seen.push(false);
-        self.is_guard.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.lbd_stamp.push(0);
-        self.heap.ensure(self.assigns.len());
-        self.heap.insert(v, &self.activity);
-        v
+        self.new_vars(1)
     }
 
     /// Number of variables created.
@@ -648,20 +661,7 @@ impl Solver {
     ///
     /// Returns `false` if the solver is now known inconsistent.
     pub fn add_clause_activated(&mut self, act: Lit, lits: &[Lit]) -> bool {
-        debug_assert!(
-            self.act_entries.contains_key(&act.var()),
-            "activation literal not obtained from new_activation"
-        );
-        let mut full: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
-        full.extend_from_slice(lits);
-        full.push(!act);
-        let before = self.cdb.originals().len();
-        let ok = self.add_clause(&full);
-        let added = self.cdb.originals()[before..].to_vec();
-        if let Some(e) = self.act_entries.get_mut(&act.var()) {
-            e.crefs.extend(added);
-        }
-        ok
+        self.add_guarded(act, lits, true)
     }
 
     /// [`add_clause_activated`](Solver::add_clause_activated) for
@@ -674,18 +674,24 @@ impl Solver {
     ///
     /// Returns `false` if the solver is now known inconsistent.
     pub fn add_clause_activated_prenormalized(&mut self, act: Lit, lits: &[Lit]) -> bool {
+        self.add_guarded(act, lits, false)
+    }
+
+    /// Adds `lits ∨ ¬act` in partition [`Part::A`], normalizing it
+    /// first when `normalize` is set, and registers the stored clause,
+    /// if one is stored, under the group of `act`.
+    fn add_guarded(&mut self, act: Lit, lits: &[Lit], normalize: bool) -> bool {
         debug_assert!(
             self.act_entries.contains_key(&act.var()),
             "activation literal not obtained from new_activation"
         );
-        let mut full: Vec<Lit> = Vec::with_capacity(lits.len() + 1);
-        full.extend_from_slice(lits);
-        full.push(!act);
         let before = self.cdb.originals().len();
-        let ok = self.add_clause_prenormalized(&full, Part::A, 0);
-        let added = self.cdb.originals()[before..].to_vec();
-        if let Some(e) = self.act_entries.get_mut(&act.var()) {
-            e.crefs.extend(added);
+        let ok = self.add_lits(lits, Some(!act), normalize, Part::A, 0);
+        // One add stores at most one clause.
+        if let Some(&c) = self.cdb.originals().get(before) {
+            if let Some(e) = self.act_entries.get_mut(&act.var()) {
+                e.crefs.push(c);
+            }
         }
         ok
     }
@@ -768,10 +774,12 @@ impl Solver {
     ///
     /// Call it between solves, at level 0. It removes nothing and
     /// returns `false` when no registered clause matches (a clause
-    /// satisfied at level 0 is never stored), when the guard is
-    /// assigned at level 0, or when the clause or a tainted learned
-    /// clause is the reason of an assignment; keeping a clause is
-    /// always sound. Freed clauses count in [`Stats::act_released`].
+    /// satisfied at level 0 is never stored, nor, without proof
+    /// logging, one that is a unit there: it became an assignment),
+    /// when the guard is assigned at level 0, or when the clause or a
+    /// tainted learned clause is the reason of an assignment; keeping a
+    /// clause is always sound. Freed clauses count in
+    /// [`Stats::act_released`].
     pub fn remove_clause_activated(&mut self, act: Lit, lits: &[Lit]) -> bool {
         debug_assert!(self.trail_lim.is_empty(), "removal happens at level 0");
         let v = act.var();
@@ -879,7 +887,8 @@ impl Solver {
                     }
                 }
                 for &c in &freed {
-                    // Effective-unit clauses are stored unattached.
+                    // With proof logging, a clause that was a unit
+                    // when added is stored unattached.
                     if self.cdb.size(c) >= 2 {
                         self.detach(c);
                     }
@@ -899,6 +908,8 @@ impl Solver {
     }
 
     /// Adds a clause, defaulting to partition [`Part::A`] for proofs.
+    /// See [`add_clause_tagged`](Solver::add_clause_tagged) for what
+    /// happens to a clause that is satisfied or a unit at level 0.
     ///
     /// Returns `false` if the solver is now known inconsistent.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
@@ -918,92 +929,125 @@ impl Solver {
     /// time-frame cut), which is how the IMPACT-style analyzer gets
     /// chained interpolants.
     ///
+    /// The clause is normalized (sorted, duplicates dropped, a
+    /// tautology ignored) and simplified against the level-0
+    /// assignment, as on every add path. Without proof logging, a
+    /// clause satisfied at level 0 is not stored, false literals are
+    /// dropped, and a clause left with one literal becomes a level-0
+    /// assignment: no clause is stored and the assignment has no
+    /// reason. With proof logging the clause is stored whole, and a
+    /// clause with one non-false literal is stored as the reason of its
+    /// assignment, since the refutation resolves through it.
+    ///
     /// Returns `false` if the solver is now known inconsistent.
     pub fn add_clause_tagged(&mut self, lits: &[Lit], part: Part, tag: u32) -> bool {
-        if !self.ok {
-            return false;
-        }
-        // Normalize: sort, dedupe, detect tautology.
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        for w in ls.windows(2) {
-            if w[0].var() == w[1].var() {
-                return true; // tautology: x | !x
-            }
-        }
-        self.add_normalized(ls, part, tag)
+        self.add_lits(lits, None, true, part, tag)
     }
 
     /// Adds a clause the caller guarantees is already normalized — its
     /// literals are over pairwise-distinct variables (no duplicates, no
-    /// tautology). This is the bulk-load fast path for pre-compiled
-    /// clause images (the `aig` transition template): no sort, no
-    /// dedup, and in the common case (no proof logging, no literal
-    /// already assigned) no per-clause allocation at all. Level-0
-    /// simplification and watch selection are identical to
-    /// [`add_clause_tagged`](Solver::add_clause_tagged).
+    /// tautology). This is the bulk-load path for pre-compiled clause
+    /// images (the `aig` transition template): no sort, no dedup.
+    /// Level-0 simplification, unit handling and watch selection are
+    /// those of [`add_clause_tagged`](Solver::add_clause_tagged).
     ///
     /// Returns `false` if the solver is now known inconsistent.
     pub fn add_clause_prenormalized(&mut self, lits: &[Lit], part: Part, tag: u32) -> bool {
+        self.add_lits(lits, None, false, part, tag)
+    }
+
+    /// Shared tail of the clause-add paths, for the clause `lits ∨
+    /// guard`. With `normalize` set the clause may repeat a variable: it
+    /// is sorted and deduplicated, and a tautology is ignored. Without
+    /// proof logging that happens after level-0 simplification, to the
+    /// literals that survive it into the reused buffer: the same clause,
+    /// at the cost of what survives.
+    fn add_lits(
+        &mut self,
+        lits: &[Lit],
+        guard: Option<Lit>,
+        normalize: bool,
+        part: Part,
+        tag: u32,
+    ) -> bool {
         if !self.ok {
             return false;
         }
+        debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
         debug_assert!(
-            {
-                let mut vs: Vec<Var> = lits.iter().map(|l| l.var()).collect();
+            normalize || {
+                let mut vs: Vec<Var> = lits.iter().chain(&guard).map(|l| l.var()).collect();
                 vs.sort_unstable();
                 vs.windows(2).all(|w| w[0] != w[1])
             },
             "pre-normalized clause has duplicate variables: {lits:?}"
         );
         debug_assert!(
-            self.guards_negative(lits),
+            self.guards_negative(lits) && self.guards_negative(guard.as_slice()),
             "activation guard occurs positively: {lits:?}"
         );
-        if self.proof.is_none() && lits.len() >= 2 {
-            let mut any_assigned = false;
-            for &l in lits {
-                match self.lit_value(l) {
-                    LBool::True => return true, // satisfied at top level
-                    LBool::False => any_assigned = true,
-                    LBool::Undef => {}
+        if let Some(p) = &mut self.proof {
+            let mut ls = std::mem::take(&mut self.norm_buf);
+            ls.clear();
+            ls.extend(lits.iter().copied().chain(guard));
+            let ok = if normalize && !normalize_in_place(&mut ls) {
+                true // tautology: x | !x
+            } else {
+                let pid = p.add_original(part, ls.clone(), tag);
+                self.add_logged(&ls, pid)
+            };
+            self.norm_buf = ls;
+            return ok;
+        }
+        let mut ls = std::mem::take(&mut self.clause_buf);
+        ls.clear();
+        let mut satisfied = false;
+        for l in lits.iter().copied().chain(guard) {
+            match self.lit_value(l) {
+                LBool::True => {
+                    satisfied = true;
+                    break;
                 }
-            }
-            if !any_assigned {
-                // All literals free: watch the first two, store the
-                // clause straight from the caller's slice.
-                debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
-                let cref = self.cdb.alloc(lits, false, ClauseId(0));
-                self.attach(cref);
-                return true;
+                LBool::False => {}
+                LBool::Undef => ls.push(l),
             }
         }
-        self.add_normalized(lits.to_vec(), part, tag)
+        // A tautology `x ∨ ¬x` is dropped like a satisfied clause.
+        let ok =
+            satisfied || (normalize && !normalize_in_place(&mut ls)) || self.add_unassigned(&ls);
+        self.clause_buf = ls;
+        self.ok = ok;
+        ok
     }
 
-    /// Shared tail of the clause-add paths: level-0 simplification,
-    /// proof registration, watch selection. `ls` must be normalized.
-    fn add_normalized(&mut self, mut ls: Vec<Lit>, part: Part, tag: u32) -> bool {
-        debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
-        debug_assert!(
-            self.guards_negative(&ls),
-            "activation guard occurs positively: {ls:?}"
-        );
-        // Drop literals already false at level 0 only when proofs are
-        // off (with proofs the drop would need extra resolution steps,
-        // so we keep the clause intact and let analysis handle it).
-        if self.proof.is_none() {
-            if ls.iter().any(|&l| self.lit_value(l) == LBool::True) {
-                return true; // satisfied at top level
+    /// Adds a clause none of whose literals is assigned: a conflict
+    /// when empty, a level-0 assignment when a unit, else a stored,
+    /// watched clause. A unit gets no stored clause and no reason:
+    /// nothing reads the reason of a level-0 assignment unless a proof
+    /// is logged. Returns `false` on a conflict.
+    fn add_unassigned(&mut self, ls: &[Lit]) -> bool {
+        match *ls {
+            // All literals false at level 0: top-level conflict.
+            [] => false,
+            [unit] => {
+                self.enqueue(unit, None);
+                self.propagate().is_none()
             }
-            ls.retain(|&l| self.lit_value(l) != LBool::False);
+            _ => {
+                let cref = self.cdb.alloc(ls, false, ClauseId(0));
+                self.attach(cref);
+                true
+            }
         }
+    }
 
-        let pid = match &mut self.proof {
-            Some(p) => p.add_original(part, ls.clone(), tag),
-            None => ClauseId(0),
-        };
+    /// The proof-logging tail of [`add_lits`](Solver::add_lits):
+    /// the clause is stored whole, since dropping its level-0 false
+    /// literals would need resolution steps, and conflict analysis and
+    /// the empty-clause derivation resolve them away instead. A clause
+    /// with one non-false literal is stored unattached, as the reason of
+    /// its assignment.
+    fn add_logged(&mut self, ls: &[Lit], pid: ClauseId) -> bool {
         if ls.is_empty() {
             self.ok = false;
             if let Some(p) = &mut self.proof {
@@ -1011,29 +1055,22 @@ impl Solver {
             }
             return false;
         }
-
-        // Choose watch positions: prefer non-false literals.
-        let mut nonfalse: Vec<usize> = Vec::new();
-        for (i, &l) in ls.iter().enumerate() {
-            if self.lit_value(l) != LBool::False {
-                nonfalse.push(i);
-                if nonfalse.len() == 2 {
-                    break;
-                }
-            }
-        }
-        match nonfalse.len() {
-            0 => {
+        // Watch positions: the first two non-false literals.
+        let (first, second) = {
+            let mut nonfalse = (0..ls.len()).filter(|&i| self.lit_value(ls[i]) != LBool::False);
+            (nonfalse.next(), nonfalse.next())
+        };
+        let cref = self.cdb.alloc(ls, false, pid);
+        match (first, second) {
+            (None, _) => {
                 // All literals false at level 0: top-level conflict.
-                let cref = self.cdb.alloc(&ls, false, pid);
                 self.derive_empty_from(cref);
                 self.ok = false;
                 false
             }
-            1 => {
+            (Some(i), None) => {
                 // Exactly one non-false literal: a top-level implication.
-                let unit = ls[nonfalse[0]];
-                let cref = self.cdb.alloc(&ls, false, pid);
+                let unit = ls[i];
                 if self.lit_value(unit) == LBool::Undef {
                     self.enqueue(unit, Some(cref));
                     if let Some(confl) = self.propagate() {
@@ -1044,16 +1081,10 @@ impl Solver {
                 }
                 true
             }
-            _ => {
-                ls.swap(0, nonfalse[0]);
-                // The first swap may have moved the second pick.
-                let j = if nonfalse[1] == 0 {
-                    nonfalse[0]
-                } else {
-                    nonfalse[1]
-                };
-                ls.swap(1, j);
-                let cref = self.cdb.alloc(&ls, false, pid);
+            (Some(i), Some(j)) => {
+                // `i < j`, so the first swap leaves position `j` alone.
+                self.cdb.swap_lits(cref, 0, i);
+                self.cdb.swap_lits(cref, 1, j);
                 self.attach(cref);
                 true
             }
@@ -1100,13 +1131,22 @@ impl Solver {
         let v = l.var().index();
         self.assigns[v] = LBool::from_bool(l.is_positive());
         self.levels[v] = self.decision_level();
-        self.reasons[v] = reason;
-        self.trail_pos[v] = self.trail.len();
+        self.reasons[v] = reason.unwrap_or(CRef::UNDEF);
+        self.trail_pos[v] = self.trail.len() as u32;
         self.trail.push(l);
     }
 
     fn new_decision_level(&mut self) {
         self.trail_lim.push(self.trail.len());
+        if self.lbd_stamp.len() <= self.trail_lim.len() {
+            self.lbd_stamp.push(0);
+        }
+    }
+
+    /// The clause that implied `v`'s assignment (`None` for a decision,
+    /// an assumption or, without proof logging, a level-0 unit).
+    fn reason(&self, v: Var) -> Option<CRef> {
+        Some(self.reasons[v.index()]).filter(|&r| r != CRef::UNDEF)
     }
 
     fn backtrack(&mut self, level: u32) {
@@ -1119,7 +1159,7 @@ impl Solver {
             let v = l.var().index();
             self.phase[v] = l.is_positive();
             self.assigns[v] = LBool::Undef;
-            self.reasons[v] = None;
+            self.reasons[v] = CRef::UNDEF;
             self.heap.insert(l.var(), &self.activity);
         }
         self.trail.truncate(bound);
@@ -1341,7 +1381,7 @@ impl Solver {
                 learnt[0] = !pl;
                 break;
             }
-            clause = self.reasons[pl.var().index()].expect("non-UIP literal has a reason");
+            clause = self.reason(pl.var()).expect("non-UIP literal has a reason");
             if self.proof.is_some() {
                 steps.push(ResStep {
                     pivot: pl.var(),
@@ -1359,17 +1399,17 @@ impl Solver {
         let mut kept: Vec<Lit> = vec![learnt[0]];
         // (trail position, pivot var, reason cref) of removed literals,
         // recorded so proof steps can be emitted in a valid order.
-        let mut removed: Vec<(usize, Var, CRef)> = Vec::new();
+        let mut removed: Vec<(u32, Var, CRef)> = Vec::new();
         for &q in &learnt[1..] {
             let vi = q.var().index();
-            let removable = match self.reasons[vi] {
+            let removable = match self.reason(q.var()) {
                 None => false,
                 Some(r) => self.cdb.lits(r).iter().all(|&w| {
                     w == !q || self.seen[w.var().index()] || self.levels[w.var().index()] == 0
                 }),
             };
             if removable {
-                let r = self.reasons[vi].expect("checked above");
+                let r = self.reasons[vi];
                 removed.push((self.trail_pos[vi], q.var(), r));
             } else {
                 kept.push(q);
@@ -1402,7 +1442,9 @@ impl Solver {
             while qi < l0.len() {
                 let v = l0[qi];
                 qi += 1;
-                let r = self.reasons[v.index()].expect("level-0 assignment has a clause reason");
+                let r = self
+                    .reason(v)
+                    .expect("level-0 assignment has a clause reason");
                 for k in 0..self.cdb.size(r) {
                     let w = self.cdb.lit(r, k);
                     let wv = w.var();
@@ -1416,7 +1458,9 @@ impl Solver {
             }
             l0.sort_by(|a, b| self.trail_pos[b.index()].cmp(&self.trail_pos[a.index()]));
             for v in l0 {
-                let r = self.reasons[v.index()].expect("level-0 assignment has a clause reason");
+                let r = self
+                    .reason(v)
+                    .expect("level-0 assignment has a clause reason");
                 steps.push(ResStep {
                     pivot: v,
                     other: self.cdb.proof_id(r),
@@ -1462,7 +1506,9 @@ impl Solver {
         while qi < queue.len() {
             let v = queue[qi];
             qi += 1;
-            let r = self.reasons[v.index()].expect("level-0 assignment has a clause reason");
+            let r = self
+                .reason(v)
+                .expect("level-0 assignment has a clause reason");
             for k in 0..self.cdb.size(r) {
                 let w = self.cdb.lit(r, k);
                 if self.lit_value(w) == LBool::False && set.insert(w.var()) {
@@ -1475,9 +1521,7 @@ impl Solver {
             .into_iter()
             .map(|v| ResStep {
                 pivot: v,
-                other: self
-                    .cdb
-                    .proof_id(self.reasons[v.index()].expect("has reason")),
+                other: self.cdb.proof_id(self.reason(v).expect("has reason")),
             })
             .collect();
         if let Some(p) = &mut self.proof {
@@ -1501,16 +1545,16 @@ impl Solver {
     /// it would dangle the trail).
     fn is_locked(&self, c: CRef) -> bool {
         let l0 = self.cdb.lit(c, 0);
-        self.lit_value(l0) == LBool::True && self.reasons[l0.var().index()] == Some(c)
+        self.lit_value(l0) == LBool::True && self.reasons[l0.var().index()] == c
     }
 
     /// Like [`is_locked`](Solver::is_locked) but checks every literal:
-    /// clauses that became unit during `add` can be the reason of a
-    /// literal that is not at position 0.
+    /// with proof logging, a clause that was a unit when added can be
+    /// the reason of a literal that is not at position 0.
     fn is_reason_clause(&self, c: CRef) -> bool {
         (0..self.cdb.size(c)).any(|k| {
             let l = self.cdb.lit(c, k);
-            self.lit_value(l) == LBool::True && self.reasons[l.var().index()] == Some(c)
+            self.lit_value(l) == LBool::True && self.reasons[l.var().index()] == c
         })
     }
 
@@ -1691,7 +1735,7 @@ impl Solver {
                 *w = Watcher::new(reloc.forward(w.cref()), w.blocker, w.is_binary());
             }
         }
-        for c in self.reasons.iter_mut().flatten() {
+        for c in self.reasons.iter_mut().filter(|c| **c != CRef::UNDEF) {
             *c = reloc.forward(*c);
         }
         for e in self.act_entries.values_mut() {
@@ -1743,11 +1787,9 @@ impl Solver {
                 }
             }
         }
-        for (v, r) in self.reasons.iter().enumerate() {
-            if let Some(c) = r {
-                if self.cdb.is_deleted(*c) {
-                    return Err(format!("reason of var {v} references deleted clause"));
-                }
+        for (v, &c) in self.reasons.iter().enumerate() {
+            if c != CRef::UNDEF && self.cdb.is_deleted(c) {
+                return Err(format!("reason of var {v} references deleted clause"));
             }
         }
         for (v, e) in &self.act_entries {
@@ -1801,7 +1843,7 @@ impl Solver {
             if !self.seen[v.index()] {
                 continue;
             }
-            match self.reasons[v.index()] {
+            match self.reason(v) {
                 None => {
                     // A decision in the assumption prefix is an assumption.
                     if l != p {
@@ -2030,6 +2072,14 @@ impl Solver {
             },
         }
     }
+}
+
+/// Sorts and deduplicates a clause in place; `false` when it is a
+/// tautology (`x ∨ ¬x`).
+fn normalize_in_place(ls: &mut Vec<Lit>) -> bool {
+    ls.sort_unstable();
+    ls.dedup();
+    ls.windows(2).all(|w| w[0].var() != w[1].var())
 }
 
 /// The Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
@@ -2769,6 +2819,134 @@ pub(crate) mod tests {
                 assert_eq!(got, want, "cnf {cnf:?} assumptions {assumptions:?}");
             }
         }
+    }
+
+    /// A clause whose other literals are false at level 0 is a unit
+    /// there. Without proofs it becomes an assignment and is not
+    /// stored; with proofs it is stored, as the reason a refutation
+    /// resolves through.
+    #[test]
+    fn level_0_unit_is_an_assignment_unless_proofs_are_logged() {
+        for proof in [false, true] {
+            let mut s = if proof {
+                Solver::with_proof()
+            } else {
+                Solver::new()
+            };
+            let (a, b, c) = (
+                lit(&mut s, 0, true),
+                lit(&mut s, 1, true),
+                lit(&mut s, 2, true),
+            );
+            assert!(s.add_clause(&[!a]));
+            assert!(s.add_clause(&[!b]));
+            let clauses = s.num_clauses();
+            for add in 0..2 {
+                // Both the normalizing and the pre-normalized path.
+                let ok = if add == 0 {
+                    s.add_clause(&[c, a, b])
+                } else {
+                    s.add_clause_prenormalized(&[b, c, a], Part::A, 0)
+                };
+                assert!(ok);
+                let stored = if proof { add + 1 } else { 0 };
+                assert_eq!(s.num_clauses(), clauses + stored, "proof {proof}");
+            }
+            assert_eq!(s.solve(), SolveResult::Sat);
+            assert_eq!(s.value(c), Some(true));
+            assert_eq!(s.solve_with(&[!c]), SolveResult::Unsat);
+            assert_eq!(s.failed_assumptions(), &[!c]);
+            assert_eq!(s.solve_with(&[c]), SolveResult::Sat);
+            // Every literal is false at level 0: a refutation whose
+            // derivation resolves through the reason of `c`.
+            assert!(!s.add_clause(&[!c, b]));
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            assert!(!s.is_ok());
+            if proof {
+                let report = s.check_proof().expect("proof logging on");
+                assert!(report.ok(), "{}", report.first_failure().unwrap());
+                assert!(s.proof().expect("proof").empty_clause().is_some());
+            } else {
+                assert!(s.check_proof().is_none());
+            }
+        }
+    }
+
+    /// Clauses added between solves, against level-0 facts the earlier
+    /// clauses fixed: a solver without proofs (units become
+    /// assignments) answers as its proof-logging twin (units are
+    /// stored as reasons) and as brute force, and the twin's proof
+    /// checks.
+    #[test]
+    fn incremental_level_0_units_match_the_proof_logging_twin() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1e7e10);
+        let mut units = 0;
+        for _ in 0..60 {
+            let nvars = rng.gen_range(3..=8usize);
+            let mut plain = Solver::new();
+            let mut twin = Solver::with_proof();
+            plain.new_vars(nvars);
+            twin.new_vars(nvars);
+            let mut cnf: Vec<Vec<Lit>> = Vec::new();
+            for _round in 0..6 {
+                for _ in 0..rng.gen_range(1..=5usize) {
+                    // Distinct variables, so the clause also fits the
+                    // pre-normalized path; short ones fix level-0 facts.
+                    let len = rng.gen_range(1..=3usize).min(nvars);
+                    let mut vars: Vec<usize> = (0..nvars).collect();
+                    let cl: Vec<Lit> = (0..len)
+                        .map(|_| {
+                            let v = vars.swap_remove(rng.gen_range(0..vars.len()));
+                            Lit::new(Var::from_index(v), rng.gen_bool(0.5))
+                        })
+                        .collect();
+                    let before = (plain.num_clauses(), plain.trail.len());
+                    let ok = if rng.gen_bool(0.5) {
+                        (plain.add_clause(&cl), twin.add_clause(&cl))
+                    } else {
+                        (
+                            plain.add_clause_prenormalized(&cl, Part::A, 0),
+                            twin.add_clause_prenormalized(&cl, Part::A, 0),
+                        )
+                    };
+                    assert_eq!(ok.0, ok.1, "cnf {cnf:?} + {cl:?}");
+                    if plain.is_ok()
+                        && plain.num_clauses() == before.0
+                        && plain.trail.len() > before.1
+                    {
+                        units += 1; // assigned at level 0, not stored
+                    }
+                    cnf.push(cl);
+                }
+                let assumptions: Vec<Lit> = (0..rng.gen_range(0..=2usize))
+                    .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
+                    .collect();
+                let holds = |m: u32, l: &Lit| ((m >> l.var().index()) & 1 == 1) == l.is_positive();
+                let brute_sat = (0u32..(1 << nvars)).any(|m| {
+                    assumptions.iter().all(|l| holds(m, l))
+                        && cnf.iter().all(|cl| cl.iter().any(|l| holds(m, l)))
+                });
+                let want = if brute_sat {
+                    SolveResult::Sat
+                } else {
+                    SolveResult::Unsat
+                };
+                let got = plain.solve_with(&assumptions);
+                assert_eq!(got, want, "cnf {cnf:?} assumptions {assumptions:?}");
+                assert_eq!(twin.solve_with(&assumptions), want, "twin");
+                if got == SolveResult::Sat {
+                    for s in [&plain, &twin] {
+                        for cl in &cnf {
+                            assert!(cl.iter().any(|&l| s.value(l) == Some(true)), "{cl:?}");
+                        }
+                    }
+                }
+                twin.debug_verify_proof().expect("twin's proof checks");
+            }
+        }
+        assert!(units > 0, "no clause was a unit at level 0");
     }
 
     #[test]

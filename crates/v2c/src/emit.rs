@@ -17,8 +17,8 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use vfront::ast::{BinaryOp, Dir, Expr, LValue, NetKind, Stmt, UnaryOp};
 use vfront::elab::{
-    bit_index_width, const_eval, initial_values, part_bounds, self_width, target_widths, Design,
-    ESignal, ElabModule,
+    bit_index_width, check_drivers, const_eval, initial_values, part_bounds, self_width,
+    target_widths, Design, ESignal, ElabModule,
 };
 use vfront::synth::{expr_reads, schedule, stmt_reads};
 use vfront::VerilogError;
@@ -39,21 +39,22 @@ pub enum MainStyle {
 
 /// Emits the software-netlist C program for an elaborated design.
 ///
-/// Every width, part-select bound, concatenated-target and `initial`
-/// rule comes from `vfront` ([`vfront::elab::self_width`],
-/// [`vfront::elab::part_bounds`], [`vfront::elab::target_widths`],
-/// [`vfront::elab::initial_values`]), as do the `case` lowering
-/// ([`vfront::ast::Stmt::case_to_if`]) and the combinational schedule
-/// ([`vfront::synth::schedule`]), so the C means what the synthesized
-/// transition system means.
+/// Every driver, width, part-select bound, concatenated-target and
+/// `initial` rule comes from `vfront` ([`vfront::elab::check_drivers`],
+/// [`vfront::elab::self_width`], [`vfront::elab::part_bounds`],
+/// [`vfront::elab::target_widths`], [`vfront::elab::initial_values`]),
+/// as do the `case` lowering ([`vfront::ast::Stmt::case_to_if`]) and
+/// the combinational schedule ([`vfront::synth::schedule`]), so the C
+/// means what the synthesized transition system means.
 ///
 /// # Errors
 ///
-/// Reports the same restrictions as synthesis (latches, loops,
+/// Reports the same restrictions as synthesis (drivers, latches, loops,
 /// multiple clocks, widths and bounds, with the same messages) plus
 /// emitter-specific limits (instance outputs must connect to whole
 /// signals).
 pub fn emit_c(design: &Design, style: MainStyle) -> Result<String, VerilogError> {
+    check_drivers(design)?;
     let mut e = Emitter::new(design, style)?;
     e.emit()?;
     Ok(e.out)
@@ -1447,6 +1448,27 @@ mod tests {
                 "input [63:0] x, output [39:0] a, output [39:0] b",
                 "assign {a, b} = x;",
                 "concatenated assignment target is wider than 64 bits",
+            ),
+            (
+                "input [3:0] a, output [7:0] y",
+                "wire [7:0] w; assign w[3:0] = a; assign w[7:4] = a; assign y = w;",
+                "continuous assignment to bit/part selects is not supported",
+            ),
+            (
+                "input a, input b, output y",
+                "wire w; assign w = a; assign w = b; assign y = w;",
+                "signal 'w' has multiple drivers",
+            ),
+            (
+                "input a, output y",
+                "wire w; initial w = 1; assign y = w;",
+                "initial assigns non-register 'w'",
+            ),
+            (
+                "input a, output y",
+                "reg r; always @(posedge clk) r <= a; always @(posedge clk) r <= !a; \
+                 assign y = r;",
+                "register 'r' driven by multiple clocked processes",
             ),
         ];
         for (ports, body, message) in table {

@@ -285,6 +285,23 @@ impl Expr {
         }
     }
 
+    /// The assignment target this expression names, when it is a
+    /// signal, a bit- or part-select, or a concatenation of such
+    /// targets: what an instance's output port may connect to.
+    pub fn as_lvalue(&self) -> Option<LValue> {
+        match self {
+            Expr::Ident(n) => Some(LValue::Ident(n.clone())),
+            Expr::Index(n, i) => Some(LValue::Index(n.clone(), (**i).clone())),
+            Expr::Part(n, hi, lo) => Some(LValue::Part(n.clone(), (**hi).clone(), (**lo).clone())),
+            Expr::Concat(parts) => parts
+                .iter()
+                .map(Expr::as_lvalue)
+                .collect::<Option<_>>()
+                .map(LValue::Concat),
+            _ => None,
+        }
+    }
+
     /// This node rebuilt over `f` of each operand, in field order;
     /// operators and signal names stay as they are.
     pub fn map_operands(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {

@@ -685,6 +685,151 @@ pub fn target_widths<'p>(
         .collect()
 }
 
+/// The hierarchical name of `name` inside the instance at `prefix`
+/// (`""` for the top module).
+pub(crate) fn flat_name(prefix: &str, name: &str) -> String {
+    if prefix.is_empty() {
+        name.to_string()
+    } else {
+        format!("{prefix}.{name}")
+    }
+}
+
+/// What drives a signal of the flattened design.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// One continuous assignment, combinational process or instance
+    /// port connection, numbered in walk order.
+    Comb(usize),
+    /// One clocked process, numbered in walk order.
+    Clocked(usize),
+}
+
+/// Checks the driver rules of `design`, over the signals of the whole
+/// hierarchy under their hierarchical names:
+///
+/// - A continuous assignment, or an instance port connection, drives
+///   whole signals, not a bit- or part-select.
+/// - Every signal has at most one driver: a continuous assignment, a
+///   combinational process, an instance port connection or a clocked
+///   process.
+/// - `initial` assigns registers only, and no register that a
+///   combinational driver drives.
+///
+/// Synthesis and the C emitter check them before anything else, so a
+/// source that breaks one gets the same error from both.
+///
+/// # Errors
+///
+/// Reports the first violation found.
+pub fn check_drivers(design: &Design) -> Result<(), VerilogError> {
+    let mut walk = DriverWalk {
+        design,
+        drivers: HashMap::new(),
+        units: 0,
+        initials: Vec::new(),
+    };
+    walk.module(design.top, "")?;
+    for (name, kind) in walk.initials {
+        if kind != NetKind::Reg || matches!(walk.drivers.get(&name), Some(Driver::Comb(_))) {
+            return Err(VerilogError::general(format!(
+                "initial assigns non-register '{name}'"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The walk of [`check_drivers`]: the driver of every signal seen so
+/// far, and the signals `initial` blocks assign.
+struct DriverWalk<'d> {
+    design: &'d Design,
+    drivers: HashMap<String, Driver>,
+    units: usize,
+    initials: Vec<(String, NetKind)>,
+}
+
+impl DriverWalk<'_> {
+    fn module(&mut self, idx: usize, prefix: &str) -> Result<(), VerilogError> {
+        let m = &self.design.modules[idx];
+        for (lv, _) in &m.assigns {
+            self.unit(prefix, lv)?;
+        }
+        for (clock, body) in &m.processes {
+            let by = match clock {
+                Some(_) => Driver::Clocked(self.next()),
+                None => Driver::Comb(self.next()),
+            };
+            for t in body.targets() {
+                self.drive(flat_name(prefix, &t), by)?;
+            }
+        }
+        for t in m.initials.iter().flat_map(Stmt::targets) {
+            // An unknown target is `initial_values`' error.
+            if let Some(sig) = m.signal(&t) {
+                self.initials.push((flat_name(prefix, &t), sig.kind));
+            }
+        }
+        for inst in &m.instances {
+            let child_prefix = flat_name(prefix, &inst.name);
+            self.module(inst.module, &child_prefix)?;
+            let child = &self.design.modules[inst.module];
+            for (port, conn) in &inst.conns {
+                let port = &child.signals[*port];
+                match port.port {
+                    Some(Dir::Input) => {
+                        self.unit(&child_prefix, &LValue::Ident(port.name.clone()))?;
+                    }
+                    // A connection that names no target is flattening's
+                    // error.
+                    Some(Dir::Output) => {
+                        if let Some(lv) = conn.as_lvalue() {
+                            self.unit(prefix, &lv)?;
+                        }
+                    }
+                    None => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A fresh driver number.
+    fn next(&mut self) -> usize {
+        self.units += 1;
+        self.units - 1
+    }
+
+    /// A continuous assignment to `lv` in the instance at `prefix`.
+    fn unit(&mut self, prefix: &str, lv: &LValue) -> Result<(), VerilogError> {
+        if let LValue::Index(..) | LValue::Part(..) = lv {
+            return Err(VerilogError::general(
+                "continuous assignment to bit/part selects is not supported",
+            ));
+        }
+        let by = Driver::Comb(self.next());
+        for t in lv.targets() {
+            self.drive(flat_name(prefix, &t), by)?;
+        }
+        Ok(())
+    }
+
+    fn drive(&mut self, name: String, by: Driver) -> Result<(), VerilogError> {
+        match self.drivers.get(&name) {
+            Some(&prev) if prev != by => Err(VerilogError::general(match (prev, by) {
+                (Driver::Clocked(_), Driver::Clocked(_)) => {
+                    format!("register '{name}' driven by multiple clocked processes")
+                }
+                _ => format!("signal '{name}' has multiple drivers"),
+            })),
+            _ => {
+                self.drivers.insert(name, by);
+                Ok(())
+            }
+        }
+    }
+}
+
 fn whole_memory(name: &str) -> VerilogError {
     VerilogError::general(format!(
         "whole-memory assignment to '{name}' is not supported"
@@ -873,6 +1018,49 @@ mod tests {
             let mods = parse(&src).expect("parses");
             let err = elaborate(&mods, "top").expect_err(decl);
             assert!(err.message.contains(message), "{decl}: {err}");
+        }
+    }
+
+    /// Driver rules see the hierarchy: a port connection drives the
+    /// signal it connects, under its hierarchical name.
+    #[test]
+    fn drivers_are_checked_across_instances() {
+        let child = "module c(input a, output y); assign y = a; endmodule\n\
+                     module d(input a, output y); assign a = 1'b0; assign y = a; endmodule";
+        for (top, message) in [
+            (
+                "module top(input x, output y); wire w; c u(.a(x), .y(w)); \
+                 assign w = x; assign y = w; endmodule",
+                Some("signal 'w' has multiple drivers"),
+            ),
+            (
+                "module top(input x, output y); d u(.a(x), .y(y)); endmodule",
+                Some("signal 'u.a' has multiple drivers"),
+            ),
+            ("module top(input x, output y); d u(.y(y)); endmodule", None),
+            (
+                "module top(input x, output [1:0] y); wire [1:0] w; \
+                 c u(.a(x), .y(w[0])); assign y = w; endmodule",
+                Some("continuous assignment to bit/part selects is not supported"),
+            ),
+            (
+                "module top(input x, output y); reg r; c u(.a(x), .y(r)); \
+                 initial r = 0; assign y = r; endmodule",
+                Some("initial assigns non-register 'r'"),
+            ),
+            (
+                "module top(input clk, input x, output y); reg r; initial r = 0; \
+                 always @(posedge clk) r <= x; c u(.a(r), .y(y)); endmodule",
+                None,
+            ),
+        ] {
+            let mods = parse(&format!("{child}\n{top}")).expect("parses");
+            let design = elaborate(&mods, "top").expect("elaborates");
+            match (check_drivers(&design), message) {
+                (Ok(()), None) => {}
+                (Err(e), Some(m)) => assert!(e.message.contains(m), "{top}: {e}"),
+                (got, _) => panic!("{top}: {got:?}"),
+            }
         }
     }
 

@@ -35,6 +35,9 @@
 //!   Flattening, parameter substitution, read and target collection
 //!   and the blocking/non-blocking split run on it.
 //! - `case` lowering: [`ast::Stmt::case_to_if`].
+//! - Drivers: [`elab::check_drivers`]. Continuous assignments drive
+//!   whole signals, every signal has one driver (one clocked process
+//!   per register), and `initial` assigns registers only.
 //! - Widths and bounds: [`elab::self_width`], [`elab::part_bounds`] and
 //!   [`elab::target_widths`], over a name-to-signal lookup
 //!   ([`elab::Lookup`]).

@@ -11,8 +11,8 @@
 
 use crate::ast::{BinaryOp, Dir, Expr, LValue, NetKind, Stmt, UnaryOp};
 use crate::elab::{
-    bit_index_width, initial_values, part_bounds, self_width, target_widths, Design, ESignal,
-    ElabModule,
+    bit_index_width, check_drivers, flat_name, initial_values, part_bounds, self_width,
+    target_widths, Design, ESignal, ElabModule,
 };
 use crate::error::VerilogError;
 use rtlir::{ExprId, Sort, TransitionSystem, VarId};
@@ -27,6 +27,7 @@ use std::collections::{HashMap, HashSet};
 /// Reports combinational loops, transparent latches, multiple clocks,
 /// multiple drivers, unknown signals and width violations.
 pub fn synthesize(design: &Design) -> Result<TransitionSystem, VerilogError> {
+    check_drivers(design)?;
     let flat = flatten(design)?;
     let mut s = Synthesizer {
         flat,
@@ -69,14 +70,6 @@ impl Flat {
 
 fn is_top_input(sig: &ESignal) -> bool {
     sig.port == Some(Dir::Input)
-}
-
-fn flat_name(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
-    }
 }
 
 fn prefix_expr(prefix: &str, e: &Expr) -> Expr {
@@ -164,7 +157,7 @@ fn flatten_module(
                         .push(Unit::Assign(LValue::Ident(port_flat), conn_flat));
                 }
                 Some(Dir::Output) => {
-                    let lhs = expr_as_lvalue(&conn_flat).ok_or_else(|| {
+                    let lhs = conn_flat.as_lvalue().ok_or_else(|| {
                         VerilogError::general(format!(
                             "output port '{}' of instance '{child_prefix}' must connect \
                              to a signal",
@@ -178,19 +171,6 @@ fn flatten_module(
         }
     }
     Ok(())
-}
-
-fn expr_as_lvalue(e: &Expr) -> Option<LValue> {
-    match e {
-        Expr::Ident(n) => Some(LValue::Ident(n.clone())),
-        Expr::Index(n, i) => Some(LValue::Index(n.clone(), (**i).clone())),
-        Expr::Part(n, hi, lo) => Some(LValue::Part(n.clone(), (**hi).clone(), (**lo).clone())),
-        Expr::Concat(parts) => {
-            let lvs: Option<Vec<LValue>> = parts.iter().map(expr_as_lvalue).collect();
-            lvs.map(LValue::Concat)
-        }
-        _ => None,
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -393,36 +373,27 @@ impl Synthesizer {
         }
 
         // Drivers from units; clock wiring is excluded from logic.
+        // `check_drivers` has seen to it that every signal has one
+        // driver and that units drive whole signals.
         let unit_defs: Vec<Vec<String>> = self
             .flat
             .units
             .iter()
             .map(|u| {
                 let mut targets = match u {
-                    Unit::Assign(lv @ (LValue::Ident(_) | LValue::Concat(_)), _) => lv.targets(),
-                    Unit::Assign(..) => {
-                        return Err(Self::err(
-                            "continuous assignment to bit/part selects is not supported",
-                        ))
-                    }
+                    Unit::Assign(lv, _) => lv.targets(),
                     Unit::Comb(s) => s.targets(),
                 };
                 targets.retain(|t| !clock_aliases.contains(t));
-                Ok(targets)
+                targets
             })
-            .collect::<Result<_, _>>()?;
+            .collect();
         for (ui, targets) in unit_defs.iter().enumerate() {
             for t in targets {
                 if self.flat.sig(t).is_none() {
                     return Err(Self::err(format!("assignment to unknown signal '{t}'")));
                 }
-                match role.get(t) {
-                    None => {
-                        role.insert(t.clone(), Role::Comb(ui));
-                    }
-                    Some(Role::Comb(prev)) if *prev == ui => {}
-                    Some(_) => return Err(Self::err(format!("signal '{t}' has multiple drivers"))),
-                }
+                role.insert(t.clone(), Role::Comb(ui));
             }
         }
         // Drivers from clocked processes.
@@ -437,12 +408,7 @@ impl Synthesizer {
                         "clocked assignment to wire '{t}' (declare it reg)"
                     )));
                 }
-                match role.get(&t) {
-                    None | Some(Role::State) => {
-                        role.insert(t, Role::State);
-                    }
-                    Some(_) => return Err(Self::err(format!("signal '{t}' has multiple drivers"))),
-                }
+                role.insert(t, Role::State);
             }
         }
         // Everything else: inputs, frozen regs, free wires.
@@ -514,16 +480,11 @@ impl Synthesizer {
 
         // ---- clocked processes ----
         let clocked = self.flat.clocked.clone();
+        // `check_drivers` has seen to it that one process drives each
+        // register.
         let mut next_map: HashMap<String, ExprId> = HashMap::new();
         for (_clk, body) in &clocked {
-            let updates = self.exec_clocked(body)?;
-            for (name, e) in updates {
-                if next_map.insert(name.clone(), e).is_some() {
-                    return Err(Self::err(format!(
-                        "register '{name}' driven by multiple clocked processes"
-                    )));
-                }
-            }
+            next_map.extend(self.exec_clocked(body)?);
         }
         // Install next functions; frozen registers keep their value.
         for sig in &self.flat.signals {
