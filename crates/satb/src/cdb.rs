@@ -155,26 +155,26 @@ impl ClauseDb {
         unsafe { std::slice::from_raw_parts(self.arena[start..start + len].as_ptr().cast(), len) }
     }
 
+    /// The clause's literals, writable in place: propagation reads and
+    /// reorders a visited clause through this one slice, with one
+    /// bounds check, instead of indexing the arena per literal.
+    #[inline]
+    pub fn lits_mut(&mut self, c: CRef) -> &mut [Lit] {
+        let start = c.index() + HEADER_WORDS;
+        let len = self.size(c);
+        let words = &mut self.arena[start..start + len];
+        // SAFETY: `Lit` is `repr(transparent)` over `u32`, so every word
+        // is a valid `Lit` of the same size and alignment, and `words` is
+        // an exclusive, bounds-checked borrow of exactly `len` words that
+        // the returned slice replaces for the same lifetime.
+        unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), len) }
+    }
+
     /// One literal of the clause.
     #[inline]
     pub fn lit(&self, c: CRef, i: usize) -> Lit {
         debug_assert!(i < self.size(c));
         Lit(self.arena[c.index() + HEADER_WORDS + i])
-    }
-
-    /// Overwrites one literal of the clause.
-    #[inline]
-    pub fn set_lit(&mut self, c: CRef, i: usize, l: Lit) {
-        debug_assert!(i < self.size(c));
-        self.arena[c.index() + HEADER_WORDS + i] = l.0;
-    }
-
-    /// Swaps two literals of the clause.
-    #[inline]
-    pub fn swap_lits(&mut self, c: CRef, i: usize, j: usize) {
-        let (a, b) = (self.lit(c, i), self.lit(c, j));
-        self.set_lit(c, i, b);
-        self.set_lit(c, j, a);
     }
 
     /// The clause's literal-block distance (glue), set for learned
@@ -356,7 +356,7 @@ mod tests {
         assert_eq!(db.lbd(c1), 2);
         db.set_activity(c1, 1.5);
         assert!((db.activity(c1) - 1.5).abs() < 1e-6);
-        db.swap_lits(c0, 0, 2);
+        db.lits_mut(c0).swap(0, 2);
         assert_eq!(db.lits(c0), lits(&[5, 2, 0]).as_slice());
         assert_eq!(db.len(), 2);
         assert!(db.bytes() > 0 && db.peak_bytes() >= db.bytes());
@@ -381,6 +381,22 @@ mod tests {
         assert_eq!(db.wasted_words(), 0);
         assert_eq!(db.originals(), &[a2]);
         assert_eq!(db.learnts(), &[c2]);
+    }
+
+    #[test]
+    fn lits_mut_writes_through_to_the_arena() {
+        let mut db = ClauseDb::new();
+        let a = db.alloc(&lits(&[0, 2, 5]), false, ClauseId(3));
+        let b = db.alloc(&lits(&[1, 3, 7, 9]), true, ClauseId(4));
+        let view = db.lits_mut(b);
+        assert_eq!(view.len(), 4);
+        view.swap(0, 3);
+        view[1] = Lit::from_code(11);
+        assert_eq!(db.lits(b), lits(&[9, 11, 7, 1]).as_slice());
+        // The neighbour and both headers are untouched.
+        assert_eq!(db.lits(a), lits(&[0, 2, 5]).as_slice());
+        assert_eq!((db.size(b), db.proof_id(b)), (4, ClauseId(4)));
+        assert!(db.is_learnt(b) && !db.is_learnt(a));
     }
 
     #[test]

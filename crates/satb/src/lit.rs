@@ -90,16 +90,6 @@ pub(crate) enum LBool {
     Undef,
 }
 
-impl LBool {
-    pub(crate) fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

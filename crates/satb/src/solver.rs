@@ -52,7 +52,12 @@ pub enum SolveResult {
 pub struct Limits {
     /// Give up after this many conflicts (`None` = unlimited).
     pub max_conflicts: Option<u64>,
-    /// Give up once this wall-clock instant has passed.
+    /// Give up once this wall-clock instant has passed. A solve call
+    /// reads the clock after every 64th conflict of the solver's life
+    /// and, before its next propagation round, once 65,536 propagations
+    /// of the call have passed since the last reading. Past the
+    /// deadline it therefore returns within one propagation round of
+    /// either count, however rarely it conflicts.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: give up as soon as this shared flag is
     /// observed `true`. Checked once per solver-loop iteration (every
@@ -70,6 +75,11 @@ impl Limits {
         self.stop
             .as_ref()
             .is_some_and(|s| s.load(Ordering::Relaxed))
+    }
+
+    /// Whether the deadline has passed (reads the clock).
+    fn deadline_passed(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -309,10 +319,19 @@ impl VarHeap {
 ///
 /// Clauses live in a flat arena ([`ClauseDb`]): propagation walks one
 /// contiguous allocation, binary clauses propagate straight out of the
-/// watcher without touching the arena, and the database is kept small
+/// watcher without touching the arena, a longer clause is read and
+/// reordered through one slice of it, and the database is kept small
 /// by periodic **learned-clause reduction** (see [`ReduceConfig`]):
 /// high-LBD, low-activity learned clauses are deleted and the arena is
 /// compacted, with watch lists and reason references remapped.
+///
+/// The assignment is kept per literal, indexed by [`Lit::code`]: both
+/// polarities of a variable hold a value, set together when the
+/// variable is assigned and cleared together on backtracking. Reading a
+/// literal's value, which propagation does for every watcher and clause
+/// literal it visits, is then one load with no branch on the literal's
+/// sign. The cost is 2 bytes per variable instead of 1, and the model
+/// of a `Sat` answer is copied in the same layout.
 ///
 /// Proof logging (enabled with [`with_proof`](Solver::with_proof))
 /// records resolution chains for interpolant extraction. Reduction is
@@ -327,7 +346,11 @@ impl VarHeap {
 pub struct Solver {
     cdb: ClauseDb,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Per literal, indexed by [`Lit::code`]: its value under the
+    /// current assignment. [`enqueue`](Solver::enqueue) sets both
+    /// polarities of a variable and [`backtrack`](Solver::backtrack)
+    /// clears both.
+    values: Vec<LBool>,
     levels: Vec<u32>,
     /// Per variable: the clause that implied its assignment, or
     /// [`CRef::UNDEF`] for a decision, an assumption, an unassigned
@@ -343,6 +366,7 @@ pub struct Solver {
     phase: Vec<bool>,
     ok: bool,
     proof: Option<Proof>,
+    /// The values of the last `Sat` answer, per literal like `values`.
     model: Vec<LBool>,
     failed: Vec<Lit>,
     stats: Stats,
@@ -422,7 +446,7 @@ impl Solver {
         Solver {
             cdb: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
             trail_pos: Vec::new(),
@@ -507,6 +531,12 @@ impl Solver {
     /// Additional learned clauses between inprocessing passes.
     const INPROC_INTERVAL: u64 = 500;
 
+    /// Propagations of one solve call between two readings of
+    /// [`Limits::deadline`], besides the reading every 64 conflicts: a
+    /// query that conflicts rarely on a large instance still stops at
+    /// its deadline.
+    const DEADLINE_PROPAGATIONS: u64 = 65_536;
+
     /// Creates `n` fresh variables and returns the first one. The
     /// block is contiguous, so callers that pre-compile a clause image
     /// over local variables (like the `aig` crate's transition
@@ -515,9 +545,9 @@ impl Solver {
     /// variables enter the decision heap in index order, as `n` calls
     /// of [`new_var`](Solver::new_var) would put them.
     pub fn new_vars(&mut self, n: usize) -> Var {
-        let first = self.assigns.len();
+        let first = self.num_vars();
         let total = first + n;
-        self.assigns.resize(total, LBool::Undef);
+        self.values.resize(2 * total, LBool::Undef);
         self.levels.resize(total, 0);
         self.reasons.resize(total, CRef::UNDEF);
         self.trail_pos.resize(total, 0);
@@ -540,7 +570,7 @@ impl Solver {
 
     /// Number of variables created.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.levels.len()
     }
 
     /// Number of live clauses (original + learned).
@@ -554,24 +584,14 @@ impl Solver {
         self.ok
     }
 
+    #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_positive() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-            LBool::False => {
-                if l.is_positive() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-        }
+        self.values[l.code()]
+    }
+
+    /// Whether `v` is assigned.
+    fn is_assigned(&self, v: Var) -> bool {
+        self.lit_value(Lit::pos(v)) != LBool::Undef
     }
 
     /// The value of `l` in the model of the last `Sat` answer.
@@ -579,9 +599,9 @@ impl Solver {
     /// Returns `None` if the last answer was not `Sat` or the variable
     /// was created afterwards.
     pub fn value(&self, l: Lit) -> Option<bool> {
-        match self.model.get(l.var().index()) {
-            Some(LBool::True) => Some(l.is_positive()),
-            Some(LBool::False) => Some(!l.is_positive()),
+        match self.model.get(l.code()) {
+            Some(LBool::True) => Some(true),
+            Some(LBool::False) => Some(false),
             _ => None,
         }
     }
@@ -633,7 +653,7 @@ impl Solver {
     pub fn new_activation(&mut self) -> Lit {
         let v = match self.free_acts.pop() {
             Some(v) => {
-                debug_assert_eq!(self.assigns[v.index()], LBool::Undef);
+                debug_assert!(!self.is_assigned(v));
                 self.stats.act_recycled += 1;
                 v
             }
@@ -732,7 +752,7 @@ impl Solver {
         debug_assert!(self.trail_lim.is_empty(), "release happens at level 0");
         let doomed_learnts = self.tainted_learnts(v, &entry);
         let doomed = entry.crefs;
-        if self.assigns[v.index()] != LBool::Undef
+        if self.is_assigned(v)
             || doomed
                 .iter()
                 .chain(&doomed_learnts)
@@ -786,7 +806,7 @@ impl Solver {
         let Some(entry) = self.act_entries.get(&v) else {
             return false;
         };
-        if self.assigns[v.index()] != LBool::Undef {
+        if self.is_assigned(v) {
             return false;
         }
         let Some(pos) = entry
@@ -1083,8 +1103,9 @@ impl Solver {
             }
             (Some(i), Some(j)) => {
                 // `i < j`, so the first swap leaves position `j` alone.
-                self.cdb.swap_lits(cref, 0, i);
-                self.cdb.swap_lits(cref, 1, j);
+                let lits = self.cdb.lits_mut(cref);
+                lits.swap(0, i);
+                lits.swap(1, j);
                 self.attach(cref);
                 true
             }
@@ -1128,8 +1149,9 @@ impl Solver {
 
     fn enqueue(&mut self, l: Lit, reason: Option<CRef>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
+        self.values[l.code()] = LBool::True;
+        self.values[(!l).code()] = LBool::False;
         let v = l.var().index();
-        self.assigns[v] = LBool::from_bool(l.is_positive());
         self.levels[v] = self.decision_level();
         self.reasons[v] = reason.unwrap_or(CRef::UNDEF);
         self.trail_pos[v] = self.trail.len() as u32;
@@ -1158,7 +1180,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.phase[v] = l.is_positive();
-            self.assigns[v] = LBool::Undef;
+            self.values[l.code()] = LBool::Undef;
+            self.values[(!l).code()] = LBool::Undef;
             self.reasons[v] = CRef::UNDEF;
             self.heap.insert(l.var(), &self.activity);
         }
@@ -1167,12 +1190,15 @@ impl Solver {
         self.qhead = bound;
     }
 
-    /// Unit propagation; returns the conflicting clause, if any.
+    /// Unit propagation; returns the conflicting clause, if any. Values
+    /// are read from `values` directly, not through `lit_value`, because
+    /// a visited long clause stays borrowed as one slice of the arena.
     fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut i = 0;
             let mut j = 0;
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
@@ -1180,7 +1206,7 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                let bval = self.lit_value(w.blocker);
+                let bval = self.values[w.blocker.code()];
                 if bval == LBool::True {
                     ws[j] = w;
                     j += 1;
@@ -1192,39 +1218,30 @@ impl Solver {
                     ws[j] = w;
                     j += 1;
                     if bval == LBool::False {
-                        while i < ws.len() {
-                            ws[j] = ws[i];
-                            j += 1;
-                            i += 1;
-                        }
                         conflict = Some(w.cref());
-                    } else {
-                        self.enqueue(w.blocker, Some(w.cref()));
+                        break;
                     }
-                    if conflict.is_some() {
-                        break 'watchers;
-                    }
+                    self.enqueue(w.blocker, Some(w.cref()));
                     continue;
                 }
                 let cref = w.cref();
+                let lits = self.cdb.lits_mut(cref);
                 // Make sure the false literal is at position 1.
-                let false_lit = !p;
-                if self.cdb.lit(cref, 0) == false_lit {
-                    self.cdb.swap_lits(cref, 0, 1);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.cdb.lit(cref, 1), false_lit);
-                let first = self.cdb.lit(cref, 0);
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if first != w.blocker && self.values[first.code()] == LBool::True {
                     ws[j] = Watcher::new(cref, first, false);
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.cdb.size(cref);
-                for k in 2..len {
-                    let lk = self.cdb.lit(cref, k);
-                    if self.lit_value(lk) != LBool::False {
-                        self.cdb.swap_lits(cref, 1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.values[lk.code()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).code()].push(Watcher::new(cref, first, false));
                         continue 'watchers;
                     }
@@ -1232,17 +1249,16 @@ impl Solver {
                 // No new watch: clause is unit or conflicting.
                 ws[j] = Watcher::new(cref, first, false);
                 j += 1;
-                if self.lit_value(first) == LBool::False {
-                    // Conflict: copy back remaining watchers and stop.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
+                if self.values[first.code()] == LBool::False {
                     conflict = Some(cref);
-                } else {
-                    self.enqueue(first, Some(cref));
+                    break;
                 }
+                self.enqueue(first, Some(cref));
+            }
+            if conflict.is_some() {
+                // Keep the watchers the conflict left unvisited.
+                ws.copy_within(i.., j);
+                j += ws.len() - i;
             }
             ws.truncate(j);
             self.watches[p.code()] = ws;
@@ -1774,17 +1790,92 @@ impl Solver {
     }
 
     /// Replays every live clause against the current watch lists and
-    /// reasons, checking referential integrity (test hook).
+    /// reasons, checking referential integrity (test hook):
+    ///
+    /// * every watcher references a live clause that holds its blocker,
+    ///   flagged binary exactly when the clause has two literals;
+    /// * every attached clause of two or more literals has exactly two
+    ///   watchers, in the lists of its first two literals' negations
+    ///   (only a proof-logging solver stores such a clause unattached:
+    ///   the reason of a level-0 unit, or a level-0 conflict);
+    /// * both polarities of each variable agree: both unassigned, or
+    ///   one true and one false;
+    /// * every trail literal is true, each variable is on the trail at
+    ///   most once, and no variable off the trail is assigned.
     #[doc(hidden)]
     pub fn debug_check_integrity(&self) -> Result<(), String> {
-        for ws in &self.watches {
+        // Per clause, the codes of the watch lists that hold it.
+        let mut watched: HashMap<CRef, Vec<usize>> = HashMap::new();
+        for (code, ws) in self.watches.iter().enumerate() {
             for w in ws {
-                if self.cdb.is_deleted(w.cref()) {
-                    return Err(format!("watcher references deleted clause {:?}", w.cref()));
+                let c = w.cref();
+                if self.cdb.is_deleted(c) {
+                    return Err(format!("watcher references deleted clause {c:?}"));
                 }
-                if w.is_binary() != (self.cdb.size(w.cref()) == 2) {
+                if w.is_binary() != (self.cdb.size(c) == 2) {
                     return Err("binary flag disagrees with clause size".into());
                 }
+                if !self.cdb.lits(c).contains(&w.blocker) {
+                    return Err(format!("blocker {} is not a literal of {c:?}", w.blocker));
+                }
+                watched.entry(c).or_default().push(code);
+            }
+        }
+        for &c in self.cdb.originals().iter().chain(self.cdb.learnts()) {
+            let lits = self.cdb.lits(c);
+            let lists = watched.remove(&c);
+            if lits.len() < 2 {
+                if lists.is_some() {
+                    return Err(format!("unit clause {c:?} is watched"));
+                }
+                continue;
+            }
+            let mut want = vec![(!lits[0]).code(), (!lits[1]).code()];
+            want.sort_unstable();
+            match lists {
+                Some(mut lists) => {
+                    lists.sort_unstable();
+                    if lists != want {
+                        return Err(format!(
+                            "clause {c:?} is watched in lists {lists:?}, not {want:?}"
+                        ));
+                    }
+                }
+                None if self.proof.is_none() => {
+                    return Err(format!(
+                        "clause {c:?} of {} literals is unwatched",
+                        lits.len()
+                    ));
+                }
+                None => {}
+            }
+        }
+        if let Some(c) = watched.keys().next() {
+            return Err(format!("watcher references unregistered clause {c:?}"));
+        }
+        let mut on_trail = vec![false; self.num_vars()];
+        for &l in &self.trail {
+            if self.lit_value(l) != LBool::True {
+                return Err(format!("trail literal {l} is not true"));
+            }
+            if std::mem::replace(&mut on_trail[l.var().index()], true) {
+                return Err(format!("{} is on the trail twice", l.var()));
+            }
+        }
+        for (v, &on) in on_trail.iter().enumerate() {
+            let var = Var::from_index(v);
+            let (pos, neg) = (self.lit_value(Lit::pos(var)), self.lit_value(Lit::neg(var)));
+            let assigned = match (pos, neg) {
+                (LBool::Undef, LBool::Undef) => false,
+                (LBool::True, LBool::False) | (LBool::False, LBool::True) => true,
+                _ => {
+                    return Err(format!(
+                        "the polarities of {var} disagree: {pos:?}, {neg:?}"
+                    ))
+                }
+            };
+            if assigned && !on {
+                return Err(format!("{var} is assigned off the trail"));
             }
         }
         for (v, &c) in self.reasons.iter().enumerate() {
@@ -1820,7 +1911,7 @@ impl Solver {
     /// heap, so an empty pop means every variable is assigned.
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if !self.is_assigned(v) {
                 return Some(Lit::new(v, self.phase[v.index()]));
             }
         }
@@ -1901,6 +1992,7 @@ impl Solver {
             self.chaos_epoch += 1;
             c.threshold(self.chaos_epoch)
         });
+        let mut deadline_props = self.stats.propagations + Self::DEADLINE_PROPAGATIONS;
 
         loop {
             if limits.stop_requested() {
@@ -1912,6 +2004,13 @@ impl Solver {
                     self.stats.chaos_injected += 1;
                     self.backtrack(0);
                     return SolveResult::Unknown(Interrupt::Cancelled);
+                }
+            }
+            if self.stats.propagations >= deadline_props {
+                deadline_props = self.stats.propagations + Self::DEADLINE_PROPAGATIONS;
+                if limits.deadline_passed() {
+                    self.backtrack(0);
+                    return SolveResult::Unknown(Interrupt::Timeout);
                 }
             }
             if let Some(confl) = self.propagate() {
@@ -1952,13 +2051,9 @@ impl Solver {
                         return SolveResult::Unknown(Interrupt::ConflictLimit);
                     }
                 }
-                if self.stats.conflicts.is_multiple_of(64) {
-                    if let Some(d) = limits.deadline {
-                        if Instant::now() >= d {
-                            self.backtrack(0);
-                            return SolveResult::Unknown(Interrupt::Timeout);
-                        }
-                    }
+                if self.stats.conflicts.is_multiple_of(64) && limits.deadline_passed() {
+                    self.backtrack(0);
+                    return SolveResult::Unknown(Interrupt::Timeout);
                 }
             } else {
                 // No conflict: place assumptions first, then decide.
@@ -1991,7 +2086,7 @@ impl Solver {
                 match decision {
                     None => {
                         // All variables assigned: SAT.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.values);
                         self.backtrack(0);
                         return SolveResult::Sat;
                     }
@@ -2386,6 +2481,56 @@ pub(crate) mod tests {
         ));
     }
 
+    /// The deadline is read between conflicts too: a conflict-free solve
+    /// over 70k variables, under a deadline that has already passed,
+    /// stops with `Timeout` instead of answering.
+    #[test]
+    fn passed_deadline_stops_a_conflict_free_solve() {
+        let n = 70_000;
+        let mut s = Solver::new();
+        s.new_vars(n);
+        // x_2i ∨ x_2i+1: deciding one variable of a pair false implies
+        // the other, so the search never conflicts and spreads its
+        // 70k propagations over 35k decisions.
+        for i in (0..n).step_by(2) {
+            s.add_clause(&[
+                Lit::pos(Var::from_index(i)),
+                Lit::pos(Var::from_index(i + 1)),
+            ]);
+        }
+        let passed = Limits {
+            deadline: Some(Instant::now()),
+            ..Limits::default()
+        };
+        let r = s.solve_limited(&[], passed);
+        assert_eq!(r, SolveResult::Unknown(Interrupt::Timeout));
+        assert_eq!(s.stats().conflicts, 0);
+        s.debug_check_integrity().expect("intact after the timeout");
+        // Without a deadline the same solve answers.
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().conflicts, 0);
+    }
+
+    /// Propagation reads and reorders long clauses through one slice of
+    /// the arena: watches move down the clause, a unit is implied, and a
+    /// conflict closes the watch list, with the watch and value
+    /// invariants intact after each solve.
+    #[test]
+    fn propagation_through_clause_slices_keeps_watches_intact() {
+        let mut s = Solver::new();
+        let x: Vec<Lit> = (0..6).map(|i| lit(&mut s, i, true)).collect();
+        s.add_clause(&[x[0], x[1], x[2], x[3]]);
+        s.add_clause(&[x[0], x[1], x[2], !x[3]]);
+        s.add_clause(&[!x[4], x[5], x[0]]);
+        // ¬x0, ¬x1, ¬x2 move both long clauses' watches down to x3,
+        // which one clause implies and the other refutes.
+        assert_eq!(s.solve_with(&[!x[0], !x[1], !x[2]]), SolveResult::Unsat);
+        s.debug_check_integrity().expect("intact after a conflict");
+        assert_eq!(s.solve_with(&[!x[0], !x[1], x[4]]), SolveResult::Sat);
+        assert_eq!((s.value(x[2]), s.value(x[5])), (Some(true), Some(true)));
+        s.debug_check_integrity().expect("intact after a model");
+    }
+
     #[test]
     fn luby_sequence_prefix() {
         let want = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
@@ -2747,6 +2892,7 @@ pub(crate) mod tests {
                 s.add_clause(cl);
             }
             let got = s.solve();
+            s.debug_check_integrity().expect("intact after solve");
             let want = if brute_sat {
                 SolveResult::Sat
             } else {
@@ -2811,6 +2957,7 @@ pub(crate) mod tests {
                     break;
                 }
                 let got = s.solve_with(&assumptions);
+                s.debug_check_integrity().expect("intact after solve");
                 let want = if brute_sat {
                     SolveResult::Sat
                 } else {
