@@ -170,9 +170,8 @@ pub fn fig3_tools(timeout_secs: u64) -> Vec<Tool> {
         Tool::sw(
             "2LS-kind",
             swan::twols::TwoLs {
-                budget: b,
                 use_invariants: false,
-                ..swan::twols::TwoLs::default()
+                ..swan::twols::TwoLs::new(b)
             },
         ),
     ]

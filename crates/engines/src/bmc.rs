@@ -164,35 +164,37 @@ impl Bmc {
         let started = Instant::now();
         let mut stats = EngineStats::default();
         let mut chain = FrameChain::new(sys, tpl, inv, true);
+        let verdict = self.search(&mut chain, &mut stats, started);
+        stats.absorb_solver(&chain.solver.stats());
+        CheckOutcome::finish(verdict, stats, started)
+    }
+
+    /// Deepens the chain one frame per query until a bad state is
+    /// reachable or the budget runs out.
+    fn search(&self, chain: &mut FrameChain, stats: &mut EngineStats, started: Instant) -> Verdict {
         for k in 0..=self.budget.max_depth {
             if let Some(u) = self.budget.interruption(started) {
-                stats.set_solver_stats([chain.solver.stats()]);
-                return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
+                return Verdict::Unknown(u);
             }
             stats.depth = k;
             let bad = chain.any_bad(k as usize);
             stats.sat_queries += 1;
-            let r = chain
+            match chain
                 .solver
-                .solve_limited(&[bad], self.budget.sat_limits(started));
-            stats.set_solver_stats([chain.solver.stats()]);
-            match r {
+                .solve_limited(&[bad], self.budget.sat_limits(started))
+            {
                 SolveResult::Sat => {
                     let bi = chain.fired_bad(k as usize);
-                    let trace = chain.extract_trace(k as usize, bi);
-                    return CheckOutcome::finish(Verdict::Unsafe(trace), stats, started);
+                    return Verdict::Unsafe(chain.extract_trace(k as usize, bi));
                 }
                 SolveResult::Unsat => {
                     // No counterexample at this depth: pin it and go deeper.
                     chain.solver.add_clause(&[!bad]);
                 }
-                SolveResult::Unknown(why) => {
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started);
-                }
+                SolveResult::Unknown(why) => return Verdict::Unknown(why.into()),
             }
         }
-        stats.set_solver_stats([chain.solver.stats()]);
-        CheckOutcome::finish(Verdict::Unknown(Unknown::BoundReached), stats, started)
+        Verdict::Unknown(Unknown::BoundReached)
     }
 }
 

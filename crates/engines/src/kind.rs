@@ -7,7 +7,7 @@
 //! `k`, with simple-path constraints) proves it.
 
 use crate::bmc::FrameChain;
-use crate::certify::LatchClause;
+use crate::certify::{Certificate, LatchClause};
 use crate::result::{Blasted, Budget, CheckOutcome, Checker, EngineStats, Unknown, Verdict};
 use aig::{AigSystem, TransitionTemplate};
 use rtlir::TransitionSystem;
@@ -66,6 +66,26 @@ impl KInduction {
         // free-state step chain when the template is invariant-refined.
         let mut base = FrameChain::new(sys, tpl, inv, true);
         let mut step = FrameChain::new(sys, tpl, inv, false);
+        let (verdict, cert) = self.search(sys, inv, &mut base, &mut step, &mut stats, started);
+        stats.absorb_solver(&base.solver.stats());
+        stats.absorb_solver(&step.solver.stats());
+        CheckOutcome {
+            certificate: cert,
+            ..CheckOutcome::finish(verdict, stats, started)
+        }
+    }
+
+    /// The lock-step loop over `k`: the verdict and, for Safe, its
+    /// witness.
+    fn search(
+        &self,
+        sys: &AigSystem,
+        inv: &[LatchClause],
+        base: &mut FrameChain,
+        step: &mut FrameChain,
+        stats: &mut EngineStats,
+        started: Instant,
+    ) -> (Verdict, Option<Certificate>) {
         // Simple-path constraints are incremental: iteration k asserts
         // only the new pairs (i, k) (halved xor encoding), so nothing is
         // re-encoded and learned clauses persist across iterations.
@@ -78,8 +98,7 @@ impl KInduction {
 
         for k in 0..=self.budget.max_depth {
             if let Some(u) = self.budget.interruption(started) {
-                stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
-                return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
+                return (Verdict::Unknown(u), None);
             }
             stats.depth = k;
 
@@ -93,23 +112,18 @@ impl KInduction {
                 SolveResult::Sat => {
                     let bi = base.fired_bad(k as usize);
                     let trace = base.extract_trace(k as usize, bi);
-                    stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
-                    return CheckOutcome::finish(Verdict::Unsafe(trace), stats, started);
+                    return (Verdict::Unsafe(trace), None);
                 }
                 SolveResult::Unsat => {
                     base.solver.add_clause(&[!bad_base]);
                 }
-                SolveResult::Unknown(why) => {
-                    stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started);
-                }
+                SolveResult::Unknown(why) => return (Verdict::Unknown(why.into()), None),
             }
 
             // A base-case solve that exhausted the budget must not run
             // the (often much harder) step solve before noticing.
             if let Some(u) = self.budget.interruption(started) {
-                stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
-                return CheckOutcome::finish(Verdict::Unknown(u), stats, started);
+                return (Verdict::Unknown(u), None);
             }
 
             // Inductive step at k: frames 0..=k from a free state, with
@@ -129,32 +143,26 @@ impl KInduction {
                 .solve_limited(&[bad_step], self.budget.sat_limits(started))
             {
                 SolveResult::Unsat => {
-                    stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
                     // The base chain verified depths 0..=k and the
                     // step premise just proved k-inductiveness: the
                     // witness is the (k, simple-path) claim itself,
                     // plus the static invariant the step premise
                     // assumed, re-checked from scratch by `certify`.
-                    let cert = crate::certify::Certificate::KInductive {
+                    let cert = Certificate::KInductive {
                         k,
                         simple_path: self.simple_path,
                         invariant: inv.to_vec(),
                     };
-                    return CheckOutcome::finish(Verdict::Safe, stats, started)
-                        .with_certificate(cert);
+                    return (Verdict::Safe, Some(cert));
                 }
                 SolveResult::Sat => {
                     // Not k-inductive: pin !bad at k and deepen.
                     step.solver.add_clause(&[!bad_step]);
                 }
-                SolveResult::Unknown(why) => {
-                    stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
-                    return CheckOutcome::finish(Verdict::Unknown(why.into()), stats, started);
-                }
+                SolveResult::Unknown(why) => return (Verdict::Unknown(why.into()), None),
             }
         }
-        stats.set_solver_stats([base.solver.stats(), step.solver.stats()]);
-        CheckOutcome::finish(Verdict::Unknown(Unknown::BoundReached), stats, started)
+        (Verdict::Unknown(Unknown::BoundReached), None)
     }
 }
 

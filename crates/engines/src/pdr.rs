@@ -404,10 +404,15 @@ impl<'s> PdrRun<'s> {
             .any(|&(i, v)| self.sys.latches[i].init.is_some_and(|init| init != v))
     }
 
-    /// Stamps the final statistics into an outcome.
-    fn outcome(&mut self, verdict: Verdict, started: Instant) -> CheckOutcome {
-        self.stats.set_solver_stats([self.solver.stats()]);
-        CheckOutcome::finish(verdict, self.stats.clone(), started)
+    /// Runs the PDR loop, then folds the solver's statistics into the
+    /// outcome.
+    fn solve(&mut self) -> CheckOutcome {
+        let (verdict, certificate) = self.search();
+        self.stats.absorb_solver(&self.solver.stats());
+        CheckOutcome {
+            certificate,
+            ..CheckOutcome::finish(verdict, self.stats.clone(), self.started)
+        }
     }
 
     fn model_state(&self) -> Vec<bool> {
@@ -1152,8 +1157,8 @@ impl<'s> PdrRun<'s> {
         crate::certify::Certificate::Clausal(crate::certify::ClausalInvariant { clauses })
     }
 
-    /// The top-level PDR loop.
-    fn solve(&mut self) -> CheckOutcome {
+    /// The top-level PDR loop: the verdict and, for Safe, its witness.
+    fn search(&mut self) -> (Verdict, Option<crate::certify::Certificate>) {
         let started = self.started;
 
         // Level 0: Init ∧ Bad?
@@ -1168,10 +1173,10 @@ impl<'s> PdrRun<'s> {
                     vec![self.model_inputs()],
                     self.fired_bad(),
                 );
-                return self.outcome(Verdict::Unsafe(trace), started);
+                return (Verdict::Unsafe(trace), None);
             }
             SolveResult::Unknown(why) => {
-                return self.outcome(Verdict::Unknown(why.into()), started)
+                return (Verdict::Unknown(why.into()), None);
             }
             SolveResult::Unsat => {}
         }
@@ -1179,10 +1184,10 @@ impl<'s> PdrRun<'s> {
         let mut max_level: usize = 1;
         loop {
             if let Some(u) = self.budget.interruption(started) {
-                return self.outcome(Verdict::Unknown(u), started);
+                return (Verdict::Unknown(u), None);
             }
             if max_level as u32 > self.budget.max_depth {
-                return self.outcome(Verdict::Unknown(Unknown::BoundReached), started);
+                return (Verdict::Unknown(Unknown::BoundReached), None);
             }
             self.stats.depth = max_level as u32;
             self.ensure_act(max_level);
@@ -1201,7 +1206,7 @@ impl<'s> PdrRun<'s> {
                         // Bad state inside init was excluded at level 0
                         // unless it needs inputs; treat as cex directly.
                         let trace = Trace::simulate(self.sys, state, vec![bad_inputs], bad_index);
-                        return self.outcome(Verdict::Unsafe(trace), started);
+                        return (Verdict::Unsafe(trace), None);
                     }
                     self.bad_targets(bad_index);
                     let cube = self.ternary_generalize(&state, &bad_inputs);
@@ -1211,7 +1216,7 @@ impl<'s> PdrRun<'s> {
                         // every reachable state of the cube fires the bad.
                         let init = self.initial_state_in(&cube, &state);
                         let trace = Trace::simulate(self.sys, init, vec![bad_inputs], bad_index);
-                        return self.outcome(Verdict::Unsafe(trace), started);
+                        return (Verdict::Unsafe(trace), None);
                     }
                     let root = Obligation {
                         level: max_level as u32,
@@ -1224,10 +1229,10 @@ impl<'s> PdrRun<'s> {
                     match self.block_obligations(root, max_level) {
                         BlockResult::Blocked => {}
                         BlockResult::Cex(trace) => {
-                            return self.outcome(Verdict::Unsafe(trace), started);
+                            return (Verdict::Unsafe(trace), None);
                         }
                         BlockResult::Stopped(u) => {
-                            return self.outcome(Verdict::Unknown(u), started);
+                            return (Verdict::Unknown(u), None);
                         }
                     }
                 }
@@ -1238,14 +1243,14 @@ impl<'s> PdrRun<'s> {
                     match self.propagate(max_level) {
                         Ok(Some(level)) => {
                             let cert = self.export_invariant(level);
-                            return self.outcome(Verdict::Safe, started).with_certificate(cert);
+                            return (Verdict::Safe, Some(cert));
                         }
                         Ok(None) => {}
-                        Err(u) => return self.outcome(Verdict::Unknown(u), started),
+                        Err(u) => return (Verdict::Unknown(u), None),
                     }
                 }
                 SolveResult::Unknown(why) => {
-                    return self.outcome(Verdict::Unknown(why.into()), started);
+                    return (Verdict::Unknown(why.into()), None);
                 }
             }
         }

@@ -229,12 +229,104 @@ impl<'s> PdrRun<'s> {
         }
     }
 
-    /// Stamps the final statistics (summing every frame solver) into an
-    /// outcome.
-    fn outcome(&mut self, verdict: Verdict, started: Instant) -> CheckOutcome {
-        self.stats
-            .set_solver_stats(self.solvers.iter().map(|f| f.solver.stats()));
-        CheckOutcome::finish(verdict, self.stats.clone(), started)
+    /// Runs the PDR loop, then folds every frame solver's statistics
+    /// into the outcome.
+    fn solve(mut self) -> CheckOutcome {
+        let (verdict, certificate) = self.search();
+        for f in &self.solvers {
+            self.stats.absorb_solver(&f.solver.stats());
+        }
+        CheckOutcome {
+            certificate,
+            ..CheckOutcome::finish(verdict, self.stats, self.started)
+        }
+    }
+
+    /// The top-level PDR loop: the verdict and, for Safe, its witness.
+    fn search(&mut self) -> (Verdict, Option<crate::certify::Certificate>) {
+        let started = self.started;
+        // Level 0: Init ∧ Bad?
+        self.ensure_solver(0);
+        self.stats.sat_queries += 1;
+        let bad0 = self.solvers[0].bad_lit;
+        let limits = self.budget.sat_limits(started);
+        match self.solvers[0].solver.solve_limited(&[bad0], limits) {
+            SolveResult::Sat => {
+                let trace = Trace::simulate(
+                    self.sys,
+                    self.solvers[0].model_state(),
+                    vec![self.solvers[0].model_inputs()],
+                    self.solvers[0].fired_bad(),
+                );
+                return (Verdict::Unsafe(trace), None);
+            }
+            SolveResult::Unknown(why) => return (Verdict::Unknown(why.into()), None),
+            SolveResult::Unsat => {}
+        }
+
+        let mut max_level: usize = 1;
+        loop {
+            if let Some(u) = self.budget.interruption(started) {
+                return (Verdict::Unknown(u), None);
+            }
+            if max_level as u32 > self.budget.max_depth {
+                return (Verdict::Unknown(Unknown::BoundReached), None);
+            }
+            self.stats.depth = max_level as u32;
+            self.ensure_solver(max_level);
+
+            // Find a bad state in F_max.
+            self.stats.sat_queries += 1;
+            let bad = self.solvers[max_level].bad_lit;
+            let limits = self.budget.sat_limits(started);
+            match self.solvers[max_level].solver.solve_limited(&[bad], limits) {
+                SolveResult::Sat => {
+                    let state = self.solvers[max_level].model_state();
+                    let bad_inputs = self.solvers[max_level].model_inputs();
+                    let bad_index = self.solvers[max_level].fired_bad();
+                    let cube = PdrRun::state_to_cube(&state);
+                    if self.cube_intersects_init(&cube) {
+                        // Bad state inside init was excluded at level 0
+                        // unless it needs inputs; treat as cex directly.
+                        let trace = Trace::simulate(self.sys, state, vec![bad_inputs], bad_index);
+                        return (Verdict::Unsafe(trace), None);
+                    }
+                    let root = Obligation {
+                        level: max_level as u32,
+                        cube,
+                        parent: None,
+                        inputs_to_parent: Vec::new(),
+                        bad_inputs,
+                        bad_index,
+                    };
+                    match self.block_obligations(root, max_level) {
+                        BlockResult::Blocked => {}
+                        BlockResult::Cex(trace) => {
+                            return (Verdict::Unsafe(trace), None);
+                        }
+                        BlockResult::Stopped(u) => {
+                            return (Verdict::Unknown(u), None);
+                        }
+                    }
+                }
+                SolveResult::Unsat => {
+                    // Frame clear: extend and propagate.
+                    max_level += 1;
+                    self.ensure_solver(max_level);
+                    match self.propagate(max_level) {
+                        Ok(Some(level)) => {
+                            let cert = self.export_invariant(level);
+                            return (Verdict::Safe, Some(cert));
+                        }
+                        Ok(None) => {}
+                        Err(u) => return (Verdict::Unknown(u), None),
+                    }
+                }
+                SolveResult::Unknown(why) => {
+                    return (Verdict::Unknown(why.into()), None);
+                }
+            }
+        }
     }
 
     fn add_blocked(&mut self, cube: Cube, level: usize) {
@@ -564,103 +656,18 @@ impl PerFramePdr {
         tpl: &TransitionTemplate,
         inv: &[LatchClause],
     ) -> CheckOutcome {
-        let started = Instant::now();
-        let stats = EngineStats::default();
-
-        let mut run = PdrRun {
+        PdrRun {
             sys,
             tpl,
             inv,
             budget: self.budget.clone(),
-            started,
+            started: Instant::now(),
             solvers: Vec::new(),
             frames: vec![Vec::new()],
-            stats,
+            stats: EngineStats::default(),
             seq: 0,
-        };
-
-        // Level 0: Init ∧ Bad?
-        run.ensure_solver(0);
-        run.stats.sat_queries += 1;
-        let bad0 = run.solvers[0].bad_lit;
-        let limits = run.budget.sat_limits(started);
-        match run.solvers[0].solver.solve_limited(&[bad0], limits) {
-            SolveResult::Sat => {
-                let trace = Trace::simulate(
-                    sys,
-                    run.solvers[0].model_state(),
-                    vec![run.solvers[0].model_inputs()],
-                    run.solvers[0].fired_bad(),
-                );
-                return run.outcome(Verdict::Unsafe(trace), started);
-            }
-            SolveResult::Unknown(why) => return run.outcome(Verdict::Unknown(why.into()), started),
-            SolveResult::Unsat => {}
         }
-
-        let mut max_level: usize = 1;
-        loop {
-            if let Some(u) = run.budget.interruption(started) {
-                return run.outcome(Verdict::Unknown(u), started);
-            }
-            if max_level as u32 > self.budget.max_depth {
-                return run.outcome(Verdict::Unknown(Unknown::BoundReached), started);
-            }
-            run.stats.depth = max_level as u32;
-            run.ensure_solver(max_level);
-
-            // Find a bad state in F_max.
-            run.stats.sat_queries += 1;
-            let bad = run.solvers[max_level].bad_lit;
-            let limits = run.budget.sat_limits(started);
-            match run.solvers[max_level].solver.solve_limited(&[bad], limits) {
-                SolveResult::Sat => {
-                    let state = run.solvers[max_level].model_state();
-                    let bad_inputs = run.solvers[max_level].model_inputs();
-                    let bad_index = run.solvers[max_level].fired_bad();
-                    let cube = PdrRun::state_to_cube(&state);
-                    if run.cube_intersects_init(&cube) {
-                        // Bad state inside init was excluded at level 0
-                        // unless it needs inputs; treat as cex directly.
-                        let trace = Trace::simulate(sys, state, vec![bad_inputs], bad_index);
-                        return run.outcome(Verdict::Unsafe(trace), started);
-                    }
-                    let root = Obligation {
-                        level: max_level as u32,
-                        cube,
-                        parent: None,
-                        inputs_to_parent: Vec::new(),
-                        bad_inputs,
-                        bad_index,
-                    };
-                    match run.block_obligations(root, max_level) {
-                        BlockResult::Blocked => {}
-                        BlockResult::Cex(trace) => {
-                            return run.outcome(Verdict::Unsafe(trace), started);
-                        }
-                        BlockResult::Stopped(u) => {
-                            return run.outcome(Verdict::Unknown(u), started);
-                        }
-                    }
-                }
-                SolveResult::Unsat => {
-                    // Frame clear: extend and propagate.
-                    max_level += 1;
-                    run.ensure_solver(max_level);
-                    match run.propagate(max_level) {
-                        Ok(Some(level)) => {
-                            let cert = run.export_invariant(level);
-                            return run.outcome(Verdict::Safe, started).with_certificate(cert);
-                        }
-                        Ok(None) => {}
-                        Err(u) => return run.outcome(Verdict::Unknown(u), started),
-                    }
-                }
-                SolveResult::Unknown(why) => {
-                    return run.outcome(Verdict::Unknown(why.into()), started);
-                }
-            }
-        }
+        .solve()
     }
 }
 

@@ -993,12 +993,11 @@ mod tests {
         let report = Portfolio::with_engines(Budget::default(), 4).check_detailed(&ts);
         assert!(report.verdict.is_unsafe());
         type Counter = fn(&EngineStats) -> u64;
-        let counters: [(&str, Counter); 15] = [
+        let counters: [(&str, Counter); 14] = [
             ("sat_queries", |s| s.sat_queries),
             ("conflicts", |s| s.conflicts),
             ("decisions", |s| s.decisions),
             ("propagations", |s| s.propagations),
-            ("inproc_subsumed", |s| s.inproc_subsumed),
             ("reduces", |s| s.reduces),
             ("deleted", |s| s.deleted),
             ("arena_bytes", |s| s.arena_bytes),

@@ -208,8 +208,6 @@ pub struct EngineStats {
     pub decisions: u64,
     /// Total literal propagations across all SAT queries.
     pub propagations: u64,
-    /// Original clauses removed by inprocessing backward subsumption.
-    pub inproc_subsumed: u64,
     /// Learned-clause reduction passes across all SAT solvers used.
     pub reduces: u64,
     /// Learned clauses deleted by reduction across all SAT solvers.
@@ -247,14 +245,12 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Folds one solver's cumulative statistics into the engine totals.
-    /// Call once per solver (when it is retired, or via
-    /// [`set_solver_stats`](EngineStats::set_solver_stats) for solvers
-    /// that live to the end of the run).
+    /// Call once per solver: when it is retired, or at the engine's one
+    /// exit for solvers that live to the end of the run.
     pub fn absorb_solver(&mut self, s: &satb::Stats) {
         self.conflicts += s.conflicts;
         self.decisions += s.decisions;
         self.propagations += s.propagations;
-        self.inproc_subsumed += s.inproc_subsumed;
         self.reduces += s.reduces;
         self.deleted += s.deleted;
         self.arena_bytes += s.arena_bytes;
@@ -262,27 +258,6 @@ impl EngineStats {
         self.act_recycled += s.act_recycled;
         self.proof_bytes += s.proof_bytes;
         self.proof_chains += s.proof_chains;
-    }
-
-    /// Replaces the solver-side totals with the (cumulative) statistics
-    /// of the given solvers. Engines whose solvers live for the whole
-    /// run call this before reporting. Engine-side counters (depth,
-    /// queries, ternary drops) are untouched.
-    pub fn set_solver_stats<I: IntoIterator<Item = satb::Stats>>(&mut self, solvers: I) {
-        self.conflicts = 0;
-        self.decisions = 0;
-        self.propagations = 0;
-        self.inproc_subsumed = 0;
-        self.reduces = 0;
-        self.deleted = 0;
-        self.arena_bytes = 0;
-        self.arena_peak_bytes = 0;
-        self.act_recycled = 0;
-        self.proof_bytes = 0;
-        self.proof_chains = 0;
-        for s in solvers {
-            self.absorb_solver(&s);
-        }
     }
 }
 
@@ -294,7 +269,6 @@ impl std::ops::AddAssign<&EngineStats> for EngineStats {
         self.conflicts += s.conflicts;
         self.decisions += s.decisions;
         self.propagations += s.propagations;
-        self.inproc_subsumed += s.inproc_subsumed;
         self.reduces += s.reduces;
         self.deleted += s.deleted;
         self.arena_bytes += s.arena_bytes;

@@ -222,25 +222,6 @@ impl ClauseDb {
         self.learnts = learnts;
     }
 
-    /// Reclassifies a live learned clause as original: clears the
-    /// learnt flag and moves the registry entry. Used by inprocessing
-    /// when a learned clause subsumes an original — the subsuming
-    /// clause must take over the original's non-deletable status, or a
-    /// later reduction pass could silently drop the only copy of the
-    /// constraint. Both registries are kept in ascending (allocation)
-    /// order.
-    pub(crate) fn promote_to_original(&mut self, c: CRef) {
-        debug_assert!(self.is_learnt(c) && !self.is_deleted(c));
-        self.arena[c.index()] &= !FLAG_LEARNT;
-        if let Ok(i) = self.learnts.binary_search(&c) {
-            self.learnts.remove(i);
-        } else {
-            debug_assert!(false, "promoted clause missing from learnt registry");
-        }
-        let at = self.originals.binary_search(&c).unwrap_or_else(|i| i);
-        self.originals.insert(at, c);
-    }
-
     /// Removes the given ascending `doomed` crefs from one registry
     /// (used by activation-group release, which frees individual
     /// clauses rather than rebuilding a registry wholesale). Both the

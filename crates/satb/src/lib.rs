@@ -66,9 +66,7 @@
 //!   `aig` transition template, which simplifies its clause image once
 //!   per design, before any frame is instantiated and labelled with an
 //!   interpolation partition, so resolution there never has partitions
-//!   to respect. The solver itself adds **lightweight inprocessing**
-//!   between solve calls (backward subsumption of the original image
-//!   by learned clauses, [`Stats::inproc_subsumed`]);
+//!   to respect;
 //! * an independent **resolution-proof checker** ([`proofcheck`]):
 //!   replays every recorded chain from scratch (antecedent existence,
 //!   pivot polarity, learnt-clause cross-check, the final

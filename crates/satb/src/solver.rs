@@ -162,10 +162,6 @@ pub struct Stats {
     /// Faults injected by [`Limits::chaos`] (each one surfaced as an
     /// [`Interrupt::Cancelled`] answer).
     pub chaos_injected: u64,
-    /// Original clauses deleted by inprocessing because a learned
-    /// clause subsumed them (the learned clause is promoted in their
-    /// place).
-    pub inproc_subsumed: u64,
     /// Approximate bytes held by the recorded resolution proof (zero
     /// when proof logging is off). See [`crate::proof::Proof::bytes`].
     pub proof_bytes: u64,
@@ -400,8 +396,6 @@ pub struct Solver {
     /// [`Chaos`] threshold so injected faults vary across calls but
     /// replay deterministically.
     chaos_epoch: u64,
-    /// Learned-clause count that triggers the next inprocessing pass.
-    next_inproc: u64,
     /// Scratch buffers of the clause-add paths, reused so that adding a
     /// clause allocates nothing but its arena words: `clause_buf` holds
     /// what of a clause survives level-0 simplification, `norm_buf` the
@@ -473,7 +467,6 @@ impl Solver {
             is_guard: Vec::new(),
             leaked: Vec::new(),
             chaos_epoch: 0,
-            next_inproc: Self::INPROC_INTERVAL,
             norm_buf: Vec::new(),
             clause_buf: Vec::new(),
         }
@@ -527,9 +520,6 @@ impl Solver {
         cfg.enabled = enabled;
         self.set_reduce_config(cfg);
     }
-
-    /// Additional learned clauses between inprocessing passes.
-    const INPROC_INTERVAL: u64 = 500;
 
     /// Propagations of one solve call between two readings of
     /// [`Limits::deadline`], besides the reading every 64 conflicts: a
@@ -1574,113 +1564,6 @@ impl Solver {
         })
     }
 
-    /// Lightweight inprocessing, run between solve calls at level 0:
-    /// backward subsumption of the *original* image by learned
-    /// clauses. A learned clause whose literals are a subset of an
-    /// original's makes that original redundant — common in
-    /// incremental model checking, where the search keeps re-deriving
-    /// sharper versions of the transition-relation clauses it actually
-    /// uses. The subsumed original is deleted and the learned clause
-    /// is **promoted to original status** in its place, so a later
-    /// reduction pass can never drop the only remaining copy of the
-    /// constraint. Counted in [`Stats::inproc_subsumed`].
-    ///
-    /// Skipped whenever the bookkeeping could be invalidated: proof
-    /// logging (original clauses anchor resolution chains), live or
-    /// leaked activation groups (their registries hold `CRef`s into
-    /// the original registry), or an inconsistent solver. Clauses
-    /// serving as level-0 reasons are never removed.
-    fn inprocess(&mut self) {
-        debug_assert!(self.trail_lim.is_empty(), "inprocessing above level 0");
-        if self.proof.is_some()
-            || !self.ok
-            || !self.act_entries.is_empty()
-            || !self.leaked.is_empty()
-        {
-            return;
-        }
-        let learnts: Vec<CRef> = self.cdb.learnts().to_vec();
-        if learnts.is_empty() {
-            return;
-        }
-        // Signature: a 64-bit Bloom word over variable indices; L can
-        // only subsume O when sig(L) & !sig(O) == 0.
-        let sig = |db: &ClauseDb, c: CRef| {
-            db.lits(c)
-                .iter()
-                .fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64))
-        };
-        // Occurrence lists over the original image, each entry
-        // carrying the clause's signature and size so most candidates
-        // are rejected without touching its literals.
-        let mut occ: Vec<Vec<(CRef, u64, u32)>> = vec![Vec::new(); 2 * self.num_vars()];
-        for &c in self.cdb.originals() {
-            let s = sig(&self.cdb, c);
-            let n = self.cdb.size(c) as u32;
-            if n < 2 {
-                continue; // a unit original is subsumable only by its twin
-            }
-            for &l in self.cdb.lits(c) {
-                occ[l.code()].push((c, s, n));
-            }
-        }
-        // Mark-based subset test over unsorted literal arrays.
-        let mut mark = vec![0u32; 2 * self.num_vars()];
-        let mut gen = 0u32;
-        let mut doomed: Vec<CRef> = Vec::new();
-        for &lc in &learnts {
-            if self.cdb.is_deleted(lc) || !self.cdb.is_learnt(lc) {
-                continue; // deleted earlier, or already promoted
-            }
-            let lsig = sig(&self.cdb, lc);
-            let lsize = self.cdb.size(lc) as u32;
-            // Probe the shortest occurrence list among L's literals.
-            let Some(&probe) = self.cdb.lits(lc).iter().min_by_key(|l| occ[l.code()].len()) else {
-                continue;
-            };
-            gen += 1;
-            for &l in self.cdb.lits(lc) {
-                mark[l.code()] = gen;
-            }
-            let mut promoted = false;
-            for i in 0..occ[probe.code()].len() {
-                let (oc, osig, osize) = occ[probe.code()][i];
-                if osize < lsize || lsig & !osig != 0 || self.cdb.is_deleted(oc) {
-                    continue;
-                }
-                // L ⊆ O iff every one of O's marked literals accounts
-                // for one of L's (both are duplicate-free).
-                let hits = self
-                    .cdb
-                    .lits(oc)
-                    .iter()
-                    .filter(|l| mark[l.code()] == gen)
-                    .count() as u32;
-                if hits < lsize {
-                    continue;
-                }
-                if self.is_reason_clause(oc) {
-                    continue; // deleting it would dangle the trail
-                }
-                self.detach(oc);
-                self.cdb.free(oc);
-                doomed.push(oc);
-                self.stats.inproc_subsumed += 1;
-                if !promoted {
-                    self.cdb.promote_to_original(lc);
-                    promoted = true;
-                }
-            }
-        }
-        if !doomed.is_empty() {
-            doomed.sort_unstable();
-            self.cdb.remove_from_registry(false, &doomed);
-            if self.cdb.should_collect() {
-                self.collect_garbage();
-            }
-        }
-    }
-
     /// Learned-clause reduction: deletes the worse half of the
     /// deletable learned clauses (high LBD, low activity), keeping
     /// binary, glue and locked clauses, then compacts the arena when
@@ -1778,15 +1661,6 @@ impl Solver {
     #[doc(hidden)]
     pub fn debug_force_gc(&mut self) {
         self.collect_garbage();
-    }
-
-    /// Runs an inprocessing pass immediately (test hook; normal
-    /// operation triggers it from the learned-clause count at solve
-    /// entry).
-    #[doc(hidden)]
-    pub fn debug_force_inprocess(&mut self) {
-        self.backtrack(0);
-        self.inprocess();
     }
 
     /// Replays every live clause against the current watch lists and
@@ -1978,10 +1852,6 @@ impl Solver {
             self.derive_empty_from(confl);
             self.ok = false;
             return SolveResult::Unsat;
-        }
-        if self.stats.learned >= self.next_inproc {
-            self.next_inproc = self.stats.learned + Self::INPROC_INTERVAL;
-            self.inprocess();
         }
 
         let limit_base = self.stats.conflicts;
@@ -3094,91 +2964,5 @@ pub(crate) mod tests {
             }
         }
         assert!(units > 0, "no clause was a unit at level 0");
-    }
-
-    #[test]
-    fn inprocessing_promotes_subsuming_learnt() {
-        let mut s = Solver::new();
-        let a = lit(&mut s, 0, true);
-        let b = lit(&mut s, 1, true);
-        let c = lit(&mut s, 2, true);
-        s.add_clause(&[a, b, c]);
-        s.add_clause(&[!c, a, b]);
-        // Assuming !a, !b propagates c from the first clause and
-        // conflicts on the second; first-UIP learns (a | b), which
-        // subsumes both originals.
-        assert_eq!(s.solve_with(&[!a, !b]), SolveResult::Unsat);
-        assert_eq!(s.stats().learned, 1);
-        let before = s.num_clauses();
-        s.debug_force_inprocess();
-        assert_eq!(s.stats().inproc_subsumed, 2, "both originals subsumed");
-        assert_eq!(s.num_clauses(), before - 2);
-        s.debug_check_integrity()
-            .expect("intact after inprocessing");
-        // The subsuming learnt was promoted to original status, so
-        // clause reduction may not delete it and verdicts hold.
-        s.debug_force_reduce();
-        assert_eq!(s.solve_with(&[!a]), SolveResult::Sat);
-        assert_eq!(s.value(b), Some(true));
-        assert_eq!(s.solve_with(&[!a, !b]), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn inprocessing_preserves_verdicts_on_random_cnf() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x1217);
-        let mut subsumed = 0u64;
-        for _ in 0..80 {
-            let nvars = rng.gen_range(2..=7usize);
-            let mut s = Solver::new();
-            for _ in 0..nvars {
-                s.new_var();
-            }
-            let mut cnf: Vec<Vec<Lit>> = Vec::new();
-            for _round in 0..4 {
-                for _ in 0..rng.gen_range(1..=6usize) {
-                    let len = rng.gen_range(1..=3usize);
-                    let cl: Vec<Lit> = (0..len)
-                        .map(|_| {
-                            Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5))
-                        })
-                        .collect();
-                    cnf.push(cl.clone());
-                    s.add_clause(&cl);
-                }
-                let assumptions: Vec<Lit> = (0..rng.gen_range(0..=2usize))
-                    .map(|_| Lit::new(Var::from_index(rng.gen_range(0..nvars)), rng.gen_bool(0.5)))
-                    .collect();
-                let mut brute_sat = false;
-                'outer: for m in 0u32..(1 << nvars) {
-                    let holds = |l: &Lit| ((m >> l.var().index()) & 1 == 1) == l.is_positive();
-                    if !assumptions.iter().all(holds) {
-                        continue;
-                    }
-                    for cl in &cnf {
-                        if !cl.iter().any(holds) {
-                            continue 'outer;
-                        }
-                    }
-                    brute_sat = true;
-                    break;
-                }
-                let got = s.solve_with(&assumptions);
-                let want = if brute_sat {
-                    SolveResult::Sat
-                } else {
-                    SolveResult::Unsat
-                };
-                assert_eq!(got, want, "cnf {cnf:?} assumptions {assumptions:?}");
-                // Inprocess between batches; verdicts must be stable.
-                s.debug_force_inprocess();
-                s.debug_check_integrity()
-                    .expect("intact after inprocessing");
-                assert_eq!(s.solve_with(&assumptions), want, "after inprocessing");
-            }
-            subsumed += s.stats().inproc_subsumed;
-        }
-        assert!(subsumed > 0, "inprocessing never subsumed anything");
     }
 }

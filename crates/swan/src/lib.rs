@@ -11,7 +11,6 @@
 //! | CPAChecker interpolation | [`predabs::PredAbs`] (ITP mode)|
 //! | IMPARA (IMPACT)          | [`impact::Impact`]             |
 //! | SeaHorn PDR              | [`seahorn::SeaHorn`]           |
-//! | Astrée                   | [`absint::IntervalAi`]         |
 //!
 //! All analyzers consume a [`v2c::SwProgram`] (the software-netlist)
 //! and report [`engines::CheckOutcome`]s, so hardware engines and
@@ -21,16 +20,13 @@
 //! loop, and IMPARA and CPA-itp unroll the engines'
 //! [`aig::TransitionTemplate`] for their interpolants.
 //!
-//! Two analyzers intentionally reproduce *imprecision* the paper
+//! One analyzer intentionally reproduces *imprecision* the paper
 //! observed: [`seahorn::SeaHorn`] over-approximates bit-level
-//! operators the way a linear-arithmetic encoding does (yielding the
-//! paper's "wrong" results on bit-heavy designs), and
-//! [`absint::IntervalAi`] raises false alarms on most safe designs, as
-//! the paper reports for Astrée without manual partitioning.
+//! operators the way a linear-arithmetic encoding does, yielding the
+//! paper's "wrong" results on bit-heavy designs.
 
 #![forbid(unsafe_code)]
 
-pub mod absint;
 pub mod cbmc;
 pub mod impact;
 pub mod predabs;

@@ -14,9 +14,9 @@
 //! portfolio winner cancels a seated analyzer exactly like a hardware
 //! member. Seat only *sound* analyzers — [`crate::predabs::PredAbs`]
 //! (both refinement modes) and [`crate::impact::Impact`] qualify; the
-//! deliberately imprecise [`crate::seahorn::SeaHorn`] and
-//! [`crate::absint::IntervalAi`] reproduce paper-observed wrong/alarm
-//! behaviour and would trip the portfolio's disagreement alarm.
+//! deliberately imprecise [`crate::seahorn::SeaHorn`] reproduces the
+//! paper's wrong results and would trip the portfolio's disagreement
+//! alarm.
 //!
 //! # Certification caveat
 //!

@@ -38,8 +38,6 @@ pub struct TwoLs {
     pub budget: Budget,
     /// Infer interval invariants (the second "I" of kIkI).
     pub use_invariants: bool,
-    /// Widen an entry to top after this many weakenings.
-    pub widening_threshold: u32,
 }
 
 impl Default for TwoLs {
@@ -47,12 +45,14 @@ impl Default for TwoLs {
         TwoLs {
             budget: Budget::default(),
             use_invariants: true,
-            widening_threshold: 24,
         }
     }
 }
 
 impl TwoLs {
+    /// Weakenings of an entry before it is widened to top.
+    const WIDENING_THRESHOLD: u32 = 24;
+
     /// Creates the analyzer with a budget.
     pub fn new(budget: Budget) -> TwoLs {
         TwoLs {
@@ -153,7 +153,7 @@ impl TwoLs {
                     let w = ts.pool().var_sort(var).width();
                     if v < lo || v > hi {
                         t.widenings[bi] += 1;
-                        if t.widenings[bi] >= self.widening_threshold {
+                        if t.widenings[bi] >= Self::WIDENING_THRESHOLD {
                             t.bounds[bi] = (si, 0, rtlir::value::mask(w));
                         } else {
                             t.bounds[bi] = (si, lo.min(v), hi.max(v));

@@ -1236,7 +1236,8 @@ impl<'a> FnBody<'a> {
         }
         for body in &clocked {
             // Each register once, in order of first assignment, split
-            // into blocking and non-blocking targets.
+            // into blocking and non-blocking targets (`check_drivers`
+            // has seen to it that no register is both).
             let mut targets: Vec<String> = Vec::new();
             let mut blocking: HashSet<String> = HashSet::new();
             let mut nonblocking: HashSet<String> = HashSet::new();
@@ -1253,11 +1254,6 @@ impl<'a> FnBody<'a> {
                 }
             });
             for t in &targets {
-                if blocking.contains(t) && nonblocking.contains(t) {
-                    return Err(Self::err(format!(
-                        "register '{t}' assigned both blocking and non-blocking"
-                    )));
-                }
                 let sig = self.sig(t)?.clone();
                 let n = sanitize(t);
                 if let Some((_, aw)) = sig.memory {
@@ -1469,6 +1465,18 @@ mod tests {
                 "reg r; always @(posedge clk) r <= a; always @(posedge clk) r <= !a; \
                  assign y = r;",
                 "register 'r' driven by multiple clocked processes",
+            ),
+            (
+                "input c",
+                "reg [3:0] a; initial a = 0; \
+                 always @(posedge clk) begin if (c) a = 4'd1; else a <= 4'd2; end \
+                 assert property (a != 4'd1);",
+                "register 'a' assigned both blocking and non-blocking",
+            ),
+            (
+                "input a, output y",
+                "wire w; always @(posedge clk) w <= a; assign y = w;",
+                "clocked assignment to wire 'w' (declare it reg)",
             ),
         ];
         for (ports, body, message) in table {

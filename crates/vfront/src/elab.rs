@@ -713,6 +713,8 @@ enum Driver {
 /// - Every signal has at most one driver: a continuous assignment, a
 ///   combinational process, an instance port connection or a clocked
 ///   process.
+/// - A clocked process assigns registers only, not wires or input
+///   ports, and assigns each of them with `=` only or with `<=` only.
 /// - `initial` assigns registers only, and no register that a
 ///   combinational driver drives.
 ///
@@ -757,7 +759,10 @@ impl DriverWalk<'_> {
         }
         for (clock, body) in &m.processes {
             let by = match clock {
-                Some(_) => Driver::Clocked(self.next()),
+                Some(_) => {
+                    clocked_assigns(m, prefix, body)?;
+                    Driver::Clocked(self.next())
+                }
                 None => Driver::Comb(self.next()),
             };
             for t in body.targets() {
@@ -828,6 +833,31 @@ impl DriverWalk<'_> {
             }
         }
     }
+}
+
+/// The assignments of one clocked process in the instance at `prefix`:
+/// each target is a register, assigned with `=` only or with `<=` only.
+fn clocked_assigns(m: &ElabModule, prefix: &str, body: &Stmt) -> Result<(), VerilogError> {
+    let mut assigns = Vec::new();
+    body.for_each_assign(&mut |blocking, lv, _| {
+        assigns.extend(lv.targets().into_iter().map(|t| (t, blocking)));
+    });
+    let mut kinds = HashMap::new();
+    for (t, blocking) in assigns {
+        let name = flat_name(prefix, &t);
+        // An unknown target is synthesis' and the emitter's error.
+        if m.signal(&t).is_some_and(|sig| sig.kind != NetKind::Reg) {
+            return Err(VerilogError::general(format!(
+                "clocked assignment to wire '{name}' (declare it reg)"
+            )));
+        }
+        if *kinds.entry(t).or_insert(blocking) != blocking {
+            return Err(VerilogError::general(format!(
+                "register '{name}' assigned both blocking and non-blocking"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn whole_memory(name: &str) -> VerilogError {

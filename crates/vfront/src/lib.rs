@@ -37,7 +37,9 @@
 //! - `case` lowering: [`ast::Stmt::case_to_if`].
 //! - Drivers: [`elab::check_drivers`]. Continuous assignments drive
 //!   whole signals, every signal has one driver (one clocked process
-//!   per register), and `initial` assigns registers only.
+//!   per register), a clocked process assigns registers only and each
+//!   of them with `=` only or `<=` only, and `initial` assigns
+//!   registers only.
 //! - Widths and bounds: [`elab::self_width`], [`elab::part_bounds`] and
 //!   [`elab::target_widths`], over a name-to-signal lookup
 //!   ([`elab::Lookup`]).

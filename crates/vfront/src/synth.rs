@@ -396,17 +396,12 @@ impl Synthesizer {
                 role.insert(t.clone(), Role::Comb(ui));
             }
         }
-        // Drivers from clocked processes.
+        // Drivers from clocked processes, which `check_drivers` has
+        // seen to assign registers only.
         for (_, body) in &self.flat.clocked {
             for t in body.targets() {
-                let sig = self
-                    .flat
-                    .sig(&t)
-                    .ok_or_else(|| Self::err(format!("assignment to unknown signal '{t}'")))?;
-                if sig.kind != NetKind::Reg {
-                    return Err(Self::err(format!(
-                        "clocked assignment to wire '{t}' (declare it reg)"
-                    )));
+                if self.flat.sig(&t).is_none() {
+                    return Err(Self::err(format!("assignment to unknown signal '{t}'")));
                 }
                 role.insert(t, Role::State);
             }
@@ -1016,8 +1011,8 @@ impl Synthesizer {
         let mut nb = Env::new();
         self.exec_stmt(body, &mut env, Some(&mut nb), true)?;
         // Blocking-assigned registers in clocked processes are state
-        // updates too; non-blocking wins on conflicts (matches
-        // scheduling order within one process).
+        // updates too. `check_drivers` has seen to it that no register
+        // is assigned both ways, so the two sets are disjoint.
         env.extend(nb);
         Ok(env)
     }
@@ -1039,6 +1034,31 @@ mod tests {
         }
         let src = "module top(input [31:0] a, output [63:0] y);\n  assign y = {2{a}};\nendmodule\n";
         assert!(compile(src, "top").is_ok(), "exactly 64 bits is fine");
+    }
+
+    /// A register that one clocked process assigns with both `=` and
+    /// `<=` has no single next-state function: on a branch that
+    /// assigns only `=`, Verilog updates it, so it may not compile to
+    /// a register that keeps its value there.
+    #[test]
+    fn mixed_blocking_and_nonblocking_register_is_rejected() {
+        let src = r#"
+        module top(input clk, input c);
+          reg [3:0] a;
+          initial a = 0;
+          always @(posedge clk) begin
+            if (c) a = 4'd1;
+            else a <= 4'd2;
+          end
+          assert property (a != 4'd1);
+        endmodule
+        "#;
+        let err = compile(src, "top").expect_err("mixed assignment kinds");
+        assert!(
+            err.message
+                .contains("register 'a' assigned both blocking and non-blocking"),
+            "{err}"
+        );
     }
 
     #[test]

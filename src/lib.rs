@@ -13,7 +13,7 @@
 //!     │       └── word-level unrolling ──► EBMC-style k-induction
 //!     └── v2c ──► ANSI-C software-netlist ──cfront──► software program
 //!                      └── software analyzers (swan): CBMC / 2LS /
-//!                          CPAChecker / IMPARA / SeaHorn / Astrée styles
+//!                          CPAChecker / IMPARA / SeaHorn styles
 //! ```
 //!
 //! The paper's best configuration — the Figure 5 "hybrid" — is the

@@ -98,9 +98,8 @@ fn software_kinduction_reports_sat_counters() {
     let b = hwsw::bmarks::by_name("DAIO").expect("exists");
     let prog = hwsw::v2c::SwProgram::from_ts(b.compile().expect("compiles"));
     let twols_kind = hwsw::swan::twols::TwoLs {
-        budget: budget(60),
         use_invariants: false,
-        ..hwsw::swan::twols::TwoLs::default()
+        ..hwsw::swan::twols::TwoLs::new(budget(60))
     };
     let runs = [
         hwsw::swan::cbmc::CbmcKind::new(budget(60)).check(&prog),
