@@ -38,6 +38,37 @@
 //!   [`FrameVars::latch_next`] literals — with no equality clauses and
 //!   no duplicated cone encoding.
 //!
+//! # Folding what level 0 fixes
+//!
+//! A chained frame of a deterministic design is mostly known before it
+//! is loaded: the solver has fixed its bound literals at level 0
+//! ([`satb::Solver::fixed`]), and with them most of the frame. A bound
+//! instantiation in a solver without proof logging therefore *folds*:
+//! it runs unit propagation over the clause image on template-local
+//! values, starting from the fixed bound literals and the constraints.
+//! A variable this determines gets no solver variable; it maps onto a
+//! fixed bound literal (or its negation). Only the clauses no value
+//! satisfies are added, without their false literals. The solver then
+//! holds the formula it would hold after loading the whole frame and
+//! propagating at level 0, over fewer variables and clauses. A clause
+//! the propagation falsifies makes the solver inconsistent, as loading
+//! the frame would. On the deep `bughunt` serdes the reset state
+//! determines every variable of a chained frame except the 10 no clause
+//! mentions: its input and the free next states of the latches the cone
+//! cut frees.
+//!
+//! Two kinds of instantiation do not fold:
+//!
+//! * frames in a proof-logging solver (interpolation, IMPARA, CPA-itp,
+//!   paranoid certification, proof replay). A refutation must resolve
+//!   through every clause it uses, and an interpolation partition's
+//!   frames must not absorb facts the other partition fixed;
+//! * fresh frames ([`instantiate`](TransitionTemplate::instantiate)),
+//!   the only kind PDR, Houdini and the certifier's consecution checks
+//!   load, and bound frames with no fixed bound literal. They make the
+//!   solver calls they made before folding existed, in the same order,
+//!   so those searches do not change.
+//!
 //! # `Part` and tag preservation
 //!
 //! Every instantiation takes an interpolation partition
@@ -160,6 +191,117 @@ pub struct TransitionTemplate {
     /// Per latch: whether it lies in the compiled system's sequential
     /// cone of influence ([`AigSystem::latch_coi`]).
     latch_coi: Vec<bool>,
+    /// Where each literal occurs in the two images, for the unit
+    /// propagation of a folded frame.
+    occurrences: Occurrences,
+}
+
+/// Where each literal occurs in a template's two images. Clauses are
+/// numbered across the images, plain image first: clause `ci` of the
+/// latchy image is number `ends.len() + ci`. The clauses holding the
+/// literal with [`Lit::code`] `c` are `clauses[start[c]..start[c + 1]]`.
+#[derive(Clone, Debug, PartialEq)]
+struct Occurrences {
+    start: Vec<u32>,
+    clauses: Vec<u32>,
+    /// The literals of the images' unit clauses.
+    units: Vec<Lit>,
+}
+
+impl Occurrences {
+    fn of(num_vars: usize, images: [(&[Lit], &[u32]); 2]) -> Occurrences {
+        let mut start = vec![0u32; 2 * num_vars + 1];
+        for (lits, _) in images {
+            for l in lits {
+                start[l.code() + 1] += 1;
+            }
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut fill = start.clone();
+        let mut clauses = vec![0u32; start[2 * num_vars] as usize];
+        let mut units = Vec::new();
+        let mut ci = 0u32;
+        for (lits, ends) in images {
+            let mut from = 0usize;
+            for &end in ends {
+                let clause = &lits[from..end as usize];
+                if let [unit] = clause {
+                    units.push(*unit);
+                }
+                for l in clause {
+                    clauses[fill[l.code()] as usize] = ci;
+                    fill[l.code()] += 1;
+                }
+                from = end as usize;
+                ci += 1;
+            }
+        }
+        Occurrences {
+            start,
+            clauses,
+            units,
+        }
+    }
+
+    fn of_lit(&self, l: Lit) -> &[u32] {
+        &self.clauses[self.start[l.code()] as usize..self.start[l.code() + 1] as usize]
+    }
+}
+
+/// What the level-0 assignment of a solver without proof logging
+/// determines in one chained frame: the values unit propagation over
+/// the frame's clause image derives from its fixed bound literals.
+struct Fold {
+    /// Per template literal, by [`Lit::code`]: its value when
+    /// determined.
+    vals: Vec<Option<bool>>,
+    /// Literals made true and not yet propagated.
+    queue: Vec<Lit>,
+    /// A bound literal fixed true at level 0 (the negation of one fixed
+    /// false). Every determined variable maps onto it or its negation.
+    truth: Lit,
+    /// Whether some clause of the frame has every literal false.
+    conflict: bool,
+}
+
+impl Fold {
+    fn value(&self, l: Lit) -> Option<bool> {
+        self.vals[l.code()]
+    }
+
+    /// Makes `l` true and queues it; a conflict if it is false.
+    fn assign(&mut self, l: Lit) {
+        match self.value(l) {
+            Some(true) => {}
+            Some(false) => self.conflict = true,
+            None => {
+                self.vals[l.code()] = Some(true);
+                self.vals[(!l).code()] = Some(false);
+                self.queue.push(l);
+            }
+        }
+    }
+
+    /// Unit propagation over one clause: a clause with one open
+    /// literal and the rest false assigns it, one with every literal
+    /// false is a conflict.
+    fn visit(&mut self, clause: &[Lit]) {
+        let mut open = None;
+        for &l in clause {
+            match self.value(l) {
+                Some(true) => return,
+                Some(false) => {}
+                None if open.is_some() => return,
+                None => open = Some(l),
+            }
+        }
+        match open {
+            Some(l) => self.assign(l),
+            None => self.conflict = true,
+        }
+    }
 }
 
 /// Template-local Tseitin emitter used by
@@ -317,9 +459,14 @@ impl TransitionTemplate {
             }
         };
 
+        let num_vars = b.next_var as usize;
+        let occurrences = Occurrences::of(
+            num_vars,
+            [(&b.lits, &b.ends), (&b.latchy_lits, &b.latchy_ends)],
+        );
         TransitionTemplate {
             num_latches,
-            num_vars: b.next_var as usize,
+            num_vars,
             lits: b.lits,
             ends: b.ends,
             latchy_lits: b.latchy_lits,
@@ -330,6 +477,7 @@ impl TransitionTemplate {
             bad_lits,
             any_bad,
             latch_coi: sys.latch_coi(),
+            occurrences,
         }
     }
 
@@ -499,6 +647,7 @@ impl TransitionTemplate {
             }
         }
 
+        let occurrences = Occurrences::of(next, [(&lits, &ends), (&latchy_lits, &latchy_ends)]);
         let template = TransitionTemplate {
             num_latches: self.num_latches,
             num_vars: next,
@@ -512,6 +661,7 @@ impl TransitionTemplate {
             bad_lits: self.bad_lits.iter().map(|&l| map_lit(l)).collect(),
             any_bad: map_lit(self.any_bad),
             latch_coi: self.latch_coi.clone(),
+            occurrences,
         };
         PreprocessedTemplate {
             template,
@@ -552,7 +702,8 @@ impl TransitionTemplate {
     ///   input literals (`0..L` and `L..L+I` — the layout contract
     ///   preprocessing must preserve), and constraint / bad / any-bad
     ///   literals below the variable count;
-    /// * the cone of influence has one entry per latch.
+    /// * the cone of influence has one entry per latch;
+    /// * the occurrence lists folding propagates over match the images.
     ///
     /// Returns the first violation as a human-readable message.
     ///
@@ -635,6 +786,13 @@ impl TransitionTemplate {
                 self.num_latches
             ));
         }
+        let images = [
+            (&self.lits[..], &self.ends[..]),
+            (&self.latchy_lits[..], &self.latchy_ends[..]),
+        ];
+        if self.occurrences != Occurrences::of(self.num_vars, images) {
+            return Err("occurrence lists do not match the images".into());
+        }
         Ok(())
     }
 
@@ -648,6 +806,22 @@ impl TransitionTemplate {
     /// given solver literals (e.g. the previous frame's
     /// [`FrameVars::latch_next`], or pre-created interface variables
     /// for interpolation). Only the free variables are allocated.
+    ///
+    /// The frame folds what the solver's level 0 already fixes
+    /// ([`Solver::fixed`]) when the solver logs no proof and some bound
+    /// literal is fixed: unit propagation over the clause image, on
+    /// template-local values, determines what it can from the fixed
+    /// bound literals. A determined variable gets no solver variable: it
+    /// maps onto a fixed bound literal, so a [`FrameVars`] literal may
+    /// be fixed or shared with another. Only the clauses left
+    /// unsatisfied are added, without their false literals, plus a unit
+    /// for each bound literal the frame determines that level 0 did not
+    /// fix. The solver holds the same formula over its open variables
+    /// as with the whole frame loaded; a clause the fold falsifies makes
+    /// it inconsistent, as loading the frame would. A proof-logging
+    /// solver loads the whole frame, since its refutations resolve
+    /// through every clause, and a frame with no fixed bound literal
+    /// makes the calls of an unfolded frame.
     ///
     /// # Panics
     ///
@@ -663,68 +837,169 @@ impl TransitionTemplate {
         self.inst(solver, part, tag, Some(latch_cur))
     }
 
+    /// Clause `ci`, numbered across the images, plain image first.
+    fn clause(&self, ci: usize) -> &[Lit] {
+        let (lits, ends, i) = match ci.checked_sub(self.ends.len()) {
+            None => (&self.lits, &self.ends, ci),
+            Some(i) => (&self.latchy_lits, &self.latchy_ends, i),
+        };
+        let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+        &lits[start..ends[i] as usize]
+    }
+
+    /// The values a frame bound to `bound` takes from the level-0
+    /// assignment of `solver`: propagated over the clause image and the
+    /// constraints to a fixpoint, or to the first conflict. `None` when
+    /// the frame does not fold: `solver` logs a proof, or no bound
+    /// literal is fixed.
+    fn fold(&self, solver: &Solver, bound: &[Lit]) -> Option<Fold> {
+        if solver.proof_logging() {
+            return None;
+        }
+        let (first, x) = bound
+            .iter()
+            .enumerate()
+            .find_map(|(v, &b)| Some((v, solver.fixed(b)?)))?;
+        let mut fold = Fold {
+            vals: vec![None; 2 * self.num_vars],
+            queue: Vec::with_capacity(self.num_vars),
+            truth: if x { bound[first] } else { !bound[first] },
+            conflict: false,
+        };
+        for (v, &b) in bound.iter().enumerate().skip(first) {
+            if let Some(x) = solver.fixed(b) {
+                fold.assign(Lit::new(Var::from_index(v), x));
+            }
+        }
+        for &u in self.occurrences.units.iter().chain(&self.constraints) {
+            fold.assign(u);
+        }
+        while let Some(p) = fold.queue.pop() {
+            if fold.conflict {
+                break;
+            }
+            for &ci in self.occurrences.of_lit(!p) {
+                fold.visit(self.clause(ci as usize));
+            }
+        }
+        Some(fold)
+    }
+
+    /// The clauses a folded frame may still have to add: those holding
+    /// an open variable, in image order. Every other clause has all its
+    /// literals assigned and is satisfied: propagation visits a clause
+    /// each time one of its literals turns false, so a clause with
+    /// every literal false is a conflict.
+    fn open_clauses(&self, fold: &Fold) -> Vec<u32> {
+        let mut cis: Vec<u32> = Vec::new();
+        for v in (0..self.num_vars).map(Var::from_index) {
+            if fold.value(Lit::pos(v)).is_none() {
+                cis.extend(self.occurrences.of_lit(Lit::pos(v)));
+                cis.extend(self.occurrences.of_lit(Lit::neg(v)));
+            }
+        }
+        cis.sort_unstable();
+        cis.dedup();
+        cis
+    }
+
     fn inst(&self, solver: &mut Solver, part: Part, tag: u32, bound: Option<&[Lit]>) -> FrameVars {
+        let fold = bound.and_then(|b| self.fold(solver, b));
+        let value = |l: Lit| fold.as_ref().and_then(|f| f.value(l));
+        // Template variable -> solver literal: a bound latch to its
+        // binding, a determined variable onto the fixed truth literal,
+        // and the open rest onto one block of fresh variables in template
+        // order (offset arithmetic when nothing folds).
         let skip = if bound.is_some() { self.num_latches } else { 0 };
-        let first = solver.new_vars(self.num_vars - skip).index();
-        let map = |l: Lit| -> Lit {
-            let v = l.var().index();
-            match bound {
-                Some(b) if v < self.num_latches => {
-                    if l.is_positive() {
-                        b[v]
-                    } else {
-                        !b[v]
-                    }
+        let free = (skip..self.num_vars).map(|v| value(Lit::pos(Var::from_index(v))));
+        let mut next = solver
+            .new_vars(free.clone().filter(Option::is_none).count())
+            .index();
+        let mut map: Vec<Lit> = Vec::with_capacity(self.num_vars);
+        map.extend_from_slice(bound.unwrap_or_default());
+        map.extend(free.map(|val| match (&fold, val) {
+            (Some(f), Some(x)) => {
+                if x {
+                    f.truth
+                } else {
+                    !f.truth
                 }
-                _ => Lit::new(Var::from_index(first + v - skip), l.is_positive()),
+            }
+            _ => {
+                next += 1;
+                Lit::pos(Var::from_index(next - 1))
+            }
+        }));
+        let map_lit = |l: Lit| {
+            let m = map[l.var().index()];
+            if l.is_positive() {
+                m
+            } else {
+                !m
             }
         };
+        if fold.as_ref().is_some_and(|f| f.conflict) {
+            // The empty clause: inconsistent, as the whole frame makes it.
+            solver.add_clause_tagged(&[], part, tag);
+        }
 
         // Bulk load: one arena reservation, then the flat image over
         // the fast pre-normalized path. Clauses with two or more
         // latch-current variables can alias under a binding and take
         // the normalizing path instead; a fresh instantiation maps
-        // variables injectively, so everything stays fast.
+        // variables injectively, so everything stays fast. A folded
+        // frame loads what its values leave of the clauses that hold an
+        // open variable: nothing when a value satisfies one, else its
+        // open literals.
         solver.reserve_clauses(self.num_frame_clauses(), self.num_frame_lits());
         let mut buf: Vec<Lit> = Vec::with_capacity(8);
-        let mut start = 0usize;
-        for &end in &self.ends {
+        let mut load = |solver: &mut Solver, ci: usize| {
             buf.clear();
-            buf.extend(self.lits[start..end as usize].iter().map(|&l| map(l)));
-            solver.add_clause_prenormalized(&buf, part, tag);
-            start = end as usize;
-        }
-        start = 0;
-        for &end in &self.latchy_ends {
-            buf.clear();
-            buf.extend(
-                self.latchy_lits[start..end as usize]
-                    .iter()
-                    .map(|&l| map(l)),
-            );
-            if bound.is_some() {
-                solver.add_clause_tagged(&buf, part, tag);
-            } else {
-                solver.add_clause_prenormalized(&buf, part, tag);
+            for &l in self.clause(ci) {
+                match value(l) {
+                    Some(true) => return,
+                    Some(false) => {}
+                    None => buf.push(map_lit(l)),
+                }
             }
-            start = end as usize;
+            if ci < self.ends.len() || bound.is_none() {
+                solver.add_clause_prenormalized(&buf, part, tag);
+            } else {
+                solver.add_clause_tagged(&buf, part, tag);
+            }
+        };
+        match &fold {
+            None => (0..self.ends.len() + self.latchy_ends.len()).for_each(|ci| load(solver, ci)),
+            Some(f) => {
+                for ci in self.open_clauses(f) {
+                    load(solver, ci as usize);
+                }
+            }
         }
         for &c in &self.constraints {
-            solver.add_clause_prenormalized(&[map(c)], part, tag);
+            if value(c).is_none() {
+                solver.add_clause_prenormalized(&[map_lit(c)], part, tag);
+            }
+        }
+        // Bound literals the frame determines beyond what level 0 fixed
+        // become units of their own: the clauses that determined them
+        // are satisfied and were not added.
+        if let (Some(b), Some(f)) = (bound, &fold) {
+            for (v, &l) in b.iter().enumerate() {
+                let val = f.value(Lit::pos(Var::from_index(v)));
+                if let Some(x) = val.filter(|&x| solver.fixed(l) != Some(x)) {
+                    solver.add_clause_tagged(&[if x { l } else { !l }], part, tag);
+                }
+            }
         }
 
         FrameVars {
-            latch_cur: match bound {
-                Some(b) => b.to_vec(),
-                None => (0..self.num_latches)
-                    .map(|i| Lit::pos(Var::from_index(first + i)))
-                    .collect(),
-            },
-            latch_next: self.latch_next.iter().map(|&l| map(l)).collect(),
-            inputs: self.input_lits.iter().map(|&l| map(l)).collect(),
-            constraints: self.constraints.iter().map(|&l| map(l)).collect(),
-            bads: self.bad_lits.iter().map(|&l| map(l)).collect(),
-            any_bad: map(self.any_bad),
+            latch_cur: map[..self.num_latches].to_vec(),
+            latch_next: self.latch_next.iter().map(|&l| map_lit(l)).collect(),
+            inputs: self.input_lits.iter().map(|&l| map_lit(l)).collect(),
+            constraints: self.constraints.iter().map(|&l| map_lit(l)).collect(),
+            bads: self.bad_lits.iter().map(|&l| map_lit(l)).collect(),
+            any_bad: map_lit(self.any_bad),
         }
     }
 }
@@ -1046,6 +1321,48 @@ mod tests {
             solver.interpolant().is_some(),
             "A/B labels must survive template instantiation"
         );
+    }
+
+    /// A chained frame that determines a bound literal level 0 left
+    /// open fixes it, as loading the whole frame does: the constraint
+    /// `b` of frame 1 forces its binding, frame 0's free input `x`.
+    #[test]
+    fn folded_frame_fixes_the_bound_literals_it_determines() {
+        let mut aig = Aig::new();
+        let x = aig.new_ci();
+        let a = aig.new_ci();
+        let b = aig.new_ci();
+        let latch = |output: AigLit, next: AigLit, name: &str| Latch {
+            output,
+            next,
+            init: Some(true),
+            name: name.into(),
+        };
+        let sys = AigSystem {
+            aig,
+            inputs: vec![x],
+            input_names: vec!["x".into()],
+            latches: vec![latch(a, a, "a"), latch(b, x, "b")],
+            constraints: vec![b],
+            bads: vec![!a],
+            bad_names: vec!["a dropped".into()],
+            name: "forced-input".into(),
+        };
+        let tpl = TransitionTemplate::compile(&sys);
+        for proof in [false, true] {
+            let mut solver = if proof {
+                Solver::with_proof()
+            } else {
+                Solver::new()
+            };
+            let f0 = tpl.instantiate(&mut solver, Part::A, 0);
+            f0.assert_init(&sys, &mut solver);
+            let [na, nb] = [f0.latch_next[0], f0.latch_next[1]];
+            assert_eq!(solver.fixed(na), Some(true), "proof {proof}");
+            assert_eq!(solver.fixed(nb), None, "proof {proof}");
+            tpl.instantiate_bound(&mut solver, Part::A, 0, &f0.latch_next);
+            assert_eq!(solver.fixed(nb), Some(true), "proof {proof}");
+        }
     }
 
     /// CIs that are neither registered inputs nor latch outputs (free

@@ -3,6 +3,17 @@
 //! BMC is the bug-finding baseline every compared tool builds on: the
 //! transition relation is unrolled frame by frame into one incremental
 //! SAT solver, and the bad-state output is assumed at each depth.
+//!
+//! The solver logs no proof, so every chained frame folds what its
+//! level 0 already fixes ([`aig::TransitionTemplate::instantiate_bound`]):
+//! from a reset state, the bound literals of a deterministic design's
+//! next frame are fixed, and the frame gets solver variables and
+//! clauses only for what they leave open. A frame whose clauses
+//! conflict with the fixed values makes the solver inconsistent, so
+//! every later query is `Unsat`, as with the whole frame loaded. The
+//! k-induction engine's base and step chains are the same frame chains
+//! and fold the same way, as does the certifier's k-inductive base
+//! chain unless it logs proofs (paranoid mode).
 
 use crate::certify::{clause_on, LatchClause};
 use crate::result::{
@@ -255,7 +266,9 @@ pub(crate) mod tests {
     /// A chained frame of a deterministic design costs what survives
     /// level-0 simplification: its latch-current values are level-0
     /// facts, so nearly every clause is satisfied or turns into an
-    /// assignment, and neither is stored.
+    /// assignment, and neither is stored. The counter has no input, so
+    /// the reset state determines every template variable of every
+    /// chained frame, and none gets a solver variable.
     #[test]
     fn chained_frames_store_only_their_surviving_clauses() {
         let ts = counter_ts(3000, 12);
@@ -268,11 +281,17 @@ pub(crate) mod tests {
             f0.assert_init(&sys, &mut solver);
             let mut last = f0.latch_next;
             let before = solver.num_clauses();
+            let vars = solver.num_vars();
             let frames = 50;
             for _ in 0..frames {
                 last = tpl
                     .instantiate_bound(&mut solver, Part::A, 0, &last)
                     .latch_next;
+                assert_eq!(
+                    solver.num_vars(),
+                    vars,
+                    "a chained frame created a variable"
+                );
             }
             let stored = (solver.num_clauses() - before) as f64 / frames as f64;
             assert!(
@@ -289,6 +308,72 @@ pub(crate) mod tests {
             }
             other => panic!("expected Unsafe, got {other:?}"),
         }
+    }
+
+    /// [`FrameChain::new`]'s initialized chain on a proof-logging
+    /// solver, whose chained frames never fold.
+    fn proof_logging_chain<'s>(sys: &'s AigSystem, tpl: &'s TransitionTemplate) -> FrameChain<'s> {
+        let mut solver = Solver::with_proof();
+        let f0 = tpl.instantiate(&mut solver, Part::A, 0);
+        f0.assert_init(sys, &mut solver);
+        FrameChain {
+            sys,
+            tpl,
+            inv: &[],
+            solver,
+            frames: vec![f0],
+        }
+    }
+
+    /// Folded chained frames answer as unfolded ones: on random systems
+    /// with reset values, inputs and constraints, BMC's chain on a
+    /// plain solver and on a proof-logging twin agree at every depth up
+    /// to the first bad, and the plain chain's trace replays.
+    #[test]
+    fn folded_chain_answers_as_its_proof_logging_twin() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        let (mut bugs, mut folded) = (0, 0);
+        for round in 0..150 {
+            let sys = aig::testutil::random_system(
+                &mut rng,
+                &aig::testutil::RandomSystemConfig {
+                    max_constraints: 2,
+                    ..aig::testutil::RandomSystemConfig::default()
+                },
+            );
+            let raw = TransitionTemplate::compile(&sys);
+            let tpl = if rng.gen_bool(0.5) {
+                raw.preprocess().template
+            } else {
+                raw
+            };
+            let mut plain = FrameChain::new(&sys, &tpl, &[], true);
+            let mut twin = proof_logging_chain(&sys, &tpl);
+            for k in 0..=8 {
+                let (bad, twin_bad) = (plain.any_bad(k), twin.any_bad(k));
+                let answer = plain.solver.solve_with(&[bad]);
+                assert_eq!(
+                    answer,
+                    twin.solver.solve_with(&[twin_bad]),
+                    "round {round} depth {k}"
+                );
+                if answer == SolveResult::Sat {
+                    let fired = plain.fired_bad(k);
+                    let trace = plain.extract_trace(k, fired);
+                    assert_eq!(trace.length(), k, "round {round}");
+                    assert!(trace.replays_on(&sys), "round {round} depth {k}");
+                    bugs += 1;
+                    break;
+                }
+                plain.solver.add_clause(&[!bad]);
+                twin.solver.add_clause(&[!twin_bad]);
+            }
+            folded += usize::from(plain.solver.num_vars() < twin.solver.num_vars());
+        }
+        assert!(bugs >= 30, "only {bugs} rounds reach a bad state");
+        assert!(folded >= 30, "only {folded} chains fold a variable");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   Without proof logging, a clause that is a unit at level 0 becomes
 //!   an assignment: it is not stored and the assignment has no reason.
 //!   With proof logging it is stored, as the reason of its assignment,
-//!   because the refutation resolves through it. Variables come in
+//!   because the refutation resolves through it. [`Solver::fixed`]
+//!   reads that level-0 assignment, so the transition template can fold
+//!   a chained frame before loading it. Variables come in
 //!   blocks ([`Solver::new_vars`]) that grow every per-variable array
 //!   once, and a variable is kept small: 4-byte reasons and trail
 //!   positions, and LBD stamps per decision level rather than per

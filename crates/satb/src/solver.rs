@@ -596,6 +596,21 @@ impl Solver {
         }
     }
 
+    /// The value `l` holds at decision level 0: fixed by the unit
+    /// clauses added so far and what propagating them implies, or by a
+    /// unit an earlier solve learned. Such a value holds in every model
+    /// of every later call. `None` when `l` is free at level 0.
+    ///
+    /// Unlike [`value`](Solver::value) it does not read the last `Sat`
+    /// answer's model: decisions and assumptions never show here.
+    pub fn fixed(&self, l: Lit) -> Option<bool> {
+        match self.lit_value(l) {
+            LBool::Undef => None,
+            _ if self.levels[l.var().index()] != 0 => None,
+            val => Some(val == LBool::True),
+        }
+    }
+
     /// The inconsistent subset of the assumptions of the last
     /// [`solve_with`](Solver::solve_with) call that returned `Unsat`.
     pub fn failed_assumptions(&self) -> &[Lit] {
@@ -2885,6 +2900,45 @@ pub(crate) mod tests {
                 assert!(s.proof().expect("proof").empty_clause().is_some());
             } else {
                 assert!(s.check_proof().is_none());
+            }
+        }
+    }
+
+    /// `fixed` reads the level-0 assignment: units, what propagating
+    /// them implies, and a unit a solve learned. It never reads a
+    /// model's decisions or assumptions.
+    #[test]
+    fn fixed_reads_the_level_0_assignment_only() {
+        for proof in [false, true] {
+            let mut s = if proof {
+                Solver::with_proof()
+            } else {
+                Solver::new()
+            };
+            let [a, b, c, x, y] = [0, 1, 2, 3, 4].map(|i| lit(&mut s, i, true));
+            assert!(s.add_clause(&[!a, b]));
+            assert!(s.add_clause(&[x, y]));
+            assert!(s.add_clause(&[x, !y]));
+            for l in [a, b, c, x, y] {
+                assert_eq!(s.fixed(l), None, "proof {proof}");
+            }
+            assert!(s.add_clause(&[a]));
+            assert_eq!(s.fixed(a), Some(true));
+            assert_eq!(s.fixed(b), Some(true));
+            assert_eq!(s.fixed(!b), Some(false));
+            // `x` is implied, but not by propagation: a refuted
+            // assumption makes the solve learn it as a unit.
+            assert_eq!(s.fixed(x), None);
+            assert_eq!(s.solve_with(&[!x]), SolveResult::Unsat);
+            assert_eq!(s.fixed(x), Some(true), "proof {proof}");
+            // The model assigns `c` and `y`; neither is fixed.
+            assert_eq!(s.solve_with(&[!c]), SolveResult::Sat);
+            assert_eq!(s.value(c), Some(false));
+            assert!(s.value(y).is_some());
+            assert_eq!(s.fixed(c), None);
+            assert_eq!(s.fixed(y), None);
+            for l in [a, b, x] {
+                assert_eq!(s.fixed(l), Some(true), "proof {proof}");
             }
         }
     }

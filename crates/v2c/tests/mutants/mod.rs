@@ -1,5 +1,6 @@
-//! Seeded single-token edits of a source text, shared by the
-//! frontends' mutation tests (this crate's `mutation.rs` and cfront's).
+//! Seeded single-token edits, truncations and random token streams of a
+//! source text, shared by the frontends' mutation tests (this crate's
+//! `mutation.rs` and cfront's).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,6 +58,36 @@ pub fn mutants(src: &str, seed: u64, n: usize) -> Vec<String> {
                 _ => format!(" {other} "),
             };
             format!("{}{edit}{}", &src[..start], &src[end..])
+        })
+        .collect()
+}
+
+/// Every prefix of `src` that ends at a token boundary, shortest first:
+/// the source cut after its first token, its second, and so on to the
+/// last.
+pub fn prefixes(src: &str) -> Vec<String> {
+    tokens(src)
+        .iter()
+        .map(|&(_, end)| src[..end].to_string())
+        .collect()
+}
+
+/// `n` streams of tokens drawn at random from `src`'s tokens, each as
+/// long as a random number up to `src`'s token count, separated by
+/// spaces.
+pub fn token_streams(src: &str, seed: u64, n: usize) -> Vec<String> {
+    let toks = tokens(src);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let len = rng.gen_range(0..=toks.len());
+            let stream: Vec<&str> = (0..len)
+                .map(|_| {
+                    let (start, end) = toks[rng.gen_range(0..toks.len())];
+                    &src[start..end]
+                })
+                .collect();
+            stream.join(" ")
         })
         .collect()
 }
