@@ -74,16 +74,20 @@
 //! [`AnalysisStats::cancelled`] set — never a partially-filtered
 //! candidate set that was not driven to the Houdini fixpoint.
 //!
-//! [`refine_with_constants`] additionally lets the template compiler
-//! consume the certified stuck-at facts: constants are substituted into
-//! every cone (folding logic away), constraints that fold to `true` are
-//! stripped, the AIG is rebuilt cone-first, and every latch the bads
-//! and constraints cannot observe gets a free next state — a
-//! cone-of-influence cut that only ever adds behaviours. The refined
-//! system is only sound for engines that assert the invariant on every
-//! frame they instantiate and read counterexample states off the
-//! original netlist by simulation, which is exactly the contract
-//! `engines::Blasted` enforces.
+//! [`refine_with_constants`] rebuilds the netlist the engines solve on:
+//! every latch the bads and constraints cannot observe gets a free next
+//! state — a cone-of-influence cut that only ever adds behaviours — and
+//! the AIG is rebuilt cone-first. `engines::Blasted::of` cuts with no
+//! constant, preprocesses the cut template, and runs [`analyze`] on
+//! that image, the one the engines instantiate: a freed latch's next
+//! state is free there, so the Houdini loop drops the candidates whose
+//! consecution rests on one. Given certified stuck-at facts,
+//! [`refine_with_constants`] also substitutes the constants into every
+//! cone (folding logic away) and strips the constraints that fold to
+//! `true`. Such a system is only sound for engines that assert the
+//! invariant on every frame they instantiate and read counterexample
+//! states off the original netlist by simulation, which is exactly the
+//! contract `engines::Blasted` sets.
 
 use crate::graph::{Aig, AigLit};
 use crate::seq::{AigSystem, Latch};
@@ -151,11 +155,13 @@ pub struct AnalysisStats {
 
 /// A mined, Houdini-filtered invariant over latch variables.
 ///
-/// `clauses` is inductive as a set (initiation by construction,
-/// consecution by the Houdini fixpoint); `constants` is the view of its
-/// singleton clauses as stuck-at facts, the currency of template
-/// refinement ([`refine_with_constants`]). Consumers must re-certify
-/// through `engines::certify::certify_invariant` before trusting either.
+/// `clauses` is inductive as a set on the template it was mined on
+/// (initiation by construction, consecution by the Houdini fixpoint);
+/// `constants` is the view of its singleton clauses as stuck-at facts,
+/// which [`refine_with_constants`] can fold into a netlist.
+/// `engines::Blasted::of` folds none, and engines assert a singleton
+/// clause like every other. Consumers must re-certify through
+/// `engines::certify::certify_invariant` before trusting either.
 #[derive(Clone, Debug, Default)]
 pub struct StaticInvariant {
     /// The invariant: a conjunction of latch clauses.

@@ -18,9 +18,11 @@
 //! 2 cores it raised the peak resident memory of perfbench's
 //! `strengthen` workload by 16–32% in four paired runs: glibc's
 //! allocator gives each thread a heap arena of its own, and a
-//! short-lived thread per race shuffled the seats' arenas. The race still runs faster for the split
-//! elsewhere: [`analyze`](crate::analyze) and the certification of the
-//! mined invariant run before any seat starts.
+//! short-lived thread per race shuffled the seats' arenas. The split
+//! still serves the race where no seat runs yet: [`analyze`](crate::analyze),
+//! the certification of the mined invariant, and the race's own
+//! admission of that invariant all run before any seat starts and claims
+//! its core, so they split across every core.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -64,13 +64,15 @@
 //! worker solvers ([`aig::split`]): up to one per idle core, each with
 //! at least 64 clauses, so a set below 128 fresh clauses runs on one
 //! solver on the calling thread, and so does a check made while a
-//! portfolio race's seats keep every core busy. Every worker builds a
-//! fresh solver on the raw template, asserts the whole set on one
-//! frame's current-state side, and checks the consecution of its own
-//! contiguous chunk of clauses; the last worker also checks safety. The
-//! split keeps the check independent: every obligation is still
-//! discharged by a fresh solver against the raw template, and none
-//! relies on another worker's answer. A failing check names the
+//! portfolio race's seats keep every core busy. A race admits its
+//! strengthening before any seat claims a core, so that check splits
+//! across every core (see [known clauses](#known-clauses)). Every
+//! worker builds a fresh solver on the raw template, asserts the whole
+//! set on one frame's current-state side, and checks the consecution of
+//! its own contiguous chunk of clauses; the last worker also checks
+//! safety. The split keeps the check independent: every obligation is
+//! still discharged by a fresh solver against the raw template, and
+//! none relies on another worker's answer. A failing check names the
 //! lowest-numbered clause that fails, whatever the worker count, and a
 //! passing check discharges the same obligations as a single solver.
 //!
@@ -117,7 +119,8 @@
 //! latch clause it has proven to hold in all reachable states:
 //!
 //! * the clauses of a strengthening it admitted (initiation and
-//!   consecution passed), whichever certificate named it;
+//!   consecution passed), up front through [`Certifier::admit`] or
+//!   named by a certificate;
 //! * the clauses of a [`Certificate::Clausal`] witness that passed
 //!   every obligation, safety included.
 //!
@@ -127,6 +130,17 @@
 //! them. So the static invariant that PDR's clauses, k-induction's
 //! strengthening and interpolation's formula all carry is proven once
 //! per race instead of once per seat.
+//!
+//! A race proves it before its seats start:
+//! [`Portfolio::check_detailed_blasted`](crate::portfolio::Portfolio::check_detailed_blasted)
+//! builds its certifier first and [admits](Certifier::admit)
+//! [`Blasted::invariant`](crate::Blasted::invariant) with it, running
+//! the initiation and consecution obligations a witness naming the
+//! clauses would run. Every seat's witness is then checked relative to
+//! the admitted clauses: on a shadow pipeline whose PDR certificate is
+//! the strengthening itself, PDR's witness costs one safety obligation.
+//! The admission shows in no seat's [`CertifyReport`]; the race's
+//! reported time covers it.
 //!
 //! This is sound. Every known clause holds in all reachable states,
 //! because it belongs to an initiated set that this certifier proved
@@ -140,8 +154,11 @@
 //! only from checks that passed in full, on every worker; a failing
 //! check teaches the certifier nothing. No clause is known on anyone
 //! else's word: a strengthening that
-//! [`Blasted::of`](crate::Blasted::of) certified is proven again by the
-//! first witness that names it.
+//! [`Blasted::of`](crate::Blasted::of) certified, or that a caller
+//! marks [`invariant_certified`](crate::Blasted::invariant_certified),
+//! is proven again by the race's own admission. When that admission
+//! fails, every witness that names the strengthening proves it again,
+//! and fails the same way.
 //!
 //! A fresh certifier knows nothing, so [`certify`], [`certify_with`],
 //! [`certify_with_mode`] and [`certify_invariant`] — one-shot
@@ -354,20 +371,13 @@ pub fn certify_invariant_with_mode(
     clauses: &[LatchClause],
     paranoid: bool,
 ) -> CertifyReport {
-    let started = Instant::now();
-    let mut par = Paranoia::new(paranoid);
-    let result = Certifier::with_template(sys, raw_tpl, paranoid).check_clauses(
-        clauses,
-        Claim::Strengthening,
-        &mut par,
-    );
-    CertifyReport::new(!clauses.is_empty(), result, &par, started)
+    Certifier::with_template(sys, raw_tpl, paranoid).admit(clauses)
 }
 
 /// The witness checker of one design, in one trust mode, remembering
 /// the clauses it has proven (see the [module docs](self#known-clauses)).
-/// A portfolio race builds one on its first definite verdict and checks
-/// every seat's witness with it.
+/// A portfolio race builds one before its seats start, admits the
+/// shared strengthening with it and checks every seat's witness with it.
 pub struct Certifier<'a> {
     sys: &'a AigSystem,
     /// The raw, un-preprocessed template every obligation runs on.
@@ -433,6 +443,18 @@ impl<'a> Certifier<'a> {
             }),
         };
         CertifyReport::new(result.is_some(), result.unwrap_or(Ok(0)), &par, started)
+    }
+
+    /// Admits a strengthening before any witness names it: initiation
+    /// and consecution for every clause not yet known, the obligations
+    /// [`check`](Certifier::check) discharges for the clauses a
+    /// certificate carries beside its claim. On a pass the clauses
+    /// become known; a failing admission teaches the certifier nothing.
+    pub fn admit(&mut self, clauses: &[LatchClause]) -> CertifyReport {
+        let started = Instant::now();
+        let mut par = Paranoia::new(self.paranoid);
+        let result = self.check_clauses(clauses, Claim::Strengthening, &mut par);
+        CertifyReport::new(!clauses.is_empty(), result, &par, started)
     }
 
     /// Initiation and consecution for every clause of `clauses` not yet
@@ -829,7 +851,7 @@ fn negated_clause_on(clause: &LatchClause, latch_lits: &[Lit]) -> Vec<Lit> {
 type CheckResult = Result<usize, (usize, String)>;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::result::{Blasted, Budget, Trace, Unknown};
     use crate::{Checker, EngineStats};
@@ -1097,12 +1119,12 @@ mod tests {
     /// `(a << 1) + a`), with the property `r4 == s4`: safe, and
     /// inductive only under the mined stage equivalences, which every
     /// engine's certificate then carries.
-    fn shadow_pair() -> TransitionSystem {
+    pub(crate) fn shadow_pair() -> TransitionSystem {
         shadow_pair_of(4)
     }
 
     /// [`shadow_pair`] with `width`-bit stages.
-    fn shadow_pair_of(width: u32) -> TransitionSystem {
+    pub(crate) fn shadow_pair_of(width: u32) -> TransitionSystem {
         let mut ts = TransitionSystem::new("shadow");
         let din = ts.add_input("din", Sort::Bv(width));
         let mut prev = (din, din);
@@ -1151,7 +1173,7 @@ mod tests {
     /// The clause `r1[0] = 0`: true in the reset state, but the first
     /// stage loads `din * 5`, whose low bit is the free `din[0]`, so it
     /// is not inductive, not even relative to the mined equivalences.
-    fn forged_clause(sys: &AigSystem) -> LatchClause {
+    pub(crate) fn forged_clause(sys: &AigSystem) -> LatchClause {
         let r1_0 = sys
             .latches
             .iter()

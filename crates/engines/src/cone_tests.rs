@@ -145,10 +145,31 @@ fn shadowed_counter() -> TransitionSystem {
 /// target a free next-state literal, which any predecessor satisfies.
 /// PDR must therefore keep its obligations in the cone and return a
 /// trace that replays.
+///
+/// [`Blasted::of`] mines on the cut template, where the shadow is free
+/// and `shadow == cnt` is not inductive. The blast here pairs the cut,
+/// preprocessed template with the strengthening mined and certified on
+/// the raw one, an image any caller may build.
 #[test]
 fn pdr_obligations_stay_in_the_cone() {
     let ts = shadowed_counter();
-    let blasted = Blasted::of(&ts);
+    let sys = aig::blast_system(&ts);
+    let raw = TransitionTemplate::compile(&sys);
+    let invariant = aig::analyze(
+        &sys,
+        &raw,
+        &aig::AnalysisConfig::default(),
+        &satb::Limits::default(),
+    );
+    assert!(crate::certify::certify_invariant(&sys, &raw, &invariant.clauses).ok);
+    let pre = TransitionTemplate::compile(&aig::refine_with_constants(&sys, &[])).preprocess();
+    let blasted = Blasted {
+        sys: std::sync::Arc::new(sys),
+        template: std::sync::Arc::new(pre.template),
+        preproc_stats: pre.stats,
+        invariant: std::sync::Arc::new(invariant),
+        invariant_certified: true,
+    };
     assert_eq!(
         blasted.template.latch_coi(),
         [[false; 4], [true; 4]].concat(),

@@ -81,25 +81,28 @@
 //! with [`aig::analyze`] — a ternary-simulation reachability fixpoint
 //! for stuck-at-constant latches plus signature-mined equivalence and
 //! implication clauses, filtered to an inductive subset by a Houdini
-//! loop over one template frame. The surviving clause set is certified
-//! through [`certify::certify_invariant`] against the **raw** template
-//! (initiation + consecution, independent solver; deliberately no
-//! safety obligation) before anything trusts it, and travels with the
-//! blast as [`Blasted::invariant`]. Every engine then asserts the
-//! clauses on each frame it instantiates: BMC and k-induction gain
-//! pruned unrollings, interpolation and PDR gain strengthened frames,
-//! and the template itself is refined with the proven constant latches,
-//! and cut to the cone of influence, before CNF preprocessing.
+//! loop over one frame of the template the engines solve: cut to the
+//! cone of influence and preprocessed. A clause that names a freed
+//! latch is not inductive there, so it is not mined. The surviving
+//! clause set is certified through [`certify::certify_invariant`]
+//! against the **raw** template (initiation + consecution, independent
+//! solver; deliberately no safety obligation) before anything trusts
+//! it, and travels with the blast as [`Blasted::invariant`]. Every
+//! engine then asserts the clauses on each frame it instantiates: BMC
+//! and k-induction gain pruned unrollings, interpolation and PDR gain
+//! strengthened frames. A mined constant is asserted like every other
+//! clause; the template does not fold it.
 //!
 //! Every Safe certificate names the strengthening it relies on: PDR's
 //! exported fixpoint contains the clauses, and k-induction's and
 //! interpolation's certificates carry them beside their own claim. A
 //! portfolio race checks every witness with one
-//! [`certify::Certifier`], which proves the clauses with the first
-//! witness that names them and checks later witnesses relative to them
-//! (see [known clauses](certify#known-clauses)), so the strengthening
-//! is proven once per race rather than once per seat. The certifier
-//! takes nothing on trust from [`Blasted::of`]'s own certification.
+//! [`certify::Certifier`], which proves the clauses before the seats
+//! start and checks every witness relative to them (see [known
+//! clauses](certify#known-clauses)), so the strengthening is proven
+//! once per race rather than once per seat, and the winner's check is
+//! short. The certifier takes nothing on trust from [`Blasted::of`]'s
+//! own certification.
 //!
 //! Houdini's consecution queries and the certifier's per-clause
 //! obligations come by the hundred on a wide design (512 candidates and
@@ -107,9 +110,10 @@
 //! a batch needs another's answer. Both are split across one worker
 //! solver per idle core ([`aig::split`]) once a batch holds at least
 //! 128 queries; smaller batches run on the calling thread. Every
-//! portfolio seat claims a core while it runs, so [`Blasted::of`]
-//! splits across all cores, while a race's own admission of the
-//! strengthening splits only across cores its seats leave idle. Mining
+//! portfolio seat claims a core while it runs. [`Blasted::of`] and a
+//! race's admission of the strengthening run before any seat starts,
+//! so both split across all cores, while a witness checked during the
+//! race splits only across cores its seats leave idle. Mining
 //! keeps its result, the unique greatest inductive subset of the
 //! candidates (see [the Houdini loop](aig::analysis#the-houdini-loop)),
 //! and certification keeps its independence, since every worker runs a

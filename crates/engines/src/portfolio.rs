@@ -34,9 +34,11 @@
 //! The race is *certifying* (see [`crate::certify`]): a definite
 //! verdict only wins after its witness re-checks against the raw
 //! transition template with an independent solver. One [`Certifier`]
-//! checks every seat's witness, so the static strengthening the seats'
-//! certificates share is proven once per race (see
-//! [known clauses](crate::certify#known-clauses)). A member whose
+//! checks every seat's witness. It proves the static strengthening the
+//! seats' certificates share before the seats start, split across every
+//! core, and checks each witness relative to it, so the winner's check
+//! is short and the losers are cancelled as soon as the winner answers
+//! (see [known clauses](crate::certify#known-clauses)). A member whose
 //! witness fails is demoted to [`Unknown::CertificateFailed`] and the
 //! race goes on with the remaining seats; contradicting definite
 //! verdicts are resolved by trusting the side whose witness checked,
@@ -131,12 +133,11 @@ pub struct PortfolioOutcome {
     /// blast).
     pub preproc: satb::PreprocStats,
     /// Mined-and-certified static strengthening clauses handed to the
-    /// members (see [`aig::analysis`]), and how many of them pin a
-    /// latch to a constant.
+    /// members (see [`aig::analysis`]).
     pub invariant_clauses: u32,
-    /// Constant-latch facts among [`invariant_clauses`]
-    /// (singleton clauses; these also refined the shared template's
-    /// cone of influence).
+    /// Constant-latch facts among [`invariant_clauses`] (singleton
+    /// clauses). The members assert them like every other clause:
+    /// [`Blasted::of`] folds no constant into the shared template.
     ///
     /// [`invariant_clauses`]: PortfolioOutcome::invariant_clauses
     pub invariant_constants: u32,
@@ -337,7 +338,8 @@ impl Portfolio {
     /// re-encoding the system from scratch.
     ///
     /// The reported [`EngineStats::time`] counts from entry, so it
-    /// covers building the shared blast as well as the race.
+    /// covers building the shared blast as well as the admission of its
+    /// strengthening and the race.
     pub fn check_detailed(&self, ts: &TransitionSystem) -> PortfolioOutcome {
         let started = Instant::now();
         let blasted = Blasted::of(ts);
@@ -347,8 +349,13 @@ impl Portfolio {
     }
 
     /// Like [`check_detailed`](Portfolio::check_detailed) with a
-    /// caller-provided shared blast (e.g. reused across several runs);
-    /// the reported time covers the race alone.
+    /// caller-provided shared blast (e.g. reused across several runs).
+    ///
+    /// Before any seat starts, the race's [`Certifier`]
+    /// [admits](Certifier::admit) [`Blasted::invariant`] against the
+    /// raw template, whatever [`Blasted::invariant_certified`] says (see
+    /// [known clauses](crate::certify#known-clauses)). The reported time
+    /// covers that admission and the race, not the blast.
     pub fn check_detailed_blasted(
         &self,
         ts: &TransitionSystem,
@@ -379,10 +386,13 @@ impl Portfolio {
         let mut winner_idx: Option<usize> = None;
         let mut winner_witnessed = false;
         let mut disagreement = false;
-        // The race's witness checker: built (its raw template compiled)
-        // only when a definite verdict actually arrives, then shared by
-        // every later one.
-        let mut certifier: Option<Certifier> = None;
+        // The race's witness checker proves the strengthening before any
+        // seat claims a core, so the admission splits across every core
+        // and each witness is then checked relative to it. A failed
+        // admission teaches it nothing: every witness naming the
+        // strengthening proves it again.
+        let mut certifier = Certifier::new(&blasted.sys, self.paranoid);
+        certifier.admit(&blasted.invariant.clauses);
 
         let (tx, rx) = mpsc::channel::<(usize, CheckOutcome)>();
         thread::scope(|scope| {
@@ -441,9 +451,7 @@ impl Portfolio {
                     // only called for answers whose witness survives
                     // the independent re-check (members without a
                     // witness are accepted uncertified).
-                    let report = certifier
-                        .get_or_insert_with(|| Certifier::new(&blasted.sys, self.paranoid))
-                        .check(&out);
+                    let report = certifier.check(&out);
                     if !report.ok {
                         // Demote: withdraw the verdict, keep racing on
                         // the remaining seats.
@@ -1032,6 +1040,79 @@ mod tests {
         let w = report.engines.iter().find(|e| e.winner).expect("winner");
         let cert = w.certify.as_ref().expect("winner was certified");
         assert!(cert.ok && cert.witnessed);
+    }
+
+    /// The race admits the strengthening before its seats start and
+    /// checks each witness relative to it. PDR's certificate on the
+    /// 16-bit shadow pair carries all 128 mined clauses; re-admitting
+    /// them would cost two obligations per clause, so a winner's check
+    /// below one per clause shows they were admitted up front.
+    #[test]
+    fn race_admits_the_strengthening_before_its_seats_start() {
+        let ts = crate::certify::tests::shadow_pair_of(16);
+        let report = Portfolio::with_engines(Budget::default(), 2).check_detailed(&ts);
+        assert_eq!(report.verdict, Verdict::Safe, "{}", report.summary());
+        assert!(report.certified);
+        assert_eq!(report.winner, Some("abc-pdr"));
+        let clauses = report.invariant_clauses as usize;
+        assert!(clauses >= 128, "{clauses} mined clauses");
+        let w = report.engines.iter().find(|e| e.winner).expect("winner");
+        let cert = w.certify.as_ref().expect("winner was certified");
+        assert!(cert.ok && cert.witnessed);
+        assert!(
+            cert.obligations < clauses,
+            "the winner's check paid {} obligations for {clauses} clauses",
+            cert.obligations
+        );
+    }
+
+    /// The race's certifier learns only from its own passing checks. A
+    /// caller-built blast whose strengthening adds a non-inductive
+    /// clause and claims to be certified fails the race's admission,
+    /// which teaches the certifier nothing; every Safe witness names
+    /// the clause, proves it again and is demoted.
+    #[test]
+    fn forged_strengthening_wins_no_certified_safe() {
+        let ts = crate::certify::tests::shadow_pair();
+        let honest = Blasted::of(&ts);
+        let mut invariant = (*honest.invariant).clone();
+        invariant
+            .clauses
+            .push(crate::certify::tests::forged_clause(&honest.sys));
+        let forged = Blasted {
+            invariant: Arc::new(invariant),
+            invariant_certified: true,
+            ..honest
+        };
+        let mut p = Portfolio::new(Budget {
+            max_depth: 30,
+            ..Budget::default()
+        });
+        let b = p.engine_budget();
+        p.push(Pdr::new(b.clone()));
+        p.push(KInduction::new(b.clone()));
+        p.push(Interpolation::new(b));
+        let report = p.check_detailed_blasted(&ts, &forged);
+        assert!(!report.certified, "{}", report.summary());
+        assert_ne!(report.verdict, Verdict::Safe, "{}", report.summary());
+        let mut demoted = 0;
+        for e in &report.engines {
+            let Verdict::Unknown(Unknown::CertificateFailed(why)) = &e.outcome.outcome else {
+                continue;
+            };
+            demoted += 1;
+            assert!(
+                why.contains("initiation fails") || why.contains("consecution fails"),
+                "{}: {why}",
+                e.name
+            );
+            // k-induction and interpolation carry the clauses beside
+            // their claim; PDR's clauses are its claim.
+            if e.name != "abc-pdr" {
+                assert!(why.starts_with("invariant "), "{}: {why}", e.name);
+            }
+        }
+        assert!(demoted >= 1, "{}", report.summary());
     }
 
     /// A seat that panics mid-check: the portfolio must isolate the

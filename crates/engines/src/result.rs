@@ -431,29 +431,34 @@ impl Budget {
 ///
 /// # The engine-image contract
 ///
-/// [`of`](Blasted::of) runs [`aig::analyze`] on the raw netlist and
-/// keeps the mined invariant **only** after
-/// [`crate::certify::certify_invariant`] re-checked it against the
-/// raw, un-preprocessed template — an uncertified invariant is
-/// discarded, never threaded anywhere. The template is compiled from
-/// [`aig::refine_with_constants`]: the certified constants are folded
-/// into every cone, and every latch that no bad output or constraint
-/// can observe (the cone of influence of the folded netlist) gets a
-/// **free** next state, so its logic never reaches a solver. When that
-/// changes nothing — no constant, no latch outside the cone — the
-/// template is the raw one.
+/// [`of`](Blasted::of) first cuts the netlist to the property's cone of
+/// influence with [`aig::refine_with_constants`] and no constant: every
+/// latch that no bad output or constraint can observe
+/// ([`aig::AigSystem::latch_coi`]) gets a **free** next state, so its
+/// logic never reaches a solver. When the cut frees no latch, the
+/// template is the raw one. It preprocesses that template once and runs
+/// [`aig::analyze`] on the result, the image the engines solve, so a
+/// clause that names a freed latch is not mined. It keeps the mined
+/// invariant **only** after [`crate::certify::certify_invariant`]
+/// re-checked it against the raw, un-preprocessed template — an
+/// uncertified invariant is discarded, never threaded anywhere. The
+/// image does not depend on the invariant: no mined constant is folded
+/// into it.
 ///
-/// The compiled image engines instantiate therefore matches `sys` only
-/// **on invariant states**, and there only on the latches in the cone
+/// The image of [`of`](Blasted::of) therefore matches `sys` in every
+/// state on the latches in the cone
 /// ([`aig::TransitionTemplate::latch_coi`]); the freed latches take any
-/// value. Every consumer of [`template`](Blasted::template) must:
+/// value. A caller may build a `Blasted` of its own whose image matches
+/// `sys` only on invariant states, such as one compiled from
+/// [`aig::refine_with_constants`] with the invariant's constants folded
+/// in. Every consumer of [`template`](Blasted::template) must:
 ///
 /// * assert [`invariant`](Blasted::invariant)'s clauses on the
 ///   current-state literals of **every** frame instantiated from it.
 ///   Initialized frames satisfy them automatically (certified-inductive
 ///   clauses hold in every reachable state), but free-state frames —
 ///   k-induction steps, interpolation B-frames, PDR frames — are
-///   unsound on the refined image without them;
+///   unsound on a constant-folded image without them;
 /// * take trace states from simulation of `sys`, never from a model:
 ///   read the reset state and the inputs off the model and step `sys`
 ///   (the model's values for freed latches mean nothing);
@@ -470,11 +475,11 @@ pub struct Blasted {
     /// The bit-level netlist (always the original, whole system).
     pub sys: Arc<aig::AigSystem>,
     /// The frame-instantiable CNF image of its transition relation:
-    /// invariant-refined, cone-cut and preprocessed.
+    /// cone-cut and preprocessed.
     pub template: Arc<aig::TransitionTemplate>,
     /// Counters of the preprocessing run.
     pub preproc_stats: satb::PreprocStats,
-    /// The certified static invariant mined from the netlist (empty
+    /// The certified static invariant mined on the template (empty
     /// when mining found nothing, was cancelled, or failed
     /// certification). Every clause here passed `certify_invariant`
     /// against the raw template.
@@ -482,15 +487,15 @@ pub struct Blasted {
     /// Whether the mined invariant passed certification (`true` when
     /// there was nothing to certify). A `false` here means strength
     /// was discarded — a soundness alarm worth surfacing, since the
-    /// Houdini fixpoint should only ever emit inductive sets.
+    /// Houdini fixpoint should only ever emit inductive sets. A
+    /// portfolio race proves the invariant again whatever this says.
     pub invariant_certified: bool,
 }
 
 impl Blasted {
-    /// Blasts `ts`, mines + certifies a static invariant, folds its
-    /// constant facts into the template, cuts the template to the
-    /// property's cone of influence and runs CNF preprocessing over the
-    /// result.
+    /// Blasts `ts`, cuts the template to the property's cone of
+    /// influence, runs CNF preprocessing over it, and mines a static
+    /// invariant on the result, certified against the raw template.
     pub fn of(ts: &TransitionSystem) -> Blasted {
         Blasted::of_netlist(aig::blast_system(ts))
     }
@@ -499,9 +504,17 @@ impl Blasted {
     pub(crate) fn of_netlist(sys: aig::AigSystem) -> Blasted {
         let sys = Arc::new(sys);
         let raw = aig::TransitionTemplate::compile(&sys);
+        // With no latch freed (no CI added), the cut netlist is the raw
+        // one rebuilt: keep the raw template.
+        let cut = aig::refine_with_constants(&sys, &[]);
+        let pre = if cut.aig.num_cis() == sys.aig.num_cis() {
+            raw.preprocess()
+        } else {
+            aig::TransitionTemplate::compile(&cut).preprocess()
+        };
         let mut invariant = aig::analyze(
             &sys,
-            &raw,
+            &pre.template,
             &aig::AnalysisConfig::default(),
             &satb::Limits::default(),
         );
@@ -518,14 +531,6 @@ impl Blasted {
                 };
             }
         }
-        // Without constants and with no latch freed (no CI added), the
-        // refined netlist is the raw one rebuilt: keep the raw template.
-        let refined = aig::refine_with_constants(&sys, &invariant.constants);
-        let pre = if invariant.constants.is_empty() && refined.aig.num_cis() == sys.aig.num_cis() {
-            raw.preprocess()
-        } else {
-            aig::TransitionTemplate::compile(&refined).preprocess()
-        };
         Blasted {
             sys,
             template: Arc::new(pre.template),

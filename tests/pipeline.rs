@@ -249,3 +249,43 @@ fn wide_case_label_translates_like_the_verilog() {
     assert_eq!(bmc.check(&ts).outcome, bound, "Verilog model");
     assert_eq!(bmc.check(&prog.ts).outcome, bound, "C model:\n{c_text}");
 }
+
+/// What `Blasted::of` ships on the bundled designs: mined on the cut
+/// image the engines solve, the strengthening is the one mined on the
+/// raw template minus every clause that names a latch outside the cone
+/// of influence, and it holds no constant. Only three designs mine a
+/// clause outside the cone.
+#[test]
+fn shipped_strengthening_is_the_raw_one_inside_the_cone() {
+    use hwsw::aig::{analyze, blast_system, AnalysisConfig, TransitionTemplate};
+    let mut changed = Vec::new();
+    for b in hwsw::bmarks::all() {
+        let ts = b.compile().expect("compiles");
+        let sys = blast_system(&ts);
+        let raw = TransitionTemplate::compile(&sys);
+        let mined = analyze(
+            &sys,
+            &raw,
+            &AnalysisConfig::default(),
+            &hwsw::satb::Limits::default(),
+        );
+        let coi = sys.latch_coi();
+        let inside: Vec<_> = mined
+            .clauses
+            .iter()
+            .filter(|c| c.iter().all(|&(i, _)| coi[i]))
+            .cloned()
+            .collect();
+        let shipped = hwsw::engines::Blasted::of(&ts);
+        assert!(shipped.invariant_certified, "{}", b.name);
+        assert_eq!(shipped.invariant.clauses, inside, "{}", b.name);
+        assert!(shipped.invariant.constants.is_empty(), "{}", b.name);
+        if inside.len() != mined.clauses.len() {
+            changed.push((b.name, mined.clauses.len(), inside.len()));
+        }
+    }
+    assert_eq!(
+        changed,
+        [("Dekker", 3, 1), ("Heap", 1, 0), ("Huffman", 19, 9)]
+    );
+}
