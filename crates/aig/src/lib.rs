@@ -54,4 +54,4 @@ pub use cnf::FrameEncoder;
 pub use graph::{Aig, AigLit};
 pub use seq::{blast_system, AigSystem, Latch};
 pub use sim::{Tern, TernarySim};
-pub use template::{FrameVars, PreprocessedTemplate, TemplateRecon, TransitionTemplate};
+pub use template::{FrameVars, PreprocessedTemplate, TransitionTemplate};

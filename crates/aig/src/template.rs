@@ -119,7 +119,7 @@
 
 use crate::graph::AigLit;
 use crate::seq::AigSystem;
-use satb::preproc::{PreprocStats, Preprocessor, ReconStack};
+use satb::preproc::{PreprocStats, Preprocessor};
 use satb::{Lit, Part, Solver, Var};
 
 /// The solver literals of one materialized time frame.
@@ -536,8 +536,9 @@ impl TransitionTemplate {
     /// existentially projected out where the SatELite bound allows, so
     /// the simplified image is equivalent to the raw one over every
     /// frozen variable — every engine verdict, interpolant and trace
-    /// is preserved. Eliminated variables can be re-derived from any
-    /// model through [`PreprocessedTemplate::recon`].
+    /// is preserved. No engine reads an eliminated variable: traces
+    /// come from simulating the netlist from the reset state and the
+    /// inputs, which are frozen.
     ///
     /// The per-frame constraint unit assertions participate in the
     /// simplification (they hold on every materialized frame) and are
@@ -584,13 +585,6 @@ impl TransitionTemplate {
             return PreprocessedTemplate {
                 template: self.clone(),
                 stats: PreprocStats::default(),
-                recon: TemplateRecon {
-                    raw_vars: self.num_vars,
-                    map: (0..self.num_vars)
-                        .map(|v| Some(Var::from_index(v)))
-                        .collect(),
-                    stack: ReconStack::default(),
-                },
             };
         }
 
@@ -666,11 +660,6 @@ impl TransitionTemplate {
         PreprocessedTemplate {
             template,
             stats: res.stats,
-            recon: TemplateRecon {
-                raw_vars: self.num_vars,
-                map,
-                stack: res.recon,
-            },
         }
     }
 
@@ -1005,8 +994,7 @@ impl TransitionTemplate {
 }
 
 /// A [`TransitionTemplate`] after SatELite-style preprocessing,
-/// bundled with the run's counters and the model-reconstruction data
-/// for the eliminated variables. See
+/// bundled with the run's counters. See
 /// [`TransitionTemplate::preprocess`].
 #[derive(Clone, Debug)]
 pub struct PreprocessedTemplate {
@@ -1015,47 +1003,6 @@ pub struct PreprocessedTemplate {
     /// What preprocessing did (variables eliminated, clauses subsumed,
     /// literals strengthened away).
     pub stats: PreprocStats,
-    /// Maps models of a simplified frame back onto the raw template's
-    /// variable space.
-    pub recon: TemplateRecon,
-}
-
-/// Model reconstruction for a preprocessed template: raw template
-/// variables are either renumbered survivors or eliminated variables
-/// whose values are re-derived from the saved-clause stack.
-#[derive(Clone, Debug)]
-pub struct TemplateRecon {
-    raw_vars: usize,
-    /// Raw template variable → simplified template variable (`None`
-    /// for eliminated or dropped variables).
-    map: Vec<Option<Var>>,
-    stack: ReconStack,
-}
-
-impl TemplateRecon {
-    /// The simplified-template variable a raw variable survived as,
-    /// `None` if it was eliminated or dropped.
-    pub fn forward(&self, raw: Var) -> Option<Var> {
-        self.map[raw.index()]
-    }
-
-    /// Extends a model of one simplified frame (`new_vals`, indexed by
-    /// simplified template-local variable) to the raw template's
-    /// variable space: survivors copy their value, eliminated
-    /// variables are assigned from their saved clauses. The result
-    /// satisfies every raw-image clause whenever `new_vals` satisfies
-    /// the simplified image — this is what keeps `Unsafe` traces and
-    /// PDR's re-simulation genuine.
-    pub fn extend(&self, new_vals: &[bool]) -> Vec<bool> {
-        let mut vals = vec![false; self.raw_vars];
-        for (old, m) in self.map.iter().enumerate() {
-            if let Some(nv) = m {
-                vals[old] = new_vals[nv.index()];
-            }
-        }
-        self.stack.extend(&mut vals);
-        vals
-    }
 }
 
 #[cfg(test)]
@@ -1474,8 +1421,10 @@ mod tests {
     }
 
     /// Model reconstruction: a model of one simplified frame extends
-    /// to an assignment satisfying every raw-image clause (and the
-    /// constraint units), with the interface values unchanged.
+    /// to a model of the raw frame (its clauses and constraint units).
+    /// The raw frame is satisfiable under the model's values of every
+    /// frozen variable: latches, next states, inputs, constraints and
+    /// bads.
     #[test]
     fn reconstruction_satisfies_raw_image() {
         let mut rng = StdRng::seed_from_u64(0xEC0);
@@ -1484,44 +1433,36 @@ mod tests {
             let raw = TransitionTemplate::compile(&sys);
             let pre = raw.preprocess();
             let mut solver = Solver::new();
-            // Base 0: simplified template-local var i is solver var i.
             let frame = pre.template.instantiate(&mut solver, Part::A, 0);
             if solver.solve() != SolveResult::Sat {
                 continue; // contradictory constraints
             }
-            let new_vals: Vec<bool> = (0..pre.template.num_frame_vars())
-                .map(|v| solver.value(Lit::pos(Var::from_index(v))).unwrap_or(false))
+            let mut raw_solver = Solver::new();
+            let raw_frame = raw.instantiate(&mut raw_solver, Part::A, 0);
+            let interface = |f: &FrameVars| -> Vec<Lit> {
+                let lits = [
+                    &f.latch_cur,
+                    &f.latch_next,
+                    &f.inputs,
+                    &f.constraints,
+                    &f.bads,
+                ];
+                lits.into_iter()
+                    .flatten()
+                    .copied()
+                    .chain([f.any_bad])
+                    .collect()
+            };
+            let frozen: Vec<Lit> = interface(&frame)
+                .into_iter()
+                .zip(interface(&raw_frame))
+                .map(|(l, r)| if solver.value(l) == Some(true) { r } else { !r })
                 .collect();
-            let old_vals = pre.recon.extend(&new_vals);
-            assert_eq!(old_vals.len(), raw.num_frame_vars());
-            let sat = |l: Lit| old_vals[l.var().index()] == l.is_positive();
-            let mut start = 0usize;
-            for &end in &raw.ends {
-                assert!(
-                    raw.lits[start..end as usize].iter().any(|&l| sat(l)),
-                    "round {round}: raw clause violated by reconstructed model"
-                );
-                start = end as usize;
-            }
-            start = 0;
-            for &end in &raw.latchy_ends {
-                assert!(
-                    raw.latchy_lits[start..end as usize].iter().any(|&l| sat(l)),
-                    "round {round}: raw latchy clause violated"
-                );
-                start = end as usize;
-            }
-            for &c in &raw.constraints {
-                assert!(sat(c), "round {round}: constraint violated");
-            }
-            // Interface values survive renumbering unchanged.
-            for (i, &l) in raw.latch_next.iter().enumerate() {
-                assert_eq!(
-                    sat(l),
-                    solver.value(frame.latch_next[i]) == Some(true),
-                    "round {round}: latch-next {i} diverged"
-                );
-            }
+            assert_eq!(
+                raw_solver.solve_with(&frozen),
+                SolveResult::Sat,
+                "round {round}: no raw model extends the simplified one"
+            );
         }
     }
 

@@ -844,6 +844,48 @@ mod tests {
         );
     }
 
+    /// An output `reg` that only `initial` sets keeps its reset value in
+    /// the C too: the property holds on every cycle of both models.
+    #[test]
+    fn frozen_output_register_roundtrip() {
+        roundtrip(
+            r#"
+            module top(input clk, input a, output reg o);
+              initial o = 1;
+              reg p;
+              initial p = 0;
+              always @(posedge clk) p <= a;
+              assert property (o);
+            endmodule
+            "#,
+            "top",
+            20,
+        );
+    }
+
+    /// A signal narrower than the instance output it connects to keeps
+    /// the output's low bits in the C too.
+    #[test]
+    fn narrow_output_roundtrip() {
+        roundtrip(
+            r#"
+            module add3(input [7:0] a, output [7:0] y);
+              assign y = a + 8'd3;
+            endmodule
+            module top(input clk, input [7:0] x);
+              wire [3:0] w;
+              reg [7:0] r;
+              initial r = 0;
+              add3 u(.a(x), .y(w));
+              always @(posedge clk) r <= w;
+              assert property (r < 8'd16);
+            endmodule
+            "#,
+            "top",
+            50,
+        );
+    }
+
     #[test]
     fn benchmarks_roundtrip() {
         // Every paper benchmark must survive the full loop:

@@ -64,7 +64,7 @@
 //!   deadline too;
 //! * SatELite-style **CNF preprocessing** ([`preproc`]) — subsumption,
 //!   self-subsuming resolution and bounded variable elimination with a
-//!   freeze-set API and model reconstruction. Its one caller is the
+//!   freeze-set API. Its one caller is the
 //!   `aig` transition template, which simplifies its clause image once
 //!   per design, before any frame is instantiated and labelled with an
 //!   interpolation partition, so resolution there never has partitions
@@ -106,7 +106,7 @@ pub mod solver;
 pub use cdb::{CRef, ClauseDb};
 pub use interp::Interpolant;
 pub use lit::{Lit, Var};
-pub use preproc::{PreprocResult, PreprocStats, Preprocessor, ReconStack};
+pub use preproc::{PreprocResult, PreprocStats, Preprocessor};
 pub use proof::{ClauseId, Part, Proof};
 pub use proofcheck::{FailureKind, ProofChecker, ProofFailure, ProofReport};
 pub use solver::{

@@ -20,36 +20,28 @@
 //! * **Bounded variable elimination** — a variable `v` is eliminated by
 //!   replacing the clauses containing it with all non-tautological
 //!   resolvents on `v`, but only when that does not grow the clause
-//!   set (the SatELite bound). The replaced clauses are pushed onto a
-//!   [`ReconStack`] so models of the simplified formula can be
-//!   extended back over the eliminated variables.
+//!   set (the SatELite bound).
 //!
 //! Its one caller is the transition template
 //! (`aig::TransitionTemplate::preprocess`), which simplifies its clause
 //! image once per design, before any solver sees it.
 //!
-//! # Soundness invariants (freeze / reconstruction)
+//! # Soundness invariant (freeze set)
 //!
 //! The simplified set is **equisatisfiable with the original and
 //! equivalent over the non-eliminated variables**: for every
 //! assignment of the surviving variables, the original formula is
 //! satisfiable iff the simplified one is (variable elimination is
 //! existential projection; subsumption and strengthening preserve
-//! equivalence outright). Two invariants make this usable:
-//!
-//! 1. **Freeze set.** Every variable the consumer will read from a
-//!    model, assume, bind, or mention in later-added clauses must be
-//!    [frozen](Preprocessor::freeze) — frozen variables are never
-//!    eliminated (occurrences of them may still be strengthened away,
-//!    which is an equivalence-preserving deletion). Activation-style
-//!    guard variables are assumption interface by definition and must
-//!    always be frozen.
-//! 2. **Reconstruction.** A model of the simplified formula is
-//!    extended to the eliminated variables by replaying the
-//!    [`ReconStack`] in reverse elimination order
-//!    ([`ReconStack::extend`]); each eliminated variable is set to
-//!    satisfy its saved clauses, which is always possible because the
-//!    model satisfies every resolvent.
+//! equivalence outright). Every variable the consumer will read from a
+//! model, assume, bind, or mention in later-added clauses must
+//! therefore be [frozen](Preprocessor::freeze) — frozen variables are
+//! never eliminated (occurrences of them may still be strengthened
+//! away, which is an equivalence-preserving deletion). Activation-style
+//! guard variables are assumption interface by definition and must
+//! always be frozen. The values of eliminated variables are never
+//! needed: the template's consumers read frozen variables only, and
+//! rebuild traces by simulating the netlist.
 //!
 //! Resolution here ignores interpolation partitions, and may: the
 //! template's clauses all describe one time frame, and instantiation
@@ -83,57 +75,6 @@ pub struct PreprocStats {
     pub strengthened: u64,
 }
 
-/// The saved-clause stack that extends models of the simplified
-/// formula over the eliminated variables.
-///
-/// Entry `i` holds one eliminated variable together with **all**
-/// clauses that contained it at elimination time. Entries are in
-/// elimination order; [`extend`](ReconStack::extend) replays them in
-/// reverse, so each entry's saved clauses only mention surviving
-/// variables and variables whose value was already reconstructed.
-#[derive(Clone, Debug, Default)]
-pub struct ReconStack {
-    entries: Vec<(Var, Vec<Vec<Lit>>)>,
-}
-
-impl ReconStack {
-    /// Number of eliminated variables recorded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no variable was eliminated.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The recorded eliminated variables, in elimination order.
-    pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
-        self.entries.iter().map(|(v, _)| *v)
-    }
-
-    /// Extends `vals` (indexed by original variable, with every
-    /// surviving variable already set) over the eliminated variables:
-    /// each one is assigned the polarity that satisfies all of its
-    /// saved clauses. Such a polarity always exists for any assignment
-    /// satisfying the simplified formula.
-    pub fn extend(&self, vals: &mut [bool]) {
-        for (v, saved) in self.entries.iter().rev() {
-            // Default false; flip if a clause needs the positive
-            // literal (then every ¬v clause is satisfied elsewhere,
-            // because the model satisfies all resolvents).
-            let pos = Lit::pos(*v);
-            let needs_pos = saved.iter().any(|cl| {
-                cl.contains(&pos)
-                    && !cl
-                        .iter()
-                        .any(|&l| l.var() != *v && (vals[l.var().index()] == l.is_positive()))
-            });
-            vals[v.index()] = needs_pos;
-        }
-    }
-}
-
 /// Result of [`Preprocessor::run`].
 #[derive(Clone, Debug)]
 pub struct PreprocResult {
@@ -141,8 +82,6 @@ pub struct PreprocResult {
     pub clauses: Vec<Vec<Lit>>,
     /// What the run did.
     pub stats: PreprocStats,
-    /// Saved clauses for model reconstruction.
-    pub recon: ReconStack,
     /// Per-variable flag: `true` if the variable was eliminated.
     pub eliminated: Vec<bool>,
     /// The empty clause was derived: the input set is unsatisfiable.
@@ -226,7 +165,6 @@ pub struct Preprocessor {
     /// Variables whose occurrence lists changed since they were last
     /// considered for elimination.
     touched: Vec<bool>,
-    recon: ReconStack,
     stats: PreprocStats,
     unsat: bool,
 }
@@ -242,7 +180,6 @@ impl Preprocessor {
             occ: vec![Vec::new(); 2 * num_vars],
             n_occ: vec![0; 2 * num_vars],
             touched: vec![false; num_vars],
-            recon: ReconStack::default(),
             stats: PreprocStats::default(),
             unsat: false,
         }
@@ -411,14 +348,10 @@ impl Preprocessor {
                 }
             }
         }
-        // Commit: save originals for reconstruction, delete them, add
-        // the resolvents.
-        let mut saved: Vec<Vec<Lit>> = Vec::with_capacity(pos.len() + neg.len());
+        // Commit: delete the originals, add the resolvents.
         for &ci in pos.iter().chain(&neg) {
-            saved.push(self.clauses[ci as usize].lits.clone());
             self.delete_clause(ci);
         }
-        self.recon.entries.push((v, saved));
         self.eliminated[v.index()] = true;
         self.stats.elim_vars += 1;
         for r in resolvents {
@@ -480,7 +413,6 @@ impl Preprocessor {
                 .map(|c| c.lits)
                 .collect(),
             stats: self.stats,
-            recon: self.recon,
             eliminated: self.eliminated,
             unsat: self.unsat,
         }
@@ -608,14 +540,19 @@ mod tests {
         p.add_clause(&[lit(a, false), lit(b, false), lit(g, true)]);
         p.freeze(Var::from_index(a));
         p.freeze(Var::from_index(b));
+        let raw = [
+            vec![lit(g, false), lit(a, true)],
+            vec![lit(g, false), lit(b, true)],
+            vec![lit(a, false), lit(b, false), lit(g, true)],
+        ];
         let r = p.run();
         assert_eq!(r.stats.elim_vars, 1);
         assert!(r.clauses.is_empty());
-        // Reconstruction: any frozen assignment extends to g = a & b.
+        // Every frozen assignment, a model of the empty output, extends
+        // to a model of the raw clauses (g = a & b).
         for m in 0..4u8 {
-            let mut vals = vec![m & 1 != 0, m & 2 != 0, false];
-            r.recon.extend(&mut vals);
-            assert_eq!(vals[g], vals[a] && vals[b], "model {m:#b}");
+            let frozen = [lit(a, m & 1 != 0), lit(b, m & 2 != 0)];
+            assert_eq!(sat_of(&raw, 3, &frozen), SolveResult::Sat, "model {m:#b}");
         }
     }
 
@@ -633,8 +570,9 @@ mod tests {
     }
 
     /// The core contract on random CNF: equisatisfiable under every
-    /// assumption set over frozen variables, and reconstructed models
-    /// satisfy the original clauses.
+    /// assumption set over frozen variables, and every model of the
+    /// simplified set extends to one of the original clauses: they are
+    /// satisfiable under the model's values of the frozen variables.
     #[test]
     fn random_cnf_equisat_and_reconstruction() {
         let mut rng = StdRng::seed_from_u64(0x5A7E117E);
@@ -676,8 +614,8 @@ mod tests {
                     "round {round}: cnf {cnf:?} simp {simp:?} assumptions {assumptions:?}"
                 );
             }
-            // Reconstruction: solve the simplified set, extend the
-            // model, check every original clause.
+            // Extension: solve the simplified set, then the original
+            // clauses under the model's frozen values.
             let mut s = Solver::new();
             for _ in 0..nvars {
                 s.new_var();
@@ -686,16 +624,14 @@ mod tests {
                 s.add_clause(c);
             }
             if s.solve() == SolveResult::Sat {
-                let mut vals: Vec<bool> = (0..nvars)
-                    .map(|v| s.value(lit(v, true)).unwrap_or(false))
+                let frozen: Vec<Lit> = (0..nfrozen)
+                    .map(|v| lit(v, s.value(lit(v, true)).unwrap_or(false)))
                     .collect();
-                r.recon.extend(&mut vals);
-                for cl in &cnf {
-                    assert!(
-                        cl.iter().any(|&l| vals[l.var().index()] == l.is_positive()),
-                        "round {round}: reconstructed model violates {cl:?}"
-                    );
-                }
+                assert_eq!(
+                    sat_of(&cnf, nvars, &frozen),
+                    SolveResult::Sat,
+                    "round {round}: cnf {cnf:?} has no model extending {frozen:?}"
+                );
             }
         }
     }

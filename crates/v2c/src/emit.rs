@@ -15,12 +15,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use vfront::ast::{BinaryOp, Dir, Expr, LValue, NetKind, Stmt, UnaryOp};
+use vfront::ast::{BinaryOp, Dir, Expr, LValue, Stmt, UnaryOp};
 use vfront::elab::{
-    bit_index_width, check_drivers, const_eval, initial_values, part_bounds, self_width,
-    target_widths, Design, ESignal, ElabModule,
+    bit_index_width, check, const_eval, lookup, part_bounds, self_width, target_widths, Checked,
+    Design, ESignal, ElabModule, Role, Unit,
 };
-use vfront::synth::{expr_reads, schedule, stmt_reads};
 use vfront::VerilogError;
 
 /// Which `main` to generate.
@@ -39,23 +38,22 @@ pub enum MainStyle {
 
 /// Emits the software-netlist C program for an elaborated design.
 ///
-/// Every driver, width, part-select bound, concatenated-target and
-/// `initial` rule comes from `vfront` ([`vfront::elab::check_drivers`],
-/// [`vfront::elab::self_width`], [`vfront::elab::part_bounds`],
-/// [`vfront::elab::target_widths`], [`vfront::elab::initial_values`]),
-/// as do the `case` lowering ([`vfront::ast::Stmt::case_to_if`]) and
-/// the combinational schedule ([`vfront::synth::schedule`]), so the C
-/// means what the synthesized transition system means.
+/// [`vfront::elab::check`] decides the clock, the registers, their
+/// reset values and the combinational schedule, and applies every
+/// driver, name, instance, latch, width and bound rule, before a line
+/// is emitted; the `case` lowering is [`vfront::ast::Stmt::case_to_if`]
+/// and widths and bounds come from [`vfront::elab::self_width`],
+/// [`vfront::elab::part_bounds`] and [`vfront::elab::target_widths`].
+/// Synthesis reads the same, so the C means what the synthesized
+/// transition system means.
 ///
 /// # Errors
 ///
-/// Reports the same restrictions as synthesis (drivers, latches, loops,
-/// multiple clocks, widths and bounds, with the same messages) plus
-/// emitter-specific limits (instance outputs must connect to whole
-/// signals).
+/// Reports exactly what [`vfront::synthesize`] reports, with the same
+/// messages: the violations of [`vfront::elab::check`].
 pub fn emit_c(design: &Design, style: MainStyle) -> Result<String, VerilogError> {
-    check_drivers(design)?;
-    let mut e = Emitter::new(design, style)?;
+    let checked = check(design)?;
+    let mut e = Emitter::new(design, &checked, style);
     e.emit()?;
     Ok(e.out)
 }
@@ -75,11 +73,13 @@ fn sanitize(name: &str) -> String {
 }
 
 /// Per-module facts computed bottom-up.
-#[derive(Clone, Debug, Default)]
-struct ModInfo {
+#[derive(Clone, Debug)]
+struct ModInfo<'d> {
     cname: String,
-    /// Ports that carry the clock (skipped as function arguments).
-    clock_ports: HashSet<String>,
+    /// What `vfront` decided: clock ports are no function arguments,
+    /// registers live in the module's struct, and the schedule orders
+    /// the step function's combinational section.
+    checked: &'d Checked,
     /// Total number of assertions in this module's subtree.
     assert_total: usize,
     /// Number of the module's own assertions.
@@ -89,82 +89,40 @@ struct ModInfo {
 struct Emitter<'d> {
     design: &'d Design,
     style: MainStyle,
-    info: Vec<ModInfo>,
+    info: Vec<ModInfo<'d>>,
     out: String,
 }
 
 impl<'d> Emitter<'d> {
-    fn new(design: &'d Design, style: MainStyle) -> Result<Emitter<'d>, VerilogError> {
+    fn new(design: &'d Design, checked: &'d [Checked], style: MainStyle) -> Emitter<'d> {
         // Compute per-module info bottom-up (children precede parents
         // in `design.modules`).
-        let mut info: Vec<ModInfo> = vec![ModInfo::default(); design.modules.len()];
+        let mut info: Vec<ModInfo> = Vec::with_capacity(design.modules.len());
         let mut used_names: HashSet<String> = HashSet::new();
-        for (idx, m) in design.modules.iter().enumerate() {
+        for (m, checked) in design.modules.iter().zip(checked) {
             let mut cname = sanitize(&m.name);
             while used_names.contains(&cname) {
                 cname.push('_');
             }
             used_names.insert(cname.clone());
-
-            let mut clock_ports: HashSet<String> = HashSet::new();
-            for (clk, _) in m
-                .processes
-                .iter()
-                .filter_map(|(c, s)| c.as_ref().map(|c| (c.clone(), s)))
-            {
-                clock_ports.insert(clk);
-            }
-            // Ports feeding child clock ports are clocks too.
-            for inst in &m.instances {
-                let child = &design.modules[inst.module];
-                for (pi, conn) in &inst.conns {
-                    let pname = &child.signals[*pi].name;
-                    if info[inst.module].clock_ports.contains(pname) {
-                        match conn {
-                            Expr::Ident(n) => {
-                                clock_ports.insert(n.clone());
-                            }
-                            _ => {
-                                return Err(VerilogError::general(format!(
-                                    "clock port '{pname}' of instance '{}' must be \
-                                     connected to a plain signal",
-                                    inst.name
-                                )))
-                            }
-                        }
-                    }
-                }
-            }
-            // Only ports can be clocks at module boundaries.
-            for c in &clock_ports {
-                match m.signal(c) {
-                    Some(s) if s.port == Some(Dir::Input) && s.width == 1 => {}
-                    _ => {
-                        return Err(VerilogError::general(format!(
-                            "clock '{c}' in module '{}' must be a 1-bit input port",
-                            m.name
-                        )))
-                    }
-                }
-            }
             let own = m.asserts.len();
             let mut total = own;
             for inst in &m.instances {
                 total += info[inst.module].assert_total;
             }
-            info[idx] = ModInfo {
+            info.push(ModInfo {
                 cname,
-                clock_ports,
+                checked,
                 assert_total: total,
                 assert_own: own,
-            };
+            });
         }
-        Ok(Emitter {
+        Emitter {
             design,
             style,
             info,
             out: String::new(),
-        })
+        }
     }
 
     fn top(&self) -> &ElabModule {
@@ -214,26 +172,11 @@ impl<'d> Emitter<'d> {
     // Structs, init, dump
     // ------------------------------------------------------------------
 
-    /// Registers of a module, in declaration order: the regs a clocked
-    /// process assigns, and the frozen ones nothing assigns.
-    fn regs(m: &ElabModule) -> Vec<&ESignal> {
-        let mut clocked: HashSet<String> = HashSet::new();
-        let mut comb: HashSet<String> = m.assigns.iter().flat_map(|(lv, _)| lv.targets()).collect();
-        for (c, body) in &m.processes {
-            if c.is_some() {
-                clocked.extend(body.targets());
-            } else {
-                comb.extend(body.targets());
-            }
-        }
-        m.signals
-            .iter()
-            .filter(|s| {
-                s.kind == NetKind::Reg
-                    && !comb.contains(&s.name)
-                    && (clocked.contains(&s.name) || s.port.is_none())
-                    && s.port != Some(Dir::Input)
-            })
+    /// The registers of module `idx`, in declaration order.
+    fn regs(&self, idx: usize) -> Vec<&'d ESignal> {
+        let signals = &self.design.modules[idx].signals;
+        (signals.iter().zip(&self.info[idx].checked.roles))
+            .filter_map(|(s, &r)| (r == Role::Register).then_some(s))
             .collect()
     }
 
@@ -241,7 +184,7 @@ impl<'d> Emitter<'d> {
         let m = &self.design.modules[idx];
         let cname = self.info[idx].cname.clone();
         let _ = writeln!(self.out, "typedef struct {cname}_state {{");
-        for sig in Self::regs(m) {
+        for sig in self.regs(idx) {
             match sig.memory {
                 Some((_, aw)) => {
                     let _ = writeln!(
@@ -275,15 +218,8 @@ impl<'d> Emitter<'d> {
         let m = &self.design.modules[idx];
         let cname = self.info[idx].cname.clone();
         let _ = writeln!(self.out, "static void {cname}_init({cname}_state *s) {{");
-
-        // Initial blocks win over declaration initializers.
-        let mut init = initial_values(&m.initials, &|n| m.signal(n))?;
-        for sig in &m.signals {
-            if let Some(v) = sig.init {
-                init.scalars.entry(sig.name.clone()).or_insert(v);
-            }
-        }
-        for sig in Self::regs(m) {
+        let init = &self.info[idx].checked.resets;
+        for sig in self.regs(idx) {
             let n = sanitize(&sig.name);
             match sig.memory {
                 None => {
@@ -347,7 +283,7 @@ impl<'d> Emitter<'d> {
             self.out,
             "static void {cname}_dump(const {cname}_state *s) {{"
         );
-        for sig in Self::regs(m) {
+        for sig in self.regs(idx) {
             let n = sanitize(&sig.name);
             match sig.memory {
                 None => {
@@ -384,8 +320,8 @@ impl<'d> Emitter<'d> {
         let mut args = vec![format!("{cname}_state *s")];
         let mut in_ports = Vec::new();
         let mut out_ports = Vec::new();
-        for sig in m.signals.iter().filter(|s| s.port.is_some()) {
-            if inf.clock_ports.contains(&sig.name) {
+        for (sig, &role) in m.signals.iter().zip(&inf.checked.roles) {
+            if role == Role::Clock {
                 continue;
             }
             match sig.port {
@@ -429,10 +365,9 @@ impl<'d> Emitter<'d> {
         let _ = writeln!(self.out, "int main(void) {{");
         let _ = writeln!(self.out, "  {cname}_state s;");
         let _ = writeln!(self.out, "  {cname}_init(&s);");
-        let ins: Vec<&ESignal> = top
-            .signals
-            .iter()
-            .filter(|x| x.port == Some(Dir::Input) && !inf.clock_ports.contains(&x.name))
+        let ins: Vec<&ESignal> = (top.signals.iter().zip(&inf.checked.roles))
+            .filter(|&(x, &role)| x.port == Some(Dir::Input) && role != Role::Clock)
+            .map(|(x, _)| x)
             .collect();
         let outs: Vec<&ESignal> = top
             .signals
@@ -531,14 +466,15 @@ enum Loc {
     CombLocal,  // <name> (uint64_t local)
     NextTemp,   // __next_<name> (inside clocked commit)
     CurTemp,    // __cur_<name> (blocking reg shadow)
+    CurMem,     // __next_<name>[i] (blocking memory, inside its process)
 }
 
 struct FnBody<'a> {
     m: &'a ElabModule,
-    info: &'a ModInfo,
+    info: &'a ModInfo<'a>,
     style: MainStyle,
     design: &'a Design,
-    all_info: &'a [ModInfo],
+    all_info: &'a [ModInfo<'a>],
     text: String,
     /// Commit statements, emitted after outputs.
     tail: String,
@@ -550,10 +486,10 @@ struct FnBody<'a> {
 impl<'a> FnBody<'a> {
     fn new(
         m: &'a ElabModule,
-        info: &'a ModInfo,
+        info: &'a ModInfo<'a>,
         style: MainStyle,
         design: &'a Design,
-        all_info: &'a [ModInfo],
+        all_info: &'a [ModInfo<'a>],
     ) -> FnBody<'a> {
         FnBody {
             m,
@@ -574,9 +510,7 @@ impl<'a> FnBody<'a> {
     }
 
     fn sig(&self, name: &str) -> Result<&ESignal, VerilogError> {
-        self.m
-            .signal(name)
-            .ok_or_else(|| Self::err(format!("unknown signal '{name}'")))
+        lookup(&|n| self.m.signal(n), name)
     }
 
     fn width(&self, e: &Expr) -> Result<u32, VerilogError> {
@@ -605,12 +539,11 @@ impl<'a> FnBody<'a> {
             Some(Loc::CombLocal) => Ok(n),
             Some(Loc::CurTemp) => Ok(format!("__cur_{n}")),
             Some(Loc::NextTemp) => Ok(format!("s->{n}")), // reads see old value
-            Some(Loc::StructMem) => {
-                Err(Self::err(format!("memory '{name}' used without an index")))
+            // `check` rules out reading a memory without an index, and
+            // reading a clock.
+            Some(Loc::StructMem | Loc::CurMem) | None => {
+                Err(Self::err(format!("'{name}' has no value")))
             }
-            None => Err(Self::err(format!(
-                "'{name}' read before it is computed (combinational ordering)"
-            ))),
         }
     }
 
@@ -823,13 +756,15 @@ impl<'a> FnBody<'a> {
             Expr::Index(n, idx) => {
                 let sig = self.sig(n)?.clone();
                 if let Some((_, aw)) = sig.memory {
+                    // Every memory is a register (`check`): reads see
+                    // the struct's rows, or inside the process that
+                    // assigns it with `=`, its new rows.
                     let iv = self.expr(idx, aw)?;
                     let base = match self.loc.get(n) {
-                        Some(Loc::StructMem) => format!("s->{}", sanitize(n)),
-                        Some(Loc::NextTemp) => format!("s->{}", sanitize(n)),
-                        _ => return Err(Self::err(format!("'{n}' is not an accessible memory"))),
+                        Some(Loc::CurMem) => "__next_",
+                        _ => "s->",
                     };
-                    let v = format!("{base}[{iv}]");
+                    let v = format!("{base}{}[{iv}]", sanitize(n));
                     if sig.width <= width {
                         v
                     } else {
@@ -964,7 +899,7 @@ impl<'a> FnBody<'a> {
             Some(Loc::CombLocal) => Ok(n),
             Some(Loc::NextTemp) => Ok(format!("__next_{n}")),
             Some(Loc::CurTemp) => Ok(format!("__cur_{n}")),
-            Some(Loc::StructMem) => Ok(format!("__next_{n}")),
+            Some(Loc::StructMem | Loc::CurMem) => Ok(format!("__next_{n}")),
             other => Err(Self::err(format!(
                 "cannot assign '{name}' here ({other:?})"
             ))),
@@ -1036,105 +971,23 @@ impl<'a> FnBody<'a> {
     fn emit_body(&mut self) -> Result<(), VerilogError> {
         let m = self.m;
 
-        // Locate every signal.
-        let regs: HashSet<String> = Emitter::regs(m).iter().map(|s| s.name.clone()).collect();
-        for sig in &m.signals {
-            if self.info.clock_ports.contains(&sig.name) {
-                continue;
-            }
-            let loc = if regs.contains(&sig.name) {
-                if sig.memory.is_some() {
-                    Loc::StructMem
-                } else {
-                    Loc::StructReg
+        // Locate every signal, and declare the combinational locals.
+        for (sig, &role) in m.signals.iter().zip(&self.info.checked.roles) {
+            let loc = match role {
+                Role::Clock => continue,
+                Role::Register if sig.memory.is_some() => Loc::StructMem,
+                Role::Register => Loc::StructReg,
+                Role::Net if sig.port == Some(Dir::Input) => Loc::InputParam,
+                Role::Net => {
+                    self.line(&format!("uint64_t {} = 0ULL;", sanitize(&sig.name)));
+                    Loc::CombLocal
                 }
-            } else if sig.port == Some(Dir::Input) {
-                Loc::InputParam
-            } else {
-                Loc::CombLocal
             };
             self.loc.insert(sig.name.clone(), loc);
         }
 
-        // Declare combinational locals.
-        for sig in &m.signals {
-            if self.loc.get(&sig.name) == Some(&Loc::CombLocal) {
-                if sig.memory.is_some() {
-                    return Err(Self::err(format!(
-                        "memory '{}' must be a clocked register",
-                        sig.name
-                    )));
-                }
-                self.line(&format!("uint64_t {} = 0ULL;", sanitize(&sig.name)));
-            }
-        }
-
-        // Build the unit list: assigns, comb processes, instances.
-        #[derive(Clone)]
-        enum U {
-            Assign(usize),
-            Comb(usize),
-            Inst(usize),
-        }
-        let mut units: Vec<U> = Vec::new();
-        let mut defs: Vec<Vec<String>> = Vec::new();
-        let mut reads: Vec<HashSet<String>> = Vec::new();
-        for (i, (lv, rhs)) in m.assigns.iter().enumerate() {
-            let d = lv.targets();
-            // Clock wiring assigns are dropped.
-            if d.iter().all(|x| self.info.clock_ports.contains(x)) {
-                continue;
-            }
-            let mut r = HashSet::new();
-            expr_reads(rhs, &HashSet::new(), &mut r);
-            units.push(U::Assign(i));
-            defs.push(d);
-            reads.push(r);
-        }
-        for (i, (clk, body)) in m.processes.iter().enumerate() {
-            if clk.is_none() {
-                let mut r = HashSet::new();
-                stmt_reads(body, &mut HashSet::new(), &mut r);
-                units.push(U::Comb(i));
-                defs.push(body.targets());
-                reads.push(r);
-            }
-        }
-        for (i, inst) in m.instances.iter().enumerate() {
-            let child = &self.design.modules[inst.module];
-            let cinfo = &self.all_info[inst.module];
-            let mut d = Vec::new();
-            let mut r = HashSet::new();
-            for (pi, conn) in &inst.conns {
-                let p = &child.signals[*pi];
-                if cinfo.clock_ports.contains(&p.name) {
-                    continue;
-                }
-                match p.port {
-                    Some(Dir::Input) => expr_reads(conn, &HashSet::new(), &mut r),
-                    Some(Dir::Output) => match conn {
-                        Expr::Ident(n) => d.push(n.clone()),
-                        _ => {
-                            return Err(Self::err(format!(
-                                "output port '{}' of instance '{}' must connect to a \
-                                 whole signal",
-                                p.name, inst.name
-                            )))
-                        }
-                    },
-                    None => {}
-                }
-            }
-            units.push(U::Inst(i));
-            defs.push(d);
-            reads.push(r);
-        }
-
-        // The synthesizer's schedule, instance-granular here: the
-        // inter-module dependency analysis.
-        let order = schedule(&defs, &reads)?;
-
-        // Emit combinational section.
+        // Emit combinational section, in the order of the §III-B
+        // schedule: the inter-module dependency analysis.
         self.line("/* combinational logic (dependency order) */");
         let mut assert_base_offsets: Vec<usize> = Vec::with_capacity(m.instances.len());
         {
@@ -1144,57 +997,55 @@ impl<'a> FnBody<'a> {
                 acc += self.all_info[inst.module].assert_total;
             }
         }
-        for u in &order {
-            match units[*u] {
-                U::Assign(i) => {
+        for &u in &self.info.checked.order {
+            match u {
+                Unit::Assign(i) => {
                     let (lv, rhs) = m.assigns[i].clone();
                     self.assign(&lv, &rhs)?;
                 }
-                U::Comb(i) => {
+                Unit::Comb(i) => {
                     let body = m.processes[i].1.clone();
                     self.stmt(&body)?;
                 }
-                U::Inst(i) => {
+                Unit::Instance(i) => {
                     let inst = m.instances[i].clone();
                     let child = self.design.modules[inst.module].clone();
                     let cinfo = self.all_info[inst.module].clone();
                     let mut args = vec![format!("&s->{}", sanitize(&inst.name))];
-                    // Arguments in the child's port order.
-                    for sig in child.signals.iter().filter(|s| s.port.is_some()) {
-                        if cinfo.clock_ports.contains(&sig.name) {
-                            continue;
-                        }
-                        let conn = inst
-                            .conns
-                            .iter()
-                            .find(|(pi, _)| child.signals[*pi].name == sig.name)
-                            .map(|(_, c)| c.clone());
-                        match sig.port {
-                            Some(Dir::Input) => match conn {
-                                Some(c) => args.push(self.expr(&c, sig.width)?),
-                                None => {
-                                    return Err(Self::err(format!(
-                                        "input port '{}' of instance '{}' is unconnected",
-                                        sig.name, inst.name
-                                    )))
+                    // Arguments in the child's port order; `check` has
+                    // seen to it that every input is connected, and
+                    // every output to a plain signal or to nothing. A
+                    // signal narrower than its output port keeps the
+                    // port's low bits, as an assignment would.
+                    let mut narrow = Vec::new();
+                    for (pi, sig) in child.signals.iter().enumerate() {
+                        let conn = inst.conns.iter().find(|(p, _)| *p == pi).map(|(_, c)| c);
+                        match (cinfo.checked.roles[pi], sig.port, conn) {
+                            (Role::Clock, ..) => {}
+                            (_, Some(Dir::Input), Some(c)) => args.push(self.expr(c, sig.width)?),
+                            (_, Some(Dir::Output), Some(Expr::Ident(nm))) => {
+                                let n = sanitize(nm);
+                                args.push(format!("&{n}"));
+                                let width = self.sig(nm)?.width;
+                                if width < sig.width {
+                                    narrow.push(format!("{n} = ({n} & {});", cmask(width)));
                                 }
-                            },
-                            Some(Dir::Output) => match conn {
-                                Some(Expr::Ident(nm)) => args.push(format!("&{}", sanitize(&nm))),
-                                Some(_) => unreachable!("checked above"),
-                                None => {
-                                    let t = self.fresh();
-                                    self.line(&format!("uint64_t {t};"));
-                                    args.push(format!("&{t}"));
-                                }
-                            },
-                            None => {}
+                            }
+                            (_, Some(Dir::Output), _) => {
+                                let t = self.fresh();
+                                self.line(&format!("uint64_t {t};"));
+                                args.push(format!("&{t}"));
+                            }
+                            _ => {}
                         }
                     }
                     if self.style == MainStyle::Cosim && cinfo.assert_total > 0 {
                         args.push(format!("__bad_base + {}", assert_base_offsets[i]));
                     }
                     self.line(&format!("{}_step({});", cinfo.cname, args.join(", ")));
+                    for line in narrow {
+                        self.line(&line);
+                    }
                 }
             }
         }
@@ -1263,7 +1114,12 @@ impl<'a> FnBody<'a> {
                         "{{ int __i; for (__i = 0; __i < {total}; __i++) \
                          __next_{n}[__i] = s->{n}[__i]; }}"
                     ));
-                    self.loc.insert(t.clone(), Loc::StructMem);
+                    let loc = if blocking.contains(t) {
+                        Loc::CurMem
+                    } else {
+                        Loc::StructMem
+                    };
+                    self.loc.insert(t.clone(), loc);
                     let _ = writeln!(
                         self.tail,
                         "  {{ int __i; for (__i = 0; __i < {total}; __i++) \
@@ -1280,6 +1136,15 @@ impl<'a> FnBody<'a> {
                 }
             }
             self.stmt(body)?;
+            // Later processes and the outputs read the values from
+            // before the clock edge, as in synthesis.
+            for t in targets {
+                let loc = match self.sig(&t)?.memory {
+                    Some(_) => Loc::StructMem,
+                    None => Loc::StructReg,
+                };
+                self.loc.insert(t, loc);
+            }
         }
         Ok(())
     }
@@ -1376,9 +1241,14 @@ mod tests {
 
     /// Sources outside the supported subset: synthesis and the C
     /// emitter apply the same rule in `vfront`, so both reject each
-    /// with the same error, in debug and release builds alike.
+    /// with the same error, in debug and release builds alike. Every
+    /// source may instantiate `child`, whose clock port is `c`, and
+    /// `hole`, which drives no output.
     #[test]
     fn compile_and_emit_reject_the_same_sources() {
+        const CHILD: &str =
+            "module child(input c, input d, output reg q); always @(posedge c) q <= d; endmodule\n\
+             module hole(input d, output y); endmodule";
         let table = [
             (
                 "input [39:0] a, input [39:0] b, output [63:0] y",
@@ -1478,9 +1348,117 @@ mod tests {
                 "wire w; always @(posedge clk) w <= a; assign y = w;",
                 "clocked assignment to wire 'w' (declare it reg)",
             ),
+            (
+                "input a, input b",
+                "reg q; always @(*) begin if (a) q = b; end",
+                "signal 'q' is not assigned on all paths of a combinational process",
+            ),
+            (
+                "input [1:0] a, input b",
+                "reg q; always @(*) case (a) 2'd0: q = b; 2'd1: q = !b; endcase",
+                "signal 'q' is not assigned on all paths of a combinational process",
+            ),
+            (
+                "input a",
+                "reg [1:0] q; always @* q[0] = a;",
+                "signal 'q' is not assigned on all paths of a combinational process",
+            ),
+            (
+                "input a",
+                "reg q; always @(*) q <= a;",
+                "non-blocking assignment in combinational process",
+            ),
+            (
+                "input clk2, input a",
+                "reg p; reg r; always @(posedge clk) p <= a; always @(posedge clk2) r <= a;",
+                "multiple clocks are not supported ('clk' vs 'clk2')",
+            ),
+            (
+                "input clk2, input a",
+                "child u1(.c(clk), .d(a), .q()); child u2(.c(clk2), .d(a), .q());",
+                "multiple clocks are not supported ('clk' vs 'clk2')",
+            ),
+            (
+                "input a",
+                "reg p; assign clk = a; always @(posedge clk) p <= a;",
+                "top-level input 'clk' is driven",
+            ),
+            (
+                "input a",
+                "wire c2; reg p; assign c2 = clk; always @(posedge c2) p <= a;",
+                "clock 'c2' in module 'top' must be a 1-bit input port",
+            ),
+            (
+                "input [1:0] k, input a",
+                "reg p; always @(posedge k) p <= a;",
+                "clock 'k' in module 'top' must be a 1-bit input port",
+            ),
+            (
+                "input a",
+                "reg p; always @(posedge clk) p <= a & clk;",
+                "clock 'clk' is read as data",
+            ),
+            (
+                "input a",
+                "child u(.c(clk), .d(clk), .q());",
+                "clock 'clk' is read as data",
+            ),
+            ("input a", "assign zz = a;", "unknown signal 'zz'"),
+            (
+                "input a",
+                "always @(posedge clk) zz <= a;",
+                "unknown signal 'zz'",
+            ),
+            ("output y", "assign y = zz;", "unknown signal 'zz'"),
+            (
+                "input a, input b",
+                "assign a = b;",
+                "top-level input 'a' is driven",
+            ),
+            (
+                "input a",
+                "child u(.c(a & a), .d(a), .q());",
+                "clock port 'c' of instance 'u' must connect to a plain signal",
+            ),
+            (
+                "input a",
+                "child u(.c(clk), .q());",
+                "input port 'd' of instance 'u' is unconnected",
+            ),
+            (
+                "input a",
+                "child u(.c(clk), .d(a), .q(1'b0));",
+                "output port 'q' of instance 'u' must connect to a plain signal",
+            ),
+            (
+                "input [1:0] a, output [7:0] y",
+                "wire [7:0] m [0:3]; assign y = m[a];",
+                "memory 'm' must be a clocked register",
+            ),
+            (
+                "input [7:0] a",
+                "reg [7:0] m [0:3]; always @(posedge clk) m <= a;",
+                "whole-memory assignment to 'm' is not supported",
+            ),
+            (
+                "input a",
+                "wire w; reg r; initial r = 0; always @(posedge clk) r <= w; \
+                 assert property (!r);",
+                "signal 'w' in module 'top' is read but nothing drives it",
+            ),
+            (
+                "input a, output y",
+                "hole h(.d(a), .y(y));",
+                "signal 'y' in module 'hole' is read but nothing drives it",
+            ),
+            (
+                "input a",
+                "wire p; wire q; assign {p, q} = {q, p};",
+                "combinational loop through signal 'p'",
+            ),
         ];
         for (ports, body, message) in table {
-            let src = format!("module top(input clk, {ports});\n  {body}\nendmodule\n");
+            let src = format!("module top(input clk, {ports});\n  {body}\nendmodule\n{CHILD}\n");
             let compiled = vfront::compile(&src, "top").expect_err(body);
             assert!(compiled.message.contains(message), "{body}: {compiled}");
             let mods = vfront::parse(&src).expect("parses");

@@ -7,6 +7,9 @@
 //!
 //! These tests are skipped when no C compiler is installed.
 
+mod fixtures;
+
+use fixtures::Fixture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtlir::{Simulator, Sort, Value};
@@ -22,8 +25,9 @@ fn have_cc() -> bool {
         .is_ok_and(|s| s.success())
 }
 
-/// Compiles `src` both ways and co-simulates `cycles` random cycles.
-fn cosim(src: &str, top: &str, cycles: u64, seed: u64) {
+/// Compiles `f` both ways and co-simulates `cycles` random cycles.
+fn cosim(f: &Fixture, cycles: u64, seed: u64) {
+    let (src, top) = (f.source, f.top);
     if !have_cc() {
         eprintln!("skipping cosim test: no C compiler");
         return;
@@ -132,142 +136,46 @@ fn cosim(src: &str, top: &str, cycles: u64, seed: u64) {
 
 #[test]
 fn counter_with_reset() {
-    cosim(
-        r#"
-        module counter(input clk, input rst, input en, output wrap);
-          reg [3:0] c;
-          initial c = 0;
-          always @(posedge clk) begin
-            if (rst) c <= 0;
-            else if (en) c <= c + 1;
-          end
-          assign wrap = (c == 4'hF);
-          assert property (c != 4'd13);
-        endmodule
-        "#,
-        "counter",
-        200,
-        0xC0511,
-    );
+    cosim(&fixtures::COUNTER, 200, 0xC0511);
 }
 
 #[test]
 fn hierarchical_accumulators() {
-    cosim(
-        r#"
-        module acc(input clk, input [3:0] a, output [3:0] y);
-          reg [3:0] r;
-          initial r = 0;
-          always @(posedge clk) r <= r + a;
-          assign y = r;
-          assert property (r != 4'd11);
-        endmodule
-        module top(input clk, input [3:0] x);
-          wire [3:0] s1;
-          wire [3:0] s2;
-          acc u1 (.clk(clk), .a(x), .y(s1));
-          acc u2 (.clk(clk), .a(s1), .y(s2));
-          assert property (s2 != 4'd7);
-        endmodule
-        "#,
-        "top",
-        300,
-        0xACC5,
-    );
+    cosim(&fixtures::ACCUMULATORS, 300, 0xACC5);
 }
 
 #[test]
 fn memory_write_read() {
-    cosim(
-        r#"
-        module m(input clk, input we, input [2:0] wa, input [2:0] ra,
-                 input [7:0] d, output [7:0] q);
-          reg [7:0] mem [0:7];
-          reg [7:0] last;
-          initial last = 0;
-          assign q = mem[ra];
-          always @(posedge clk) begin
-            if (we) mem[wa] <= d;
-            last <= q;
-          end
-          assert property (last != 8'hEE);
-        endmodule
-        "#,
-        "m",
-        400,
-        0x3E3,
-    );
+    cosim(&fixtures::MEMORY, 400, 0x3E3);
 }
 
 #[test]
 fn comb_process_case_and_selects() {
-    cosim(
-        r#"
-        module alu(input clk, input [1:0] op, input [7:0] a, input [7:0] b);
-          reg [7:0] r;
-          reg [7:0] res;
-          initial r = 0;
-          always @* begin
-            res = 0;
-            case (op)
-              2'd0: res = a + b;
-              2'd1: res = a - b;
-              2'd2: res = a & b;
-              2'd3: res = {a[3:0], b[7:4]};
-            endcase
-          end
-          always @(posedge clk) r <= res;
-          assert property (r != 8'h5A);
-        endmodule
-        "#,
-        "alu",
-        400,
-        0xA1B2,
-    );
+    cosim(&fixtures::ALU, 400, 0xA1B2);
+}
+
+#[test]
+fn comb_processes_with_else_and_default() {
+    cosim(&fixtures::BRANCHES, 400, 0xB4A7);
 }
 
 #[test]
 fn shifts_mul_div_operators() {
-    cosim(
-        r#"
-        module ops(input clk, input [7:0] a, input [7:0] b);
-          reg [7:0] r1; reg [7:0] r2; reg [7:0] r3; reg [7:0] r4;
-          initial begin r1 = 0; r2 = 0; r3 = 0; r4 = 0; end
-          always @(posedge clk) begin
-            r1 <= a << b[2:0];
-            r2 <= a >> b[3:0];
-            r3 <= a * b;
-            r4 <= a / (b & 8'h0F);
-          end
-          assert property (r3 != 8'hF0);
-        endmodule
-        "#,
-        "ops",
-        400,
-        0x5417,
-    );
+    cosim(&fixtures::OPS, 400, 0x5417);
 }
 
 #[test]
 fn unsafe_bug_fires_in_same_cycle_as_word_level() {
     // A design with a deterministic bug at a known cycle: both models
     // must flag it at exactly that cycle (the paper's §III-C check).
-    let src = r#"
-        module buggy(input clk);
-          reg [6:0] t;
-          initial t = 0;
-          always @(posedge clk) t <= t + 1;
-          assert property (t != 7'd64);
-        endmodule
-    "#;
     // Reference: cycle of first violation.
-    let ts = vfront::compile(src, "buggy").expect("compiles");
+    let ts = vfront::compile(fixtures::BUGGY.source, "buggy").expect("compiles");
     let mut sim = Simulator::new(&ts);
     let ref_cycle = sim.run_until_bad(200, |_| vec![]).expect("bug exists");
     assert_eq!(ref_cycle, 64);
     // The cosim checks equality of the bad flags on every cycle, which
     // subsumes "same clock cycle"; run it.
-    cosim(src, "buggy", 100, 1);
+    cosim(&fixtures::BUGGY, 100, 1);
 }
 
 #[test]
@@ -275,46 +183,30 @@ fn nonblocking_selects_read_the_old_values() {
     // A bit, part or concatenated non-blocking write reads the values
     // from before the clock edge, even of registers the same process
     // has already scheduled a new value for.
-    cosim(
-        r#"
-        module nb(input clk, input [3:0] x);
-          reg [3:0] a; reg [3:0] b; reg [3:0] c; reg [1:0] d; reg [1:0] e;
-          initial begin a = 0; b = 0; c = 0; d = 0; e = 0; end
-          always @(posedge clk) begin
-            a <= a + x;
-            b[0] <= a[0];
-            c[3:2] <= a[1:0];
-            {d, e} <= a;
-          end
-          assert property (b != 4'd1 || c != 4'd12);
-        endmodule
-        "#,
-        "nb",
-        300,
-        0x0B5E,
-    );
+    cosim(&fixtures::NONBLOCKING, 300, 0x0B5E);
 }
 
 #[test]
 fn out_of_range_bit_selects_read_zero_and_write_nothing() {
     // Indices past the msb, below the lsb (of `t`, below any offset a
     // 2-bit index can hold) and past bit 63 (of `u`).
-    cosim(
-        r#"
-        module bits(input clk, input [2:0] i, input [1:0] j, input [7:0] k, input v);
-          reg [3:0] r; reg [7:4] s; reg [11:8] t; reg [7:0] u; reg [3:0] q;
-          initial begin r = 0; s = 0; t = 0; u = 8'hA5; q = 0; end
-          always @(posedge clk) begin
-            r[i] <= v;
-            s[i] <= v;
-            t[j] <= v;
-            q <= {r[i], s[i], t[j], u[k]};
-          end
-          assert property (r != 4'hF);
-        endmodule
-        "#,
-        "bits",
-        300,
-        0xB175,
-    );
+    cosim(&fixtures::BITS, 300, 0xB175);
+}
+
+#[test]
+fn frozen_output_register_keeps_its_initial_value() {
+    // An output `reg` that only `initial` sets is a register of both
+    // models: its reset value holds on every cycle, so the property
+    // never fails in either.
+    cosim(&fixtures::FROZEN_OUTPUT, 50, 0xF0);
+}
+
+#[test]
+fn narrow_signal_keeps_the_low_bits_of_a_wider_output() {
+    cosim(&fixtures::NARROW_OUTPUT, 100, 0x4A5);
+}
+
+#[test]
+fn blocking_registers_read_their_old_values_elsewhere() {
+    cosim(&fixtures::BLOCKING, 300, 0xB10C);
 }

@@ -6,10 +6,15 @@
 //! constants and all ranges resolved to widths. The module hierarchy
 //! is *retained* (as in v2c); flattening happens later, in synthesis
 //! or in the software-netlist generator.
+//!
+//! [`check`] then decides, once for the whole hierarchy, what both of
+//! those read: the clock, the registers and their reset values, and
+//! the combinational schedule, after checking every rule a design must
+//! obey (drivers, names, instances, latches, widths and bounds).
 
 use crate::ast::*;
 use crate::error::VerilogError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// An elaborated signal.
 #[derive(Clone, Debug)]
@@ -85,7 +90,7 @@ pub struct Design {
 /// # Errors
 ///
 /// Reports unknown modules/parameters, non-constant widths, duplicate
-/// signals and malformed port connections.
+/// signals or instances and malformed port connections.
 pub fn elaborate(modules: &[SourceModule], top: &str) -> Result<Design, VerilogError> {
     let by_name: HashMap<&str, &SourceModule> =
         modules.iter().map(|m| (m.name.as_str(), m)).collect();
@@ -375,6 +380,17 @@ impl<'a> Elaborator<'a> {
                 }
             }
         }
+        // Instances share the signals' name space: a signal `u` and an
+        // instance `u` would be one C struct member.
+        let mut names = HashSet::new();
+        for inst in &instances {
+            if seen.contains_key(&inst.name) || !names.insert(&inst.name) {
+                return Err(VerilogError::at(
+                    src.line,
+                    format!("duplicate instance '{}'", inst.name),
+                ));
+            }
+        }
 
         let idx = self.out.len();
         self.out.push(ElabModule {
@@ -515,14 +531,19 @@ fn subst_stmt(s: &Stmt, params: &HashMap<String, u64>) -> Stmt {
 }
 
 // ----------------------------------------------------------------------
-// Width, bound and reset rules, shared by synthesis and v2c
+// Driver, width, bound and reset rules, shared by synthesis and v2c
 // ----------------------------------------------------------------------
 
 /// Finds a signal by name: an elaborated module's signals, or a
 /// flattened design's under their hierarchical names.
 pub type Lookup<'s> = dyn Fn(&str) -> Option<&'s ESignal> + 's;
 
-fn lookup<'s>(sigs: &Lookup<'s>, name: &str) -> Result<&'s ESignal, VerilogError> {
+/// The signal `name` names in `sigs`.
+///
+/// # Errors
+///
+/// Reports an unknown signal, which [`check`] rules out.
+pub fn lookup<'s>(sigs: &Lookup<'s>, name: &str) -> Result<&'s ESignal, VerilogError> {
     sigs(name).ok_or_else(|| VerilogError::general(format!("unknown signal '{name}'")))
 }
 
@@ -651,8 +672,8 @@ pub fn part_bounds(
 }
 
 /// The parts of the concatenated target `{a, b, ...}` with their
-/// widths, left to right. Every part is a whole signal that is not a
-/// memory, and together they hold at most 64 bits.
+/// widths, left to right. Every part is a whole signal ([`check`] has
+/// ruled out memories), and together they hold at most 64 bits.
 ///
 /// # Errors
 ///
@@ -671,9 +692,6 @@ pub fn target_widths<'p>(
                 ));
             };
             let sig = lookup(sigs, n)?;
-            if sig.memory.is_some() {
-                return Err(whole_memory(n));
-            }
             total = total
                 .checked_add(sig.width)
                 .filter(|&w| w <= 64)
@@ -717,9 +735,9 @@ enum Driver {
 ///   ports, and assigns each of them with `=` only or with `<=` only.
 /// - `initial` assigns registers only, and no register that a
 ///   combinational driver drives.
+/// - Nothing drives a top-level input.
 ///
-/// Synthesis and the C emitter check them before anything else, so a
-/// source that breaks one gets the same error from both.
+/// [`check`] checks them before its other rules.
 ///
 /// # Errors
 ///
@@ -732,10 +750,20 @@ pub fn check_drivers(design: &Design) -> Result<(), VerilogError> {
         initials: Vec::new(),
     };
     walk.module(design.top, "")?;
-    for (name, kind) in walk.initials {
-        if kind != NetKind::Reg || matches!(walk.drivers.get(&name), Some(Driver::Comb(_))) {
+    for (name, kind) in &walk.initials {
+        if *kind != NetKind::Reg || matches!(walk.drivers.get(name), Some(Driver::Comb(_))) {
             return Err(VerilogError::general(format!(
                 "initial assigns non-register '{name}'"
+            )));
+        }
+    }
+    let top = &design.modules[design.top];
+    for sig in top.signals.iter().filter(|s| s.port == Some(Dir::Input)) {
+        if walk.drivers.contains_key(&sig.name) || walk.initials.iter().any(|(n, _)| *n == sig.name)
+        {
+            return Err(VerilogError::general(format!(
+                "top-level input '{}' is driven",
+                sig.name
             )));
         }
     }
@@ -770,7 +798,7 @@ impl DriverWalk<'_> {
             }
         }
         for t in m.initials.iter().flat_map(Stmt::targets) {
-            // An unknown target is `initial_values`' error.
+            // An unknown target is `check`'s error.
             if let Some(sig) = m.signal(&t) {
                 self.initials.push((flat_name(prefix, &t), sig.kind));
             }
@@ -845,7 +873,7 @@ fn clocked_assigns(m: &ElabModule, prefix: &str, body: &Stmt) -> Result<(), Veri
     let mut kinds = HashMap::new();
     for (t, blocking) in assigns {
         let name = flat_name(prefix, &t);
-        // An unknown target is synthesis' and the emitter's error.
+        // An unknown target is `check`'s error.
         if m.signal(&t).is_some_and(|sig| sig.kind != NetKind::Reg) {
             return Err(VerilogError::general(format!(
                 "clocked assignment to wire '{name}' (declare it reg)"
@@ -866,6 +894,491 @@ fn whole_memory(name: &str) -> VerilogError {
     ))
 }
 
+// ----------------------------------------------------------------------
+// Read/write analysis and the §III-B schedule
+// ----------------------------------------------------------------------
+
+/// Collects the identifiers read by an expression, excluding those in
+/// `assigned` (the dependency analysis of [`schedule`]).
+pub fn expr_reads(e: &Expr, assigned: &HashSet<String>, out: &mut HashSet<String>) {
+    if let Expr::Ident(n) | Expr::Index(n, _) | Expr::Part(n, _, _) = e {
+        if !assigned.contains(n) {
+            out.insert(n.clone());
+        }
+    }
+    for o in e.operands() {
+        expr_reads(o, assigned, out);
+    }
+}
+
+/// Reads of a statement, excluding signals already (blocking-)assigned
+/// at the point of the read; conservative across branches.
+pub fn stmt_reads(s: &Stmt, assigned: &mut HashSet<String>, out: &mut HashSet<String>) {
+    match s {
+        Stmt::Block(b) => b.iter().for_each(|x| stmt_reads(x, assigned, out)),
+        Stmt::If(c, t, e) => {
+            expr_reads(c, assigned, out);
+            let mut at = assigned.clone();
+            stmt_reads(t, &mut at, out);
+            let mut ae = assigned.clone();
+            if let Some(e) = e {
+                stmt_reads(e, &mut ae, out);
+            }
+            // Only variables assigned on *both* paths count as locally
+            // defined afterwards.
+            for k in at.intersection(&ae) {
+                assigned.insert(k.clone());
+            }
+        }
+        Stmt::Case { .. } => stmt_reads(&s.case_to_if(), assigned, out),
+        Stmt::Blocking(lv, e) | Stmt::NonBlocking(lv, e) => {
+            expr_reads(e, assigned, out);
+            // Index writes also *read* the index expressions, and
+            // read-modify-write of bit/part selects reads the old value.
+            if let LValue::Index(_, i) = lv {
+                expr_reads(i, assigned, out);
+            }
+            if let LValue::Index(n, _) | LValue::Part(n, _, _) = lv {
+                if !assigned.contains(n) {
+                    out.insert(n.clone());
+                }
+            }
+            // Only blocking whole-signal assignments define the signal.
+            if let (Stmt::Blocking(..), LValue::Ident(n)) = (s, lv) {
+                assigned.insert(n.clone());
+            }
+        }
+        Stmt::Nop => {}
+    }
+}
+
+/// Orders combinational units so that each follows the units defining
+/// the signals it reads (the §III-B dependency analysis): Kahn's
+/// algorithm, taking the most recently freed unit first. Unit `u`
+/// drives `defs[u]` and reads `reads[u]`.
+///
+/// # Errors
+///
+/// Reports a combinational loop: a unit that reads its own output, or a
+/// cycle through several units.
+pub fn schedule(
+    defs: &[Vec<String>],
+    reads: &[HashSet<String>],
+) -> Result<Vec<usize>, VerilogError> {
+    let def_unit: HashMap<&str, usize> = defs
+        .iter()
+        .enumerate()
+        .flat_map(|(u, ds)| ds.iter().map(move |d| (d.as_str(), u)))
+        .collect();
+    let n = defs.len();
+    let mut indeg = vec![0usize; n];
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (u, rs) in reads.iter().enumerate() {
+        // The first name in order, so that every run reports the same.
+        let own = rs.iter().filter(|r| def_unit.get(r.as_str()) == Some(&u));
+        if let Some(r) = own.min() {
+            return Err(VerilogError::general(format!(
+                "combinational loop through signal '{r}' (unsupported, as in v2c)"
+            )));
+        }
+        for r in rs {
+            if let Some(&d) = def_unit.get(r.as_str()) {
+                succs[d].push(u);
+                indeg[u] += 1;
+            }
+        }
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(u) = queue.pop() {
+        order.push(u);
+        for &v in &succs[u] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                queue.push(v);
+            }
+        }
+    }
+    if order.len() != n {
+        return Err(VerilogError::general(
+            "combinational loop detected (unsupported, as in v2c)",
+        ));
+    }
+    Ok(order)
+}
+
+/// What a signal of an elaborated module is, as [`check`] decided it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// An input port that carries the clock. It has no value: a clock
+    /// cycle is one step, and no expression reads it.
+    Clock,
+    /// A register: a `reg`, not an input, that no combinational driver
+    /// drives. A clocked process assigns it, or it keeps its reset
+    /// value.
+    Register,
+    /// Any other signal: an input, a signal a combinational driver
+    /// drives, or an undriven wire.
+    Net,
+}
+
+/// A combinational unit of a module: what its §III-B schedule orders.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// The continuous assignment `assigns[i]`.
+    Assign(usize),
+    /// The combinational process `processes[i]`.
+    Comb(usize),
+    /// The instance `instances[i]`, one step of which reads all its
+    /// input connections and drives all its outputs.
+    Instance(usize),
+}
+
+/// What [`check`] decided about one module of a design.
+#[derive(Clone, Debug)]
+pub struct Checked {
+    /// The role of every signal, by index into [`ElabModule::signals`].
+    pub roles: Vec<Role>,
+    /// The reset values: what `initial` blocks assign, else the
+    /// declaration initializer.
+    pub resets: InitialValues,
+    /// The combinational units in the order of the module's schedule.
+    pub order: Vec<Unit>,
+}
+
+/// Checks the rules that make `design` one synchronous system and
+/// returns what they decide about every module, in the order of
+/// [`Design::modules`]:
+///
+/// - Drivers: [`check_drivers`].
+/// - Instances: every input port is connected, and every output port
+///   to a plain signal.
+/// - The clock: the clock of every clocked process is a 1-bit input
+///   port of its module, and resolves, through instance ports connected
+///   to plain signals, to a top-level input. There is one such input,
+///   and no expression reads a clock.
+/// - Names, widths and bounds: every signal an expression reads or a
+///   statement assigns is declared, a memory is read and assigned one
+///   row at a time, and every expression and target obeys
+///   [`self_width`], [`part_bounds`] and [`target_widths`].
+/// - Registers: a `reg` that is not an input and that no continuous
+///   assignment, combinational process or instance output drives is a
+///   register, whether a clocked process assigns it or it keeps its
+///   reset value. Every memory is a register. Every other signal that
+///   an expression reads, or a parent's connection (an output port of
+///   a module below the top), is an input or driven.
+/// - Combinational processes assign with `=` only, and assign each
+///   target on every path, before any bit or part of it: else the
+///   target keeps its value, a transparent latch.
+/// - Reset values: [`initial_values`].
+/// - The §III-B schedule: [`schedule`] orders each module's
+///   continuous assignments, combinational processes and instances.
+///   An instance counts as one unit, which reads all its inputs and
+///   drives all its outputs, as one call of its C step function does.
+///
+/// Every rule looks at one module at a time, with its own signal names,
+/// except the driver rules and the one clock. Synthesis and the C
+/// emitter call it before anything else and read what it returns, so a
+/// source that breaks a rule gets the same error from both, and an
+/// accepted one the same clock, registers and reset values.
+///
+/// # Errors
+///
+/// Reports the first violation found.
+pub fn check(design: &Design) -> Result<Vec<Checked>, VerilogError> {
+    check_drivers(design)?;
+    let mut checked: Vec<Checked> = Vec::with_capacity(design.modules.len());
+    // Children precede their parents.
+    for (i, m) in design.modules.iter().enumerate() {
+        let c = check_module(design, &checked, m, i == design.top)?;
+        checked.push(c);
+    }
+    let top = &design.modules[design.top];
+    let mut clocks = (top.signals.iter().zip(&checked[design.top].roles))
+        .filter(|&(_, &r)| r == Role::Clock)
+        .map(|(s, _)| &s.name);
+    if let (Some(a), Some(b)) = (clocks.next(), clocks.next()) {
+        return Err(VerilogError::general(format!(
+            "multiple clocks are not supported ('{a}' vs '{b}')"
+        )));
+    }
+    Ok(checked)
+}
+
+/// Checks module `m`, the top module when `top`, whose instances'
+/// modules are in `checked`; see [`check`].
+fn check_module(
+    design: &Design,
+    checked: &[Checked],
+    m: &ElabModule,
+    top: bool,
+) -> Result<Checked, VerilogError> {
+    let index: HashMap<&str, &ESignal> = m.signals.iter().map(|s| (s.name.as_str(), s)).collect();
+    let sigs: &Lookup<'_> = &|n| index.get(n).copied();
+    let mut clocks: Vec<&str> = m
+        .processes
+        .iter()
+        .filter_map(|(c, _)| c.as_deref())
+        .collect();
+    // Instance connections: clock ports to plain signals, which carry
+    // the clock too, every input connected, outputs to plain signals.
+    let mut inputs = Vec::new();
+    let mut instances: Vec<(Vec<String>, HashSet<String>)> = Vec::new();
+    for inst in &m.instances {
+        let child = &design.modules[inst.module];
+        let (mut defs, mut reads) = (Vec::new(), HashSet::new());
+        for (port, sig) in child.signals.iter().enumerate() {
+            let conn = inst.conns.iter().find(|(p, _)| *p == port).map(|(_, e)| e);
+            let (kind, problem) = match (checked[inst.module].roles[port], sig.port, conn) {
+                (Role::Clock, _, Some(Expr::Ident(n))) => {
+                    clocks.push(n);
+                    continue;
+                }
+                (Role::Clock, ..) => ("clock", "must connect to a plain signal"),
+                (_, Some(Dir::Input), None) => ("input", "is unconnected"),
+                (_, Some(Dir::Input), Some(e)) => {
+                    inputs.push(e);
+                    expr_reads(e, &HashSet::new(), &mut reads);
+                    continue;
+                }
+                (_, Some(Dir::Output), Some(Expr::Ident(n))) => {
+                    defs.push(n.clone());
+                    continue;
+                }
+                (_, Some(Dir::Output), Some(_)) => ("output", "must connect to a plain signal"),
+                _ => continue,
+            };
+            return Err(VerilogError::general(format!(
+                "{kind} port '{}' of instance '{}' {problem}",
+                sig.name, inst.name
+            )));
+        }
+        instances.push((defs, reads));
+    }
+    for c in &clocks {
+        if !m
+            .signal(c)
+            .is_some_and(|s| s.port == Some(Dir::Input) && s.width == 1)
+        {
+            return Err(VerilogError::general(format!(
+                "clock '{c}' in module '{}' must be a 1-bit input port",
+                m.name
+            )));
+        }
+    }
+    // Names, widths and bounds.
+    let read = |e: &Expr| check_read(sigs, &clocks, e);
+    for (lv, rhs) in &m.assigns {
+        check_target(sigs, &clocks, lv)?;
+        read(rhs)?;
+    }
+    for body in m.processes.iter().map(|(_, body)| body).chain(&m.initials) {
+        check_stmt(sigs, &clocks, body)?;
+    }
+    for (defs, _) in &instances {
+        defs.iter()
+            .try_for_each(|n| check_target(sigs, &clocks, &LValue::Ident(n.clone())))?;
+    }
+    for e in inputs
+        .into_iter()
+        .chain(m.asserts.iter().map(|(_, e)| e))
+        .chain(&m.assumes)
+    {
+        read(e)?;
+    }
+    // The units of the schedule, what each drives and reads, and what
+    // none of them drives: the registers.
+    let (mut units, mut defs, mut reads) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, (lv, rhs)) in m.assigns.iter().enumerate() {
+        let mut r = HashSet::new();
+        expr_reads(rhs, &HashSet::new(), &mut r);
+        units.push(Unit::Assign(i));
+        defs.push(lv.targets());
+        reads.push(r);
+    }
+    for (i, (clock, body)) in m.processes.iter().enumerate() {
+        if clock.is_none() {
+            let mut r = HashSet::new();
+            stmt_reads(body, &mut HashSet::new(), &mut r);
+            units.push(Unit::Comb(i));
+            defs.push(body.targets());
+            reads.push(r);
+        }
+    }
+    for (i, (d, r)) in instances.into_iter().enumerate() {
+        units.push(Unit::Instance(i));
+        defs.push(d);
+        reads.push(r);
+    }
+    let comb: HashSet<&String> = defs.iter().flatten().collect();
+    // What the module's expressions read, and a parent its outputs.
+    let mut read_names: HashSet<String> = reads.iter().flatten().cloned().collect();
+    for (_, body) in m.processes.iter().filter(|(c, _)| c.is_some()) {
+        stmt_reads(body, &mut HashSet::new(), &mut read_names);
+    }
+    for e in m.asserts.iter().map(|(_, e)| e).chain(&m.assumes) {
+        expr_reads(e, &HashSet::new(), &mut read_names);
+    }
+    let mut roles = Vec::with_capacity(m.signals.len());
+    for s in &m.signals {
+        let (input, driven) = (s.port == Some(Dir::Input), comb.contains(&s.name));
+        roles.push(if clocks.contains(&s.name.as_str()) {
+            Role::Clock
+        } else if s.kind == NetKind::Reg && !input && !driven {
+            Role::Register
+        } else if s.memory.is_some() {
+            return Err(VerilogError::general(format!(
+                "memory '{}' must be a clocked register",
+                s.name
+            )));
+        } else if !input
+            && !driven
+            && (read_names.contains(&s.name) || (!top && s.port == Some(Dir::Output)))
+        {
+            return Err(VerilogError::general(format!(
+                "signal '{}' in module '{}' is read but nothing drives it",
+                s.name, m.name
+            )));
+        } else {
+            Role::Net
+        });
+    }
+    for (_, body) in m.processes.iter().filter(|(c, _)| c.is_none()) {
+        comb_assigns(body, &mut BTreeSet::new())?;
+    }
+    let mut resets = initial_values(&m.initials, sigs)?;
+    for s in m.signals.iter() {
+        if let Some(v) = s.init {
+            resets.scalars.entry(s.name.clone()).or_insert(v);
+        }
+    }
+    let order = schedule(&defs, &reads)?
+        .into_iter()
+        .map(|u| units[u])
+        .collect();
+    Ok(Checked {
+        roles,
+        resets,
+        order,
+    })
+}
+
+/// Checks the expression `e`, which a module whose signals are `sigs`
+/// and whose clocks are `clocks` reads: every signal it names is
+/// declared and no clock, a memory is read one row at a time, and
+/// every subexpression has a [`self_width`].
+fn check_read(sigs: &Lookup<'_>, clocks: &[&str], e: &Expr) -> Result<(), VerilogError> {
+    if let Expr::Ident(n) | Expr::Index(n, _) | Expr::Part(n, _, _) = e {
+        let sig = lookup(sigs, n)?;
+        if clocks.contains(&n.as_str()) {
+            return Err(VerilogError::general(format!(
+                "clock '{n}' is read as data"
+            )));
+        }
+        if sig.memory.is_some() && matches!(e, Expr::Ident(_)) {
+            return Err(VerilogError::general(format!(
+                "memory '{n}' used without an index"
+            )));
+        }
+    }
+    for o in e.operands() {
+        check_read(sigs, clocks, o)?;
+    }
+    self_width(e, sigs).map(|_| ())
+}
+
+/// Checks the target `lv` of a module whose signals are `sigs` and
+/// whose clocks are `clocks`: every signal it names is declared, a
+/// memory is assigned one row at a time, and its indices and bounds
+/// pass [`check_read`], [`part_bounds`] and [`target_widths`].
+fn check_target(sigs: &Lookup<'_>, clocks: &[&str], lv: &LValue) -> Result<(), VerilogError> {
+    match lv {
+        LValue::Concat(parts) => {
+            for p in parts {
+                check_target(sigs, clocks, p)?;
+            }
+            target_widths(parts, sigs).map(|_| ())
+        }
+        LValue::Ident(n) => match lookup(sigs, n)?.memory {
+            Some(_) => Err(whole_memory(n)),
+            None => Ok(()),
+        },
+        LValue::Index(n, i) => {
+            lookup(sigs, n)?;
+            check_read(sigs, clocks, i)
+        }
+        LValue::Part(n, hi, lo) => {
+            lookup(sigs, n)?;
+            check_read(sigs, clocks, hi)?;
+            check_read(sigs, clocks, lo)?;
+            part_bounds(n, hi, lo, sigs).map(|_| ())
+        }
+    }
+}
+
+/// Checks the statement `s` of a module whose signals are `sigs` and
+/// whose clocks are `clocks`: its targets, conditions and right-hand
+/// sides.
+fn check_stmt(sigs: &Lookup<'_>, clocks: &[&str], s: &Stmt) -> Result<(), VerilogError> {
+    match s {
+        Stmt::Nop => Ok(()),
+        Stmt::Block(b) => b.iter().try_for_each(|s| check_stmt(sigs, clocks, s)),
+        Stmt::If(c, t, e) => {
+            check_read(sigs, clocks, c)?;
+            check_stmt(sigs, clocks, t)?;
+            e.as_ref().map_or(Ok(()), |e| check_stmt(sigs, clocks, e))
+        }
+        Stmt::Case { .. } => check_stmt(sigs, clocks, &s.case_to_if()),
+        Stmt::Blocking(lv, rhs) | Stmt::NonBlocking(lv, rhs) => {
+            check_target(sigs, clocks, lv)?;
+            check_read(sigs, clocks, rhs)
+        }
+    }
+}
+
+/// Checks the combinational process statement `s`, after which the
+/// signals in `assigned` hold their new values on every path: it
+/// assigns with `=` only, every branch assigns the same signals, and a
+/// bit or part of a signal is written only after the whole of it.
+fn comb_assigns(s: &Stmt, assigned: &mut BTreeSet<String>) -> Result<(), VerilogError> {
+    let latch = |n: &str| {
+        VerilogError::general(format!(
+            "signal '{n}' is not assigned on all paths of a combinational process \
+             (transparent latch, unsupported as in v2c)"
+        ))
+    };
+    match s {
+        Stmt::Nop => Ok(()),
+        Stmt::Block(b) => b.iter().try_for_each(|s| comb_assigns(s, assigned)),
+        Stmt::If(_, t, e) => {
+            let mut then_assigned = assigned.clone();
+            comb_assigns(t, &mut then_assigned)?;
+            let mut else_assigned = assigned.clone();
+            if let Some(e) = e {
+                comb_assigns(e, &mut else_assigned)?;
+            }
+            match then_assigned.symmetric_difference(&else_assigned).next() {
+                Some(n) => Err(latch(n)),
+                None => {
+                    *assigned = then_assigned;
+                    Ok(())
+                }
+            }
+        }
+        Stmt::Case { .. } => comb_assigns(&s.case_to_if(), assigned),
+        Stmt::NonBlocking(..) => Err(VerilogError::general(
+            "non-blocking assignment in combinational process",
+        )),
+        Stmt::Blocking(LValue::Index(n, _) | LValue::Part(n, _, _), _) if !assigned.contains(n) => {
+            Err(latch(n))
+        }
+        Stmt::Blocking(lv, _) => {
+            assigned.extend(lv.targets());
+            Ok(())
+        }
+    }
+}
+
 /// The reset values that `initial` blocks assign.
 #[derive(Clone, Debug, Default)]
 pub struct InitialValues {
@@ -882,8 +1395,8 @@ pub struct InitialValues {
 /// # Errors
 ///
 /// Reports unknown signals, non-constant values, indices or conditions,
-/// bit- or part-select targets, whole-memory targets, rows outside a
-/// memory and `case` statements.
+/// bit- or part-select targets, rows outside a memory and `case`
+/// statements. [`check`] has ruled out whole-memory targets.
 pub fn initial_values(initials: &[Stmt], sigs: &Lookup<'_>) -> Result<InitialValues, VerilogError> {
     fn run(s: &Stmt, sigs: &Lookup<'_>, out: &mut InitialValues) -> Result<(), VerilogError> {
         let eval = |e: &Expr, out: &InitialValues| {
@@ -904,9 +1417,6 @@ pub fn initial_values(initials: &[Stmt], sigs: &Lookup<'_>) -> Result<InitialVal
                 match lv {
                     LValue::Ident(n) => {
                         let sig = lookup(sigs, n)?;
-                        if sig.memory.is_some() {
-                            return Err(whole_memory(n));
-                        }
                         out.scalars
                             .insert(n.clone(), v & rtlir::value::mask(sig.width));
                     }
@@ -1091,6 +1601,23 @@ mod tests {
                 (Err(e), Some(m)) => assert!(e.message.contains(m), "{top}: {e}"),
                 (got, _) => panic!("{top}: {got:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn duplicate_instance_names_are_errors() {
+        let child = "module c(input a, output y); assign y = a; endmodule";
+        for body in [
+            "wire p; wire q; c u(.a(x), .y(p)); c u(.a(x), .y(q));",
+            "wire u; c u(.a(x), .y(u));",
+        ] {
+            let src = format!("{child}\nmodule top(input x); {body} endmodule");
+            let mods = parse(&src).expect("parses");
+            let err = elaborate(&mods, "top").expect_err(body);
+            assert!(
+                err.message.contains("duplicate instance 'u'"),
+                "{body}: {err}"
+            );
         }
     }
 

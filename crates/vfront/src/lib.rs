@@ -19,14 +19,28 @@
 //! `assert property (expr);` / `assume property (expr);`.
 //!
 //! Deliberately *not* supported, mirroring the v2c tool's documented
-//! restrictions: combinational loops, transparent latches, multiple
-//! clocks, `inout` ports and delays. These are reported as
-//! [`VerilogError`]s rather than silently mis-synthesized.
+//! restrictions, and reported as [`VerilogError`]s rather than silently
+//! mis-synthesized:
+//!
+//! - combinational loops, counting an instance as one unit that reads
+//!   all its inputs before it drives any output;
+//! - transparent latches: a combinational process must assign each
+//!   target on every path, with `=` only;
+//! - multiple clocks: every clocked process is clocked by one 1-bit
+//!   top-level input, directly or through instance ports connected to
+//!   plain signals, and no expression reads the clock. A clock alias
+//!   through a continuous assignment (`assign c2 = clk;`) is not
+//!   supported either;
+//! - `inout` ports and delays.
 //!
 //! ## One place for each rule
 //!
 //! Synthesis and the `v2c` C emitter must give a design the same
-//! meaning, so each job has one implementation here and both call it:
+//! meaning, so each job has one implementation here and both call it.
+//! [`elab::check`] applies every rule of a design before either
+//! frontend builds anything, and both read what it decides: the role
+//! of each signal (clock, register or net), the reset values and the
+//! schedule.
 //!
 //! - The tree walk: [`ast::Expr::operands`] and
 //!   [`ast::Expr::map_operands`], [`ast::LValue::map`] and
@@ -38,13 +52,27 @@
 //! - Drivers: [`elab::check_drivers`]. Continuous assignments drive
 //!   whole signals, every signal has one driver (one clocked process
 //!   per register), a clocked process assigns registers only and each
-//!   of them with `=` only or `<=` only, and `initial` assigns
-//!   registers only.
+//!   of them with `=` only or `<=` only, `initial` assigns registers
+//!   only, and nothing drives a top-level input.
+//! - Names and instances: every signal an expression reads or a
+//!   statement assigns is declared, every wire an expression reads is
+//!   driven, every instance input is connected and every instance
+//!   output drives a plain signal ([`elab::check`]).
+//! - The clock: one 1-bit top-level input, which no expression reads
+//!   ([`elab::check`], [`elab::Role::Clock`]).
+//! - Registers: every `reg` that is not an input and that no
+//!   continuous assignment, combinational process or instance output
+//!   drives, whether a clocked process assigns it or it keeps its reset
+//!   value; ports included, memories always ([`elab::Role::Register`]).
+//! - Combinational processes: `=` only, and every target assigned on
+//!   every path before any bit or part of it ([`elab::check`]).
 //! - Widths and bounds: [`elab::self_width`], [`elab::part_bounds`] and
 //!   [`elab::target_widths`], over a name-to-signal lookup
 //!   ([`elab::Lookup`]).
 //! - Reset values: [`elab::initial_values`].
-//! - The §III-B combinational schedule: [`synth::schedule`].
+//! - The §III-B combinational schedule: [`elab::schedule`], per module
+//!   with each instance one unit ([`elab::Checked::order`]); synthesis
+//!   orders its flattened units with it too.
 //!
 //! # Example
 //!
@@ -90,9 +118,10 @@ use rtlir::TransitionSystem;
 ///
 /// # Errors
 ///
-/// Returns a [`VerilogError`] for syntax errors, unsupported
-/// constructs (combinational loops, latches, multiple clocks),
-/// width violations, or when `top` does not name a module.
+/// Returns a [`VerilogError`] for syntax errors, when `top` does not
+/// name a module, and for the violations [`elab::check`] reports
+/// (drivers, names, the clock, registers, latches, widths, reset values
+/// and combinational loops).
 pub fn compile(src: &str, top: &str) -> Result<TransitionSystem, VerilogError> {
     let modules = parse(src)?;
     let design = elaborate(&modules, top)?;

@@ -6,29 +6,31 @@
 //! their *intra- and inter-modular* data dependencies and symbolically
 //! executed into word-level expressions; clocked blocks get two-phase
 //! (read-then-commit) semantics matching non-blocking assignment.
-//! Combinational cycles and transparent latches are rejected, exactly
-//! the restrictions the paper states for v2c.
+//! [`check`] has rejected combinational cycles, transparent latches and
+//! multiple clocks, exactly the restrictions the paper states for v2c,
+//! and decided the clock, the registers and their reset values.
 
-use crate::ast::{BinaryOp, Dir, Expr, LValue, NetKind, Stmt, UnaryOp};
+use crate::ast::{BinaryOp, Dir, Expr, LValue, Stmt, UnaryOp};
 use crate::elab::{
-    bit_index_width, check_drivers, flat_name, initial_values, part_bounds, self_width,
-    target_widths, Design, ESignal, ElabModule,
+    bit_index_width, check, expr_reads, flat_name, lookup, part_bounds, schedule, self_width,
+    stmt_reads, target_widths, Checked, Design, ESignal, ElabModule, InitialValues, Role,
 };
 use crate::error::VerilogError;
 use rtlir::{ExprId, Sort, TransitionSystem, VarId};
 use std::collections::{HashMap, HashSet};
 
 /// Synthesizes an elaborated design into a word-level transition
-/// system (inputs = top-level input ports minus the clock; states =
-/// clocked registers and memories; bads = negated assertions).
+/// system (inputs = top-level input ports minus the clock, and undriven
+/// wires; states = registers and memories; bads = negated assertions).
 ///
 /// # Errors
 ///
-/// Reports combinational loops, transparent latches, multiple clocks,
-/// multiple drivers, unknown signals and width violations.
+/// Reports the violations of [`check`]: drivers, instance connections,
+/// the clock, names, widths and bounds, registers, transparent latches,
+/// reset values and combinational loops.
 pub fn synthesize(design: &Design) -> Result<TransitionSystem, VerilogError> {
-    check_drivers(design)?;
-    let flat = flatten(design)?;
+    let checked = check(design)?;
+    let flat = flatten(design, &checked);
     let mut s = Synthesizer {
         flat,
         ts: TransitionSystem::new(design.modules[design.top].name.clone()),
@@ -51,25 +53,20 @@ enum Unit {
 
 #[derive(Clone, Debug, Default)]
 struct Flat {
-    /// Every signal under its hierarchical name; only the top module's
-    /// keep their port direction.
-    signals: Vec<ESignal>,
+    /// Every signal under its hierarchical name, with its role.
+    signals: Vec<(ESignal, Role)>,
     index: HashMap<String, usize>,
     units: Vec<Unit>,
-    clocked: Vec<(String, Stmt)>,
-    initials: Vec<Stmt>,
+    clocked: Vec<Stmt>,
+    resets: InitialValues,
     asserts: Vec<(String, Expr)>,
     assumes: Vec<Expr>,
 }
 
 impl Flat {
     fn sig(&self, name: &str) -> Option<&ESignal> {
-        self.index.get(name).map(|&i| &self.signals[i])
+        self.index.get(name).map(|&i| &self.signals[i].0)
     }
-}
-
-fn is_top_input(sig: &ESignal) -> bool {
-    sig.port == Some(Dir::Input)
 }
 
 fn prefix_expr(prefix: &str, e: &Expr) -> Expr {
@@ -92,32 +89,33 @@ fn prefix_stmt(prefix: &str, s: &Stmt) -> Stmt {
     })
 }
 
-fn flatten(design: &Design) -> Result<Flat, VerilogError> {
+fn flatten(design: &Design, checked: &[Checked]) -> Flat {
     let mut flat = Flat::default();
-    flatten_module(design, design.top, "", &mut flat)?;
-    Ok(flat)
+    flatten_module(design, checked, design.top, "", &mut flat);
+    flat
 }
 
-fn flatten_module(
-    design: &Design,
-    idx: usize,
-    prefix: &str,
-    flat: &mut Flat,
-) -> Result<(), VerilogError> {
+fn flatten_module(design: &Design, checked: &[Checked], idx: usize, prefix: &str, flat: &mut Flat) {
     let m: &ElabModule = &design.modules[idx];
-    for sig in &m.signals {
+    for (sig, &role) in m.signals.iter().zip(&checked[idx].roles) {
         let name = flat_name(prefix, &sig.name);
-        if flat.index.contains_key(&name) {
-            return Err(VerilogError::general(format!(
-                "duplicate flat signal '{name}'"
-            )));
-        }
         flat.index.insert(name.clone(), flat.signals.len());
-        flat.signals.push(ESignal {
-            name,
-            port: sig.port.filter(|_| prefix.is_empty()),
-            ..sig.clone()
-        });
+        flat.signals.push((
+            ESignal {
+                name,
+                ..sig.clone()
+            },
+            role,
+        ));
+    }
+    let resets = &checked[idx].resets;
+    for (name, &value) in &resets.scalars {
+        flat.resets.scalars.insert(flat_name(prefix, name), value);
+    }
+    for (name, rows) in &resets.rows {
+        flat.resets
+            .rows
+            .insert(flat_name(prefix, name), rows.clone());
     }
     for (lhs, rhs) in &m.assigns {
         flat.units.push(Unit::Assign(
@@ -126,15 +124,11 @@ fn flatten_module(
         ));
     }
     for (clock, body) in &m.processes {
+        let body = prefix_stmt(prefix, body);
         match clock {
-            None => flat.units.push(Unit::Comb(prefix_stmt(prefix, body))),
-            Some(c) => flat
-                .clocked
-                .push((flat_name(prefix, c), prefix_stmt(prefix, body))),
+            None => flat.units.push(Unit::Comb(body)),
+            Some(_) => flat.clocked.push(body),
         }
-    }
-    for ini in &m.initials {
-        flat.initials.push(prefix_stmt(prefix, ini));
     }
     for (label, cond) in &m.asserts {
         flat.asserts
@@ -143,149 +137,28 @@ fn flatten_module(
     for a in &m.assumes {
         flat.assumes.push(prefix_expr(prefix, a));
     }
+    // Instance ports: the clock is no data, the other inputs are
+    // driven by their connections and drive the plain signals the
+    // outputs connect to.
     for inst in &m.instances {
         let child_prefix = flat_name(prefix, &inst.name);
-        flatten_module(design, inst.module, &child_prefix, flat)?;
+        flatten_module(design, checked, inst.module, &child_prefix, flat);
         let child = &design.modules[inst.module];
-        for (port_idx, conn) in &inst.conns {
-            let port = &child.signals[*port_idx];
-            let port_flat = flat_name(&child_prefix, &port.name);
-            let conn_flat = prefix_expr(prefix, conn);
-            match port.port {
-                Some(Dir::Input) => {
-                    flat.units
-                        .push(Unit::Assign(LValue::Ident(port_flat), conn_flat));
+        for (i, conn) in &inst.conns {
+            let port = flat_name(&child_prefix, &child.signals[*i].name);
+            let unit = match (checked[inst.module].roles[*i], child.signals[*i].port, conn) {
+                (Role::Clock, ..) => continue,
+                (_, Some(Dir::Input), conn) => {
+                    Unit::Assign(LValue::Ident(port), prefix_expr(prefix, conn))
                 }
-                Some(Dir::Output) => {
-                    let lhs = conn_flat.as_lvalue().ok_or_else(|| {
-                        VerilogError::general(format!(
-                            "output port '{}' of instance '{child_prefix}' must connect \
-                             to a signal",
-                            port.name
-                        ))
-                    })?;
-                    flat.units.push(Unit::Assign(lhs, Expr::Ident(port_flat)));
+                (_, _, Expr::Ident(n)) => {
+                    Unit::Assign(LValue::Ident(flat_name(prefix, n)), Expr::Ident(port))
                 }
-                None => unreachable!("connection to non-port"),
-            }
+                _ => continue,
+            };
+            flat.units.push(unit);
         }
     }
-    Ok(())
-}
-
-// ----------------------------------------------------------------------
-// Read/write analysis and scheduling
-// ----------------------------------------------------------------------
-
-/// Collects the identifiers read by an expression, excluding those in
-/// `assigned` (used for dependency analysis; also reused by the v2c
-/// code generator's per-module scheduling).
-pub fn expr_reads(e: &Expr, assigned: &HashSet<String>, out: &mut HashSet<String>) {
-    if let Expr::Ident(n) | Expr::Index(n, _) | Expr::Part(n, _, _) = e {
-        if !assigned.contains(n) {
-            out.insert(n.clone());
-        }
-    }
-    for o in e.operands() {
-        expr_reads(o, assigned, out);
-    }
-}
-
-/// Reads of a statement, excluding signals already (blocking-)assigned
-/// at the point of the read; conservative across branches.
-pub fn stmt_reads(s: &Stmt, assigned: &mut HashSet<String>, out: &mut HashSet<String>) {
-    match s {
-        Stmt::Block(b) => b.iter().for_each(|x| stmt_reads(x, assigned, out)),
-        Stmt::If(c, t, e) => {
-            expr_reads(c, assigned, out);
-            let mut at = assigned.clone();
-            stmt_reads(t, &mut at, out);
-            let mut ae = assigned.clone();
-            if let Some(e) = e {
-                stmt_reads(e, &mut ae, out);
-            }
-            // Only variables assigned on *both* paths count as locally
-            // defined afterwards.
-            for k in at.intersection(&ae) {
-                assigned.insert(k.clone());
-            }
-        }
-        Stmt::Case { .. } => stmt_reads(&s.case_to_if(), assigned, out),
-        Stmt::Blocking(lv, e) | Stmt::NonBlocking(lv, e) => {
-            expr_reads(e, assigned, out);
-            // Index writes also *read* the index expressions, and
-            // read-modify-write of bit/part selects reads the old value.
-            if let LValue::Index(_, i) = lv {
-                expr_reads(i, assigned, out);
-            }
-            if let LValue::Index(n, _) | LValue::Part(n, _, _) = lv {
-                if !assigned.contains(n) {
-                    out.insert(n.clone());
-                }
-            }
-            // Only blocking whole-signal assignments define the signal.
-            if let (Stmt::Blocking(..), LValue::Ident(n)) = (s, lv) {
-                assigned.insert(n.clone());
-            }
-        }
-        Stmt::Nop => {}
-    }
-}
-
-/// Orders combinational units so that each follows the units defining
-/// the signals it reads (the §III-B dependency analysis): Kahn's
-/// algorithm, taking the most recently freed unit first. Unit `u`
-/// drives `defs[u]` and reads `reads[u]`.
-///
-/// # Errors
-///
-/// Reports a combinational loop: a unit that reads its own output, or a
-/// cycle through several units.
-pub fn schedule(
-    defs: &[Vec<String>],
-    reads: &[HashSet<String>],
-) -> Result<Vec<usize>, VerilogError> {
-    let def_unit: HashMap<&str, usize> = defs
-        .iter()
-        .enumerate()
-        .flat_map(|(u, ds)| ds.iter().map(move |d| (d.as_str(), u)))
-        .collect();
-    let n = defs.len();
-    let mut indeg = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, rs) in reads.iter().enumerate() {
-        for r in rs {
-            match def_unit.get(r.as_str()) {
-                Some(&d) if d == u => {
-                    return Err(VerilogError::general(format!(
-                        "combinational loop through signal '{r}' (unsupported, as in v2c)"
-                    )))
-                }
-                Some(&d) => {
-                    succs[d].push(u);
-                    indeg[u] += 1;
-                }
-                None => {}
-            }
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = queue.pop() {
-        order.push(u);
-        for &v in &succs[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    if order.len() != n {
-        return Err(VerilogError::general(
-            "combinational loop detected (unsupported, as in v2c)",
-        ));
-    }
-    Ok(order)
 }
 
 // ----------------------------------------------------------------------
@@ -302,148 +175,40 @@ struct Synthesizer {
     sig_expr: HashMap<String, ExprId>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Role {
-    Input,
-    State,
-    Comb(usize), // defining unit
-    Clock,
-    FreeWire, // undriven: becomes a nondeterministic input
-}
-
 impl Synthesizer {
     fn err(msg: impl Into<String>) -> VerilogError {
         VerilogError::general(msg)
     }
 
     fn run(&mut self) -> Result<(), VerilogError> {
-        // ---- classify drivers ----
-        let mut role: HashMap<String, Role> = HashMap::new();
-        // Clock alias resolution: direct ident-to-ident assigns.
-        let mut direct: HashMap<String, String> = HashMap::new();
-        for u in &self.flat.units {
-            if let Unit::Assign(LValue::Ident(l), Expr::Ident(r)) = u {
-                direct.insert(l.clone(), r.clone());
-            }
-        }
-        let resolve = |mut n: String| {
-            let mut hops = 0;
-            while let Some(next) = direct.get(&n) {
-                n = next.clone();
-                hops += 1;
-                if hops > 1000 {
-                    break;
-                }
-            }
-            n
-        };
-        let mut clock_root: Option<String> = None;
-        let mut clock_aliases: HashSet<String> = HashSet::new();
-        for (c, _) in &self.flat.clocked {
-            let root = resolve(c.clone());
-            match &clock_root {
-                None => clock_root = Some(root.clone()),
-                Some(r) if *r == root => {}
-                Some(r) => {
-                    return Err(Self::err(format!(
-                        "multiple clocks are not supported ('{r}' vs '{root}')"
-                    )))
-                }
-            }
-        }
-        if let Some(root) = &clock_root {
-            let is_top_input = self
-                .flat
-                .sig(root)
-                .is_some_and(|s| is_top_input(s) && s.width == 1);
-            if !is_top_input {
-                return Err(Self::err(format!(
-                    "clock '{root}' must be a 1-bit top-level input"
-                )));
-            }
-            clock_aliases.insert(root.clone());
-            for sig in &self.flat.signals {
-                if sig.width == 1 && resolve(sig.name.clone()) == *root {
-                    clock_aliases.insert(sig.name.clone());
-                }
-            }
-            for a in &clock_aliases {
-                role.insert(a.clone(), Role::Clock);
-            }
-        }
-
-        // Drivers from units; clock wiring is excluded from logic.
-        // `check_drivers` has seen to it that every signal has one
-        // driver and that units drive whole signals.
+        // ---- variables: states for registers, inputs for top-level
+        // inputs and undriven wires, none for the clock and for what
+        // a combinational unit drives ----
         let unit_defs: Vec<Vec<String>> = self
             .flat
             .units
             .iter()
-            .map(|u| {
-                let mut targets = match u {
-                    Unit::Assign(lv, _) => lv.targets(),
-                    Unit::Comb(s) => s.targets(),
-                };
-                targets.retain(|t| !clock_aliases.contains(t));
-                targets
+            .map(|u| match u {
+                Unit::Assign(lv, _) => lv.targets(),
+                Unit::Comb(s) => s.targets(),
             })
             .collect();
-        for (ui, targets) in unit_defs.iter().enumerate() {
-            for t in targets {
-                if self.flat.sig(t).is_none() {
-                    return Err(Self::err(format!("assignment to unknown signal '{t}'")));
-                }
-                role.insert(t.clone(), Role::Comb(ui));
-            }
-        }
-        // Drivers from clocked processes, which `check_drivers` has
-        // seen to assign registers only.
-        for (_, body) in &self.flat.clocked {
-            for t in body.targets() {
-                if self.flat.sig(&t).is_none() {
-                    return Err(Self::err(format!("assignment to unknown signal '{t}'")));
-                }
-                role.insert(t, Role::State);
-            }
-        }
-        // Everything else: inputs, frozen regs, free wires.
-        for sig in &self.flat.signals {
-            let r = if is_top_input(sig) {
-                Role::Input
-            } else if sig.kind == NetKind::Reg {
-                Role::State // frozen register
-            } else {
-                Role::FreeWire
-            };
-            let r = *role.entry(sig.name.clone()).or_insert(r);
-            // A state must not also be a top input.
-            if is_top_input(sig) && matches!(r, Role::Comb(_) | Role::State) {
-                return Err(Self::err(format!(
-                    "top-level input '{}' is driven",
-                    sig.name
-                )));
-            }
-        }
-
-        // ---- create TS variables ----
-        for sig in &self.flat.signals {
+        let defined: HashSet<&String> = unit_defs.iter().flatten().collect();
+        for (sig, role) in &self.flat.signals {
             let name = &sig.name;
             let sort = match sig.memory {
                 Some((_, addr_w)) => Sort::array(addr_w, sig.width),
                 None => Sort::Bv(sig.width),
             };
-            let v = match role[name] {
-                Role::Input | Role::FreeWire => self.ts.add_input(name.clone(), sort),
-                Role::State => self.ts.add_state(name.clone(), sort),
-                Role::Comb(_) | Role::Clock => continue,
+            let v = match role {
+                Role::Register => self.ts.add_state(name.clone(), sort),
+                Role::Clock => continue,
+                Role::Net if defined.contains(name) => continue,
+                Role::Net => self.ts.add_input(name.clone(), sort),
             };
             self.vars.insert(name.clone(), v);
             let e = self.ts.pool_mut().var(v);
             self.sig_expr.insert(name.clone(), e);
-            if let (Role::State, Some(init)) = (role[name], sig.init) {
-                let ie = self.ts.pool_mut().constv(sig.width, init);
-                self.ts.set_init(v, ie);
-            }
         }
 
         // ---- schedule and build combinational units (§III-B) ----
@@ -461,15 +226,13 @@ impl Synthesizer {
             })
             .collect();
         for ui in schedule(&unit_defs, &unit_reads)? {
-            // A continuous assignment runs as a one-statement process;
-            // pure clock wiring is skipped.
+            // A continuous assignment runs as a one-statement process.
             let body = match &self.flat.units[ui] {
-                Unit::Assign(..) if unit_defs[ui].is_empty() => continue,
                 Unit::Assign(lv, rhs) => Stmt::Blocking(lv.clone(), rhs.clone()),
                 Unit::Comb(s) => s.clone(),
             };
             let mut env = Env::new();
-            self.exec_stmt(&body, &mut env, None, false)?;
+            self.exec_stmt(&body, &mut env, &mut Env::new())?;
             self.sig_expr.extend(env);
         }
 
@@ -478,40 +241,37 @@ impl Synthesizer {
         // `check_drivers` has seen to it that one process drives each
         // register.
         let mut next_map: HashMap<String, ExprId> = HashMap::new();
-        for (_clk, body) in &clocked {
+        for body in &clocked {
             next_map.extend(self.exec_clocked(body)?);
         }
-        // Install next functions; frozen registers keep their value.
-        for sig in &self.flat.signals {
-            if role[&sig.name] == Role::State {
-                let v = self.vars[&sig.name];
-                let next = next_map
-                    .get(&sig.name)
-                    .copied()
-                    .unwrap_or(self.sig_expr[&sig.name]);
-                self.ts.set_next(v, next);
+        // ---- next-state functions and reset values; frozen registers
+        // keep their value ----
+        let init = &self.flat.resets;
+        for (sig, role) in &self.flat.signals {
+            if *role != Role::Register {
+                continue;
             }
-        }
-
-        // ---- initial blocks ----
-        let init = initial_values(&self.flat.initials, &|n| self.flat.sig(n))?;
-        for (name, value) in init.scalars {
-            let (v, sig) = self.initial_target(&name)?;
-            let e = self.ts.pool_mut().constv(sig.width, value);
-            self.ts.set_init(v, e);
-        }
-        for (name, rows) in init.rows {
-            let (v, sig) = self.initial_target(&name)?;
-            let (_, addr_w) = sig
-                .memory
-                .ok_or_else(|| Self::err(format!("'{name}' is not a memory")))?;
-            let mut e = self.ts.pool_mut().const_array(addr_w, sig.width, 0);
-            for (k, value) in rows {
-                let i = self.ts.pool_mut().constv(addr_w, k);
-                let val = self.ts.pool_mut().constv(sig.width, value);
-                e = self.ts.pool_mut().write(e, i, val);
-            }
-            self.ts.set_init(v, e);
+            let v = self.vars[&sig.name];
+            let next = next_map.get(&sig.name).copied();
+            self.ts
+                .set_next(v, next.unwrap_or(self.sig_expr[&sig.name]));
+            let pool = self.ts.pool_mut();
+            let reset = match (sig.memory, init.rows.get(&sig.name)) {
+                (Some((_, addr_w)), Some(rows)) => {
+                    let mut e = pool.const_array(addr_w, sig.width, 0);
+                    for (&k, &value) in rows {
+                        let i = pool.constv(addr_w, k);
+                        let val = pool.constv(sig.width, value);
+                        e = pool.write(e, i, val);
+                    }
+                    e
+                }
+                _ => match init.scalars.get(&sig.name) {
+                    Some(&value) => pool.constv(sig.width, value),
+                    None => continue,
+                },
+            };
+            self.ts.set_init(v, reset);
         }
 
         // ---- properties ----
@@ -529,23 +289,12 @@ impl Synthesizer {
         Ok(())
     }
 
-    /// The state variable and signal an `initial` block assigns.
-    fn initial_target(&self, name: &str) -> Result<(VarId, ESignal), VerilogError> {
-        let v = self.vars.get(name).copied();
-        match (v, self.flat.sig(name)) {
-            (Some(v), Some(sig)) if self.ts.state_of_var(v).is_some() => Ok((v, sig.clone())),
-            _ => Err(Self::err(format!("initial assigns non-register '{name}'"))),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Expression building
     // ------------------------------------------------------------------
 
     fn sig(&self, name: &str) -> Result<&ESignal, VerilogError> {
-        self.flat
-            .sig(name)
-            .ok_or_else(|| Self::err(format!("unknown signal '{name}'")))
+        lookup(&|n| self.flat.sig(n), name)
     }
 
     fn width(&self, e: &Expr) -> Result<u32, VerilogError> {
@@ -559,12 +308,7 @@ impl Synthesizer {
         Ok(match e {
             Expr::Number { value, .. } => self.ts.pool_mut().constv(width, *value),
             Expr::Ident(n) => {
-                if self.sig(n)?.memory.is_some() {
-                    return Err(Self::err(format!("memory '{n}' used without an index")));
-                }
-                let base = *self.sig_expr.get(n).ok_or_else(|| {
-                    Self::err(format!("'{n}' used before definition (is it a clock?)"))
-                })?;
+                let base = self.read_sig(n)?;
                 p(self, base, width)
             }
             Expr::Unary(op, a) => match op {
@@ -797,48 +541,33 @@ impl Synthesizer {
     /// Applies `lv = rhs` to `env`, reading the right-hand side and any
     /// index through `reads` (the blocking environment). A bit, part or
     /// row write modifies the target's value in `env`, else its value
-    /// in `reads` or its current value; without `allow_current` (in a
-    /// combinational process) a bit or part write to a signal `env`
-    /// does not hold yet is a latch.
+    /// in `reads` or its current value.
     fn assign_in_env(
         &mut self,
         env: &mut Env,
         reads: &Env,
         lv: &LValue,
         rhs: &Expr,
-        allow_current: bool,
     ) -> Result<(), VerilogError> {
-        self.in_env(reads, |s| s.assign(env, lv, rhs, allow_current))
+        self.in_env(reads, |s| s.assign(env, lv, rhs))
     }
 
-    fn assign(
-        &mut self,
-        env: &mut Env,
-        lv: &LValue,
-        rhs: &Expr,
-        allow_current: bool,
-    ) -> Result<(), VerilogError> {
+    fn assign(&mut self, env: &mut Env, lv: &LValue, rhs: &Expr) -> Result<(), VerilogError> {
         match lv {
             LValue::Ident(n) => {
-                let sig = self.sig(n)?;
-                if sig.memory.is_some() {
-                    return Err(Self::err(format!(
-                        "whole-memory assignment to '{n}' is not supported"
-                    )));
-                }
-                let e = self.build(rhs, sig.width)?;
+                let e = self.build(rhs, self.sig(n)?.width)?;
                 env.insert(n.clone(), e);
             }
             LValue::Index(n, idx) => {
                 let sig = self.sig(n)?.clone();
                 let merged = if let Some((_, addr_w)) = sig.memory {
-                    let cur = self.current(env, n, true, "row")?;
+                    let cur = self.current(env, n)?;
                     let iv = self.build(idx, addr_w)?;
                     let val = self.build(rhs, sig.width)?;
                     self.ts.pool_mut().write(cur, iv, val)
                 } else {
                     // Bit read-modify-write.
-                    let cur = self.current(env, n, allow_current, "bit")?;
+                    let cur = self.current(env, n)?;
                     let iv = self.bit_offset(&sig, idx)?;
                     let bitv = self.build(rhs, 1)?;
                     let pool = self.ts.pool_mut();
@@ -855,7 +584,7 @@ impl Synthesizer {
             LValue::Part(n, hi, lo) => {
                 let (h, l) = part_bounds(n, hi, lo, &|x| self.flat.sig(x))?;
                 let width = self.sig(n)?.width;
-                let cur = self.current(env, n, allow_current, "part")?;
+                let cur = self.current(env, n)?;
                 let val = self.build(rhs, h - l + 1)?;
                 // Splice: [ high | val | low ].
                 let pool = self.ts.pool_mut();
@@ -887,129 +616,68 @@ impl Synthesizer {
         Ok(())
     }
 
-    /// The value a `what` write to `name` modifies: its value in `env`,
-    /// else (where `allow_current`) the value expressions read.
-    fn current(
-        &self,
-        env: &Env,
-        name: &str,
-        allow_current: bool,
-        what: &str,
-    ) -> Result<ExprId, VerilogError> {
-        match env.get(name) {
-            Some(&e) => Ok(e),
-            None if allow_current => self.read_sig(name),
-            None => Err(Self::err(format!(
-                "{what} assignment to '{name}' before full assignment \
-                 in combinational process (latch)"
-            ))),
-        }
+    /// The value a bit, part or row write to `name` modifies: its value
+    /// in `env`, else the value expressions read.
+    fn current(&self, env: &Env, name: &str) -> Result<ExprId, VerilogError> {
+        env.get(name)
+            .map_or_else(|| self.read_sig(name), |&e| Ok(e))
     }
 
-    /// Merges two branch environments under a condition; `fallback`
-    /// supplies values for keys missing on one side (None = latch
-    /// error for combinational processes).
+    /// Merges two branch environments, which both extend the one
+    /// before the branch, under a condition: a signal that only one
+    /// branch assigns keeps its current value on the other.
     fn merge_envs(
         &mut self,
         cond: ExprId,
-        then_env: Env,
-        else_env: Env,
-        base: &Env,
-        allow_current: bool,
+        then_env: &Env,
+        else_env: &Env,
     ) -> Result<Env, VerilogError> {
-        let mut keys: HashSet<String> = then_env.keys().cloned().collect();
-        keys.extend(else_env.keys().cloned());
-        let mut out = base.clone();
+        let mut keys: HashSet<&String> = then_env.keys().collect();
+        keys.extend(else_env.keys());
+        let mut out = Env::new();
         for k in keys {
-            let fallback = |s: &mut Self| -> Result<ExprId, VerilogError> {
-                if let Some(&b) = base.get(&k) {
-                    return Ok(b);
-                }
-                if allow_current {
-                    s.read_sig(&k)
-                } else {
-                    Err(Self::err(format!(
-                        "signal '{k}' is not assigned on all paths of a combinational \
-                         process (transparent latch, unsupported as in v2c)"
-                    )))
-                }
-            };
-            let vt = match then_env.get(&k) {
-                Some(&v) => v,
-                None => fallback(self)?,
-            };
-            let ve = match else_env.get(&k) {
-                Some(&v) => v,
-                None => fallback(self)?,
-            };
+            let vt = self.current(then_env, k)?;
+            let ve = self.current(else_env, k)?;
             let merged = self.ts.pool_mut().ite(cond, vt, ve);
-            out.insert(k, merged);
+            out.insert(k.clone(), merged);
         }
         Ok(out)
     }
 
-    fn exec_stmt(
-        &mut self,
-        s: &Stmt,
-        env: &mut Env,
-        nb: Option<&mut Env>,
-        allow_current: bool,
-    ) -> Result<(), VerilogError> {
+    /// Runs `s` on the blocking environment `env` and the non-blocking
+    /// one `nb` (which a combinational process never assigns).
+    fn exec_stmt(&mut self, s: &Stmt, env: &mut Env, nb: &mut Env) -> Result<(), VerilogError> {
         match s {
             Stmt::Nop => Ok(()),
-            Stmt::Block(b) => {
-                let mut nbo = nb;
-                for st in b {
-                    self.exec_stmt(st, env, nbo.as_deref_mut(), allow_current)?;
-                }
-                Ok(())
-            }
+            Stmt::Block(b) => b.iter().try_for_each(|st| self.exec_stmt(st, env, nb)),
             Stmt::Blocking(lv, rhs) => {
                 let reads = env.clone();
-                self.assign_in_env(env, &reads, lv, rhs, allow_current)
+                self.assign_in_env(env, &reads, lv, rhs)
             }
             // Non-blocking: the right-hand side reads the blocking
             // environment, and a select or row write starts from the
             // target's latest non-blocking value.
-            Stmt::NonBlocking(lv, rhs) => match nb {
-                Some(nbe) => self.assign_in_env(nbe, env, lv, rhs, true),
-                None => Err(Self::err(
-                    "non-blocking assignment in combinational process",
-                )),
-            },
+            Stmt::NonBlocking(lv, rhs) => self.assign_in_env(nb, env, lv, rhs),
             Stmt::If(c, t, e) => {
                 let cv = self.in_env(env, |s| s.build_bool(c))?;
-                let mut env_t = env.clone();
-                let mut env_e = env.clone();
-                match nb {
-                    Some(nbe) => {
-                        let mut nb_t = nbe.clone();
-                        let mut nb_e = nbe.clone();
-                        self.exec_stmt(t, &mut env_t, Some(&mut nb_t), allow_current)?;
-                        if let Some(e) = e {
-                            self.exec_stmt(e, &mut env_e, Some(&mut nb_e), allow_current)?;
-                        }
-                        *env = self.merge_envs(cv, env_t, env_e, env, true)?;
-                        *nbe = self.merge_envs(cv, nb_t, nb_e, nbe, true)?;
-                    }
-                    None => {
-                        self.exec_stmt(t, &mut env_t, None, allow_current)?;
-                        if let Some(e) = e {
-                            self.exec_stmt(e, &mut env_e, None, allow_current)?;
-                        }
-                        *env = self.merge_envs(cv, env_t, env_e, env, allow_current)?;
-                    }
+                let (mut env_t, mut nb_t) = (env.clone(), nb.clone());
+                let (mut env_e, mut nb_e) = (env.clone(), nb.clone());
+                self.exec_stmt(t, &mut env_t, &mut nb_t)?;
+                if let Some(e) = e {
+                    self.exec_stmt(e, &mut env_e, &mut nb_e)?;
                 }
+                *env = self.merge_envs(cv, &env_t, &env_e)?;
+                *nb = self.merge_envs(cv, &nb_t, &nb_e)?;
                 Ok(())
             }
-            Stmt::Case { .. } => self.exec_stmt(&s.case_to_if(), env, nb, allow_current),
+            Stmt::Case { .. } => self.exec_stmt(&s.case_to_if(), env, nb),
         }
     }
 
     fn exec_clocked(&mut self, body: &Stmt) -> Result<Env, VerilogError> {
         let mut env = Env::new();
         let mut nb = Env::new();
-        self.exec_stmt(body, &mut env, Some(&mut nb), true)?;
+        self.exec_stmt(body, &mut env, &mut nb)?;
         // Blocking-assigned registers in clocked processes are state
         // updates too. `check_drivers` has seen to it that no register
         // is assigned both ways, so the two sets are disjoint.
