@@ -64,11 +64,11 @@
 //!
 //! # Soundness
 //!
-//! The pass is advisory: its output is re-checked by
-//! `engines::certify::certify_invariant` against the raw,
-//! un-preprocessed template with an independent solver before any
-//! engine consumes it, so a bug here can cost strength but never
-//! soundness. Cancellation (the shared [`satb::Limits::stop`] flag, a
+//! The pass is advisory: no engine asserts its output before it is
+//! proven against the raw, un-preprocessed template with independent
+//! solvers, once per check (by a portfolio race's admission, or by
+//! `engines::Blasted::certified` for a solo caller), so a bug here can
+//! cost strength but never soundness. Cancellation (the shared [`satb::Limits::stop`] flag, a
 //! deadline, or a conflict cap, in any worker) aborts the whole
 //! analysis and returns an **empty** invariant with
 //! [`AnalysisStats::cancelled`] set — never a partially-filtered
@@ -160,8 +160,8 @@ pub struct AnalysisStats {
 /// `constants` is the view of its singleton clauses as stuck-at facts,
 /// which [`refine_with_constants`] can fold into a netlist.
 /// `engines::Blasted::of` folds none, and engines assert a singleton
-/// clause like every other. Consumers must re-certify through
-/// `engines::certify::certify_invariant` before trusting either.
+/// clause like every other. No engine trusts either before it is
+/// proven against the raw template (see `engines::Blasted`).
 #[derive(Clone, Debug, Default)]
 pub struct StaticInvariant {
     /// The invariant: a conjunction of latch clauses.

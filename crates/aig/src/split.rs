@@ -19,10 +19,10 @@
 //! `strengthen` workload by 16–32% in four paired runs: glibc's
 //! allocator gives each thread a heap arena of its own, and a
 //! short-lived thread per race shuffled the seats' arenas. The split
-//! still serves the race where no seat runs yet: [`analyze`](crate::analyze),
-//! the certification of the mined invariant, and the race's own
-//! admission of that invariant all run before any seat starts and claims
-//! its core, so they split across every core.
+//! still serves the race where no seat runs yet: [`analyze`](crate::analyze)
+//! and the race's admission of the invariant it mined, the one proof of
+//! that invariant on the race's path, run before any seat starts and
+//! claims its core, so they split across every core.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,12 +1,14 @@
 //! Correctness gate over the bundled designs. Every check runs on the
-//! image the system ships ([`Blasted::of`]); performance is perfbench's
-//! job, not this one's.
+//! image the system ships ([`Blasted::of`]), with the strengthening it
+//! mined proven the way a solo caller proves it
+//! ([`Blasted::certified`]); performance is perfbench's job, not this
+//! one's.
 //!
 //! Per design:
 //!
-//! 1. **Strengthening.** `Blasted::of` must have certified the invariant
-//!    it mined, and the invariant must certify again against a freshly
-//!    compiled raw template.
+//! 1. **Strengthening.** The invariant `Blasted::of` mined must pass
+//!    `Blasted::certified`, and certify again against a freshly compiled
+//!    raw template.
 //! 2. **Engine sweep.** BMC, k-induction, interpolation, PDR and the
 //!    per-frame PDR each check the shipped image. Every definite verdict
 //!    must match the ground truth, an Unsafe trace must replay on the
@@ -77,7 +79,7 @@ fn main() {
 /// of definite engine verdicts and every failure.
 fn gate_design(b: &Benchmark, seed: u64, timeout: u64) -> (String, usize, Vec<String>) {
     let ts = b.compile().expect("benchmark compiles");
-    let blasted = Blasted::of(&ts);
+    let blasted = Blasted::of(&ts).certified();
     let raw = TransitionTemplate::compile(&blasted.sys);
     let mut failures = judge_strengthening(&blasted, &raw);
 
@@ -121,7 +123,7 @@ fn gate_design(b: &Benchmark, seed: u64, timeout: u64) -> (String, usize, Vec<St
 fn judge_strengthening(blasted: &Blasted, raw: &TransitionTemplate) -> Vec<String> {
     let mut failures = Vec::new();
     if !blasted.invariant_certified {
-        failures.push("Blasted::of discarded a mined invariant that failed certification".into());
+        failures.push("Blasted::certified dropped a mined invariant that failed its proof".into());
     }
     let rep = certify_invariant(&blasted.sys, raw, &blasted.invariant.clauses);
     if !rep.ok {
@@ -305,7 +307,7 @@ mod tests {
     fn shipped(name: &str) -> (Benchmark, TransitionSystem, Blasted, TransitionTemplate) {
         let b = bmarks::by_name(name).expect("bundled design");
         let ts = b.compile().expect("compiles");
-        let blasted = Blasted::of(&ts);
+        let blasted = Blasted::of(&ts).certified();
         let raw = TransitionTemplate::compile(&blasted.sys);
         (b, ts, blasted, raw)
     }

@@ -153,12 +153,14 @@
 //! clauses hold in all reachable states in turn. The known set grows
 //! only from checks that passed in full, on every worker; a failing
 //! check teaches the certifier nothing. No clause is known on anyone
-//! else's word: a strengthening that
-//! [`Blasted::of`](crate::Blasted::of) certified, or that a caller
-//! marks [`invariant_certified`](crate::Blasted::invariant_certified),
-//! is proven again by the race's own admission. When that admission
-//! fails, every witness that names the strengthening proves it again,
-//! and fails the same way.
+//! else's word: [`Blasted::of`](crate::Blasted::of) proves nothing, and
+//! a strengthening that a caller marks
+//! [`invariant_certified`](crate::Blasted::invariant_certified) is
+//! proven by the race's own admission all the same. The admission is
+//! the only proof of the strengthening on the race's path. When it
+//! fails, or the race's deadline or its caller's stop flag interrupts
+//! it, the seats get the blast with the strengthening marked unproven,
+//! so none asserts it and no witness names it.
 //!
 //! A fresh certifier knows nothing, so [`certify`], [`certify_with`],
 //! [`certify_with_mode`] and [`certify_invariant`] — one-shot
@@ -180,7 +182,7 @@
 
 use crate::result::{CheckOutcome, Verdict};
 use aig::{split, Aig, AigLit, AigSystem, FrameEncoder, TransitionTemplate};
-use satb::{Lit, Part, SolveResult, Solver};
+use satb::{Interrupt, Limits, Lit, Part, SolveResult, Solver};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
@@ -355,6 +357,10 @@ pub fn certify_with_mode(
 /// outputs; that is exactly what lets every engine assert it on any
 /// frame whose states are known reachable (or explicitly constrained
 /// to the invariant) without changing the verdict.
+///
+/// This is the proof a solo caller runs through
+/// [`Blasted::certified`](crate::Blasted::certified); a portfolio race
+/// runs the same obligations in its own admission. No limit applies.
 pub fn certify_invariant(
     sys: &AigSystem,
     raw_tpl: &TransitionTemplate,
@@ -371,7 +377,7 @@ pub fn certify_invariant_with_mode(
     clauses: &[LatchClause],
     paranoid: bool,
 ) -> CertifyReport {
-    Certifier::with_template(sys, raw_tpl, paranoid).admit(clauses)
+    Certifier::with_template(sys, raw_tpl, paranoid).admit(clauses, &Limits::default())
 }
 
 /// The witness checker of one design, in one trust mode, remembering
@@ -432,7 +438,7 @@ impl<'a> Certifier<'a> {
             }),
             Verdict::Safe => outcome.certificate.as_ref().map(|cert| match cert {
                 Certificate::Clausal(inv) => {
-                    self.check_clauses(&inv.clauses, Claim::Invariant, &mut par)
+                    self.check_clauses(&inv.clauses, Claim::Invariant, &mut par, &Limits::default())
                 }
                 Certificate::Formula(inv) => self.check_formula(inv, &mut par),
                 Certificate::KInductive {
@@ -450,22 +456,28 @@ impl<'a> Certifier<'a> {
     /// [`check`](Certifier::check) discharges for the clauses a
     /// certificate carries beside its claim. On a pass the clauses
     /// become known; a failing admission teaches the certifier nothing.
-    pub fn admit(&mut self, clauses: &[LatchClause]) -> CertifyReport {
+    ///
+    /// Every obligation query runs under `limits`: its stop flag and
+    /// deadline are read before each query and inside it, and an
+    /// interrupted admission fails like a refuted one.
+    pub fn admit(&mut self, clauses: &[LatchClause], limits: &Limits) -> CertifyReport {
         let started = Instant::now();
         let mut par = Paranoia::new(self.paranoid);
-        let result = self.check_clauses(clauses, Claim::Strengthening, &mut par);
+        let result = self.check_clauses(clauses, Claim::Strengthening, &mut par, limits);
         CertifyReport::new(!clauses.is_empty(), result, &par, started)
     }
 
     /// Initiation and consecution for every clause of `clauses` not yet
     /// known, with the whole set asserted on the current-state side of
     /// one raw frame, plus safety on that frame for a
-    /// [`Claim::Invariant`]. On a full pass the set becomes known.
+    /// [`Claim::Invariant`], every query under `limits`. On a full pass
+    /// the set becomes known.
     fn check_clauses(
         &mut self,
         clauses: &[LatchClause],
         claim: Claim,
         par: &mut Paranoia,
+        limits: &Limits,
     ) -> CheckResult {
         let what = claim.prefix();
         let n = self.sys.latches.len();
@@ -484,13 +496,14 @@ impl<'a> Certifier<'a> {
             return Ok(0);
         }
         let workers = split::worker_count(fresh.len());
-        self.prove_fresh(clauses, &fresh, claim, par, workers)
+        self.prove_fresh(clauses, &fresh, claim, par, workers, limits)
     }
 
     /// Initiation for the `fresh` clauses of `clauses`, then their
     /// consecution split across `workers` solvers, the safety of a
-    /// [`Claim::Invariant`] on the last. A failure names the lowest
-    /// failing clause. On a full pass the fresh clauses become known.
+    /// [`Claim::Invariant`] on the last, every query under `limits`. A
+    /// failure names the lowest failing clause. On a full pass the fresh
+    /// clauses become known.
     fn prove_fresh(
         &mut self,
         clauses: &[LatchClause],
@@ -498,18 +511,19 @@ impl<'a> Certifier<'a> {
         claim: Claim,
         par: &mut Paranoia,
         workers: usize,
+        limits: &Limits,
     ) -> CheckResult {
         let what = claim.prefix();
         let mut done = if fresh.is_empty() {
             0
         } else {
-            self.initiation(clauses, fresh, what, par)?
+            self.initiation(clauses, fresh, what, par, limits)?
         };
         let mut pars: Vec<Paranoia> = (0..workers).map(|_| Paranoia::new(par.on)).collect();
         let results = split::run(&mut pars, |k, p| {
             let chunk = &fresh[split::chunk(fresh.len(), workers, k)];
             let safety = claim == Claim::Invariant && k + 1 == workers;
-            self.consecution(clauses, chunk, safety, what, p)
+            self.consecution(clauses, chunk, safety, what, p, limits)
         });
         par.chains += pars.iter().map(|p| p.chains).sum::<u64>();
         let mut failure = None;
@@ -540,6 +554,7 @@ impl<'a> Certifier<'a> {
         fresh: &[usize],
         what: &str,
         par: &mut Paranoia,
+        limits: &Limits,
     ) -> CheckResult {
         let mut done = 0;
         let mut init = par.solver();
@@ -552,9 +567,14 @@ impl<'a> Certifier<'a> {
             }
         }
         for &ci in fresh {
-            match init.solve_with(&negated_clause_on(&clauses[ci], &vars)) {
+            match solve(&mut init, &negated_clause_on(&clauses[ci], &vars), limits) {
                 SolveResult::Unsat => done += 1,
-                _ => return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}"))),
+                SolveResult::Sat => {
+                    return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}")))
+                }
+                SolveResult::Unknown(why) => {
+                    return Err((done, format!("{what}check interrupted: {why:?}")))
+                }
             }
         }
         par.audit(&init).map_err(|why| (done, why))?;
@@ -571,6 +591,7 @@ impl<'a> Certifier<'a> {
         safety: bool,
         what: &str,
         par: &mut Paranoia,
+        limits: &Limits,
     ) -> CheckResult {
         let mut done = 0;
         let mut s = par.solver();
@@ -579,20 +600,32 @@ impl<'a> Certifier<'a> {
             s.add_clause(&clause_on(clause, &frame.latch_cur));
         }
         for &ci in chunk {
-            match s.solve_with(&negated_clause_on(&clauses[ci], &frame.latch_next)) {
+            match solve(
+                &mut s,
+                &negated_clause_on(&clauses[ci], &frame.latch_next),
+                limits,
+            ) {
                 SolveResult::Unsat => done += 1,
-                _ => {
+                SolveResult::Sat => {
                     return Err((
                         done,
                         format!("{what}consecution fails: Inv ∧ T ⇏ clause #{ci}′"),
                     ))
                 }
+                SolveResult::Unknown(why) => {
+                    return Err((done, format!("{what}check interrupted: {why:?}")))
+                }
             }
         }
         if safety {
-            match s.solve_with(&[frame.any_bad]) {
+            match solve(&mut s, &[frame.any_bad], limits) {
                 SolveResult::Unsat => done += 1,
-                _ => return Err((done, "safety fails: Inv admits a bad state".into())),
+                SolveResult::Sat => {
+                    return Err((done, "safety fails: Inv admits a bad state".into()))
+                }
+                SolveResult::Unknown(why) => {
+                    return Err((done, format!("{what}check interrupted: {why:?}")))
+                }
             }
         }
         par.audit(&s).map_err(|why| (done, why))?;
@@ -610,7 +643,12 @@ impl<'a> Certifier<'a> {
                 ),
             ));
         }
-        let mut done = self.check_clauses(&inv.invariant, Claim::Strengthening, par)?;
+        let mut done = self.check_clauses(
+            &inv.invariant,
+            Claim::Strengthening,
+            par,
+            &Limits::default(),
+        )?;
 
         let mut s = par.solver();
         let frame = self.tpl.instantiate(&mut s, Part::A, 0);
@@ -671,7 +709,7 @@ impl<'a> Certifier<'a> {
     ) -> CheckResult {
         // The strengthening clauses must themselves be inductive before
         // they may constrain any frame below.
-        let mut done = self.check_clauses(inv, Claim::Strengthening, par)?;
+        let mut done = self.check_clauses(inv, Claim::Strengthening, par, &Limits::default())?;
         let (sys, tpl, k) = (self.sys, &*self.tpl, k as usize);
 
         // Base: no counterexample of length 0..=k from the initial states.
@@ -828,6 +866,19 @@ impl Paranoia {
         }
         Ok(())
     }
+}
+
+/// One obligation query under `limits`: an `Unknown` answer, without a
+/// solver call, once the stop flag is up or the deadline has passed,
+/// and the solver's own interrupt inside the query.
+fn solve(s: &mut Solver, assumptions: &[Lit], limits: &Limits) -> SolveResult {
+    if limits.stop_requested() {
+        return SolveResult::Unknown(Interrupt::Cancelled);
+    }
+    if limits.deadline.is_some_and(|d| Instant::now() >= d) {
+        return SolveResult::Unknown(Interrupt::Timeout);
+    }
+    s.solve_limited(assumptions, limits.clone())
 }
 
 /// Maps a latch-variable clause onto frame literals (shared with the
@@ -1185,7 +1236,7 @@ pub(crate) mod tests {
     #[test]
     fn one_certifier_admits_the_strengthening_once() {
         let ts = shadow_pair();
-        let blasted = Blasted::of(&ts);
+        let blasted = Blasted::of(&ts).certified();
         let inv = blasted.invariant.clauses.len();
         assert!(inv > 0, "the stage equivalences are mined");
         let outs = safe_outcomes(&ts, &blasted);
@@ -1219,7 +1270,7 @@ pub(crate) mod tests {
     #[test]
     fn known_clauses_carry_no_forged_clause_through() {
         let ts = shadow_pair();
-        let blasted = Blasted::of(&ts);
+        let blasted = Blasted::of(&ts).certified();
         let sys = &blasted.sys;
         let outs = safe_outcomes(&ts, &blasted);
         let mut certifier = Certifier::new(sys, false);
@@ -1257,6 +1308,37 @@ pub(crate) mod tests {
         assert!(certifier.check(&outs[1]).ok && certifier.check(&outs[2]).ok);
     }
 
+    /// Solo engines assert only a proven strengthening: handed a set
+    /// that holds a non-inductive clause and is not marked proven, PDR,
+    /// k-induction and interpolation prove the pair without it, and no
+    /// certificate names the forged clause. Proving the set drops it.
+    #[test]
+    fn solo_engines_ignore_an_unproven_strengthening() {
+        let ts = shadow_pair();
+        let honest = Blasted::of(&ts);
+        let forged_clause = forged_clause(&honest.sys);
+        let mut invariant = (*honest.invariant).clone();
+        invariant.clauses.push(forged_clause.clone());
+        let forged = Blasted {
+            invariant: std::sync::Arc::new(invariant),
+            invariant_certified: false,
+            ..honest
+        };
+        for out in safe_outcomes(&ts, &forged) {
+            let named: &[LatchClause] = match out.certificate.as_ref().expect("a witness") {
+                Certificate::Clausal(inv) => &inv.clauses,
+                Certificate::Formula(inv) => &inv.invariant,
+                Certificate::KInductive { invariant, .. } => invariant,
+            };
+            assert!(!named.contains(&forged_clause), "{named:?}");
+            let rep = certify(&forged.sys, &out);
+            assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
+        }
+        let proven = forged.certified();
+        assert!(!proven.invariant_certified && proven.invariant.is_empty());
+        assert!(proven.strengthening().is_empty());
+    }
+
     #[test]
     fn a_failed_witness_teaches_the_certifier_nothing() {
         let ts = shadow_pair();
@@ -1290,7 +1372,7 @@ pub(crate) mod tests {
     #[test]
     fn paranoid_certifier_replays_the_admission_and_agrees() {
         let ts = shadow_pair();
-        let blasted = Blasted::of(&ts);
+        let blasted = Blasted::of(&ts).certified();
         let sys = &blasted.sys;
         let outs = safe_outcomes(&ts, &blasted);
         let mut forged = blasted.invariant.clauses.clone();
@@ -1341,8 +1423,14 @@ pub(crate) mod tests {
         let mut failure = |clauses: &[LatchClause], workers| {
             let all: Vec<usize> = (0..clauses.len()).collect();
             let mut par = Paranoia::new(false);
-            let result =
-                certifier.prove_fresh(clauses, &all, Claim::Strengthening, &mut par, workers);
+            let result = certifier.prove_fresh(
+                clauses,
+                &all,
+                Claim::Strengthening,
+                &mut par,
+                workers,
+                &Limits::default(),
+            );
             assert!(certifier.known.is_empty(), "a failed check adds no clause");
             result.expect_err("the forged clause fails").1
         };
@@ -1376,8 +1464,14 @@ pub(crate) mod tests {
             let started = Instant::now();
             let mut par = Paranoia::new(paranoid);
             let mut certifier = Certifier::new(sys, paranoid);
-            let result =
-                certifier.prove_fresh(clauses, &all, Claim::Strengthening, &mut par, workers);
+            let result = certifier.prove_fresh(
+                clauses,
+                &all,
+                Claim::Strengthening,
+                &mut par,
+                workers,
+                &Limits::default(),
+            );
             assert_eq!(certifier.known.len(), clauses.len());
             CertifyReport::new(true, result, &par, started)
         };
@@ -1403,13 +1497,15 @@ pub(crate) mod tests {
         // every worker's consecution solver.
         let certifier = Certifier::new(sys, true);
         let mut init = Paranoia::new(true);
-        assert!(certifier.initiation(clauses, &all, "", &mut init).is_ok());
+        assert!(certifier
+            .initiation(clauses, &all, "", &mut init, &Limits::default())
+            .is_ok());
         let mut chains = init.chains;
         for k in 0..workers {
             let mut par = Paranoia::new(true);
             let chunk = &all[split::chunk(all.len(), workers, k)];
             assert!(certifier
-                .consecution(clauses, chunk, false, "", &mut par)
+                .consecution(clauses, chunk, false, "", &mut par, &Limits::default())
                 .is_ok());
             assert!(par.chains > 0, "worker {k} replays no proof");
             chains += par.chains;

@@ -78,13 +78,13 @@ fn engines_on_the_cut_template_agree_with_the_raw_one() {
         let extra = rng.gen_range(0..=3);
         let sys = random_with_unobserved_latches(&mut rng, extra);
         let raw = TransitionTemplate::compile(&sys);
-        let blasted = Blasted::of_netlist(sys.clone());
+        let blasted = Blasted::of_netlist(sys.clone()).certified();
         assert!(blasted.invariant_certified, "round {round}");
         if sys.latch_coi().contains(&false) {
             cut_rounds += 1;
         }
         for (name, run) in ENGINES {
-            let cut = run(&blasted.sys, &blasted.template, &blasted.invariant.clauses);
+            let cut = run(&blasted.sys, &blasted.template, blasted.strengthening());
             let whole = run(&sys, &raw, &[]);
             match (&cut.outcome, &whole.outcome) {
                 (Verdict::Safe, Verdict::Unsafe(_)) | (Verdict::Unsafe(_), Verdict::Safe) => {

@@ -84,25 +84,31 @@
 //! loop over one frame of the template the engines solve: cut to the
 //! cone of influence and preprocessed. A clause that names a freed
 //! latch is not inductive there, so it is not mined. The surviving
-//! clause set is certified through [`certify::certify_invariant`]
-//! against the **raw** template (initiation + consecution, independent
-//! solver; deliberately no safety obligation) before anything trusts
-//! it, and travels with the blast as [`Blasted::invariant`]. Every
-//! engine then asserts the clauses on each frame it instantiates: BMC
-//! and k-induction gain pruned unrollings, interpolation and PDR gain
-//! strengthened frames. A mined constant is asserted like every other
-//! clause; the template does not fold it.
+//! clause set travels with the blast, unproven, as
+//! [`Blasted::invariant`].
+//!
+//! It is proven once per check, against the **raw** template
+//! (initiation + consecution, independent solvers; deliberately no
+//! safety obligation), by whoever runs the engines: a portfolio race
+//! admits it with its [`certify::Certifier`] before its seats start,
+//! and a solo caller calls [`Blasted::certified`], which runs
+//! [`certify::certify_invariant`]. Engines assert only a proven set,
+//! which they read through [`Blasted::strengthening`], on each frame
+//! they instantiate: BMC and k-induction gain pruned unrollings,
+//! interpolation and PDR gain strengthened frames. A set that fails its
+//! proof reaches no engine. A mined constant is asserted like every
+//! other clause; the template does not fold it.
 //!
 //! Every Safe certificate names the strengthening it relies on: PDR's
 //! exported fixpoint contains the clauses, and k-induction's and
 //! interpolation's certificates carry them beside their own claim. A
-//! portfolio race checks every witness with one
-//! [`certify::Certifier`], which proves the clauses before the seats
-//! start and checks every witness relative to them (see [known
+//! race checks every witness with the certifier that admitted the
+//! clauses, relative to them (see [known
 //! clauses](certify#known-clauses)), so the strengthening is proven
 //! once per race rather than once per seat, and the winner's check is
-//! short. The certifier takes nothing on trust from [`Blasted::of`]'s
-//! own certification.
+//! short. The admission runs under the race's deadline and its
+//! caller's stop flag; an interrupted admission admits nothing, and
+//! the seats race without the strengthening.
 //!
 //! Houdini's consecution queries and the certifier's per-clause
 //! obligations come by the hundred on a wide design (512 candidates and
@@ -110,10 +116,10 @@
 //! a batch needs another's answer. Both are split across one worker
 //! solver per idle core ([`aig::split`]) once a batch holds at least
 //! 128 queries; smaller batches run on the calling thread. Every
-//! portfolio seat claims a core while it runs. [`Blasted::of`] and a
-//! race's admission of the strengthening run before any seat starts,
-//! so both split across all cores, while a witness checked during the
-//! race splits only across cores its seats leave idle. Mining
+//! portfolio seat claims a core while it runs. [`Blasted::of`]'s mining
+//! and a race's admission of the strengthening run before any seat
+//! starts, so both split across all cores, while a witness checked
+//! during the race splits only across cores its seats leave idle. Mining
 //! keeps its result, the unique greatest inductive subset of the
 //! candidates (see [the Houdini loop](aig::analysis#the-houdini-loop)),
 //! and certification keeps its independence, since every worker runs a

@@ -1271,7 +1271,7 @@ impl Checker for Pdr {
     }
 
     fn check_blasted(&self, _ts: &TransitionSystem, blasted: &Blasted) -> CheckOutcome {
-        self.run(&blasted.sys, &blasted.template, &blasted.invariant.clauses)
+        self.run(&blasted.sys, &blasted.template, blasted.strengthening())
     }
 }
 

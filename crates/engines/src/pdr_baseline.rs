@@ -645,7 +645,7 @@ impl Checker for PerFramePdr {
     }
 
     fn check_blasted(&self, _ts: &TransitionSystem, blasted: &Blasted) -> CheckOutcome {
-        self.run(&blasted.sys, &blasted.template, &blasted.invariant.clauses)
+        self.run(&blasted.sys, &blasted.template, blasted.strengthening())
     }
 }
 

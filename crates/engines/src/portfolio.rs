@@ -34,11 +34,14 @@
 //! The race is *certifying* (see [`crate::certify`]): a definite
 //! verdict only wins after its witness re-checks against the raw
 //! transition template with an independent solver. One [`Certifier`]
-//! checks every seat's witness. It proves the static strengthening the
-//! seats' certificates share before the seats start, split across every
-//! core, and checks each witness relative to it, so the winner's check
-//! is short and the losers are cancelled as soon as the winner answers
-//! (see [known clauses](crate::certify#known-clauses)). A member whose
+//! checks every seat's witness. Before the seats start, it proves the
+//! static strengthening that [`Blasted::of`] mined and left unproven,
+//! split across every core, under the race's deadline and its caller's
+//! stop flag: the one proof of the set on this path. The seats assert
+//! the set only when that admission passed, and each witness is checked
+//! relative to it, so the winner's check is short and the losers are
+//! cancelled as soon as the winner answers (see [known
+//! clauses](crate::certify#known-clauses)). A member whose
 //! witness fails is demoted to [`Unknown::CertificateFailed`] and the
 //! race goes on with the remaining seats; contradicting definite
 //! verdicts are resolved by trusting the side whose witness checked,
@@ -132,12 +135,14 @@ pub struct PortfolioOutcome {
     /// every member solved on (all zeros for a raw, unsimplified
     /// blast).
     pub preproc: satb::PreprocStats,
-    /// Mined-and-certified static strengthening clauses handed to the
-    /// members (see [`aig::analysis`]).
+    /// Static strengthening clauses the race admitted and handed to the
+    /// members (see [`aig::analysis`]): 0 when the admission failed or
+    /// was interrupted, since then no member asserts any.
     pub invariant_clauses: u32,
     /// Constant-latch facts among [`invariant_clauses`] (singleton
-    /// clauses). The members assert them like every other clause:
-    /// [`Blasted::of`] folds no constant into the shared template.
+    /// clauses), counted like them. The members assert them like every
+    /// other clause: [`Blasted::of`] folds no constant into the shared
+    /// template.
     ///
     /// [`invariant_clauses`]: PortfolioOutcome::invariant_clauses
     pub invariant_constants: u32,
@@ -354,8 +359,14 @@ impl Portfolio {
     /// Before any seat starts, the race's [`Certifier`]
     /// [admits](Certifier::admit) [`Blasted::invariant`] against the
     /// raw template, whatever [`Blasted::invariant_certified`] says (see
-    /// [known clauses](crate::certify#known-clauses)). The reported time
-    /// covers that admission and the race, not the blast.
+    /// [known clauses](crate::certify#known-clauses)). The admission
+    /// runs under the portfolio's timeout, counted from this call, and
+    /// the stop flag its caller put on the budget; fault injection stays
+    /// with the seats. Every seat gets the blast with
+    /// [`Blasted::invariant_certified`] set to whether the admission
+    /// passed, so a set that failed or was interrupted reaches no seat.
+    /// The reported time covers the admission and the race, not the
+    /// blast.
     pub fn check_detailed_blasted(
         &self,
         ts: &TransitionSystem,
@@ -373,8 +384,8 @@ impl Portfolio {
                 certified: false,
                 certificate: None,
                 preproc: blasted.preproc_stats,
-                invariant_clauses: blasted.invariant.clauses.len() as u32,
-                invariant_constants: blasted.invariant.constants.len() as u32,
+                invariant_clauses: 0,
+                invariant_constants: 0,
                 paranoid: self.paranoid,
             };
         }
@@ -388,11 +399,25 @@ impl Portfolio {
         let mut disagreement = false;
         // The race's witness checker proves the strengthening before any
         // seat claims a core, so the admission splits across every core
-        // and each witness is then checked relative to it. A failed
-        // admission teaches it nothing: every witness naming the
-        // strengthening proves it again.
+        // and each witness is then checked relative to it. It runs under
+        // the race's deadline and the caller's stop flag; a set that
+        // fails or is interrupted reaches no seat.
         let mut certifier = Certifier::new(&blasted.sys, self.paranoid);
-        certifier.admit(&blasted.invariant.clauses);
+        let admission = satb::Limits {
+            deadline: self.budget.deadline_from(started),
+            stop: self.external.clone(),
+            ..satb::Limits::default()
+        };
+        let admitted = certifier.admit(&blasted.invariant.clauses, &admission).ok;
+        let blasted = &Blasted {
+            invariant_certified: admitted,
+            ..blasted.clone()
+        };
+        // A stop the caller raised by now reaches the seats before they
+        // start.
+        if admission.stop_requested() {
+            self.stop.store(true, Ordering::Relaxed);
+        }
 
         let (tx, rx) = mpsc::channel::<(usize, CheckOutcome)>();
         thread::scope(|scope| {
@@ -536,8 +561,12 @@ impl Portfolio {
             engines,
             disagreement,
             preproc: blasted.preproc_stats,
-            invariant_clauses: blasted.invariant.clauses.len() as u32,
-            invariant_constants: blasted.invariant.constants.len() as u32,
+            invariant_clauses: blasted.strengthening().len() as u32,
+            invariant_constants: if admitted {
+                blasted.invariant.constants.len() as u32
+            } else {
+                0
+            },
             paranoid: self.paranoid,
         }
     }
@@ -696,7 +725,7 @@ mod tests {
         // result stays Safe, certified, with the strengthening counts
         // surfaced on the outcome.
         let ts = crate::kind::tests::trap_ts();
-        let blasted = Blasted::of(&ts);
+        let blasted = Blasted::of(&ts).certified();
         assert!(blasted.invariant_certified);
         assert!(
             !blasted.invariant.clauses.is_empty(),
@@ -870,9 +899,8 @@ mod tests {
 
     /// The reported time of `check_detailed` covers the shared blast:
     /// it is at least the time from the call to the moment a member
-    /// starts. Blasting, mining and certifying beside a 16-bit
-    /// multiply-accumulator takes milliseconds, far longer than the
-    /// probe's race.
+    /// starts. Blasting and mining beside a 16-bit multiply-accumulator
+    /// takes milliseconds, far longer than the probe's race.
     #[test]
     fn reported_time_covers_the_shared_blast() {
         let ts = crate::cone_tests::deep_bug(20, true);
@@ -1066,19 +1094,19 @@ mod tests {
         );
     }
 
-    /// The race's certifier learns only from its own passing checks. A
-    /// caller-built blast whose strengthening adds a non-inductive
-    /// clause and claims to be certified fails the race's admission,
-    /// which teaches the certifier nothing; every Safe witness names
-    /// the clause, proves it again and is demoted.
+    /// The race proves the strengthening once, before its seats start,
+    /// and hands it to them only when the proof passed. A caller-built
+    /// blast whose strengthening adds a non-inductive clause and claims
+    /// to be proven fails that admission: no seat asserts the set, so
+    /// no witness names the forged clause or fails on it, and the pair,
+    /// which is safe, can only be answered with a certified Safe.
     #[test]
-    fn forged_strengthening_wins_no_certified_safe() {
+    fn forged_strengthening_fails_the_admission_and_reaches_no_seat() {
         let ts = crate::certify::tests::shadow_pair();
         let honest = Blasted::of(&ts);
+        let forged_clause = crate::certify::tests::forged_clause(&honest.sys);
         let mut invariant = (*honest.invariant).clone();
-        invariant
-            .clauses
-            .push(crate::certify::tests::forged_clause(&honest.sys));
+        invariant.clauses.push(forged_clause.clone());
         let forged = Blasted {
             invariant: Arc::new(invariant),
             invariant_certified: true,
@@ -1093,26 +1121,48 @@ mod tests {
         p.push(KInduction::new(b.clone()));
         p.push(Interpolation::new(b));
         let report = p.check_detailed_blasted(&ts, &forged);
-        assert!(!report.certified, "{}", report.summary());
-        assert_ne!(report.verdict, Verdict::Safe, "{}", report.summary());
-        let mut demoted = 0;
+        assert_eq!(report.invariant_clauses, 0, "{}", report.summary());
         for e in &report.engines {
-            let Verdict::Unknown(Unknown::CertificateFailed(why)) = &e.outcome.outcome else {
-                continue;
-            };
-            demoted += 1;
-            assert!(
-                why.contains("initiation fails") || why.contains("consecution fails"),
-                "{}: {why}",
-                e.name
-            );
-            // k-induction and interpolation carry the clauses beside
-            // their claim; PDR's clauses are its claim.
-            if e.name != "abc-pdr" {
-                assert!(why.starts_with("invariant "), "{}: {why}", e.name);
+            if let Some(why) = e.certify.as_ref().and_then(|c| c.failure.as_ref()) {
+                assert!(!why.starts_with("invariant "), "{}: {why}", e.name);
             }
+            let named: &[crate::certify::LatchClause] = match &e.outcome.certificate {
+                Some(Certificate::Clausal(inv)) => &inv.clauses,
+                Some(Certificate::Formula(inv)) => &inv.invariant,
+                Some(Certificate::KInductive { invariant, .. }) => invariant,
+                None => &[],
+            };
+            assert!(!named.contains(&forged_clause), "{}", e.name);
         }
-        assert!(demoted >= 1, "{}", report.summary());
+        if !matches!(report.verdict, Verdict::Unknown(_)) {
+            assert_eq!(report.verdict, Verdict::Safe, "{}", report.summary());
+            assert!(report.certified, "{}", report.summary());
+        }
+    }
+
+    /// The admission runs under the race's budget: a caller's stop flag
+    /// raised before the call, or a zero timeout, interrupts it before
+    /// it proves any of the 16-bit shadow pair's mined clauses, and the
+    /// seats race without them.
+    #[test]
+    fn interrupted_admission_admits_nothing() {
+        let ts = crate::certify::tests::shadow_pair_of(16);
+        let blasted = Blasted::of(&ts);
+        assert!(blasted.invariant.clauses.len() >= 128);
+        let stopped = Budget::default().with_stop(Arc::new(AtomicBool::new(true)));
+        let expired = Budget {
+            timeout: Some(Duration::ZERO),
+            ..Budget::default()
+        };
+        for (leg, budget) in [("stop flag", stopped), ("zero timeout", expired)] {
+            let report = Portfolio::with_engines(budget, 2).check_detailed_blasted(&ts, &blasted);
+            assert!(
+                matches!(report.verdict, Verdict::Unknown(_)),
+                "{leg}: {}",
+                report.summary()
+            );
+            assert_eq!(report.invariant_clauses, 0, "{leg}");
+        }
     }
 
     /// A seat that panics mid-check: the portfolio must isolate the

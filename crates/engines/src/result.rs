@@ -438,12 +438,16 @@ impl Budget {
 /// logic never reaches a solver. When the cut frees no latch, the
 /// template is the raw one. It preprocesses that template once and runs
 /// [`aig::analyze`] on the result, the image the engines solve, so a
-/// clause that names a freed latch is not mined. It keeps the mined
-/// invariant **only** after [`crate::certify::certify_invariant`]
-/// re-checked it against the raw, un-preprocessed template — an
-/// uncertified invariant is discarded, never threaded anywhere. The
-/// image does not depend on the invariant: no mined constant is folded
-/// into it.
+/// clause that names a freed latch is not mined. It proves nothing: the
+/// mined set ships unproven in [`invariant`](Blasted::invariant). The
+/// set is proven once, against the raw, un-preprocessed template, by
+/// whoever runs the engines: a portfolio race admits it before its
+/// seats start
+/// ([`Portfolio::check_detailed_blasted`](crate::portfolio::Portfolio::check_detailed_blasted)),
+/// a solo caller calls [`certified`](Blasted::certified). Engines
+/// assert only a proven set, read through
+/// [`strengthening`](Blasted::strengthening). The image does not depend
+/// on the invariant: no mined constant is folded into it.
 ///
 /// The image of [`of`](Blasted::of) therefore matches `sys` in every
 /// state on the latches in the cone
@@ -451,11 +455,14 @@ impl Budget {
 /// value. A caller may build a `Blasted` of its own whose image matches
 /// `sys` only on invariant states, such as one compiled from
 /// [`aig::refine_with_constants`] with the invariant's constants folded
-/// in. Every consumer of [`template`](Blasted::template) must:
+/// in; such a caller must prove the set (with
+/// [`crate::certify::certify_invariant`]) and mark it proven in
+/// [`invariant_certified`](Blasted::invariant_certified), or no engine
+/// asserts it. Every consumer of [`template`](Blasted::template) must:
 ///
-/// * assert [`invariant`](Blasted::invariant)'s clauses on the
+/// * assert [`strengthening`](Blasted::strengthening)'s clauses on the
 ///   current-state literals of **every** frame instantiated from it.
-///   Initialized frames satisfy them automatically (certified-inductive
+///   Initialized frames satisfy them automatically (proven-inductive
 ///   clauses hold in every reachable state), but free-state frames —
 ///   k-induction steps, interpolation B-frames, PDR frames — are
 ///   unsound on a constant-folded image without them;
@@ -479,14 +486,21 @@ pub struct Blasted {
     pub template: Arc<aig::TransitionTemplate>,
     /// Counters of the preprocessing run.
     pub preproc_stats: satb::PreprocStats,
-    /// The certified static invariant mined on the template (empty
-    /// when mining found nothing, was cancelled, or failed
-    /// certification). Every clause here passed `certify_invariant`
-    /// against the raw template.
+    /// The static invariant mined on the template (empty when mining
+    /// found nothing or was cancelled, or when [`certified`] dropped a
+    /// set that failed its proof). Unproven unless
+    /// [`invariant_certified`](Blasted::invariant_certified) says so;
+    /// engines read it only through [`strengthening`].
+    ///
+    /// [`certified`]: Blasted::certified
+    /// [`strengthening`]: Blasted::strengthening
     pub invariant: Arc<aig::StaticInvariant>,
-    /// Whether the mined invariant passed certification (`true` when
-    /// there was nothing to certify). A `false` here means strength
-    /// was discarded — a soundness alarm worth surfacing, since the
+    /// Whether [`invariant`](Blasted::invariant) is proven against the
+    /// raw template. [`of`](Blasted::of) proves nothing, so this is
+    /// `false` whenever it mined a clause and `true` when the set is
+    /// empty; [`certified`](Blasted::certified) sets it on a pass. A
+    /// `false` beside an empty set means `certified` dropped a set that
+    /// failed its proof — a soundness alarm worth surfacing, since the
     /// Houdini fixpoint should only ever emit inductive sets. A
     /// portfolio race proves the invariant again whatever this says.
     pub invariant_certified: bool,
@@ -495,7 +509,8 @@ pub struct Blasted {
 impl Blasted {
     /// Blasts `ts`, cuts the template to the property's cone of
     /// influence, runs CNF preprocessing over it, and mines a static
-    /// invariant on the result, certified against the raw template.
+    /// invariant on the result. The invariant ships unproven (see [the
+    /// engine-image contract](Blasted#the-engine-image-contract)).
     pub fn of(ts: &TransitionSystem) -> Blasted {
         Blasted::of_netlist(aig::blast_system(ts))
     }
@@ -503,40 +518,72 @@ impl Blasted {
     /// [`of`](Blasted::of) after the blast.
     pub(crate) fn of_netlist(sys: aig::AigSystem) -> Blasted {
         let sys = Arc::new(sys);
-        let raw = aig::TransitionTemplate::compile(&sys);
         // With no latch freed (no CI added), the cut netlist is the raw
         // one rebuilt: keep the raw template.
         let cut = aig::refine_with_constants(&sys, &[]);
-        let pre = if cut.aig.num_cis() == sys.aig.num_cis() {
-            raw.preprocess()
+        let image = if cut.aig.num_cis() == sys.aig.num_cis() {
+            &*sys
         } else {
-            aig::TransitionTemplate::compile(&cut).preprocess()
+            &cut
         };
-        let mut invariant = aig::analyze(
+        let pre = aig::TransitionTemplate::compile(image).preprocess();
+        let invariant = aig::analyze(
             &sys,
             &pre.template,
             &aig::AnalysisConfig::default(),
             &satb::Limits::default(),
         );
-        let mut invariant_certified = true;
-        if !invariant.is_empty() {
-            let rep = crate::certify::certify_invariant(&sys, &raw, &invariant.clauses);
-            if !rep.ok {
-                invariant_certified = false;
-                let mut stats = invariant.stats.clone();
-                stats.retained = 0;
-                invariant = aig::StaticInvariant {
-                    stats,
-                    ..aig::StaticInvariant::default()
-                };
-            }
-        }
         Blasted {
             sys,
             template: Arc::new(pre.template),
             preproc_stats: pre.stats,
+            invariant_certified: invariant.is_empty(),
             invariant: Arc::new(invariant),
-            invariant_certified,
+        }
+    }
+
+    /// This blast with its strengthening proven, for a caller that runs
+    /// engines solo: [`crate::certify::certify_invariant`] checks
+    /// [`invariant`](Blasted::invariant) against a freshly compiled raw
+    /// template, whatever
+    /// [`invariant_certified`](Blasted::invariant_certified) says. A
+    /// passing set is kept and marked proven; a failing one is dropped,
+    /// and the flag stays `false`. A portfolio race needs no call: it
+    /// proves the set itself before its seats start.
+    #[must_use]
+    pub fn certified(self) -> Blasted {
+        let proven = self.invariant.is_empty() || {
+            let raw = aig::TransitionTemplate::compile(&self.sys);
+            crate::certify::certify_invariant(&self.sys, &raw, &self.invariant.clauses).ok
+        };
+        if proven {
+            return Blasted {
+                invariant_certified: true,
+                ..self
+            };
+        }
+        let mut stats = self.invariant.stats.clone();
+        stats.retained = 0;
+        Blasted {
+            invariant: Arc::new(aig::StaticInvariant {
+                stats,
+                ..aig::StaticInvariant::default()
+            }),
+            invariant_certified: false,
+            ..self
+        }
+    }
+
+    /// The strengthening every engine asserts on each frame it
+    /// instantiates: [`invariant`](Blasted::invariant)'s clauses once
+    /// they are proven
+    /// ([`invariant_certified`](Blasted::invariant_certified)), and no
+    /// clause before.
+    pub fn strengthening(&self) -> &[crate::certify::LatchClause] {
+        if self.invariant_certified {
+            &self.invariant.clauses
+        } else {
+            &[]
         }
     }
 }

@@ -47,6 +47,29 @@ pub enum MainStyle {
 /// Synthesis reads the same, so the C means what the synthesized
 /// transition system means.
 ///
+/// # C names
+///
+/// Every signal and instance keeps its Verilog name, with each
+/// character other than a letter, a digit or `_` written as `_`, and
+/// `v_` in front of a name that is empty or begins with a digit. A
+/// name that then collides gets `v_` in front again, until it does
+/// not. In declaration order, signals first, a name collides with:
+/// - a C keyword, the state pointer `s`, `main`, or a library name the
+///   program uses (`assert`, `printf`, `scanf`, `fflush`, `stdout`,
+///   `uint64_t`);
+/// - any name beginning with `__`, which the emitter keeps for its own
+///   (`__t<n>`, `__next_*`, `__cur_*`, `__in_*`, `__i`, `__cycles`, the
+///   harness's `__VERIFIER_*` externs);
+/// - a module's type or functions (`<module>_state`, `_init`, `_step`,
+///   `_dump`);
+/// - the name of an earlier signal or instance of its module, or the
+///   pointer `o_<name>` through which the step function writes an
+///   earlier output port. An output port also collides when its own
+///   pointer would be such a name, or a module's type or function.
+///
+/// A design whose names collide with nothing, every bundled one among
+/// them, keeps them all.
+///
 /// # Errors
 ///
 /// Reports exactly what [`vfront::synthesize`] reports, with the same
@@ -66,16 +89,70 @@ fn cmask(w: u32) -> String {
     format!("{:#x}ULL", mask(w))
 }
 
+/// A Verilog name as a C identifier: every character other than a
+/// letter, a digit or `_` becomes `_`, and `v_` goes in front of a name
+/// that is empty or begins with a digit.
 fn sanitize(name: &str) -> String {
-    name.chars()
+    let c: String = name
+        .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+        .collect();
+    if c.is_empty() || c.starts_with(|c: char| c.is_ascii_digit()) {
+        format!("v_{c}")
+    } else {
+        c
+    }
+}
+
+/// Names the emitted C uses besides the modules' own types and
+/// functions: the C keywords up to C23, the state pointer `s`, `main`,
+/// and the library names the program calls or declares with.
+const RESERVED: &str = "alignas alignof auto bool break case char const constexpr continue \
+    default do double else enum extern false float for goto if inline int long nullptr \
+    register restrict return short signed sizeof static static_assert struct switch \
+    thread_local true typedef typeof typeof_unqual union unsigned void volatile while \
+    _Alignas _Alignof _Atomic _BitInt _Bool _Complex _Decimal128 _Decimal32 _Decimal64 \
+    _Generic _Imaginary _Noreturn _Static_assert _Thread_local \
+    s main assert printf scanf fflush stdout uint64_t";
+
+/// The C names of module `m`'s signals and instances, in declaration
+/// order, signals first: each its [`sanitize`]d Verilog name, with `v_`
+/// put in front until it collides with nothing (see [`emit_c`]).
+/// `reserved` holds [`RESERVED`] and every module's type and function
+/// names.
+fn c_names(m: &ElabModule, reserved: &HashSet<String>) -> HashMap<String, String> {
+    let mut taken: HashSet<String> = HashSet::new();
+    let mut names = HashMap::new();
+    let entities = (m.signals.iter())
+        .map(|s| (&s.name, s.port == Some(Dir::Output)))
+        .chain(m.instances.iter().map(|i| (&i.name, false)));
+    for (name, output) in entities {
+        let free = |c: &str| {
+            let pointer = format!("o_{c}");
+            !(reserved.contains(c)
+                || c.starts_with("__")
+                || taken.contains(c)
+                || output && (taken.contains(&pointer) || reserved.contains(&pointer)))
+        };
+        let mut c = sanitize(name);
+        while !free(&c) {
+            c.insert_str(0, "v_");
+        }
+        if output {
+            taken.insert(format!("o_{c}"));
+        }
+        taken.insert(c.clone());
+        names.insert(name.clone(), c);
+    }
+    names
 }
 
 /// Per-module facts computed bottom-up.
 #[derive(Clone, Debug)]
 struct ModInfo<'d> {
     cname: String,
+    /// The C name of every signal and instance ([`c_names`]).
+    names: HashMap<String, String>,
     /// What `vfront` decided: clock ports are no function arguments,
     /// registers live in the module's struct, and the schedule orders
     /// the step function's combinational section.
@@ -84,6 +161,16 @@ struct ModInfo<'d> {
     assert_total: usize,
     /// Number of the module's own assertions.
     assert_own: usize,
+}
+
+impl ModInfo<'_> {
+    /// The C name of a signal or instance of the module.
+    fn c(&self, name: &str) -> String {
+        self.names
+            .get(name)
+            .cloned()
+            .unwrap_or_else(|| sanitize(name))
+    }
 }
 
 struct Emitter<'d> {
@@ -97,14 +184,22 @@ impl<'d> Emitter<'d> {
     fn new(design: &'d Design, checked: &'d [Checked], style: MainStyle) -> Emitter<'d> {
         // Compute per-module info bottom-up (children precede parents
         // in `design.modules`).
-        let mut info: Vec<ModInfo> = Vec::with_capacity(design.modules.len());
-        let mut used_names: HashSet<String> = HashSet::new();
-        for (m, checked) in design.modules.iter().zip(checked) {
+        let mut cnames: Vec<String> = Vec::with_capacity(design.modules.len());
+        for m in &design.modules {
             let mut cname = sanitize(&m.name);
-            while used_names.contains(&cname) {
+            while cnames.contains(&cname) {
                 cname.push('_');
             }
-            used_names.insert(cname.clone());
+            cnames.push(cname);
+        }
+        let mut reserved: HashSet<String> = RESERVED.split_whitespace().map(String::from).collect();
+        for cname in &cnames {
+            for suffix in ["state", "init", "step", "dump"] {
+                reserved.insert(format!("{cname}_{suffix}"));
+            }
+        }
+        let mut info: Vec<ModInfo> = Vec::with_capacity(design.modules.len());
+        for ((m, checked), cname) in design.modules.iter().zip(checked).zip(cnames) {
             let own = m.asserts.len();
             let mut total = own;
             for inst in &m.instances {
@@ -112,6 +207,7 @@ impl<'d> Emitter<'d> {
             }
             info.push(ModInfo {
                 cname,
+                names: c_names(m, &reserved),
                 checked,
                 assert_total: total,
                 assert_own: own,
@@ -190,7 +286,7 @@ impl<'d> Emitter<'d> {
                     let _ = writeln!(
                         self.out,
                         "  uint64_t {}[{}]; /* {} x {} bits */",
-                        sanitize(&sig.name),
+                        self.info[idx].c(&sig.name),
                         1u64 << aw,
                         1u64 << aw,
                         sig.width
@@ -200,7 +296,7 @@ impl<'d> Emitter<'d> {
                     let _ = writeln!(
                         self.out,
                         "  uint64_t {}; /* {} bits */",
-                        sanitize(&sig.name),
+                        self.info[idx].c(&sig.name),
                         sig.width
                     );
                 }
@@ -208,7 +304,8 @@ impl<'d> Emitter<'d> {
         }
         for inst in &m.instances {
             let child = self.info[inst.module].cname.clone();
-            let _ = writeln!(self.out, "  struct {child}_state {};", sanitize(&inst.name));
+            let n = self.info[idx].c(&inst.name);
+            let _ = writeln!(self.out, "  struct {child}_state {n};");
         }
         let _ = writeln!(self.out, "}} {cname}_state;");
         Ok(())
@@ -220,7 +317,7 @@ impl<'d> Emitter<'d> {
         let _ = writeln!(self.out, "static void {cname}_init({cname}_state *s) {{");
         let init = &self.info[idx].checked.resets;
         for sig in self.regs(idx) {
-            let n = sanitize(&sig.name);
+            let n = self.info[idx].c(&sig.name);
             match sig.memory {
                 None => {
                     if let Some(&v) = init.scalars.get(&sig.name) {
@@ -270,7 +367,8 @@ impl<'d> Emitter<'d> {
         }
         for inst in &m.instances {
             let child = self.info[inst.module].cname.clone();
-            let _ = writeln!(self.out, "  {child}_init(&s->{});", sanitize(&inst.name));
+            let n = self.info[idx].c(&inst.name);
+            let _ = writeln!(self.out, "  {child}_init(&s->{n});");
         }
         let _ = writeln!(self.out, "}}");
         Ok(())
@@ -284,7 +382,7 @@ impl<'d> Emitter<'d> {
             "static void {cname}_dump(const {cname}_state *s) {{"
         );
         for sig in self.regs(idx) {
-            let n = sanitize(&sig.name);
+            let n = self.info[idx].c(&sig.name);
             match sig.memory {
                 None => {
                     let _ = writeln!(self.out, "  printf(\" %llx\", (unsigned long long)s->{n});");
@@ -301,7 +399,8 @@ impl<'d> Emitter<'d> {
         }
         for inst in &m.instances {
             let child = self.info[inst.module].cname.clone();
-            let _ = writeln!(self.out, "  {child}_dump(&s->{});", sanitize(&inst.name));
+            let n = self.info[idx].c(&inst.name);
+            let _ = writeln!(self.out, "  {child}_dump(&s->{n});");
         }
         let _ = writeln!(self.out, "}}");
         Ok(())
@@ -326,11 +425,11 @@ impl<'d> Emitter<'d> {
             }
             match sig.port {
                 Some(Dir::Input) => {
-                    args.push(format!("uint64_t {}", sanitize(&sig.name)));
+                    args.push(format!("uint64_t {}", inf.c(&sig.name)));
                     in_ports.push(sig.name.clone());
                 }
                 Some(Dir::Output) => {
-                    args.push(format!("uint64_t *o_{}", sanitize(&sig.name)));
+                    args.push(format!("uint64_t *o_{}", inf.c(&sig.name)));
                     out_ports.push(sig.name.clone());
                 }
                 None => {}
@@ -346,7 +445,7 @@ impl<'d> Emitter<'d> {
         // Outputs.
         for p in &out_ports {
             let v = body.value_of(p)?;
-            let _ = writeln!(self.out, "  *o_{} = {v};", sanitize(p));
+            let _ = writeln!(self.out, "  *o_{} = {v};", inf.c(p));
         }
         self.out.push_str(&body.tail);
         let _ = writeln!(self.out, "}}");
@@ -375,7 +474,7 @@ impl<'d> Emitter<'d> {
             .filter(|x| x.port == Some(Dir::Output))
             .collect();
         for o in &outs {
-            let _ = writeln!(self.out, "  uint64_t o_{};", sanitize(&o.name));
+            let _ = writeln!(self.out, "  uint64_t o_{};", inf.c(&o.name));
         }
         match self.style {
             MainStyle::Verifier => {
@@ -384,24 +483,24 @@ impl<'d> Emitter<'d> {
                     let _ = writeln!(
                         self.out,
                         "    uint64_t {} = __VERIFIER_nondet_ulonglong() & {};",
-                        sanitize(&i.name),
+                        inf.c(&i.name),
                         cmask(i.width)
                     );
                 }
                 let mut call_args = vec!["&s".to_string()];
-                call_args.extend(ins.iter().map(|i| sanitize(&i.name)));
-                call_args.extend(outs.iter().map(|o| format!("&o_{}", sanitize(&o.name))));
+                call_args.extend(ins.iter().map(|i| inf.c(&i.name)));
+                call_args.extend(outs.iter().map(|o| format!("&o_{}", inf.c(&o.name))));
                 let _ = writeln!(self.out, "    {cname}_step({});", call_args.join(", "));
                 let _ = writeln!(self.out, "  }}");
             }
             MainStyle::Cosim => {
                 for i in &ins {
-                    let _ = writeln!(self.out, "  unsigned long long __in_{};", sanitize(&i.name));
+                    let _ = writeln!(self.out, "  unsigned long long __in_{};", inf.c(&i.name));
                 }
                 let fmt = vec!["%llx"; ins.len()].join(" ");
                 let scan_args: Vec<String> = ins
                     .iter()
-                    .map(|i| format!("&__in_{}", sanitize(&i.name)))
+                    .map(|i| format!("&__in_{}", inf.c(&i.name)))
                     .collect();
                 if ins.is_empty() {
                     let _ = writeln!(self.out, "  int __cycles;");
@@ -425,9 +524,9 @@ impl<'d> Emitter<'d> {
                 let mut call_args = vec!["&s".to_string()];
                 call_args.extend(
                     ins.iter()
-                        .map(|i| format!("(__in_{} & {})", sanitize(&i.name), cmask(i.width))),
+                        .map(|i| format!("(__in_{} & {})", inf.c(&i.name), cmask(i.width))),
                 );
-                call_args.extend(outs.iter().map(|o| format!("&o_{}", sanitize(&o.name))));
+                call_args.extend(outs.iter().map(|o| format!("&o_{}", inf.c(&o.name))));
                 if nb > 0 {
                     call_args.push("0".to_string());
                 }
@@ -532,7 +631,7 @@ impl<'a> FnBody<'a> {
 
     /// C lvalue/rvalue text of a signal's *current* value.
     fn value_of(&self, name: &str) -> Result<String, VerilogError> {
-        let n = sanitize(name);
+        let n = self.info.c(name);
         match self.loc.get(name) {
             Some(Loc::StructReg) => Ok(format!("s->{n}")),
             Some(Loc::InputParam) => Ok(n),
@@ -764,7 +863,7 @@ impl<'a> FnBody<'a> {
                         Some(Loc::CurMem) => "__next_",
                         _ => "s->",
                     };
-                    let v = format!("{base}{}[{iv}]", sanitize(n));
+                    let v = format!("{base}{}[{iv}]", self.info.c(n));
                     if sig.width <= width {
                         v
                     } else {
@@ -894,7 +993,7 @@ impl<'a> FnBody<'a> {
 
     /// C lvalue text for writing a signal (location-dependent).
     fn write_target(&self, name: &str) -> Result<String, VerilogError> {
-        let n = sanitize(name);
+        let n = self.info.c(name);
         match self.loc.get(name) {
             Some(Loc::CombLocal) => Ok(n),
             Some(Loc::NextTemp) => Ok(format!("__next_{n}")),
@@ -979,7 +1078,7 @@ impl<'a> FnBody<'a> {
                 Role::Register => Loc::StructReg,
                 Role::Net if sig.port == Some(Dir::Input) => Loc::InputParam,
                 Role::Net => {
-                    self.line(&format!("uint64_t {} = 0ULL;", sanitize(&sig.name)));
+                    self.line(&format!("uint64_t {} = 0ULL;", self.info.c(&sig.name)));
                     Loc::CombLocal
                 }
             };
@@ -1011,7 +1110,7 @@ impl<'a> FnBody<'a> {
                     let inst = m.instances[i].clone();
                     let child = self.design.modules[inst.module].clone();
                     let cinfo = self.all_info[inst.module].clone();
-                    let mut args = vec![format!("&s->{}", sanitize(&inst.name))];
+                    let mut args = vec![format!("&s->{}", self.info.c(&inst.name))];
                     // Arguments in the child's port order; `check` has
                     // seen to it that every input is connected, and
                     // every output to a plain signal or to nothing. A
@@ -1024,7 +1123,7 @@ impl<'a> FnBody<'a> {
                             (Role::Clock, ..) => {}
                             (_, Some(Dir::Input), Some(c)) => args.push(self.expr(c, sig.width)?),
                             (_, Some(Dir::Output), Some(Expr::Ident(nm))) => {
-                                let n = sanitize(nm);
+                                let n = self.info.c(nm);
                                 args.push(format!("&{n}"));
                                 let width = self.sig(nm)?.width;
                                 if width < sig.width {
@@ -1106,7 +1205,7 @@ impl<'a> FnBody<'a> {
             });
             for t in &targets {
                 let sig = self.sig(t)?.clone();
-                let n = sanitize(t);
+                let n = self.info.c(t);
                 if let Some((_, aw)) = sig.memory {
                     let total = 1u64 << aw;
                     self.line(&format!("uint64_t __next_{n}[{total}];"));

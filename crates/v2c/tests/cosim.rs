@@ -210,3 +210,8 @@ fn narrow_signal_keeps_the_low_bits_of_a_wider_output() {
 fn blocking_registers_read_their_old_values_elsewhere() {
     cosim(&fixtures::BLOCKING, 300, 0xB10C);
 }
+
+#[test]
+fn names_that_clash_in_c_are_renamed() {
+    cosim(&fixtures::CLASHING_NAMES, 300, 0xC1A5);
+}

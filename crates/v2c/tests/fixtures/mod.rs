@@ -2,8 +2,8 @@
 //! `cosim.rs` runs each of them, and `mutation.rs` mutates them beside
 //! the bundled designs. Together they cover what the bundled designs
 //! lack: combinational processes with `if`/`else` and `case`/`default`,
-//! child instances with clock ports, memories, output registers and
-//! registers assigned with `=`.
+//! child instances with clock ports, memories, output registers,
+//! registers assigned with `=`, and names that clash in C.
 
 /// A design: its top module and its Verilog source.
 pub struct Fixture {
@@ -241,6 +241,42 @@ pub const BLOCKING: Fixture = Fixture {
         "#,
 };
 
+/// Names the C would otherwise clash on: the state pointer `s`, a C
+/// keyword, `main`, the pointer `o_y` of the output `y`, the emitter's
+/// temporary `__t1`, a child's step function, and `a$b` beside `a_b`.
+pub const CLASHING_NAMES: Fixture = Fixture {
+    top: "names",
+    source: r#"
+        module cell(input clk, input [3:0] d, output [3:0] q);
+          reg [3:0] r;
+          initial r = 0;
+          always @(posedge clk) r <= d;
+          assign q = r;
+        endmodule
+        module names(input clk, input [1:0] s, input [3:0] int,
+                     output [3:0] y, output main);
+          reg [3:0] o_y;
+          reg [3:0] __t1;
+          reg static;
+          wire [3:0] a$b;
+          wire [3:0] a_b;
+          wire [3:0] cell_step;
+          initial begin o_y = 0; __t1 = 0; static = 0; end
+          assign a$b = int ^ {2'b0, s};
+          assign a_b = a$b + 4'd1;
+          cell u(.clk(clk), .d(a_b), .q(cell_step));
+          always @(posedge clk) begin
+            o_y <= cell_step;
+            __t1 <= a$b;
+            static <= ~static;
+          end
+          assign y = o_y + __t1;
+          assign main = static;
+          assert property (y != 4'd9 || main);
+        endmodule
+        "#,
+};
+
 /// Every fixture.
 #[allow(dead_code)]
 pub const ALL: &[Fixture] = &[
@@ -256,4 +292,5 @@ pub const ALL: &[Fixture] = &[
     FROZEN_OUTPUT,
     NARROW_OUTPUT,
     BLOCKING,
+    CLASHING_NAMES,
 ];

@@ -25,8 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ts = b.compile()?;
         let prog = hwsw::v2c::SwProgram::from_ts(ts.clone());
         // One blast + one compiled transition template per design,
-        // shared by every bit-level engine and the portfolio.
-        let blasted = Blasted::of(&ts);
+        // shared by every bit-level engine and the portfolio, with its
+        // mined strengthening proven for the solo engines.
+        let blasted = Blasted::of(&ts).certified();
         let r1 = KInduction::new(budget.clone()).check_blasted(&ts, &blasted);
         let r2 = Interpolation::new(budget.clone()).check_blasted(&ts, &blasted);
         let r3 = Pdr::new(budget.clone()).check_blasted(&ts, &blasted);

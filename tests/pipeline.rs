@@ -250,6 +250,26 @@ fn wide_case_label_translates_like_the_verilog() {
     assert_eq!(bmc.check(&prog.ts).outcome, bound, "C model:\n{c_text}");
 }
 
+/// `Blasted::of` mines the strengthening and proves nothing: on
+/// designs whose mined set is below the 128 clauses a split needs, it
+/// builds one solver on the calling thread, Houdini's, and ships the
+/// set unproven.
+#[test]
+fn blasted_of_builds_only_the_mining_solver() {
+    for name in ["Huffman", "DAIO", "Dekker", "traffic-light"] {
+        let ts = hwsw::bmarks::by_name(name)
+            .expect("bundled design")
+            .compile()
+            .expect("compiles");
+        let before = hwsw::satb::solver_count();
+        let blasted = hwsw::engines::Blasted::of(&ts);
+        assert_eq!(hwsw::satb::solver_count() - before, 1, "{name}");
+        assert!(!blasted.invariant.clauses.is_empty(), "{name}");
+        assert!(!blasted.invariant_certified, "{name}");
+        assert!(blasted.strengthening().is_empty(), "{name}");
+    }
+}
+
 /// What `Blasted::of` ships on the bundled designs: mined on the cut
 /// image the engines solve, the strengthening is the one mined on the
 /// raw template minus every clause that names a latch outside the cone
@@ -276,7 +296,7 @@ fn shipped_strengthening_is_the_raw_one_inside_the_cone() {
             .filter(|c| c.iter().all(|&(i, _)| coi[i]))
             .cloned()
             .collect();
-        let shipped = hwsw::engines::Blasted::of(&ts);
+        let shipped = hwsw::engines::Blasted::of(&ts).certified();
         assert!(shipped.invariant_certified, "{}", b.name);
         assert_eq!(shipped.invariant.clauses, inside, "{}", b.name);
         assert!(shipped.invariant.constants.is_empty(), "{}", b.name);
