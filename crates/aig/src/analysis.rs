@@ -1,12 +1,14 @@
-//! Netlist abstract interpretation: mined, inductive latch invariants.
+//! Netlist abstract interpretation: candidate latch invariants.
 //!
 //! The cheapest software-analysis technique the DATE 2016 paper's
 //! premise points at — abstract interpretation over a static fixpoint —
 //! applied directly to the bit-level netlist. The pass produces a
-//! [`StaticInvariant`]: a set of clauses over latch variables that is
-//! **inductive** for the design's transition relation, cheap enough to
-//! compute up front, and strong enough to prune work from every SAT
-//! engine that consumes the netlist afterwards.
+//! [`StaticInvariant`]: a set of candidate clauses over latch variables,
+//! cheap enough to compute up front, whose inductive part is strong
+//! enough to prune work from every SAT engine that consumes the netlist
+//! afterwards. The pass issues no SAT query: `engines::certify`'s
+//! admission keeps the greatest inductive subset of the candidates and
+//! is its proof.
 //!
 //! # Domains
 //!
@@ -28,73 +30,45 @@
 //!    constant signatures yield candidate stuck-at facts the ternary
 //!    domain was too coarse to see. These are *guesses*, not facts.
 //!
-//! # The Houdini loop
+//! # Candidates
 //!
-//! Candidates that survive a syntactic **initiation** filter (a clause
-//! holds in every initial state iff one of its literals is pinned true
-//! by a reset value) enter a Houdini-style fixpoint over one frame of
-//! the transition template: all surviving candidates are assumed on the
-//! current-state side (each behind its own guard literal), and each
-//! candidate's **consecution** is queried on the next-state side. Every
-//! candidate falsified by a SAT model is dropped — the model is a
-//! reachable-looking state that steps outside the candidate — and the
-//! loop repeats until a full pass makes no drop. The surviving set is
-//! inductive *as a set*: the final pass checked every member under
-//! exactly the final assumptions.
-//!
-//! The queries are split across worker solvers ([`crate::split`]): up
-//! to one per idle core, each with at least 64 candidates, so a pool
-//! below 128 candidates runs on one solver on the calling thread. Each
-//! worker builds its own frame and guards once and keeps them across
-//! rounds. A round splits the live candidates into one chunk per
-//! worker. Each worker checks its chunk under the round's live set
-//! minus the candidates its own models have dropped, and the round
-//! drops the union of what the workers' models falsify. Rounds repeat
-//! until one drops nothing.
-//!
-//! The result does not depend on the worker count. It is the unique
-//! greatest inductive subset of the candidates. Every model is a state
-//! satisfying a superset of that subset, and such a state steps into
-//! the subset again, so no member is ever dropped. The last round
-//! checked every survivor under exactly the survivors, so they are
-//! inductive and lie inside that subset. Only the round and query
-//! counts can differ, and only in rounds that drop candidates: a
-//! worker cannot skip a query for a candidate that another worker's
-//! model has already falsified.
+//! A candidate enters the pool only if it passes a syntactic
+//! **initiation** filter (a clause holds in every initial state iff one
+//! of its literals is pinned true by a reset value); the pool is
+//! deduplicated and capped at [`AnalysisConfig::max_candidates`]. Of the
+//! capped pool, [`analyze`] keeps the clauses whose latches all lie in
+//! the template's cone of influence ([`TransitionTemplate::latch_coi`]).
+//! On the cone-cut image the engines solve, a latch outside the cone
+//! has a free next state, so a clause naming one would rest on nothing
+//! the engines see.
 //!
 //! # Soundness
 //!
-//! The pass is advisory: no engine asserts its output before it is
-//! proven against the raw, un-preprocessed template with independent
-//! solvers, once per check (by a portfolio race's admission, or by
-//! `engines::Blasted::certified` for a solo caller), so a bug here can
-//! cost strength but never soundness. Cancellation (the shared [`satb::Limits::stop`] flag, a
-//! deadline, or a conflict cap, in any worker) aborts the whole
-//! analysis and returns an **empty** invariant with
-//! [`AnalysisStats::cancelled`] set — never a partially-filtered
-//! candidate set that was not driven to the Houdini fixpoint.
+//! The candidates are advisory: no engine asserts them before an
+//! admission has kept their inductive subset against the raw,
+//! un-preprocessed template with independent solvers, once per check
+//! (a portfolio race's, or `engines::Blasted::certified`'s for a solo
+//! caller), so a bug here can cost strength but never soundness. A
+//! caller's stop flag, raised before the call, returns an **empty**
+//! invariant with [`AnalysisStats::cancelled`] set.
 //!
 //! [`refine_with_constants`] rebuilds the netlist the engines solve on:
 //! every latch the bads and constraints cannot observe gets a free next
 //! state — a cone-of-influence cut that only ever adds behaviours — and
 //! the AIG is rebuilt cone-first. `engines::Blasted::of` cuts with no
 //! constant, preprocesses the cut template, and runs [`analyze`] on
-//! that image, the one the engines instantiate: a freed latch's next
-//! state is free there, so the Houdini loop drops the candidates whose
-//! consecution rests on one. Given certified stuck-at facts,
-//! [`refine_with_constants`] also substitutes the constants into every
-//! cone (folding logic away) and strips the constraints that fold to
-//! `true`. Such a system is only sound for engines that assert the
-//! invariant on every frame they instantiate and read counterexample
-//! states off the original netlist by simulation, which is exactly the
-//! contract `engines::Blasted` sets.
+//! that image, the one the engines instantiate. Given certified
+//! stuck-at facts, [`refine_with_constants`] also substitutes the
+//! constants into every cone (folding logic away) and strips the
+//! constraints that fold to `true`. Such a system is only sound for
+//! engines that assert the invariant on every frame they instantiate
+//! and read counterexample states off the original netlist by
+//! simulation, which is exactly the contract `engines::Blasted` sets.
 
 use crate::graph::{Aig, AigLit};
 use crate::seq::{AigSystem, Latch};
 use crate::sim::{Tern, TernarySim};
-use crate::split;
-use crate::template::{FrameVars, TransitionTemplate};
-use satb::{Lit, Part, SolveResult, Solver};
+use crate::template::TransitionTemplate;
 
 /// A clause over latches: `(latch index, polarity)` literals, true when
 /// some latch holds its polarity. Mirrors `engines::certify`'s clausal
@@ -104,7 +78,7 @@ pub type LatchClause = Vec<(usize, bool)>;
 /// Tuning knobs for [`analyze`].
 #[derive(Clone, Debug)]
 pub struct AnalysisConfig {
-    /// Cap on the number of candidate clauses entering Houdini.
+    /// Cap on the number of candidate clauses mined.
     pub max_candidates: usize,
     /// Concrete-simulation restarts used for candidate mining.
     pub sim_restarts: usize,
@@ -113,9 +87,6 @@ pub struct AnalysisConfig {
     /// Latch-count ceiling for the pairwise implication scan (the
     /// equivalence scan sorts signatures and has no such ceiling).
     pub max_implication_latches: usize,
-    /// Per-query conflict cap for the Houdini solvers, applied when the
-    /// caller's [`satb::Limits`] carries none.
-    pub max_conflicts: u64,
     /// Seed for the deterministic simulation PRNG.
     pub seed: u64,
 }
@@ -127,13 +98,13 @@ impl Default for AnalysisConfig {
             sim_restarts: 8,
             sim_steps: 48,
             max_implication_latches: 96,
-            max_conflicts: 20_000,
             seed: 0x5EED_1A7C,
         }
     }
 }
 
-/// Counters of one [`analyze`] run.
+/// Counters of one [`analyze`] run, and of the admission that proves
+/// its result.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisStats {
     /// Ternary-reachability rounds until the fixpoint.
@@ -142,26 +113,30 @@ pub struct AnalysisStats {
     pub ternary_constants: u32,
     /// Candidate clauses mined (after the initiation filter and cap).
     pub mined: u32,
-    /// Candidates surviving the Houdini fixpoint.
+    /// Clauses the invariant holds: the mined candidates inside the
+    /// template's cone after [`analyze`], the clauses it kept after an
+    /// admission.
     pub retained: u32,
-    /// Houdini passes over the candidate set.
-    pub houdini_rounds: u32,
-    /// Consecution queries issued, summed over the worker solvers.
+    /// SAT queries spent on the invariant: none by [`analyze`], the
+    /// obligations the admission that proved it discharged after one.
     pub sat_queries: u64,
-    /// Whether the run was cut short (stop flag, deadline or conflict
-    /// cap). A cancelled run reports an empty invariant.
+    /// Whether the run was cut short: a stop flag raised before
+    /// [`analyze`], or a limit that interrupted the admission. A
+    /// cancelled run reports an empty invariant.
     pub cancelled: bool,
 }
 
-/// A mined, Houdini-filtered invariant over latch variables.
+/// Mined latch clauses: candidates from [`analyze`], or the inductive
+/// subset of them an admission kept.
 ///
-/// `clauses` is inductive as a set on the template it was mined on
-/// (initiation by construction, consecution by the Houdini fixpoint);
-/// `constants` is the view of its singleton clauses as stuck-at facts,
-/// which [`refine_with_constants`] can fold into a netlist.
-/// `engines::Blasted::of` folds none, and engines assert a singleton
-/// clause like every other. No engine trusts either before it is
-/// proven against the raw template (see `engines::Blasted`).
+/// Every clause holds in the initial states and names only latches in
+/// the cone of the template it was mined for. After [`analyze`] the
+/// clauses are guesses; no engine asserts them before an admission has
+/// proven the subset it keeps against the raw template (see
+/// `engines::Blasted`). `constants` is the view of the singleton clauses
+/// as stuck-at facts, which [`refine_with_constants`] can fold into a
+/// netlist; `engines::Blasted::of` folds none, and engines assert a
+/// singleton clause like every other.
 #[derive(Clone, Debug, Default)]
 pub struct StaticInvariant {
     /// The invariant: a conjunction of latch clauses.
@@ -173,20 +148,27 @@ pub struct StaticInvariant {
 }
 
 impl StaticInvariant {
+    /// The invariant of `clauses`, with its constants read off them and
+    /// [`AnalysisStats::retained`] set to their count.
+    pub fn new(clauses: Vec<LatchClause>, stats: AnalysisStats) -> StaticInvariant {
+        let constants = clauses
+            .iter()
+            .filter(|c| c.len() == 1)
+            .map(|c| c[0])
+            .collect();
+        StaticInvariant {
+            stats: AnalysisStats {
+                retained: clauses.len() as u32,
+                ..stats
+            },
+            clauses,
+            constants,
+        }
+    }
+
     /// Whether the invariant carries no information.
     pub fn is_empty(&self) -> bool {
         self.clauses.is_empty()
-    }
-
-    /// An empty invariant recording that the analysis was cancelled.
-    fn cancelled(mut stats: AnalysisStats) -> StaticInvariant {
-        stats.cancelled = true;
-        stats.retained = 0;
-        StaticInvariant {
-            clauses: Vec::new(),
-            constants: Vec::new(),
-            stats,
-        }
     }
 }
 
@@ -313,8 +295,8 @@ fn mine_candidates(
     };
 
     // Stuck-at facts from the ternary fixpoint (sound already, but fed
-    // through Houdini like everything else: the constant subset is
-    // self-supporting there, so it survives unharmed).
+    // through the admission like everything else: the constant subset
+    // is self-supporting there, so it survives unharmed).
     for (i, &t) in fix.iter().enumerate() {
         if let Some(v) = t.known() {
             push(vec![(i, v)], &mut out);
@@ -406,13 +388,12 @@ fn mine_candidates(
     out
 }
 
-/// Runs the full static analysis: ternary fixpoint, candidate mining,
-/// and the Houdini inductive filter over one template frame.
+/// Runs the static analysis: ternary fixpoint, candidate mining, and
+/// the cone filter of `tpl` ([`TransitionTemplate::latch_coi`]). Issues
+/// no SAT query.
 ///
-/// `limits` carries the caller's cancellation surface — stop flag,
-/// deadline, chaos — and is cloned into every consecution query (with
-/// [`AnalysisConfig::max_conflicts`] as the conflict cap when the
-/// caller set none). Any interrupted query cancels the whole analysis.
+/// Of `limits`, only the stop flag is read: raised before the call, it
+/// returns an empty, cancelled invariant.
 pub fn analyze(
     sys: &AigSystem,
     tpl: &TransitionTemplate,
@@ -420,6 +401,10 @@ pub fn analyze(
     limits: &satb::Limits,
 ) -> StaticInvariant {
     let mut stats = AnalysisStats::default();
+    if limits.stop_requested() {
+        stats.cancelled = true;
+        return StaticInvariant::new(Vec::new(), stats);
+    }
     let mut sim = TernarySim::new(sys);
     let (fix, rounds) = ternary_fixpoint(sys, &mut sim);
     stats.ternary_rounds = rounds;
@@ -428,213 +413,12 @@ pub fn analyze(
     let (sigs, total_states) = simulate_signatures(sys, cfg);
     let candidates = mine_candidates(sys, &fix, &sigs, total_states, cfg);
     stats.mined = candidates.len() as u32;
-    if candidates.is_empty() {
-        return StaticInvariant {
-            clauses: Vec::new(),
-            constants: Vec::new(),
-            stats,
-        };
-    }
-    if limits.stop_requested() {
-        return StaticInvariant::cancelled(stats);
-    }
-
-    let query_limits = satb::Limits {
-        max_conflicts: Some(limits.max_conflicts.unwrap_or(cfg.max_conflicts)),
-        ..limits.clone()
-    };
-    let workers = split::worker_count(candidates.len());
-    let Some(alive) = houdini(tpl, &candidates, &query_limits, &mut stats, workers) else {
-        return StaticInvariant::cancelled(stats);
-    };
-
-    let clauses: Vec<LatchClause> = candidates
+    let coi = tpl.latch_coi();
+    let clauses = candidates
         .into_iter()
-        .zip(&alive)
-        .filter(|&(_, &a)| a)
-        .map(|(c, _)| c)
+        .filter(|c| c.iter().all(|&(i, _)| coi[i]))
         .collect();
-    let constants: Vec<(usize, bool)> = clauses
-        .iter()
-        .filter(|c| c.len() == 1)
-        .map(|c| c[0])
-        .collect();
-    stats.retained = clauses.len() as u32;
-    StaticInvariant {
-        clauses,
-        constants,
-        stats,
-    }
-}
-
-/// The Houdini fixpoint over `candidates`, split across `workers`
-/// solvers: which candidates survive, or `None` when a limit cut a query
-/// short.
-///
-/// Every round splits the live candidates into one chunk per worker.
-/// Each worker checks its chunk's consecution under the round's live
-/// set minus its own drops, and the round drops every candidate any
-/// worker's models falsify. Rounds repeat until one drops nothing.
-fn houdini(
-    tpl: &TransitionTemplate,
-    candidates: &[LatchClause],
-    limits: &satb::Limits,
-    stats: &mut AnalysisStats,
-    workers: usize,
-) -> Option<Vec<bool>> {
-    let mut solvers: Vec<Option<HoudiniSolver>> = (0..workers).map(|_| None).collect();
-    let mut alive = vec![true; candidates.len()];
-    loop {
-        stats.houdini_rounds += 1;
-        let live: Vec<usize> = (0..candidates.len()).filter(|&j| alive[j]).collect();
-        let rounds = split::run(&mut solvers, |k, solver| {
-            let chunk = &live[split::chunk(live.len(), workers, k)];
-            solver
-                .get_or_insert_with(|| HoudiniSolver::new(tpl, candidates))
-                .round(candidates, &alive, chunk, limits)
-        });
-        let mut cancelled = false;
-        let mut dropped_any = false;
-        for round in rounds {
-            stats.sat_queries += round.queries;
-            cancelled |= round.cancelled;
-            for j in round.dropped {
-                alive[j] = false;
-                dropped_any = true;
-            }
-        }
-        if cancelled {
-            // The surviving set was not driven to the fixpoint, so
-            // nothing is trustworthy.
-            return None;
-        }
-        if !dropped_any {
-            return Some(alive);
-        }
-    }
-}
-
-/// One Houdini worker's solver: one template frame with every candidate
-/// asserted on its current-state side, each behind a guard literal of
-/// its own. It is built once and kept across rounds.
-struct HoudiniSolver {
-    solver: Solver,
-    frame: FrameVars,
-    guards: Vec<Lit>,
-}
-
-/// What one worker found in one Houdini round.
-struct HoudiniRound {
-    /// Consecution queries issued.
-    queries: u64,
-    /// Candidates falsified by the worker's models.
-    dropped: Vec<usize>,
-    /// Whether a limit cut a query short.
-    cancelled: bool,
-}
-
-impl HoudiniSolver {
-    fn new(tpl: &TransitionTemplate, candidates: &[LatchClause]) -> HoudiniSolver {
-        let mut solver = Solver::new();
-        let frame = tpl.instantiate(&mut solver, Part::A, 0);
-        let guards = candidates
-            .iter()
-            .map(|clause| {
-                let g = Lit::pos(solver.new_var());
-                let mut cl: Vec<Lit> = Vec::with_capacity(clause.len() + 1);
-                cl.push(!g);
-                cl.extend(clause.iter().map(|&(i, v)| {
-                    if v {
-                        frame.latch_cur[i]
-                    } else {
-                        !frame.latch_cur[i]
-                    }
-                }));
-                solver.add_clause(&cl);
-                g
-            })
-            .collect();
-        HoudiniSolver {
-            solver,
-            frame,
-            guards,
-        }
-    }
-
-    /// Queries the consecution of every candidate of `chunk` this worker
-    /// has not dropped yet, assuming the candidates `alive` at the start
-    /// of the round minus the worker's own drops.
-    fn round(
-        &mut self,
-        candidates: &[LatchClause],
-        alive: &[bool],
-        chunk: &[usize],
-        limits: &satb::Limits,
-    ) -> HoudiniRound {
-        let mut alive = alive.to_vec();
-        let mut round = HoudiniRound {
-            queries: 0,
-            dropped: Vec::new(),
-            cancelled: false,
-        };
-        let mut assumptions: Vec<Lit> = Vec::new();
-        for &idx in chunk {
-            if !alive[idx] {
-                continue;
-            }
-            if limits.stop_requested() {
-                round.cancelled = true;
-                return round;
-            }
-            assumptions.clear();
-            assumptions.extend(
-                self.guards
-                    .iter()
-                    .zip(&alive)
-                    .filter(|&(_, &a)| a)
-                    .map(|(&g, _)| g),
-            );
-            assumptions.extend(candidates[idx].iter().map(|&(i, v)| {
-                if v {
-                    !self.frame.latch_next[i]
-                } else {
-                    self.frame.latch_next[i]
-                }
-            }));
-            round.queries += 1;
-            match self.solver.solve_limited(&assumptions, limits.clone()) {
-                SolveResult::Unsat => {}
-                SolveResult::Sat => {
-                    // The model is a state satisfying every assumed
-                    // candidate whose successor escapes at least the
-                    // queried one: drop every candidate the successor
-                    // falsifies (the queried clause is among them).
-                    for (j, clause) in candidates.iter().enumerate() {
-                        if !alive[j] {
-                            continue;
-                        }
-                        let falsified = clause
-                            .iter()
-                            .all(|&(i, v)| self.solver.value(self.frame.latch_next[i]) == Some(!v));
-                        if falsified {
-                            alive[j] = false;
-                            round.dropped.push(j);
-                        }
-                    }
-                    debug_assert!(!alive[idx], "queried candidate must be falsified");
-                    if alive[idx] {
-                        alive[idx] = false;
-                        round.dropped.push(idx);
-                    }
-                }
-                SolveResult::Unknown(_) => {
-                    round.cancelled = true;
-                    return round;
-                }
-            }
-        }
-        round
-    }
+    StaticInvariant::new(clauses, stats)
 }
 
 /// Rebuilds `sys` into the netlist the engines solve on: certified
@@ -806,7 +590,12 @@ mod tests {
 
     #[test]
     fn finds_stuck_latch_and_equivalence() {
-        let sys = shaped_system();
+        // With a bad that also reads b, all three latches are in the
+        // cone: the stuck latch and both directions of a ≡ b are mined.
+        let mut sys = shaped_system();
+        let [l1, l3] = [1, 2].map(|i| sys.latches[i].output);
+        let both = sys.aig.and(l1, l3);
+        sys.bads = vec![sys.aig.or(sys.bads[0], both)];
         let tpl = TransitionTemplate::compile(&sys);
         let inv = analyze(
             &sys,
@@ -815,19 +604,40 @@ mod tests {
             &satb::Limits::default(),
         );
         assert!(!inv.stats.cancelled);
+        assert_eq!(inv.stats.sat_queries, 0, "mining issues no SAT query");
         assert!(
             inv.constants.contains(&(0, false)),
             "latch 0 is stuck at 0: {inv:?}"
         );
-        // Latches 1 and 2 (indices of "a"/"b") are equivalent; both
-        // implication directions must survive Houdini.
+        let a_is_b = [vec![(1, false), (2, true)], vec![(1, true), (2, false)]];
         assert!(
-            inv.clauses.contains(&vec![(1, false), (2, true)])
-                && inv.clauses.contains(&vec![(1, true), (2, false)]),
-            "a ≡ b must be retained: {:?}",
+            a_is_b.iter().all(|c| inv.clauses.contains(c)),
+            "a ≡ b must be mined: {:?}",
             inv.clauses
         );
-        assert!(inv.stats.retained as usize == inv.clauses.len());
+        assert_eq!(inv.stats.retained as usize, inv.clauses.len());
+        assert_eq!(inv.stats.mined as usize, inv.clauses.len());
+
+        // Bad = l0 & l1 leaves b outside the cone: the same candidates
+        // are mined, and every clause naming b is left out.
+        let sys = shaped_system();
+        let tpl = TransitionTemplate::compile(&sys);
+        let cut = analyze(
+            &sys,
+            &tpl,
+            &AnalysisConfig::default(),
+            &satb::Limits::default(),
+        );
+        assert_eq!(cut.stats.mined, inv.stats.mined);
+        assert!(cut.constants.contains(&(0, false)), "{cut:?}");
+        let inside: Vec<LatchClause> = inv
+            .clauses
+            .iter()
+            .filter(|c| c.iter().all(|&(i, _)| i != 2))
+            .cloned()
+            .collect();
+        assert!(inside.len() < inv.clauses.len());
+        assert_eq!(cut.clauses, inside);
     }
 
     #[test]
@@ -877,95 +687,6 @@ mod tests {
         assert!(inv.stats.cancelled);
         assert!(inv.is_empty() && inv.constants.is_empty());
         stop.store(false, Ordering::Relaxed);
-    }
-
-    /// `pairs` pairs of 3-bit counters that saturate at 2, each pair
-    /// counting on an enable input of its own. A counter's high bit is 0
-    /// in every reachable state but not inductive alone (3 steps to 4),
-    /// so the first Houdini round drops it and the mined equivalences
-    /// that chain one pair's high bits to the next; the two counters of
-    /// one pair stay equal bit for bit.
-    fn counter_pairs(pairs: usize) -> AigSystem {
-        let mut ts = rtlir::TransitionSystem::new("counter-pairs");
-        for p in 0..pairs {
-            let en = ts.add_input(format!("en{p}"), rtlir::Sort::BOOL);
-            for copy in ["a", "b"] {
-                let c = ts.add_state(format!("{copy}{p}"), rtlir::Sort::Bv(3));
-                let pool = ts.pool_mut();
-                let (cv, ev) = (pool.var(c), pool.var(en));
-                let [zero, one, two] = [0, 1, 2].map(|v| pool.constv(3, v));
-                let full = pool.eq(cv, two);
-                let inc = pool.add(cv, one);
-                let step = pool.ite(ev, inc, cv);
-                let next = pool.ite(full, cv, step);
-                ts.set_init(c, zero);
-                ts.set_next(c, next);
-            }
-        }
-        crate::blast_system(&ts)
-    }
-
-    /// The Houdini fixpoint of `sys`'s mined candidates on `workers`
-    /// worker solvers, or `None` when it was cancelled.
-    fn houdini_on(
-        sys: &AigSystem,
-        limits: &satb::Limits,
-        workers: usize,
-    ) -> Option<(Vec<LatchClause>, AnalysisStats)> {
-        let cfg = AnalysisConfig::default();
-        let (fix, _) = ternary_fixpoint(sys, &mut TernarySim::new(sys));
-        let (sigs, total_states) = simulate_signatures(sys, &cfg);
-        let candidates = mine_candidates(sys, &fix, &sigs, total_states, &cfg);
-        let tpl = TransitionTemplate::compile(sys);
-        let mut stats = AnalysisStats {
-            mined: candidates.len() as u32,
-            ..AnalysisStats::default()
-        };
-        let alive = houdini(&tpl, &candidates, limits, &mut stats, workers)?;
-        let kept = candidates
-            .into_iter()
-            .zip(alive)
-            .filter_map(|(c, a)| a.then_some(c))
-            .collect();
-        Some((kept, stats))
-    }
-
-    #[test]
-    fn houdini_split_keeps_the_greatest_inductive_subset() {
-        let pairs = 20;
-        let sys = counter_pairs(pairs);
-        let unlimited = satb::Limits::default();
-        let (serial, stats) = houdini_on(&sys, &unlimited, 1).expect("not cancelled");
-        assert!(stats.mined >= 128, "{stats:?}");
-        assert!(
-            stats.houdini_rounds >= 2,
-            "the first round drops: {stats:?}"
-        );
-        // Exactly the equivalences of the two counters of each pair
-        // survive: latch `6p + b` is bit `b` of pair `p`'s first
-        // counter, latch `6p + 3 + b` the same bit of its second.
-        assert_eq!(serial.len(), 6 * pairs, "{serial:?}");
-        for clause in &serial {
-            let &[(x, _), (y, _)] = clause.as_slice() else {
-                panic!("not an equivalence clause: {clause:?}");
-            };
-            assert!(x / 6 == y / 6 && x % 3 == y % 3 && x != y, "{clause:?}");
-        }
-        for workers in [2, 3] {
-            let (split, stats) = houdini_on(&sys, &unlimited, workers).expect("not cancelled");
-            assert_eq!(split, serial, "{workers} workers");
-            assert!(stats.houdini_rounds >= 2, "{stats:?}");
-        }
-        let tpl = TransitionTemplate::compile(&sys);
-        let inv = analyze(&sys, &tpl, &AnalysisConfig::default(), &unlimited);
-        assert_eq!(inv.clauses, serial);
-
-        // A stop flag seen by the workers cancels the whole fixpoint.
-        let stopped = satb::Limits {
-            stop: Some(Arc::new(AtomicBool::new(true))),
-            ..satb::Limits::default()
-        };
-        assert!(houdini_on(&sys, &stopped, 2).is_none());
     }
 
     /// Whether latch `i`'s next state is a free CI: neither an input nor

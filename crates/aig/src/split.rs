@@ -1,9 +1,10 @@
 //! Independent SAT queries split across worker threads.
 //!
-//! Two passes issue SAT queries by the hundred: Houdini's consecution
-//! queries in [`analyze`](crate::analyze), and the per-clause
-//! obligations of `engines::certify`. Within one batch no query needs
-//! another's answer, so the batch is cut into contiguous chunks
+//! The per-clause obligations of `engines::certify` come by the
+//! hundred: every round of the admission that keeps the inductive part
+//! of [`analyze`](crate::analyze)'s candidates, and every strict check
+//! of a clause set. Within one batch no query needs another's answer,
+//! so the batch is cut into contiguous chunks
 //! ([`chunk`]), one per worker, and every worker runs its chunk on a
 //! solver of its own ([`run`]). [`worker_count`] sizes the split: one
 //! worker per idle core of the host's [`cores`], each with at least 64
@@ -19,10 +20,10 @@
 //! `strengthen` workload by 16–32% in four paired runs: glibc's
 //! allocator gives each thread a heap arena of its own, and a
 //! short-lived thread per race shuffled the seats' arenas. The split
-//! still serves the race where no seat runs yet: [`analyze`](crate::analyze)
-//! and the race's admission of the invariant it mined, the one proof of
-//! that invariant on the race's path, run before any seat starts and
-//! claims its core, so they split across every core.
+//! still serves the race where no seat runs yet: the race's admission
+//! of its strengthening, which both picks the clauses and is their one
+//! proof on the race's path, runs before any seat starts and claims its
+//! core, so it splits across every core.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -64,8 +64,9 @@
 //!   through every clause it uses, and an interpolation partition's
 //!   frames must not absorb facts the other partition fixed;
 //! * fresh frames ([`instantiate`](TransitionTemplate::instantiate)),
-//!   the only kind PDR, Houdini and the certifier's consecution checks
-//!   load, and bound frames with no fixed bound literal. They make the
+//!   the only kind PDR and the certifier's consecution checks (its
+//!   admission rounds included) load, and bound frames with no fixed
+//!   bound literal. They make the
 //!   solver calls they made before folding existed, in the same order,
 //!   so those searches do not change.
 //!

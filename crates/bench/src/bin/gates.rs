@@ -1,14 +1,14 @@
 //! Correctness gate over the bundled designs. Every check runs on the
 //! image the system ships ([`Blasted::of`]), with the strengthening it
-//! mined proven the way a solo caller proves it
+//! mined admitted the way a solo caller admits it
 //! ([`Blasted::certified`]); performance is perfbench's job, not this
 //! one's.
 //!
 //! Per design:
 //!
-//! 1. **Strengthening.** The invariant `Blasted::of` mined must pass
-//!    `Blasted::certified`, and certify again against a freshly compiled
-//!    raw template.
+//! 1. **Strengthening.** The clauses `Blasted::certified` admits of the
+//!    candidates `Blasted::of` mined must be marked proven, and certify
+//!    again, all or nothing, against a freshly compiled raw template.
 //! 2. **Engine sweep.** BMC, k-induction, interpolation, PDR and the
 //!    per-frame PDR each check the shipped image. Every definite verdict
 //!    must match the ground truth, an Unsafe trace must replay on the
@@ -123,12 +123,12 @@ fn gate_design(b: &Benchmark, seed: u64, timeout: u64) -> (String, usize, Vec<St
 fn judge_strengthening(blasted: &Blasted, raw: &TransitionTemplate) -> Vec<String> {
     let mut failures = Vec::new();
     if !blasted.invariant_certified {
-        failures.push("Blasted::certified dropped a mined invariant that failed its proof".into());
+        failures.push("Blasted::certified left the strengthening unproven".into());
     }
     let rep = certify_invariant(&blasted.sys, raw, &blasted.invariant.clauses);
     if !rep.ok {
         failures.push(format!(
-            "mined invariant fails re-certification: {}",
+            "admitted invariant fails re-certification: {}",
             rep.failure.unwrap_or_default()
         ));
     }

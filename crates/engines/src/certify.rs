@@ -65,8 +65,8 @@
 //! at least 64 clauses, so a set below 128 fresh clauses runs on one
 //! solver on the calling thread, and so does a check made while a
 //! portfolio race's seats keep every core busy. A race admits its
-//! strengthening before any seat claims a core, so that check splits
-//! across every core (see [known clauses](#known-clauses)). Every
+//! strengthening before any seat claims a core, so that admission
+//! splits across every core (see [admission](#admission)). Every
 //! worker builds a fresh solver on the raw template, asserts the whole
 //! set on one frame's current-state side, and checks the consecution of
 //! its own contiguous chunk of clauses; the last worker also checks
@@ -112,15 +112,49 @@
 //! a clause naming a latch the design lacks, a formula root outside
 //! its AIG — fails its check the same way.
 //!
+//! # Admission
+//!
+//! [`aig::analyze`] mines candidate clauses that hold in the initial
+//! states by construction; only some are inductive. [`Certifier::admit`]
+//! keeps the greatest inductive subset by Houdini's fixpoint over the
+//! obligations above, so the pass that picks the clauses is the pass
+//! that proves them. Initiation runs once per clause, on the reset-only
+//! solver, and drops a clause the initial states escape. Then rounds
+//! repeat, each split like a check's consecution: fresh solvers on the
+//! raw template assert the live clauses on one frame's current-state
+//! side and query the consecution of their chunks. A model is a state
+//! satisfying every live clause whose successor escapes the queried
+//! one, so the round drops every live clause that successor falsifies;
+//! a worker skips the clauses its own models dropped. The round that
+//! drops nothing checked every live clause under exactly the live set:
+//! it is the strict check of that set, [`certify_invariant`]'s
+//! obligations. Only its proofs are replayed in paranoid mode, and only
+//! its clauses become known.
+//!
+//! The admitted set does not depend on the worker count. It is the
+//! unique greatest inductive subset of the candidates: every model is a
+//! state satisfying a superset of that subset, and such a state steps
+//! into the subset again, so no member is ever dropped. The last round
+//! checked every survivor under exactly the survivors, so they are
+//! inductive and lie inside that subset. Only the round and query
+//! counts can differ, and only in rounds that drop clauses: a worker
+//! cannot skip a query for a clause that another worker's model has
+//! already falsified.
+//!
+//! Every query runs under the caller's limits, with a conflict cap of
+//! 20,000 per query when they set none. A limit that interrupts any
+//! query ends the admission, which then admits nothing: never a set
+//! that was not driven to the fixpoint.
+//!
 //! # Known clauses
 //!
 //! A [`Certifier`] checks witnesses for one design, and one portfolio
 //! race shares one certifier across its seats. It remembers every
 //! latch clause it has proven to hold in all reachable states:
 //!
-//! * the clauses of a strengthening it admitted (initiation and
-//!   consecution passed), up front through [`Certifier::admit`] or
-//!   named by a certificate;
+//! * the clauses of a strengthening it admitted: up front through
+//!   [`Certifier::admit`], the clauses its last round proved, or named
+//!   by a certificate, whose initiation and consecution passed;
 //! * the clauses of a [`Certificate::Clausal`] witness that passed
 //!   every obligation, safety included.
 //!
@@ -133,14 +167,14 @@
 //!
 //! A race proves it before its seats start:
 //! [`Portfolio::check_detailed_blasted`](crate::portfolio::Portfolio::check_detailed_blasted)
-//! builds its certifier first and [admits](Certifier::admit)
-//! [`Blasted::invariant`](crate::Blasted::invariant) with it, running
-//! the initiation and consecution obligations a witness naming the
-//! clauses would run. Every seat's witness is then checked relative to
-//! the admitted clauses: on a shadow pipeline whose PDR certificate is
-//! the strengthening itself, PDR's witness costs one safety obligation.
-//! The admission shows in no seat's [`CertifyReport`]; the race's
-//! reported time covers it.
+//! builds its certifier first and [admits](Certifier::admit) the
+//! inductive part of [`Blasted::invariant`](crate::Blasted::invariant)
+//! with it, running the initiation and consecution obligations a
+//! witness naming the clauses would run. Every seat's witness is then
+//! checked relative to the admitted clauses: on a shadow pipeline whose
+//! PDR certificate is the strengthening itself, PDR's witness costs one
+//! safety obligation. The admission shows in no seat's
+//! [`CertifyReport`]; the race's reported time covers it.
 //!
 //! This is sound. Every known clause holds in all reachable states,
 //! because it belongs to an initiated set that this certifier proved
@@ -152,15 +186,16 @@
 //! initiated and inductive relative to known clauses is sound, and its
 //! clauses hold in all reachable states in turn. The known set grows
 //! only from checks that passed in full, on every worker; a failing
-//! check teaches the certifier nothing. No clause is known on anyone
-//! else's word: [`Blasted::of`](crate::Blasted::of) proves nothing, and
-//! a strengthening that a caller marks
+//! check, and an interrupted admission, teach the certifier nothing.
+//! No clause is known on anyone else's word:
+//! [`Blasted::of`](crate::Blasted::of) proves nothing, and a
+//! strengthening that a caller marks
 //! [`invariant_certified`](crate::Blasted::invariant_certified) is
-//! proven by the race's own admission all the same. The admission is
-//! the only proof of the strengthening on the race's path. When it
-//! fails, or the race's deadline or its caller's stop flag interrupts
-//! it, the seats get the blast with the strengthening marked unproven,
-//! so none asserts it and no witness names it.
+//! admitted by the race's own certifier all the same. The admission is
+//! the only proof of the strengthening on the race's path: the seats
+//! get the clauses it kept, marked proven, and a clause it dropped
+//! reaches no seat. When the race's deadline or its caller's stop flag
+//! interrupts it, the seats race without a strengthening.
 //!
 //! A fresh certifier knows nothing, so [`certify`], [`certify_with`],
 //! [`certify_with_mode`] and [`certify_invariant`] — one-shot
@@ -349,18 +384,18 @@ pub fn certify_with_mode(
     Certifier::with_template(sys, raw_tpl, paranoid).check(outcome)
 }
 
-/// Certifies a mined strengthening invariant (e.g. the output of
-/// [`aig::analyze`]) against the **raw** template: initiation and
-/// consecution for every clause, with an independent solver. There is
-/// deliberately **no safety obligation** — a strengthening invariant
-/// constrains the reachable states but makes no claim about the bad
-/// outputs; that is exactly what lets every engine assert it on any
-/// frame whose states are known reachable (or explicitly constrained
-/// to the invariant) without changing the verdict.
+/// Certifies a strengthening invariant against the **raw** template,
+/// all or nothing: initiation and consecution for every clause, with
+/// independent solvers, and a failure names the lowest failing clause.
+/// There is deliberately **no safety obligation** — a strengthening
+/// invariant constrains the reachable states but makes no claim about
+/// the bad outputs; that is exactly what lets every engine assert it
+/// on any frame whose states are known reachable (or explicitly
+/// constrained to the invariant) without changing the verdict.
 ///
-/// This is the proof a solo caller runs through
-/// [`Blasted::certified`](crate::Blasted::certified); a portfolio race
-/// runs the same obligations in its own admission. No limit applies.
+/// These are the obligations of an admission's last round (see
+/// [admission](self#admission)), which keeps the clauses that pass
+/// instead of failing on the first that does not. No limit applies.
 pub fn certify_invariant(
     sys: &AigSystem,
     raw_tpl: &TransitionTemplate,
@@ -377,8 +412,21 @@ pub fn certify_invariant_with_mode(
     clauses: &[LatchClause],
     paranoid: bool,
 ) -> CertifyReport {
-    Certifier::with_template(sys, raw_tpl, paranoid).admit(clauses, &Limits::default())
+    let started = Instant::now();
+    let mut par = Paranoia::new(paranoid);
+    let result = Certifier::with_template(sys, raw_tpl, paranoid).check_clauses(
+        clauses,
+        Claim::Strengthening,
+        &mut par,
+        &Limits::default(),
+    );
+    CertifyReport::new(!clauses.is_empty(), result, &par, started)
 }
+
+/// The conflict cap of every admission query when the caller's limits
+/// set none. A clause whose consecution takes longer to decide
+/// interrupts the admission, which then admits nothing.
+const ADMISSION_MAX_CONFLICTS: u64 = 20_000;
 
 /// The witness checker of one design, in one trust mode, remembering
 /// the clauses it has proven (see the [module docs](self#known-clauses)).
@@ -451,27 +499,93 @@ impl<'a> Certifier<'a> {
         CertifyReport::new(result.is_some(), result.unwrap_or(Ok(0)), &par, started)
     }
 
-    /// Admits a strengthening before any witness names it: initiation
-    /// and consecution for every clause not yet known, the obligations
-    /// [`check`](Certifier::check) discharges for the clauses a
-    /// certificate carries beside its claim. On a pass the clauses
-    /// become known; a failing admission teaches the certifier nothing.
+    /// Admits the inductive part of a strengthening before any witness
+    /// names it: the greatest subset of `clauses` that holds initially
+    /// and is inductive relative to the clauses this certifier knows
+    /// (see [admission](self#admission)). Returns the admitted clauses
+    /// in their order in `clauses`, known ones included; they become
+    /// known.
     ///
-    /// Every obligation query runs under `limits`: its stop flag and
-    /// deadline are read before each query and inside it, and an
-    /// interrupted admission fails like a refuted one.
-    pub fn admit(&mut self, clauses: &[LatchClause], limits: &Limits) -> CertifyReport {
+    /// Every query runs under `limits`, with a conflict cap of 20,000
+    /// when they set none; the stop flag and deadline are read before
+    /// each query and inside it. A limit that interrupts a query, or a
+    /// paranoid replay that rejects a proof, ends the admission: it
+    /// admits nothing, teaches the certifier nothing, and its report
+    /// fails. The report counts the obligations discharged in every
+    /// round.
+    pub fn admit(
+        &mut self,
+        clauses: &[LatchClause],
+        limits: &Limits,
+    ) -> (Vec<LatchClause>, CertifyReport) {
         let started = Instant::now();
         let mut par = Paranoia::new(self.paranoid);
-        let result = self.check_clauses(clauses, Claim::Strengthening, &mut par, limits);
-        CertifyReport::new(!clauses.is_empty(), result, &par, started)
+        let limits = Limits {
+            max_conflicts: Some(limits.max_conflicts.unwrap_or(ADMISSION_MAX_CONFLICTS)),
+            ..limits.clone()
+        };
+        let result = self.fixpoint(clauses, &mut par, &limits, &split::worker_count);
+        let (admitted, result) = match result {
+            Ok((admitted, done)) => (admitted, Ok(done)),
+            Err(failure) => (Vec::new(), Err(failure)),
+        };
+        (
+            admitted,
+            CertifyReport::new(!clauses.is_empty(), result, &par, started),
+        )
+    }
+
+    /// The Houdini fixpoint of [`admit`](Certifier::admit): the clauses
+    /// it keeps and the obligations it discharged, or those and why a
+    /// limit or a proof replay ended it. Each round is split across
+    /// `workers(clauses left to query)` solvers.
+    fn fixpoint(
+        &mut self,
+        clauses: &[LatchClause],
+        par: &mut Paranoia,
+        limits: &Limits,
+        workers: &dyn Fn(usize) -> usize,
+    ) -> Result<(Vec<LatchClause>, usize), (usize, String)> {
+        // A malformed clause (empty, or naming a latch the design
+        // lacks) cannot hold.
+        let n = self.sys.latches.len();
+        let mut kept: Vec<bool> = clauses
+            .iter()
+            .map(|c| !c.is_empty() && c.iter().all(|&(i, _)| i < n))
+            .collect();
+        let fresh = self.fresh(clauses, &kept);
+        let (mut done, mut dropped) =
+            self.initiation(clauses, &fresh, "invariant ", par, limits)?;
+        loop {
+            for ci in dropped {
+                kept[ci] = false;
+            }
+            let (proven, next) = self
+                .round(clauses, &kept, Claim::Strengthening, par, workers, limits)
+                .map_err(|(n, why)| (done + n, why))?;
+            done += proven;
+            if next.is_empty() {
+                break;
+            }
+            dropped = next;
+        }
+        let kept = clauses.iter().zip(&kept).filter(|&(_, &k)| k);
+        Ok((kept.map(|(c, _)| c.clone()).collect(), done))
+    }
+
+    /// The clauses of `clauses` marked in `kept` that this certifier
+    /// does not know yet, in order.
+    fn fresh(&self, clauses: &[LatchClause], kept: &[bool]) -> Vec<usize> {
+        (0..clauses.len())
+            .filter(|&ci| kept[ci] && !self.known.contains(&canonical(&clauses[ci])))
+            .collect()
     }
 
     /// Initiation and consecution for every clause of `clauses` not yet
-    /// known, with the whole set asserted on the current-state side of
-    /// one raw frame, plus safety on that frame for a
-    /// [`Claim::Invariant`], every query under `limits`. On a full pass
-    /// the set becomes known.
+    /// known, all or nothing, with the whole set asserted on the
+    /// current-state side of one raw frame, plus safety on that frame
+    /// for a [`Claim::Invariant`], every query under `limits`. On a full
+    /// pass the set becomes known.
     fn check_clauses(
         &mut self,
         clauses: &[LatchClause],
@@ -489,65 +603,46 @@ impl<'a> Certifier<'a> {
                 return Err((0, format!("{what}clause #{ci} is empty (false)")));
             }
         }
-        let fresh: Vec<usize> = (0..clauses.len())
-            .filter(|&ci| !self.known.contains(&canonical(&clauses[ci])))
-            .collect();
-        if fresh.is_empty() && claim == Claim::Strengthening {
-            return Ok(0);
-        }
-        let workers = split::worker_count(fresh.len());
-        self.prove_fresh(clauses, &fresh, claim, par, workers, limits)
+        self.prove(clauses, claim, par, &split::worker_count, limits)
     }
 
-    /// Initiation for the `fresh` clauses of `clauses`, then their
-    /// consecution split across `workers` solvers, the safety of a
-    /// [`Claim::Invariant`] on the last, every query under `limits`. A
-    /// failure names the lowest failing clause. On a full pass the fresh
-    /// clauses become known.
-    fn prove_fresh(
+    /// Initiation for the fresh clauses of `clauses`, then one
+    /// consecution round over them split across `workers(fresh
+    /// clauses)` solvers, every query under `limits`. A failure names
+    /// the lowest failing clause.
+    fn prove(
         &mut self,
         clauses: &[LatchClause],
-        fresh: &[usize],
         claim: Claim,
         par: &mut Paranoia,
-        workers: usize,
+        workers: &dyn Fn(usize) -> usize,
         limits: &Limits,
     ) -> CheckResult {
         let what = claim.prefix();
-        let mut done = if fresh.is_empty() {
-            0
-        } else {
-            self.initiation(clauses, fresh, what, par, limits)?
-        };
-        let mut pars: Vec<Paranoia> = (0..workers).map(|_| Paranoia::new(par.on)).collect();
-        let results = split::run(&mut pars, |k, p| {
-            let chunk = &fresh[split::chunk(fresh.len(), workers, k)];
-            let safety = claim == Claim::Invariant && k + 1 == workers;
-            self.consecution(clauses, chunk, safety, what, p, limits)
-        });
-        par.chains += pars.iter().map(|p| p.chains).sum::<u64>();
-        let mut failure = None;
-        for result in results {
-            match result {
-                Ok(n) => done += n,
-                Err((n, why)) => {
-                    done += n;
-                    failure.get_or_insert(why);
-                }
-            }
+        let all = vec![true; clauses.len()];
+        let fresh = self.fresh(clauses, &all);
+        let (mut done, escaped) = self.initiation(clauses, &fresh, what, par, limits)?;
+        if let Some(ci) = escaped.first() {
+            return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}")));
         }
-        if let Some(why) = failure {
-            return Err((done, why));
+        let (proven, dropped) = self
+            .round(clauses, &all, claim, par, workers, limits)
+            .map_err(|(n, why)| (done + n, why))?;
+        done += proven;
+        match dropped.first() {
+            Some(ci) => Err((
+                done,
+                format!("{what}consecution fails: Inv ∧ T ⇏ clause #{ci}′"),
+            )),
+            None => Ok(done),
         }
-        self.known
-            .extend(fresh.iter().map(|&ci| canonical(&clauses[ci])));
-        Ok(done)
     }
 
     /// Initiation for the `fresh` clauses of `clauses`, on a solver
     /// holding nothing but the reset values: each clause must be checked
     /// without the others, or a clause the initial states escape could
-    /// hide behind one they satisfy.
+    /// hide behind one they satisfy. Returns how many it proves and the
+    /// ones the initial states escape, in order.
     fn initiation(
         &self,
         clauses: &[LatchClause],
@@ -555,8 +650,12 @@ impl<'a> Certifier<'a> {
         what: &str,
         par: &mut Paranoia,
         limits: &Limits,
-    ) -> CheckResult {
+    ) -> Result<(usize, Vec<usize>), (usize, String)> {
         let mut done = 0;
+        let mut escaped = Vec::new();
+        if fresh.is_empty() {
+            return Ok((done, escaped));
+        }
         let mut init = par.solver();
         let vars: Vec<Lit> = (0..self.sys.latches.len())
             .map(|_| Lit::pos(init.new_var()))
@@ -569,67 +668,136 @@ impl<'a> Certifier<'a> {
         for &ci in fresh {
             match solve(&mut init, &negated_clause_on(&clauses[ci], &vars), limits) {
                 SolveResult::Unsat => done += 1,
-                SolveResult::Sat => {
-                    return Err((done, format!("{what}initiation fails: init ⊄ clause #{ci}")))
-                }
+                SolveResult::Sat => escaped.push(ci),
                 SolveResult::Unknown(why) => {
                     return Err((done, format!("{what}check interrupted: {why:?}")))
                 }
             }
         }
         par.audit(&init).map_err(|why| (done, why))?;
-        Ok(done)
+        Ok((done, escaped))
     }
 
-    /// Consecution for the `chunk` clauses of `clauses`, and safety when
-    /// asked, on a fresh solver with one raw frame and the whole set,
-    /// known clauses included, asserted on its current-state side.
+    /// One consecution round over the fresh `kept` clauses of
+    /// `clauses`, split across `workers(fresh clauses)` fresh solvers
+    /// on the raw template, each with every kept clause asserted on one
+    /// frame's current-state side; the last also checks safety for a
+    /// [`Claim::Invariant`]. Returns the obligations discharged and the
+    /// fresh clauses the round's models falsify, in order. A round that
+    /// drops none has its proofs replayed, and its clauses become known.
+    fn round(
+        &mut self,
+        clauses: &[LatchClause],
+        kept: &[bool],
+        claim: Claim,
+        par: &mut Paranoia,
+        workers: &dyn Fn(usize) -> usize,
+        limits: &Limits,
+    ) -> Result<(usize, Vec<usize>), (usize, String)> {
+        let live = self.fresh(clauses, kept);
+        if live.is_empty() && claim == Claim::Strengthening {
+            return Ok((0, Vec::new()));
+        }
+        let w = workers(live.len());
+        let mut solvers: Vec<Option<Solver>> = (0..w).map(|_| None).collect();
+        let this = &*self;
+        let results = split::run(&mut solvers, |k, slot| {
+            let chunk = &live[split::chunk(live.len(), w, k)];
+            let safety = claim == Claim::Invariant && k + 1 == w;
+            let s = slot.insert(Paranoia::new(par.on).solver());
+            this.consecution(clauses, kept, chunk, safety, s, limits)
+        });
+        let (mut done, mut dropped, mut failure) = (0, Vec::new(), None);
+        for (n, result) in results {
+            done += n;
+            match result {
+                Ok(d) => dropped.extend(d),
+                Err(why) => {
+                    failure.get_or_insert(format!("{}{why}", claim.prefix()));
+                }
+            }
+        }
+        if let Some(why) = failure {
+            return Err((done, why));
+        }
+        dropped.sort_unstable();
+        dropped.dedup();
+        dropped.retain(|ci| live.binary_search(ci).is_ok());
+        if !dropped.is_empty() {
+            return Ok((done, dropped));
+        }
+        let audits = split::run(&mut solvers, |_, slot| {
+            let mut p = Paranoia::new(par.on);
+            let s = slot.as_ref().expect("every worker keeps its solver");
+            p.audit(s).map(|()| p.chains)
+        });
+        for chains in audits {
+            par.chains += chains.map_err(|why| (done, why))?;
+        }
+        self.known
+            .extend(live.iter().map(|&ci| canonical(&clauses[ci])));
+        Ok((done, dropped))
+    }
+
+    /// One worker's share of a consecution round, on the fresh solver
+    /// `s`: one raw frame with every `kept` clause of `clauses` asserted
+    /// on its current-state side, the consecution of each `chunk` clause
+    /// its own models have not dropped, and then, when asked and
+    /// nothing was dropped, safety. A model's successor drops every kept
+    /// clause it falsifies. Returns the obligations discharged, and the
+    /// dropped clauses or why a query went unanswered or safety failed.
     fn consecution(
         &self,
         clauses: &[LatchClause],
+        kept: &[bool],
         chunk: &[usize],
         safety: bool,
-        what: &str,
-        par: &mut Paranoia,
+        s: &mut Solver,
         limits: &Limits,
-    ) -> CheckResult {
-        let mut done = 0;
-        let mut s = par.solver();
-        let frame = self.tpl.instantiate(&mut s, Part::A, 0);
-        for clause in clauses {
+    ) -> (usize, Result<Vec<usize>, String>) {
+        let frame = self.tpl.instantiate(s, Part::A, 0);
+        for (clause, _) in clauses.iter().zip(kept).filter(|&(_, &k)| k) {
             s.add_clause(&clause_on(clause, &frame.latch_cur));
         }
+        let interrupted = |why| format!("check interrupted: {why:?}");
+        let (mut done, mut alive, mut dropped) = (0, kept.to_vec(), Vec::new());
         for &ci in chunk {
-            match solve(
-                &mut s,
-                &negated_clause_on(&clauses[ci], &frame.latch_next),
-                limits,
-            ) {
+            if !alive[ci] {
+                continue;
+            }
+            let negated = negated_clause_on(&clauses[ci], &frame.latch_next);
+            match solve(s, &negated, limits) {
                 SolveResult::Unsat => done += 1,
                 SolveResult::Sat => {
-                    return Err((
-                        done,
-                        format!("{what}consecution fails: Inv ∧ T ⇏ clause #{ci}′"),
-                    ))
+                    // A state satisfying every kept clause steps out of
+                    // each clause its successor falsifies, the queried
+                    // one among them.
+                    for (j, clause) in clauses.iter().enumerate() {
+                        let next = |i: usize| s.value(frame.latch_next[i]);
+                        if alive[j] && clause.iter().all(|&(i, v)| next(i) == Some(!v)) {
+                            alive[j] = false;
+                            dropped.push(j);
+                        }
+                    }
+                    debug_assert!(!alive[ci], "the queried clause is falsified");
+                    if alive[ci] {
+                        alive[ci] = false;
+                        dropped.push(ci);
+                    }
                 }
-                SolveResult::Unknown(why) => {
-                    return Err((done, format!("{what}check interrupted: {why:?}")))
-                }
+                SolveResult::Unknown(why) => return (done, Err(interrupted(why))),
             }
         }
-        if safety {
-            match solve(&mut s, &[frame.any_bad], limits) {
+        if safety && dropped.is_empty() {
+            match solve(s, &[frame.any_bad], limits) {
                 SolveResult::Unsat => done += 1,
                 SolveResult::Sat => {
-                    return Err((done, "safety fails: Inv admits a bad state".into()))
+                    return (done, Err("safety fails: Inv admits a bad state".into()))
                 }
-                SolveResult::Unknown(why) => {
-                    return Err((done, format!("{what}check interrupted: {why:?}")))
-                }
+                SolveResult::Unknown(why) => return (done, Err(interrupted(why))),
             }
         }
-        par.audit(&s).map_err(|why| (done, why))?;
-        Ok(done)
+        (done, Ok(dropped))
     }
 
     fn check_formula(&mut self, inv: &FormulaInvariant, par: &mut Paranoia) -> CheckResult {
@@ -1092,15 +1260,18 @@ pub(crate) mod tests {
         let rep = certify_invariant(&sys, &tpl, &[]);
         assert!(rep.ok && !rep.witnessed && rep.obligations == 0);
 
-        // The mined invariant of the design itself must certify.
+        // What an admission keeps of the design's mined candidates must
+        // certify.
         let inv = aig::analyze(
             &sys,
             &tpl,
             &aig::AnalysisConfig::default(),
             &satb::Limits::default(),
         );
-        let rep = certify_invariant(&sys, &tpl, &inv.clauses);
-        assert!(rep.ok, "mined invariant rejected: {:?}", rep.failure);
+        let (admitted, rep) = Certifier::new(&sys, false).admit(&inv.clauses, &Limits::default());
+        assert!(rep.ok && !admitted.is_empty(), "{:?}", rep.failure);
+        let rep = certify_invariant(&sys, &tpl, &admitted);
+        assert!(rep.ok, "admitted invariant rejected: {:?}", rep.failure);
 
         // Initiation forgery: the reset state (count = 0) escapes.
         let rep = certify_invariant(&sys, &tpl, &[vec![(0, true)]]);
@@ -1176,12 +1347,37 @@ pub(crate) mod tests {
 
     /// [`shadow_pair`] with `width`-bit stages.
     pub(crate) fn shadow_pair_of(width: u32) -> TransitionSystem {
+        shadow_pairs(1, width)
+    }
+
+    /// `copies` independent [`shadow_pair_of`] pipelines, one after
+    /// the other in latch order, bad when any copy's last stages
+    /// differ. Copy `c` after the first prefixes its names with `c{c}_`.
+    pub(crate) fn shadow_pairs(copies: usize, width: u32) -> TransitionSystem {
         let mut ts = TransitionSystem::new("shadow");
-        let din = ts.add_input("din", Sort::Bv(width));
+        let mut bads = Vec::new();
+        for c in 0..copies {
+            let pre = if c == 0 {
+                String::new()
+            } else {
+                format!("c{c}_")
+            };
+            bads.push(add_shadow_pair(&mut ts, &pre, width));
+        }
+        let p = ts.pool_mut();
+        let bad = bads[1..].iter().fold(bads[0], |acc, &b| p.or(acc, b));
+        ts.add_bad(bad, "r4 != s4");
+        ts
+    }
+
+    /// Adds one [`shadow_pair_of`] pipeline, its names prefixed with
+    /// `pre`, to `ts`, and returns its bad: the last stages differ.
+    fn add_shadow_pair(ts: &mut TransitionSystem, pre: &str, width: u32) -> rtlir::ExprId {
+        let din = ts.add_input(format!("{pre}din"), Sort::Bv(width));
         let mut prev = (din, din);
         for stage in 1..=4 {
-            let r = ts.add_state(format!("r{stage}"), Sort::Bv(width));
-            let s = ts.add_state(format!("s{stage}"), Sort::Bv(width));
+            let r = ts.add_state(format!("{pre}r{stage}"), Sort::Bv(width));
+            let s = ts.add_state(format!("{pre}s{stage}"), Sort::Bv(width));
             let p = ts.pool_mut();
             let (a, b) = (p.var(prev.0), p.var(prev.1));
             let (r_next, s_next) = if stage % 2 == 1 {
@@ -1201,9 +1397,7 @@ pub(crate) mod tests {
         }
         let p = ts.pool_mut();
         let (r4, s4) = (p.var(prev.0), p.var(prev.1));
-        let bad = p.ne(r4, s4);
-        ts.add_bad(bad, "r4 != s4");
-        ts
+        p.ne(r4, s4)
     }
 
     /// The Safe outcomes of PDR, k-induction and interpolation on one
@@ -1311,11 +1505,14 @@ pub(crate) mod tests {
     /// Solo engines assert only a proven strengthening: handed a set
     /// that holds a non-inductive clause and is not marked proven, PDR,
     /// k-induction and interpolation prove the pair without it, and no
-    /// certificate names the forged clause. Proving the set drops it.
+    /// certificate names the forged clause. Proving the set drops that
+    /// clause and keeps what the honest set admits.
     #[test]
     fn solo_engines_ignore_an_unproven_strengthening() {
         let ts = shadow_pair();
         let honest = Blasted::of(&ts);
+        let expected = honest.clone().certified();
+        assert!(!expected.strengthening().is_empty());
         let forged_clause = forged_clause(&honest.sys);
         let mut invariant = (*honest.invariant).clone();
         invariant.clauses.push(forged_clause.clone());
@@ -1335,8 +1532,104 @@ pub(crate) mod tests {
             assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
         }
         let proven = forged.certified();
-        assert!(!proven.invariant_certified && proven.invariant.is_empty());
-        assert!(proven.strengthening().is_empty());
+        assert!(proven.invariant_certified);
+        assert!(!proven.strengthening().contains(&forged_clause));
+        assert_eq!(proven.strengthening(), expected.strengthening());
+        for out in safe_outcomes(&ts, &proven) {
+            let rep = certify(&proven.sys, &out);
+            assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
+        }
+    }
+
+    /// `pairs` pairs of 3-bit counters that saturate at 2, each pair
+    /// counting on an enable input of its own, bad when the two
+    /// counters of a pair differ. A counter's high bit is 0 in every
+    /// reachable state but not inductive alone (3 steps to 4), so the
+    /// first round drops it and the mined equivalences that chain one
+    /// pair's high bits to the next; the two counters of one pair stay
+    /// equal bit for bit.
+    fn counter_pairs(pairs: usize) -> TransitionSystem {
+        let mut ts = TransitionSystem::new("counter-pairs");
+        let mut differ = ts.pool_mut().constv(1, 0);
+        for p in 0..pairs {
+            let en = ts.add_input(format!("en{p}"), Sort::BOOL);
+            let mut copies = Vec::new();
+            for copy in ["a", "b"] {
+                let c = ts.add_state(format!("{copy}{p}"), Sort::Bv(3));
+                let pool = ts.pool_mut();
+                let (cv, ev) = (pool.var(c), pool.var(en));
+                let [zero, one, two] = [0, 1, 2].map(|v| pool.constv(3, v));
+                let full = pool.eq(cv, two);
+                let inc = pool.add(cv, one);
+                let step = pool.ite(ev, inc, cv);
+                let next = pool.ite(full, cv, step);
+                ts.set_init(c, zero);
+                ts.set_next(c, next);
+                copies.push(cv);
+            }
+            let pool = ts.pool_mut();
+            let ne = pool.ne(copies[0], copies[1]);
+            differ = pool.or(differ, ne);
+        }
+        ts.add_bad(differ, "a pair differs");
+        ts
+    }
+
+    #[test]
+    fn admission_split_keeps_the_greatest_inductive_subset() {
+        let pairs = 20;
+        let sys = aig::blast_system(&counter_pairs(pairs));
+        let tpl = TransitionTemplate::compile(&sys);
+        let mined = aig::analyze(
+            &sys,
+            &tpl,
+            &aig::AnalysisConfig::default(),
+            &Limits::default(),
+        );
+        let n = mined.clauses.len();
+        assert!(n >= 128, "{:?}", mined.stats);
+        let admit = |workers: usize| {
+            let mut certifier = Certifier::with_template(&sys, &tpl, false);
+            let mut par = Paranoia::new(false);
+            let (admitted, done) = certifier
+                .fixpoint(&mined.clauses, &mut par, &Limits::default(), &|_| workers)
+                .expect("not interrupted");
+            assert_eq!(certifier.known.len(), admitted.len());
+            // Initiation and the last round discharge n and
+            // admitted.len() obligations: anything beyond is an earlier
+            // round's.
+            assert!(done > n + admitted.len(), "the first round drops");
+            admitted
+        };
+        let serial = admit(1);
+        // Exactly the equivalences of the two counters of each pair
+        // survive: latch `6p + b` is bit `b` of pair `p`'s first
+        // counter, latch `6p + 3 + b` the same bit of its second.
+        assert_eq!(serial.len(), 6 * pairs, "{serial:?}");
+        for clause in &serial {
+            let &[(x, _), (y, _)] = clause.as_slice() else {
+                panic!("not an equivalence clause: {clause:?}");
+            };
+            assert!(x / 6 == y / 6 && x % 3 == y % 3 && x != y, "{clause:?}");
+        }
+        for workers in [2, 3] {
+            assert_eq!(admit(workers), serial, "{workers} workers");
+        }
+        let (admitted, rep) =
+            Certifier::with_template(&sys, &tpl, false).admit(&mined.clauses, &Limits::default());
+        assert!(rep.ok && rep.witnessed, "{:?}", rep.failure);
+        assert_eq!(admitted, serial);
+
+        // A stop flag ends the admission, which admits nothing.
+        let stopped = Limits {
+            stop: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
+                true,
+            ))),
+            ..Limits::default()
+        };
+        let mut certifier = Certifier::with_template(&sys, &tpl, false);
+        let (admitted, rep) = certifier.admit(&mined.clauses, &stopped);
+        assert!(admitted.is_empty() && !rep.ok && certifier.known.is_empty());
     }
 
     #[test]
@@ -1420,15 +1713,13 @@ pub(crate) mod tests {
         let mut clauses = blasted.invariant.clauses.clone();
         clauses.push(forged_clause(sys));
         let mut certifier = Certifier::new(sys, false);
-        let mut failure = |clauses: &[LatchClause], workers| {
-            let all: Vec<usize> = (0..clauses.len()).collect();
+        let mut failure = |clauses: &[LatchClause], workers: usize| {
             let mut par = Paranoia::new(false);
-            let result = certifier.prove_fresh(
+            let result = certifier.prove(
                 clauses,
-                &all,
                 Claim::Strengthening,
                 &mut par,
-                workers,
+                &|_| workers,
                 &Limits::default(),
             );
             assert!(certifier.known.is_empty(), "a failed check adds no clause");
@@ -1464,12 +1755,11 @@ pub(crate) mod tests {
             let started = Instant::now();
             let mut par = Paranoia::new(paranoid);
             let mut certifier = Certifier::new(sys, paranoid);
-            let result = certifier.prove_fresh(
+            let result = certifier.prove(
                 clauses,
-                &all,
                 Claim::Strengthening,
                 &mut par,
-                workers,
+                &|_| workers,
                 &Limits::default(),
             );
             assert_eq!(certifier.known.len(), clauses.len());
@@ -1501,13 +1791,18 @@ pub(crate) mod tests {
             .initiation(clauses, &all, "", &mut init, &Limits::default())
             .is_ok());
         let mut chains = init.chains;
+        let kept = vec![true; clauses.len()];
         for k in 0..workers {
             let mut par = Paranoia::new(true);
+            let mut s = par.solver();
             let chunk = &all[split::chunk(all.len(), workers, k)];
-            assert!(certifier
-                .consecution(clauses, chunk, false, "", &mut par, &Limits::default())
-                .is_ok());
-            assert!(par.chains > 0, "worker {k} replays no proof");
+            let limits = Limits::default();
+            let (_, dropped) = certifier.consecution(clauses, &kept, chunk, false, &mut s, &limits);
+            assert_eq!(dropped, Ok(Vec::new()));
+            assert!(
+                par.audit(&s).is_ok() && par.chains > 0,
+                "worker {k} replays no proof"
+            );
             chains += par.chains;
         }
         assert_eq!(paranoid.proof_chains, chains);

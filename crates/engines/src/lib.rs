@@ -77,27 +77,29 @@
 //!
 //! # Static strengthening
 //!
-//! Before any engine runs, [`Blasted::of`] mines a netlist invariant
-//! with [`aig::analyze`] — a ternary-simulation reachability fixpoint
-//! for stuck-at-constant latches plus signature-mined equivalence and
-//! implication clauses, filtered to an inductive subset by a Houdini
-//! loop over one frame of the template the engines solve: cut to the
-//! cone of influence and preprocessed. A clause that names a freed
-//! latch is not inductive there, so it is not mined. The surviving
-//! clause set travels with the blast, unproven, as
+//! Before any engine runs, [`Blasted::of`] mines candidate clauses for
+//! a netlist invariant with [`aig::analyze`] — a ternary-simulation
+//! reachability fixpoint for stuck-at-constant latches plus
+//! signature-mined equivalence and implication clauses, each holding in
+//! the initial states — and keeps those inside the cone of influence
+//! of the template the engines solve. It issues no SAT query: the
+//! candidates travel with the blast, unproven, as
 //! [`Blasted::invariant`].
 //!
-//! It is proven once per check, against the **raw** template
-//! (initiation + consecution, independent solvers; deliberately no
-//! safety obligation), by whoever runs the engines: a portfolio race
-//! admits it with its [`certify::Certifier`] before its seats start,
-//! and a solo caller calls [`Blasted::certified`], which runs
-//! [`certify::certify_invariant`]. Engines assert only a proven set,
+//! They are filtered and proven once per check, against the **raw**
+//! template (initiation + consecution, independent solvers;
+//! deliberately no safety obligation), by whoever runs the engines: a
+//! portfolio race admits them with its [`certify::Certifier`] before
+//! its seats start, and a solo caller calls [`Blasted::certified`]. The
+//! [admission](certify#admission) is a Houdini fixpoint over the
+//! certifier's own obligations: it drops every candidate a model shows
+//! non-inductive, and its last round, which drops nothing, is the
+//! proof of the clauses it keeps. Engines assert only an admitted set,
 //! which they read through [`Blasted::strengthening`], on each frame
 //! they instantiate: BMC and k-induction gain pruned unrollings,
-//! interpolation and PDR gain strengthened frames. A set that fails its
-//! proof reaches no engine. A mined constant is asserted like every
-//! other clause; the template does not fold it.
+//! interpolation and PDR gain strengthened frames. A clause the
+//! admission drops reaches no engine. A mined constant is asserted like
+//! every other clause; the template does not fold it.
 //!
 //! Every Safe certificate names the strengthening it relies on: PDR's
 //! exported fixpoint contains the clauses, and k-induction's and
@@ -106,30 +108,29 @@
 //! clauses, relative to them (see [known
 //! clauses](certify#known-clauses)), so the strengthening is proven
 //! once per race rather than once per seat, and the winner's check is
-//! short. The admission runs under the race's deadline and its
-//! caller's stop flag; an interrupted admission admits nothing, and
-//! the seats race without the strengthening.
+//! short. The admission runs under the race's deadline, which also
+//! covers the seats, and its caller's stop flag; an interrupted
+//! admission admits nothing, and the seats race without the
+//! strengthening.
 //!
-//! Houdini's consecution queries and the certifier's per-clause
-//! obligations come by the hundred on a wide design (512 candidates and
-//! 1,024 obligations for a 512-latch shadow pipeline), and no query in
-//! a batch needs another's answer. Both are split across one worker
-//! solver per idle core ([`aig::split`]) once a batch holds at least
-//! 128 queries; smaller batches run on the calling thread. Every
-//! portfolio seat claims a core while it runs. [`Blasted::of`]'s mining
-//! and a race's admission of the strengthening run before any seat
-//! starts, so both split across all cores, while a witness checked
-//! during the race splits only across cores its seats leave idle. Mining
-//! keeps its result, the unique greatest inductive subset of the
-//! candidates (see [the Houdini loop](aig::analysis#the-houdini-loop)),
-//! and certification keeps its independence, since every worker runs a
+//! The certifier's per-clause obligations come by the hundred on a
+//! wide design (512 candidates and 1,024 obligations for a 512-latch
+//! shadow pipeline), and no query in a batch needs
+//! another's answer. Each batch is split across one worker solver per
+//! idle core ([`aig::split`]) once it holds at least 128 queries;
+//! smaller batches run on the calling thread. Every portfolio seat
+//! claims a core while it runs. A race's admission runs before any
+//! seat starts, so it splits across all cores, while a witness checked
+//! during the race splits only across cores its seats leave idle. The
+//! admission keeps its result, the unique greatest inductive subset of
+//! the candidates, and its independence, since every worker runs a
 //! fresh solver on the raw template (see [check
-//! obligations](certify#check-obligations)). Verdicts, certificates and
-//! the obligation counts of passing checks do not depend on the core
-//! count.
+//! obligations](certify#check-obligations)). Verdicts, certificates,
+//! admitted sets and the obligation counts of passing checks do not
+//! depend on the core count.
 //!
-//! A cancelled analysis degrades to an empty invariant — never a
-//! half-filtered one — so the pipeline is safe under fault injection.
+//! An interrupted admission degrades to an empty strengthening — never
+//! a half-filtered one — so the pipeline is safe under fault injection.
 //!
 //! # PDR's live frames
 //!

@@ -34,14 +34,17 @@
 //! The race is *certifying* (see [`crate::certify`]): a definite
 //! verdict only wins after its witness re-checks against the raw
 //! transition template with an independent solver. One [`Certifier`]
-//! checks every seat's witness. Before the seats start, it proves the
-//! static strengthening that [`Blasted::of`] mined and left unproven,
+//! checks every seat's witness. Before the seats start, it admits the
+//! inductive part of the candidate strengthening that [`Blasted::of`]
+//! mined and left unproven (see [admission](crate::certify#admission)),
 //! split across every core, under the race's deadline and its caller's
 //! stop flag: the one proof of the set on this path. The seats assert
-//! the set only when that admission passed, and each witness is checked
-//! relative to it, so the winner's check is short and the losers are
+//! only the clauses it admitted, and each witness is checked relative
+//! to them, so the winner's check is short and the losers are
 //! cancelled as soon as the winner answers (see [known
-//! clauses](crate::certify#known-clauses)). A member whose
+//! clauses](crate::certify#known-clauses)). The race's deadline counts
+//! from its start and covers the seats as well: reaching it cancels
+//! every seat still running. A member whose
 //! witness fails is demoted to [`Unknown::CertificateFailed`] and the
 //! race goes on with the remaining seats; contradicting definite
 //! verdicts are resolved by trusting the side whose witness checked,
@@ -86,7 +89,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One member engine's result within a portfolio run.
 #[derive(Clone, Debug)]
@@ -136,8 +139,8 @@ pub struct PortfolioOutcome {
     /// blast).
     pub preproc: satb::PreprocStats,
     /// Static strengthening clauses the race admitted and handed to the
-    /// members (see [`aig::analysis`]): 0 when the admission failed or
-    /// was interrupted, since then no member asserts any.
+    /// members (see [admission](crate::certify#admission)): 0 when the
+    /// admission was interrupted, since then no member asserts any.
     pub invariant_clauses: u32,
     /// Constant-latch facts among [`invariant_clauses`] (singleton
     /// clauses), counted like them. The members assert them like every
@@ -357,16 +360,19 @@ impl Portfolio {
     /// caller-provided shared blast (e.g. reused across several runs).
     ///
     /// Before any seat starts, the race's [`Certifier`]
-    /// [admits](Certifier::admit) [`Blasted::invariant`] against the
-    /// raw template, whatever [`Blasted::invariant_certified`] says (see
-    /// [known clauses](crate::certify#known-clauses)). The admission
-    /// runs under the portfolio's timeout, counted from this call, and
-    /// the stop flag its caller put on the budget; fault injection stays
-    /// with the seats. Every seat gets the blast with
-    /// [`Blasted::invariant_certified`] set to whether the admission
-    /// passed, so a set that failed or was interrupted reaches no seat.
-    /// The reported time covers the admission and the race, not the
-    /// blast.
+    /// [admits](Certifier::admit) the inductive part of
+    /// [`Blasted::invariant`] against the raw template, whatever
+    /// [`Blasted::invariant_certified`] says (see [known
+    /// clauses](crate::certify#known-clauses)). The admission runs
+    /// under the portfolio's timeout and the stop flag its caller put
+    /// on the budget; fault injection stays with the seats. Every seat
+    /// gets the blast with the admitted clauses as its strengthening,
+    /// marked proven, so a dropped clause reaches no seat, and an
+    /// interrupted admission leaves none. The timeout counts from this
+    /// call and covers the seats too: when it runs out, the stop flag
+    /// cancels every seat still running, and a race without a winner
+    /// reports [`Unknown::Timeout`]. The reported time covers the
+    /// admission and the race, not the blast.
     pub fn check_detailed_blasted(
         &self,
         ts: &TransitionSystem,
@@ -397,22 +403,22 @@ impl Portfolio {
         let mut winner_idx: Option<usize> = None;
         let mut winner_witnessed = false;
         let mut disagreement = false;
-        // The race's witness checker proves the strengthening before any
+        let mut timed_out = false;
+        // The race's witness checker admits the strengthening before any
         // seat claims a core, so the admission splits across every core
         // and each witness is then checked relative to it. It runs under
-        // the race's deadline and the caller's stop flag; a set that
-        // fails or is interrupted reaches no seat.
+        // the race's deadline and the caller's stop flag; a clause it
+        // drops, and every clause when it is interrupted, reaches no
+        // seat.
         let mut certifier = Certifier::new(&blasted.sys, self.paranoid);
+        let deadline = self.budget.deadline_from(started);
         let admission = satb::Limits {
-            deadline: self.budget.deadline_from(started),
+            deadline,
             stop: self.external.clone(),
             ..satb::Limits::default()
         };
-        let admitted = certifier.admit(&blasted.invariant.clauses, &admission).ok;
-        let blasted = &Blasted {
-            invariant_certified: admitted,
-            ..blasted.clone()
-        };
+        let (admitted, report) = certifier.admit(&blasted.invariant.clauses, &admission);
+        let blasted = &blasted.admitted(admitted, &report);
         // A stop the caller raised by now reaches the seats before they
         // start.
         if admission.stop_requested() {
@@ -454,21 +460,34 @@ impl Portfolio {
             }
             drop(tx);
             // Collect every member: losers come back quickly once the
-            // stop flag is up, so this also joins the race. When the
+            // stop flag is up, so this also joins the race. The race's
+            // deadline, counted from entry, covers the seats as well as
+            // the admission: reaching it raises the stop flag. When the
             // caller supplied their own stop flag, poll it and forward
             // a raise to the members.
-            let recv_next = || match &self.external {
-                None => rx.recv().ok(),
-                Some(ext) => loop {
+            let mut recv_next = || loop {
+                if let Some(ext) = &self.external {
                     if ext.load(Ordering::Relaxed) {
                         self.stop.store(true, Ordering::Relaxed);
                     }
-                    match rx.recv_timeout(std::time::Duration::from_millis(5)) {
-                        Ok(msg) => break Some(msg),
-                        Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break None,
+                }
+                let poll = self.external.as_ref().map(|_| Duration::from_millis(5));
+                let left = deadline
+                    .filter(|_| !timed_out)
+                    .map(|d| d.saturating_duration_since(Instant::now()));
+                let Some(wait) = poll.into_iter().chain(left).min() else {
+                    return rx.recv().ok();
+                };
+                match rx.recv_timeout(wait) {
+                    Ok(msg) => return Some(msg),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        if deadline.is_some_and(|d| Instant::now() >= d) {
+                            timed_out = true;
+                            self.stop.store(true, Ordering::Relaxed);
+                        }
                     }
-                },
+                }
             };
             while let Some((i, mut out)) = recv_next() {
                 if !matches!(out.outcome, Verdict::Unknown(_)) {
@@ -548,7 +567,7 @@ impl Portfolio {
                     .map(|e| e.outcome.stats.depth)
                     .max()
                     .unwrap_or(0);
-                Verdict::Unknown(merge_unknowns(&engines))
+                Verdict::Unknown(merge_unknowns(&engines, timed_out))
             }
         };
         stats.time = started.elapsed();
@@ -561,24 +580,21 @@ impl Portfolio {
             engines,
             disagreement,
             preproc: blasted.preproc_stats,
-            invariant_clauses: blasted.strengthening().len() as u32,
-            invariant_constants: if admitted {
-                blasted.invariant.constants.len() as u32
-            } else {
-                0
-            },
+            invariant_clauses: blasted.invariant.clauses.len() as u32,
+            invariant_constants: blasted.invariant.constants.len() as u32,
             paranoid: self.paranoid,
         }
     }
 }
 
-/// Picks the most informative `Unknown` reason when no member answered.
+/// Picks the most informative `Unknown` reason when no member answered,
+/// counting a timeout when the race ran into its deadline (`timed_out`).
 /// Priority: a withdrawn certificate (someone *claimed* an answer that
 /// failed its check — the loudest alarm), then a crashed seat, then
 /// timeout, bound reached, conflict limit, inherent incompleteness, and
 /// finally "someone cancelled us" (which should not be the whole story
 /// of an un-won race).
-fn merge_unknowns(engines: &[EngineReport]) -> Unknown {
+fn merge_unknowns(engines: &[EngineReport], timed_out: bool) -> Unknown {
     fn rank(u: &Unknown) -> u8 {
         match u {
             Unknown::CertificateFailed(_) => 6,
@@ -596,6 +612,7 @@ fn merge_unknowns(engines: &[EngineReport]) -> Unknown {
             Verdict::Unknown(u) => Some(u),
             _ => None,
         })
+        .chain(timed_out.then_some(&Unknown::Timeout))
         .max_by_key(|u| rank(u))
         .cloned()
         .unwrap_or(Unknown::Cancelled)
@@ -631,7 +648,6 @@ impl Checker for Portfolio {
 mod tests {
     use super::*;
     use std::sync::Mutex;
-    use std::time::Duration;
 
     fn unlimited(max_depth: u32) -> Budget {
         Budget {
@@ -969,23 +985,31 @@ mod tests {
             certify: None,
         };
         assert_eq!(
-            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::Timeout)]),
+            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::Timeout)], false),
             Unknown::Timeout
         );
         assert_eq!(
-            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::BoundReached)]),
+            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::BoundReached)], false),
             Unknown::BoundReached
         );
         assert_eq!(
-            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::Cancelled)]),
+            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::Cancelled)], false),
             Unknown::Cancelled
         );
+        // Seats the race's deadline cancelled make a timeout.
         assert_eq!(
-            merge_unknowns(&[
-                mk(Unknown::Timeout),
-                mk(Unknown::Crashed("x".into())),
-                mk(Unknown::CertificateFailed("why".into())),
-            ]),
+            merge_unknowns(&[mk(Unknown::Cancelled), mk(Unknown::Cancelled)], true),
+            Unknown::Timeout
+        );
+        assert_eq!(
+            merge_unknowns(
+                &[
+                    mk(Unknown::Timeout),
+                    mk(Unknown::Crashed("x".into())),
+                    mk(Unknown::CertificateFailed("why".into())),
+                ],
+                true
+            ),
             Unknown::CertificateFailed("why".into())
         );
     }
@@ -1095,15 +1119,18 @@ mod tests {
     }
 
     /// The race proves the strengthening once, before its seats start,
-    /// and hands it to them only when the proof passed. A caller-built
-    /// blast whose strengthening adds a non-inductive clause and claims
-    /// to be proven fails that admission: no seat asserts the set, so
-    /// no witness names the forged clause or fails on it, and the pair,
-    /// which is safe, can only be answered with a certified Safe.
+    /// and hands them only the clauses its admission kept. A
+    /// caller-built blast whose strengthening adds a non-inductive
+    /// clause and claims to be proven loses that clause in the
+    /// admission and keeps the honest ones: no witness names the forged
+    /// clause or fails on the strengthening, and the pair, which is
+    /// safe, can only be answered with a certified Safe.
     #[test]
     fn forged_strengthening_fails_the_admission_and_reaches_no_seat() {
         let ts = crate::certify::tests::shadow_pair();
         let honest = Blasted::of(&ts);
+        let admitted = honest.clone().certified().invariant.clauses.len();
+        assert!(admitted > 0, "the stage equivalences are admitted");
         let forged_clause = crate::certify::tests::forged_clause(&honest.sys);
         let mut invariant = (*honest.invariant).clone();
         invariant.clauses.push(forged_clause.clone());
@@ -1121,7 +1148,12 @@ mod tests {
         p.push(KInduction::new(b.clone()));
         p.push(Interpolation::new(b));
         let report = p.check_detailed_blasted(&ts, &forged);
-        assert_eq!(report.invariant_clauses, 0, "{}", report.summary());
+        assert_eq!(
+            report.invariant_clauses as usize,
+            admitted,
+            "{}",
+            report.summary()
+        );
         for e in &report.engines {
             if let Some(why) = e.certify.as_ref().and_then(|c| c.failure.as_ref()) {
                 assert!(!why.starts_with("invariant "), "{}: {why}", e.name);
@@ -1163,6 +1195,60 @@ mod tests {
             );
             assert_eq!(report.invariant_clauses, 0, "{leg}");
         }
+    }
+
+    /// The race's deadline, counted from its entry, covers the seats as
+    /// well as the admission: an admission the timeout interrupts
+    /// leaves the seats no clock of their own, so the race reports a
+    /// timeout within a margin of it, not one more timeout later. The
+    /// strengthening is the 512 equivalences mined on the 64-bit shadow
+    /// pair, on each of eight copies: all inductive. The timeout is
+    /// twice what admitting one copy takes on this build, so admitting
+    /// all eight runs far past it. The two seats never answer.
+    #[test]
+    fn race_deadline_covers_the_seats() {
+        let copies = 8;
+        let one = Blasted::of(&crate::certify::tests::shadow_pair_of(64));
+        let started = Instant::now();
+        assert_eq!(one.clone().certified().invariant.clauses.len(), 512);
+        let timeout = 2 * started.elapsed();
+        let ts = crate::certify::tests::shadow_pairs(copies, 64);
+        let sys = aig::blast_system(&ts);
+        let per_copy = one.sys.latches.len();
+        let clauses = (0..copies)
+            .flat_map(|c| {
+                one.invariant
+                    .clauses
+                    .iter()
+                    .map(move |clause| clause.iter().map(|&(i, v)| (c * per_copy + i, v)).collect())
+            })
+            .collect();
+        let blasted = Blasted {
+            template: Arc::new(aig::TransitionTemplate::compile(&sys)),
+            sys: Arc::new(sys),
+            preproc_stats: satb::PreprocStats::default(),
+            invariant: Arc::new(aig::StaticInvariant::new(
+                clauses,
+                aig::AnalysisStats::default(),
+            )),
+            invariant_certified: false,
+        };
+        let mut p = Portfolio::new(Budget {
+            timeout: Some(timeout),
+            ..Budget::default()
+        });
+        let b = p.engine_budget();
+        p.push(Grinder { budget: b.clone() });
+        p.push(Grinder { budget: b });
+        let started = Instant::now();
+        let report = p.check_detailed_blasted(&ts, &blasted);
+        let took = started.elapsed();
+        assert_eq!(report.verdict, Verdict::Unknown(Unknown::Timeout));
+        assert_eq!(
+            report.invariant_clauses, 0,
+            "the timeout ends the admission"
+        );
+        assert!(took < timeout + timeout / 2, "took {took:?}");
     }
 
     /// A seat that panics mid-check: the portfolio must isolate the

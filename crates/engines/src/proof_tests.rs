@@ -9,7 +9,7 @@
 //! (ISSUE 10, satellite 1 — the template-frame half; the random-CNF
 //! half lives in `satb::proofcheck`'s own tests.)
 
-use crate::certify::{certify_invariant_with_mode, certify_with_mode};
+use crate::certify::{certify_invariant_with_mode, certify_with_mode, Certifier};
 use crate::result::{Budget, Checker, Verdict};
 use aig::{AigSystem, TransitionTemplate};
 use proptest::prelude::*;
@@ -85,23 +85,32 @@ proptest! {
     /// Paranoid certification agrees with plain certification on
     /// honest engines: whatever witness a real prover emits for a
     /// random safe netlist must survive the proof-replaying check too
-    /// (and a mined invariant must re-certify paranoidly).
+    /// (and an admitted invariant must re-certify paranoidly).
     #[test]
     fn paranoid_certification_accepts_honest_witnesses(seed in 0u64..12) {
         let sys = random_system(seed);
         let tpl = TransitionTemplate::compile(&sys);
 
-        // The mined invariant path: plain and paranoid must agree.
+        // The admission path: a plain and a paranoid admission of the
+        // mined candidates keep the same set, and it re-certifies both
+        // ways.
         let inv = aig::analyze(
             &sys,
             &tpl,
             &aig::AnalysisConfig::default(),
             &satb::Limits::default(),
         );
-        let plain = certify_invariant_with_mode(&sys, &tpl, &inv.clauses, false);
-        let paranoid = certify_invariant_with_mode(&sys, &tpl, &inv.clauses, true);
+        let admit = |paranoid| {
+            Certifier::with_template(&sys, &tpl, paranoid).admit(&inv.clauses, &satb::Limits::default())
+        };
+        let ((plain_set, plain), (paranoid_set, paranoid)) = (admit(false), admit(true));
+        prop_assert!(plain.ok && paranoid.ok, "{:?}", paranoid.failure);
+        prop_assert_eq!(&plain_set, &paranoid_set);
+        prop_assert_eq!(plain.proof_chains, 0);
+        let plain = certify_invariant_with_mode(&sys, &tpl, &plain_set, false);
+        let paranoid = certify_invariant_with_mode(&sys, &tpl, &plain_set, true);
         prop_assert_eq!(plain.ok, paranoid.ok);
-        prop_assert!(paranoid.ok, "mined invariant rejected paranoidly: {:?}", paranoid.failure);
+        prop_assert!(paranoid.ok, "admitted invariant rejected paranoidly: {:?}", paranoid.failure);
         prop_assert_eq!(plain.proof_chains, 0);
     }
 }

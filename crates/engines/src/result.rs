@@ -421,7 +421,7 @@ impl Budget {
 /// A bit-blasted netlist together with its compile-once CNF transition
 /// template, shareable across engines.
 ///
-/// Blasting, template compilation, static-invariant mining **and
+/// Blasting, template compilation, candidate-invariant mining **and
 /// SatELite-style preprocessing** are the up-front encoding cost of
 /// every bit-level engine; a portfolio run pays all four **once** and
 /// hands the same `Blasted` (cheap `Arc` clones) to every member
@@ -437,14 +437,16 @@ impl Budget {
 /// ([`aig::AigSystem::latch_coi`]) gets a **free** next state, so its
 /// logic never reaches a solver. When the cut frees no latch, the
 /// template is the raw one. It preprocesses that template once and runs
-/// [`aig::analyze`] on the result, the image the engines solve, so a
-/// clause that names a freed latch is not mined. It proves nothing: the
-/// mined set ships unproven in [`invariant`](Blasted::invariant). The
-/// set is proven once, against the raw, un-preprocessed template, by
-/// whoever runs the engines: a portfolio race admits it before its
-/// seats start
+/// [`aig::analyze`] with the result, the image the engines solve, which
+/// keeps only candidate clauses inside its cone: a clause that names a
+/// freed latch is not mined. It proves nothing and builds no SAT
+/// solver: the candidates ship unproven in
+/// [`invariant`](Blasted::invariant). Whoever runs the engines admits
+/// their inductive part once, against the raw, un-preprocessed template
+/// (see [admission](crate::certify#admission)): a portfolio race before
+/// its seats start
 /// ([`Portfolio::check_detailed_blasted`](crate::portfolio::Portfolio::check_detailed_blasted)),
-/// a solo caller calls [`certified`](Blasted::certified). Engines
+/// a solo caller through [`certified`](Blasted::certified). Engines
 /// assert only a proven set, read through
 /// [`strengthening`](Blasted::strengthening). The image does not depend
 /// on the invariant: no mined constant is folded into it.
@@ -456,9 +458,10 @@ impl Budget {
 /// `sys` only on invariant states, such as one compiled from
 /// [`aig::refine_with_constants`] with the invariant's constants folded
 /// in; such a caller must prove the set (with
-/// [`crate::certify::certify_invariant`]) and mark it proven in
-/// [`invariant_certified`](Blasted::invariant_certified), or no engine
-/// asserts it. Every consumer of [`template`](Blasted::template) must:
+/// [`crate::certify::certify_invariant`], all or nothing) and mark it
+/// proven in [`invariant_certified`](Blasted::invariant_certified), or
+/// no engine asserts it. Every consumer of
+/// [`template`](Blasted::template) must:
 ///
 /// * assert [`strengthening`](Blasted::strengthening)'s clauses on the
 ///   current-state literals of **every** frame instantiated from it.
@@ -486,9 +489,10 @@ pub struct Blasted {
     pub template: Arc<aig::TransitionTemplate>,
     /// Counters of the preprocessing run.
     pub preproc_stats: satb::PreprocStats,
-    /// The static invariant mined on the template (empty when mining
-    /// found nothing or was cancelled, or when [`certified`] dropped a
-    /// set that failed its proof). Unproven unless
+    /// The static invariant: the candidates mined for the template
+    /// after [`of`](Blasted::of), the clauses an admission kept of them
+    /// after [`certified`] (empty when mining found nothing or the
+    /// admission was interrupted). Unproven unless
     /// [`invariant_certified`](Blasted::invariant_certified) says so;
     /// engines read it only through [`strengthening`].
     ///
@@ -498,19 +502,18 @@ pub struct Blasted {
     /// Whether [`invariant`](Blasted::invariant) is proven against the
     /// raw template. [`of`](Blasted::of) proves nothing, so this is
     /// `false` whenever it mined a clause and `true` when the set is
-    /// empty; [`certified`](Blasted::certified) sets it on a pass. A
-    /// `false` beside an empty set means `certified` dropped a set that
-    /// failed its proof — a soundness alarm worth surfacing, since the
-    /// Houdini fixpoint should only ever emit inductive sets. A
-    /// portfolio race proves the invariant again whatever this says.
+    /// empty; [`certified`](Blasted::certified) sets it, since it keeps
+    /// only what it proved. A portfolio race admits the invariant again
+    /// whatever this says.
     pub invariant_certified: bool,
 }
 
 impl Blasted {
     /// Blasts `ts`, cuts the template to the property's cone of
-    /// influence, runs CNF preprocessing over it, and mines a static
-    /// invariant on the result. The invariant ships unproven (see [the
-    /// engine-image contract](Blasted#the-engine-image-contract)).
+    /// influence, runs CNF preprocessing over it, and mines candidate
+    /// clauses for a static invariant. Builds no SAT solver: the
+    /// candidates ship unproven (see [the engine-image
+    /// contract](Blasted#the-engine-image-contract)).
     pub fn of(ts: &TransitionSystem) -> Blasted {
         Blasted::of_netlist(aig::blast_system(ts))
     }
@@ -543,34 +546,43 @@ impl Blasted {
     }
 
     /// This blast with its strengthening proven, for a caller that runs
-    /// engines solo: [`crate::certify::certify_invariant`] checks
-    /// [`invariant`](Blasted::invariant) against a freshly compiled raw
-    /// template, whatever
-    /// [`invariant_certified`](Blasted::invariant_certified) says. A
-    /// passing set is kept and marked proven; a failing one is dropped,
-    /// and the flag stays `false`. A portfolio race needs no call: it
-    /// proves the set itself before its seats start.
+    /// engines solo: a [`Certifier`](crate::certify::Certifier) on a
+    /// freshly compiled raw template [admits](crate::certify::Certifier::admit)
+    /// [`invariant`](Blasted::invariant), whatever
+    /// [`invariant_certified`](Blasted::invariant_certified) says, with
+    /// no limit but the admission's conflict cap. The admitted clauses
+    /// replace the set and are marked proven. A portfolio race needs no
+    /// call: it admits the set itself before its seats start.
     #[must_use]
     pub fn certified(self) -> Blasted {
-        let proven = self.invariant.is_empty() || {
-            let raw = aig::TransitionTemplate::compile(&self.sys);
-            crate::certify::certify_invariant(&self.sys, &raw, &self.invariant.clauses).ok
-        };
-        if proven {
+        if self.invariant.is_empty() {
             return Blasted {
                 invariant_certified: true,
                 ..self
             };
         }
-        let mut stats = self.invariant.stats.clone();
-        stats.retained = 0;
+        let mut certifier = crate::certify::Certifier::new(&self.sys, false);
+        let (admitted, report) = certifier.admit(&self.invariant.clauses, &satb::Limits::default());
+        self.admitted(admitted, &report)
+    }
+
+    /// This blast with `clauses`, which an admission that `report`
+    /// describes kept of [`invariant`](Blasted::invariant), as its
+    /// proven strengthening.
+    pub(crate) fn admitted(
+        &self,
+        clauses: Vec<crate::certify::LatchClause>,
+        report: &crate::certify::CertifyReport,
+    ) -> Blasted {
+        let stats = aig::AnalysisStats {
+            sat_queries: report.obligations as u64,
+            cancelled: !report.ok,
+            ..self.invariant.stats.clone()
+        };
         Blasted {
-            invariant: Arc::new(aig::StaticInvariant {
-                stats,
-                ..aig::StaticInvariant::default()
-            }),
-            invariant_certified: false,
-            ..self
+            invariant: Arc::new(aig::StaticInvariant::new(clauses, stats)),
+            invariant_certified: true,
+            ..self.clone()
         }
     }
 

@@ -16,6 +16,16 @@ use rtlir::{Simulator, Sort, Value};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
+/// A temporary directory that is removed when dropped, so a failed
+/// compile or a diverging cycle leaves nothing behind.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn have_cc() -> bool {
     Command::new("cc")
         .arg("--version")
@@ -38,10 +48,12 @@ fn cosim(f: &Fixture, cycles: u64, seed: u64) {
     let c_code = v2c::emit_c(&design, v2c::MainStyle::Cosim).expect("emits C");
 
     // Build the C binary in a temp dir.
-    let dir = std::env::temp_dir().join(format!("v2c_cosim_{top}_{seed}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let c_path = dir.join("netlist.c");
-    let bin_path = dir.join("netlist");
+    let dir = TempDir(
+        std::env::temp_dir().join(format!("v2c_cosim_{top}_{seed}_{}", std::process::id())),
+    );
+    std::fs::create_dir_all(&dir.0).expect("mkdir");
+    let c_path = dir.0.join("netlist.c");
+    let bin_path = dir.0.join("netlist");
     std::fs::write(&c_path, &c_code).expect("write C");
     let status = Command::new("cc")
         .arg("-O1")
@@ -131,7 +143,6 @@ fn cosim(f: &Fixture, cycles: u64, seed: u64) {
             "cycle {cycle}: architectural state diverges (C vs reference)"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Blast the netlist and compile its CNF transition template once;
     // every bit-level engine below instantiates the same template. The
-    // solo engines assert the mined strengthening only once it is
-    // proven; the portfolio proves it again itself.
+    // solo engines assert only what an admission proved of the mined
+    // strengthening; the portfolio admits it again itself.
     let blasted = Blasted::of(&ts).certified();
 
     let kind = KInduction::new(budget.clone()).check_blasted(&ts, &blasted);
